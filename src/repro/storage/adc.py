@@ -44,22 +44,22 @@ ranges once the link is healthy.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, Generator, List,
                     Optional, Tuple)
+from zlib import crc32
 
 from repro.errors import ReplicationError
 from repro.simulation.network import LinkDownError, NetworkLink
 from repro.simulation.resources import Gate
-from zlib import crc32 as _crc32
-
 from repro.storage.journal import (JournalEntry, JournalFullError,
                                    JournalVolume)
-from repro.storage.lanes import lane_delay, lane_waits, partition_lanes
-from repro.storage.reduction import (DISABLED_REDUCTION, EncodedPayload,
-                                     ReductionConfig, WireReducer)
+from repro.storage.lanes import lane_delays, lane_waits
+from repro.storage.reduction import (DISABLED_REDUCTION, KIND_REFERENCE,
+                                     EncodedPayload, ReductionConfig,
+                                     WireReducer)
 from repro.storage.replication import PairState, ReplicationPair
-from repro.telemetry.spans import Span
+from repro.telemetry.spans import BlockSchema, Span
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
@@ -187,15 +187,26 @@ class AdcConfig:
             raise ValueError("reduction must be a ReductionConfig")
 
 
+#: ``(status, attrs)`` of the restore applies that end without a media
+#: write (the ``early`` outcomes of a ``restore-apply`` span block)
+_APPLY_INTEGRITY = ("integrity", {"applied": False,
+                                  "reason": "checksum mismatch"})
+_APPLY_PAIR_DELETED = ("skipped", {"applied": False,
+                                   "reason": "pair deleted"})
+_APPLY_STALE = ("skipped", {"applied": False, "reason": "stale version"})
+_APPLY_COALESCED = ("coalesced", {"applied": False,
+                                  "reason": "superseded in window"})
+
+
 @dataclass
 class _Shipment:
-    """One in-flight transfer batch of the pipelined loop.
+    """One transfer batch on its way across the wire.
 
     ``batch`` is the peeked journal window, ``ship`` the coalesced
     subset actually crossing the wire, ``survivor`` the coalesce map
-    (None when coalescing is off).  The shipment's transfer runs in its
-    own process (``proc``); a link failure mid-flight lands in
-    ``error`` instead of propagating, so the loop can join shipments
+    (None when coalescing is off).  In the pipelined loop the transfer
+    runs in its own process (``proc``); a link failure mid-flight lands
+    in ``error`` instead of propagating, so that loop can join shipments
     strictly head-first and keep the receive side in sequence order.
     """
 
@@ -279,6 +290,9 @@ class JournalGroup:
         registry = sim.telemetry.registry
         self.tracer = sim.telemetry.tracer
         self.recorder = sim.telemetry.recorder
+        self._apply_spans = BlockSchema(
+            "restore-apply", {"group": group_id},
+            ("volume", "block", "sequence", "version"), {"applied": True})
         self.lag_entries = registry.gauge(
             "repro_journal_lag_entries",
             help="Journal entry lag sampled by the transfer loop",
@@ -787,160 +801,138 @@ class JournalGroup:
             self._batch_size = size
             self.batch_size_gauge.sample(self.sim.now, size)
 
-    def _encode_ship(self, ship: List[JournalEntry],
-                     ) -> Tuple[Optional[List[EncodedPayload]], int]:
-        """Encode one outgoing batch against the reduction caches.
-
-        Returns ``(encodings, wire_bytes)`` — or ``(None, logical)``
-        when reduction is off, leaving the verbatim wire path
-        untouched.  Encoding commits nothing to the caches (commit
-        happens at receive), so a shipment discarded in flight leaves
-        no speculative state to roll back.
+    @property
+    def integrity_rearmed(self) -> bool:
+        """True once a fault could have made a journaled payload and its
+        checksum disagree: a wire injector is installed, or a
+        journal-corruption fault has fired on either journal volume.
+        Integrity is normally established **once per site** (the host
+        write hashes, transfer-receive verifies) and everything
+        downstream trusts ``entry.checksum``; while this flag is up the
+        encoder fingerprints the payload bytes instead and restore-apply
+        verifies again before the media write.
         """
-        reducer = self.reducer
-        if not reducer.enabled:
-            # inlined entry.size_bytes: the property call per entry
-            # shows up on the drain hot path
-            return None, sum(len(entry.payload) + 64 for entry in ship)
-        pending = reducer.begin_batch()
-        encodings = [
-            reducer.encode(entry.payload, pending,
-                           overhead=entry.size_bytes - len(entry.payload))
-            for entry in ship]
-        return encodings, sum(e.wire_bytes for e in encodings)
+        return (self._wire_injector is not None
+                or self.main_journal.mutations > 0
+                or self.backup_journal.mutations > 0)
 
-    def _receive_batch(self, batch: List[JournalEntry],
-                       ship: List[JournalEntry],
-                       survivor: Optional[Dict[Tuple[int, int], int]],
-                       batch_span: Optional[Span],
-                       encodings: Optional[List[EncodedPayload]] = None,
-                       payload_bytes: int = -1,
-                       ) -> str:
+    def _receive_batch(self, shipment: _Shipment) -> str:
         """Receive-side ingest of one transferred batch.
 
-        Verifies each entry's CRC32 (quarantining on mismatch), ingests
-        into the backup journal, trims the delivered prefix off the
-        main journal, and bumps the transfer counters.  Runs entirely
-        at one simulated instant (no yields), so the stop-and-wait and
-        pipelined loops share it without perturbing event order.
-        Returns the batch status: ``"ok"``, ``"integrity"`` or
-        ``"backup-full"``.
-
-        With ``encodings`` (reduction on) each entry is first
-        reconstructed from its wire form — compressed payloads actually
-        decompress, references actually resolve from the receiver cache
-        — so a bad resolution or decode genuinely fails the CRC32 check
-        and quarantines like any other wire corruption.
+        One pass reconstructs each entry from its wire form (compressed
+        payloads actually decompress, references actually resolve from
+        the receiver cache — a bad resolution or decode genuinely fails
+        the check), runs it through the wire fault hook and verifies
+        its CRC32 once.  The pass stops at the first entry that is
+        corrupt (quarantined, never ingested) or finds the backup
+        journal full; the clean prefix before it is bulk-ingested, the
+        delivered prefix trimmed off the main journal, and whatever
+        lies behind re-ships after the suspension heals.  No yields, so
+        the stop-and-wait and pipelined loops share it without
+        perturbing event order.  Returns ``"ok"``, ``"integrity"``,
+        ``"backup-full"`` — or ``"link-down"`` for a shipment that died
+        on the wire: nothing of it was committed, but the sender can no
+        longer prove the receiver's cache state, so the caches re-warm.
         """
+        batch_span = shipment.span
+        if shipment.error is not None:
+            if batch_span is not None:
+                self.tracer.finish(batch_span, status="link-down")
+            self.reducer.discard()
+            self.reducer.invalidate()
+            return "link-down"
+        batch, ship = shipment.batch, shipment.ship
+        survivor, encodings = shipment.survivor, shipment.encodings
         injector = self._wire_injector
         verify = self.config.verify_integrity
-        if ship and survivor is None and encodings is None \
-                and injector is None:
-            # clean fast path: no coalescing, no reduction, no wire
-            # fault hook.  Verify the whole batch up front and bulk-
-            # ingest it in one call; a CRC mismatch or capacity
-            # overflow falls through to the per-entry loop below,
-            # whose prefix/quarantine semantics stay authoritative.
-            clean = True
-            if verify:
-                for entry in ship:
-                    checksum = entry.checksum
-                    if checksum is not None and \
-                            _crc32(entry.payload) & 0xFFFFFFFF != checksum:
-                        clean = False
-                        break
-            if clean:
-                try:
-                    self.backup_journal.ingest_batch(ship)
-                except JournalFullError:
-                    pass
-                else:
-                    last = ship[-1].sequence
-                    self.main_journal.pop_through(last)
-                    self.transferred_sequence = max(
-                        self.transferred_sequence, last)
-                    self.transferred_count.increment(len(ship))
-                    if payload_bytes < 0:
-                        # the caller did not thread the encode-time sum
-                        payload_bytes = sum(
-                            len(entry.payload) + 64 for entry in ship)
-                    self.transfer_bytes.increment(payload_bytes)
-                    self.transfer_batches.increment()
-                    if batch_span is not None:
-                        self.tracer.finish(batch_span, status="ok")
-                    return "ok"
-        # the consumed set only matters for the coalesced trim walk;
-        # without a survivor map (coalescing off) ``batch is ship`` and
-        # the delivered prefix is just the last consumed sequence, so
-        # the clean path skips the per-entry set entirely
-        consumed = set() if survivor is not None else None
-        last_ingested = -1
-        quarantined_at = -1
-        delivered_count = 0
-        delivered_bytes = 0
-        status = "ok"
-        backup_ingest = self.backup_journal.ingest
-        reducer = self.reducer
-        for index, entry in enumerate(ship):
+        receive = self.reducer.receive
+        room = self.backup_journal.free_entries
+        clean: List[JournalEntry] = []
+        corrupt = None
+        # the entry one past the room is received too: it is the one that
+        # finds the journal full (or is quarantined first)
+        for index, entry in enumerate(
+                ship if room >= len(ship) else ship[:room + 1]):
             if encodings is not None:
-                received = reducer.receive(encodings[index], entry.payload,
-                                           entry.checksum)
-                if received is not entry.payload:
-                    entry = replace(entry, payload=received)
-            wired = injector(entry) if injector is not None else entry
-            if verify and not wired.verify_checksum():
-                # corruption picked up on the wire: quarantine the
-                # entry at the receive side — it must never be
-                # ingested — and suspend for a targeted repair
-                if consumed is not None:
-                    consumed.add(entry.sequence)
-                quarantined_at = entry.sequence
-                self._quarantine_entry(wired, where="wire")
-                status = "integrity"
-                break
-            try:
-                backup_ingest(wired)
-            except JournalFullError:
-                self._suspend(PairState.PSUE, "backup journal full")
-                status = "backup-full"
-                break
-            if consumed is not None:
-                consumed.add(entry.sequence)
-            last_ingested = entry.sequence
-            delivered_count += 1
-            delivered_bytes += len(entry.payload) + 64
+                encoded = encodings[index]
+                payload = receive(encoded, entry.payload, entry.checksum)
+                if payload is not entry.payload:
+                    entry = JournalEntry(
+                        entry.sequence, entry.volume_id, entry.block,
+                        payload, entry.version, entry.created_at,
+                        entry.checksum, entry.trace_id, entry.span_id)
+                if encoded.kind == KIND_REFERENCE and injector is None:
+                    # a resolved reference was just verified against
+                    # the entry checksum: no second hash
+                    clean.append(entry)
+                    continue
+            if injector is not None:
+                entry = injector(entry)
+            if verify:
+                checksum = entry.checksum
+                if checksum is not None \
+                        and crc32(entry.payload) != checksum:
+                    corrupt = entry
+                    break
+            clean.append(entry)
+        status = "ok"
+        if len(clean) > room:
+            clean.pop()
+            status = "backup-full"
+        delivered_bytes = self.backup_journal.ingest_batch(clean)
+        consumed = len(clean)
+        if corrupt is not None:
+            # corruption picked up on the wire: consumed, never re-ships
+            self._quarantine_entry(corrupt, where="wire")
+            status = "integrity"
+            consumed += 1
+        elif status == "backup-full":
+            self._suspend(PairState.PSUE, "backup journal full")
         if encodings is not None:
             # book the whole shipment's post-reduction wire bytes (the
             # full batch crossed the link even if ingest stopped early)
             # plus any reference-fallback retransmits receive() priced in
-            reducer.account("transfer", encodings)
+            self.reducer.account("transfer", encodings)
         # trim the longest batch prefix in which every entry was
-        # consumed directly or superseded by a consumed survivor;
-        # the rest stays journaled and re-ships after the
-        # suspension heals
-        if consumed is None:
-            # batch is ship: the consumed prefix ends at the last
-            # ingested entry — or at the quarantined one, which was
-            # consumed too (it must never re-ship)
-            delivered = max(last_ingested, quarantined_at)
-        else:
+        # consumed directly or superseded by a consumed survivor; the
+        # rest stays journaled and re-ships after the suspension heals
+        # (ship is in sequence order, so a survivor was consumed exactly
+        # when it sits at or before the last consumed entry)
+        delivered = last = ship[consumed - 1].sequence if consumed else -1
+        if survivor is not None and consumed < len(ship):
             delivered = -1
             for entry in batch:
-                if survivor[(entry.volume_id, entry.block)] not in consumed:
+                if survivor[(entry.volume_id, entry.block)] > last:
                     break
                 delivered = entry.sequence
         if delivered >= 0:
             self.main_journal.pop_through(delivered)
-        if delivered_count:
+        if clean:
             self.transferred_sequence = max(self.transferred_sequence,
-                                            last_ingested)
-            self.transferred_count.increment(delivered_count)
+                                            clean[-1].sequence)
+            self.transferred_count.increment(len(clean))
             self.transfer_bytes.increment(delivered_bytes)
         if status == "ok":
             self.transfer_batches.increment()
         if batch_span is not None:
             self.tracer.finish(batch_span, status=status)
         return status
+
+    def _transfer_blocked(self) -> bool:
+        """True while nothing may ship (suspended, or link down — even
+        an idle link-down voids the reduction caches: the sender cannot
+        prove the receiver survived it)."""
+        if not self.link.is_up:
+            self.reducer.invalidate()
+            return True
+        return self.suspended
+
+    def _sample_idle_lag(self) -> None:
+        """Keep the lag gauges fresh while idle, at a bounded cadence so
+        long idle soaks don't accumulate one sample per wake-up."""
+        if self.sim.now - self._lag_sampled_at \
+                >= self.config.idle_lag_sample_interval:
+            self._sample_lag()
 
     def _transfer_loop_serial(self) -> Generator[object, object, None]:
         """Stop-and-wait wire path (``transfer_window=1``): ship one
@@ -953,82 +945,59 @@ class JournalGroup:
                 return
             if not self._transfer_enabled:
                 return
-            if self.suspended or not self.link.is_up:
-                if not self.link.is_up:
-                    # even an idle link-down voids the caches: the
-                    # sender cannot prove the receiver survived it
-                    self.reducer.invalidate()
+            if self._transfer_blocked():
                 continue
             batch = self.main_journal.peek_batch(self._batch_size) \
                 if len(self.main_journal) else []
             if not batch:
-                # idle: keep the lag gauges fresh, but at a bounded
-                # cadence so long idle soaks don't accumulate one
-                # redundant sample per wake-up
-                if self.sim.now - self._lag_sampled_at \
-                        >= config.idle_lag_sample_interval:
-                    self._sample_lag()
+                self._sample_idle_lag()
                 continue
-            if config.coalesce_overwrites and len(batch) > 1:
-                ship, survivor = self._coalesce_batch(batch)
-                if len(ship) < len(batch):
-                    self.coalesced_count.increment(len(batch) - len(ship))
-            else:
-                survivor = None
-                ship = batch
-            encodings, payload_bytes = self._encode_ship(ship)
-            tracer = self.tracer
-            batch_span = None
-            if tracer.enabled:
-                batch_span = tracer.start(
-                    "transfer-batch", group=self.group_id,
-                    entries=len(ship), bytes=payload_bytes,
-                    coalesced=len(batch) - len(ship),
-                    first_sequence=ship[0].sequence,
-                    last_sequence=ship[-1].sequence)
-            full = len(batch) >= self._batch_size
-            shipped_at = self.sim.now
-            try:
-                yield from self.link.transfer(payload_bytes)
-            except LinkDownError:
-                if batch_span is not None:
-                    tracer.finish(batch_span, status="link-down")
-                # after a mid-flight link failure the sender can no
-                # longer prove the receiver's cache state: re-warm
-                self.reducer.discard()
-                self.reducer.invalidate()
-                self._adapt_batch(False, full, self.sim.now - shipped_at,
-                                  len(self.main_journal))
-                continue  # entries stay journaled; retried next wake-up
-            status = self._receive_batch(batch, ship, survivor, batch_span,
-                                         encodings, payload_bytes)
-            self._adapt_batch(status == "ok", full,
-                              self.sim.now - shipped_at,
+            shipment = self._prepare_shipment(batch)
+            yield from self._ship(shipment)
+            status = self._receive_batch(shipment)
+            self._adapt_batch(status == "ok", shipment.full,
+                              self.sim.now - shipment.shipped_at,
                               len(self.main_journal))
-            self._sample_lag()
+            if status != "link-down":
+                # (a lost batch stays journaled; retried next wake-up)
+                self._sample_lag()
 
     def _ship(self, shipment: _Shipment,
               ) -> Generator[object, object, None]:
-        """One in-flight shipment's wire transfer (its own process).
-
-        A link failure mid-flight is captured on the shipment instead
-        of propagating, so the pipelined loop can join shipments
-        head-first and decide what the failure voids.
+        """One shipment's wire transfer (the pipelined loop runs it as
+        its own process).  A link failure mid-flight is captured on the
+        shipment instead of propagating, so shipments can be joined
+        head-first and the receive side decides what the failure voids.
         """
         try:
             yield from self.link.transfer(shipment.payload_bytes)
         except LinkDownError as exc:
             shipment.error = exc
 
-    def _launch_shipment(self, batch: List[JournalEntry]) -> _Shipment:
-        """Coalesce, trace and launch one batch onto the wire."""
+    def _prepare_shipment(self, batch: List[JournalEntry]) -> _Shipment:
+        """Coalesce, encode and trace one batch about to cross the wire.
+        Encoding commits nothing to the reduction caches (commit is at
+        receive), so a shipment discarded in flight rolls back for free.
+        """
         if self.config.coalesce_overwrites and len(batch) > 1:
             ship, survivor = self._coalesce_batch(batch)
             if len(ship) < len(batch):
                 self.coalesced_count.increment(len(batch) - len(ship))
         else:
             ship, survivor = batch, None
-        encodings, payload_bytes = self._encode_ship(ship)
+        if self.reducer.enabled:
+            # while integrity is re-armed a payload may no longer match
+            # its checksum: fingerprint the bytes actually there
+            trusted = not self.integrity_rearmed
+            encodings = self.reducer.encode_batch(
+                [(entry.payload, entry.checksum if trusted else None)
+                 for entry in ship], overhead=64)
+            payload_bytes = sum(e.wire_bytes for e in encodings)
+        else:
+            # inlined entry.size_bytes: the property call per entry
+            # shows up on the drain hot path
+            encodings = None
+            payload_bytes = sum(len(entry.payload) + 64 for entry in ship)
         span = None
         tracer = self.tracer
         if tracer.enabled:
@@ -1038,15 +1007,11 @@ class JournalGroup:
                 coalesced=len(batch) - len(ship),
                 first_sequence=ship[0].sequence,
                 last_sequence=ship[-1].sequence)
-        shipment = _Shipment(
+        return _Shipment(
             batch=batch, ship=ship, survivor=survivor,
             payload_bytes=payload_bytes, encodings=encodings, span=span,
             shipped_at=self.sim.now,
             full=len(batch) >= self._batch_size)
-        shipment.proc = self.sim.spawn(
-            self._ship(shipment),
-            name=f"jg-{self.group_id}.ship-{batch[0].sequence}")
-        return shipment
 
     def _transfer_loop_windowed(self) -> Generator[object, object, None]:
         """Pipelined wire path: up to ``transfer_window`` batches in
@@ -1078,7 +1043,11 @@ class JournalGroup:
                         self._batch_size, offset=covered)
                     if not batch:
                         break
-                    inflight.append(self._launch_shipment(batch))
+                    shipment = self._prepare_shipment(batch)
+                    shipment.proc = self.sim.spawn(
+                        self._ship(shipment),
+                        name=f"jg-{self.group_id}.ship-{batch[0].sequence}")
+                    inflight.append(shipment)
                     covered += len(batch)
             if not inflight:
                 last_done = None
@@ -1086,32 +1055,14 @@ class JournalGroup:
                     self._jittered(config.transfer_interval, "transfer"))
                 if not self._running or not self._transfer_enabled:
                     return
-                if self.suspended or not self.link.is_up:
-                    if not self.link.is_up:
-                        # idle link-down voids the caches (see the
-                        # serial loop)
-                        self.reducer.invalidate()
-                    continue
-                if not len(self.main_journal) and \
-                        self.sim.now - self._lag_sampled_at \
-                        >= config.idle_lag_sample_interval:
-                    self._sample_lag()
+                if not self._transfer_blocked() \
+                        and not len(self.main_journal):
+                    self._sample_idle_lag()
                 continue
             head = inflight.popleft()
             yield head.proc  # join: fires when the batch lands
             covered -= len(head.batch)
-            if head.error is not None:
-                if head.span is not None:
-                    self.tracer.finish(head.span, status="link-down")
-                # the head died on the wire: its encodings (and those
-                # of everything queued behind it) were never committed
-                self.reducer.discard()
-                self.reducer.invalidate()
-                status = "link-down"
-            else:
-                status = self._receive_batch(
-                    head.batch, head.ship, head.survivor, head.span,
-                    head.encodings, head.payload_bytes)
+            status = self._receive_batch(head)
             # AIMD feeds on the gap between head completions: in a
             # full pipeline that gap is the batch's serialisation
             # time, the actual per-batch drain rate of the wire
@@ -1140,7 +1091,6 @@ class JournalGroup:
     def _restore_loop(self) -> Generator[object, object, None]:
         config = self.config
         gate = self.restore_gate
-        laned = config.apply_lanes > 1
         while self._running:
             yield self.sim.timeout(
                 self._jittered(config.restore_interval, "restore"))
@@ -1152,22 +1102,13 @@ class JournalGroup:
                     return
                 if not gate.is_open:
                     yield gate.wait()
-                if laned:
-                    # the lane applier needs no distinct-address cap:
-                    # conflicts coalesce last-writer-wins per address
-                    window = self.backup_journal.peek_batch(
-                        config.restore_batch - applied)
-                else:
-                    window = self._pick_restore_window(
-                        config.restore_batch - applied)
+                window = self._pick_restore_window(
+                    config.restore_batch - applied)
                 if not window:
                     break
                 self.applying = True
                 try:
-                    if laned:
-                        yield from self._apply_window_laned(window)
-                    else:
-                        yield from self._apply_window(window)
+                    yield from self._apply_window(window)
                     self.backup_journal.pop_through(window[-1].sequence)
                     self.restored_sequence = window[-1].sequence
                 finally:
@@ -1179,15 +1120,18 @@ class JournalGroup:
     def _pick_restore_window(self, limit: int) -> List[JournalEntry]:
         """Contiguous journal entries safe to apply concurrently.
 
-        The window extends while entries touch distinct (volume, block)
-        addresses, so per-block ordering is preserved even though the
-        media writes overlap.  Window size is additionally capped by
-        ``restore_concurrency`` and the remaining batch budget.
+        The serial applier's window extends while entries touch
+        distinct (volume, block) addresses, so per-block ordering is
+        preserved even though the media writes overlap, and is capped
+        by ``restore_concurrency``.  The lane applier takes the whole
+        remaining batch budget: conflicts coalesce last-writer-wins.
         """
-        if not len(self.backup_journal):
-            return []
+        if self.config.apply_lanes > 1:
+            return self.backup_journal.peek_batch(limit)
         cap = min(self.config.restore_concurrency, max(limit, 1))
         candidates = self.backup_journal.peek_batch(cap)
+        if len(candidates) < 2:
+            return candidates  # one entry cannot conflict with itself
         window: List[JournalEntry] = []
         touched = set()
         for entry in candidates:
@@ -1198,196 +1142,91 @@ class JournalGroup:
             window.append(entry)
         return window
 
-    def _verify_at_apply(self) -> bool:
-        """Whether restore-apply must re-verify entry checksums.
-
-        Integrity is normally checked **once at receive** (before ingest
-        into the backup journal); re-hashing every payload at apply time
-        would double the CRC cost of the whole pipeline for nothing.
-        The receive-side check stops covering an entry only when some
-        fault path can mutate it *after* ingest — a wire injector is
-        installed, or a journal-corruption fault has fired on either
-        journal volume — and only then does the apply side verify again,
-        preserving the zero-silent-corruption invariant.
-        """
-        return self.config.verify_integrity and (
-            self._wire_injector is not None
-            or self.main_journal.mutations > 0
-            or self.backup_journal.mutations > 0)
-
     def _apply_window(self, window: List[JournalEntry],
                       ) -> Generator[object, object, None]:
-        """Apply a non-conflicting window with one aggregated media wait.
+        """Apply one window and commit it at a single instant.
 
-        Semantically equivalent to overlapping one apply process per
-        entry: the media writes proceed in parallel on distinct blocks,
-        so the window's simulated elapsed time is the *max* of the
-        per-entry apply costs (copy-on-write preservation plus the
-        write), after which every surviving payload installs.  Unlike
-        the per-entry fan-out this allocates no processes, no join
-        events and — when tracing is off — no spans.
+        One pass in sequence order makes the per-entry decisions —
+        integrity quarantine, pair-deleted skip, stale-version skip —
+        and coalesces same-(volume, block) conflicts last-writer-wins
+        (safe for the same reason wire coalescing is: the survivor is
+        the newest write of its address and versions per address are
+        monotone in sequence order; the serial applier's
+        distinct-address windows never conflict).  The survivors' media
+        writes overlap, so the window costs the *max* of their apply
+        costs (copy-on-write preservation plus the write); with
+        ``apply_lanes > 1`` they deal round-robin into lanes, one
+        concurrent wait each, joined as the consistency-cut barrier.
+        Nothing installs until the whole media time has elapsed, so
+        every externally observable image (snapshot-group creation,
+        failover promote, invariant checks, restore-point queries) is a
+        window-boundary cut.  The ``restore-apply`` spans — parented to
+        the span that journaled each entry (host-write / initial-copy /
+        resync; the context rode inside the entry across the site hop)
+        — are recorded as one block per window.
         """
         tracer = self.tracer
-        tracing = tracer.enabled
-        verify = self._verify_at_apply()
-        svols = self._svol_by_pvol
-        delay = 0.0
-        installs = []
-        for entry in window:
-            # the restore-apply span parents to the *originating* span
-            # that journaled the entry (host-write / initial-copy /
-            # resync) — the context travelled inside the entry across
-            # the site hop
-            span = None
-            if tracing:
-                span = tracer.start(
-                    "restore-apply", trace_id=entry.trace_id,
-                    parent_id=entry.span_id, group=self.group_id,
-                    volume=entry.volume_id, block=entry.block,
-                    sequence=entry.sequence, version=entry.version)
+        verify = self.config.verify_integrity and self.integrity_rearmed
+        svols_get = self._svol_by_pvol.get
+        early: Dict[int, tuple] = {}
+        surviving: Dict[Tuple[int, int], tuple] = {}
+        conflicts = 0
+        for index, entry in enumerate(window):
             if verify and not entry.verify_checksum():
                 # corruption inside the journal volume (torn/bit-rotted
                 # write): quarantine before the media write — the
                 # payload never reaches the secondary volume
                 self._quarantine_entry(entry, where="journal")
-                if span is not None:
-                    tracer.finish(span, status="integrity", applied=False,
-                                  reason="checksum mismatch")
+                early[index] = _APPLY_INTEGRITY
                 continue
-            svol = svols.get(entry.volume_id)
+            svol = svols_get(entry.volume_id)
             if svol is None:
                 # pair deleted while entries were in flight
-                if span is not None:
-                    tracer.finish(span, status="skipped", applied=False,
-                                  reason="pair deleted")
+                early[index] = _APPLY_PAIR_DELETED
                 continue
             current = svol.peek(entry.block)
             if current is not None and current.version >= entry.version:
                 # already applied (resync overlap)
-                if span is not None:
-                    tracer.finish(span, status="skipped", applied=False,
-                                  reason="stale version")
+                early[index] = _APPLY_STALE
                 continue
-            cost = svol.apply_delay(entry.block)
-            if cost > delay:
-                delay = cost
-            installs.append((svol, entry, span))
-        if delay > 0:
-            yield self.sim.timeout(delay)
-        for svol, entry, span in installs:
-            svol.install_block(entry.block, entry.payload, entry.version,
-                               checksum=entry.checksum)
-            if span is not None:
-                tracer.finish(span, applied=True)
-
-    def _apply_window_laned(self, window: List[JournalEntry],
-                            ) -> Generator[object, object, None]:
-        """Dependency-aware lane apply with a consistency-cut barrier.
-
-        One pass in sequence order runs exactly the serial applier's
-        per-entry decisions — integrity quarantine, pair-deleted skip,
-        stale-version skip — then coalesces same-(volume, block)
-        conflicts last-writer-wins (safe for the same reason wire
-        coalescing is: the survivor is by construction the newest write
-        of its address, and versions per address are monotone in
-        sequence order).  The surviving installs partition round-robin
-        into conflict-free lanes; each lane's media waits aggregate
-        into one concurrent wait, and the join of all lanes is the
-        consistency-cut barrier — nothing installs until every lane's
-        media time has elapsed, so the commit lands at one simulated
-        instant and every externally observable image (snapshot-group
-        creation, failover promote, invariant checks, restore-point
-        queries) is a window-boundary cut, exactly as with the serial
-        applier.
-        """
-        tracer = self.tracer
-        tracing = tracer.enabled
-        verify = self._verify_at_apply()
-        svols = self._svol_by_pvol
-        conflicts = 0
-        surviving: Dict[Tuple[int, int], tuple] = {}
-        if not tracing and not verify:
-            # span-free, verify-free variant of the loop below: the
-            # clean drain's hot path, with no per-entry span objects,
-            # no superseded-span bookkeeping (a plain dict overwrite
-            # coalesces) and the conflict count derived at the end
-            svols_get = svols.get
-            accepted = 0
-            for entry in window:
-                svol = svols_get(entry.volume_id)
-                if svol is None:
-                    continue
-                current = svol.peek(entry.block)
-                if current is not None and \
-                        current.version >= entry.version:
-                    continue
-                accepted += 1
-                surviving[(entry.volume_id, entry.block)] = \
-                    (svol, entry, None)
-            conflicts = accepted - len(surviving)
-        else:
-            for entry in window:
-                span = None
-                if tracing:
-                    span = tracer.start(
-                        "restore-apply", trace_id=entry.trace_id,
-                        parent_id=entry.span_id, group=self.group_id,
-                        volume=entry.volume_id, block=entry.block,
-                        sequence=entry.sequence, version=entry.version)
-                if verify and not entry.verify_checksum():
-                    self._quarantine_entry(entry, where="journal")
-                    if span is not None:
-                        tracer.finish(span, status="integrity",
-                                      applied=False,
-                                      reason="checksum mismatch")
-                    continue
-                svol = svols.get(entry.volume_id)
-                if svol is None:
-                    if span is not None:
-                        tracer.finish(span, status="skipped",
-                                      applied=False,
-                                      reason="pair deleted")
-                    continue
-                current = svol.peek(entry.block)
-                if current is not None and \
-                        current.version >= entry.version:
-                    if span is not None:
-                        tracer.finish(span, status="skipped",
-                                      applied=False,
-                                      reason="stale version")
-                    continue
-                address = (entry.volume_id, entry.block)
-                superseded = surviving.pop(address, None)
-                if superseded is not None:
-                    conflicts += 1
-                    if superseded[2] is not None:
-                        tracer.finish(superseded[2], status="coalesced",
-                                      applied=False,
-                                      reason="superseded in window")
-                surviving[address] = (svol, entry, span)
+            address = (entry.volume_id, entry.block)
+            if address in surviving:
+                conflicts += 1
+                early[surviving.pop(address)[0]] = _APPLY_COALESCED
+            surviving[address] = (index, svol, entry)
         if conflicts and self.lane_conflicts is not None:
             self.lane_conflicts.increment(conflicts)
-        installs = list(surviving.values())
-        if installs:
-            lanes = partition_lanes(installs, self.config.apply_lanes)
-            delays = [lane_delay(svol.apply_delay(entry.block)
-                                 for svol, entry, _span in lane)
-                      for lane in lanes]
-            yield from lane_waits(self.sim, delays,
-                                  name=f"jg-{self.group_id}.restore")
-        # the barrier has closed: commit every lane's surviving install
-        # at this one instant
-        for svol, entry, span in installs:
-            svol.install_block(entry.block, entry.payload, entry.version,
-                               checksum=entry.checksum)
-            if span is not None:
-                tracer.finish(span, applied=True)
-
-    def _apply_entry(self, entry: JournalEntry,
-                     ) -> Generator[object, object, None]:
-        """Single-entry apply (failover drain path); same semantics as a
-        size-1 :meth:`_apply_window` but pays the media wait inline."""
-        yield from self._apply_window([entry])
+        block = None
+        if tracer.enabled:
+            block = tracer.start_block(
+                self._apply_spans,
+                [(entry.trace_id, entry.span_id, entry.volume_id,
+                  entry.block, entry.sequence, entry.version)
+                 for entry in window], early)
+        costs = [svol.apply_delay(entry.block)
+                 for _index, svol, entry in surviving.values()]
+        if self.config.apply_lanes > 1:
+            yield from lane_waits(
+                self.sim, lane_delays(costs, self.config.apply_lanes),
+                name=f"jg-{self.group_id}.restore")
+            # the barrier has closed: one batch install per secondary
+            by_svol: Dict["Volume", List[tuple]] = {}
+            for _index, svol, entry in surviving.values():
+                by_svol.setdefault(svol, []).append(
+                    (entry.block, entry.payload, entry.version,
+                     entry.checksum))
+            for svol, rows in by_svol.items():
+                svol.install_blocks(rows)
+        else:
+            # serial windows hold a handful of entries (one, by default):
+            # a batch install's fixed set-up would cost more than it hoists
+            delay = max(costs, default=0.0)
+            if delay > 0:
+                yield self.sim.timeout(delay)
+            for _index, svol, entry in surviving.values():
+                svol.install_block(entry.block, entry.payload,
+                                   entry.version, checksum=entry.checksum)
+        tracer.finish_block(block)
 
     def _update_copy_states(self) -> None:
         for pair in self.pairs.values():
@@ -1426,7 +1265,7 @@ class JournalGroup:
         drain_span = self.tracer.start("journal-drain", group=self.group_id)
         applied = 0
         for entry in self.backup_journal.snapshot_entries():
-            yield from self._apply_entry(entry)
+            yield from self._apply_window([entry])
             self.backup_journal.pop_through(entry.sequence)
             self.restored_sequence = entry.sequence
             self.restored_count.increment()

@@ -182,41 +182,20 @@ class JournalVolume:
             self.peak_entries = occupancy + 1
         return entry
 
-    def ingest(self, entry: JournalEntry) -> None:
-        """Accept a transferred entry at the backup site.
+    def ingest_batch(self, entries: List[JournalEntry]) -> int:
+        """Accept one transferred batch at the backup site; returns the
+        wire bytes admitted.
 
-        Entries must arrive in sequence order (the transfer process ships
-        them FIFO over one link); gaps indicate a programming error.
-        """
-        ring = self._ring
-        if len(ring) > self._head and entry.sequence <= ring[-1].sequence:
-            raise ValueError(
-                f"{self.name}: out-of-order ingest "
-                f"seq={entry.sequence} after {ring[-1].sequence}")
-        if len(ring) - self._head >= self.capacity_entries:
-            raise JournalFullError(f"{self.name} full on ingest")
-        ring.append(entry)
-        self.head_sequence = entry.sequence
-        size = len(entry.payload) + 64  # inlined entry.size_bytes
-        self._sizes.append(size)
-        self.bytes_retained += size
-        occupancy = len(ring) - self._head
-        if occupancy > self.peak_entries:
-            self.peak_entries = occupancy
-
-    def ingest_batch(self, entries: List[JournalEntry]) -> None:
-        """Bulk :meth:`ingest` of one transferred batch.
-
-        All-or-nothing: order and capacity are checked *before* any
-        mutation, so a :class:`JournalFullError` leaves the journal
-        exactly as it was and the caller can fall back to per-entry
-        ingest (which admits the prefix that fits).  ``entries`` must be
-        in sequence order — they are a :meth:`peek_batch` slice of the
-        shipping journal, which is sorted by construction, so only the
-        first entry is checked against the ring tail.
+        Entries must arrive in sequence order (the transfer process
+        ships them FIFO over one link) — ``entries`` is a
+        :meth:`peek_batch` slice of the shipping journal, sorted by
+        construction, so only its first entry is checked against the
+        ring tail.  All-or-nothing: order and capacity are checked
+        *before* any mutation (the receive path sizes its batch to
+        :attr:`free_entries`).
         """
         if not entries:
-            return
+            return 0
         ring = self._ring
         if len(ring) > self._head \
                 and entries[0].sequence <= ring[-1].sequence:
@@ -229,11 +208,13 @@ class JournalVolume:
         ring.extend(entries)
         sizes = [len(entry.payload) + 64 for entry in entries]
         self._sizes.extend(sizes)
-        self.bytes_retained += sum(sizes)
+        admitted = sum(sizes)
+        self.bytes_retained += admitted
         self.head_sequence = entries[-1].sequence
         occupancy += len(entries)
         if occupancy > self.peak_entries:
             self.peak_entries = occupancy
+        return admitted
 
     def peek_batch(self, limit: int, offset: int = 0) -> List[JournalEntry]:
         """The oldest ``limit`` entries without removing them.

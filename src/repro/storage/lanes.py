@@ -6,9 +6,9 @@ ARIES-style partitioned redo and Aurora's ordered-apply lanes exploit).
 This module is the shared scheduler both the ADC restore applier and
 the SDC bulk-copy install phase thread their media waits through:
 
-* :func:`partition_lanes` deals conflict-free work items round-robin
-  into ``lanes`` buckets — deterministic, so two runs of the same seed
-  schedule identically;
+* :func:`lane_delays` deals conflict-free work items round-robin into
+  ``lanes`` lanes and prices each lane — deterministic, so two runs of
+  the same seed schedule identically;
 * :func:`lane_waits` runs one aggregated media wait per lane as a
   concurrent simulation process and joins them all before returning.
   The join is the **consistency-cut barrier**: no caller-visible state
@@ -25,36 +25,22 @@ bound how much bookkeeping each concurrent process carries.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Iterable, List, Sequence, TypeVar
+from typing import TYPE_CHECKING, Generator, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
 
-T = TypeVar("T")
 
-
-def partition_lanes(items: Sequence[T], lanes: int) -> List[List[T]]:
-    """Deal ``items`` round-robin into at most ``lanes`` buckets.
-
-    Deterministic in the input order; empty buckets are dropped so the
-    caller never spawns a process with nothing to wait for.
+def lane_delays(costs: Sequence[float], lanes: int) -> List[float]:
+    """Aggregated media wait of each lane when conflict-free work items
+    with these ``costs`` are dealt round-robin into ``lanes`` lanes: the
+    ``max`` of a lane's costs (its media writes overlap).  Never more
+    lanes than items, so no process is spawned with nothing to wait for.
     """
     if lanes < 1:
         raise ValueError(f"lanes must be >= 1: {lanes}")
-    buckets: List[List[T]] = [[] for _ in range(min(lanes, len(items)))]
-    for index, item in enumerate(items):
-        buckets[index % len(buckets)].append(item)
-    return [bucket for bucket in buckets if bucket]
-
-
-def lane_delay(costs: Iterable[float]) -> float:
-    """Aggregated media wait of one lane: the ``max`` of its per-item
-    costs (overlapping media writes), 0.0 for an empty lane."""
-    delay = 0.0
-    for cost in costs:
-        if cost > delay:
-            delay = cost
-    return delay
+    lanes = min(lanes, len(costs))
+    return [max(costs[lane::lanes]) for lane in range(lanes)]
 
 
 def lane_waits(sim: "Simulator", delays: Sequence[float],

@@ -54,7 +54,7 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.storage.journal import payload_checksum
 
@@ -162,6 +162,9 @@ class FingerprintCache:
             raise ValueError(f"capacity must be >= 0: {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[Fingerprint, bytes]" = OrderedDict()
+        #: ``get(fingerprint)``: the cached payload, or None (the map's
+        #: own bound method — one lookup per payload on the wire path)
+        self.get = self._entries.get
         #: payloads dropped to keep the cache within capacity
         self.evictions = 0
 
@@ -170,10 +173,6 @@ class FingerprintCache:
 
     def __contains__(self, fingerprint: Fingerprint) -> bool:
         return fingerprint in self._entries
-
-    def get(self, fingerprint: Fingerprint) -> Optional[bytes]:
-        """The cached payload for ``fingerprint``, or None."""
-        return self._entries.get(fingerprint)
 
     def put(self, fingerprint: Fingerprint, payload: bytes) -> None:
         """Insert a payload; a present fingerprint keeps its slot (the
@@ -190,7 +189,7 @@ class FingerprintCache:
         self._entries.clear()
 
 
-@dataclass
+@dataclass(slots=True)
 class EncodedPayload:
     """One payload's wire form, decided at encode (launch) time.
 
@@ -262,52 +261,62 @@ class WireReducer:
 
     # -- sender side ---------------------------------------------------------
 
-    def begin_batch(self) -> Dict[Fingerprint, bytes]:
-        """A fresh batch-local pending set for :meth:`encode`."""
-        return {}
+    def encode_batch(self, items: Iterable[Tuple[bytes, Optional[int]]],
+                     raw_bytes: Optional[int] = None,
+                     overhead: int = 0) -> List[EncodedPayload]:
+        """Decide the wire form of one outgoing batch of ``(payload,
+        checksum)`` items against the current caches.
 
-    def encode(self, payload: bytes,
-               pending: Dict[Fingerprint, bytes],
-               raw_bytes: Optional[int] = None,
-               overhead: int = 0) -> EncodedPayload:
-        """Decide one payload's wire form against the current caches.
-
-        ``raw_bytes`` is the unreduced wire cost of the payload alone
-        (defaults to ``len(payload)``; the SDC block paths pass the
-        fixed block size); ``overhead`` is per-item framing shipped
-        regardless of mechanism (the 64-byte journal-entry header).
-        The cheapest mechanism wins — a reference larger than the raw
-        payload ships raw.  Nothing is committed here: ``pending``
-        collects this batch's full payloads so in-batch duplicates
-        dedup against each other, and is simply dropped if the
-        shipment never lands.
+        ``checksum`` is the payload's CRC32 when the caller holds a
+        trustworthy one (the journaled entry checksum) — the
+        fingerprint then costs no hash; ``None`` hashes here.
+        ``raw_bytes`` is the unreduced wire cost of one payload alone
+        (default its length; the SDC block paths pass the fixed block
+        size); ``overhead`` is per-item framing shipped regardless of
+        mechanism (the 64-byte journal-entry header).  The cheapest
+        mechanism wins — a reference larger than the raw payload ships
+        raw.  Nothing is committed here: in-batch duplicates dedup
+        against each other through a batch-local pending set, and a
+        shipment that never lands leaves no state behind.
         """
-        raw = raw_bytes if raw_bytes is not None else len(payload)
-        fingerprint = (payload_checksum(payload), len(payload))
-        if self.config.cache_entries > 0:
-            self.lookups += 1
-            cached = pending.get(fingerprint)
-            if cached is None:
-                cached = self.sender.get(fingerprint)
-            # byte-compare before referencing: a (crc32, length)
-            # collision must ship its payload, never a wrong reference
-            if cached is not None and cached == payload \
-                    and self.config.ref_bytes < raw:
-                self.hits += 1
-                return EncodedPayload(
-                    KIND_REFERENCE, fingerprint,
-                    overhead + self.config.ref_bytes, overhead + raw)
-        packed = self.codec.compress(payload)
-        if packed is not None \
-                and len(packed) + COMPRESS_FRAME_BYTES < raw:
+        dedup = self.config.cache_entries > 0
+        ref_bytes = self.config.ref_bytes
+        sender_get = self.sender.get
+        compress = self.codec.compress
+        pending: Dict[Fingerprint, bytes] = {}
+        encodings = []
+        for payload, checksum in items:
+            raw = raw_bytes if raw_bytes is not None else len(payload)
+            if checksum is None:
+                checksum = payload_checksum(payload)
+            fingerprint = (checksum, len(payload))
+            if dedup:
+                cached = pending.get(fingerprint)
+                if cached is None:
+                    cached = sender_get(fingerprint)
+                # byte-compare before referencing: a (crc32, length)
+                # collision must ship its payload, never a wrong reference
+                if cached is not None and ref_bytes < raw \
+                        and cached == payload:
+                    self.hits += 1
+                    encodings.append(EncodedPayload(
+                        KIND_REFERENCE, fingerprint,
+                        overhead + ref_bytes, overhead + raw))
+                    continue
             pending[fingerprint] = payload
-            return EncodedPayload(
-                KIND_COMPRESSED, fingerprint,
-                overhead + len(packed) + COMPRESS_FRAME_BYTES,
-                overhead + raw, data=packed)
-        pending[fingerprint] = payload
-        return EncodedPayload(KIND_RAW, fingerprint,
-                              overhead + raw, overhead + raw)
+            packed = compress(payload)
+            if packed is not None \
+                    and len(packed) + COMPRESS_FRAME_BYTES < raw:
+                encodings.append(EncodedPayload(
+                    KIND_COMPRESSED, fingerprint,
+                    overhead + len(packed) + COMPRESS_FRAME_BYTES,
+                    overhead + raw, data=packed))
+            else:
+                encodings.append(EncodedPayload(
+                    KIND_RAW, fingerprint, overhead + raw, overhead + raw))
+        if dedup:
+            self.lookups += len(encodings)
+        return encodings
 
     def discard(self, count: int = 1) -> None:
         """Record ``count`` in-flight shipments voided before receive.
@@ -328,12 +337,13 @@ class WireReducer:
         ``payload``/``checksum`` are the entry's own payload and CRC32
         (the simulation carries the object across; the encoding decides
         what the *wire* carried).  References resolve from the receiver
-        cache and are re-verified against the entry CRC32; any miss or
-        mismatch falls back to the full payload, counted — the fallback
-        retransmit is charged via :meth:`account_fallback` by the
-        caller's accounting pass.  Full payloads (raw or compressed)
-        commit the reconstructed bytes to both caches in receive order,
-        which is what keeps the two sides synchronized.
+        cache and are re-verified against the entry CRC32 (``encoded``
+        still reading ``KIND_REFERENCE`` afterwards tells the caller
+        the bytes passed that check); any miss or mismatch falls back
+        to the full payload (``KIND_RAW``, retransmit priced), counted.  Full
+        payloads (raw or compressed) commit the reconstructed bytes to
+        both caches in receive order, which is what keeps the two sides
+        synchronized.
         """
         if encoded.kind == KIND_REFERENCE:
             cached = self.receiver.get(encoded.fingerprint)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 from repro.errors import ReplicationError
 from repro.simulation.network import LinkDownError, NetworkLink
 from repro.simulation.resources import Lock
-from repro.storage.lanes import lane_delay, lane_waits
+from repro.storage.lanes import lane_waits
 from repro.storage.reduction import (DISABLED_REDUCTION, ReductionConfig,
                                      WireReducer)
 from repro.storage.replication import PairState, ReplicationPair
@@ -205,7 +205,7 @@ class SyncMirror:
                 if not installs:
                     continue
                 lanes.append(installs)
-                delays.append(lane_delay(
+                delays.append(max(
                     svol.apply_delay(block)
                     for block, _payload, _value in installs))
             staged.clear()
@@ -244,11 +244,9 @@ class SyncMirror:
             if reducer.enabled:
                 # every block ships at the fixed block size unreduced,
                 # so raw_bytes prices the wire cost it would have paid
-                pending = reducer.begin_batch()
-                encodings = [
-                    reducer.encode(value.payload, pending,
-                                   raw_bytes=config.block_size_bytes)
-                    for _block, value in stale]
+                encodings = reducer.encode_batch(
+                    [(value.payload, None) for _block, value in stale],
+                    raw_bytes=config.block_size_bytes)
                 wire_bytes = sum(e.wire_bytes for e in encodings)
             else:
                 encodings = None

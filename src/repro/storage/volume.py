@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, List, NamedTuple, Optional
+from typing import (TYPE_CHECKING, Dict, Generator, Iterable, List,
+                    NamedTuple, Optional)
 
 from repro.errors import IntegrityError, VolumeError
 from repro.storage.journal import payload_checksum
@@ -230,9 +231,10 @@ class Volume:
         cost = self.media.write_latency
         cow = self.media.cow_copy_latency
         if cow > 0 and self._snapshots and block not in self._cow_saved:
-            pending = sum(1 for snap in self._snapshots
-                          if not snap.deleted
-                          and not snap.has_preimage(block))
+            pending = 0
+            for snap in self._snapshots:
+                if not snap.deleted and not snap.has_preimage(block):
+                    pending += 1
             cost += pending * cow
         return cost
 
@@ -272,6 +274,43 @@ class Volume:
         self._blocks[block] = BlockValue(data, version, checksum)
         self.writes += 1
         return version
+
+    def install_blocks(self, writes: Iterable[tuple]) -> None:
+        """Latency-free install of one window of replication applies,
+        ``(block, payload, version, checksum)`` rows in order: row for
+        row :meth:`install_block` with an explicit version, but online
+        check, snapshot-list lookup and counters are paid once.
+        """
+        self._check_online()
+        blocks = self._blocks
+        snapshots = self._snapshots
+        saved = self._cow_saved
+        newest = self._version_counter
+        installed = 0
+        try:
+            for block, payload, version, checksum in writes:
+                if not 0 <= block < self.capacity_blocks:
+                    self._check_block(block)
+                current = blocks.get(block)
+                if current is not None and current.version >= version:
+                    raise VolumeError(
+                        f"{self.name}: out-of-order apply to block "
+                        f"{block}: have v{current.version}, got v{version}")
+                if snapshots and block not in saved:
+                    for snap in snapshots:
+                        if not snap.deleted and not snap.has_preimage(block):
+                            snap.save_preimage(block, current)
+                    saved.add(block)
+                data = payload if type(payload) is bytes else bytes(payload)
+                if checksum is None:
+                    checksum = payload_checksum(data)
+                blocks[block] = BlockValue(data, version, checksum)
+                if version > newest:
+                    newest = version
+                installed += 1
+        finally:
+            self._version_counter = newest
+            self.writes += installed
 
     def _copy_on_write(self, block: int) -> Generator[object, object, None]:
         """Preserve the pre-image of ``block`` in every attached snapshot.

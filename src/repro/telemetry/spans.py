@@ -25,17 +25,26 @@ finish; it never replaces the flat action log.
 Span IDs come from a deterministic counter, not randomness or wall
 clocks, so traces are reproducible run-to-run like everything else in
 the simulation.
+
+Hot loops that open many same-named spans at one instant (the restore
+applier: one ``restore-apply`` per journal entry) record one compact
+:class:`SpanBlock` per window — a tuple row per span, ids reserved as a
+contiguous range — which is materialised into :class:`Span` objects,
+indistinguishable from individually recorded ones, only when a query
+(``spans``, ``named``, ``by_id``, …) or an ``on_finish`` hook asks.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import (Callable, Deque, Dict, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed, attributed operation in a causal trace."""
 
@@ -92,6 +101,8 @@ class _NullSpan(Span):
     singleton never accumulates state.
     """
 
+    __slots__ = ()
+
     def set(self, **attrs: object) -> "Span":
         return self
 
@@ -102,6 +113,67 @@ class _NullSpan(Span):
 #: the attribute kwargs at all)
 NULL_SPAN = _NullSpan(name="tracing-disabled", trace_id=None,  # type: ignore[arg-type]
                       span_id=None, parent_id=None, start=0.0)  # type: ignore[arg-type]
+
+
+#: shared empty mapping (only ever read)
+_EMPTY: dict = {}
+
+
+class BlockSchema(NamedTuple):
+    """What the spans of a :class:`SpanBlock` share: their ``name``, the
+    ``base`` attributes of every span, the ``keys`` naming each row's
+    values, and the ``closing`` attributes of spans that finish with
+    the block.  Build one and reuse it; the mappings are only read."""
+
+    name: str
+    base: dict
+    keys: Tuple[str, ...]
+    closing: dict
+
+
+@dataclass(slots=True)
+class SpanBlock:
+    """Same-named spans opened at one instant, stored as one flat tuple
+    (the smallest thing to keep per window, and one the cyclic GC stops
+    tracking).  Row ``i`` is ``cells[i * width:(i + 1) * width]`` =
+    ``(trace_id, parent_id, *values)`` with span id ``first_id + i``.
+    ``early[i]`` is the ``(status, attrs)`` of a span that finished at
+    the start instant; the rest finish with the block, status ``ok``.
+    """
+
+    schema: BlockSchema
+    cells: tuple
+    early: Dict[int, Tuple[str, dict]]
+    first_id: int
+    start: float
+    end: Optional[float] = None
+    #: leading rows the tracer's ring cap has dropped
+    evicted: int = 0
+    #: the materialised spans (rows ``evicted``..), once asked for
+    spans: Optional[List[Span]] = None
+
+    def __len__(self) -> int:
+        return len(self.cells) // (len(self.schema.keys) + 2)
+
+    def materialise(self) -> List[Span]:
+        """The block's retained rows as :class:`Span` objects (built
+        once; an unfinished block's open spans are closed through
+        these same objects by :meth:`Tracer.finish_block`)."""
+        if self.spans is None:
+            name, base, keys, closing = self.schema
+            width = len(keys) + 2
+            start, end = self.start, self.end
+            closes = ("ok", closing if end is not None else _EMPTY)
+            self.spans = spans = []
+            for index in range(self.evicted, len(self)):
+                row = self.cells[index * width:(index + 1) * width]
+                outcome = self.early.get(index, closes)
+                spans.append(Span(
+                    name, row[0], f"s{self.first_id + index:06d}", row[1],
+                    start, end if outcome is closes else start,
+                    {**base, **dict(zip(keys, row[2:])), **outcome[1]},
+                    outcome[0]))
+        return self.spans
 
 
 class Tracer:
@@ -124,11 +196,15 @@ class Tracer:
         #: :data:`NULL_SPAN` and :meth:`finish` no-ops — zero span
         #: objects are allocated on the hot path
         self.enabled = True
-        self.spans: List[Span] = []
-        self._by_id: Dict[str, Span] = {}
+        #: the ring, oldest first: spans and not-yet-queried blocks
+        #: (``_compact`` of them; ``_size`` counts spans).  Only the oldest
+        #: is ever dropped: one id range ending at ``_next_span - 1``
+        self._ring: Deque[Union[Span, SpanBlock]] = deque()
+        self._compact = 0
+        self._size = 0
         self.dropped = 0
-        self._trace_ids = itertools.count(1)
-        self._span_ids = itertools.count(1)
+        self._next_trace = 1
+        self._next_span = 1
 
     # -- span lifecycle ------------------------------------------------------
 
@@ -150,18 +226,18 @@ class Tracer:
             trace_id = parent.trace_id
             parent_id = parent.span_id
         elif trace_id is None:
-            trace_id = f"t{next(self._trace_ids):04d}"
+            trace_id = self._new_trace_id()
             parent_id = None
-        span = Span(
-            name=name,
-            trace_id=trace_id,
-            span_id=f"s{next(self._span_ids):06d}",
-            parent_id=parent_id,
-            start=self._clock(),
-            attrs=dict(attrs),
-        )
+        span = Span(name, trace_id, f"s{self._next_span:06d}", parent_id,
+                    self._clock(), None, attrs)
+        self._next_span += 1
         self._store(span)
         return span
+
+    def _new_trace_id(self) -> str:
+        trace_id = f"t{self._next_trace:04d}"
+        self._next_trace += 1
+        return trace_id
 
     def finish(self, span: Span, status: str = "ok",
                **attrs: object) -> Span:
@@ -178,31 +254,102 @@ class Tracer:
             self.on_finish(span)
         return span
 
-    def event(self, name: str, parent: Optional[Span] = None,
-              trace_id: Optional[str] = None,
-              parent_id: Optional[str] = None,
-              **attrs: object) -> Span:
-        """A zero-duration span (instantaneous event)."""
-        span = self.start(name, parent=parent, trace_id=trace_id,
-                          parent_id=parent_id, **attrs)
-        return self.finish(span)
+    def start_block(self, schema: BlockSchema, rows: Sequence[tuple],
+                    early: Dict[int, Tuple[str, dict]],
+                    ) -> Optional[SpanBlock]:
+        """Open ``len(rows)`` spans at this instant as one block: one
+        :meth:`start` per ``(trace_id, parent_id, *values)`` row plus an
+        immediate :meth:`finish` with ``status``/``attrs`` for each
+        ``early[index]``, in ``early``'s insertion order.  Returns None
+        while tracing is disabled.
+        """
+        if not self.enabled or not rows:
+            return None
+        for row in rows:
+            if row[0] is None:
+                # journaled while tracing was off: root a new trace each
+                rows = [row if row[0] is not None else
+                        (self._new_trace_id(), None) + row[2:]
+                        for row in rows]
+                break
+        block = SpanBlock(schema, tuple(chain.from_iterable(rows)),
+                          early or _EMPTY, self._next_span, self._clock())
+        self._next_span += len(rows)
+        if self.on_finish is not None:
+            # the hook sees spans as they finish: nothing to defer
+            spans = block.materialise()
+            for span in spans:
+                self._store(span)
+            for index in early:
+                self.on_finish(spans[index])
+        else:
+            self._ring.append(block)
+            self._compact += 1
+            self._size += len(rows)
+            while self._size > self.max_spans:
+                self._evict()
+        return block
+
+    def finish_block(self, block: Optional[SpanBlock]) -> None:
+        """Close every span of ``block`` (None: tracing was off) still
+        open: status ``ok``, plus the schema's ``closing`` attributes."""
+        if block is not None:
+            block.end = end = self._clock()
+            for span in block.spans or ():
+                if span.end is None:
+                    span.end = end
+                    span.attrs.update(block.schema.closing)
+                    if self.on_finish is not None:
+                        self.on_finish(span)
 
     def _store(self, span: Span) -> None:
-        if len(self.spans) >= self.max_spans:
-            evicted = self.spans.pop(0)
-            self._by_id.pop(evicted.span_id, None)
-            self.dropped += 1
-        self.spans.append(span)
-        self._by_id[span.span_id] = span
+        if self._size >= self.max_spans:
+            self._evict()
+        self._ring.append(span)
+        self._size += 1
+
+    def _evict(self) -> None:
+        """Drop the oldest stored span (a block sheds its first row)."""
+        oldest = self._ring[0]
+        if type(oldest) is SpanBlock:
+            oldest.evicted += 1
+            if oldest.evicted == len(oldest):
+                self._ring.popleft()
+                self._compact -= 1
+        else:
+            self._ring.popleft()
+        self._size -= 1
+        self.dropped += 1
 
     # -- queries -------------------------------------------------------------
 
+    @property
+    def spans(self) -> Deque[Span]:
+        """Stored spans in creation order (a read-only view).  Blocks
+        recorded since the last query are replaced by their spans, in
+        place — O(all stored spans), like the scan the caller is about
+        to make."""
+        if self._compact:
+            ring = self._ring
+            for _ in range(len(ring)):  # one full rotation
+                item = ring.popleft()   # (a finished block dies here)
+                if type(item) is SpanBlock:
+                    ring.extend(item.materialise())
+                else:
+                    ring.append(item)
+            self._compact = 0
+        return self._ring  # type: ignore[return-value]
+
     def __len__(self) -> int:
-        return len(self.spans)
+        return self._size
 
     def by_id(self, span_id: str) -> Optional[Span]:
         """The stored span with this id, or None (may have been evicted)."""
-        return self._by_id.get(span_id)
+        spans = self.spans
+        number = span_id[1:]
+        index = int(number) - (self._next_span - len(spans)) \
+            if number.isdigit() else -1
+        return spans[index] if 0 <= index < len(spans) else None
 
     def named(self, name: str) -> List[Span]:
         """All stored spans with this name, in creation order."""

@@ -186,7 +186,8 @@ class TestConcurrentRestore:
         # ingest entries: blocks 0,1,0 -> window must stop before the
         # second write to block 0
         for seq, block in enumerate((0, 1, 0)):
-            bj.ingest(mj.append(1, block, b"x", seq + 1, time=0.0))
+            bj.ingest_batch(
+                [mj.append(1, block, b"x", seq + 1, time=0.0)])
         window = group._pick_restore_window(100)
         assert [e.block for e in window] == [0, 1]
 

@@ -53,7 +53,7 @@ class TestRingSemantics:
         when ingested sequences have holes (quarantine, coalescing)."""
         journal = JournalVolume(2, 1000, name="gappy")
         for sequence in (0, 1, 5, 6, 9, 12):
-            journal.ingest(entry(sequence))
+            journal.ingest_batch([entry(sequence)])
         removed = journal.pop_through(7)
         assert [e.sequence for e in removed] == [0, 1, 5, 6]
         assert journal.oldest_sequence() == 9
@@ -65,7 +65,7 @@ class TestRingSemantics:
     def test_pop_through_before_oldest_is_noop(self):
         journal = JournalVolume(3, 1000, name="late")
         for sequence in (5, 6, 7):
-            journal.ingest(entry(sequence))
+            journal.ingest_batch([entry(sequence)])
         assert journal.pop_through(4) == []
         assert len(journal) == 3
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.simulation import NetworkLink, Simulator
 from repro.storage import AdcConfig, ArrayConfig, StorageArray
-from repro.storage.lanes import lane_delay, lane_waits, partition_lanes
+from repro.storage.lanes import lane_delays, lane_waits
 from tests.storage.conftest import fast_adc
 
 #: lane counts the equivalence properties sweep: serial, barely
@@ -213,21 +213,18 @@ class TestLaneEquivalence:
 
 
 class TestLaneScheduler:
-    def test_round_robin_partition(self):
-        lanes = partition_lanes(list(range(7)), 3)
-        assert lanes == [[0, 3, 6], [1, 4], [2, 5]]
+    def test_round_robin_lanes_wait_for_their_slowest_item(self):
+        # lanes [1, 4, 7], [2, 5], [3, 6]
+        assert lane_delays([1, 2, 3, 4, 5, 6, 7], 3) == [7, 5, 6]
+        assert lane_delays([0.5, 2.0, 1.0], 1) == [2.0]
 
     def test_more_lanes_than_items_drops_empties(self):
-        assert partition_lanes([1, 2], 8) == [[1], [2]]
-        assert partition_lanes([], 4) == []
+        assert lane_delays([1, 2], 8) == [1, 2]
+        assert lane_delays([], 4) == []
 
     def test_lanes_must_be_positive(self):
         with pytest.raises(ValueError, match="lanes"):
-            partition_lanes([1], 0)
-
-    def test_lane_delay_is_the_max_cost(self):
-        assert lane_delay(iter([0.5, 2.0, 1.0])) == 2.0
-        assert lane_delay(iter([])) == 0.0
+            lane_delays([1], 0)
 
     def test_single_delay_needs_no_processes(self):
         sim = Simulator(seed=1)

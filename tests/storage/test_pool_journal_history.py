@@ -76,19 +76,19 @@ class TestJournalVolume:
         entries = [source.append(1, i, b"x", i + 1, time=0.0)
                    for i in range(3)]
         target = JournalVolume(2, capacity_entries=10)
-        target.ingest(entries[0])
-        target.ingest(entries[1])
+        target.ingest_batch([entries[0]])
+        target.ingest_batch([entries[1]])
         with pytest.raises(ValueError):
-            target.ingest(entries[0])
+            target.ingest_batch([entries[0]])
 
     def test_ingest_overflow(self):
         source = JournalVolume(1, capacity_entries=10)
         entries = [source.append(1, i, b"x", i + 1, time=0.0)
                    for i in range(2)]
         target = JournalVolume(2, capacity_entries=1)
-        target.ingest(entries[0])
+        target.ingest_batch([entries[0]])
         with pytest.raises(JournalFullError):
-            target.ingest(entries[1])
+            target.ingest_batch([entries[1]])
 
     def test_peak_entries_tracks_high_water(self):
         journal = JournalVolume(1, capacity_entries=10)

@@ -12,6 +12,7 @@ import pytest
 from repro.simulation import Simulator
 from repro.telemetry import (Tracer, chrome_trace, replication_lag_report,
                              stage_breakdown)
+from repro.telemetry.spans import BlockSchema
 from tests.storage.conftest import build_two_site, fast_adc, run
 
 
@@ -56,6 +57,69 @@ class TestTracerUnit:
         assert tracer.dropped == 2
         assert tracer.by_id(spans[0].span_id) is None
         assert tracer.by_id(spans[4].span_id) is spans[4]
+
+    def test_ring_cap_evicts_block_rows_one_by_one(self):
+        """Block-recorded spans cross the cap like individual ones:
+        the oldest *span* goes, whether it is an object or a row."""
+        clock = {"now": 0.0}
+        tracer = Tracer(clock=lambda: clock["now"], max_spans=4)
+        first = tracer.start("a")
+        schema = BlockSchema("r", {"g": 1}, ("n",), {"applied": True})
+        rows = [("t0009", "s000009", n) for n in range(3)]
+        block = tracer.start_block(schema, rows,
+                                   {1: ("skipped", {"applied": False})})
+        assert (len(tracer), tracer.dropped) == (4, 0)
+        late = tracer.start("b")        # evicts the span before the block
+        assert tracer.by_id(first.span_id) is None
+        tracer.start("c")               # evicts the block's first row
+        assert (len(tracer), tracer.dropped) == (4, 2)
+        clock["now"] = 0.5
+        tracer.finish_block(block)
+        assert [s.span_id for s in tracer.spans] == [
+            "s000003", "s000004", "s000005", "s000006"]
+        assert tracer.by_id("s000002") is None      # the evicted row
+        skipped, applied = tracer.spans[0], tracer.spans[1]
+        assert (skipped.status, skipped.end, skipped.attrs) == (
+            "skipped", 0.0, {"g": 1, "n": 1, "applied": False})
+        assert (applied.status, applied.end, applied.attrs) == (
+            "ok", 0.5, {"g": 1, "n": 2, "applied": True})
+        assert tracer.by_id(late.span_id) is late
+        # a block bigger than the cap keeps only its newest rows
+        tracer.start_block(schema,
+                           [("t0009", None, n) for n in range(6)], {})
+        assert (len(tracer), tracer.dropped) == (4, 8)
+        assert [s.attrs["n"] for s in tracer.spans] == [2, 3, 4, 5]
+
+    def test_eviction_cost_does_not_grow_with_the_ring(self):
+        """Past the cap every new span evicts one: that must stay O(1)
+        (a list.pop(0) ring made long soaks quadratic)."""
+        import timeit
+        clock = {"now": 0.0}
+
+        def churn(cap):
+            tracer = Tracer(clock=lambda: clock["now"], max_spans=cap)
+            for _ in range(cap):
+                tracer.start("fill")
+            return min(timeit.repeat(lambda: tracer.start("x"),
+                                     number=2000, repeat=5))
+
+        # 64x the ring, same per-span cost (generous 5x noise margin;
+        # the O(n) ring was >10x slower at this size)
+        assert churn(128_000) < 5 * churn(2_000)
+
+    def test_block_opened_mid_query_finishes_through_its_spans(self):
+        clock = {"now": 1.0}
+        tracer = Tracer(clock=lambda: clock["now"])
+        block = tracer.start_block(
+            BlockSchema("r", {}, ("n",), {"applied": True}),
+            [("t1", "s9", 7)], {})
+        (open_span,) = tracer.named("r")    # materialised while open
+        assert not open_span.finished
+        clock["now"] = 2.0
+        tracer.finish_block(block)
+        assert tracer.named("r") == [open_span]
+        assert (open_span.end, open_span.attrs) == (
+            2.0, {"n": 7, "applied": True})
 
     def test_deterministic_ids(self):
         _clock, tracer = self._tracer()
