@@ -146,10 +146,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         from repro.storage import ReductionConfig
         adc_overrides["reduction"] = ReductionConfig(enabled=True)
     adc_overrides = adc_overrides or None
-    reports = run_campaigns(seeds, preset=preset,
-                            verify_failover=not args.no_failover,
-                            jobs=args.jobs,
-                            adc_overrides=adc_overrides)
+    def campaigns():
+        return run_campaigns(seeds, preset=preset,
+                             verify_failover=not args.no_failover,
+                             jobs=args.jobs, adc_overrides=adc_overrides)
+
+    reports = campaigns()
     for index, report in enumerate(reports):
         if index:
             print()
@@ -162,7 +164,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print()
         print(f"campaigns: {len(reports) - len(failed)}/{len(reports)} "
               f"passed" + (f" (failed seeds: {failed})" if failed else ""))
-    return 0 if all(r.passed for r in reports) else 1
+    unstable = []
+    if args.verify_determinism:
+        # the same seeds again in this process: every rendered report
+        # (digest, counters, alert transitions) must repeat byte for byte
+        unstable = [first.seed for first, second
+                    in zip(reports, campaigns())
+                    if first.render() != second.render()]
+        print()
+        print(f"determinism: {len(reports) - len(unstable)}/{len(reports)} "
+              "campaigns byte-identical across two runs"
+              + (f" (differing seeds: {unstable})" if unstable else ""))
+    return 0 if all(r.passed for r in reports) and not unstable else 1
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
@@ -332,6 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "restore apply lanes (consistency-cut "
                             "barrier commit; default 1 = the serial "
                             "applier)")
+    chaos.add_argument("--verify-determinism", action="store_true",
+                       help="run the selected campaigns a second time "
+                            "in this process and exit 1 unless every "
+                            "report repeats byte for byte")
     chaos.set_defaults(func=_cmd_chaos)
 
     slo = sub.add_parser(

@@ -55,9 +55,8 @@ from repro.simulation.resources import Gate
 from repro.storage.journal import (JournalEntry, JournalFullError,
                                    JournalVolume)
 from repro.storage.lanes import lane_delays, lane_waits
-from repro.storage.reduction import (DISABLED_REDUCTION, KIND_REFERENCE,
-                                     EncodedPayload, ReductionConfig,
-                                     WireReducer)
+from repro.storage.reduction import (DISABLED_REDUCTION, EncodedBatch,
+                                     ReductionConfig, WireReducer)
 from repro.storage.replication import PairState, ReplicationPair
 from repro.telemetry.spans import BlockSchema, Span
 
@@ -214,10 +213,10 @@ class _Shipment:
     ship: List[JournalEntry]
     survivor: Optional[Dict[Tuple[int, int], int]]
     payload_bytes: int
-    #: per-entry wire encodings when reduction is on (None = verbatim);
+    #: ``ship``'s wire encoding when reduction is on (None = verbatim);
     #: nothing is cache-committed until the shipment is received, so a
-    #: discarded shipment's encodings roll back for free
-    encodings: Optional[List[EncodedPayload]] = None
+    #: discarded shipment's encoding rolls back for free
+    encodings: Optional[EncodedBatch] = None
     span: Optional[Span] = None
     proc: object = None
     error: Optional[BaseException] = field(default=None)
@@ -819,11 +818,10 @@ class JournalGroup:
     def _receive_batch(self, shipment: _Shipment) -> str:
         """Receive-side ingest of one transferred batch.
 
-        One pass reconstructs each entry from its wire form (compressed
-        payloads actually decompress, references actually resolve from
-        the receiver cache — a bad resolution or decode genuinely fails
-        the check), runs it through the wire fault hook and verifies
-        its CRC32 once.  The pass stops at the first entry that is
+        One pass reconstructs each entry from its wire form
+        (:meth:`WireReducer.receive_batch` — a bad resolution or decode
+        genuinely fails the check), runs it through the wire fault hook
+        and verifies its CRC32 once.  It stops at the first entry that is
         corrupt (quarantined, never ingested) or finds the backup
         journal full; the clean prefix before it is bulk-ingested, the
         delivered prefix trimmed off the main journal, and whatever
@@ -845,23 +843,23 @@ class JournalGroup:
         survivor, encodings = shipment.survivor, shipment.encodings
         injector = self._wire_injector
         verify = self.config.verify_integrity
-        receive = self.reducer.receive
         room = self.backup_journal.free_entries
         clean: List[JournalEntry] = []
         corrupt = None
         # the entry one past the room is received too: it is the one that
         # finds the journal full (or is quarantined first)
-        for index, entry in enumerate(
-                ship if room >= len(ship) else ship[:room + 1]):
-            if encodings is not None:
-                encoded = encodings[index]
-                payload = receive(encoded, entry.payload, entry.checksum)
+        arriving = ship if room >= len(ship) else ship[:room + 1]
+        received = None if encodings is None else \
+            self.reducer.receive_batch("transfer", encodings, arriving)
+        for entry in arriving:
+            if received is not None:
+                payload, verified = next(received)
                 if payload is not entry.payload:
                     entry = JournalEntry(
                         entry.sequence, entry.volume_id, entry.block,
                         payload, entry.version, entry.created_at,
                         entry.checksum, entry.trace_id, entry.span_id)
-                if encoded.kind == KIND_REFERENCE and injector is None:
+                if verified and injector is None:
                     # a resolved reference was just verified against
                     # the entry checksum: no second hash
                     clean.append(entry)
@@ -888,11 +886,10 @@ class JournalGroup:
             consumed += 1
         elif status == "backup-full":
             self._suspend(PairState.PSUE, "backup journal full")
-        if encodings is not None:
-            # book the whole shipment's post-reduction wire bytes (the
+        if received is not None:
+            # books the whole shipment's post-reduction wire bytes (the
             # full batch crossed the link even if ingest stopped early)
-            # plus any reference-fallback retransmits receive() priced in
-            self.reducer.account("transfer", encodings)
+            received.close()
         # trim the longest batch prefix in which every entry was
         # consumed directly or superseded by a consumed survivor; the
         # rest stays journaled and re-ships after the suspension heals
@@ -988,11 +985,9 @@ class JournalGroup:
         if self.reducer.enabled:
             # while integrity is re-armed a payload may no longer match
             # its checksum: fingerprint the bytes actually there
-            trusted = not self.integrity_rearmed
             encodings = self.reducer.encode_batch(
-                [(entry.payload, entry.checksum if trusted else None)
-                 for entry in ship], overhead=64)
-            payload_bytes = sum(e.wire_bytes for e in encodings)
+                ship, trusted=not self.integrity_rearmed, overhead=64)
+            payload_bytes = encodings.wire_bytes
         else:
             # inlined entry.size_bytes: the property call per entry
             # shows up on the drain hot path

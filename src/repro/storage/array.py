@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
+from zlib import crc32
 
 from repro.errors import (ArrayCommandError, ReplicationError, SnapshotError,
                           StorageError, VolumeError)
@@ -562,8 +563,7 @@ class StorageArray:
             volume._check_block(block)
             volume._check_online()
             data = payload if type(payload) is bytes else bytes(payload)
-            prepared.append((volume, block, data, payload_checksum(data),
-                             write_tag))
+            prepared.append((volume, block, data, crc32(data), write_tag))
         start = self.sim.now
         tracer = self.tracer
         span = None
@@ -615,11 +615,9 @@ class StorageArray:
                    for volume_id, block, version, write_tag in applied]
         # every write of the batch acked with the batch's latency: one
         # sample per write keeps sample counts equal to host_writes
-        latency = now - start
-        record_latency = self.write_latency.record
-        for _ in records:
-            record_latency(latency)
-        self.host_writes.increment(len(records))
+        count = len(records)
+        self.write_latency.record_many(now - start, count)
+        self.host_writes.increment(count)
         if span is not None:
             tracer.finish(span, first_ack_seq=records[0].seq,
                           last_ack_seq=records[-1].seq)

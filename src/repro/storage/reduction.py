@@ -24,29 +24,23 @@ payload:
 * **inline compression** — :class:`ReductionCodec` zlib-compresses each
   payload at a configurable level and ships the compressed form only
   when it beats the configured ratio threshold (the skip-if-
-  incompressible flag); already-dense payloads cross the wire verbatim.
+  incompressible flag); already-dense payloads cross the wire verbatim
+  (a density probe turns most away before deflate is paid for).
 
 **Cache synchronisation.**  Sender and receiver caches commit *only at
-receive time*, in receive order: when a full payload lands, both sides
-insert its fingerprint at the same instant and evict FIFO by the same
-insertion order, so the two caches stay byte-identical by construction.
-Encode-time decisions read the sender cache plus a batch-local pending
-set (duplicates *within* one batch dedup against each other).  Because
-nothing is committed at encode time, discarding an in-flight shipment
-(the pipelined loop voids everything behind a failed head) rolls the
-cache state back for free — there is no speculative sender state to
-unwind; :meth:`WireReducer.discard` just counts the event.  A reference
-can still arrive after the commits of an *earlier* in-flight batch
-evicted its fingerprint; that is the receive-side miss the counted
-fallback path exists for.
+receive time*, in receive order, and evict FIFO by that same order, so
+they stay byte-identical by construction.  Encode-time decisions read
+the sender cache plus a batch-local pending set; nothing is committed
+at encode time, so discarding an in-flight shipment rolls the cache
+state back for free (:meth:`WireReducer.discard` just counts it).  A
+reference can still arrive after an *earlier* in-flight batch's commits
+evicted its fingerprint — the receive-side miss the counted fallback
+exists for.  :meth:`WireReducer.invalidate` drops both sides wholesale
+on link-down, integrity quarantine and array restart.
 
-Cache state is invalidated wholesale (both sides) on link-down,
-integrity quarantine, and array restart — the events after which the
-sender can no longer prove what the receiver holds.
-
-Everything is deterministic: zlib is, the caches are, and the reducer
-adds no simulated-time events of its own — with ``enabled=False``
-(the default) no call site changes behaviour at all.
+Everything is deterministic, and the reducer adds no simulated-time
+events of its own — with ``enabled=False`` (the default) no call site
+changes behaviour at all.
 """
 
 from __future__ import annotations
@@ -54,9 +48,9 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
-
-from repro.storage.journal import payload_checksum
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
+from zlib import crc32
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
@@ -66,10 +60,16 @@ if TYPE_CHECKING:  # pragma: no cover
 #: skip-if-incompressible flag plus the compressed length)
 COMPRESS_FRAME_BYTES = 2
 
-#: encoding kinds carried by :class:`EncodedPayload`
-KIND_RAW = "raw"
-KIND_COMPRESSED = "compressed"
-KIND_REFERENCE = "ref"
+#: density probe (docs/performance.md): deflate is skipped when, of at
+#: most PROBE_SAMPLE_BYTES bytes taken at an even stride over the
+#: payload, at least PROBE_DENSE_DISTINCT per 64 are distinct values.
+#: Uniform bytes show 56.7 +- 2.2 in 64; text, hex, padded rows < 40.
+PROBE_SAMPLE_BYTES = 64
+PROBE_DENSE_DISTINCT = 46
+
+#: :attr:`EncodedBatch.forms` marker of a payload shipped as a
+#: fingerprint reference (compared by identity)
+REFERENCE = object()
 
 #: a ``(crc32, length)`` payload fingerprint
 Fingerprint = Tuple[int, int]
@@ -121,18 +121,29 @@ DISABLED_REDUCTION = ReductionConfig()
 class ReductionCodec:
     """Deterministic per-payload compressor with a skip flag.
 
-    Stateless: the same payload always yields the same wire form, so
-    two runs of one seed stay byte-identical.
+    The same payload always yields the same wire form, so two runs of
+    one seed stay byte-identical; the only state is a tally.
     """
 
     def __init__(self, config: ReductionConfig) -> None:
         self.config = config
+        #: payloads the density probe turned away before deflate
+        self.probe_skips = 0
 
     def compress(self, payload: bytes) -> Optional[bytes]:
         """The compressed wire form, or None when the payload is too
-        small or too dense to be worth shipping compressed."""
+        small or too dense to be worth shipping compressed.  The probe
+        errs one way only: a payload wrongly called dense ships raw;
+        every other payload gets deflate's exact verdict."""
         config = self.config
-        if len(payload) < config.min_compress_bytes:
+        size = len(payload)
+        if size < config.min_compress_bytes:
+            return None
+        stride = size // PROBE_SAMPLE_BYTES or 1
+        sample = payload[:stride * PROBE_SAMPLE_BYTES:stride]
+        if len(set(sample)) * PROBE_SAMPLE_BYTES \
+                >= PROBE_DENSE_DISTINCT * len(sample):
+            self.probe_skips += 1
             return None
         packed = zlib.compress(payload, config.level)
         if len(packed) + COMPRESS_FRAME_BYTES \
@@ -140,10 +151,8 @@ class ReductionCodec:
             return packed
         return None
 
-    @staticmethod
-    def decompress(data: bytes) -> bytes:
-        """Inverse of :meth:`compress` for shipped-compressed payloads."""
-        return zlib.decompress(data)
+    #: inverse of :meth:`compress` for shipped-compressed payloads
+    decompress = staticmethod(zlib.decompress)
 
 
 class FingerprintCache:
@@ -177,12 +186,13 @@ class FingerprintCache:
     def put(self, fingerprint: Fingerprint, payload: bytes) -> None:
         """Insert a payload; a present fingerprint keeps its slot (the
         first insertion wins, preserving FIFO symmetry across sides)."""
-        if self.capacity == 0 or fingerprint in self._entries:
+        entries = self._entries
+        if fingerprint in entries or not self.capacity:
             return
-        while len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
+        if len(entries) >= self.capacity:  # grows one entry at a time
+            entries.popitem(last=False)
             self.evictions += 1
-        self._entries[fingerprint] = payload
+        entries[fingerprint] = payload
 
     def clear(self) -> None:
         """Drop every cached payload (invalidation)."""
@@ -190,20 +200,23 @@ class FingerprintCache:
 
 
 @dataclass(slots=True)
-class EncodedPayload:
-    """One payload's wire form, decided at encode (launch) time.
+class EncodedBatch:
+    """One outgoing batch's wire form, decided at encode (launch) time
+    and held as columns (a row per payload, no object per payload).
+    The totals include the per-item overhead the call site declared."""
 
-    ``wire_bytes``/``raw_bytes`` both include the per-item overhead
-    (journal-entry header, block framing) the call site declared, so
-    summing either column prices a whole batch.
-    """
-
-    kind: str
-    fingerprint: Fingerprint
+    fingerprints: List[Fingerprint]
+    #: per payload: None ships raw, ``bytes`` is the compressed form,
+    #: :data:`REFERENCE` ships the fingerprint only
+    forms: List[object]
+    #: what the link is charged for the whole batch
     wire_bytes: int
-    raw_bytes: int
-    #: compressed form for ``KIND_COMPRESSED``; None otherwise
-    data: Optional[bytes] = None
+    #: as passed to ``encode_batch`` (they price a fallback retransmit)
+    raw_bytes: Optional[int]
+    overhead: int
+    #: ``raw - wire`` summed over the references / compressed payloads
+    saved_dedup: int
+    saved_compress: int
 
 
 class WireReducer:
@@ -234,14 +247,12 @@ class WireReducer:
         self.lookups = 0
         self.hits = 0
         self._wire_counters: Dict[str, object] = {}
-        self.saved_dedup = registry.counter(
-            "repro_wire_bytes_saved_total",
-            help="Wire bytes that never crossed the link, by reduction "
-                 "mechanism", unit="bytes", mechanism="dedup", **scope)
-        self.saved_compress = registry.counter(
-            "repro_wire_bytes_saved_total",
-            help="Wire bytes that never crossed the link, by reduction "
-                 "mechanism", unit="bytes", mechanism="compress", **scope)
+        self.saved_dedup, self.saved_compress = (
+            registry.counter(
+                "repro_wire_bytes_saved_total",
+                help="Wire bytes that never crossed the link, by reduction "
+                     "mechanism", unit="bytes", mechanism=mechanism, **scope)
+            for mechanism in ("dedup", "compress"))
         self.hit_ratio = registry.gauge(
             "repro_dedup_hit_ratio",
             help="Fraction of encode-time fingerprint lookups answered "
@@ -258,38 +269,49 @@ class WireReducer:
             "repro_reduction_shipments_discarded_total",
             help="In-flight encoded shipments discarded before receive "
                  "(their cache commits were never applied)", **scope)
+        self.deflate_skipped = registry.counter(
+            "repro_reduction_deflate_skipped_total",
+            help="Payloads the density probe shipped raw without "
+                 "running deflate", **scope)
 
     # -- sender side ---------------------------------------------------------
 
-    def encode_batch(self, items: Iterable[Tuple[bytes, Optional[int]]],
+    def encode_batch(self, carriers: Iterable[object], trusted: bool = False,
                      raw_bytes: Optional[int] = None,
-                     overhead: int = 0) -> List[EncodedPayload]:
-        """Decide the wire form of one outgoing batch of ``(payload,
-        checksum)`` items against the current caches.
+                     overhead: int = 0) -> EncodedBatch:
+        """Decide the wire form of one outgoing batch against the
+        current caches.
 
-        ``checksum`` is the payload's CRC32 when the caller holds a
-        trustworthy one (the journaled entry checksum) — the
-        fingerprint then costs no hash; ``None`` hashes here.
+        ``carriers`` are anything with ``payload``/``checksum`` (journal
+        entries, block values); ``trusted`` says that checksum is the
+        payload's CRC32 for certain, so the fingerprint costs no hash
+        (otherwise, or where it is None, the payload is hashed).
         ``raw_bytes`` is the unreduced wire cost of one payload alone
-        (default its length; the SDC block paths pass the fixed block
-        size); ``overhead`` is per-item framing shipped regardless of
-        mechanism (the 64-byte journal-entry header).  The cheapest
-        mechanism wins — a reference larger than the raw payload ships
-        raw.  Nothing is committed here: in-batch duplicates dedup
-        against each other through a batch-local pending set, and a
-        shipment that never lands leaves no state behind.
+        (default its length; SDC passes the fixed block size),
+        ``overhead`` per-item framing shipped regardless of mechanism
+        (the 64-byte journal-entry header).  The cheapest mechanism
+        wins.  Nothing is committed here: in-batch duplicates dedup
+        through a batch-local pending set, and a shipment that never
+        lands leaves no state behind.
         """
         dedup = self.config.cache_entries > 0
         ref_bytes = self.config.ref_bytes
         sender_get = self.sender.get
         compress = self.codec.compress
         pending: Dict[Fingerprint, bytes] = {}
-        encodings = []
-        for payload, checksum in items:
-            raw = raw_bytes if raw_bytes is not None else len(payload)
+        fingerprints: List[Fingerprint] = []
+        forms: List[object] = []
+        total_raw = saved_dedup = saved_compress = 0
+        for carrier in carriers:
+            payload = carrier.payload
+            size = len(payload)
+            raw = raw_bytes if raw_bytes is not None else size
+            total_raw += raw
+            checksum = carrier.checksum if trusted else None
             if checksum is None:
-                checksum = payload_checksum(payload)
-            fingerprint = (checksum, len(payload))
+                checksum = crc32(payload)
+            fingerprint = (checksum, size)
+            fingerprints.append(fingerprint)
             if dedup:
                 cached = pending.get(fingerprint)
                 if cached is None:
@@ -299,24 +321,26 @@ class WireReducer:
                 if cached is not None and ref_bytes < raw \
                         and cached == payload:
                     self.hits += 1
-                    encodings.append(EncodedPayload(
-                        KIND_REFERENCE, fingerprint,
-                        overhead + ref_bytes, overhead + raw))
+                    saved_dedup += raw - ref_bytes
+                    forms.append(REFERENCE)
                     continue
             pending[fingerprint] = payload
             packed = compress(payload)
             if packed is not None \
                     and len(packed) + COMPRESS_FRAME_BYTES < raw:
-                encodings.append(EncodedPayload(
-                    KIND_COMPRESSED, fingerprint,
-                    overhead + len(packed) + COMPRESS_FRAME_BYTES,
-                    overhead + raw, data=packed))
+                saved_compress += raw - len(packed) - COMPRESS_FRAME_BYTES
+                forms.append(packed)
             else:
-                encodings.append(EncodedPayload(
-                    KIND_RAW, fingerprint, overhead + raw, overhead + raw))
+                forms.append(None)
         if dedup:
-            self.lookups += len(encodings)
-        return encodings
+            self.lookups += len(forms)
+        # the probe's tally reaches the registry once per batch
+        self.deflate_skipped.increment(
+            self.codec.probe_skips - self.deflate_skipped.value)
+        return EncodedBatch(
+            fingerprints, forms,
+            total_raw + overhead * len(forms) - saved_dedup - saved_compress,
+            raw_bytes, overhead, saved_dedup, saved_compress)
 
     def discard(self, count: int = 1) -> None:
         """Record ``count`` in-flight shipments voided before receive.
@@ -330,48 +354,67 @@ class WireReducer:
 
     # -- receiver side -------------------------------------------------------
 
-    def receive(self, encoded: EncodedPayload, payload: bytes,
-                checksum: Optional[int]) -> bytes:
-        """Reconstruct one payload at the receive side and commit caches.
+    def receive_batch(self, path: str, batch: EncodedBatch,
+                      carriers: Iterable[object],
+                      ) -> Iterator[Tuple[bytes, bool]]:
+        """Receive-side pass over one batch: yields ``(payload,
+        verified)`` per carrier, committing the caches as it goes.
 
-        ``payload``/``checksum`` are the entry's own payload and CRC32
-        (the simulation carries the object across; the encoding decides
-        what the *wire* carried).  References resolve from the receiver
-        cache and are re-verified against the entry CRC32 (``encoded``
-        still reading ``KIND_REFERENCE`` afterwards tells the caller
-        the bytes passed that check); any miss or mismatch falls back
-        to the full payload (``KIND_RAW``, retransmit priced), counted.  Full
-        payloads (raw or compressed) commit the reconstructed bytes to
-        both caches in receive order, which is what keeps the two sides
-        synchronized.
+        ``carriers`` are the ones the batch was encoded from, in the
+        same order: the simulation carries the object across, the
+        encoding decides what the *wire* carried.  Compressed forms decompress;
+        references resolve from the receiver cache and are re-verified
+        against the carrier CRC32 (``verified``: no second hash
+        needed); a miss or mismatch falls back to the full payload.
+        Full payloads commit to both caches, in receive order, before
+        they are yielded — that keeps the two sides synchronized, and
+        a consumer that stops early (``close()``) leaves everything
+        behind the last yielded item uncommitted.  Ending or closing
+        the pass books the whole batch under ``path`` (all of it
+        crossed the link) and the fallback retransmits, which the
+        simulated link never carried, under ``<path>-fallback``.
         """
-        if encoded.kind == KIND_REFERENCE:
-            cached = self.receiver.get(encoded.fingerprint)
-            expected = checksum if checksum is not None \
-                else encoded.fingerprint[0]
-            if cached is not None \
-                    and len(cached) == encoded.fingerprint[1] \
-                    and payload_checksum(cached) == expected:
-                return cached
-            # receive-side miss (an earlier batch's commits evicted the
-            # fingerprint while this reference was in flight) or a
-            # mismatch: retransmit the full payload, never corrupt
-            self.ref_fallbacks.increment()
-            encoded.kind = KIND_RAW
-            encoded.wire_bytes = encoded.raw_bytes + encoded.wire_bytes
-            self._commit(encoded.fingerprint, payload)
-            return payload
-        if encoded.kind == KIND_COMPRESSED:
-            reconstructed = self.codec.decompress(encoded.data)
-        else:
-            reconstructed = payload
-        self._commit(encoded.fingerprint, reconstructed)
-        return reconstructed
-
-    def _commit(self, fingerprint: Fingerprint, payload: bytes) -> None:
-        """Insert one received full payload into both caches (lockstep)."""
-        self.sender.put(fingerprint, payload)
-        self.receiver.put(fingerprint, payload)
+        decompress = self.codec.decompress
+        receiver_get = self.receiver.get
+        commit_receiver = self.receiver.put
+        commit_sender = self.sender.put
+        overhead, raw_bytes = batch.overhead, batch.raw_bytes
+        fallbacks = fallback_bytes = 0
+        try:
+            for carrier, fingerprint, form in zip(
+                    carriers, batch.fingerprints, batch.forms):
+                payload = carrier.payload
+                if form is REFERENCE:
+                    cached = receiver_get(fingerprint)
+                    expected = carrier.checksum
+                    if expected is None:
+                        expected = fingerprint[0]
+                    if cached is not None \
+                            and len(cached) == fingerprint[1] \
+                            and crc32(cached) == expected:
+                        yield cached, True
+                        continue
+                    # miss (an earlier in-flight batch's commits
+                    # evicted it) or mismatch: retransmit, never corrupt
+                    fallbacks += 1
+                    fallback_bytes += overhead + (
+                        raw_bytes if raw_bytes is not None
+                        else len(payload))
+                elif form is not None:
+                    payload = decompress(form)
+                commit_sender(fingerprint, payload)
+                commit_receiver(fingerprint, payload)
+                yield payload, False
+        finally:
+            saved_dedup = batch.saved_dedup
+            if fallbacks:
+                self.ref_fallbacks.increment(fallbacks)
+                self.wire_counter(path + "-fallback").increment(
+                    fallback_bytes)
+                saved_dedup -= fallback_bytes - fallbacks * (
+                    overhead + self.config.ref_bytes)
+            self.account(path, batch.wire_bytes, saved_dedup,
+                         batch.saved_compress)
 
     def invalidate(self) -> None:
         """Drop all cache state on both sides (link-down, quarantine,
@@ -396,36 +439,21 @@ class WireReducer:
         if counter is None:
             counter = self._registry.counter(
                 "repro_wire_bytes_total",
-                help="Post-reduction bytes actually charged to the "
-                     "inter-site link, by wire path", unit="bytes",
+                help="Post-reduction bytes by wire path: charged to the "
+                     "inter-site link, or (<path>-fallback) priced "
+                     "reference-fallback retransmits", unit="bytes",
                 path=path, **self._scope)
             self._wire_counters[path] = counter
         return counter
 
-    def account(self, path: str, encodings: List[EncodedPayload],
-                extra_wire: int = 0) -> None:
-        """Book one received batch: wire bytes by path, savings by
-        mechanism, and a hit-ratio sample.
-
-        ``extra_wire`` adds unreduced framing that rode the same path
-        (e.g. the SDC negotiation metadata).  Call after
-        :meth:`receive` ran on every item, so fallback retransmits are
-        priced at their post-fallback ``wire_bytes``.
-        """
-        wire = extra_wire
-        saved_dedup = 0
-        saved_compress = 0
-        for encoded in encodings:
-            wire += encoded.wire_bytes
-            if encoded.kind == KIND_REFERENCE:
-                saved_dedup += encoded.raw_bytes - encoded.wire_bytes
-            elif encoded.kind == KIND_COMPRESSED:
-                saved_compress += encoded.raw_bytes - encoded.wire_bytes
-        if wire:
-            self.wire_counter(path).increment(wire)
-        if saved_dedup:
-            self.saved_dedup.increment(saved_dedup)
-        if saved_compress:
-            self.saved_compress.increment(saved_compress)
+    def account(self, path: str, wire_bytes: int, saved_dedup: int = 0,
+                saved_compress: int = 0) -> None:
+        """Book bytes the link carried on ``path``, the savings on them
+        and a hit-ratio sample.  Call sites book only unreduced framing
+        (SDC negotiation metadata); batches book themselves."""
+        if wire_bytes:  # (creates the series on first use)
+            self.wire_counter(path).increment(wire_bytes)
+        self.saved_dedup.increment(saved_dedup)
+        self.saved_compress.increment(saved_compress)
         if self.lookups:
             self.hit_ratio.sample(self.sim.now, self.hits / self.lookups)

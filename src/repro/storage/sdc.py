@@ -231,7 +231,7 @@ class SyncMirror:
                 reducer.invalidate()
                 raise
             if reducer.enabled:
-                reducer.account(path, [], extra_wire=negotiate_bytes)
+                reducer.account(path, negotiate_bytes)
             ack_delay = self.link.one_way_delay()
             if ack_delay > 0:
                 yield self.sim.timeout(ack_delay)
@@ -241,13 +241,13 @@ class SyncMirror:
                 self.copy_skipped.increment(len(chunk) - len(stale))
             if not stale:
                 continue
+            values = [value for _block, value in stale]
             if reducer.enabled:
                 # every block ships at the fixed block size unreduced,
                 # so raw_bytes prices the wire cost it would have paid
                 encodings = reducer.encode_batch(
-                    [(value.payload, None) for _block, value in stale],
-                    raw_bytes=config.block_size_bytes)
-                wire_bytes = sum(e.wire_bytes for e in encodings)
+                    values, raw_bytes=config.block_size_bytes)
+                wire_bytes = encodings.wire_bytes
             else:
                 encodings = None
                 wire_bytes = config.block_size_bytes * len(stale)
@@ -262,17 +262,14 @@ class SyncMirror:
                 raise
             if encodings is not None:
                 # receive side: reconstruct each block from its wire
-                # form (committing the caches in lockstep) and book the
-                # chunk's post-reduction bytes under this path
-                received = {
-                    block: reducer.receive(encodings[i], value.payload,
-                                           value.checksum)
-                    for i, (block, value) in enumerate(stale)}
-                reducer.account(path, encodings)
+                # form (committing the caches in lockstep); the pass
+                # books the chunk's post-reduction bytes under this path
+                received = [payload for payload, _verified in
+                            reducer.receive_batch(path, encodings, values)]
             else:
-                received = {block: value.payload for block, value in stale}
-            staged.append([(block, received[block], value)
-                           for block, value in stale])
+                received = [value.payload for value in values]
+            staged.append([(block, payload, value) for (block, value), payload
+                           in zip(stale, received)])
             if len(staged) >= config.apply_lanes:
                 yield from commit()
         yield from commit()

@@ -19,6 +19,7 @@ on it without cycles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -113,6 +114,16 @@ class LatencyRecorder:
 
     #: registry-uniform alias for :meth:`record`
     observe = record
+
+    def record_many(self, latency: float, count: int) -> None:
+        """Add ``count`` samples of one latency (a batch whose members
+        all completed together) — same state as ``count`` calls of
+        :meth:`record`, one call."""
+        if latency < 0:
+            raise ValueError(f"negative latency sample: {latency}")
+        self._samples.extend(itertools.repeat(latency, count))
+        if self._mirror is not None:
+            self._mirror.observe(latency, count)
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -298,20 +309,25 @@ class Histogram:
         self._min = math.inf
         self._max = -math.inf
 
-    def observe(self, value: float) -> None:
-        """Add one sample; negative samples are a bug."""
+    def observe(self, value: float, count: int = 1) -> None:
+        """Add ``count`` samples of ``value``; negative samples are a bug."""
         if value < 0:
             raise ValueError(f"negative histogram sample: {value}")
-        self.count += 1
-        self.total += value
+        self.count += count
+        # summed sample by sample: ``value * count`` rounds differently,
+        # and the sum must not depend on how samples were batched
+        total = self.total
+        for _ in range(count):
+            total += value
+        self.total = total
         self._min = min(self._min, value)
         self._max = max(self._max, value)
         if value <= self.min_value:
-            self._underflow += 1
+            self._underflow += count
             return
         index = math.ceil(math.log(value / self.min_value)
                           / self._log_growth)
-        self._counts[index] = self._counts.get(index, 0) + 1
+        self._counts[index] = self._counts.get(index, 0) + count
 
     #: registry-uniform alias for :meth:`observe`
     record = observe

@@ -86,6 +86,12 @@ class TestBatchedEqualsSerial:
         assert main.host_writes.value == count
         assert len(main.write_latency) == count
         assert main.write_latency_hist.count == count
+        # one batch latency, booked once per write
+        assert len(set(main.write_latency.samples)) == 1
+        latency = main.write_latency.samples[0]
+        assert main.write_latency_hist.minimum == latency
+        assert main.write_latency_hist.maximum == latency
+        assert main.write_latency_hist.total == sum([latency] * count)
 
 
 class TestBatchSemantics:

@@ -13,10 +13,8 @@ import pytest
 from repro.apps.workload import PayloadProfile
 from repro.simulation import Simulator
 from repro.storage import PairState, SdcConfig
-from repro.storage.reduction import (COMPRESS_FRAME_BYTES, KIND_COMPRESSED,
-                                     KIND_RAW, KIND_REFERENCE,
-                                     FingerprintCache, ReductionCodec,
-                                     ReductionConfig)
+from repro.storage.reduction import (COMPRESS_FRAME_BYTES, FingerprintCache,
+                                     ReductionCodec, ReductionConfig)
 from tests.chaos.test_faults import corrupt_first_entry
 from tests.storage.conftest import build_two_site, fast_adc, run
 from tests.storage.test_adc import make_async_pair
@@ -31,7 +29,8 @@ def duplicate_payloads(count, seed=29, size=1024, unique=8):
     return [profile.payload(i) for i in range(count)]
 
 
-def drain_duplicates(seed=11, writes=60, blocks=64, **adc_overrides):
+def drain_duplicates(seed=11, writes=60, blocks=64, unique=8,
+                     **adc_overrides):
     """Write a duplicate stream through one ADC pair and drain it."""
     site = build_two_site(Simulator(seed=seed),
                           adc=fast_adc(**adc_overrides))
@@ -39,7 +38,8 @@ def drain_duplicates(seed=11, writes=60, blocks=64, **adc_overrides):
     pvol, svol = make_async_pair(site, blocks=blocks)
 
     def writer(sim):
-        for i, payload in enumerate(duplicate_payloads(writes)):
+        for i, payload in enumerate(
+                duplicate_payloads(writes, unique=unique)):
             yield from site.main.host_write(
                 pvol.volume_id, i % blocks, payload)
 
@@ -164,6 +164,27 @@ class TestAdcReduction:
         site, _, _, group = drain_duplicates(reduction=REDUCED)
         counter = group.reducer.wire_counter("transfer")
         assert counter.value == site.link.bytes_transferred
+
+    def test_fallback_retransmits_are_booked_apart_from_the_link(self):
+        """Eight batches in flight over an 8-payload cache: references
+        encoded against fingerprints that earlier in-flight batches
+        evict before they land.  The retransmits are priced in their own
+        series; the ``transfer`` series stays the link's charge."""
+        site, pvol, svol, group = drain_duplicates(
+            writes=240, blocks=256, unique=12, transfer_window=8,
+            transfer_batch=4,
+            reduction=ReductionConfig(enabled=True, cache_entries=8))
+        reducer = group.reducer
+        fallbacks = reducer.ref_fallbacks.value
+        assert fallbacks > 0
+        assert svol.block_map() == pvol.block_map()
+        assert reducer.wire_counter("transfer").value == \
+            site.link.bytes_transferred
+        assert reducer.wire_counter("transfer-fallback").value == \
+            fallbacks * (1024 + 64)
+        # a reference that fell back saved nothing
+        assert reducer.saved_dedup.value == \
+            (reducer.hits - fallbacks) * (1024 - REDUCED.ref_bytes)
 
     def test_dedup_and_compress_savings_are_split(self):
         _, _, _, group = drain_duplicates(reduction=REDUCED)

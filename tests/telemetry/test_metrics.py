@@ -48,6 +48,30 @@ class TestLatencyRecorder:
         # the source recorder is untouched
         assert len(b) == 2
 
+    def test_record_many_equals_repeated_record(self):
+        """One batch call leaves exactly the state ``count`` single
+        records leave — in the recorder and in the piped sketch."""
+        one_by_one = LatencyRecorder("w").pipe_to(Histogram("h"))
+        batched = LatencyRecorder("w").pipe_to(Histogram("h"))
+        for latency, count in ((0.0013, 64), (0.0, 3), (0.0207, 1),
+                               (0.0013, 17)):
+            for _ in range(count):
+                one_by_one.record(latency)
+            batched.record_many(latency, count)
+        assert batched.samples == one_by_one.samples
+        assert batched.summary() == one_by_one.summary()
+        sketch, reference = batched._mirror, one_by_one._mirror
+        assert sketch.count == reference.count == len(batched) == 85
+        assert sketch.total == reference.total  # bit for bit
+        assert (sketch.minimum, sketch.maximum) == \
+            (reference.minimum, reference.maximum)
+        for fraction in (0.0, 0.5, 0.9, 0.99, 1.0):
+            assert sketch.quantile(fraction) == reference.quantile(fraction)
+
+    def test_record_many_rejects_negative_latency(self):
+        with pytest.raises(ValueError):
+            LatencyRecorder("w").record_many(-0.001, 4)
+
     def test_merged_classmethod(self):
         parts = []
         for offset in range(3):

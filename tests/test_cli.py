@@ -172,6 +172,45 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["chaos", "--seeds", "0"])
 
+    def test_chaos_verify_determinism_passes_on_a_stable_campaign(
+            self, capsys):
+        assert not build_parser().parse_args(["chaos"]).verify_determinism
+        assert main(["chaos", "--campaign", "quick", "--seed", "7",
+                     "--reduction", "--transfer-window", "4",
+                     "--verify-determinism"]) == 0
+        output = capsys.readouterr().out
+        assert output.count("chaos campaign 'quick' seed=7: PASS") == 1
+        assert "determinism: 1/1 campaigns byte-identical" in output
+
+    def test_chaos_verify_determinism_fails_on_a_differing_rerun(
+            self, capsys, monkeypatch):
+        import repro.chaos
+
+        class Report:
+            passed, postmortem = True, None
+
+            def __init__(self, seed, run):
+                self.seed, self.run = seed, run
+
+            def render(self):
+                # seed 8 renders differently on the second run
+                return f"seed={self.seed} " \
+                       f"digest={self.run if self.seed == 8 else 0}"
+
+        runs = []
+
+        def run_campaigns(seeds, **_kwargs):
+            runs.append(list(seeds))
+            return [Report(seed, len(runs)) for seed in seeds]
+
+        monkeypatch.setattr(repro.chaos, "run_campaigns", run_campaigns)
+        assert main(["chaos", "--seed", "7", "--seeds", "2"]) == 0
+        assert main(["chaos", "--seed", "7", "--seeds", "2",
+                     "--verify-determinism"]) == 1
+        assert runs == [[7, 8]] * 3
+        assert "determinism: 1/2 campaigns byte-identical across two " \
+               "runs (differing seeds: [8])" in capsys.readouterr().out
+
     def test_trace_chrome_export(self, capsys, tmp_path):
         import json
         path = tmp_path / "trace.json"
