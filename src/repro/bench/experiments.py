@@ -20,7 +20,7 @@ from repro.apps import (BackgroundLoad, DatabaseImage, WorkloadConfig,
 from repro.apps.minidb.device import ViewBlockDevice
 from repro.bench.setups import (MODE_ADC_CG, MODE_ADC_NOCG, MODE_NONE,
                                 MODE_SDC, ExperimentSystem,
-                                build_business_system,
+                                build_array_pair, build_business_system,
                                 business_journal_groups,
                                 experiment_config)
 from repro.bench.tables import Table
@@ -577,31 +577,18 @@ def _coalesce_hotspot(interval_ms: float, seed: int, writes: int,
     after a full drain — ``wire_bytes`` is what the link physically
     carried, ``transferred_bytes`` the logical pre-reduction volume.
     """
-    from repro.simulation import NetworkLink
-    from repro.storage import AdcConfig, ArrayConfig, StorageArray
+    from repro.storage import AdcConfig
     from repro.storage.reduction import ReductionConfig
 
-    sim = Simulator(seed=seed)
     adc = AdcConfig(transfer_interval=interval_ms / 1e3,
                     transfer_batch=1024, restore_interval=interval_ms / 1e3,
                     restore_batch=1024, interval_jitter=0.0,
                     coalesce_overwrites=coalesce,
                     reduction=ReductionConfig(enabled=reduced))
-    config = ArrayConfig(adc=adc)
-    main = StorageArray(sim, serial="E7-MAIN", config=config)
-    backup = StorageArray(sim, serial="E7-BKUP", config=config)
-    link = NetworkLink(sim, latency=0.005, name="e7-hotspot")
-    main_pool = main.create_pool(100_000)
-    backup_pool = backup.create_pool(100_000)
-    pvol = main.create_volume(main_pool.pool_id, 4096)
-    svol = backup.create_volume(backup_pool.pool_id, 4096)
-    main_jnl = main.create_journal(main_pool.pool_id, 50_000)
-    backup_jnl = backup.create_journal(backup_pool.pool_id, 50_000)
-    group = main.create_journal_group(
-        "e7-hotspot", main_jnl.journal_id, backup,
-        backup_jnl.journal_id, link)
-    main.create_async_pair("e7-hotspot-pair", "e7-hotspot",
-                           pvol.volume_id, backup, svol.volume_id)
+    world = build_array_pair(seed, adc, "e7-hotspot", journal_entries=50_000,
+                             link_latency=0.005)
+    sim, main, link, group = world.sim, world.main, world.link, world.group
+    pvol, svol = world.pvols[0], world.svols[0]
 
     if payload_fn is None:
         payload_fn = lambda i: b"page-%06d" % i  # noqa: E731
@@ -826,11 +813,11 @@ def run_e8_cg_scale(volume_counts: Sequence[int] = (2, 4, 8, 16),
     layouts = (("consistency-group", 1),
                ("cg-parallel-restore", 8),
                ("independent", 1))
-    for layout, restore_concurrency in layouts:
+    for layout, apply_lanes in layouts:
         for count in volume_counts:
             p99_ms, lag, catchup_ms, writes = _run_cg_scale_cell(
                 layout, count, duration, write_interval,
-                seed + count, restore_concurrency)
+                seed + count, apply_lanes)
             table.add_row(layout, count, writes, p99_ms, lag, catchup_ms)
             if layout == "consistency-group":
                 facts["cg_p99"].append(p99_ms)
@@ -841,52 +828,48 @@ def run_e8_cg_scale(volume_counts: Sequence[int] = (2, 4, 8, 16),
                 facts["independent_p99"].append(p99_ms)
     table.note("shared journal: one global order; independent journals: "
                "per-volume order only (E2 shows the consequence)")
-    table.note("cg-parallel-restore: the shared journal applied with "
-               "8-way non-conflicting parallelism — consistency at "
-               "window boundaries, restore throughput of the "
-               "independent layout")
+    table.note("cg-parallel-restore: the shared journal applied one "
+               "restore batch per window (apply_lanes > 1), media writes "
+               "overlapped — consistency at window boundaries, restore "
+               "throughput of the independent layout")
     return table, facts
 
 
 def _run_cg_scale_cell(layout: str, count: int, duration: float,
                        write_interval: float, seed: int,
-                       restore_concurrency: int = 1):
+                       apply_lanes: int = 1):
     from repro.simulation.network import NetworkLink
     from repro.storage.adc import AdcConfig
     from repro.storage.array import ArrayConfig, StorageArray
-    sim = Simulator(seed=seed)
     adc = AdcConfig(transfer_interval=0.002, transfer_batch=4096,
                     restore_interval=0.001, restore_batch=4096,
-                    interval_jitter=0.3,
-                    restore_concurrency=restore_concurrency)
-    config = ArrayConfig(adc=adc)
-    main = StorageArray(sim, serial="MAIN", config=config)
-    backup = StorageArray(sim, serial="BKUP", config=config)
-    main_pool = main.create_pool(10_000_000)
-    backup_pool = backup.create_pool(10_000_000)
-    link = NetworkLink(sim, latency=0.0025, name=f"e8-{layout}-{count}")
-    group_ids = []
+                    interval_jitter=0.3, apply_lanes=apply_lanes)
     if layout in ("consistency-group", "cg-parallel-restore"):
-        main_journal = main.create_journal(main_pool.pool_id)
-        backup_journal = backup.create_journal(backup_pool.pool_id)
-        main.create_journal_group("cg", main_journal.journal_id, backup,
-                                  backup_journal.journal_id, link)
-        group_ids = ["cg"] * count
+        world = build_array_pair(seed, adc, "cg", volumes=count,
+                                 link_latency=0.0025)
+        sim, main, pvols = world.sim, world.main, world.pvols
+        groups = [world.group]
     else:
+        # one journal group per pair: N groups, so not the shared builder
+        sim = Simulator(seed=seed)
+        config = ArrayConfig(adc=adc)
+        main = StorageArray(sim, serial="MAIN", config=config)
+        backup = StorageArray(sim, serial="BKUP", config=config)
+        main_pool = main.create_pool(10_000_000)
+        backup_pool = backup.create_pool(10_000_000)
+        link = NetworkLink(sim, latency=0.0025, name=f"e8-{layout}-{count}")
+        pvols, groups = [], []
         for index in range(count):
             main_journal = main.create_journal(main_pool.pool_id)
             backup_journal = backup.create_journal(backup_pool.pool_id)
-            main.create_journal_group(
+            groups.append(main.create_journal_group(
                 f"jg-{index}", main_journal.journal_id, backup,
-                backup_journal.journal_id, link)
-            group_ids.append(f"jg-{index}")
-    pvols = []
-    for index in range(count):
-        pvol = main.create_volume(main_pool.pool_id, 4096)
-        svol = backup.create_volume(backup_pool.pool_id, 4096)
-        main.create_async_pair(f"pair-{index}", group_ids[index],
-                               pvol.volume_id, backup, svol.volume_id)
-        pvols.append(pvol)
+                backup_journal.journal_id, link))
+            pvol = main.create_volume(main_pool.pool_id, 4096)
+            svol = backup.create_volume(backup_pool.pool_id, 4096)
+            main.create_async_pair(f"pair-{index}", f"jg-{index}",
+                                   pvol.volume_id, backup, svol.volume_id)
+            pvols.append(pvol)
     deadline = sim.now + duration
 
     def writer(sim, pvol, index):
@@ -904,7 +887,6 @@ def _run_cg_scale_cell(layout: str, count: int, duration: float,
     sim.run(until=deadline)
     writes = main.host_writes.value
     p99_ms = main.write_latency.summary().p99 * 1e3
-    groups = {main.journal_groups[g] for g in group_ids}
     lags = [g.lag_entries.mean() for g in groups if g.lag_entries.points]
     mean_lag = sum(lags) / len(lags) if lags else 0.0
     catchup_start = sim.now

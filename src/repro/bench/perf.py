@@ -12,7 +12,7 @@ Unlike E1–E8 (which assert *simulated* behaviour), this suite measures
   main journal shipped and applied to secondary volumes, in entries per
   wall second (the C5 insight: the backup-side apply loop must keep up
   with the primary's ack rate or lag grows without bound).  Measured
-  with the dependency-aware lane applier on (``AdcConfig.apply_lanes``);
+  with one restore window per batch (``AdcConfig.apply_lanes > 1``);
 * ``snapshot_under_restore`` — the same drain while quiesced snapshot
   groups churn on the secondary volumes and their memoized images are
   read repeatedly: restore throughput and analytics snapshots at once,
@@ -151,50 +151,21 @@ def bench_kernel_events(events: int, processes: int = 4) -> float:
     return (per_process * processes) / elapsed
 
 
-def bench_restore_drain(entries: int, volumes: int = 2,
-                        restore_concurrency: int = 8,
-                        apply_lanes: int = 8) -> float:
-    """End-to-end drain rate of a pre-filled main journal.
-
-    Host writes fill the journal while the background loops are
-    stopped; timing starts when the loops start and stops when the
-    pipeline has fully applied everything to the secondary volumes.
-    Runs with the dependency-aware lane applier on (``apply_lanes``);
-    pass ``apply_lanes=1`` to measure the serial applier.
-    """
-    from repro.simulation.kernel import Simulator
-    from repro.simulation.network import NetworkLink
+def _prefilled_restore_world(entries: int, volumes: int, apply_lanes: int):
+    """The world of the restore benchmarks: host writes fill the main
+    journal while the background loops are stopped, then the loops
+    restart — the caller times the drain from there."""
+    from repro.bench.setups import build_array_pair
     from repro.storage.adc import AdcConfig
-    from repro.storage.array import ArrayConfig, StorageArray
 
-    sim = Simulator(seed=3)
-    _disable_tracing(sim)
     adc = AdcConfig(transfer_interval=0.0005, transfer_batch=4096,
                     restore_interval=0.0005, restore_batch=4096,
-                    interval_jitter=0.0,
-                    restore_concurrency=restore_concurrency,
-                    apply_lanes=apply_lanes)
-    config = ArrayConfig(adc=adc)
-    main = StorageArray(sim, serial="PERF-MAIN", config=config)
-    backup = StorageArray(sim, serial="PERF-BKUP", config=config)
-    main_pool = main.create_pool(10_000_000)
-    backup_pool = backup.create_pool(10_000_000)
-    link = NetworkLink(sim, latency=0.001, name="perf-link")
-    main_journal = main.create_journal(main_pool.pool_id, entries + 10)
-    backup_journal = backup.create_journal(backup_pool.pool_id,
-                                           entries + 10)
-    main.create_journal_group("perf", main_journal.journal_id, backup,
-                              backup_journal.journal_id, link)
-    group = main.journal_groups["perf"]
+                    interval_jitter=0.0, apply_lanes=apply_lanes)
+    world = build_array_pair(3, adc, "perf", volumes=volumes,
+                             journal_entries=entries + 10)
+    sim, main, group, pvols = world.sim, world.main, world.group, world.pvols
+    _disable_tracing(sim)
     group.stop()
-    pvols = []
-    for index in range(volumes):
-        pvol = main.create_volume(main_pool.pool_id, 4096)
-        svol = backup.create_volume(backup_pool.pool_id, 4096)
-        main.create_async_pair(f"perf-{index}", "perf", pvol.volume_id,
-                               backup, svol.volume_id)
-        pvols.append(pvol)
-
     payload = b"\x3c" * 128
 
     def writer(sim):
@@ -206,6 +177,20 @@ def bench_restore_drain(entries: int, volumes: int = 2,
     sim.run_until_complete(sim.spawn(writer(sim), name="perf-writer"))
     assert len(group.main_journal) == entries
     group.restart()
+    return world
+
+
+def bench_restore_drain(entries: int, volumes: int = 2,
+                        apply_lanes: int = 8) -> float:
+    """End-to-end drain rate of a pre-filled main journal.
+
+    Timing starts when the loops start and stops when the pipeline has
+    fully applied everything to the secondary volumes.  Runs with one
+    restore window per batch (``apply_lanes > 1``); pass
+    ``apply_lanes=1`` to measure the serial applier.
+    """
+    world = _prefilled_restore_world(entries, volumes, apply_lanes)
+    sim, group = world.sim, world.group
     with _no_gc():
         started = time.perf_counter()
         while group.entry_lag:
@@ -224,52 +209,12 @@ def bench_snapshot_under_restore(entries: int, volumes: int = 2,
     are created on the secondary volumes, their images read repeatedly
     (``image_blocks``/``frozen_version_map`` — the memoized COW path),
     and the groups rotated out.  Reported as drained entries per wall
-    second; exercises the lane applier's consistency-cut barrier, the
+    second; exercises the batch window's single-instant commit, the
     snapshot quiesce handshake, and the COW install fast path together.
     """
-    from repro.simulation.kernel import Simulator
-    from repro.simulation.network import NetworkLink
-    from repro.storage.adc import AdcConfig
-    from repro.storage.array import ArrayConfig, StorageArray
-
-    sim = Simulator(seed=3)
-    _disable_tracing(sim)
-    adc = AdcConfig(transfer_interval=0.0005, transfer_batch=4096,
-                    restore_interval=0.0005, restore_batch=4096,
-                    interval_jitter=0.0, restore_concurrency=8,
-                    apply_lanes=apply_lanes)
-    config = ArrayConfig(adc=adc)
-    main = StorageArray(sim, serial="PERF-MAIN", config=config)
-    backup = StorageArray(sim, serial="PERF-BKUP", config=config)
-    main_pool = main.create_pool(10_000_000)
-    backup_pool = backup.create_pool(10_000_000)
-    link = NetworkLink(sim, latency=0.001, name="perf-link")
-    main_journal = main.create_journal(main_pool.pool_id, entries + 10)
-    backup_journal = backup.create_journal(backup_pool.pool_id,
-                                           entries + 10)
-    main.create_journal_group("perf", main_journal.journal_id, backup,
-                              backup_journal.journal_id, link)
-    group = main.journal_groups["perf"]
-    group.stop()
-    pvols, svol_ids = [], []
-    for index in range(volumes):
-        pvol = main.create_volume(main_pool.pool_id, 4096)
-        svol = backup.create_volume(backup_pool.pool_id, 4096)
-        main.create_async_pair(f"perf-{index}", "perf", pvol.volume_id,
-                               backup, svol.volume_id)
-        pvols.append(pvol)
-        svol_ids.append(svol.volume_id)
-
-    payload = b"\x3c" * 128
-
-    def writer(sim):
-        for index in range(entries):
-            pvol = pvols[index % volumes]
-            yield from main.host_write(pvol.volume_id, index % 1024,
-                                       payload)
-
-    sim.run_until_complete(sim.spawn(writer(sim), name="perf-writer"))
-    group.restart()
+    world = _prefilled_restore_world(entries, volumes, apply_lanes)
+    sim, backup, group = world.sim, world.backup, world.group
+    svol_ids = [svol.volume_id for svol in world.svols]
 
     def snapshotter(sim):
         generation = 0
@@ -306,33 +251,15 @@ def bench_host_write_e2e(writes: int, volumes: int = 2,
     ``host_write_many`` in ``batch``-sized batches with the background
     transfer/restore loops stopped, so the measurement isolates ingest.
     """
-    from repro.simulation.kernel import Simulator
-    from repro.simulation.network import NetworkLink
+    from repro.bench.setups import build_array_pair
     from repro.storage.adc import AdcConfig
-    from repro.storage.array import ArrayConfig, StorageArray
 
-    sim = Simulator(seed=5)
+    world = build_array_pair(5, AdcConfig(interval_jitter=0.0),
+                             "perf-ingest", volumes=volumes,
+                             journal_entries=writes + 10)
+    sim, main, group, pvols = world.sim, world.main, world.group, world.pvols
     _disable_tracing(sim)
-    config = ArrayConfig(adc=AdcConfig(interval_jitter=0.0))
-    main = StorageArray(sim, serial="PERF-INGT", config=config)
-    backup = StorageArray(sim, serial="PERF-INGB", config=config)
-    main_pool = main.create_pool(10_000_000)
-    backup_pool = backup.create_pool(10_000_000)
-    link = NetworkLink(sim, latency=0.001, name="perf-ingest-link")
-    main_journal = main.create_journal(main_pool.pool_id, writes + 10)
-    backup_journal = backup.create_journal(backup_pool.pool_id,
-                                           writes + 10)
-    main.create_journal_group("perf-ingest", main_journal.journal_id,
-                              backup, backup_journal.journal_id, link)
-    group = main.journal_groups["perf-ingest"]
     group.stop()
-    pvols = []
-    for index in range(volumes):
-        pvol = main.create_volume(main_pool.pool_id, 4096)
-        svol = backup.create_volume(backup_pool.pool_id, 4096)
-        main.create_async_pair(f"perf-ingest-{index}", "perf-ingest",
-                               pvol.volume_id, backup, svol.volume_id)
-        pvols.append(pvol)
 
     payload = b"\x7e" * 128
 
@@ -368,39 +295,24 @@ def _transfer_drain_run(entries: int, window: int = 8,
     entries per simulated second, the wire bytes the link actually
     carried during the drain, and (when settled) the secondary image.
     """
-    from repro.simulation.kernel import Simulator
-    from repro.simulation.network import NetworkLink
+    from repro.bench.setups import build_array_pair
     from repro.storage.adc import AdcConfig
-    from repro.storage.array import ArrayConfig, StorageArray
+    from repro.storage.reduction import DISABLED_REDUCTION
 
-    sim = Simulator(seed=11)
+    adc = AdcConfig(transfer_interval=0.0005, transfer_batch=512,
+                    transfer_window=window, adaptive_batch=True,
+                    transfer_batch_min=256, transfer_batch_max=4096,
+                    transfer_batch_step=256,
+                    restore_interval=0.0005, restore_batch=4096,
+                    apply_lanes=8, interval_jitter=0.0,
+                    reduction=reduction or DISABLED_REDUCTION)
+    world = build_array_pair(11, adc, "perf-xfr",
+                             journal_entries=entries + 10,
+                             link_latency=0.010, bandwidth=bandwidth)
+    sim, main, link, group = world.sim, world.main, world.link, world.group
+    pvol, svol = world.pvols[0], world.svols[0]
     _disable_tracing(sim)
-    params = dict(transfer_interval=0.0005, transfer_batch=512,
-                  transfer_window=window, adaptive_batch=True,
-                  transfer_batch_min=256, transfer_batch_max=4096,
-                  transfer_batch_step=256,
-                  restore_interval=0.0005, restore_batch=4096,
-                  restore_concurrency=8, interval_jitter=0.0)
-    if reduction is not None:
-        params["reduction"] = reduction
-    config = ArrayConfig(adc=AdcConfig(**params))
-    main = StorageArray(sim, serial="PERF-XFRM", config=config)
-    backup = StorageArray(sim, serial="PERF-XFRB", config=config)
-    main_pool = main.create_pool(10_000_000)
-    backup_pool = backup.create_pool(10_000_000)
-    link = NetworkLink(sim, latency=0.010,
-                       bandwidth_bytes_per_s=bandwidth, name="perf-wan")
-    main_journal = main.create_journal(main_pool.pool_id, entries + 10)
-    backup_journal = backup.create_journal(backup_pool.pool_id,
-                                           entries + 10)
-    main.create_journal_group("perf-xfr", main_journal.journal_id,
-                              backup, backup_journal.journal_id, link)
-    group = main.journal_groups["perf-xfr"]
     group.stop()
-    pvol = main.create_volume(main_pool.pool_id, 4096)
-    svol = backup.create_volume(backup_pool.pool_id, 4096)
-    main.create_async_pair("perf-xfr-0", "perf-xfr", pvol.volume_id,
-                           backup, svol.volume_id)
     if payload_fn is None:
         constant = b"\x42" * 128
         payload_fn = lambda index: constant  # noqa: E731

@@ -16,13 +16,14 @@ operator path (the paper's plugin only automates ADC), so
 :func:`configure_sdc_protection` performs the manual array
 configuration an administrator would, including registering the
 secondary PVs at the backup site so failover discovery works the same
-way in every mode.
+way in every mode.  :func:`build_array_pair` is the array-level world
+(no platform stack) the microbenchmarks and ablations share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.csi.replication_plugin import SECONDARY_PV_LABEL
 from repro.errors import ReproError
@@ -34,9 +35,11 @@ from repro.scenarios.builders import (SystemConfig, TwoSiteSystem,
 from repro.scenarios.business import (BusinessConfig, BusinessProcess,
                                       deploy_business_process)
 from repro.simulation.kernel import Simulator
-from repro.storage.adc import AdcConfig
-from repro.storage.array import ArrayConfig
+from repro.simulation.network import NetworkLink
+from repro.storage.adc import AdcConfig, JournalGroup
+from repro.storage.array import ArrayConfig, StorageArray
 from repro.storage.replication import PairState
+from repro.storage.volume import Volume
 
 MODE_NONE = "none"
 MODE_SDC = "sdc"
@@ -164,3 +167,49 @@ def business_journal_groups(experiment: ExperimentSystem):
     return [group for group_id, group in
             sorted(experiment.system.main.array.journal_groups.items())
             if group_id.startswith("jg-")]
+
+
+@dataclass
+class ArrayPair:
+    """Two bare arrays joined by one journal group (no platform stack)."""
+
+    sim: Simulator
+    main: StorageArray
+    backup: StorageArray
+    link: NetworkLink
+    group: JournalGroup
+    pvols: List[Volume]
+    svols: List[Volume]
+
+
+def build_array_pair(seed: int, adc: AdcConfig, name: str,
+                     volumes: int = 1,
+                     journal_entries: Optional[int] = None,
+                     link_latency: float = 0.001,
+                     bandwidth: Optional[float] = None) -> ArrayPair:
+    """The array-level world of the microbenchmarks and ablations: main
+    and backup arrays, one pool and one journal each, a link, the
+    journal group ``name`` (its loops already running) and ``volumes``
+    4096-block async pairs ``{name}-{index}`` in it."""
+    sim = Simulator(seed=seed)
+    config = ArrayConfig(adc=adc)
+    main = StorageArray(sim, serial=f"{name}-main", config=config)
+    backup = StorageArray(sim, serial=f"{name}-bkup", config=config)
+    main_pool = main.create_pool(10_000_000)
+    backup_pool = backup.create_pool(10_000_000)
+    link = NetworkLink(sim, latency=link_latency,
+                       bandwidth_bytes_per_s=bandwidth, name=f"{name}-link")
+    main_journal = main.create_journal(main_pool.pool_id, journal_entries)
+    backup_journal = backup.create_journal(backup_pool.pool_id,
+                                           journal_entries)
+    group = main.create_journal_group(name, main_journal.journal_id, backup,
+                                      backup_journal.journal_id, link)
+    pvols, svols = [], []
+    for index in range(volumes):
+        pvol = main.create_volume(main_pool.pool_id, 4096)
+        svol = backup.create_volume(backup_pool.pool_id, 4096)
+        main.create_async_pair(f"{name}-{index}", name, pvol.volume_id,
+                               backup, svol.volume_id)
+        pvols.append(pvol)
+        svols.append(svol)
+    return ArrayPair(sim, main, backup, link, group, pvols, svols)

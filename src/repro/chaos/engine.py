@@ -14,7 +14,7 @@ corruption draws — comes from named RNG streams of one seeded
 simulator, so two runs with the same seed produce byte-identical
 :class:`ChaosReport` digests.  Reproduce any failure with::
 
-    python -m repro.cli chaos --campaign quick --seed <seed>
+    python -m repro.cli chaos --preset quick --seed <seed>
 """
 
 from __future__ import annotations
@@ -559,9 +559,9 @@ class ChaosEngine:
                 reducer.saved_dedup.value
             counters["wire_bytes_saved_total[compress]"] = \
                 reducer.saved_compress.value
-        # lane counters enter the digest only when the lane applier is
-        # on (same rule as reduction): apply_lanes=1 campaigns digest
-        # byte-identically to pre-lane builds
+        # batch-window counters enter the digest only when apply_lanes > 1
+        # (same rule as reduction): serial-applier campaigns digest as
+        # they did before the knob existed
         if group.lane_conflicts is not None:
             counters["restore_lanes"] = group.config.apply_lanes
             counters["restore_lane_conflicts_total"] = \

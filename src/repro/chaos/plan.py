@@ -4,7 +4,7 @@ A :class:`FaultPlan` is an explicit, ordered fault schedule — write one
 by hand to reproduce an exact failure sequence.  A campaign *generates*
 a plan from the simulator's seeded RNG streams: the same master seed
 always yields the same plan, so every campaign run is reproducible with
-``repro chaos --campaign <preset> --seed <n>``.
+``repro chaos --preset <preset> --seed <n>``.
 
 Three presets ship:
 

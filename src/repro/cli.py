@@ -125,29 +125,41 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _adc_override(text: str):
+    """One ``--adc key=value`` as ``(field, value)``, the value typed
+    from the ``AdcConfig`` field's default (``reduction`` takes on/off)
+    and checked by the config's own validation."""
+    from repro.storage import AdcConfig, ReductionConfig
+    key, _, raw = text.partition("=")
+    defaults = vars(AdcConfig())
+    switches = {"true": True, "on": True, "false": False, "off": False}
+    try:
+        if key not in defaults:
+            raise ValueError("no such AdcConfig field")
+        if isinstance(defaults[key], ReductionConfig):
+            value = ReductionConfig(enabled=switches[raw.lower()])
+        elif isinstance(defaults[key], bool):
+            value = switches[raw.lower()]
+        else:
+            value = type(defaults[key])(raw)
+        AdcConfig(**{key: value})
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: expected one of {sorted(switches)}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return key, value
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import run_campaigns
-    preset = args.preset or ("soak" if args.soak else args.campaign)
     if args.seeds < 1:
         raise SystemExit(f"repro: --seeds must be >= 1 (got {args.seeds})")
-    if args.transfer_window < 1:
-        raise SystemExit("repro: --transfer-window must be >= 1 "
-                         f"(got {args.transfer_window})")
-    if args.apply_lanes < 1:
-        raise SystemExit("repro: --apply-lanes must be >= 1 "
-                         f"(got {args.apply_lanes})")
     seeds = list(range(args.seed, args.seed + args.seeds))
-    adc_overrides = {}
-    if args.transfer_window > 1:
-        adc_overrides["transfer_window"] = args.transfer_window
-    if args.apply_lanes > 1:
-        adc_overrides["apply_lanes"] = args.apply_lanes
-    if args.reduction:
-        from repro.storage import ReductionConfig
-        adc_overrides["reduction"] = ReductionConfig(enabled=True)
-    adc_overrides = adc_overrides or None
+    adc_overrides = dict(args.adc) or None
+
     def campaigns():
-        return run_campaigns(seeds, preset=preset,
+        return run_campaigns(seeds, preset=args.preset,
                              verify_failover=not args.no_failover,
                              jobs=args.jobs, adc_overrides=adc_overrides)
 
@@ -306,20 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="run a seeded fault-injection campaign and "
                       "verify the robustness invariants")
-    chaos.add_argument("--campaign", choices=["quick", "soak", "control"],
+    chaos.add_argument("--preset", choices=["quick", "soak", "control"],
                        default="quick",
                        help="fault-storm preset (quick = CI-sized, "
                             "soak = longer regression hunt, control = "
                             "control-plane storm)")
-    chaos.add_argument("--preset", choices=["quick", "soak", "control"],
-                       default=None,
-                       help="alias for --campaign (wins when both are "
-                            "given)")
     chaos.add_argument("--seed", type=int, default=7,
                        help="master seed; the same seed replays the "
                             "exact same campaign")
-    chaos.add_argument("--soak", action="store_true",
-                       help="shorthand for --campaign soak")
     chaos.add_argument("--seeds", type=int, default=1, metavar="N",
                        help="run N campaigns at consecutive seeds "
                             "starting from --seed (default 1)")
@@ -330,21 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--no-failover", action="store_true",
                        help="skip the final fail-and-recover "
                             "consistency verification")
-    chaos.add_argument("--transfer-window", type=int, default=1,
-                       metavar="N",
-                       help="run the campaigns with N transfer batches "
-                            "in flight (pipelined inter-site transfer; "
-                            "default 1 = stop-and-wait)")
-    chaos.add_argument("--reduction", action="store_true",
-                       help="run the campaigns with the wire "
-                            "data-reduction engine enabled (fingerprint "
-                            "dedup + inline compression on the "
-                            "inter-site link)")
-    chaos.add_argument("--apply-lanes", type=int, default=1, metavar="N",
-                       help="run the campaigns with N dependency-aware "
-                            "restore apply lanes (consistency-cut "
-                            "barrier commit; default 1 = the serial "
-                            "applier)")
+    chaos.add_argument("--adc", action="append", default=[],
+                       type=_adc_override, metavar="KEY=VALUE",
+                       help="run the campaigns with this AdcConfig field "
+                            "overridden (repeatable), e.g. transfer_window=4, "
+                            "apply_lanes=4, adaptive_batch=true, "
+                            "coalesce_overwrites=true, reduction=on")
     chaos.add_argument("--verify-determinism", action="store_true",
                        help="run the selected campaigns a second time "
                             "in this process and exit 1 unless every "

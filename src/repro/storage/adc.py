@@ -54,7 +54,6 @@ from repro.simulation.network import LinkDownError, NetworkLink
 from repro.simulation.resources import Gate
 from repro.storage.journal import (JournalEntry, JournalFullError,
                                    JournalVolume)
-from repro.storage.lanes import lane_delays, lane_waits
 from repro.storage.reduction import (DISABLED_REDUCTION, EncodedBatch,
                                      ReductionConfig, WireReducer)
 from repro.storage.replication import PairState, ReplicationPair
@@ -63,6 +62,19 @@ from repro.telemetry.spans import BlockSchema, Span
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
     from repro.storage.volume import Volume
+
+
+#: journal appends land in array cache; far cheaper than media writes
+JOURNAL_APPEND_LATENCY = 0.00005
+#: minimum spacing between lag-gauge samples while the transfer loop is
+#: idle (journal empty), so long idle soaks don't accumulate one
+#: redundant sample per wake-up
+IDLE_LAG_SAMPLE_INTERVAL = 0.05
+#: wake-up period of the auto-repair loop
+REPAIR_DELAY = 0.02
+#: auto-repair wake-ups before giving up (operator takes over);
+#: :meth:`JournalGroup.ensure_repair` re-arms the loop
+REPAIR_MAX_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -101,26 +113,14 @@ class AdcConfig:
     restore_interval: float = 0.002
     restore_batch: int = 512
     interval_jitter: float = 0.5
-    #: journal appends land in array cache; far cheaper than media writes
-    journal_append_latency: float = 0.00005
-    #: in-flight restore applies per window.  1 = strictly serial (every
-    #: instant is a prefix of the journal order); >1 overlaps media
-    #: writes of *non-conflicting* blocks — the prefix property then
-    #: holds at window boundaries, which is where quiesce/snapshot
-    #: operations synchronise anyway.  Real arrays restore with internal
-    #: parallelism like this; E8 sweeps the knob.
-    restore_concurrency: int = 1
-    #: dependency-aware apply lanes for the restore/resync paths.  1 =
-    #: the classic applier: windows capped at ``restore_concurrency``
-    #: distinct addresses, one aggregated media wait per window
-    #: (byte-identical digests to before the knob existed).  >1 takes
-    #: the full ``restore_batch`` as one window, partitions it into
-    #: per-(volume, block)-conflict-free lanes (last-writer-wins per
-    #: address, the property the coalesce machinery already proves),
-    #: runs one aggregated media wait per lane as concurrent sim
-    #: processes, and commits every surviving install through a
-    #: consistency-cut barrier — snapshot groups, failover promote and
-    #: invariant checks always observe a window-boundary cut.
+    #: restore window size.  1 = the paper's serial applier: one entry
+    #: per window, so every instant is a prefix of the journal order.
+    #: >1 takes the whole remaining ``restore_batch`` as one window
+    #: whose media writes overlap and whose installs commit at one
+    #: instant (:meth:`JournalGroup._apply_window`; real arrays restore
+    #: with internal parallelism like this, E8 measures it).  The number
+    #: above 1 selects nothing in the applier; it only paces
+    #: ``resync()``'s re-journal appends.
     apply_lanes: int = 1
     #: verify entry CRC32s at transfer-receive and restore-apply.
     #: Disabling reproduces the silent-corruption baseline the chaos
@@ -134,19 +134,9 @@ class AdcConfig:
     #: window's high sequence.  Off by default (ship-everything is the
     #: paper's §III-A1 baseline); E7 quantifies the wire-byte saving.
     coalesce_overwrites: bool = False
-    #: minimum spacing between lag-gauge samples while the transfer
-    #: loop is idle (journal empty), so long idle soaks don't
-    #: accumulate one redundant sample per wake-up.  0 samples on
-    #: every idle wake-up.
-    idle_lag_sample_interval: float = 0.05
     #: after an integrity quarantine, automatically resync the affected
     #: dirty ranges once the link is healthy (self-healing repair)
     auto_repair: bool = True
-    #: wake-up period of the auto-repair loop
-    repair_delay: float = 0.02
-    #: auto-repair wake-ups before giving up (operator takes over);
-    #: :meth:`JournalGroup.ensure_repair` re-arms the loop
-    repair_max_attempts: int = 200
     #: wire data reduction (fingerprint dedup + inline compression) for
     #: the transfer path; off by default — the wire then carries every
     #: payload byte verbatim, exactly as before
@@ -168,20 +158,10 @@ class AdcConfig:
             raise ValueError("transfer_batch_step must be >= 1")
         if self.batch_target_time <= 0:
             raise ValueError("batch_target_time must be > 0")
-        if self.restore_concurrency < 1:
-            raise ValueError("restore_concurrency must be >= 1")
         if self.apply_lanes < 1:
             raise ValueError("apply_lanes must be >= 1")
         if not 0 <= self.interval_jitter < 1:
             raise ValueError("interval_jitter must be in [0, 1)")
-        if self.journal_append_latency < 0:
-            raise ValueError("journal_append_latency must be >= 0")
-        if self.idle_lag_sample_interval < 0:
-            raise ValueError("idle_lag_sample_interval must be >= 0")
-        if self.repair_delay <= 0:
-            raise ValueError("repair_delay must be > 0")
-        if self.repair_max_attempts < 1:
-            raise ValueError("repair_max_attempts must be >= 1")
         if not isinstance(self.reduction, ReductionConfig):
             raise ValueError("reduction must be a ReductionConfig")
 
@@ -348,13 +328,14 @@ class JournalGroup:
             help="Resync blocks whose (version, crc32) negotiation "
                  "proved the secondary current — they never crossed "
                  "the wire", group=group_id)
-        # lane instruments exist only when the lane applier is on, so
-        # default (apply_lanes=1) registries — and therefore chaos
-        # digests — stay byte-identical to the pre-lane applier
+        # registered only for batch windows: the serial applier's
+        # one-entry windows cannot conflict, and default registries —
+        # and therefore chaos digests — carry no series that is always 0
         if adc.apply_lanes > 1:
             self.restore_lanes_gauge = registry.gauge(
                 "repro_restore_lanes",
-                help="Dependency-aware apply lanes of the restore path",
+                help="Configured apply_lanes (> 1: one restore window per "
+                     "batch; also paces resync re-journal appends)",
                 unit="lanes", group=group_id)
             self.lane_conflicts = registry.counter(
                 "repro_restore_lane_conflicts_total",
@@ -422,15 +403,6 @@ class JournalGroup:
         del self._svol_by_pvol[pair.pvol.volume_id]
         return pair
 
-    def pair_for_pvol(self, volume_id: int) -> Optional[ReplicationPair]:
-        """The pair whose primary is ``volume_id``, if any."""
-        return self._pairs_by_pvol.get(volume_id)
-
-    @property
-    def member_pvol_ids(self) -> List[int]:
-        """Primary volume ids of all member pairs."""
-        return sorted(self._pairs_by_pvol)
-
     # -- host-write side -------------------------------------------------------
 
     def journal_append(self, volume_id: int, block: int, payload: bytes,
@@ -455,8 +427,7 @@ class JournalGroup:
             append_span = tracer.start(
                 "journal-append", parent=span, group=self.group_id,
                 volume=volume_id, block=block)
-        if self.config.journal_append_latency > 0:
-            yield self.sim.timeout(self.config.journal_append_latency)
+        yield self.sim.timeout(JOURNAL_APPEND_LATENCY)
         if span is not None and span.trace_id is not None:
             trace_id, span_id = span.trace_id, span.span_id
         elif append_span is not None:
@@ -493,8 +464,7 @@ class JournalGroup:
             append_span = tracer.start(
                 "journal-append", parent=span, group=self.group_id,
                 writes=len(writes))
-        if self.config.journal_append_latency > 0:
-            yield self.sim.timeout(self.config.journal_append_latency)
+        yield self.sim.timeout(JOURNAL_APPEND_LATENCY)
         if span is not None and span.trace_id is not None:
             trace_id, span_id = span.trace_id, span.span_id
         elif append_span is not None:
@@ -615,15 +585,15 @@ class JournalGroup:
     def _auto_repair(self) -> Generator[object, object, None]:
         """Self-healing loop: resync the dirty delta once the link is up.
 
-        Wakes every ``repair_delay`` until the resync sticks (the pairs
-        leave PSUE) or ``repair_max_attempts`` wake-ups pass — a resync
+        Wakes every ``REPAIR_DELAY`` until the resync sticks (the pairs
+        leave PSUE) or ``REPAIR_MAX_ATTEMPTS`` wake-ups pass — a resync
         can be re-suspended by a refilled journal, so one attempt is not
         always enough.
         """
         attempts = 0
-        while self.suspended and attempts < self.config.repair_max_attempts:
+        while self.suspended and attempts < REPAIR_MAX_ATTEMPTS:
             attempts += 1
-            yield self.sim.timeout(self.config.repair_delay)
+            yield self.sim.timeout(REPAIR_DELAY)
             if not self.suspended:
                 return
             if not self.link.is_up:
@@ -668,10 +638,8 @@ class JournalGroup:
                         # version, so it never re-crosses the wire
                         self.copy_skipped.increment()
                         continue
-                    if self.config.journal_append_latency > 0 \
-                            and rejournaled % lanes == 0:
-                        yield self.sim.timeout(
-                            self.config.journal_append_latency)
+                    if rejournaled % lanes == 0:
+                        yield self.sim.timeout(JOURNAL_APPEND_LATENCY)
                     entry = self._append_entry(
                         volume_id, block, value.payload, value.version,
                         trace_id=resync_span.trace_id,
@@ -927,8 +895,7 @@ class JournalGroup:
     def _sample_idle_lag(self) -> None:
         """Keep the lag gauges fresh while idle, at a bounded cadence so
         long idle soaks don't accumulate one sample per wake-up."""
-        if self.sim.now - self._lag_sampled_at \
-                >= self.config.idle_lag_sample_interval:
+        if self.sim.now - self._lag_sampled_at >= IDLE_LAG_SAMPLE_INTERVAL:
             self._sample_lag()
 
     def _transfer_loop_serial(self) -> Generator[object, object, None]:
@@ -1113,29 +1080,11 @@ class JournalGroup:
                 applied += len(window)
 
     def _pick_restore_window(self, limit: int) -> List[JournalEntry]:
-        """Contiguous journal entries safe to apply concurrently.
-
-        The serial applier's window extends while entries touch
-        distinct (volume, block) addresses, so per-block ordering is
-        preserved even though the media writes overlap, and is capped
-        by ``restore_concurrency``.  The lane applier takes the whole
-        remaining batch budget: conflicts coalesce last-writer-wins.
-        """
-        if self.config.apply_lanes > 1:
-            return self.backup_journal.peek_batch(limit)
-        cap = min(self.config.restore_concurrency, max(limit, 1))
-        candidates = self.backup_journal.peek_batch(cap)
-        if len(candidates) < 2:
-            return candidates  # one entry cannot conflict with itself
-        window: List[JournalEntry] = []
-        touched = set()
-        for entry in candidates:
-            address = (entry.volume_id, entry.block)
-            if address in touched:
-                break
-            touched.add(address)
-            window.append(entry)
-        return window
+        """The next restore window: one entry for the serial applier
+        (``apply_lanes == 1``), else the whole remaining batch budget —
+        conflicts inside it coalesce last-writer-wins."""
+        return self.backup_journal.peek_batch(
+            1 if self.config.apply_lanes == 1 else limit)
 
     def _apply_window(self, window: List[JournalEntry],
                       ) -> Generator[object, object, None]:
@@ -1146,12 +1095,9 @@ class JournalGroup:
         and coalesces same-(volume, block) conflicts last-writer-wins
         (safe for the same reason wire coalescing is: the survivor is
         the newest write of its address and versions per address are
-        monotone in sequence order; the serial applier's
-        distinct-address windows never conflict).  The survivors' media
-        writes overlap, so the window costs the *max* of their apply
-        costs (copy-on-write preservation plus the write); with
-        ``apply_lanes > 1`` they deal round-robin into lanes, one
-        concurrent wait each, joined as the consistency-cut barrier.
+        monotone in sequence order).  The survivors' media writes
+        overlap, so the window costs the *max* of their apply costs
+        (copy-on-write preservation plus the write), waited out inline.
         Nothing installs until the whole media time has elapsed, so
         every externally observable image (snapshot-group creation,
         failover promote, invariant checks, restore-point queries) is a
@@ -1198,13 +1144,18 @@ class JournalGroup:
                 [(entry.trace_id, entry.span_id, entry.volume_id,
                   entry.block, entry.sequence, entry.version)
                  for entry in window], early)
-        costs = [svol.apply_delay(entry.block)
-                 for _index, svol, entry in surviving.values()]
-        if self.config.apply_lanes > 1:
-            yield from lane_waits(
-                self.sim, lane_delays(costs, self.config.apply_lanes),
-                name=f"jg-{self.group_id}.restore")
-            # the barrier has closed: one batch install per secondary
+        delay = max([svol.apply_delay(entry.block)
+                     for _index, svol, entry in surviving.values()],
+                    default=0.0)
+        if delay > 0:
+            yield self.sim.timeout(delay)
+        if len(surviving) == 1:
+            # a batch install's fixed set-up costs more than it hoists
+            # on a single row
+            (_index, svol, entry), = surviving.values()
+            svol.install_block(entry.block, entry.payload, entry.version,
+                               checksum=entry.checksum)
+        else:
             by_svol: Dict["Volume", List[tuple]] = {}
             for _index, svol, entry in surviving.values():
                 by_svol.setdefault(svol, []).append(
@@ -1212,15 +1163,6 @@ class JournalGroup:
                      entry.checksum))
             for svol, rows in by_svol.items():
                 svol.install_blocks(rows)
-        else:
-            # serial windows hold a handful of entries (one, by default):
-            # a batch install's fixed set-up would cost more than it hoists
-            delay = max(costs, default=0.0)
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            for _index, svol, entry in surviving.values():
-                svol.install_block(entry.block, entry.payload,
-                                   entry.version, checksum=entry.checksum)
         tracer.finish_block(block)
 
     def _update_copy_states(self) -> None:

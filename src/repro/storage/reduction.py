@@ -231,14 +231,17 @@ class WireReducer:
     """
 
     def __init__(self, sim: "Simulator", config: ReductionConfig,
-                 **scope: str) -> None:
+                 group: str) -> None:
         self.sim = sim
         self.config = config
         self.enabled = config.enabled
         if not self.enabled:
             return
         registry: "MetricsRegistry" = sim.telemetry.registry
-        self._scope = scope
+        # one label-key set whoever the owner is (a mirror passes its
+        # mirror id): a family's children must agree on their keys, and
+        # both owners can share one registry
+        scope = self._scope = {"group": group}
         self._registry = registry
         self.codec = ReductionCodec(config)
         self.sender = FingerprintCache(config.cache_entries)

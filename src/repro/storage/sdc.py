@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 from repro.errors import ReplicationError
 from repro.simulation.network import LinkDownError, NetworkLink
 from repro.simulation.resources import Lock
-from repro.storage.lanes import lane_waits
 from repro.storage.reduction import (DISABLED_REDUCTION, ReductionConfig,
                                      WireReducer)
 from repro.storage.replication import PairState, ReplicationPair
@@ -30,49 +29,35 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
 
 
+#: blocks per bulk-copy chunk: initial copy and resync negotiate and
+#: ship this many blocks per link round trip instead of paying one
+#: propagation delay per block
+COPY_BATCH_BLOCKS = 32
+#: wire bytes of the per-block ``(version, crc32)`` negotiation
+#: metadata — the lightweight-metadata exchange that lets up-to-date
+#: secondary blocks skip the payload transfer entirely
+NEGOTIATE_METADATA_BYTES = 16
+
+
 @dataclass(frozen=True)
 class SdcConfig:
     """Tuning knobs of the synchronous mirror.
 
-    ``fence_level`` follows array convention: ``"never"`` keeps accepting
-    (unprotected, dirty-tracked) host writes when the link fails, which
+    A link failure never fences the host (array fence level "never"):
+    the mirror keeps accepting unprotected, dirty-tracked writes, which
     is what production systems choose to avoid a replication outage
     becoming a business outage.
     """
 
     block_size_bytes: int = 4096
-    fence_level: str = "never"
-    #: blocks per bulk-copy chunk: initial copy and resync negotiate
-    #: and ship this many blocks per link round trip instead of paying
-    #: one propagation delay per block
-    copy_batch_blocks: int = 32
-    #: wire bytes of the per-block ``(version, crc32)`` negotiation
-    #: metadata — the lightweight-metadata exchange that lets
-    #: up-to-date secondary blocks skip the payload transfer entirely
-    negotiate_metadata_bytes: int = 16
     #: wire data reduction (fingerprint dedup + inline compression) for
     #: the bulk copy / resync payload transfers; off by default — the
     #: wire then carries every stale block verbatim, exactly as before
     reduction: ReductionConfig = DISABLED_REDUCTION
-    #: dependency-aware apply lanes for the bulk-copy install phase
-    #: (same scheduler as the ADC restore applier).  1 = one media
-    #: wait per chunk, exactly as before; >1 stages up to this many
-    #: chunks and overlaps their media installs as concurrent lanes
-    #: committed through one consistency-cut barrier.
-    apply_lanes: int = 1
 
     def __post_init__(self) -> None:
         if self.block_size_bytes < 1:
             raise ValueError("block_size_bytes must be >= 1")
-        if self.apply_lanes < 1:
-            raise ValueError("apply_lanes must be >= 1")
-        if self.fence_level not in ("never", "data"):
-            raise ValueError(
-                f"fence_level must be 'never' or 'data': {self.fence_level}")
-        if self.copy_batch_blocks < 1:
-            raise ValueError("copy_batch_blocks must be >= 1")
-        if self.negotiate_metadata_bytes < 1:
-            raise ValueError("negotiate_metadata_bytes must be >= 1")
         if not isinstance(self.reduction, ReductionConfig):
             raise ValueError("reduction must be a ReductionConfig")
 
@@ -97,7 +82,7 @@ class SyncMirror:
         #: wire data-reduction engine for the bulk copy / resync
         #: payload transfers (no-op object when disabled)
         self.reducer = WireReducer(sim, self.config.reduction,
-                                   mirror=mirror_id)
+                                   group=mirror_id)
         self.replicated_writes = registry.counter(
             "repro_sdc_replicated_writes_total",
             help="Writes propagated synchronously before the ack",
@@ -106,11 +91,13 @@ class SyncMirror:
             "repro_sdc_suspensions_total",
             help="Pair suspensions caused by link failures",
             mirror=mirror_id)
+        # a family shared with journal groups: same label key, so both
+        # can live in one registry
         self.copy_skipped = registry.counter(
             "repro_copy_skipped_blocks_total",
             help="Bulk-copy blocks whose (version, crc32) negotiation "
                  "proved the secondary current — they never crossed "
-                 "the wire", mirror=mirror_id)
+                 "the wire", group=mirror_id)
 
     # -- pair management ------------------------------------------------------
 
@@ -145,15 +132,6 @@ class SyncMirror:
         del self._pair_locks[pair_id]
         return pair
 
-    def pair_for_pvol(self, volume_id: int) -> Optional[ReplicationPair]:
-        """The pair whose primary is ``volume_id``, if any."""
-        return self._pairs_by_pvol.get(volume_id)
-
-    @property
-    def member_pvol_ids(self) -> List[int]:
-        """Primary volume ids of all member pairs."""
-        return sorted(self._pairs_by_pvol)
-
     # -- data path ----------------------------------------------------------
 
     def _bulk_copy(self, pair: ReplicationPair,
@@ -161,7 +139,7 @@ class SyncMirror:
                    ) -> Generator[object, object, None]:
         """Delta-negotiated batched copy of ``(block, value)`` items.
 
-        Each chunk of ``copy_batch_blocks`` blocks first ships only the
+        Each chunk of ``COPY_BATCH_BLOCKS`` blocks first ships only the
         per-block ``(version, crc32)`` metadata and waits one
         propagation delay for the verdict; blocks the secondary proves
         current never cross the wire (counted in
@@ -175,59 +153,17 @@ class SyncMirror:
         payloads), the installed bytes are the actual receive-side
         reconstruction, and ``path`` labels the wire-byte accounting
         (``"copy"`` for initial copy, ``"resync"`` for resync).
-
-        With ``apply_lanes > 1`` the install phases of up to that many
-        chunks stage as conflict-free lanes (blocks within one
-        ``_bulk_copy`` call are distinct) and commit together through
-        the shared lane scheduler's consistency-cut barrier: one
-        aggregated media wait per staged chunk, run concurrently, then
-        every staged block installs at one instant.  ``apply_lanes=1``
-        commits after every chunk, exactly as before.
         """
         config = self.config
         svol = pair.svol
         reducer = self.reducer
-        #: completed chunks whose media installs await the next barrier
-        staged: List[List[tuple]] = []
-
-        def commit() -> Generator[object, object, None]:
-            # a concurrent replicate_write may have raced a newer
-            # version in while the payload was on the wire or staged;
-            # re-check before applying, exactly like the per-block
-            # path did
-            lanes: List[List[tuple]] = []
-            delays: List[float] = []
-            for group in staged:
-                installs = [
-                    (block, payload, value)
-                    for block, payload, value in group
-                    if not pair.secondary_current(block, value.version)]
-                if not installs:
-                    continue
-                lanes.append(installs)
-                delays.append(max(
-                    svol.apply_delay(block)
-                    for block, _payload, _value in installs))
-            staged.clear()
-            yield from lane_waits(self.sim, delays,
-                                  name=f"sdc-{pair.pair_id}.{path}")
-            for installs in lanes:
-                for block, payload, value in installs:
-                    svol.install_block(block, payload,
-                                       version=value.version,
-                                       checksum=value.checksum)
-
-        for start in range(0, len(items), config.copy_batch_blocks):
-            chunk = items[start:start + config.copy_batch_blocks]
+        for start in range(0, len(items), COPY_BATCH_BLOCKS):
+            chunk = items[start:start + COPY_BATCH_BLOCKS]
             # negotiation round trip: metadata out, verdict back
-            negotiate_bytes = config.negotiate_metadata_bytes * len(chunk)
+            negotiate_bytes = NEGOTIATE_METADATA_BYTES * len(chunk)
             try:
                 yield from self.link.transfer(negotiate_bytes)
             except LinkDownError:
-                # payloads already staged did land; install them before
-                # surfacing the failure (the per-chunk path had them
-                # installed already)
-                yield from commit()
                 reducer.invalidate()
                 raise
             if reducer.enabled:
@@ -256,7 +192,6 @@ class SyncMirror:
             except LinkDownError:
                 # the shipment never landed: nothing was committed, but
                 # the sender can no longer prove the receiver's state
-                yield from commit()
                 reducer.discard()
                 reducer.invalidate()
                 raise
@@ -268,11 +203,22 @@ class SyncMirror:
                             reducer.receive_batch(path, encodings, values)]
             else:
                 received = [value.payload for value in values]
-            staged.append([(block, payload, value) for (block, value), payload
-                           in zip(stale, received)])
-            if len(staged) >= config.apply_lanes:
-                yield from commit()
-        yield from commit()
+            # a concurrent replicate_write may have raced a newer
+            # version in while the payload was on the wire; re-check
+            # before applying, exactly like the per-block path did
+            installs = [
+                (block, payload, value)
+                for (block, value), payload in zip(stale, received)
+                if not pair.secondary_current(block, value.version)]
+            if not installs:
+                continue
+            delay = max(svol.apply_delay(block)
+                        for block, _payload, _value in installs)
+            if delay > 0:
+                yield self.sim.timeout(delay)
+            for block, payload, value in installs:
+                svol.install_block(block, payload, version=value.version,
+                                   checksum=value.checksum)
 
     def initial_copy(self, pair_id: str) -> Generator[object, object, None]:
         """Copy the current P-VOL content to the S-VOL over the link.
@@ -295,9 +241,8 @@ class SyncMirror:
 
         Called from the host-write path after the local apply.  Returns
         True when the write reached the secondary, False when the mirror
-        is suspended (fence level "never") and the write is only
-        dirty-tracked.  With fence level "data" a link failure raises.
-        ``span`` is the originating host-write span.
+        is suspended and the write is only dirty-tracked.  ``span`` is
+        the originating host-write span.
         """
         pair = self._pairs_by_pvol.get(volume_id)
         if pair is None:
@@ -322,9 +267,6 @@ class SyncMirror:
         except LinkDownError:
             # fingerprint state is void after any link failure
             self.reducer.invalidate()
-            if self.config.fence_level == "data":
-                self.tracer.finish(rep_span, status="error")
-                raise
             pair.suspend(PairState.PSUE, "link down")
             pair.mark_dirty(volume_id, block)
             self.suspensions.increment()
@@ -351,7 +293,7 @@ class SyncMirror:
         :meth:`initial_copy`: dirty blocks whose content already
         reached the secondary are skipped after the metadata exchange,
         and the stale remainder ships in
-        ``copy_batch_blocks``-sized batches.
+        ``COPY_BATCH_BLOCKS``-sized batches.
         """
         if not self.link.is_up:
             raise ReplicationError(

@@ -23,12 +23,11 @@ write_plan = st.lists(
     min_size=5, max_size=50)
 
 
-def build_pipeline(seed, consistency_group, restore_concurrency=1):
+def build_pipeline(seed, consistency_group, apply_lanes=1):
     sim = Simulator(seed=seed)
     adc = AdcConfig(transfer_interval=0.003, transfer_batch=64,
                     restore_interval=0.001, restore_batch=64,
-                    interval_jitter=0.5,
-                    restore_concurrency=restore_concurrency)
+                    interval_jitter=0.5, apply_lanes=apply_lanes)
     config = ArrayConfig(adc=adc)
     main = StorageArray(sim, serial="M", config=config)
     backup = StorageArray(sim, serial="B", config=config)
@@ -54,16 +53,15 @@ def build_pipeline(seed, consistency_group, restore_concurrency=1):
 
 class TestLivePipelineProperties:
     @given(plan=write_plan, disaster_frac=st.floats(0.1, 1.0),
-           concurrency=st.sampled_from([1, 4]))
+           lanes=st.sampled_from([1, 4]))
     @settings(max_examples=30, deadline=None)
     def test_cg_cut_is_always_consistent(self, plan, disaster_frac,
-                                         concurrency):
+                                         lanes):
         """With one consistency group, the backup image at ANY disaster
         instant is a consistent cut — regardless of workload shape,
-        jitter, or restore concurrency."""
+        jitter, or restore window size."""
         sim, main, backup, pairs = build_pipeline(
-            seed=11, consistency_group=True,
-            restore_concurrency=concurrency)
+            seed=11, consistency_group=True, apply_lanes=lanes)
         volumes = sorted(pairs)
 
         def writer(sim):

@@ -147,10 +147,10 @@ class TestConsistencyGroupOrdering:
 
 class TestConcurrentRestore:
     def test_parallel_restore_converges_identically(self, sim):
-        """restore_concurrency > 1 must deliver exactly the same final
+        """apply_lanes > 1 must deliver exactly the same final
         secondary state, just faster."""
         site = build_two_site(Simulator(seed=7), adc=fast_adc(
-            restore_concurrency=8))
+            apply_lanes=8))
         sim = site.sim
         pvol, svol = (None, None)
         pvol = site.main.create_volume(site.main_pool_id, 256)
@@ -165,36 +165,14 @@ class TestConcurrentRestore:
 
         def writer(sim):
             for i in range(120):
-                # repeated writes to a small block set force conflict
-                # windows (same-block entries must never reorder)
+                # repeated writes to a small block set put conflicts
+                # in every window (same-block entries must never reorder)
                 yield from site.main.host_write(pvol.volume_id, i % 8,
                                                 b"w%03d" % i)
 
         run(sim, writer(sim))
         sim.run(until=sim.now + 1.0)
         assert svol.block_map() == pvol.block_map()
-
-    def test_restore_window_stops_at_block_conflict(self, sim, two_site):
-        from repro.storage import AdcConfig, JournalGroup, JournalVolume
-        mj = JournalVolume(1, 100)
-        bj = JournalVolume(2, 100)
-        from repro.simulation import NetworkLink
-        group = JournalGroup(sim, "w", mj, bj,
-                             NetworkLink(sim, latency=0.001),
-                             config=AdcConfig(restore_concurrency=8,
-                                              interval_jitter=0.0))
-        # ingest entries: blocks 0,1,0 -> window must stop before the
-        # second write to block 0
-        for seq, block in enumerate((0, 1, 0)):
-            bj.ingest_batch(
-                [mj.append(1, block, b"x", seq + 1, time=0.0)])
-        window = group._pick_restore_window(100)
-        assert [e.block for e in window] == [0, 1]
-
-    def test_restore_concurrency_validation(self):
-        from repro.storage import AdcConfig
-        with pytest.raises(ValueError):
-            AdcConfig(restore_concurrency=0)
 
 
 class TestSuspension:

@@ -11,6 +11,7 @@ import pytest
 from repro.errors import VolumeError
 from repro.simulation import Simulator
 from repro.storage import StorageArray
+from repro.storage.adc import JOURNAL_APPEND_LATENCY
 from tests.storage.conftest import build_two_site, fast_adc, run
 
 
@@ -106,7 +107,6 @@ class TestBatchSemantics:
         latency plus one journal-append latency — not N of each."""
         site, _group, pvol, _svol = build_pair(sim)
         media = site.main.config.media
-        adc = site.main.config.adc
         writes = [(pvol.volume_id, block, b"x%02d" % block)
                   for block in range(16)]
         start = sim.now
@@ -116,7 +116,7 @@ class TestBatchSemantics:
 
         records = run(sim, writer())
         elapsed = sim.now - start
-        expected = media.write_latency + adc.journal_append_latency
+        expected = media.write_latency + JOURNAL_APPEND_LATENCY
         assert elapsed == pytest.approx(expected)
         # every write of the batch acked at the same instant with the
         # batch latency

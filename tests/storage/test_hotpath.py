@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import VolumeError
 from repro.simulation import Simulator
+from repro.storage.adc import IDLE_LAG_SAMPLE_INTERVAL
 from repro.storage.journal import JournalEntry, JournalVolume
 from repro.storage.volume import MediaProfile, Volume
 from repro.telemetry.spans import NULL_SPAN, Tracer
@@ -180,11 +181,10 @@ class TestTracerFastPath:
 class TestIdleLagCadence:
     def test_idle_sampling_is_bounded(self):
         """An idle transfer loop must not sample the lag gauges on
-        every wake-up — only once per idle_lag_sample_interval."""
+        every wake-up — only once per IDLE_LAG_SAMPLE_INTERVAL."""
         sim = Simulator(seed=11)
         site = build_two_site(
-            sim, adc=fast_adc(transfer_interval=0.001,
-                              idle_lag_sample_interval=0.05))
+            sim, adc=fast_adc(transfer_interval=0.001))
         pvol = site.main.create_volume(site.main_pool_id, 64)
         svol = site.backup.create_volume(site.backup_pool_id, 64)
         main_jnl = site.main.create_journal(site.main_pool_id, 1000)
@@ -202,5 +202,5 @@ class TestIdleLagCadence:
         sim.run(until=sim.now + idle_time)
         idle_samples = len(group.lag_entries.points) - settled
         # ~1000 idle wake-ups at 1 ms, but at most ~20 samples at 50 ms
-        assert idle_samples <= idle_time / 0.05 + 2
+        assert idle_samples <= idle_time / IDLE_LAG_SAMPLE_INTERVAL + 2
         assert idle_samples >= 2

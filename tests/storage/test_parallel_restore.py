@@ -1,14 +1,17 @@
-"""Dependency-aware parallel restore lanes: equivalence properties.
+"""One restore window per batch: equivalence properties.
 
-The contract under test: turning on restore apply lanes
+The contract under test: taking the whole restore batch as one window
 (``AdcConfig.apply_lanes > 1``) may only change *when* the media waits
 overlap — never the converged backup image, the RPO accounting
 (``restored_count`` / ``restored_sequence``), or any quiesced snapshot
-view.  Because the lane barrier commits every window at one instant,
-each quiesced snapshot is a window-boundary consistency cut: its image
-must equal replaying the journaled write stream up to the snapshot's
-``group_sequence`` with last-writer-wins per block.  Lanes 1 must
-behave exactly like the historical serial applier.
+view.  Because every window commits at one instant, each quiesced
+snapshot is a window-boundary consistency cut: its image must equal
+replaying the journaled write stream up to the snapshot's
+``group_sequence`` with last-writer-wins per block.  Lanes 1 is the
+serial applier (one entry per window); the number above 1 selects
+nothing in the applier, so lanes 2 and 8 must restore along the same
+``(sim.now, restored_sequence)`` trajectory — a change that gives the
+number meaning has to break that assertion on purpose.
 """
 
 import pytest
@@ -17,11 +20,10 @@ from hypothesis import strategies as st
 
 from repro.simulation import NetworkLink, Simulator
 from repro.storage import AdcConfig, ArrayConfig, StorageArray
-from repro.storage.lanes import lane_delays, lane_waits
 from tests.storage.conftest import fast_adc
 
-#: lane counts the equivalence properties sweep: serial, barely
-#: parallel, deeply parallel
+#: ``apply_lanes`` values the equivalence properties sweep: the serial
+#: applier, and two batch-window values that must behave as one
 LANES = (1, 2, 8)
 
 write_plan = st.lists(
@@ -105,10 +107,21 @@ def run_plan(lanes, plan, cuts=(), seed=17, fault=None):
     """Apply ``plan`` through a two-pair group at ``lanes``; returns
     the converged backup/primary images, the group, and one
     ``(group_sequence, {svol_id: (image, frozen_versions)})`` record
-    per mid-stream quiesced snapshot cut."""
+    per mid-stream quiesced snapshot cut, and the restore trajectory:
+    ``(sim.now, restored_sequence)`` after every window the restore
+    loop commits."""
     sim, main, backup, group, link, pvols, svols = build_laned_pair(
         seed, lanes)
     svol_ids = [svol.volume_id for svol in svols]
+    trajectory = []
+    update_copy_states = group._update_copy_states
+
+    def recording_update():
+        # the restore loop's per-window bookkeeping call
+        trajectory.append((sim.now, group.restored_sequence))
+        update_copy_states()
+
+    group._update_copy_states = recording_update
 
     def writer():
         for vidx, block, tag in plan:
@@ -144,7 +157,8 @@ def run_plan(lanes, plan, cuts=(), seed=17, fault=None):
             for vid, snap in members.items()}))
     backup_images = {svol.volume_id: image_of(svol) for svol in svols}
     primary_images = [image_of(pvol) for pvol in pvols]
-    return backup_images, primary_images, group, cut_views, svol_ids
+    return (backup_images, primary_images, group, cut_views, svol_ids,
+            trajectory)
 
 
 def check_cuts(plan, svol_ids, cut_views):
@@ -164,9 +178,10 @@ class TestLaneEquivalence:
         images, the RPO accounting, and every mid-stream quiesced
         snapshot cut all match the serial applier."""
         baseline = None
+        trajectories = {}
         for lanes in LANES:
-            backup_images, primary_images, group, cut_views, svol_ids = \
-                run_plan(lanes, plan, cuts=cuts)
+            (backup_images, primary_images, group, cut_views, svol_ids,
+             trajectories[lanes]) = run_plan(lanes, plan, cuts=cuts)
             for svol_id, pvol_image in zip(svol_ids, primary_images):
                 assert backup_images[svol_id] == pvol_image
             check_cuts(plan, svol_ids, cut_views)
@@ -178,6 +193,7 @@ class TestLaneEquivalence:
             else:
                 assert backup_images == baseline[0], f"lanes={lanes}"
                 assert accounting == baseline[1], f"lanes={lanes}"
+        assert trajectories[2] == trajectories[8]
 
     @given(plan=write_plan, cuts=cut_times,
            fail_at=st.floats(0.001, 0.05), outage=st.floats(0.01, 0.1))
@@ -197,9 +213,11 @@ class TestLaneEquivalence:
             sim.spawn(chaos())
 
         baseline = None
+        trajectories = {}
         for lanes in LANES:
-            backup_images, primary_images, group, cut_views, svol_ids = \
-                run_plan(lanes, plan, cuts=cuts, fault=flap)
+            (backup_images, primary_images, group, cut_views, svol_ids,
+             trajectories[lanes]) = run_plan(lanes, plan, cuts=cuts,
+                                             fault=flap)
             for svol_id, pvol_image in zip(svol_ids, primary_images):
                 assert backup_images[svol_id] == pvol_image
             check_cuts(plan, svol_ids, cut_views)
@@ -210,54 +228,23 @@ class TestLaneEquivalence:
             else:
                 assert backup_images == baseline[0], f"lanes={lanes}"
                 assert accounting == baseline[1], f"lanes={lanes}"
-
-
-class TestLaneScheduler:
-    def test_round_robin_lanes_wait_for_their_slowest_item(self):
-        # lanes [1, 4, 7], [2, 5], [3, 6]
-        assert lane_delays([1, 2, 3, 4, 5, 6, 7], 3) == [7, 5, 6]
-        assert lane_delays([0.5, 2.0, 1.0], 1) == [2.0]
-
-    def test_more_lanes_than_items_drops_empties(self):
-        assert lane_delays([1, 2], 8) == [1, 2]
-        assert lane_delays([], 4) == []
-
-    def test_lanes_must_be_positive(self):
-        with pytest.raises(ValueError, match="lanes"):
-            lane_delays([1], 0)
-
-    def test_single_delay_needs_no_processes(self):
-        sim = Simulator(seed=1)
-        spawned = []
-        original = sim.spawn
-
-        def tracking_spawn(*args, **kwargs):
-            spawned.append(args)
-            return original(*args, **kwargs)
-
-        sim.spawn = tracking_spawn
-
-        def waiter():
-            yield from lane_waits(sim, [0.25], name="t")
-
-        sim.run_until_complete(original(waiter()))
-        assert sim.now == 0.25
-        assert spawned == []  # inline timeout, byte-identical to serial
-
-    def test_barrier_waits_for_the_slowest_lane(self):
-        sim = Simulator(seed=1)
-
-        def waiter():
-            yield from lane_waits(sim, [0.1, 0.7, 0.3], name="t")
-
-        sim.run_until_complete(sim.spawn(waiter()))
-        assert sim.now == pytest.approx(0.7)
+        assert trajectories[2] == trajectories[8]
 
 
 class TestLaneConfigAndMetrics:
     def test_lanes_must_be_positive(self):
         with pytest.raises(ValueError, match="apply_lanes"):
             AdcConfig(apply_lanes=0)
+
+    def test_window_is_one_entry_or_the_whole_batch(self):
+        for lanes, expected in ((1, 1), (2, 5), (8, 5)):
+            _sim, _main, _backup, group, _link, pvols, _svols = \
+                build_laned_pair(5, lanes)
+            journal = group.main_journal
+            group.backup_journal.ingest_batch(
+                [journal.append(pvols[0].volume_id, block % 2, b"x",
+                                block + 1, 0.0) for block in range(5)])
+            assert len(group._pick_restore_window(8)) == expected
 
     def test_serial_group_registers_no_lane_metrics(self):
         """Digest neutrality: lanes=1 must not register new series."""

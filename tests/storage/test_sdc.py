@@ -3,6 +3,7 @@
 import pytest
 
 from repro.storage import PairState
+from repro.storage.sdc import COPY_BATCH_BLOCKS, NEGOTIATE_METADATA_BYTES
 from tests.storage.conftest import run
 
 
@@ -126,7 +127,7 @@ class TestDeltaNegotiatedCopy:
         skipped_before = mirror.copy_skipped.value
         run(sim, mirror.initial_copy("sp-0"))
         moved = two_site.link.bytes_transferred - before
-        assert moved == 8 * mirror.config.negotiate_metadata_bytes
+        assert moved == 8 * NEGOTIATE_METADATA_BYTES
         assert mirror.copy_skipped.value - skipped_before == 8
 
     def test_resync_skips_dirty_blocks_already_current(self, sim,
@@ -148,16 +149,15 @@ class TestDeltaNegotiatedCopy:
         before = two_site.link.bytes_transferred
         run(sim, mirror.resync())
         moved = two_site.link.bytes_transferred - before
-        config = mirror.config
-        assert moved == (2 * config.negotiate_metadata_bytes
-                         + 1 * config.block_size_bytes)
+        assert moved == (2 * NEGOTIATE_METADATA_BYTES
+                         + 1 * mirror.config.block_size_bytes)
         assert mirror.copy_skipped.value == 1
         assert svol.block_map() == pvol.block_map()
         assert two_site.main.pair_status("sp-0") is PairState.PAIR
 
     def test_initial_copy_of_large_volume_is_batched(self, sim,
                                                      two_site):
-        """A copy of N blocks pays ~N/copy_batch_blocks round trips,
+        """A copy of N blocks pays ~N/COPY_BATCH_BLOCKS round trips,
         not N: the batched path must beat per-block latency by the
         batch factor."""
         blocks = 96
@@ -175,17 +175,9 @@ class TestDeltaNegotiatedCopy:
         while not pair.initial_copy_done:
             sim.run(until=sim.now + 0.05)
         elapsed = sim.now - started
-        chunks = blocks / two_site.main.config.sdc.copy_batch_blocks
+        chunks = blocks / COPY_BATCH_BLOCKS
         # three one-way delays per chunk (metadata, verdict, payload)
         # plus slack for media applies and the 50 ms polling grain
         assert elapsed < chunks * 3.5 * two_site.link.latency + 0.2
         assert svol.block_map() == pvol.block_map()
 
-    def test_copy_batch_config_validated(self):
-        import pytest
-
-        from repro.storage.sdc import SdcConfig
-        with pytest.raises(ValueError, match="copy_batch_blocks"):
-            SdcConfig(copy_batch_blocks=0)
-        with pytest.raises(ValueError, match="negotiate_metadata_bytes"):
-            SdcConfig(negotiate_metadata_bytes=0)

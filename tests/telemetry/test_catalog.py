@@ -4,9 +4,9 @@ docs/observability.md is the operator's catalog of ``repro_*`` metrics.
 A family that a running system registers but the catalog does not name
 is a defect; this builds the systems an operator would run — the
 default protected business system, a two-site world with every wire
-and restore fast path on, and a reduced sync mirror — drives a few
-hundred writes through each, and checks every registered family against
-the document.
+and restore fast path on, and a reduced sync mirror beside a reduced
+journal group — drives a few hundred writes through each, and checks
+every registered family against the document.
 """
 
 import re
@@ -68,12 +68,13 @@ def test_all_on_world_registers_only_documented_families():
     assert undocumented(registry) == []
 
 
-def test_reduced_sync_mirror_registers_only_documented_families():
-    # its own world: a reduced mirror and a reduced journal group label
-    # the shared reduction families differently ({mirror} vs {group})
-    # and cannot register in one registry
-    site = build_two_site(Simulator(seed=7))
+def test_reduced_mirror_and_reduced_group_share_one_registry():
+    # both owners register the shared families (reduction series,
+    # repro_copy_skipped_blocks_total) under the one {group} label key
+    site = build_two_site(Simulator(seed=7),
+                          adc=fast_adc(reduction=REDUCED))
     sim = site.sim
+    make_async_pair(site, blocks=64)
     pvol = site.main.create_volume(site.main_pool_id, 64)
     svol = site.backup.create_volume(site.backup_pool_id, 64)
     profile = PayloadProfile(kind="duplicate", size_bytes=512, seed=7)
@@ -87,4 +88,6 @@ def test_reduced_sync_mirror_registers_only_documented_families():
     sim.run(until=sim.now + 2.0)
     assert svol.block_map() == pvol.block_map()
     assert mirror.reducer.wire_counter("copy").value > 0
+    group = site.main.journal_groups["jg-0"]
+    assert group.reducer.saved_dedup is not mirror.reducer.saved_dedup
     assert undocumented(sim.telemetry.registry) == []

@@ -8,7 +8,7 @@ of :func:`run_scenario` captured at the last commit that allocated one
 ``Span`` per entry (``python -m tests.telemetry.test_span_equivalence``
 rewrites them — only do that when the *scenario* changes).  Order, ids,
 parents, attrs, start/end and status must all match, for the serial
-applier and for the lane applier.
+applier and for batch windows.
 """
 
 import json
@@ -22,17 +22,17 @@ from tests.storage.conftest import build_two_site, fast_adc, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: applier configurations under test: the serial applier with its
-#: distinct-address windows, and the lane applier
+#: applier configurations under test: the serial applier's one-entry
+#: windows, and one window per restore batch
 APPLIERS = {
-    "serial": dict(apply_lanes=1, restore_concurrency=4),
+    "serial": dict(apply_lanes=1),
     "laned": dict(apply_lanes=4),
 }
 
 
 def run_scenario(applier: str, trace: bool = False) -> Simulator:
     """A seeded two-site run whose restore applies end ``ok``,
-    ``coalesced`` (lane applier only), ``skipped`` for a stale version
+    ``coalesced`` (batch windows only), ``skipped`` for a stale version
     and for a deleted pair, and ``integrity``."""
     sim = Simulator(seed=31, trace=trace)
     site = build_two_site(sim, adc=fast_adc(

@@ -47,17 +47,17 @@ class TestParser:
 
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
-        assert args.campaign == "quick"
+        assert args.preset == "quick"
         assert args.seed == 7
         assert not args.no_failover
-        assert not args.soak
+        assert args.adc == []
         assert args.seeds == 1
         assert args.jobs == 1
 
     def test_chaos_fanout_arguments(self):
         args = build_parser().parse_args(
-            ["chaos", "--soak", "--seeds", "4", "--jobs", "2"])
-        assert args.soak
+            ["chaos", "--preset", "soak", "--seeds", "4", "--jobs", "2"])
+        assert args.preset == "soak"
         assert args.seeds == 4
         assert args.jobs == 2
 
@@ -68,24 +68,41 @@ class TestParser:
 
     def test_chaos_rejects_unknown_preset(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["chaos", "--campaign", "gentle"])
-        with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "--preset", "gentle"])
 
     def test_chaos_preset_argument(self):
         args = build_parser().parse_args(["chaos", "--preset", "control"])
         assert args.preset == "control"
-        assert build_parser().parse_args(["chaos"]).preset is None
 
-    def test_chaos_transfer_window_argument(self):
+    def test_chaos_adc_overrides_are_typed_from_the_config_fields(self):
+        from repro.storage import ReductionConfig
         args = build_parser().parse_args(
-            ["chaos", "--transfer-window", "4"])
-        assert args.transfer_window == 4
-        assert build_parser().parse_args(["chaos"]).transfer_window == 1
+            ["chaos", "--adc", "transfer_window=4", "--adc",
+             "adaptive_batch=true", "--adc", "batch_target_time=0.02",
+             "--adc", "reduction=on"])
+        assert dict(args.adc) == {
+            "transfer_window": 4, "adaptive_batch": True,
+            "batch_target_time": 0.02,
+            "reduction": ReductionConfig(enabled=True)}
 
-    def test_chaos_rejects_nonpositive_transfer_window(self):
-        with pytest.raises(SystemExit):
-            main(["chaos", "--transfer-window", "0"])
+    @pytest.mark.parametrize("override", [
+        "restore_concurrency=8",     # unknown field
+        "transfer_window=0",         # fails AdcConfig validation
+        "transfer_window=four", "adaptive_batch=maybe",
+        "reduction=zlib", "apply_lanes"])
+    def test_chaos_rejects_a_bad_adc_override(self, override, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["chaos", "--adc", override])
+        assert exit_info.value.code == 2
+        assert "--adc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        "--campaign", "--soak", "--transfer-window", "--apply-lanes",
+        "--reduction"])
+    def test_chaos_retired_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["chaos", flag])
+        assert exit_info.value.code == 2
 
 
 class TestCommands:
@@ -143,7 +160,7 @@ class TestCommands:
         assert "replication lag (RPO) from spans" in output
 
     def test_chaos_command_runs_quick_campaign(self, capsys):
-        assert main(["chaos", "--campaign", "quick", "--seed", "7"]) == 0
+        assert main(["chaos", "--preset", "quick", "--seed", "7"]) == 0
         output = capsys.readouterr().out
         assert "chaos campaign 'quick' seed=7: PASS" in output
         assert "fault timeline" in output
@@ -175,8 +192,8 @@ class TestCommands:
     def test_chaos_verify_determinism_passes_on_a_stable_campaign(
             self, capsys):
         assert not build_parser().parse_args(["chaos"]).verify_determinism
-        assert main(["chaos", "--campaign", "quick", "--seed", "7",
-                     "--reduction", "--transfer-window", "4",
+        assert main(["chaos", "--preset", "quick", "--seed", "7",
+                     "--adc", "reduction=on", "--adc", "transfer_window=4",
                      "--verify-determinism"]) == 0
         output = capsys.readouterr().out
         assert output.count("chaos campaign 'quick' seed=7: PASS") == 1
