@@ -838,38 +838,17 @@ def run_e8_cg_scale(volume_counts: Sequence[int] = (2, 4, 8, 16),
 def _run_cg_scale_cell(layout: str, count: int, duration: float,
                        write_interval: float, seed: int,
                        apply_lanes: int = 1):
-    from repro.simulation.network import NetworkLink
     from repro.storage.adc import AdcConfig
-    from repro.storage.array import ArrayConfig, StorageArray
     adc = AdcConfig(transfer_interval=0.002, transfer_batch=4096,
                     restore_interval=0.001, restore_batch=4096,
                     interval_jitter=0.3, apply_lanes=apply_lanes)
-    if layout in ("consistency-group", "cg-parallel-restore"):
-        world = build_array_pair(seed, adc, "cg", volumes=count,
-                                 link_latency=0.0025)
-        sim, main, pvols = world.sim, world.main, world.pvols
-        groups = [world.group]
-    else:
-        # one journal group per pair: N groups, so not the shared builder
-        sim = Simulator(seed=seed)
-        config = ArrayConfig(adc=adc)
-        main = StorageArray(sim, serial="MAIN", config=config)
-        backup = StorageArray(sim, serial="BKUP", config=config)
-        main_pool = main.create_pool(10_000_000)
-        backup_pool = backup.create_pool(10_000_000)
-        link = NetworkLink(sim, latency=0.0025, name=f"e8-{layout}-{count}")
-        pvols, groups = [], []
-        for index in range(count):
-            main_journal = main.create_journal(main_pool.pool_id)
-            backup_journal = backup.create_journal(backup_pool.pool_id)
-            groups.append(main.create_journal_group(
-                f"jg-{index}", main_journal.journal_id, backup,
-                backup_journal.journal_id, link))
-            pvol = main.create_volume(main_pool.pool_id, 4096)
-            svol = backup.create_volume(backup_pool.pool_id, 4096)
-            main.create_async_pair(f"pair-{index}", f"jg-{index}",
-                                   pvol.volume_id, backup, svol.volume_id)
-            pvols.append(pvol)
+    # the independent layout is one journal group ("jg-N") per pair
+    independent = layout not in ("consistency-group", "cg-parallel-restore")
+    world = build_array_pair(seed, adc, "jg" if independent else "cg",
+                             volumes=count, link_latency=0.0025,
+                             independent=independent)
+    sim, main, pvols, groups = (world.sim, world.main, world.pvols,
+                                world.groups)
     deadline = sim.now + duration
 
     def writer(sim, pvol, index):

@@ -419,24 +419,22 @@ def bench_initial_copy(blocks: int) -> float:
     Simulated time, so deterministic; also asserts the re-copy moved at
     least 5x fewer wire bytes than a full copy would.
     """
-    from repro.simulation.kernel import Simulator
-    from repro.simulation.network import NetworkLink
-    from repro.storage.array import ArrayConfig, StorageArray
+    from repro.bench.setups import build_array_pair
+    from repro.storage.adc import AdcConfig
 
-    sim = Simulator(seed=13)
+    # the builder's arrays, pools and link; the pair itself is a
+    # synchronous mirror of `blocks` blocks, so no async volumes
+    world = build_array_pair(13, AdcConfig(), "perf-sdc", volumes=0,
+                             link_latency=0.005, bandwidth=500e6)
+    sim, main, backup, link = (world.sim, world.main, world.backup,
+                               world.link)
     _disable_tracing(sim)
-    main = StorageArray(sim, serial="PERF-SDCM", config=ArrayConfig())
-    backup = StorageArray(sim, serial="PERF-SDCB", config=ArrayConfig())
-    main_pool = main.create_pool(10_000_000)
-    backup_pool = backup.create_pool(10_000_000)
-    link = NetworkLink(sim, latency=0.005,
-                       bandwidth_bytes_per_s=500e6, name="perf-sdc-wan")
-    pvol = main.create_volume(main_pool.pool_id, blocks)
-    svol = backup.create_volume(backup_pool.pool_id, blocks)
+    pvol = main.create_volume(world.main_pool_id, blocks)
+    svol = backup.create_volume(world.backup_pool_id, blocks)
     for block in range(blocks):
         pvol.install_block(block, b"\x6b" * 128)
-    mirror = main.create_sync_mirror("perf-sdc", link)
-    pair = main.create_sync_pair("perf-sdc-0", "perf-sdc",
+    mirror = main.create_sync_mirror("perf-sdc-mirror", link)
+    pair = main.create_sync_pair("perf-sdc-0", "perf-sdc-mirror",
                                  pvol.volume_id, backup, svol.volume_id)
     while not pair.initial_copy_done:
         sim.run(until=sim.now + 0.05)

@@ -171,26 +171,36 @@ def business_journal_groups(experiment: ExperimentSystem):
 
 @dataclass
 class ArrayPair:
-    """Two bare arrays joined by one journal group (no platform stack)."""
+    """Two bare arrays joined by a link (no platform stack)."""
 
     sim: Simulator
     main: StorageArray
     backup: StorageArray
     link: NetworkLink
-    group: JournalGroup
+    main_pool_id: int
+    backup_pool_id: int
+    #: the journal groups, creation order (one unless ``independent``)
+    groups: List[JournalGroup]
     pvols: List[Volume]
     svols: List[Volume]
+
+    @property
+    def group(self) -> JournalGroup:
+        """The shared journal group of the async pairs."""
+        return self.groups[0]
 
 
 def build_array_pair(seed: int, adc: AdcConfig, name: str,
                      volumes: int = 1,
                      journal_entries: Optional[int] = None,
                      link_latency: float = 0.001,
-                     bandwidth: Optional[float] = None) -> ArrayPair:
+                     bandwidth: Optional[float] = None,
+                     independent: bool = False) -> ArrayPair:
     """The array-level world of the microbenchmarks and ablations: main
-    and backup arrays, one pool and one journal each, a link, the
-    journal group ``name`` (its loops already running) and ``volumes``
-    4096-block async pairs ``{name}-{index}`` in it."""
+    and backup arrays, one pool each, a link, and ``volumes`` 4096-block
+    async pairs ``{name}-{index}`` — all in the one journal group
+    ``name`` (its loops already running), or with ``independent`` each
+    in a journal group ``{name}-{index}`` of its own."""
     sim = Simulator(seed=seed)
     config = ArrayConfig(adc=adc)
     main = StorageArray(sim, serial=f"{name}-main", config=config)
@@ -199,17 +209,26 @@ def build_array_pair(seed: int, adc: AdcConfig, name: str,
     backup_pool = backup.create_pool(10_000_000)
     link = NetworkLink(sim, latency=link_latency,
                        bandwidth_bytes_per_s=bandwidth, name=f"{name}-link")
-    main_journal = main.create_journal(main_pool.pool_id, journal_entries)
-    backup_journal = backup.create_journal(backup_pool.pool_id,
+
+    def journal_group(group_id: str) -> JournalGroup:
+        main_journal = main.create_journal(main_pool.pool_id,
                                            journal_entries)
-    group = main.create_journal_group(name, main_journal.journal_id, backup,
-                                      backup_journal.journal_id, link)
+        backup_journal = backup.create_journal(backup_pool.pool_id,
+                                               journal_entries)
+        return main.create_journal_group(
+            group_id, main_journal.journal_id, backup,
+            backup_journal.journal_id, link)
+
+    groups = [] if independent else [journal_group(name)]
     pvols, svols = [], []
     for index in range(volumes):
+        if independent:
+            groups.append(journal_group(f"{name}-{index}"))
         pvol = main.create_volume(main_pool.pool_id, 4096)
         svol = backup.create_volume(backup_pool.pool_id, 4096)
-        main.create_async_pair(f"{name}-{index}", name, pvol.volume_id,
-                               backup, svol.volume_id)
+        main.create_async_pair(f"{name}-{index}", groups[-1].group_id,
+                               pvol.volume_id, backup, svol.volume_id)
         pvols.append(pvol)
         svols.append(svol)
-    return ArrayPair(sim, main, backup, link, group, pvols, svols)
+    return ArrayPair(sim, main, backup, link, main_pool.pool_id,
+                     backup_pool.pool_id, groups, pvols, svols)

@@ -32,6 +32,8 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
+import subprocess
 import sys
 from typing import List, Optional
 
@@ -151,43 +153,60 @@ def _adc_override(text: str):
     return key, value
 
 
+def _rerun_with_other_hash_seed(argv: List[str]) -> str:
+    """Standard output of ``repro <argv>`` run in a child interpreter
+    whose str/bytes hash seed differs from this one's, so an iteration
+    order leaked from set/dict hashing cannot repeat by accident."""
+    import repro
+    own = os.environ.get("PYTHONHASHSEED")  # unset: a random seed
+    env = dict(os.environ, PYTHONHASHSEED="2" if own == "1" else "1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__))),
+        env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                          env=env, stdout=subprocess.PIPE, text=True).stdout
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import run_campaigns
     if args.seeds < 1:
         raise SystemExit(f"repro: --seeds must be >= 1 (got {args.seeds})")
     seeds = list(range(args.seed, args.seed + args.seeds))
-    adc_overrides = dict(args.adc) or None
-
-    def campaigns():
-        return run_campaigns(seeds, preset=args.preset,
-                             verify_failover=not args.no_failover,
-                             jobs=args.jobs, adc_overrides=adc_overrides)
-
-    reports = campaigns()
-    for index, report in enumerate(reports):
-        if index:
-            print()
-        print(report.render())
+    reports = run_campaigns(
+        seeds, preset=args.preset, verify_failover=not args.no_failover,
+        jobs=args.jobs, adc_overrides=dict(args.adc) or None)
+    blocks = []
+    for report in reports:
+        blocks.append(report.render())
         if not report.passed and report.postmortem is not None:
-            print()
-            print(report.postmortem.to_markdown())
+            blocks.append(report.postmortem.to_markdown())
     if len(reports) > 1:
         failed = [r.seed for r in reports if not r.passed]
-        print()
-        print(f"campaigns: {len(reports) - len(failed)}/{len(reports)} "
-              f"passed" + (f" (failed seeds: {failed})" if failed else ""))
-    unstable = []
+        blocks.append(
+            f"campaigns: {len(reports) - len(failed)}/{len(reports)} "
+            f"passed" + (f" (failed seeds: {failed})" if failed else ""))
+    output = "\n\n".join(blocks)
+    print(output)
+    stable = True
     if args.verify_determinism:
-        # the same seeds again in this process: every rendered report
-        # (digest, counters, alert transitions) must repeat byte for byte
-        unstable = [first.seed for first, second
-                    in zip(reports, campaigns())
-                    if first.render() != second.render()]
+        # the same command again in a second interpreter with another
+        # hash seed: everything printed above (digests, counters, alert
+        # transitions, postmortems) must repeat byte for byte
+        rerun = ["chaos", "--preset", args.preset, "--seed", str(args.seed),
+                 "--seeds", str(args.seeds), "--jobs", str(args.jobs)]
+        if args.no_failover:
+            rerun.append("--no-failover")
+        # switches re-parse from true/false, numbers from their repr
+        rerun += [f"--adc={key}={getattr(value, 'enabled', value)}".lower()
+                  for key, value in args.adc]
+        stable = _rerun_with_other_hash_seed(rerun) == output + "\n"
         print()
-        print(f"determinism: {len(reports) - len(unstable)}/{len(reports)} "
-              "campaigns byte-identical across two runs"
-              + (f" (differing seeds: {unstable})" if unstable else ""))
-    return 0 if all(r.passed for r in reports) and not unstable else 1
+        print(f"determinism: {len(reports)} campaign(s) "
+              + ("byte-identical across two interpreters with different "
+                 "hash seeds" if stable else
+                 "DIFFER between two interpreters with different hash "
+                 "seeds — diff two separate runs of this command"))
+    return 0 if all(r.passed for r in reports) and stable else 1
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
@@ -343,9 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "apply_lanes=4, adaptive_batch=true, "
                             "coalesce_overwrites=true, reduction=on")
     chaos.add_argument("--verify-determinism", action="store_true",
-                       help="run the selected campaigns a second time "
-                            "in this process and exit 1 unless every "
-                            "report repeats byte for byte")
+                       help="run the same command again in a child "
+                            "interpreter with a different PYTHONHASHSEED "
+                            "and exit 1 unless its output repeats byte "
+                            "for byte")
     chaos.set_defaults(func=_cmd_chaos)
 
     slo = sub.add_parser(

@@ -1125,8 +1125,7 @@ class JournalGroup:
                 # pair deleted while entries were in flight
                 early[index] = _APPLY_PAIR_DELETED
                 continue
-            current = svol.peek(entry.block)
-            if current is not None and current.version >= entry.version:
+            if svol.versions.get(entry.block, 0) >= entry.version:
                 # already applied (resync overlap)
                 early[index] = _APPLY_STALE
                 continue
@@ -1144,25 +1143,16 @@ class JournalGroup:
                 [(entry.trace_id, entry.span_id, entry.volume_id,
                   entry.block, entry.sequence, entry.version)
                  for entry in window], early)
-        delay = max([svol.apply_delay(entry.block)
-                     for _index, svol, entry in surviving.values()],
-                    default=0.0)
+        by_svol: Dict["Volume", List[tuple]] = {}
+        for _index, svol, entry in surviving.values():
+            by_svol.setdefault(svol, []).append(
+                (entry.block, entry.payload, entry.version, entry.checksum))
+        delay = max([svol.apply_delay(rows)
+                     for svol, rows in by_svol.items()], default=0.0)
         if delay > 0:
             yield self.sim.timeout(delay)
-        if len(surviving) == 1:
-            # a batch install's fixed set-up costs more than it hoists
-            # on a single row
-            (_index, svol, entry), = surviving.values()
-            svol.install_block(entry.block, entry.payload, entry.version,
-                               checksum=entry.checksum)
-        else:
-            by_svol: Dict["Volume", List[tuple]] = {}
-            for _index, svol, entry in surviving.values():
-                by_svol.setdefault(svol, []).append(
-                    (entry.block, entry.payload, entry.version,
-                     entry.checksum))
-            for svol, rows in by_svol.items():
-                svol.install_blocks(rows)
+        for svol, rows in by_svol.items():
+            svol.install_blocks(rows)
         tracer.finish_block(block)
 
     def _update_copy_states(self) -> None:

@@ -38,7 +38,7 @@ from repro.storage.pool import StoragePool
 from repro.storage.replication import CopyMode, PairState, ReplicationPair
 from repro.storage.sdc import SdcConfig, SyncMirror
 from repro.storage.snapshot import Snapshot, SnapshotGroup
-from repro.storage.volume import (BlockValue, MediaProfile, Volume,
+from repro.storage.volume import (MediaProfile, Volume,
                                   VolumeRole)
 
 
@@ -478,7 +478,7 @@ class StorageArray:
             span = tracer.start("host-write", array=self.serial,
                                 volume=volume_id, block=block)
         # hash the payload once; the CRC32 rides end-to-end into the
-        # stored BlockValue and the journal entry
+        # stored block state and the journal entry
         data = payload if type(payload) is bytes else bytes(payload)
         checksum = payload_checksum(data)
         try:
@@ -545,6 +545,7 @@ class StorageArray:
         # validate everything and hash each payload once, up front —
         # a bad write rejects the whole batch before any state changes
         prepared = []
+        rows_by_volume: Dict[Volume, List[tuple]] = {}
         for item in writes:
             if len(item) == 4:
                 volume_id, block, payload, write_tag = item
@@ -560,10 +561,14 @@ class StorageArray:
                 raise VolumeError(
                     f"{volume.name}: payload must be bytes, got "
                     f"{type(payload).__name__}")
-            volume._check_block(block)
-            volume._check_online()
+            volume.check_access(block)
             data = payload if type(payload) is bytes else bytes(payload)
-            prepared.append((volume, block, data, crc32(data), write_tag))
+            checksum = crc32(data)
+            prepared.append((volume, block, data, checksum, write_tag))
+            rows = rows_by_volume.get(volume)
+            if rows is None:
+                rows = rows_by_volume[volume] = []
+            rows.append((block, data, None, checksum))
         start = self.sim.now
         tracer = self.tracer
         span = None
@@ -573,18 +578,19 @@ class StorageArray:
         try:
             # one aggregated media wait: concurrent block writes (and
             # their pending copy-on-write preservations) overlap
-            delay = max(volume.apply_delay(block)
-                        for volume, block, _data, _crc, _t in prepared)
+            delay = max(volume.apply_delay(rows)
+                        for volume, rows in rows_by_volume.items())
             if delay > 0:
                 yield self.sim.timeout(delay)
-            # install in input order (latency already paid), collecting
-            # the journal legs per routed group in ack order
+            # install (latency already paid; per volume, input order),
+            # then collect the journal legs per routed group in ack order
+            versions = {volume: iter(volume.install_blocks(rows))
+                        for volume, rows in rows_by_volume.items()}
             applied = []
             journal_batches: Dict[JournalGroup, List[tuple]] = {}
             sync_writes = []
             for volume, block, data, checksum, write_tag in prepared:
-                version = volume.install_block(block, data, None,
-                                               checksum=checksum)
+                version = next(versions[volume])
                 applied.append((volume.volume_id, block, version,
                                 write_tag))
                 route = self._route_by_pvol.get(volume.volume_id)
@@ -745,14 +751,7 @@ class StorageArray:
         clone = self.create_volume(
             pool_id, snapshot.base.capacity_blocks,
             name=name or f"{snapshot.name}-clone")
-        max_version = 0
-        for block, payload in snapshot.image_blocks().items():
-            version = snapshot.version_of(block)
-            clone._blocks[block] = BlockValue(
-                bytes(payload), version,
-                checksum=payload_checksum(payload))
-            max_version = max(max_version, version)
-        clone._version_counter = max_version
+        clone.load_image(snapshot.image_columns())
         self._audit("clone_snapshot", snapshot_id=snapshot_id,
                     clone_id=clone.volume_id)
         return clone
@@ -838,8 +837,7 @@ class StorageArray:
             raise ArrayCommandError(
                 f"volume {volume_id} is {volume.role.value}; unpair it "
                 "before formatting")
-        volume._blocks.clear()
-        volume._version_counter = 0
+        volume.format()
         self._audit("format_volume", volume_id=volume_id)
 
     def promote_secondary(self, volume_id: int) -> None:

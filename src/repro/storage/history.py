@@ -51,7 +51,6 @@ class WriteHistory:
 
     def __init__(self) -> None:
         self._records: List[WriteRecord] = []
-        self._by_volume: Dict[int, List[WriteRecord]] = {}
         # (volume_id, version) -> record, for backup image matching
         self._by_version: Dict[Tuple[int, int], WriteRecord] = {}
         # cached immutable view handed out by :attr:`records`;
@@ -68,10 +67,6 @@ class WriteHistory:
         record = WriteRecord(len(records), time, volume_id, block, version,
                              tag)
         records.append(record)
-        per_volume = self._by_volume.get(volume_id)
-        if per_volume is None:
-            per_volume = self._by_volume[volume_id] = []
-        per_volume.append(record)
         self._by_version[(volume_id, version)] = record
         self._view = None
         return record
@@ -92,7 +87,7 @@ class WriteHistory:
 
     def for_volume(self, volume_id: int) -> List[WriteRecord]:
         """History restricted to one volume (ack order preserved)."""
-        return list(self._by_volume.get(volume_id, []))
+        return self.restricted((volume_id,))
 
     def restricted(self, volume_ids: Iterable[int]) -> List[WriteRecord]:
         """History restricted to a volume group (ack order preserved)."""

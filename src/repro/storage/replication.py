@@ -36,11 +36,6 @@ class PairState(enum.Enum):
     PSUE = "PSUE"
     SSWS = "SSWS"
 
-    @property
-    def protects_data(self) -> bool:
-        """True while new writes are being propagated to the backup."""
-        return self in (PairState.COPY, PairState.PAIR)
-
 
 class CopyMode(enum.Enum):
     """Replication technology of a pair."""
@@ -137,8 +132,7 @@ class ReplicationPair:
         any payload is shipped, so an up-to-date secondary block never
         crosses the wire.
         """
-        current = self.svol.peek(block)
-        return current is not None and current.version >= version
+        return self.svol.versions.get(block, 0) >= version
 
     def promote(self) -> None:
         """Failover: make the S-VOL writable (SSWS)."""

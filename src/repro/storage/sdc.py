@@ -207,18 +207,15 @@ class SyncMirror:
             # version in while the payload was on the wire; re-check
             # before applying, exactly like the per-block path did
             installs = [
-                (block, payload, value)
+                (block, payload, value.version, value.checksum)
                 for (block, value), payload in zip(stale, received)
                 if not pair.secondary_current(block, value.version)]
             if not installs:
                 continue
-            delay = max(svol.apply_delay(block)
-                        for block, _payload, _value in installs)
+            delay = svol.apply_delay(installs)
             if delay > 0:
                 yield self.sim.timeout(delay)
-            for block, payload, value in installs:
-                svol.install_block(block, payload, version=value.version,
-                                   checksum=value.checksum)
+            svol.install_blocks(installs)
 
     def initial_copy(self, pair_id: str) -> Generator[object, object, None]:
         """Copy the current P-VOL content to the S-VOL over the link.

@@ -3,7 +3,7 @@
 A :class:`Snapshot` freezes the image of one volume at creation time:
 subsequent base-volume writes first preserve the block's pre-image into
 the snapshot store (the COW hook lives in
-:meth:`repro.storage.volume.Volume.write_block`).  Snapshots are
+:meth:`repro.storage.volume.Volume.install_blocks`).  Snapshots are
 *writable* (like Hitachi Thin Image): writes land in a private overlay,
 so a database can replay its log against a snapshot without touching the
 base volume.
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SnapshotError
 from repro.storage.journal import payload_checksum
-from repro.storage.volume import BlockValue, SnapshotView, Volume
+from repro.storage.volume import SnapshotView, Volume
 
 #: Snapshot views expose ids in a disjoint range from real volumes so that
 #: history lookups and CSI handles can never confuse the two.
@@ -41,133 +41,109 @@ class Snapshot:
         self.name = name or f"snap-{snapshot_id}"
         self.view_volume_id = SNAPSHOT_VIEW_ID_BASE + snapshot_id
         self.deleted = False
-        # Pre-images preserved by the COW hook.  The stored value is the
-        # BlockValue the base held at snapshot time, or None when the
-        # block was unallocated then.
-        self._preimages: Dict[int, Optional[BlockValue]] = {}
-        # Writes issued against the snapshot view.
-        self._overlay: Dict[int, BlockValue] = {}
+        #: The pre-image store, written by the base volume's COW hook
+        #: (and by nothing else): block -> the ``(payload, version,
+        #: checksum)`` row the base held when the snapshot was taken, or
+        #: None when the block was unallocated then.
+        self.preimages: Dict[int, Optional[tuple]] = {}
+        # Writes issued against the snapshot view, same row shape.
+        self._overlay: Dict[int, tuple] = {}
         self._overlay_version = 0
-        # Memoized materializations of image_blocks()/frozen_version_map()
-        # guarded by a mutation generation (bumped on overlay writes;
-        # preimage saves keep both views stable — see image_blocks()).
-        self._mutation_gen = 0
+        # Memoized image_blocks()/frozen_version_map() (see image_blocks)
         self._image_cache: Optional[Dict[int, bytes]] = None
-        self._image_cache_gen = -1
         self._frozen_cache: Optional[Dict[int, int]] = None
         #: the sequence point of the group quiesce, when group-created
         self.group_sequence: Optional[int] = None
-        base.attach_snapshot(self)
-
-    # -- COW hook interface (called by Volume.write_block) ------------------
-
-    def has_preimage(self, block: int) -> bool:
-        """True when the block's pre-image is already preserved."""
-        return block in self._preimages
-
-    def save_preimage(self, block: int,
-                      value: Optional[BlockValue]) -> None:
-        """Preserve the base volume's current content of ``block``."""
-        if self.deleted:
-            raise SnapshotError(f"{self.name}: save_preimage after delete")
-        if block not in self._preimages:
-            self._preimages[block] = value
+        #: the base volume's COW generation this snapshot opened
+        self.generation = base.attach_snapshot(self)
 
     @property
     def cow_blocks(self) -> int:
         """Number of preserved pre-images (snapshot store usage)."""
-        return len(self._preimages)
+        return len(self.preimages)
 
     # -- image access --------------------------------------------------------
 
+    def _row(self, block: int) -> Optional[tuple]:
+        """The block as the view sees it: overlay, pre-image, or base."""
+        self._check_live()
+        row = self._overlay.get(block)
+        if row is not None:
+            return row
+        if block in self.preimages:
+            return self.preimages[block]
+        return self.base.peek(block)
+
     def read_current(self, block: int) -> Optional[bytes]:
         """Content of ``block`` as the snapshot view sees it."""
-        self._check_live()
-        if block in self._overlay:
-            return self._overlay[block].payload
-        if block in self._preimages:
-            value = self._preimages[block]
-            return value.payload if value is not None else None
-        value = self.base.peek(block)
-        return value.payload if value is not None else None
+        row = self._row(block)
+        return row[0] if row is not None else None
 
     def version_of(self, block: int) -> int:
         """Version of the block as the snapshot view sees it (0 if empty)."""
-        self._check_live()
-        if block in self._overlay:
-            return self._overlay[block].version
-        if block in self._preimages:
-            value = self._preimages[block]
-            return value.version if value is not None else 0
-        value = self.base.peek(block)
-        return value.version if value is not None else 0
+        row = self._row(block)
+        return row[1] if row is not None else 0
 
     def write_overlay(self, block: int, payload: bytes) -> int:
         """Write into the snapshot's private overlay; returns a version."""
         self._check_live()
         self._overlay_version += 1
-        self._mutation_gen += 1
         version = self.base.version_counter + self._overlay_version
         data = bytes(payload)
-        self._overlay[block] = BlockValue(
-            data, version, checksum=payload_checksum(data))
+        self._overlay[block] = (data, version, payload_checksum(data))
         if self._image_cache is not None:
             # keep the memoized image hot instead of invalidating it
             self._image_cache[block] = data
-            self._image_cache_gen = self._mutation_gen
         return version
+
+    def _column(self, field: int, overlay: bool) -> dict:
+        """One ``block -> field`` column of the image (``BlockValue``
+        field order): a C-level copy of the base volume's column,
+        patched with the pre-images and, on request, the overlay."""
+        column = self.base.column(field)
+        for block, row in self.preimages.items():
+            if row is None:
+                column.pop(block, None)
+            else:
+                column[block] = row[field]
+        if overlay:
+            for block, row in self._overlay.items():
+                column[block] = row[field]
+        return column
 
     def image_blocks(self) -> Dict[int, bytes]:
         """The full current image of the snapshot view (checker use).
 
-        Memoized: the merge of base ∪ pre-images is the *frozen* view,
-        which is immutable after creation — every base mutation routes
-        through the COW hook first, so the pre-image it preserves equals
-        exactly the value this cache already holds for that block, and
-        all later base values are masked by it.  Only overlay writes
-        change the image, and they update the cache in place (guarded by
-        the mutation generation).  The returned dict is the cache —
+        Memoized: base ∪ pre-images is the *frozen* view, immutable
+        after creation — every base mutation routes through the COW hook
+        first, so the pre-image it preserves is the value this cache
+        already holds.  Only overlay writes change the image, and they
+        update the cache in place.  The returned dict is the cache —
         callers treat it as read-only.
         """
         self._check_live()
-        if self._image_cache is None \
-                or self._image_cache_gen != self._mutation_gen:
-            image: Dict[int, bytes] = {}
-            for block, value in self.base.block_map().items():
-                image[block] = value.payload
-            for block, value in self._preimages.items():
-                if value is None:
-                    image.pop(block, None)
-                else:
-                    image[block] = value.payload
-            for block, value in self._overlay.items():
-                image[block] = value.payload
-            self._image_cache = image
-            self._image_cache_gen = self._mutation_gen
+        if self._image_cache is None:
+            self._image_cache = self._column(0, overlay=True)
         return self._image_cache
 
     def frozen_version_map(self) -> Dict[int, int]:
         """block → version of the *frozen* image (ignores the overlay).
 
         This is what consistency checking compares against history: the
-        state of the base volume at snapshot-creation time.  Memoized:
-        the frozen view never changes after the first materialization
-        (same COW-ordering argument as :meth:`image_blocks`, and the
-        overlay is ignored here).  The returned dict is the cache —
+        state of the base volume at snapshot-creation time.  Memoized
+        like :meth:`image_blocks`; the returned dict is the cache —
         callers treat it as read-only.
         """
         self._check_live()
         if self._frozen_cache is None:
-            versions: Dict[int, int] = {}
-            for block, value in self.base.block_map().items():
-                versions[block] = value.version
-            for block, value in self._preimages.items():
-                if value is None:
-                    versions.pop(block, None)
-                else:
-                    versions[block] = value.version
-            self._frozen_cache = versions
+            self._frozen_cache = self._column(1, overlay=False)
         return self._frozen_cache
+
+    def image_columns(self) -> Tuple[dict, dict, dict]:
+        """The current image (overlay included) as payload, version and
+        checksum columns — what a clone volume is loaded from."""
+        self._check_live()
+        return tuple(self._column(field, overlay=True) for field in range(3))
 
     def view(self) -> SnapshotView:
         """A volume-like read/write handle over this snapshot."""
@@ -182,7 +158,7 @@ class Snapshot:
             return
         self.deleted = True
         self.base.detach_snapshot(self)
-        self._preimages.clear()
+        self.preimages.clear()
         self._overlay.clear()
         self._image_cache = None
         self._frozen_cache = None
@@ -215,10 +191,6 @@ class SnapshotGroup:
         """Map base volume id → member snapshot."""
         return {snap.base.volume_id: snap for snap in self.snapshots}
 
-    def views(self) -> Dict[int, SnapshotView]:
-        """Volume-like views keyed by base volume id."""
-        return {snap.base.volume_id: snap.view() for snap in self.snapshots}
-
     def delete(self) -> None:
         """Delete every member snapshot."""
         for snap in self.snapshots:
@@ -229,7 +201,3 @@ class SnapshotGroup:
         return {snap.base.volume_id: snap.frozen_version_map()
                 for snap in self.snapshots}
 
-
-def pair_key(volume_id: int, block: int) -> Tuple[int, int]:
-    """Canonical dictionary key for (volume, block) addressing."""
-    return (volume_id, block)

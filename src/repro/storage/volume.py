@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Generator, Iterable, List,
-                    NamedTuple, Optional)
+from types import MappingProxyType
+from typing import (TYPE_CHECKING, Dict, Generator, Iterable, Iterator,
+                    List, Mapping, NamedTuple, Optional, Sequence)
 
 from repro.errors import IntegrityError, VolumeError
 from repro.storage.journal import payload_checksum
@@ -48,15 +49,12 @@ class VolumeStatus(enum.Enum):
 
 
 class BlockValue(NamedTuple):
-    """Payload and version stored in one block.
+    """Payload and version of one block, as inspection hands it out
+    (volumes store the three fields as columns).
 
     ``checksum`` is the payload's CRC32 installed by the write path;
     reads verify it so media corruption can never be returned silently.
-    ``None`` (hand-built values, pre-checksum clones) skips verification.
-
-    A NamedTuple rather than a dataclass: block installs construct one
-    of these per write, and tuple construction runs at C speed while
-    keeping the same field access and value equality.
+    ``None`` (hand-built values) skips verification.
     """
 
     payload: bytes
@@ -68,6 +66,28 @@ class BlockValue(NamedTuple):
         if self.checksum is None:
             return True
         return payload_checksum(self.payload) == self.checksum
+
+
+class _BlockMap(Mapping):
+    """``block -> BlockValue`` over three block-state columns; each
+    value is built when it is looked at and is garbage right after, so
+    walking a volume never holds a tuple per block."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: Sequence[dict]) -> None:
+        self._columns = columns
+
+    def __getitem__(self, block: int) -> BlockValue:
+        payloads, versions, checksums = self._columns
+        return BlockValue(payloads[block], versions[block],
+                          checksums[block])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._columns[0])
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
 
 
 @dataclass(frozen=True)
@@ -90,6 +110,19 @@ class Volume:
 
     Created through :meth:`repro.storage.array.StorageArray.create_volume`;
     direct construction is for tests.
+
+    Block state is columnar: three sparse ``block -> field`` dicts in
+    :class:`BlockValue` field order, so an image or version map is one
+    C-level ``dict(column)`` copy.
+
+    Copy-on-write is decided by a generation stamp.  Every snapshot
+    attach opens a generation; ``_cow_stamps[block]`` is the newest
+    generation whose snapshot holds the block's pre-image (snapshots
+    are served oldest first, so every older live one holds it too).  A
+    live snapshot is owed the pre-image iff its generation is newer
+    than the stamp; a block owes nothing once its stamp reaches the
+    newest live generation — one int compare, made at *install* time,
+    so a snapshot attached while a write is waiting keeps the old block.
     """
 
     def __init__(self, sim: "Simulator", volume_id: int,
@@ -104,14 +137,19 @@ class Volume:
         self.media = media
         self.role = VolumeRole.SIMPLEX
         self.status = VolumeStatus.NORMAL
-        self._blocks: Dict[int, BlockValue] = {}
+        self._payloads: Dict[int, bytes] = {}
+        self._versions: Dict[int, int] = {}
+        self._checksums: Dict[int, Optional[int]] = {}
+        self._columns = (self._payloads, self._versions, self._checksums)
+        #: read-only live view of the version column (versions start at
+        #: 1): what the replication paths' stale-apply test reads
+        self.versions = MappingProxyType(self._versions)
         self._version_counter = 0
         self._snapshots: List["Snapshot"] = []
-        # Blocks whose pre-image every live attached snapshot already
-        # holds: installs to them skip the per-snapshot COW scan, and
-        # apply_delay() prices them without one.  Cleared whenever a new
-        # snapshot attaches (it has no pre-images yet).
-        self._cow_saved: set = set()
+        self._generation = 0
+        #: generation of the newest live snapshot (0: none attached)
+        self._newest_live = 0
+        self._cow_stamps: Dict[int, int] = {}
         #: counters for experiment reporting
         self.reads = 0
         self.writes = 0
@@ -121,7 +159,7 @@ class Volume:
     @property
     def used_blocks(self) -> int:
         """Number of allocated blocks."""
-        return len(self._blocks)
+        return len(self._payloads)
 
     @property
     def writable_by_host(self) -> bool:
@@ -129,17 +167,20 @@ class Volume:
         return (self.status is VolumeStatus.NORMAL
                 and self.role is not VolumeRole.SVOL)
 
-    def block_map(self) -> Dict[int, BlockValue]:
+    def column(self, field: int) -> dict:
+        """Copy of one block-state column, ``block -> field`` in
+        :class:`BlockValue` field order (0 payload, 1 version, 2
+        checksum).  No latency; a C-level dict copy."""
+        return dict(self._columns[field])
+
+    def block_map(self) -> Mapping[int, BlockValue]:
         """Copy of the block map (checker/test use; no latency)."""
-        return dict(self._blocks)
+        return _BlockMap([dict(column) for column in self._columns])
 
     def peek(self, block: int) -> Optional[BlockValue]:
         """Instant, latency-free block inspection (checker/test use)."""
-        return self._blocks.get(block)
-
-    def allocated_blocks(self) -> List[int]:
-        """Sorted list of allocated block numbers."""
-        return sorted(self._blocks)
+        row = self._row(block)
+        return None if row is None else BlockValue(*row)
 
     @property
     def version_counter(self) -> int:
@@ -148,13 +189,12 @@ class Volume:
 
     # -- validation ---------------------------------------------------------
 
-    def _check_block(self, block: int) -> None:
+    def check_access(self, block: int) -> None:
+        """Raise unless ``block`` is in range and the volume online."""
         if not 0 <= block < self.capacity_blocks:
             raise VolumeError(
                 f"{self.name}: block {block} out of range "
                 f"[0, {self.capacity_blocks})")
-
-    def _check_online(self) -> None:
         if self.status is not VolumeStatus.NORMAL:
             raise VolumeError(f"{self.name} is {self.status.value}")
 
@@ -162,12 +202,11 @@ class Volume:
 
     def read_block(self, block: int) -> Generator[object, object, Optional[bytes]]:
         """Read one block; returns its payload or None if unallocated."""
-        self._check_block(block)
-        self._check_online()
+        self.check_access(block)
         if self.media.read_latency > 0:
             yield self.sim.timeout(self.media.read_latency)
         self.reads += 1
-        value = self._blocks.get(block)
+        value = self.peek(block)
         if value is None:
             return None
         if not value.intact():
@@ -182,172 +221,186 @@ class Volume:
                     ) -> Generator[object, object, int]:
         """Write one block; returns the installed version.
 
-        ``version=None`` allocates the next host version; an explicit
-        version is a replication apply and must be newer than what the
-        block currently holds (restore applies in order).  ``checksum``
-        reuses a payload CRC32 the caller already computed; ``None``
-        hashes here.
+        Waits out the pending copy-on-write preservations and the media
+        write, then installs exactly like :meth:`install_block` (see
+        there for ``version`` and ``checksum``).
         """
         if not isinstance(payload, (bytes, bytearray)):
             raise VolumeError(
                 f"{self.name}: payload must be bytes, got "
                 f"{type(payload).__name__}")
-        self._check_block(block)
-        self._check_online()
-        if self._snapshots:
+        self.check_access(block)
+        if self._cow_stamps.get(block, 0) < self._newest_live:
             yield from self._copy_on_write(block)
         if self.media.write_latency > 0:
             yield self.sim.timeout(self.media.write_latency)
-        if version is None:
-            self._version_counter += 1
-            version = self._version_counter
-        else:
-            current = self._blocks.get(block)
-            if current is not None and current.version >= version:
-                raise VolumeError(
-                    f"{self.name}: out-of-order apply to block {block}: "
-                    f"have v{current.version}, got v{version}")
-            self._version_counter = max(self._version_counter, version)
-        # materialise once and checksum the stored bytes (bytes input is
-        # already immutable and passes through without a copy)
-        data = payload if type(payload) is bytes else bytes(payload)
-        if checksum is None:
-            checksum = payload_checksum(data)
-        self._blocks[block] = BlockValue(data, version, checksum)
-        self.writes += 1
-        return version
+        return self.install_block(block, payload, version, checksum)
 
-    # -- batched replication apply (used by the ADC restore loop) -----------
+    # -- latency-free installs (batched host writes, replication applies) ---
 
-    def apply_delay(self, block: int) -> float:
-        """Simulated media cost of one latency-free apply to ``block``:
-        pending copy-on-write preservations plus the write itself.
-
-        The batched restore applier — and the batched host-write path
-        (:meth:`~repro.storage.array.StorageArray.host_write_many`) —
-        aggregate this across a batch (``max``, since the media writes
-        overlap), wait once, then install with :meth:`install_block`.
+    def apply_delay(self, writes: Iterable[tuple]) -> float:
+        """Simulated media cost of one :meth:`install_blocks` of the
+        same rows: the write itself plus the most copy-on-write
+        preservations any one block still owes (the media writes
+        overlap).  O(1) while no snapshot is attached.  The batched
+        restore applier and ``host_write_many`` wait it out, then install.
         """
         cost = self.media.write_latency
         cow = self.media.cow_copy_latency
-        if cow > 0 and self._snapshots and block not in self._cow_saved:
-            pending = 0
-            for snap in self._snapshots:
-                if not snap.deleted and not snap.has_preimage(block):
-                    pending += 1
-            cost += pending * cow
-        return cost
+        newest_live = self._newest_live
+        if not newest_live or cow <= 0:
+            return cost
+        stamp_of = self._cow_stamps.get
+        pending = 0
+        for row in writes:
+            stamp = stamp_of(row[0], 0)
+            if stamp < newest_live:
+                pending = max(pending, len(self._owed(stamp)))
+                if pending == len(self._snapshots):
+                    break  # every live snapshot: no block can owe more
+        return cost + pending * cow
 
     def install_block(self, block: int, payload: bytes,
                       version: Optional[int] = None,
                       checksum: Optional[int] = None) -> int:
-        """Latency-free block install (the caller already waited out
-        :meth:`apply_delay`).  Same validation and copy-on-write
-        semantics as :meth:`write_block`: an explicit ``version`` is a
-        replication apply, ``version=None`` allocates the next host
-        version (the batched host-write path).  ``checksum`` reuses an
-        already-computed payload CRC32 (e.g. from the journal entry)
-        instead of re-hashing.
-        """
-        self._check_block(block)
-        self._check_online()
-        if self._snapshots and block not in self._cow_saved:
-            blocks_get = self._blocks.get
-            for snap in self._snapshots:
-                if not snap.deleted and not snap.has_preimage(block):
-                    snap.save_preimage(block, blocks_get(block))
-            self._cow_saved.add(block)
-        if version is None:
-            self._version_counter += 1
-            version = self._version_counter
-        else:
-            current = self._blocks.get(block)
-            if current is not None and current.version >= version:
-                raise VolumeError(
-                    f"{self.name}: out-of-order apply to block {block}: "
-                    f"have v{current.version}, got v{version}")
-            if version > self._version_counter:
-                self._version_counter = version
-        data = payload if type(payload) is bytes else bytes(payload)
-        if checksum is None:
-            checksum = payload_checksum(data)
-        self._blocks[block] = BlockValue(data, version, checksum)
-        self.writes += 1
-        return version
+        """One-row :meth:`install_blocks`; returns the installed version."""
+        return self.install_blocks(((block, payload, version, checksum),))[0]
 
-    def install_blocks(self, writes: Iterable[tuple]) -> None:
-        """Latency-free install of one window of replication applies,
-        ``(block, payload, version, checksum)`` rows in order: row for
-        row :meth:`install_block` with an explicit version, but online
-        check, snapshot-list lookup and counters are paid once.
+    def install_blocks(self, writes: Iterable[tuple]) -> List[int]:
+        """Latency-free install of ``(block, payload, version,
+        checksum)`` rows in order (the caller already waited out
+        :meth:`apply_delay`); returns the installed versions.
+
+        An explicit ``version`` is a replication apply and must be newer
+        than what the block holds (restore applies in order);
+        ``version=None`` allocates the next host version.  ``checksum``
+        reuses a payload CRC32 the caller already computed (``None``
+        hashes here).  A block that still owes a pre-image to a live
+        snapshot preserves it first.
         """
-        self._check_online()
-        blocks = self._blocks
-        snapshots = self._snapshots
-        saved = self._cow_saved
+        if self.status is not VolumeStatus.NORMAL:
+            raise VolumeError(f"{self.name} is {self.status.value}")
+        payloads, versions, checksums = self._columns
+        stamp_of = self._cow_stamps.get
+        newest_live = self._newest_live
+        capacity = self.capacity_blocks
         newest = self._version_counter
-        installed = 0
+        installed = []
         try:
             for block, payload, version, checksum in writes:
-                if not 0 <= block < self.capacity_blocks:
-                    self._check_block(block)
-                current = blocks.get(block)
-                if current is not None and current.version >= version:
-                    raise VolumeError(
-                        f"{self.name}: out-of-order apply to block "
-                        f"{block}: have v{current.version}, got v{version}")
-                if snapshots and block not in saved:
-                    for snap in snapshots:
-                        if not snap.deleted and not snap.has_preimage(block):
-                            snap.save_preimage(block, current)
-                    saved.add(block)
+                if not 0 <= block < capacity:
+                    self.check_access(block)
+                if version is None:
+                    version = newest = newest + 1
+                else:
+                    current = versions.get(block)
+                    if current is not None and current >= version:
+                        raise VolumeError(
+                            f"{self.name}: out-of-order apply to block "
+                            f"{block}: have v{current}, got v{version}")
+                    if version > newest:
+                        newest = version
+                if newest_live:
+                    stamp = stamp_of(block, 0)
+                    if stamp < newest_live:
+                        self._preserve(block, stamp)
+                # bytes input is immutable and passes through uncopied
                 data = payload if type(payload) is bytes else bytes(payload)
-                if checksum is None:
-                    checksum = payload_checksum(data)
-                blocks[block] = BlockValue(data, version, checksum)
-                if version > newest:
-                    newest = version
-                installed += 1
+                payloads[block] = data
+                versions[block] = version
+                checksums[block] = (payload_checksum(data)
+                                    if checksum is None else checksum)
+                installed.append(version)
         finally:
             self._version_counter = newest
-            self.writes += installed
+            self.writes += len(installed)
+        return installed
+
+    def load_image(self, columns: Sequence[dict]) -> None:
+        """Adopt three ``block -> field`` columns (as :meth:`column`
+        hands them out) as the content of this empty volume — the flash
+        copy behind ``clone_snapshot``; nothing is re-hashed."""
+        if self._payloads:
+            raise VolumeError(f"{self.name}: load_image needs an empty volume")
+        for column, source in zip(self._columns, columns):
+            column.update(source)
+        self._version_counter = max(self._versions.values(), default=0)
+
+    def format(self) -> None:
+        """Erase the contents (copy-target preparation).  Goes through
+        the copy-on-write hook like any write: live snapshots keep the
+        image they froze."""
+        newest_live = self._newest_live
+        if newest_live:
+            stamp_of = self._cow_stamps.get
+            for block in self._payloads:
+                stamp = stamp_of(block, 0)
+                if stamp < newest_live:
+                    self._preserve(block, stamp)
+        for column in self._columns:
+            column.clear()
+        self._version_counter = 0
+
+    # -- copy-on-write ------------------------------------------------------
+
+    def _owed(self, stamp: int) -> List["Snapshot"]:
+        """Live snapshots owed the pre-image of a block stamped
+        ``stamp``, oldest first."""
+        return [snap for snap in self._snapshots if snap.generation > stamp]
+
+    def _row(self, block: int) -> Optional[tuple]:
+        """The block's ``(payload, version, checksum)``; None if empty."""
+        if block not in self._payloads:
+            return None
+        return (self._payloads[block], self._versions[block],
+                self._checksums[block])
+
+    def _preserve(self, block: int, stamp: int) -> None:
+        """Save the block's current row into the pre-image store of
+        every live snapshot newer than its ``stamp``, and stamp it with
+        the current generation."""
+        row = self._row(block)
+        for snap in self._snapshots:
+            if snap.generation > stamp:
+                snap.preimages[block] = row
+        self._cow_stamps[block] = self._generation
 
     def _copy_on_write(self, block: int) -> Generator[object, object, None]:
-        """Preserve the pre-image of ``block`` in every attached snapshot.
+        """Wait out one copy latency per snapshot owed the pre-image of
+        ``block``, preserving as each wait ends.
 
         A snapshot can be deleted (e.g. pruned by a retention schedule)
-        while this write waits out the copy latency; such snapshots are
-        simply skipped — their pre-image store is gone anyway.
+        while this write waits; such snapshots are simply skipped, and
+        a concurrent write to the block may get to one first.  One
+        attached meanwhile is not waited for: the install that follows
+        preserves its pre-image latency-free.
         """
-        if block in self._cow_saved:
-            return
-        pending = [snap for snap in self._snapshots
-                   if not snap.has_preimage(block)]
-        for snap in pending:
+        stamps = self._cow_stamps
+        for snap in self._owed(stamps.get(block, 0)):
             if snap.deleted:
                 continue
             if self.media.cow_copy_latency > 0:
                 yield self.sim.timeout(self.media.cow_copy_latency)
-            if snap.deleted:
-                continue  # pruned while we waited for the copy
-            snap.save_preimage(block, self._blocks.get(block))
-        # a snapshot attached while a copy above waited would have
-        # cleared the set; only then could the all() below be stale
-        if all(snap.deleted or snap.has_preimage(block)
-               for snap in self._snapshots):
-            self._cow_saved.add(block)
+            if stamps.get(block, 0) < snap.generation:
+                if not snap.deleted:  # else pruned while the copy waited
+                    snap.preimages[block] = self._row(block)
+                stamps[block] = snap.generation
 
     # -- snapshot attachment (used by repro.storage.snapshot) ---------------
 
-    def attach_snapshot(self, snapshot: "Snapshot") -> None:
-        """Register a snapshot for copy-on-write preservation."""
+    def attach_snapshot(self, snapshot: "Snapshot") -> int:
+        """Register a snapshot for copy-on-write preservation; returns
+        the generation it opens."""
         self._snapshots.append(snapshot)
-        # the new snapshot holds no pre-images yet
-        self._cow_saved.clear()
+        self._generation += 1
+        self._newest_live = self._generation
+        return self._generation
 
     def detach_snapshot(self, snapshot: "Snapshot") -> None:
         """Unregister a deleted snapshot."""
         self._snapshots = [s for s in self._snapshots if s is not snapshot]
+        self._newest_live = (self._snapshots[-1].generation
+                             if self._snapshots else 0)
 
     @property
     def snapshot_count(self) -> int:

@@ -55,6 +55,34 @@ class TestCloneSnapshot:
                                      two_site.main_pool_id)
         assert clone.peek(5).payload == b"overlay"
 
+    def test_clone_carries_checksums_and_hashes_nothing(self, sim, two_site,
+                                                        array, monkeypatch):
+        vol = array.create_volume(two_site.main_pool_id, 64)
+        for block in range(8):
+            run(sim, array.host_write(vol.volume_id, block, b"b%d" % block))
+        source = vol.block_map()
+        snap = array.create_snapshot(vol.volume_id)
+        run(sim, array.host_write(vol.volume_id, 0, b"after"))  # pre-image
+        overlay_version = snap.write_overlay(9, b"overlay")
+
+        def no_hashing(_data):
+            raise AssertionError("clone_snapshot hashed a payload")
+
+        for module in ("journal", "volume", "snapshot", "array"):
+            monkeypatch.setattr(f"repro.storage.{module}.payload_checksum",
+                                no_hashing)
+        monkeypatch.setattr("repro.storage.array.crc32", no_hashing)
+        clone = array.clone_snapshot(snap.snapshot_id,
+                                     two_site.main_pool_id)
+        monkeypatch.undo()
+        cloned = dict(clone.block_map())
+        overlay = cloned.pop(9)
+        assert cloned == source  # payload, version and CRC32 carried over
+        assert (overlay.payload, overlay.version) == (b"overlay",
+                                                      overlay_version)
+        assert overlay.intact() and overlay.checksum is not None
+        assert clone.version_counter == overlay_version
+
     def test_clone_reserves_pool_capacity(self, sim, two_site, array):
         pool = array._pools[two_site.main_pool_id]
         vol = array.create_volume(two_site.main_pool_id, 500)

@@ -138,21 +138,6 @@ class TestBatchedApplyHelpers:
         volume.install_block(0, b"data", 1, checksum=12345)
         assert volume.peek(0).checksum == 12345
 
-    def test_apply_delay_counts_pending_cow(self):
-        from repro.storage.snapshot import Snapshot
-        sim = Simulator(seed=1)
-        volume = self.make_volume(sim)
-        run(sim, volume.write_block(0, b"base"))
-        base_cost = volume.apply_delay(0)
-        assert base_cost == volume.media.write_latency
-        snapshot = Snapshot(1, volume, created_at=sim.now)
-        assert (volume.apply_delay(0)
-                == base_cost + volume.media.cow_copy_latency)
-        # install preserves the pre-image, after which the cost drops
-        volume.install_block(0, b"new", volume.version_counter + 1)
-        assert snapshot.has_preimage(0)
-        assert volume.apply_delay(0) == base_cost
-
 
 class TestTracerFastPath:
     def test_disabled_tracer_allocates_nothing(self):

