@@ -2,7 +2,8 @@
 
 One runner per experiment (see DESIGN.md §4): ``run_e1_slowdown`` …
 ``run_e8_cg_scale`` and ``run_d0_demo``, plus the :class:`Table`
-renderer and the per-mode system setups.
+renderer, the per-mode system setups and ``run_perf`` (one
+``repro perf`` run as a ``BENCH_PERF.json`` trajectory row).
 """
 
 from repro.bench.experiments import (run_d0_demo, run_e1_slowdown,
@@ -11,8 +12,7 @@ from repro.bench.experiments import (run_d0_demo, run_e1_slowdown,
                                      run_e6_downtime, run_e7_journal,
                                      run_e8_cg_scale)
 from repro.bench.parallel import ParallelRunner, default_jobs, resolve_jobs
-from repro.bench.perf import (compare_perf, load_perf_baseline,
-                              perf_delta_lines, run_perf, write_perf_json)
+from repro.bench.perf import run_perf
 from repro.bench.setups import (ALL_MODES, MODE_ADC_CG, MODE_ADC_NOCG,
                                 MODE_NONE, MODE_SDC, ExperimentSystem,
                                 build_business_system,
@@ -30,12 +30,9 @@ __all__ = [
     "ParallelRunner",
     "Table",
     "build_business_system",
-    "compare_perf",
     "configure_sdc_protection",
     "default_jobs",
     "experiment_config",
-    "load_perf_baseline",
-    "perf_delta_lines",
     "resolve_jobs",
     "run_d0_demo",
     "run_e1_slowdown",
@@ -47,5 +44,4 @@ __all__ = [
     "run_e7_journal",
     "run_e8_cg_scale",
     "run_perf",
-    "write_perf_json",
 ]

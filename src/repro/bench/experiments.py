@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps import (BackgroundLoad, DatabaseImage, WorkloadConfig,
-                        run_analytics, run_order_workload)
+from repro.apps import (BackgroundLoad, DatabaseImage, PayloadProfile,
+                        WorkloadConfig, run_analytics, run_order_workload)
 from repro.apps.minidb.device import ViewBlockDevice
 from repro.bench.setups import (MODE_ADC_CG, MODE_ADC_NOCG, MODE_NONE,
                                 MODE_SDC, ExperimentSystem,
@@ -558,9 +558,8 @@ def run_e6_downtime(seeds: Sequence[int] = tuple(range(1000, 1006)),
 # ---------------------------------------------------------------------------
 
 
-def _coalesce_hotspot(interval_ms: float, seed: int, writes: int,
-                      hot_blocks: int, coalesce: bool,
-                      reduced: bool = False, payload_fn=None,
+def _coalesce_hotspot(cell: Tuple[float, int, int, int, bool, bool,
+                                  Optional[PayloadProfile]],
                       ) -> Dict[str, float]:
     """One hotspot run for the E7 coalescing / reduction ablations.
 
@@ -569,17 +568,20 @@ def _coalesce_hotspot(interval_ms: float, seed: int, writes: int,
     exercise coalescing — minidb is log-structured, every put lands in
     a fresh block — so the ablation drives the overwrite pattern the
     optimisation targets directly at the array, the way a page-update
-    OLTP volume would.  ``reduced`` turns the wire data-reduction
-    engine on and ``payload_fn(i)`` shapes the payload stream (the
-    reduction ablation feeds a duplicate-heavy
-    :class:`~repro.apps.workload.PayloadProfile`; default is the tiny
-    all-distinct ``page-NNNNNN`` tag).  Returns wire-side counters
-    after a full drain — ``wire_bytes`` is what the link physically
-    carried, ``transferred_bytes`` the logical pre-reduction volume.
+    OLTP volume would.  The cell is ``(interval_ms, seed, writes,
+    hot_blocks, coalesce, reduced, profile)``, top-level and
+    tuple-argumented for :class:`ParallelRunner`: ``coalesce`` and
+    ``reduced`` switch transfer-side coalescing and the wire
+    data-reduction engine on, ``profile`` shapes the payload stream
+    (``None``: the tiny all-distinct ``page-NNNNNN`` tag).  Returns
+    wire-side counters after a full drain — ``wire_bytes`` is what the
+    link physically carried, ``transferred_bytes`` the logical
+    pre-reduction volume.
     """
     from repro.storage import AdcConfig
     from repro.storage.reduction import ReductionConfig
 
+    interval_ms, seed, writes, hot_blocks, coalesce, reduced, profile = cell
     adc = AdcConfig(transfer_interval=interval_ms / 1e3,
                     transfer_batch=1024, restore_interval=interval_ms / 1e3,
                     restore_batch=1024, interval_jitter=0.0,
@@ -590,8 +592,8 @@ def _coalesce_hotspot(interval_ms: float, seed: int, writes: int,
     sim, main, link, group = world.sim, world.main, world.link, world.group
     pvol, svol = world.pvols[0], world.svols[0]
 
-    if payload_fn is None:
-        payload_fn = lambda i: b"page-%06d" % i  # noqa: E731
+    payload_fn = profile.payload if profile else (
+        lambda i: b"page-%06d" % i)
 
     def hotspot(sim):
         for i in range(writes):
@@ -650,32 +652,6 @@ def _e7_cell(cell: Tuple[float, int, float]) -> Dict[str, float]:
     }
 
 
-def _e7_hotspot_cell(cell: Tuple[float, int, int, int, bool],
-                     ) -> Dict[str, float]:
-    """Tuple-argumented wrapper of :func:`_coalesce_hotspot`."""
-    interval_ms, seed, writes, hot_blocks, coalesce = cell
-    return _coalesce_hotspot(interval_ms, seed=seed, writes=writes,
-                             hot_blocks=hot_blocks, coalesce=coalesce)
-
-
-def _e7_reduction_cell(cell: Tuple[float, int, int, int, bool],
-                       ) -> Dict[str, float]:
-    """One reduction-ablation hotspot run (tuple-argumented).
-
-    Drives the duplicate-heavy seeded payload profile — 1 KiB pages
-    cycling a pool of 16 distinct contents — through the hotspot
-    harness with the wire data-reduction engine off or on.
-    """
-    from repro.apps.workload import PayloadProfile
-
-    interval_ms, seed, writes, hot_blocks, reduced = cell
-    profile = PayloadProfile(kind="duplicate", size_bytes=1024,
-                             seed=seed, unique_payloads=16)
-    return _coalesce_hotspot(interval_ms, seed=seed, writes=writes,
-                             hot_blocks=hot_blocks, coalesce=False,
-                             reduced=reduced, payload_fn=profile.payload)
-
-
 def run_e7_journal(intervals_ms: Sequence[float] = (1.0, 5.0, 20.0, 50.0),
                    seeds: Sequence[int] = (700, 701, 702),
                    load_time: float = 0.3, jobs: int = 1,
@@ -683,7 +659,7 @@ def run_e7_journal(intervals_ms: Sequence[float] = (1.0, 5.0, 20.0, 50.0),
     """RPO vs foreground throughput as the transfer interval grows,
     plus a hotspot ablation of transfer-side write coalescing.
 
-    ``jobs`` shards the interval × seed grid (and the two ablation
+    ``jobs`` shards the interval × seed grid (and the four ablation
     runs) across worker processes; the merge is by cell key, so the
     table and facts are identical for any job count.
     """
@@ -726,25 +702,27 @@ def run_e7_journal(intervals_ms: Sequence[float] = (1.0, 5.0, 20.0, 50.0),
             "peak_journal_entries": max(peaks),
             "transferred_bytes": mean_wire,
         }
-    # -- coalescing ablation: a block-overwrite hotspot drained with and
-    #    without coalesce_overwrites at the largest (batch-building)
-    #    interval; the win is wire entries/bytes that never ship
+    # -- two ablations on a block-overwrite hotspot at the largest
+    #    (batch-building) interval.  Coalescing: drained with and
+    #    without coalesce_overwrites; the win is wire entries/bytes that
+    #    never ship.  Wire data reduction: the same hotspot fed a
+    #    duplicate-heavy payload profile (1 KiB pages cycling a pool of
+    #    16 distinct contents), drained with the reduction engine off
+    #    and on; the transferred_kb column then shows the bytes the link
+    #    physically carried (logical vs post-reduction)
     ablation_interval = max(intervals_ms)
-    plain, coalesced = runner.map(_e7_hotspot_cell, [
-        (ablation_interval, min(seeds), 2_000, 16, False),
-        (ablation_interval, min(seeds), 2_000, 16, True)])
+    hotspot = (ablation_interval, min(seeds), 2_000, 16)
+    duplicates = PayloadProfile(kind="duplicate", size_bytes=1024,
+                                seed=min(seeds), unique_payloads=16)
+    plain, coalesced, verbatim, reduced = runner.map(_coalesce_hotspot, [
+        (*hotspot, False, False, None), (*hotspot, True, False, None),
+        (*hotspot, False, False, duplicates),
+        (*hotspot, False, True, duplicates)])
     for label, run_counters in (("hotspot", plain),
                                 ("hotspot+coalesce", coalesced)):
         table.add_row(f"{ablation_interval:g} ({label})", 0.0, 0.0,
                       int(run_counters["transferred_entries"]),
                       run_counters["transferred_bytes"] / 1024)
-    # -- wire data-reduction ablation: the same hotspot fed the
-    #    duplicate-heavy payload profile, drained with the reduction
-    #    engine off and on; the transferred_kb column then shows the
-    #    bytes the link physically carried (logical vs post-reduction)
-    verbatim, reduced = runner.map(_e7_reduction_cell, [
-        (ablation_interval, min(seeds), 2_000, 16, False),
-        (ablation_interval, min(seeds), 2_000, 16, True)])
     for label, run_counters in (("duplicate", verbatim),
                                 ("duplicate+reduction", reduced)):
         table.add_row(f"{ablation_interval:g} ({label})", 0.0, 0.0,

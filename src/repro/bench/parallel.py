@@ -1,13 +1,13 @@
 """Deterministic multiprocessing fan-out for cell-shaped work.
 
-Experiments (E1's mode × RTT grid, E7's interval × seed grid), the perf
-suite's independent microbenchmarks and chaos-campaign seeds all share
-one shape: a list of *cells* that are pairwise independent — each cell
-builds its own :class:`~repro.simulation.kernel.Simulator` from its own
-seed and never touches another cell's state.  :class:`ParallelRunner`
-shards such a cell list across ``multiprocessing`` workers and merges
-the results **in input order** (by cell key, never by completion
-order), so the merged tables and facts are identical to a serial run:
+Experiments (E1's mode × RTT grid, E7's interval × seed grid) and
+chaos-campaign seeds share one shape: a list of *cells* that are
+pairwise independent — each cell builds its own
+:class:`~repro.simulation.kernel.Simulator` from its own seed and never
+touches another cell's state.  :class:`ParallelRunner` shards such a
+cell list across ``multiprocessing`` workers and merges the results
+**in input order** (by cell key, never by completion order), so the
+merged tables and facts are identical to a serial run:
 
 * ``jobs=1`` (the default) does not import multiprocessing at all —
   the cells run inline, bit-identical to the pre-fan-out code;

@@ -1,317 +1,66 @@
-"""P0 — hot-path microbenchmarks (the ``repro perf`` suite).
+"""``repro perf`` — the one performance ruler, and the record it keeps.
 
-Unlike E1–E8 (which assert *simulated* behaviour), this suite measures
-**wall-clock** cost of the hot paths the replication pipeline lives on:
+* **Exact rows** — four **simulated-time** rates of the wire path.
+  Simulated time is a pure function of the code, so every run on every
+  machine reads the same value and the gate is equality: they move when
+  the *wire protocol* changes, never when the host gets slower.
+* **End-to-end rows** — the seven metrics of ``backup_e2e`` on its four
+  workloads and, under them, the folded per-layer table that says where
+  the wall time went.  Nothing of that is measured here: the front puts
+  the checkout's root on ``sys.path`` and calls
+  ``benchmarks.e2e.suite.run_suite``, which prints its own tables.
 
-* ``journal_append`` / ``journal_drain`` — raw :class:`JournalVolume`
-  throughput in entries per wall second (the transfer loop's peek/trim
-  access pattern);
-* ``kernel_events`` — discrete-event kernel scheduling throughput
-  (timeout events processed per wall second);
-* ``restore_drain`` — end-to-end replication drain rate: a pre-filled
-  main journal shipped and applied to secondary volumes, in entries per
-  wall second (the C5 insight: the backup-side apply loop must keep up
-  with the primary's ack rate or lag grows without bound).  Measured
-  with one restore window per batch (``AdcConfig.apply_lanes > 1``);
-* ``snapshot_under_restore`` — the same drain while quiesced snapshot
-  groups churn on the secondary volumes and their memoized images are
-  read repeatedly: restore throughput and analytics snapshots at once,
-  which is the paper's actual operating point;
-* ``host_write_e2e`` — end-to-end batched host-write ingest rate at the
-  main site (install + journal append + history ack per write), in
-  writes per wall second — the paper's "no impact on business
-  processing" claim lives or dies on this path;
-* ``e1_cell`` — wall seconds for one E1 scenario cell (full business
-  stack), the macro guard that micro wins actually reach the workload;
-* ``transfer_drain`` / ``initial_copy`` — **simulated-time** drain
-  rates of the wire path on a latency+bandwidth-bound link: how fast
-  the pipelined transfer window empties a pre-filled main journal, and
-  how fast the delta-negotiated SDC bulk copy re-copies a 10%-dirty
-  volume.  Simulated rates are fully deterministic (same value every
-  run on every machine), so the regression gate is exact for them; they
-  move when the *wire protocol* changes, not when the host gets slower;
-* ``transfer_drain_reduced`` / ``wire_bytes_per_entry`` — the wire
-  data-reduction engine on a duplicate-heavy payload profile over a
-  thin link: the reduced drain rate, and the post-reduction bytes each
-  drained entry costs (asserting the >=3x saving with a bit-identical
-  secondary image).  Also simulated-time, so exact.
-
-``run_perf`` returns the usual ``(table, facts)`` pair; the facts dict
-carries a ``metrics`` sub-dict with explicit ``higher_is_better``
-directions so :func:`compare_perf` can gate CI on regressions against a
-committed ``BENCH_PERF.json`` baseline.
-
-The suite is regression-oriented: absolute numbers are machine-
-dependent, so CI compares *ratios* against the baseline recorded on the
-same code revision, with a generous tolerance (default 30%).
+``BENCH_PERF.json`` is a trajectory ``{"rows": [...]}``, one row per
+recorded run; docs/performance.md has the schema and how to read it.
 """
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import json
 import pathlib
-import time
-from typing import Dict, List, Optional, Tuple
+import sys
+from typing import Dict, List, Optional, Sequence
 
-from repro.bench.tables import Table
+from repro.apps.workload import PayloadProfile
+from repro.bench.setups import build_array_pair
+from repro.storage.adc import AdcConfig
+from repro.storage.reduction import DISABLED_REDUCTION, ReductionConfig
 
-Facts = Dict[str, object]
-
-#: benchmark sizes: full mode for local runs, quick mode for CI smoke
-_SIZES = {
-    "full": dict(journal_entries=300_000, kernel_events=300_000,
-                 restore_entries=12_000, host_writes=200_000,
-                 e1_duration=0.5, transfer_entries=40_000,
-                 copy_blocks=4_096, reduced_entries=30_000,
-                 wire_entries=20_000, snap_restore_entries=8_000),
-    "quick": dict(journal_entries=100_000, kernel_events=100_000,
-                  restore_entries=4_000, host_writes=60_000,
-                  e1_duration=0.25, transfer_entries=8_000,
-                  copy_blocks=1_024, reduced_entries=6_000,
-                  wire_entries=4_000, snap_restore_entries=3_000),
-}
-
-
-def _disable_tracing(sim) -> None:
-    """Exercise the tracer fast path when the running code has one."""
-    sim.telemetry.tracer.enabled = False
-
-
-@contextlib.contextmanager
-def _no_gc():
-    """Suppress cyclic GC inside a timed region (standard microbench
-    hygiene: collection pauses otherwise dominate run-to-run noise)."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+#: the checkout this package sits in (``src/repro/bench/perf.py``)
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 
 
 # ---------------------------------------------------------------------------
-# individual microbenchmarks
+# the exact rows
 # ---------------------------------------------------------------------------
 
 
-def bench_journal_append(entries: int) -> float:
-    """Append throughput of one journal volume (entries per wall s)."""
-    from repro.storage.journal import JournalVolume
-    journal = JournalVolume(1, entries + 1, name="bench-append")
-    payload = b"\x5a" * 128
-    append = journal.append
-    with _no_gc():
-        started = time.perf_counter()
-        for index in range(entries):
-            append(7, index & 1023, payload, index + 1, 0.0)
-        elapsed = time.perf_counter() - started
-    return entries / elapsed
-
-
-def bench_journal_drain(entries: int, batch: int = 512) -> float:
-    """Transfer-style drain: peek a batch, trim through its last
-    sequence, repeat until empty (entries per wall s)."""
-    from repro.storage.journal import JournalVolume
-    journal = JournalVolume(2, entries + 1, name="bench-drain")
-    payload = b"\xa5" * 128
-    for index in range(entries):
-        journal.append(7, index & 1023, payload, index + 1, 0.0)
-    drained = 0
-    with _no_gc():
-        started = time.perf_counter()
-        while len(journal):
-            window = journal.peek_batch(batch)
-            journal.pop_through(window[-1].sequence)
-            drained += len(window)
-        elapsed = time.perf_counter() - started
-    assert drained == entries
-    return entries / elapsed
-
-
-def bench_kernel_events(events: int, processes: int = 4) -> float:
-    """Kernel scheduling throughput: timeout events per wall second."""
-    from repro.simulation.kernel import Simulator
-    sim = Simulator(seed=1)
-    _disable_tracing(sim)
-    per_process = events // processes
-
-    def ticker(sim):
-        for _ in range(per_process):
-            yield sim.timeout(0.0001)
-
-    for index in range(processes):
-        sim.spawn(ticker(sim), name=f"bench-ticker-{index}")
-    with _no_gc():
-        started = time.perf_counter()
-        sim.run()
-        elapsed = time.perf_counter() - started
-    return (per_process * processes) / elapsed
-
-
-def _prefilled_restore_world(entries: int, volumes: int, apply_lanes: int):
-    """The world of the restore benchmarks: host writes fill the main
-    journal while the background loops are stopped, then the loops
-    restart — the caller times the drain from there."""
-    from repro.bench.setups import build_array_pair
-    from repro.storage.adc import AdcConfig
-
-    adc = AdcConfig(transfer_interval=0.0005, transfer_batch=4096,
-                    restore_interval=0.0005, restore_batch=4096,
-                    interval_jitter=0.0, apply_lanes=apply_lanes)
-    world = build_array_pair(3, adc, "perf", volumes=volumes,
-                             journal_entries=entries + 10)
-    sim, main, group, pvols = world.sim, world.main, world.group, world.pvols
-    _disable_tracing(sim)
-    group.stop()
-    payload = b"\x3c" * 128
-
-    def writer(sim):
-        for index in range(entries):
-            pvol = pvols[index % volumes]
-            yield from main.host_write(pvol.volume_id, index % 1024,
-                                       payload)
-
-    sim.run_until_complete(sim.spawn(writer(sim), name="perf-writer"))
-    assert len(group.main_journal) == entries
-    group.restart()
-    return world
-
-
-def bench_restore_drain(entries: int, volumes: int = 2,
-                        apply_lanes: int = 8) -> float:
-    """End-to-end drain rate of a pre-filled main journal.
-
-    Timing starts when the loops start and stops when the pipeline has
-    fully applied everything to the secondary volumes.  Runs with one
-    restore window per batch (``apply_lanes > 1``); pass
-    ``apply_lanes=1`` to measure the serial applier.
-    """
-    world = _prefilled_restore_world(entries, volumes, apply_lanes)
-    sim, group = world.sim, world.group
-    with _no_gc():
-        started = time.perf_counter()
-        while group.entry_lag:
-            sim.run(until=sim.now + 0.05)
-        elapsed = time.perf_counter() - started
-    return entries / elapsed
-
-
-def bench_snapshot_under_restore(entries: int, volumes: int = 2,
-                                 apply_lanes: int = 8,
-                                 image_reads: int = 4) -> float:
-    """Drain rate while analytics snapshots churn on the backup site.
-
-    The paper's no-impact claim needs *both* at once: the restore
-    applier keeps draining the journal while quiesced snapshot groups
-    are created on the secondary volumes, their images read repeatedly
-    (``image_blocks``/``frozen_version_map`` — the memoized COW path),
-    and the groups rotated out.  Reported as drained entries per wall
-    second; exercises the batch window's single-instant commit, the
-    snapshot quiesce handshake, and the COW install fast path together.
-    """
-    world = _prefilled_restore_world(entries, volumes, apply_lanes)
-    sim, backup, group = world.sim, world.backup, world.group
-    svol_ids = [svol.volume_id for svol in world.svols]
-
-    def snapshotter(sim):
-        generation = 0
-        while group.entry_lag:
-            generation += 1
-            group_id = f"perf-sg-{generation}"
-            snap_group = yield from backup.create_snapshot_group(
-                group_id, svol_ids)
-            for _ in range(image_reads):
-                for snapshot in snap_group.snapshots:
-                    # memoized materializations: O(blocks) once, O(1)
-                    # on every repeated analytics read
-                    snapshot.image_blocks()
-                    snapshot.frozen_version_map()
-            backup.delete_snapshot_group(group_id)
-            yield sim.timeout(0.002)
-
-    with _no_gc():
-        started = time.perf_counter()
-        snap_proc = sim.spawn(snapshotter(sim), name="perf-snapshotter")
-        while group.entry_lag:
-            sim.run(until=sim.now + 0.05)
-        sim.run_until_complete(snap_proc)
-        elapsed = time.perf_counter() - started
-    return entries / elapsed
-
-
-def bench_host_write_e2e(writes: int, volumes: int = 2,
-                         batch: int = 64) -> float:
-    """End-to-end batched host-write ingest rate (writes per wall s).
-
-    The full main-site pipeline a business write rides: validation,
-    block install, journal append and history ack, issued through
-    ``host_write_many`` in ``batch``-sized batches with the background
-    transfer/restore loops stopped, so the measurement isolates ingest.
-    """
-    from repro.bench.setups import build_array_pair
-    from repro.storage.adc import AdcConfig
-
-    world = build_array_pair(5, AdcConfig(interval_jitter=0.0),
-                             "perf-ingest", volumes=volumes,
-                             journal_entries=writes + 10)
-    sim, main, group, pvols = world.sim, world.main, world.group, world.pvols
-    _disable_tracing(sim)
-    group.stop()
-
-    payload = b"\x7e" * 128
-
-    def writer(sim):
-        for first in range(0, writes, batch):
-            count = min(batch, writes - first)
-            yield from main.host_write_many(
-                [(pvols[(first + offset) % volumes].volume_id,
-                  (first + offset) % 1024, payload)
-                 for offset in range(count)])
-
-    process = sim.spawn(writer(sim), name="perf-ingest-writer")
-    with _no_gc():
-        started = time.perf_counter()
-        sim.run_until_complete(process)
-        elapsed = time.perf_counter() - started
-    assert len(group.main_journal) == writes
-    assert len(main.history) == writes
-    return writes / elapsed
-
-
-def _transfer_drain_run(entries: int, window: int = 8,
-                        bandwidth: float = 200e6,
-                        payload_fn=None, reduction=None,
+def _transfer_drain_run(entries: int, bandwidth: float = 200e6,
+                        payload_fn=None,
+                        reduction: ReductionConfig = DISABLED_REDUCTION,
                         settle: bool = False) -> Dict[str, object]:
     """Drain a pre-filled main journal over a bandwidth-bound link.
 
-    The shared world of the wire-path benchmarks: ``payload_fn(i)``
-    shapes the write stream (default the historical constant 128-byte
-    payload), ``reduction`` optionally enables the wire data-reduction
-    engine, and ``settle=True`` additionally waits for the restore side
-    so the secondary image can be compared.  Returns the drain rate in
-    entries per simulated second, the wire bytes the link actually
-    carried during the drain, and (when settled) the secondary image.
+    The shared world of the wire-path rows: ``payload_fn(i)`` shapes the
+    write stream (default a constant 128-byte payload), ``reduction``
+    optionally enables the wire data-reduction engine, and
+    ``settle=True`` additionally waits for the restore side so the
+    secondary image can be compared.  Returns the drain rate in entries
+    per simulated second, the wire bytes the link actually carried
+    during the drain, and (when settled) the secondary image.
     """
-    from repro.bench.setups import build_array_pair
-    from repro.storage.adc import AdcConfig
-    from repro.storage.reduction import DISABLED_REDUCTION
-
     adc = AdcConfig(transfer_interval=0.0005, transfer_batch=512,
-                    transfer_window=window, adaptive_batch=True,
+                    transfer_window=8, adaptive_batch=True,
                     transfer_batch_min=256, transfer_batch_max=4096,
                     transfer_batch_step=256,
                     restore_interval=0.0005, restore_batch=4096,
                     apply_lanes=8, interval_jitter=0.0,
-                    reduction=reduction or DISABLED_REDUCTION)
+                    reduction=reduction)
     world = build_array_pair(11, adc, "perf-xfr",
                              journal_entries=entries + 10,
                              link_latency=0.010, bandwidth=bandwidth)
     sim, main, link, group = world.sim, world.main, world.link, world.group
     pvol, svol = world.pvols[0], world.svols[0]
-    _disable_tracing(sim)
     group.stop()
     if payload_fn is None:
         constant = b"\x42" * 128
@@ -346,60 +95,51 @@ def _transfer_drain_run(entries: int, window: int = 8,
             "image": image}
 
 
-#: the duplicate-heavy seeded workload profile of the reduction
-#: benchmarks: 2 KiB pages cycling a pool of 32 distinct contents —
-#: rewritten hot pages, the shape fingerprint dedup exists for
-def _duplicate_profile():
-    from repro.apps.workload import PayloadProfile
-    return PayloadProfile(kind="duplicate", size_bytes=2048, seed=29,
-                          unique_payloads=32)
+#: the duplicate-heavy seeded workload profile of the reduction rows:
+#: 2 KiB pages cycling a pool of 32 distinct contents — rewritten hot
+#: pages, the shape fingerprint dedup exists for
+_DUPLICATES = PayloadProfile(kind="duplicate", size_bytes=2048, seed=29,
+                             unique_payloads=32)
 
 
-def bench_transfer_drain(entries: int, window: int = 8) -> float:
+def bench_transfer_drain(entries: int = 8_000) -> float:
     """Pipelined wire-path drain rate in entries per **simulated** s.
 
     A pre-filled main journal drains over a 10 ms / 200 MB/s link with
-    ``window`` batches in flight and adaptive batch sizing on.  The
-    clock is simulated time, so the value is deterministic: it moves
-    when the transfer protocol changes (batching, pipelining, window
-    management), never when the host machine does.  ``window=1``
-    reproduces the old stop-and-wait behaviour for comparison.
+    eight batches in flight and adaptive batch sizing on; it moves when
+    the transfer protocol changes (batching, pipelining, window
+    management).
     """
-    return _transfer_drain_run(entries, window=window)["rate"]
+    return _transfer_drain_run(entries)["rate"]
 
 
-def bench_transfer_drain_reduced(entries: int) -> float:
+def bench_transfer_drain_reduced(entries: int = 6_000) -> float:
     """Reduced wire-path drain rate in entries per **simulated** s.
 
     The duplicate-heavy profile drained over a deliberately thin
     20 MB/s link with the wire data-reduction engine on: almost every
     payload ships as a fingerprint reference, so the drain runs at a
-    small multiple of the link's verbatim capacity.  Deterministic
-    (simulated time); regressions here mean the reduction protocol
-    stopped taking bytes off the wire.
+    small multiple of the link's verbatim capacity.  A drop means the
+    reduction protocol stopped taking bytes off the wire.
     """
-    from repro.storage.reduction import ReductionConfig
-    profile = _duplicate_profile()
     return _transfer_drain_run(
-        entries, bandwidth=20e6, payload_fn=profile.payload,
+        entries, bandwidth=20e6, payload_fn=_DUPLICATES.payload,
         reduction=ReductionConfig(enabled=True))["rate"]
 
 
-def bench_wire_bytes_per_entry(entries: int) -> float:
+def bench_wire_bytes_per_entry(entries: int = 4_000) -> float:
     """Post-reduction wire bytes per drained entry (lower is better).
 
     Runs the duplicate-heavy drain twice — reduction off, then on —
-    over the same thin link and asserts the hypothesis property of the
-    reduction engine: the reduced run must move at least 3x fewer wire
+    over the same thin link and asserts the property the reduction
+    engine exists for: the reduced run must move at least 3x fewer wire
     bytes while converging the secondary to a bit-identical image.
     Returns the reduced run's bytes-per-entry.
     """
-    from repro.storage.reduction import ReductionConfig
-    profile = _duplicate_profile()
     plain = _transfer_drain_run(entries, bandwidth=20e6,
-                                payload_fn=profile.payload, settle=True)
+                                payload_fn=_DUPLICATES.payload, settle=True)
     reduced = _transfer_drain_run(entries, bandwidth=20e6,
-                                  payload_fn=profile.payload,
+                                  payload_fn=_DUPLICATES.payload,
                                   reduction=ReductionConfig(enabled=True),
                                   settle=True)
     assert reduced["image"] == plain["image"], \
@@ -409,26 +149,22 @@ def bench_wire_bytes_per_entry(entries: int) -> float:
     return reduced["wire_bytes"] / entries
 
 
-def bench_initial_copy(blocks: int) -> float:
+def bench_initial_copy(blocks: int = 1_024) -> float:
     """Delta-negotiated bulk re-copy rate in blocks per **simulated** s.
 
     A fully copied synchronous pair gets 10% of its blocks rewritten at
     the primary, then ``initial_copy`` runs again: the per-block
     ``(version, crc32)`` negotiation must skip the 90% the secondary
     already holds and ship the stale 10% in batched payload transfers.
-    Simulated time, so deterministic; also asserts the re-copy moved at
-    least 5x fewer wire bytes than a full copy would.
+    Also asserts the re-copy moved at least 5x fewer wire bytes than a
+    full copy would.
     """
-    from repro.bench.setups import build_array_pair
-    from repro.storage.adc import AdcConfig
-
     # the builder's arrays, pools and link; the pair itself is a
     # synchronous mirror of `blocks` blocks, so no async volumes
     world = build_array_pair(13, AdcConfig(), "perf-sdc", volumes=0,
                              link_latency=0.005, bandwidth=500e6)
     sim, main, backup, link = (world.sim, world.main, world.backup,
                                world.link)
-    _disable_tracing(sim)
     pvol = main.create_volume(world.main_pool_id, blocks)
     svol = backup.create_volume(world.backup_pool_id, blocks)
     for block in range(blocks):
@@ -452,212 +188,140 @@ def bench_initial_copy(blocks: int) -> float:
     return blocks / elapsed
 
 
-def bench_e1_cell(duration: float) -> float:
-    """Wall seconds for one E1 scenario cell (lower is better)."""
-    from repro.apps import WorkloadConfig, run_order_workload
-    from repro.bench.setups import MODE_ADC_CG, build_business_system
-
-    started = time.perf_counter()
-    experiment = build_business_system(seed=100, mode=MODE_ADC_CG,
-                                       link_latency=0.005)
-    run_order_workload(
-        experiment.sim, experiment.business.app,
-        WorkloadConfig(client_count=4, duration=duration))
-    return time.perf_counter() - started
-
-
-# ---------------------------------------------------------------------------
-# the suite
-# ---------------------------------------------------------------------------
-
-
-#: suite order: (name, size key, unit, higher_is_better).  One row per
-#: microbenchmark; ``_run_one_bench`` resolves the callable, so the
-#: spec stays picklable for the ``--jobs`` fan-out.
-_SUITE = (
-    ("journal_append", "journal_entries", "entries/s", True),
-    ("journal_drain", "journal_entries", "entries/s", True),
-    ("kernel_events", "kernel_events", "events/s", True),
-    ("restore_drain", "restore_entries", "entries/s", True),
-    ("snapshot_under_restore", "snap_restore_entries", "entries/s", True),
-    ("host_write_e2e", "host_writes", "writes/s", True),
-    ("e1_cell", "e1_duration", "seconds", False),
-    ("transfer_drain", "transfer_entries", "entries/sim-s", True),
-    ("transfer_drain_reduced", "reduced_entries", "entries/sim-s", True),
-    ("wire_bytes_per_entry", "wire_entries", "bytes/entry", False),
-    ("initial_copy", "copy_blocks", "blocks/sim-s", True),
-)
-
-_BENCH_FNS = {
-    "journal_append": bench_journal_append,
-    "journal_drain": bench_journal_drain,
-    "kernel_events": bench_kernel_events,
-    "restore_drain": bench_restore_drain,
-    "snapshot_under_restore": bench_snapshot_under_restore,
-    "host_write_e2e": bench_host_write_e2e,
-    "e1_cell": bench_e1_cell,
-    "transfer_drain": bench_transfer_drain,
-    "transfer_drain_reduced": bench_transfer_drain_reduced,
-    "wire_bytes_per_entry": bench_wire_bytes_per_entry,
-    "initial_copy": bench_initial_copy,
+#: row name -> (measure, unit), each at the one size its default names
+EXACT_ROWS = {
+    "transfer_drain": (bench_transfer_drain, "entries/sim-s"),
+    "transfer_drain_reduced": (bench_transfer_drain_reduced,
+                               "entries/sim-s"),
+    "wire_bytes_per_entry": (bench_wire_bytes_per_entry, "bytes/entry"),
+    "initial_copy": (bench_initial_copy, "blocks/sim-s"),
 }
 
 
-def _run_one_bench(cell: Tuple[str, str, int]) -> Dict[str, object]:
-    """One named microbenchmark, best-of-N (a ParallelRunner cell).
-
-    Best-of-N: each repeat rebuilds its world from scratch, and the
-    best run is the one least disturbed by allocator/page noise — the
-    standard estimator for short timed regions.
-    """
-    name, mode, repeats = cell
-    size_key, unit, higher_is_better = next(
-        (spec[1], spec[2], spec[3]) for spec in _SUITE if spec[0] == name)
-    measure = _BENCH_FNS[name]
-    size = _SIZES[mode][size_key]
-    values = [measure(size) for _ in range(repeats)]
-    best = max(values) if higher_is_better else min(values)
-    return {"value": best, "unit": unit,
-            "higher_is_better": higher_is_better}
-
-
-def run_perf(quick: bool = False, jobs: int = 1) -> Tuple[Table, Facts]:
-    """Run every microbenchmark; returns ``(table, facts)``.
-
-    ``facts["metrics"]`` maps benchmark name to ``{"value", "unit",
-    "higher_is_better"}`` — the schema :func:`compare_perf` checks.
-
-    ``jobs`` shards the benchmarks across worker processes
-    (deterministic merge in suite order).  The table *structure* is
-    identical for any job count, but concurrent benchmarks contend for
-    the same cores, so the wall-clock *values* read lower than a
-    serial run — use ``jobs>1`` for quick comparative sweeps, never to
-    record a baseline.
-    """
-    from repro.bench.parallel import ParallelRunner
-
-    mode = "quick" if quick else "full"
-    cells = [(spec[0], mode, 3) for spec in _SUITE]
-    results = ParallelRunner(jobs).map(_run_one_bench, cells)
-    metrics: Dict[str, Dict[str, object]] = {
-        cell[0]: result for cell, result in zip(cells, results)}
-
-    table = Table(
-        title=f"P0: hot-path microbenchmarks ({mode} mode)",
-        columns=("benchmark", "value", "unit", "direction"))
-    for name in sorted(metrics):
-        metric = metrics[name]
-        table.add_row(name, float(metric["value"]), metric["unit"],
-                      "higher" if metric["higher_is_better"] else "lower")
-    table.note("wall-clock measurements; compare ratios against a "
-               "baseline from the same machine class, not absolutes")
-    table.note("transfer_drain, transfer_drain_reduced, "
-               "wire_bytes_per_entry and initial_copy are simulated-time "
-               "metrics: deterministic and machine-independent")
-    facts: Facts = {"mode": mode, "metrics": metrics}
-    return table, facts
-
-
 # ---------------------------------------------------------------------------
-# baseline comparison (the CI regression gate)
+# the front over benchmarks/e2e
 # ---------------------------------------------------------------------------
 
 
-def compare_perf(facts: Facts, baseline: Facts,
-                 max_regression: float = 0.30) -> List[str]:
-    """Regression messages for metrics worse than baseline by more than
-    ``max_regression`` (fraction); empty list means the gate passes.
-
-    Metrics present on only one side are skipped (the suite may grow),
-    so a new benchmark never fails the gate retroactively.  Comparing
-    across suite modes is rejected: quick and full runs amortise fixed
-    pipeline costs over different workload sizes, so their absolute
-    rates are not comparable (e.g. restore_drain reads ~45% lower in
-    quick mode on identical code).
-    """
-    if not 0 < max_regression < 1:
-        raise ValueError(
-            f"max_regression must be in (0, 1): {max_regression}")
-    mode, base_mode = facts.get("mode"), baseline.get("mode")
-    if mode and base_mode and mode != base_mode:
-        raise ValueError(
-            f"cannot compare a {mode!r}-mode run against a "
-            f"{base_mode!r}-mode baseline; rerun with matching sizes")
-    problems: List[str] = []
-    current = facts.get("metrics", {})
-    reference = baseline.get("metrics", {})
-    for name in sorted(set(current) & set(reference)):
-        value = float(current[name]["value"])
-        base = float(reference[name]["value"])
-        if base <= 0 or value <= 0:
-            continue
-        if current[name].get("higher_is_better", True):
-            ratio = value / base
-            if ratio < 1.0 - max_regression:
-                problems.append(
-                    f"{name}: {value:,.0f} is {1 - ratio:.0%} below "
-                    f"baseline {base:,.0f} "
-                    f"(allowed {max_regression:.0%})")
-        else:
-            ratio = value / base
-            if ratio > 1.0 + max_regression:
-                problems.append(
-                    f"{name}: {value:.3f}s is {ratio - 1:.0%} above "
-                    f"baseline {base:.3f}s "
-                    f"(allowed {max_regression:.0%})")
-    return problems
+def load_suite():
+    """``benchmarks.e2e.suite`` of this checkout; ``FileNotFoundError``
+    when ``benchmarks/e2e`` is not next to ``src/`` (an installed copy:
+    the harness is not shipped with the package)."""
+    e2e = REPO_ROOT / "benchmarks" / "e2e"
+    if not (e2e / "suite.py").is_file():
+        raise FileNotFoundError(
+            f"{e2e} not found: the end-to-end harness is part of the "
+            "source checkout, next to src/ — run `repro perf` from one")
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from benchmarks.e2e import suite
+    return suite
 
 
-def perf_delta_lines(facts: Facts, baseline: Facts) -> List[str]:
-    """Per-benchmark delta vs baseline, one formatted line each.
-
-    Printed by ``repro perf --check`` so a regression (or a win) names
-    the offending benchmark even when the gate passes.  Metrics present
-    on only one side are reported as such rather than skipped silently.
-    """
-    current = facts.get("metrics", {})
-    reference = baseline.get("metrics", {})
-    lines: List[str] = []
-    for name in sorted(set(current) | set(reference)):
-        if name not in reference:
-            lines.append(f"{name:16} (new — no baseline entry)")
-            continue
-        if name not in current:
-            lines.append(f"{name:16} (baseline only — not measured)")
-            continue
-        value = float(current[name]["value"])
-        base = float(reference[name]["value"])
-        unit = current[name].get("unit", "")
-        if base <= 0 or value <= 0:
-            lines.append(f"{name:16} (not comparable)")
-            continue
-        higher = current[name].get("higher_is_better", True)
-        # delta > 0 always means "better", whichever the direction
-        delta = value / base - 1.0 if higher else base / value - 1.0
-        lines.append(
-            f"{name:16} {value:>14,.1f} vs {base:>14,.1f} {unit:10} "
-            f"{delta:+7.1%}")
-    return lines
+def _git_rev() -> str:
+    import subprocess  # here and in check_row: not on `import repro.bench`
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
+            capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
-def write_perf_json(path: pathlib.Path, table: Table,
-                    facts: Facts) -> pathlib.Path:
-    """Write the suite's ``BENCH_PERF.json`` (same shape the E-series
-    benchmarks emit via the benchmarks/ conftest)."""
-    payload = {
-        "experiment": "run_perf",
-        "title": table.title,
-        "columns": list(table.columns),
-        "rows": [list(row) for row in table.rows],
-        "notes": list(table.notes),
-        "facts": facts,
+def run_perf(smoke: bool = False,
+             workloads: Optional[Sequence[str]] = None) -> dict:
+    """Measure everything once, printing as it goes; returns the run as
+    one trajectory row.  Every workload ``BENCHMARK.json`` declares
+    (or ``workloads``) runs untraced on seeds 1-3 for its
+    ``run_seconds`` (``smoke``: tenth-size, two repeats) and once traced."""
+    suite = load_suite()
+    print("== exact rows (simulated time: equal on every machine)")
+    exact = {}
+    for name, (measure, unit) in EXACT_ROWS.items():
+        exact[name] = measure()
+        print(f"  {name:<24} {exact[name]!r:>20} {unit}")
+    spec = suite.declared()
+    names = list(workloads or (entry["name"] for entry in spec["workloads"]))
+    results = suite.run_suite(names, seed=1, runs=3,
+                              seconds=spec["run_seconds"], smoke=smoke)
+    return {
+        "rev": _git_rev(), "machine": results["machine"],
+        "size": "smoke" if smoke else "full", "seeds": results["seeds"],
+        "seconds": results["seconds"], "exact": exact,
+        "workloads": {
+            name: {"attempted": result["attempted"],
+                   "failed": result["failed"],
+                   "end_to_end": {
+                       metric: {"median": entry["median"],
+                                "q1": entry["q1"], "q3": entry["q3"],
+                                "n": len(entry["values"])}
+                       for metric, entry in result["end_to_end"].items()}}
+            for name, result in results["workloads"].items()},
     }
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
-def load_perf_baseline(path: pathlib.Path) -> Facts:
-    """The facts dict of a previously written ``BENCH_PERF.json``."""
+def load_rows(path) -> List[dict]:
+    """The rows of a trajectory file, oldest first; ``ValueError`` when
+    the file is something else (the retired one-run schema also has a
+    ``rows`` key, holding table rows)."""
     payload = json.loads(pathlib.Path(path).read_text())
-    return payload["facts"]
+    rows = payload.get("rows") if isinstance(payload, dict) else None
+    if not rows or not all(isinstance(row, dict) and "exact" in row
+                           and "workloads" in row for row in rows):
+        raise ValueError(f"{path} is not a `repro perf` trajectory")
+    return rows
+
+
+def append_row(path, row: dict) -> int:
+    """Append ``row`` to the trajectory at ``path`` (created when
+    missing); returns the number of rows it now holds."""
+    path = pathlib.Path(path)
+    rows = load_rows(path) if path.exists() else []
+    rows.append(row)
+    path.write_text(json.dumps({"rows": rows}, indent=1) + "\n")
+    return len(rows)
+
+
+def _comparable(row: dict, spec: dict) -> dict:
+    """``row`` in the shape ``suite.compare`` reads: every end-to-end
+    entry with the unit, direction and bound ``BENCHMARK.json`` declares."""
+    return {"workloads": {
+        name: {"failed": result["failed"],
+               "end_to_end": {
+                   metric["name"]: {**result["end_to_end"][metric["name"]],
+                                    **metric}
+                   for metric in spec["end_to_end"]
+                   if metric["name"] in result["end_to_end"]}}
+        for name, result in row["workloads"].items()}}
+
+
+def check_row(row: dict, recorded: dict) -> List[str]:
+    """Print ``row`` against the ``recorded`` one; returns what fails
+    the check — an exact row that differs, an end-to-end row ``worse``
+    than its bound — and is empty when it passes."""
+    problems = []
+    print(f"== check against the recorded row of {recorded['rev']} "
+          f"({recorded['size']} size)")
+    for name in sorted(set(row["exact"]) | set(recorded["exact"])):
+        value, base = row["exact"].get(name), recorded["exact"].get(name)
+        print(f"  {name:<24} {value!r:>20} recorded {base!r:>20}  "
+              f"{'equal' if value == base else 'DIFFERS'}")
+        if value != base:
+            problems.append(
+                f"exact row {name}: {value!r} != recorded {base!r}")
+    if row["size"] != recorded["size"]:
+        print(f"  end-to-end rows not compared: this run is {row['size']} "
+              f"size, the recorded one {recorded['size']} size")
+        return problems
+    import tempfile
+    suite = load_suite()
+    spec = suite.declared()
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = [pathlib.Path(scratch, "recorded.json"),
+                 pathlib.Path(scratch, "measured.json")]
+        for path, side in zip(paths, (recorded, row)):
+            path.write_text(json.dumps(_comparable(side, spec)))
+        if suite.compare(*map(str, paths)):
+            problems.append("end to end: a row above is `worse` than its "
+                            "bound, or a side has failed operations")
+    return problems

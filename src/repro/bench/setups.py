@@ -17,7 +17,7 @@ operator path (the paper's plugin only automates ADC), so
 configuration an administrator would, including registering the
 secondary PVs at the backup site so failover discovery works the same
 way in every mode.  :func:`build_array_pair` is the array-level world
-(no platform stack) the microbenchmarks and ablations share.
+(no platform stack) the exact perf rows and the ablations share.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def build_array_pair(seed: int, adc: AdcConfig, name: str,
                      link_latency: float = 0.001,
                      bandwidth: Optional[float] = None,
                      independent: bool = False) -> ArrayPair:
-    """The array-level world of the microbenchmarks and ablations: main
+    """The array-level world of the exact perf rows and ablations: main
     and backup arrays, one pool each, a link, and ``volumes`` 4096-block
     async pairs ``{name}-{index}`` — all in the one journal group
     ``name`` (its loops already running), or with ``independent`` each

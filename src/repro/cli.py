@@ -22,10 +22,12 @@ Commands:
   print the SLO rule table plus every alert transition;
 * ``incident`` — run the same scenario and print its postmortem
   (markdown, or byte-reproducible JSON with ``--json``);
-* ``perf``     — run the hot-path microbenchmark suite (``--jobs``
-  shards the benchmarks), write ``BENCH_PERF.json``, and optionally
-  gate against a committed baseline (exit 1 on regression, with a
-  per-benchmark delta table naming the offender);
+* ``perf``     — measure the four exact (simulated-time) wire-path rows
+  and run ``benchmarks/e2e`` (seven end-to-end metrics and the folded
+  per-layer table per workload; ``--smoke`` for tenth-size);
+  ``--output FILE`` appends the run to a ``BENCH_PERF.json`` trajectory,
+  ``--check FILE`` compares it with the trajectory's newest row (exit 1
+  on a differing exact row, a ``worse`` end-to-end row or a failed op);
 * ``report``   — regenerate every EXPERIMENTS.md table.
 """
 
@@ -232,47 +234,31 @@ def _cmd_incident(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    import os
-    import pathlib
-
-    from repro.bench.perf import (compare_perf, load_perf_baseline,
-                                  perf_delta_lines, run_perf,
-                                  write_perf_json)
-    table, facts = run_perf(quick=args.quick, jobs=args.jobs)
-    print(table.render())
-    if args.output is not None:
-        output = pathlib.Path(args.output)
-    else:
-        bench_dir = pathlib.Path(os.environ.get("REPRO_BENCH_DIR", "."))
-        bench_dir.mkdir(parents=True, exist_ok=True)
-        output = bench_dir / "BENCH_PERF.json"
-    write_perf_json(output, table, facts)
-    print(f"[bench json: {output}]")
-    if args.check is None:
-        return 0
+    from repro.bench import perf
     try:
-        baseline = load_perf_baseline(args.check)
-    except (OSError, KeyError, ValueError) as exc:
-        raise SystemExit(
-            f"repro: cannot load perf baseline {args.check!r}: {exc}")
-    try:
-        problems = compare_perf(facts, baseline,
-                                max_regression=args.max_regression)
-    except ValueError as exc:
-        raise SystemExit(f"repro: {exc}")
-    print()
-    print(f"per-benchmark delta vs {args.check} (+ is better):")
-    for line in perf_delta_lines(facts, baseline):
-        print(f"  {line}")
-    if problems:
-        print()
-        print(f"perf regression vs {args.check}:")
-        for problem in problems:
-            print(f"  {problem}")
-        return 1
-    print(f"perf gate passed vs {args.check} "
-          f"(tolerance {args.max_regression:.0%})")
-    return 0
+        perf.load_suite()
+        # read the records before the minutes of measurement, not after
+        recorded = perf.load_rows(args.check)[-1] if args.check else None
+        if args.output and os.path.exists(args.output):
+            perf.load_rows(args.output)
+    except (OSError, ValueError) as exc:
+        print(f"repro perf: {exc}", file=sys.stderr)
+        return 2
+    row = perf.run_perf(smoke=args.smoke)
+    problems = [f"{name}: {result['failed']} of {result['attempted']} "
+                "operations failed"
+                for name, result in row["workloads"].items()
+                if result["failed"]]
+    if recorded:
+        problems += perf.check_row(row, recorded)
+    if args.output:
+        count = perf.append_row(args.output, row)
+        print(f"[perf record: {args.output}, {count} row(s)]")
+    for problem in problems:
+        print(f"FAILED  {problem}")
+    if recorded and not problems:
+        print(f"perf check passed against {args.check}")
+    return 1 if problems else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -391,26 +377,22 @@ def build_parser() -> argparse.ArgumentParser:
     incident.set_defaults(func=_cmd_incident)
 
     perf = sub.add_parser(
-        "perf", help="run the hot-path microbenchmark suite "
-                     "(journal, kernel, restore drain, E1 cell)")
-    perf.add_argument("--quick", action="store_true",
-                      help="CI-sized workloads instead of the full sizes")
-    perf.add_argument("--output", default=None,
-                      help="where to write BENCH_PERF.json (default: "
-                           "$REPRO_BENCH_DIR or the current directory)")
-    perf.add_argument("--check", default=None, metavar="BASELINE",
-                      help="gate against this committed BENCH_PERF.json; "
-                           "exit 1 when any microbench regresses beyond "
-                           "the tolerance")
-    perf.add_argument("--max-regression", type=float, default=0.30,
-                      help="allowed fractional regression per metric "
-                           "(default 0.30)")
-    perf.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="shard the benchmarks across N worker "
-                           "processes (0 = one per CPU); same table "
-                           "structure as --jobs 1, but concurrent "
-                           "benchmarks contend for cores — do not "
-                           "record baselines with --jobs > 1")
+        "perf", help="measure the four exact wire-path rows and the "
+                     "end-to-end benchmark (benchmarks/e2e); optionally "
+                     "record or check the run")
+    perf.add_argument("--smoke", action="store_true",
+                      help="tenth-size workloads, as benchmarks/e2e's own "
+                           "--smoke (what CI runs)")
+    perf.add_argument("--output", default=None, metavar="FILE",
+                      help="append this run as one row to the trajectory "
+                           "in FILE (e.g. BENCH_PERF.json); nothing is "
+                           "written without it")
+    perf.add_argument("--check", default=None, metavar="FILE",
+                      help="compare with the newest row of FILE: exact "
+                           "rows by equality, end-to-end rows by the "
+                           "benchmark's ok/worse/unresolved verdicts when "
+                           "both ran at the same size; exit 1 on a "
+                           "difference, a `worse` or a failed operation")
     perf.set_defaults(func=_cmd_perf)
 
     report = sub.add_parser(

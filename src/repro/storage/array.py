@@ -296,6 +296,13 @@ class StorageArray:
         if group_id in self.journal_groups:
             raise ReplicationError(
                 f"array {self.serial}: journal group {group_id} exists")
+        # both engines label their series {group=<id>}: one id for a
+        # group and a mirror would share counter objects
+        for array in (self, remote):
+            if group_id in array.sync_mirrors:
+                raise ReplicationError(
+                    f"array {array.serial}: id {group_id} is taken by a "
+                    "sync mirror")
         group = JournalGroup(
             self.sim, group_id,
             main_journal=self.get_journal(main_journal_id),
@@ -350,6 +357,10 @@ class StorageArray:
         if mirror_id in self.sync_mirrors:
             raise ReplicationError(
                 f"array {self.serial}: sync mirror {mirror_id} exists")
+        if mirror_id in self.journal_groups:
+            raise ReplicationError(
+                f"array {self.serial}: id {mirror_id} is taken by a "
+                "journal group")
         mirror = SyncMirror(self.sim, mirror_id, link,
                             config=sdc_config or self.config.sdc)
         self.sync_mirrors[mirror_id] = mirror

@@ -1,11 +1,10 @@
 """The deterministic fan-out contract of :mod:`repro.bench.parallel`.
 
-Every consumer (E1/E7 cell grids, the perf suite, chaos campaign
-seeds) depends on one property: a parallel run merges to *exactly* the
-serial result, because results return in input order and every cell
-derives all randomness from the seed inside its argument.  Workloads
-here are deliberately tiny — the property under test is identity, not
-speed.
+Every consumer (E1/E7 cell grids, chaos campaign seeds) depends on one
+property: a parallel run merges to *exactly* the serial result, because
+results return in input order and every cell derives all randomness
+from the seed inside its argument.  Workloads here are deliberately
+tiny — the property under test is identity, not speed.
 """
 
 import json
@@ -94,30 +93,3 @@ class TestChaosFanOut:
         from repro.chaos import run_campaigns
         with pytest.raises(ValueError):
             run_campaigns([1], preset="nope")
-
-
-class TestPerfFanOut:
-    def test_jobs_preserves_suite_structure(self):
-        # values are wall-clock and contention-dependent; the contract
-        # for perf is structural identity: same benchmarks, same units,
-        # same directions, same table columns/ordering
-        from repro.bench.perf import _SIZES, _SUITE, run_perf
-        original = _SIZES["quick"]
-        tiny = dict(original)
-        tiny.update(journal_entries=2_000, kernel_events=2_000,
-                    restore_entries=300, e1_duration=0.02)
-        _SIZES["quick"] = tiny
-        try:
-            serial_table, serial = run_perf(quick=True, jobs=1)
-            parallel_table, parallel = run_perf(quick=True, jobs=2)
-        finally:
-            _SIZES["quick"] = original
-        assert set(serial["metrics"]) == {spec[0] for spec in _SUITE}
-        assert set(parallel["metrics"]) == set(serial["metrics"])
-        for name in serial["metrics"]:
-            for key in ("unit", "higher_is_better"):
-                assert parallel["metrics"][name][key] == \
-                    serial["metrics"][name][key]
-        assert parallel_table.columns == serial_table.columns
-        assert [row[0] for row in parallel_table.rows] == \
-            [row[0] for row in serial_table.rows]

@@ -116,6 +116,25 @@ class TestPairCommands:
                 "jg-0", jm.journal_id, two_site.backup, jb.journal_id,
                 two_site.link)
 
+    def test_group_and_mirror_cannot_share_an_id(self, sim, two_site):
+        # both engines label their series {group=<id>}: a shared id
+        # used to hand both the same counter objects, silently
+        make_async_pair(two_site)
+        for array in (two_site.main, two_site.backup):
+            with pytest.raises(ReplicationError, match="journal group"):
+                array.create_sync_mirror("jg-0", two_site.link)
+        two_site.main.create_sync_mirror("sm-main", two_site.link)
+        two_site.backup.create_sync_mirror("sm-backup", two_site.link)
+        jm = two_site.main.create_journal(two_site.main_pool_id, 100)
+        jb = two_site.backup.create_journal(two_site.backup_pool_id, 100)
+        for taken in ("sm-main", "sm-backup"):
+            with pytest.raises(ReplicationError, match="sync mirror"):
+                two_site.main.create_journal_group(
+                    taken, jm.journal_id, two_site.backup, jb.journal_id,
+                    two_site.link)
+        assert set(two_site.main.journal_groups) == {"jg-0"}
+        assert set(two_site.backup.journal_groups) == {"jg-0"}
+
 
 class TestAudit:
     def test_commands_are_audited(self, sim, two_site):

@@ -61,10 +61,20 @@ class TestParser:
         assert args.seeds == 4
         assert args.jobs == 2
 
-    def test_perf_jobs_argument(self):
-        args = build_parser().parse_args(["perf", "--quick", "--jobs", "3"])
-        assert args.jobs == 3
-        assert build_parser().parse_args(["perf"]).jobs == 1
+    def test_perf_arguments(self):
+        args = build_parser().parse_args(["perf"])
+        assert (args.smoke, args.output, args.check) == (False, None, None)
+        args = build_parser().parse_args(
+            ["perf", "--smoke", "--output", "a.json", "--check", "b.json"])
+        assert (args.smoke, args.output, args.check) == (
+            True, "a.json", "b.json")
+
+    @pytest.mark.parametrize("flag", [
+        ["--quick"], ["--jobs", "2"], ["--max-regression", "0.3"]])
+    def test_perf_retired_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["perf", *flag])
+        assert exit_info.value.code == 2
 
     def test_chaos_rejects_unknown_preset(self, capsys):
         with pytest.raises(SystemExit):
