@@ -337,7 +337,7 @@ class MiniDB:
         if interval <= 0:
             raise DatabaseError("checkpoint interval must be > 0")
         while True:
-            yield self.sim.timeout(interval)
+            yield self.sim.sleep(interval)
             yield from self.checkpoint()
 
     # -- state preload (used by recovery) ----------------------------------

@@ -164,13 +164,13 @@ def run_order_workload(sim: Simulator, app: EcommerceApp,
             result = yield from app.place_order(item_id, qty)
             results.append(result)
             if config.mean_think_time > 0:
-                yield sim.timeout(sim.rng.expovariate(
+                yield sim.sleep(sim.rng.expovariate(
                     stream, 1.0 / config.mean_think_time))
             elif sim.now == before:
                 # zero-latency iteration (instant rejection or in-memory
                 # devices): pace minimally so the loop cannot spin at one
                 # simulated instant
-                yield sim.timeout(ZERO_PROGRESS_PACING)
+                yield sim.sleep(ZERO_PROGRESS_PACING)
 
     processes = [sim.spawn(client(sim, index), name=f"client-{index}")
                  for index in range(config.client_count)]
@@ -232,7 +232,7 @@ class BackgroundLoad:
                     return  # the site died under this client
                 self.results.append(result)
                 if sim.now == before:
-                    yield sim.timeout(ZERO_PROGRESS_PACING)
+                    yield sim.sleep(ZERO_PROGRESS_PACING)
 
         self._processes = [
             sim.spawn(client(sim, index), name=f"{rng_prefix}-{index}")

@@ -269,17 +269,17 @@ def _manual_adc_configuration(system, namespace):
                                   claim.meta.name)
         console.storage_array_command(
             f"lookup volume for PV {pv.meta.name}")
-        yield sim.timeout(latency)
+        yield sim.sleep(latency)
         handles.append(pv.spec.csi.volume_handle)
     console.storage_array_command("create journal (main)")
-    yield sim.timeout(latency)
+    yield sim.sleep(latency)
     main_journal = system.main.array.create_journal(system.main.pool_id)
     console.storage_array_command("create journal (backup)")
-    yield sim.timeout(latency)
+    yield sim.sleep(latency)
     backup_journal = system.backup.array.create_journal(
         system.backup.pool_id)
     console.storage_array_command("create consistency group")
-    yield sim.timeout(latency)
+    yield sim.sleep(latency)
     system.main.array.create_journal_group(
         "manual-cg", main_journal.journal_id, system.backup.array,
         backup_journal.journal_id, system.replication_link)
@@ -287,11 +287,11 @@ def _manual_adc_configuration(system, namespace):
         pvol_id = system.main.array.parse_handle(handle)
         pvol = system.main.array.get_volume(pvol_id)
         console.storage_array_command(f"create secondary volume {index}")
-        yield sim.timeout(latency)
+        yield sim.sleep(latency)
         svol = system.backup.array.create_volume(
             system.backup.pool_id, pvol.capacity_blocks)
         console.storage_array_command(f"create pair {index}")
-        yield sim.timeout(latency)
+        yield sim.sleep(latency)
         system.main.array.create_async_pair(
             f"manual-{index}", "manual-cg", pvol_id, system.backup.array,
             svol.volume_id)
@@ -302,7 +302,7 @@ def _manual_adc_configuration(system, namespace):
         console.storage_array_command("query pair status")
         if states == {"PAIR"}:
             return
-        yield sim.timeout(0.1)
+        yield sim.sleep(0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,7 @@ def run_e4_snapshot(seeds: Sequence[int] = tuple(range(400, 406)),
                             .create_snapshot(secondary[pvc])
                         frozen[secondary[pvc]] = \
                             snapshot.frozen_version_map()
-                        yield sim.timeout(latency)
+                        yield sim.sleep(latency)
 
                 sim.run_until_complete(sim.spawn(per_volume(sim)))
             create_times.append((sim.now - started) * 1e3)
@@ -836,8 +836,7 @@ def _run_cg_scale_cell(layout: str, count: int, duration: float,
             yield from main.host_write(pvol.volume_id, block % 4096,
                                        b"x" * 128)
             block += 1
-            yield sim.timeout(sim.rng.jitter(stream, write_interval,
-                                             0.5))
+            yield sim.sleep(sim.rng.jitter(stream, write_interval, 0.5))
 
     for index, pvol in enumerate(pvols):
         sim.spawn(writer(sim, pvol, index), name=f"e8-writer-{index}")

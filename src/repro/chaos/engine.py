@@ -176,7 +176,7 @@ class ChaosWorkload:
                 except ReproError:
                     self.failed_attempts += 1
                     del self._inflight[attempt]
-                    yield sim.timeout(RETRY_DELAY)
+                    yield sim.sleep(RETRY_DELAY)
                     continue
                 del self._inflight[attempt]
                 latency = sim.now - started
@@ -187,7 +187,7 @@ class ChaosWorkload:
                 self.last_progress = sim.now
                 del result
                 if sim.now == started:
-                    yield sim.timeout(ZERO_PROGRESS_PACING)
+                    yield sim.sleep(ZERO_PROGRESS_PACING)
 
         self._processes = [
             sim.spawn(client(index), name=f"{rng_prefix}-{index}")
@@ -345,7 +345,7 @@ class ChaosEngine:
         sim = self.env.sim
         delay = start + fault.at - sim.now
         if delay > 0:
-            yield sim.timeout(delay)
+            yield sim.sleep(delay)
         detail = fault.inject(self.env)
         self.env.fault_started(fault)
         sim.telemetry.registry.counter(
@@ -354,7 +354,7 @@ class ChaosEngine:
             fault=fault.kind).increment()
         self._record(fault, "inject", detail)
         if fault.duration > 0:
-            yield sim.timeout(fault.duration)
+            yield sim.sleep(fault.duration)
         self._heal(fault)
 
     def _heal(self, fault: Fault) -> None:

@@ -120,7 +120,7 @@ class InvariantMonitor:
     def _watch(self) -> Generator[object, object, None]:
         sim = self.env.sim
         while self._running:
-            yield sim.timeout(self.config.interval)
+            yield sim.sleep(self.config.interval)
             if not self._running:
                 return
             self._check_progress()

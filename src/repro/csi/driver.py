@@ -52,7 +52,7 @@ class HspcDriver(CsiDriver):
 
     def _pay_latency(self) -> Generator[object, object, None]:
         if self.management_latency > 0:
-            yield self.array.sim.timeout(self.management_latency)
+            yield self.array.sim.sleep(self.management_latency)
 
     # -- controller service --------------------------------------------------
 
@@ -161,12 +161,6 @@ class HspcDriver(CsiDriver):
             member_handles=members, creation_time=group.created_at)
         self._groups_by_name[name] = provisioned
         return provisioned
-
-    # -- handle resolution (used by the replication plugin) ------------------
-
-    def resolve_volume_id(self, volume_handle: str) -> int:
-        """Array volume id behind a handle (no latency: local parse)."""
-        return self.array.parse_handle(volume_handle)
 
     def __repr__(self) -> str:
         return (f"<HspcDriver array={self.array.serial!r} "

@@ -78,7 +78,7 @@ class ReplicationReconciler(Reconciler):
         if self.context.rpc is not None:
             yield from self.context.rpc.pay()
         elif self.context.command_latency > 0:
-            yield api.sim.timeout(self.context.command_latency)
+            yield api.sim.sleep(self.context.command_latency)
 
     def _call(self, api: ApiServer, step: str, fn, probe=None,
               ) -> Generator[object, object, object]:

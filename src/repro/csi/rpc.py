@@ -93,7 +93,7 @@ class RpcChannel:
     def pay(self) -> Generator[object, object, None]:
         """Pay one round of management latency (no command)."""
         if self.latency > 0:
-            yield self.sim.timeout(self.latency)
+            yield self.sim.sleep(self.latency)
 
     def _record_timeout(self, step: str, applied: bool) -> None:
         key = (step, applied)

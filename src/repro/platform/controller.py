@@ -284,7 +284,7 @@ class Controller:
                 stream = self.api.watch(cls, name=watch_name)
             except UnavailableError:
                 attempts += 1
-                yield self.sim.timeout(self.backoff.delay(
+                yield self.sim.sleep(self.backoff.delay(
                     min(attempts, 8), rng=self.sim.rng,
                     stream=f"{self.name}.watch-retry"))
                 continue

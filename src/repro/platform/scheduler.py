@@ -43,7 +43,7 @@ class PodSchedulerReconciler(Reconciler):
             if pvc is None or not pvc.bound:
                 return Requeue(after=0.050)
         if self.start_delay > 0:
-            yield api.sim.timeout(self.start_delay)
+            yield api.sim.sleep(self.start_delay)
         current = api.try_get(Pod, key.name, key.namespace)
         if current is None or current.status.phase == "Running":
             return None

@@ -71,11 +71,6 @@ class FailbackReport:
         """Business quiesce duration (the only user-visible stop)."""
         return self.completed_at - self.quiesce_started_at
 
-    @property
-    def total_seconds(self) -> float:
-        """Repair-to-serving-at-main duration."""
-        return self.completed_at - self.started_at
-
 
 @dataclass
 class FailbackResult:
@@ -175,7 +170,7 @@ class FailbackManager:
                     raise FailoverError(
                         "failback reverse copy suspended (PSUE); repair "
                         "the link/journals and retry")
-                yield sim.timeout(pair_poll_interval)
+                yield sim.sleep(pair_poll_interval)
             return {"reverse_paired_at": sim.now,
                     "orders_during": (backup_app.orders_accepted
                                       - orders_before)}
@@ -191,13 +186,13 @@ class FailbackManager:
             if load is not None:
                 load.stop()
                 while load.alive_clients:
-                    yield sim.timeout(pair_poll_interval)
+                    yield sim.sleep(pair_poll_interval)
             # the business is quiet; wait for the pipeline to drain
             while group.entry_lag > 0:
-                yield sim.timeout(pair_poll_interval)
+                yield sim.sleep(pair_poll_interval)
             group.stop()
             while group.applying:
-                yield sim.timeout(0.0001)
+                yield sim.sleep(0.0001)
             drained = yield from group.drain()
             if drained:
                 raise FailoverError(

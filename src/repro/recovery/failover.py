@@ -190,7 +190,7 @@ class FailoverManager:
         def stop_step():
             for group in groups:
                 group.stop()
-            yield sim.timeout(0.010)  # let in-flight applies finish
+            yield sim.sleep(0.010)  # let in-flight applies finish
 
         yield from runbook.step("stop", stop_step)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import RunbookError, RunbookInterrupted
 from repro.simulation.kernel import Simulator
@@ -71,10 +71,6 @@ class RunbookState:
         """step name -> wall-clock duration, in execution order."""
         ordered = sorted(self.steps.values(), key=lambda r: r.seq)
         return {record.name: record.duration for record in ordered}
-
-    def completed_steps(self) -> List[str]:
-        ordered = sorted(self.steps.values(), key=lambda r: r.seq)
-        return [record.name for record in ordered]
 
 
 class RunbookJournal:

@@ -73,7 +73,7 @@ class SnapshotScheduler:
 
     def _loop(self) -> Generator[object, object, None]:
         while self._running:
-            yield self.array.sim.timeout(self.interval)
+            yield self.array.sim.sleep(self.interval)
             if not self._running:
                 return
             yield from self.take_generation()

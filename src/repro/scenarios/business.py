@@ -69,10 +69,6 @@ class BusinessProcess:
         """The four claims, layout order."""
         return list(PVC_LAYOUT)
 
-    def volume_id_for(self, pvc_name: str) -> int:
-        """Main-array volume id behind one claim."""
-        return self.volume_ids[pvc_name]
-
 
 def deploy_business_process(system: TwoSiteSystem,
                             config: Optional[BusinessConfig] = None,

@@ -5,8 +5,8 @@ the reproduction runs on.  Public surface:
 
 * :class:`Simulator` — clock, event queue, process spawner.
 * :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` —
-  waitables (plus :class:`SleepRequest`, the event-free marker behind
-  the ``sim.sleep`` pacing fast path).
+  waitables (plus :class:`SleepRequest`, the event-free marker
+  ``sim.sleep`` — the one way to pause — hands the kernel).
 * :class:`Process` — spawned generator handle with join/interrupt.
 * :class:`Lock`, :class:`Semaphore`, :class:`Store`, :class:`Gate` —
   synchronisation.

@@ -39,7 +39,7 @@ KIND_TIMEOUT = 0    # a = Event to succeed, b = success value
 KIND_CALLBACK = 1   # a = callable, b = Event passed as its argument
 KIND_RESUME = 2     # a = Process, b = fired Event (or None)
 KIND_CALL = 3       # a = CallbackHandle from call_at, b unused
-KIND_SLEEP = 4      # a = Process, b = sleep token (stale-wakeup guard)
+KIND_SLEEP = 4      # a = Process, b = its SleepRequest, now due
 
 
 class Event:
@@ -171,9 +171,8 @@ class Timeout(Event):
         self._value = None
         self._callbacks = None
         self.delay = delay
-        # inlined Simulator._schedule_timeout: push the typed entry
-        # directly (zero-delay timeouts take the now-queue, skipping
-        # the heap entirely)
+        # push the typed entry directly (zero-delay timeouts take the
+        # now-queue, skipping the heap entirely)
         if delay == 0.0:
             sim._nowq.append(
                 (next(sim._sequence), KIND_TIMEOUT, self, value))
@@ -283,13 +282,19 @@ class CallbackHandle:
 class SleepRequest:
     """Marker yielded to the kernel by :meth:`Simulator.sleep`.
 
-    Not an event: nothing can wait on it, combine it, or observe it.
-    The kernel schedules the yielding process's resume directly — no
-    :class:`Timeout` object, no callback list, no event id — which is
-    why ``yield sim.sleep(d)`` is the fast path for pure pacing waits.
+    Not an event: nothing else can wait on it, combine it, or observe
+    it — which is what lets the kernel advance the clock in place when
+    nothing else is due first, and otherwise queue the wake-up without
+    a :class:`Timeout` object.  Single use: the process parks on the
+    request's identity, so yield it where it is made.
     """
 
     __slots__ = ("delay",)
+
+    #: a due request is delivered to ``Process._step`` the way a fired
+    #: timeout is: succeeded, carrying no value
+    _state = SUCCEEDED
+    _value = None
 
     def __init__(self, delay: float) -> None:
         self.delay = delay

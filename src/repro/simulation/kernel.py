@@ -10,7 +10,7 @@ Typical usage::
     sim = Simulator(seed=7)
 
     def hello(sim):
-        yield sim.timeout(1.5)
+        yield sim.sleep(1.5)
         return "done at %.1f" % sim.now
 
     proc = sim.spawn(hello(sim), name="hello")
@@ -23,7 +23,8 @@ a switch in :meth:`Simulator.run` — no per-event closure allocation —
 and zero-delay work (event callbacks, process resumes, ``timeout(0)``)
 bypasses the heap through a FIFO *now-queue*.  A single sequence counter
 spans both structures, so firing order at any timestamp is exactly the
-scheduling order the heap-only kernel produced.
+scheduling order the heap-only kernel produced.  A ``sim.sleep`` nothing
+else could run before enters neither: the process advances the clock.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ _TIMEOUT = KIND_TIMEOUT    # a = Event to succeed, b = success value
 _CALLBACK = KIND_CALLBACK  # a = callable, b = Event passed as argument
 _RESUME = KIND_RESUME      # a = Process, b = fired Event (or None)
 _CALL = KIND_CALL          # a = CallbackHandle from call_at, b unused
-_SLEEP = KIND_SLEEP        # a = Process, b = sleep token
+_SLEEP = KIND_SLEEP        # a = Process, b = its due SleepRequest
 
 
 class Simulator:
@@ -88,6 +89,10 @@ class Simulator:
         #: exception on its termination event instead of crashing ``run``.
         self.capture_process_errors = True
         self._stopped = False
+        #: latest instant the current run may advance the clock to
+        #: (``until``, the ``run_until_complete`` deadline, -inf after
+        #: ``stop()``): a sleep ending beyond it is queued, not skipped
+        self._horizon = float("inf")
 
     # -- clock ---------------------------------------------------------------
 
@@ -110,14 +115,14 @@ class Simulator:
     def sleep(self, delay: float) -> SleepRequest:
         """Plain pause: resume the yielding process after ``delay``.
 
-        The fast-path sibling of ``yield sim.timeout(delay)`` for the
-        (overwhelmingly common) wait that nobody else observes: the
-        kernel schedules the process resume directly, without
-        materialising a :class:`Timeout` event object.  The resume fires
-        at exactly the instant — and in exactly the order — the
-        equivalent timeout would have.  Use :meth:`timeout` when the
-        wait needs a value, a name, or combination via
-        ``all_of``/``any_of``; use ``sleep`` for pure pacing.
+        The one way to pause: the process resumes at the instant and
+        in the order ``yield sim.timeout(d)`` would have resumed it,
+        whatever else is scheduled.  When nothing else could run first
+        (empty now-queue, nothing in the heap due at or before the
+        wake-up, the wake-up inside the run's ``until``/``timeout``, no
+        ``stop()``) the clock advances in place; otherwise the wake-up
+        is queued and takes a timeout's two hops.  Use :meth:`timeout`
+        when the wait is raced (``any_of``), named, or carries a value.
         """
         if delay < 0:
             raise SimTimeError(f"negative sleep delay: {delay}")
@@ -176,6 +181,7 @@ class Simulator:
             raise SimTimeError(
                 f"cannot run until {until:g}, now is {self._now:g}")
         self._stopped = False
+        self._horizon = float("inf") if until is None else until
         nowq = self._nowq
         heap = self._queue
         pop = heappop
@@ -228,8 +234,8 @@ class Simulator:
             elif kind == RESUME:
                 a._step(b)
             elif kind == SLEEP:
-                if a._sleep_token == b:
-                    a._step(None)
+                # second hop, like a timeout's callback delivery
+                append((next(sequence), RESUME, a, b))
             else:  # CALL
                 a._sim = None
                 fn = a.fn
@@ -249,6 +255,7 @@ class Simulator:
         repeated calls tile time the same way ``run(until=...)`` does.
         """
         deadline = None if timeout is None else self._now + timeout
+        self._horizon = float("inf") if deadline is None else deadline
         nowq = self._nowq
         heap = self._queue
         pop = heappop
@@ -303,8 +310,8 @@ class Simulator:
             elif kind == RESUME:
                 a._step(b)
             elif kind == SLEEP:
-                if a._sleep_token == b:
-                    a._step(None)
+                # second hop, like a timeout's callback delivery
+                append((next(sequence), RESUME, a, b))
             else:  # CALL
                 a._sim = None
                 fn = a.fn
@@ -315,6 +322,7 @@ class Simulator:
     def stop(self) -> None:
         """Make the current ``run()`` call return after this event."""
         self._stopped = True
+        self._horizon = float("-inf")
 
     @property
     def pending_events(self) -> int:
@@ -348,17 +356,6 @@ class Simulator:
 
     # -- kernel internals (used by Event/Process) -----------------------------
 
-    def _schedule_timeout(self, event: Event, delay: float,
-                          value: object) -> None:
-        if delay == 0.0:
-            self._nowq.append(
-                (next(self._sequence), _TIMEOUT, event, value))
-        else:
-            heappush(
-                self._queue,
-                (self._now + delay, next(self._sequence), _TIMEOUT,
-                 event, value))
-
     def _schedule_callback(self, event: Event,
                            callback: Callable[[Event], None]) -> None:
         self._nowq.append((next(self._sequence), _CALLBACK, callback, event))
@@ -366,16 +363,6 @@ class Simulator:
     def _schedule_resume(self, process: Process,
                          fired: Optional[Event]) -> None:
         self._nowq.append((next(self._sequence), _RESUME, process, fired))
-
-    def _schedule_sleep(self, delay: float, process: Process,
-                        token: int) -> None:
-        if delay == 0.0:
-            self._nowq.append((next(self._sequence), _SLEEP, process, token))
-        else:
-            heappush(
-                self._queue,
-                (self._now + delay, next(self._sequence), _SLEEP,
-                 process, token))
 
     def __repr__(self) -> str:
         return (f"<Simulator now={self._now:g} "

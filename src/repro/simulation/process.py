@@ -6,6 +6,8 @@ A process wraps a Python generator.  The generator yields *waitables*:
   ``AllOf``, ``AnyOf``) — the process resumes when it fires;
 * another :class:`Process` — the process resumes when it terminates
   (join semantics) and receives its return value;
+* ``sim.sleep(d)`` — a plain pause: the process resumes ``d`` seconds
+  later, when and in the order a ``sim.timeout(d)`` would resume it;
 * ``None`` — yield control for one scheduler step at the current time.
 
 ``return value`` inside the generator sets the process result, delivered
@@ -19,10 +21,11 @@ wait point.
 from __future__ import annotations
 
 import itertools
+from heapq import heappush
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import Interrupted, ProcessError
-from repro.simulation.events import (PENDING, SUCCEEDED, Event,
+from repro.simulation.events import (KIND_SLEEP, PENDING, SUCCEEDED, Event,
                                      SleepRequest)
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,7 +43,7 @@ class Process:
     """
 
     __slots__ = ("sim", "name", "process_id", "_generator", "_terminated",
-                 "_waiting_on", "_interrupts", "_sleep_token", "_step_ref")
+                 "_waiting_on", "_interrupts", "_step_ref")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator,
                  name: str = "") -> None:
@@ -53,13 +56,10 @@ class Process:
         self.name = name or f"process-{self.process_id}"
         self._generator = generator
         self._terminated: Event = Event(sim, name=f"{self.name}.terminated")
-        self._waiting_on: Optional[Event] = None
+        #: the event — or queued :class:`SleepRequest` — this process
+        #: is parked on; a wake-up for anything else is stale
+        self._waiting_on: Optional[object] = None
         self._interrupts: list[Interrupted] = []
-        #: staleness guard for the sim.sleep fast path: a queued sleep
-        #: resume only fires while its token is still current; any real
-        #: step (e.g. an interrupt pulling us out of the sleep)
-        #: invalidates outstanding sleep entries by bumping the token
-        self._sleep_token = 0
         #: one reusable bound method — registering a wait callback no
         #: longer allocates a method object per step
         self._step_ref = self._step
@@ -102,31 +102,51 @@ class Process:
 
     # -- kernel interface --------------------------------------------------
 
-    def _step(self, fired: Optional[Event]) -> None:
+    def _step(self, fired: Optional[object]) -> None:
         """Advance the generator by one yield.  Called only by the kernel."""
         if self._terminated._state != PENDING:  # dead (inlined .alive)
             return
-        # Ignore stale wakeups: if we are waiting on event X and get a
-        # resume for event Y (e.g. an AnyOf child that lost the race after
-        # an interrupt re-armed the wait), drop it.
-        if fired is not None and fired is not self._waiting_on:
-            return
-        if fired is None and not self._interrupts and self._waiting_on is not None:
+        # Ignore stale wakeups: a resume for anything but the wait we
+        # are parked on (an AnyOf child that lost the race after an
+        # interrupt re-armed the wait, the wake of an abandoned sleep)
+        # is dropped; only an interrupt cuts a wait short.
+        if fired is not self._waiting_on and \
+                (fired is not None or not self._interrupts):
             return
         self._waiting_on = None
-        self._sleep_token += 1
+        sim = self.sim
+        generator = self._generator
         try:
             if self._interrupts:
                 interrupt = self._interrupts.pop(0)
-                target = self._generator.throw(interrupt)
+                target = generator.throw(interrupt)
             elif fired is None:
-                target = self._generator.send(None)
+                target = generator.send(None)
             elif fired._state == SUCCEEDED:
                 # a delivered event is triggered by construction, so its
                 # value/state can be read without the property guards
-                target = self._generator.send(fired._value)
+                target = generator.send(fired._value)
             else:
-                target = self._generator.throw(fired._value)  # type: ignore[arg-type]
+                target = generator.throw(fired._value)  # type: ignore[arg-type]
+            while type(target) is SleepRequest:
+                when = sim._now + target.delay
+                heap = sim._queue
+                if sim._nowq or when > sim._horizon \
+                        or (heap and heap[0][0] <= when):
+                    # something else is due first, or the run ends
+                    # first: park on the request and queue its wake-up
+                    self._waiting_on = target
+                    if when == sim._now:
+                        sim._nowq.append(
+                            (next(sim._sequence), KIND_SLEEP, self, target))
+                    else:
+                        heappush(heap, (when, next(sim._sequence),
+                                        KIND_SLEEP, self, target))
+                    return
+                # nothing can run before this wake-up: popping it would
+                # set the clock and re-enter here, so do exactly that
+                sim._now = when
+                target = generator.send(None)
         except StopIteration as stop:
             self._terminated.succeed(stop.value)
             return
@@ -163,17 +183,12 @@ class Process:
     def _wait_for(self, target: object) -> None:
         """Handle the non-:class:`Event` waitables a process can yield.
 
-        The Event case — the hot path — is inlined in :meth:`_step`.
+        The Event and sleep cases — the hot paths — are inlined in
+        :meth:`_step`.
         """
         if target is None:
             # Bare yield: resume in the same timestep after queued events.
             self.sim._schedule_resume(self, None)
-            return
-        if type(target) is SleepRequest:
-            # sim.sleep fast path: the kernel resumes us directly at
-            # now + delay — no Timeout event is ever materialised
-            self._sleep_token += 1
-            self.sim._schedule_sleep(target.delay, self, self._sleep_token)
             return
         if isinstance(target, Process):
             join = target.join()

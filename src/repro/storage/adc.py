@@ -45,8 +45,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, Generator, List,
-                    Optional, Tuple)
+                    Optional, Sequence, Tuple)
 from zlib import crc32
 
 from repro.errors import ReplicationError
@@ -63,6 +64,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
     from repro.storage.volume import Volume
 
+
+_entry_payload = attrgetter("payload")
 
 #: journal appends land in array cache; far cheaper than media writes
 JOURNAL_APPEND_LATENCY = 0.00005
@@ -223,6 +226,9 @@ class JournalGroup:
         self.pairs: Dict[str, ReplicationPair] = {}
         self._pairs_by_pvol: Dict[int, ReplicationPair] = {}
         self._svol_by_pvol: Dict[int, "Volume"] = {}
+        #: pairs whose initial copy the restore side has not passed yet,
+        #: in watermark order (journal sequences only grow)
+        self._copy_pending: List[ReplicationPair] = []
         #: highest sequence ingested into the backup journal
         self.transferred_sequence = -1
         #: highest sequence applied to secondary volumes
@@ -392,6 +398,8 @@ class JournalGroup:
         pair.copy_watermark = watermark
         if watermark < 0:
             pair.initial_copy_done = True
+        else:
+            self._copy_pending.append(pair)
 
     def remove_pair(self, pair_id: str) -> ReplicationPair:
         """Detach a pair (pair deletion); returns it."""
@@ -401,6 +409,8 @@ class JournalGroup:
                 f"group {self.group_id}: unknown pair {pair_id}")
         del self._pairs_by_pvol[pair.pvol.volume_id]
         del self._svol_by_pvol[pair.pvol.volume_id]
+        self._copy_pending = [pending for pending in self._copy_pending
+                              if pending is not pair]
         return pair
 
     # -- host-write side -------------------------------------------------------
@@ -427,7 +437,7 @@ class JournalGroup:
             append_span = tracer.start(
                 "journal-append", parent=span, group=self.group_id,
                 volume=volume_id, block=block)
-        yield self.sim.timeout(JOURNAL_APPEND_LATENCY)
+        yield self.sim.sleep(JOURNAL_APPEND_LATENCY)
         if span is not None and span.trace_id is not None:
             trace_id, span_id = span.trace_id, span.span_id
         elif append_span is not None:
@@ -464,21 +474,23 @@ class JournalGroup:
             append_span = tracer.start(
                 "journal-append", parent=span, group=self.group_id,
                 writes=len(writes))
-        yield self.sim.timeout(JOURNAL_APPEND_LATENCY)
+        yield self.sim.sleep(JOURNAL_APPEND_LATENCY)
         if span is not None and span.trace_id is not None:
             trace_id, span_id = span.trace_id, span.span_id
         elif append_span is not None:
             trace_id, span_id = append_span.trace_id, append_span.span_id
         else:
             trace_id = span_id = None
-        protected = 0
-        append_entry = self._append_entry
-        for volume_id, block, payload, version, checksum in writes:
-            entry = append_entry(volume_id, block, payload, version,
-                                 trace_id=trace_id, span_id=span_id,
-                                 checksum=checksum)
-            if entry is not None:
-                protected += 1
+        protected = 0 if self.suspended else self.main_journal.append_many(
+            writes, self.sim.now, trace_id, span_id)
+        # suspended, or the journal filled at write ``protected``: the
+        # rest take the per-entry path, which suspends on the overflow
+        # and marks every unprotected write dirty
+        for volume_id, block, payload, version, checksum \
+                in writes[protected:]:
+            self._append_entry(
+                volume_id, block, payload, version,
+                trace_id=trace_id, span_id=span_id, checksum=checksum)
         if append_span is not None:
             tracer.finish(
                 append_span,
@@ -593,7 +605,7 @@ class JournalGroup:
         attempts = 0
         while self.suspended and attempts < REPAIR_MAX_ATTEMPTS:
             attempts += 1
-            yield self.sim.timeout(REPAIR_DELAY)
+            yield self.sim.sleep(REPAIR_DELAY)
             if not self.suspended:
                 return
             if not self.link.is_up:
@@ -639,7 +651,7 @@ class JournalGroup:
                         self.copy_skipped.increment()
                         continue
                     if rejournaled % lanes == 0:
-                        yield self.sim.timeout(JOURNAL_APPEND_LATENCY)
+                        yield self.sim.sleep(JOURNAL_APPEND_LATENCY)
                     entry = self._append_entry(
                         volume_id, block, value.payload, value.version,
                         trace_id=resync_span.trace_id,
@@ -679,8 +691,10 @@ class JournalGroup:
             return
         self._running = True
         if self._transfer_proc is None or not self._transfer_proc.alive:
+            loop = self._transfer_loop_windowed if \
+                self.config.transfer_window > 1 else self._transfer_loop_serial
             self._transfer_proc = self.sim.spawn(
-                self._transfer_loop(), name=f"jg-{self.group_id}.transfer")
+                loop(), name=f"jg-{self.group_id}.transfer")
         if self._restore_proc is None or not self._restore_proc.alive:
             self._restore_proc = self.sim.spawn(
                 self._restore_loop(), name=f"jg-{self.group_id}.restore")
@@ -712,12 +726,6 @@ class JournalGroup:
             return base
         return self.sim.rng.jitter(
             f"jg.{self.group_id}.{stream}", base, self.config.interval_jitter)
-
-    def _transfer_loop(self) -> Generator[object, object, None]:
-        if self.config.transfer_window > 1:
-            yield from self._transfer_loop_windowed()
-        else:
-            yield from self._transfer_loop_serial()
 
     @staticmethod
     def _coalesce_batch(batch: List[JournalEntry],
@@ -903,7 +911,7 @@ class JournalGroup:
         batch, wait out its full link delay, sleep, repeat."""
         config = self.config
         while self._running:
-            yield self.sim.timeout(
+            yield self.sim.sleep(
                 self._jittered(config.transfer_interval, "transfer"))
             if not self._running:
                 return
@@ -956,10 +964,11 @@ class JournalGroup:
                 ship, trusted=not self.integrity_rearmed, overhead=64)
             payload_bytes = encodings.wire_bytes
         else:
-            # inlined entry.size_bytes: the property call per entry
-            # shows up on the drain hot path
+            # entry.size_bytes summed without a Python-level call per
+            # entry: the payload lengths are taken in C
             encodings = None
-            payload_bytes = sum(len(entry.payload) + 64 for entry in ship)
+            payload_bytes = sum(map(len, map(_entry_payload, ship))) \
+                + 64 * len(ship)
         span = None
         tracer = self.tracer
         if tracer.enabled:
@@ -1013,7 +1022,7 @@ class JournalGroup:
                     covered += len(batch)
             if not inflight:
                 last_done = None
-                yield self.sim.timeout(
+                yield self.sim.sleep(
                     self._jittered(config.transfer_interval, "transfer"))
                 if not self._running or not self._transfer_enabled:
                     return
@@ -1053,8 +1062,12 @@ class JournalGroup:
     def _restore_loop(self) -> Generator[object, object, None]:
         config = self.config
         gate = self.restore_gate
+        journal = self.backup_journal
+        # one entry per window for the serial applier, else the whole
+        # remaining batch budget (conflicts coalesce last-writer-wins)
+        serial = config.apply_lanes == 1
         while self._running:
-            yield self.sim.timeout(
+            yield self.sim.sleep(
                 self._jittered(config.restore_interval, "restore"))
             if not self._running:
                 return
@@ -1064,79 +1077,109 @@ class JournalGroup:
                     return
                 if not gate.is_open:
                     yield gate.wait()
-                window = self._pick_restore_window(
-                    config.restore_batch - applied)
+                # (rebinding ``window`` on the way out too releases the
+                # last window's entries before the loop sleeps)
+                if serial:
+                    head = journal.oldest_entry()
+                    window = () if head is None else (head,)
+                else:
+                    window = journal.peek_batch(
+                        config.restore_batch - applied)
                 if not window:
                     break
+                count = 1 if serial else len(window)
+                last = window[-1].sequence
                 self.applying = True
                 try:
                     yield from self._apply_window(window)
-                    self.backup_journal.pop_through(window[-1].sequence)
-                    self.restored_sequence = window[-1].sequence
+                    journal.pop_through(last)
+                    self.restored_sequence = last
                 finally:
                     self.applying = False
-                self.restored_count.increment(len(window))
+                self.restored_count.increment(count)
                 self._update_copy_states()
-                applied += len(window)
+                applied += count
 
-    def _pick_restore_window(self, limit: int) -> List[JournalEntry]:
-        """The next restore window: one entry for the serial applier
-        (``apply_lanes == 1``), else the whole remaining batch budget —
-        conflicts inside it coalesce last-writer-wins."""
-        return self.backup_journal.peek_batch(
-            1 if self.config.apply_lanes == 1 else limit)
+    def _apply_target(self, entry: JournalEntry, verify: bool):
+        """The per-entry restore decision: the secondary volume the
+        entry installs into, or the ``(status, attrs)`` outcome of an
+        apply that ends without a media write."""
+        if verify and not entry.verify_checksum():
+            # corruption inside the journal volume (torn/bit-rotted
+            # write): quarantine before the media write — the payload
+            # never reaches the secondary volume
+            self._quarantine_entry(entry, where="journal")
+            return _APPLY_INTEGRITY
+        svol = self._svol_by_pvol.get(entry.volume_id)
+        if svol is None:
+            # pair deleted while entries were in flight
+            return _APPLY_PAIR_DELETED
+        if svol.versions.get(entry.block, 0) >= entry.version:
+            # already applied (resync overlap)
+            return _APPLY_STALE
+        return svol
 
-    def _apply_window(self, window: List[JournalEntry],
+    def _apply_window(self, window: Sequence[JournalEntry],
                       ) -> Generator[object, object, None]:
         """Apply one window and commit it at a single instant.
 
-        One pass in sequence order makes the per-entry decisions —
-        integrity quarantine, pair-deleted skip, stale-version skip —
-        and coalesces same-(volume, block) conflicts last-writer-wins
-        (safe for the same reason wire coalescing is: the survivor is
-        the newest write of its address and versions per address are
-        monotone in sequence order).  The survivors' media writes
-        overlap, so the window costs the *max* of their apply costs
-        (copy-on-write preservation plus the write), waited out inline.
-        Nothing installs until the whole media time has elapsed, so
-        every externally observable image (snapshot-group creation,
-        failover promote, invariant checks, restore-point queries) is a
-        window-boundary cut.  The ``restore-apply`` spans — parented to
-        the span that journaled each entry (host-write / initial-copy /
-        resync; the context rode inside the entry across the site hop)
-        — are recorded as one block per window.
+        One pass in sequence order makes the per-entry decisions
+        (:meth:`_apply_target`) and coalesces same-(volume, block)
+        conflicts last-writer-wins (safe for the same reason wire
+        coalescing is: the survivor is the newest write of its address
+        and versions per address are monotone in sequence order).  The
+        survivors' media writes overlap, so the window costs the *max*
+        of their apply costs (copy-on-write preservation plus the
+        write), waited out inline.  Nothing installs until the whole
+        media time has elapsed, so every externally observable image
+        (snapshot-group creation, failover promote, invariant checks,
+        restore-point queries) is a window-boundary cut.  The
+        ``restore-apply`` spans — parented to the span that journaled
+        each entry (host-write / initial-copy / resync; the context
+        rode inside the entry across the site hop) — are recorded as
+        one block per window.  A one-entry window (the serial applier's,
+        :meth:`drain`'s) is the same sequence — decide, open the span
+        block, wait, install, close — over one row: nothing to coalesce,
+        so nothing is indexed.
         """
         tracer = self.tracer
         verify = self.config.verify_integrity and self.integrity_rearmed
-        svols_get = self._svol_by_pvol.get
+        block = None
+        if len(window) == 1:
+            entry = window[0]
+            target = self._apply_target(entry, verify)
+            skipped = type(target) is tuple
+            if tracer.enabled:
+                block = tracer.start_block(
+                    self._apply_spans,
+                    ((entry.trace_id, entry.span_id, entry.volume_id,
+                      entry.block, entry.sequence, entry.version),),
+                    {0: target} if skipped else None)
+            if not skipped:
+                rows = ((entry.block, entry.payload, entry.version,
+                         entry.checksum),)
+                delay = target.apply_delay(rows)
+                if delay > 0:
+                    yield self.sim.sleep(delay)
+                target.install_blocks(rows)
+            tracer.finish_block(block)
+            return
+        apply_target = self._apply_target
         early: Dict[int, tuple] = {}
         surviving: Dict[Tuple[int, int], tuple] = {}
         conflicts = 0
         for index, entry in enumerate(window):
-            if verify and not entry.verify_checksum():
-                # corruption inside the journal volume (torn/bit-rotted
-                # write): quarantine before the media write — the
-                # payload never reaches the secondary volume
-                self._quarantine_entry(entry, where="journal")
-                early[index] = _APPLY_INTEGRITY
-                continue
-            svol = svols_get(entry.volume_id)
-            if svol is None:
-                # pair deleted while entries were in flight
-                early[index] = _APPLY_PAIR_DELETED
-                continue
-            if svol.versions.get(entry.block, 0) >= entry.version:
-                # already applied (resync overlap)
-                early[index] = _APPLY_STALE
+            target = apply_target(entry, verify)
+            if type(target) is tuple:
+                early[index] = target
                 continue
             address = (entry.volume_id, entry.block)
             if address in surviving:
                 conflicts += 1
                 early[surviving.pop(address)[0]] = _APPLY_COALESCED
-            surviving[address] = (index, svol, entry)
+            surviving[address] = (index, target, entry)
         if conflicts and self.lane_conflicts is not None:
             self.lane_conflicts.increment(conflicts)
-        block = None
         if tracer.enabled:
             block = tracer.start_block(
                 self._apply_spans,
@@ -1150,16 +1193,16 @@ class JournalGroup:
         delay = max([svol.apply_delay(rows)
                      for svol, rows in by_svol.items()], default=0.0)
         if delay > 0:
-            yield self.sim.timeout(delay)
+            yield self.sim.sleep(delay)
         for svol, rows in by_svol.items():
             svol.install_blocks(rows)
         tracer.finish_block(block)
 
     def _update_copy_states(self) -> None:
-        for pair in self.pairs.values():
-            if not pair.initial_copy_done and \
-                    self.restored_sequence >= pair.copy_watermark:
-                pair.initial_copy_done = True
+        pending = self._copy_pending
+        while pending and \
+                self.restored_sequence >= pending[0].copy_watermark:
+            pending.pop(0).initial_copy_done = True
 
     def _sample_lag(self) -> None:
         now = self.sim.now
@@ -1188,11 +1231,11 @@ class JournalGroup:
         waited out so the drain never races it.
         """
         while self.applying:
-            yield self.sim.timeout(0.0001)
+            yield self.sim.sleep(0.0001)
         drain_span = self.tracer.start("journal-drain", group=self.group_id)
         applied = 0
         for entry in self.backup_journal.snapshot_entries():
-            yield from self._apply_window([entry])
+            yield from self._apply_window((entry,))
             self.backup_journal.pop_through(entry.sequence)
             self.restored_sequence = entry.sequence
             self.restored_count.increment()

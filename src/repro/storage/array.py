@@ -553,33 +553,38 @@ class StorageArray:
         self._check_alive()
         if not writes:
             return []
-        # validate everything and hash each payload once, up front —
-        # a bad write rejects the whole batch before any state changes
+        # pass 1 — validate everything and hash each payload once, up
+        # front: a bad write rejects the whole batch before any state
+        # changes.  What holds for a whole volume (it exists, hosts may
+        # write it, its capacity) is resolved at its first write.
         prepared = []
-        rows_by_volume: Dict[Volume, List[tuple]] = {}
+        touched: Dict[int, tuple] = {}
         for item in writes:
             if len(item) == 4:
                 volume_id, block, payload, write_tag = item
             else:
                 volume_id, block, payload = item
                 write_tag = tag
-            volume = self._require_volume(volume_id)
-            if not volume.writable_by_host:
-                raise VolumeError(
-                    f"volume {volume_id} is {volume.role.value}; host "
-                    "writes are rejected")
+            known = touched.get(volume_id)
+            if known is None:
+                volume = self._require_volume(volume_id)
+                if not volume.writable_by_host:
+                    raise VolumeError(
+                        f"volume {volume_id} is {volume.role.value}; host "
+                        "writes are rejected")
+                known = touched[volume_id] = (
+                    volume, [], volume.capacity_blocks)
+            volume, rows, capacity = known
             if not isinstance(payload, (bytes, bytearray)):
                 raise VolumeError(
                     f"{volume.name}: payload must be bytes, got "
                     f"{type(payload).__name__}")
-            volume.check_access(block)
+            if not 0 <= block < capacity:
+                volume.check_access(block)  # raises: out of range
             data = payload if type(payload) is bytes else bytes(payload)
             checksum = crc32(data)
-            prepared.append((volume, block, data, checksum, write_tag))
-            rows = rows_by_volume.get(volume)
-            if rows is None:
-                rows = rows_by_volume[volume] = []
             rows.append((block, data, None, checksum))
+            prepared.append((volume_id, block, data, checksum, write_tag))
         start = self.sim.now
         tracer = self.tracer
         span = None
@@ -589,33 +594,32 @@ class StorageArray:
         try:
             # one aggregated media wait: concurrent block writes (and
             # their pending copy-on-write preservations) overlap
-            delay = max(volume.apply_delay(rows)
-                        for volume, rows in rows_by_volume.items())
+            delay = max([volume.apply_delay(rows)
+                         for volume, rows, _capacity in touched.values()])
             if delay > 0:
-                yield self.sim.timeout(delay)
-            # install (latency already paid; per volume, input order),
-            # then collect the journal legs per routed group in ack order
-            versions = {volume: iter(volume.install_blocks(rows))
-                        for volume, rows in rows_by_volume.items()}
-            applied = []
+                yield self.sim.sleep(delay)
+            # pass 2 — install (latency already paid; per volume, input
+            # order), resolve each volume's route once, then deal every
+            # write, in ack order, its version, history row and leg
             journal_batches: Dict[JournalGroup, List[tuple]] = {}
+            legs: Dict[int, tuple] = {}
+            for volume_id, (volume, rows, _capacity) in touched.items():
+                route = self._route_by_pvol.get(volume_id)
+                batch = journal_batches.setdefault(route, []) \
+                    if isinstance(route, JournalGroup) else None
+                legs[volume_id] = (iter(volume.install_blocks(rows)),
+                                   batch, route)
+            applied = []
             sync_writes = []
-            for volume, block, data, checksum, write_tag in prepared:
-                version = next(versions[volume])
-                applied.append((volume.volume_id, block, version,
-                                write_tag))
-                route = self._route_by_pvol.get(volume.volume_id)
-                if route is None:
-                    continue
-                if isinstance(route, JournalGroup):
-                    batch = journal_batches.get(route)
-                    if batch is None:
-                        batch = journal_batches[route] = []
-                    batch.append((volume.volume_id, block, data, version,
-                                  checksum))
-                else:
-                    sync_writes.append((route, volume.volume_id, block,
-                                        data, version))
+            for volume_id, block, data, checksum, write_tag in prepared:
+                versions, batch, route = legs[volume_id]
+                version = next(versions)
+                applied.append((volume_id, block, version, write_tag))
+                if batch is not None:
+                    batch.append((volume_id, block, data, version, checksum))
+                elif route is not None:
+                    sync_writes.append((route, volume_id, block, data,
+                                        version))
             for group, batch in journal_batches.items():
                 yield from group.journal_append_many(batch, span=span)
             for route, volume_id, block, data, version in sync_writes:
@@ -627,9 +631,7 @@ class StorageArray:
                 tracer.finish(span, status="error")
             raise
         now = self.sim.now
-        history_append = self.history.append
-        records = [history_append(now, volume_id, block, version, write_tag)
-                   for volume_id, block, version, write_tag in applied]
+        records = self.history.append_many(now, applied)
         # every write of the batch acked with the batch's latency: one
         # sample per write keeps sample counts equal to host_writes
         count = len(records)
@@ -697,7 +699,7 @@ class StorageArray:
             for journal_group in groups:
                 journal_group.quiesce_restore()
             while any(journal_group.applying for journal_group in groups):
-                yield self.sim.timeout(self.config.media.write_latency)
+                yield self.sim.sleep(self.config.media.write_latency)
         try:
             snapshots = []
             for volume in volumes:

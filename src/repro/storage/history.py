@@ -16,7 +16,7 @@ it never influences the data path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(slots=True)
@@ -70,6 +70,22 @@ class WriteHistory:
         self._by_version[(volume_id, version)] = record
         self._view = None
         return record
+
+    def append_many(self, time: float, writes: Sequence[tuple],
+                    ) -> List[WriteRecord]:
+        """Record a batch of writes acked at one instant: ``writes`` is
+        ``(volume_id, block, version, tag)`` rows in ack order.  Returns
+        the records :meth:`append` would have built one by one."""
+        records = self._records
+        new = [WriteRecord(seq, time, volume_id, block, version, tag)
+               for seq, (volume_id, block, version, tag)
+               in enumerate(writes, len(records))]
+        records += new
+        by_version = self._by_version
+        for record in new:
+            by_version[(record.volume_id, record.version)] = record
+        self._view = None
+        return new
 
     def __len__(self) -> int:
         return len(self._records)

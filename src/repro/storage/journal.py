@@ -28,7 +28,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 
 def payload_checksum(payload: bytes) -> int:
@@ -181,6 +181,38 @@ class JournalVolume:
         if occupancy >= self.peak_entries:
             self.peak_entries = occupancy + 1
         return entry
+
+    def append_many(self, writes: Sequence[tuple], time: float,
+                    trace_id: Optional[str] = None,
+                    span_id: Optional[str] = None) -> int:
+        """Append ``(volume_id, block, payload, version, checksum)``
+        rows in order, each as :meth:`append` would, for **as many as
+        fit**; returns that count (the caller sends the first row that
+        did not fit through :meth:`append`, which reports the overflow).
+        """
+        ring = self._ring
+        occupancy = len(ring) - self._head
+        count = min(len(writes), self.capacity_entries - occupancy)
+        if count <= 0:
+            return 0
+        first = self._next_sequence
+        sizes = []
+        for sequence, (volume_id, block, payload, version, checksum) \
+                in enumerate(writes[:count], first):
+            data = payload if type(payload) is bytes else bytes(payload)
+            if checksum is None:
+                checksum = payload_checksum(data)
+            ring.append(JournalEntry(
+                sequence, volume_id, block, data, version, time,
+                checksum, trace_id, span_id))
+            sizes.append(len(data) + 64)
+        self._sizes += sizes
+        self.bytes_retained += sum(sizes)
+        self._next_sequence = first + count
+        self.head_sequence = first + count - 1
+        if occupancy + count > self.peak_entries:
+            self.peak_entries = occupancy + count
+        return count
 
     def ingest_batch(self, entries: List[JournalEntry]) -> int:
         """Accept one transferred batch at the backup site; returns the

@@ -170,7 +170,7 @@ class SyncMirror:
                 reducer.account(path, negotiate_bytes)
             ack_delay = self.link.one_way_delay()
             if ack_delay > 0:
-                yield self.sim.timeout(ack_delay)
+                yield self.sim.sleep(ack_delay)
             stale = [(block, value) for block, value in chunk
                      if not pair.secondary_current(block, value.version)]
             if len(stale) < len(chunk):
@@ -214,7 +214,7 @@ class SyncMirror:
                 continue
             delay = svol.apply_delay(installs)
             if delay > 0:
-                yield self.sim.timeout(delay)
+                yield self.sim.sleep(delay)
             svol.install_blocks(installs)
 
     def initial_copy(self, pair_id: str) -> Generator[object, object, None]:
@@ -260,7 +260,7 @@ class SyncMirror:
             # The completion status travels back before the host ack.
             ack_delay = self.link.one_way_delay()
             if ack_delay > 0:
-                yield self.sim.timeout(ack_delay)
+                yield self.sim.sleep(ack_delay)
         except LinkDownError:
             # fingerprint state is void after any link failure
             self.reducer.invalidate()

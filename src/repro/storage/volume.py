@@ -204,7 +204,7 @@ class Volume:
         """Read one block; returns its payload or None if unallocated."""
         self.check_access(block)
         if self.media.read_latency > 0:
-            yield self.sim.timeout(self.media.read_latency)
+            yield self.sim.sleep(self.media.read_latency)
         self.reads += 1
         value = self.peek(block)
         if value is None:
@@ -233,7 +233,7 @@ class Volume:
         if self._cow_stamps.get(block, 0) < self._newest_live:
             yield from self._copy_on_write(block)
         if self.media.write_latency > 0:
-            yield self.sim.timeout(self.media.write_latency)
+            yield self.sim.sleep(self.media.write_latency)
         return self.install_block(block, payload, version, checksum)
 
     # -- latency-free installs (batched host writes, replication applies) ---
@@ -380,7 +380,7 @@ class Volume:
             if snap.deleted:
                 continue
             if self.media.cow_copy_latency > 0:
-                yield self.sim.timeout(self.media.cow_copy_latency)
+                yield self.sim.sleep(self.media.cow_copy_latency)
             if stamps.get(block, 0) < snap.generation:
                 if not snap.deleted:  # else pruned while the copy waited
                     snap.preimages[block] = self._row(block)
@@ -456,7 +456,7 @@ class SnapshotView:
         """Read from the overlay, the pre-images, or the base volume."""
         media = self.snapshot.base.media
         if media.read_latency > 0:
-            yield self.sim.timeout(media.read_latency)
+            yield self.sim.sleep(media.read_latency)
         self.reads += 1
         return self.snapshot.read_current(block)
 
@@ -466,7 +466,7 @@ class SnapshotView:
         """Write into the snapshot overlay (base volume untouched)."""
         media = self.snapshot.base.media
         if media.write_latency > 0:
-            yield self.sim.timeout(media.write_latency)
+            yield self.sim.sleep(media.write_latency)
         self.writes += 1
         return self.snapshot.write_overlay(block, bytes(payload))
 

@@ -55,7 +55,7 @@ class ArrayProbe:
 
     def _run(self) -> Generator[object, object, None]:
         while True:
-            yield self.sim.timeout(self.interval)
+            yield self.sim.sleep(self.interval)
             self.sample_once()
 
     # -- sampling ------------------------------------------------------------

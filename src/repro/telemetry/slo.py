@@ -276,7 +276,7 @@ class SloEngine:
 
     def _run(self) -> Generator[object, object, None]:
         while self._running:
-            yield self.sim.timeout(self.interval)
+            yield self.sim.sleep(self.interval)
             if not self._running:
                 return
             self.evaluate_once()

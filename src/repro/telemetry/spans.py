@@ -255,16 +255,17 @@ class Tracer:
         return span
 
     def start_block(self, schema: BlockSchema, rows: Sequence[tuple],
-                    early: Dict[int, Tuple[str, dict]],
+                    early: Optional[Dict[int, Tuple[str, dict]]] = None,
                     ) -> Optional[SpanBlock]:
         """Open ``len(rows)`` spans at this instant as one block: one
         :meth:`start` per ``(trace_id, parent_id, *values)`` row plus an
         immediate :meth:`finish` with ``status``/``attrs`` for each
-        ``early[index]``, in ``early``'s insertion order.  Returns None
-        while tracing is disabled.
+        ``early[index]`` (None: no span finishes early), in ``early``'s
+        insertion order.  Returns None while tracing is disabled.
         """
         if not self.enabled or not rows:
             return None
+        early = early or _EMPTY
         for row in rows:
             if row[0] is None:
                 # journaled while tracing was off: root a new trace each
@@ -273,7 +274,7 @@ class Tracer:
                         for row in rows]
                 break
         block = SpanBlock(schema, tuple(chain.from_iterable(rows)),
-                          early or _EMPTY, self._next_span, self._clock())
+                          early, self._next_span, self._clock())
         self._next_span += len(rows)
         if self.on_finish is not None:
             # the hook sees spans as they finish: nothing to defer

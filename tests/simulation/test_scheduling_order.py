@@ -10,8 +10,12 @@ pin that contract:
   ``timeout(0)``, ``call_after(0, ...)``, event-succeed callbacks and
   positive-delay timeouts against an embedded reference implementation
   of the old heap-only scheduler;
-* ``sim.sleep`` (the Timeout-free fast path) must produce histories
-  identical to ``yield sim.timeout`` for the same seed;
+* ``sim.sleep`` (the one way to pause) must produce histories
+  identical to ``yield sim.timeout`` in any population — all sleeps,
+  all timeouts or any mix, zero delays and equal instants included —
+  and each guard of its in-place clock advance (``until``, the
+  ``run_until_complete`` deadline, ``stop()``, a due heap entry, a
+  tombstone) must leave the schedule exactly the heap's;
 * ``run_until_complete(timeout=...)`` advances the clock to the
   deadline before raising, so repeated calls tile simulated time;
 * cancelled ``call_at`` tombstones are invisible: excluded from
@@ -26,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DeadlockError, SimTimeError
+from repro.errors import DeadlockError, Interrupted, SimTimeError
 from repro.simulation import Simulator
 
 # ---------------------------------------------------------------------------
@@ -101,6 +105,21 @@ class _RefAdapter:
         self.kernel.push(delay, event.succeed)
         return event
 
+    def spawn(self, index, waits, history):
+        """A process whose every wait is a timeout, whatever kind the
+        program drew: the reference a mixed population must match."""
+        def step(position):
+            if position == len(waits):
+                return
+
+            def resumed(_event):
+                history.append((index, position, self.now))
+                step(position + 1)
+
+            self.timeout_cb(waits[position][1], resumed)
+
+        self.kernel.push(0.0, lambda: step(0))  # spawn: a zero-delay resume
+
     def run(self):
         self.kernel.run()
 
@@ -127,6 +146,19 @@ class _RealAdapter:
         self.sim.call_after(delay, lambda: event.succeed())
         return event
 
+    def spawn(self, index, waits, history):
+        sim = self.sim
+
+        def process():
+            for position, (use_sleep, delay) in enumerate(waits):
+                if use_sleep:
+                    yield sim.sleep(delay)
+                else:
+                    yield sim.timeout(delay)
+                history.append((index, position, sim.now))
+
+        sim.spawn(process())
+
     def run(self):
         self.sim.run()
 
@@ -152,8 +184,15 @@ _PROGRAM = st.lists(
     st.tuples(_OP, st.lists(_OP, max_size=3)), min_size=1, max_size=12)
 
 
-def _build(adapter, program):
-    """Schedule ``program`` on ``adapter``; returns the firing log."""
+#: processes of 1-6 waits, each wait drawn as sleep or timeout
+_PROCESSES = st.lists(
+    st.lists(st.tuples(st.booleans(), _DELAYS), min_size=1, max_size=6),
+    min_size=1, max_size=4)
+
+
+def _build(adapter, program, processes=()):
+    """Schedule ``program`` and spawn ``processes`` on ``adapter``;
+    returns the firing log."""
     order = []
     counter = itertools.count()
 
@@ -175,6 +214,8 @@ def _build(adapter, program):
 
     for op, children in program:
         schedule(op, children)
+    for index, waits in enumerate(processes):
+        adapter.spawn(index, waits, order)
     return order
 
 
@@ -191,6 +232,23 @@ class TestHeapOnlyEquivalence:
         reference.run()
 
         assert real_order == ref_order
+
+    @settings(max_examples=300, deadline=None)
+    @given(program=st.lists(st.tuples(_OP, st.lists(_OP, max_size=2)),
+                            max_size=6),
+           processes=_PROCESSES)
+    def test_mixed_sleepers_fire_in_all_timeout_order(self, program,
+                                                      processes):
+        real = _RealAdapter()
+        real_order = _build(real, program, processes)
+        real.run()
+
+        reference = _RefAdapter()
+        ref_order = _build(reference, program, processes)
+        reference.run()
+
+        assert real_order == ref_order
+        assert real.now == reference.now
 
     def test_nowq_yields_to_older_heap_entry_at_same_instant(self):
         # a call_at sitting in the heap, due now, with an older seq
@@ -250,35 +308,168 @@ class TestSleepVsTimeout:
         with pytest.raises(SimTimeError):
             sim.sleep(-0.1)
 
+    @pytest.mark.parametrize(
+        "kinds", ["tt", "ss", "ts", "st", "tst", "sts"])
+    def test_equal_instants_wake_in_spawn_order(self, kinds):
+        # the regression: a queued sleep used to step at pop while a
+        # timeout took a second hop through the now-queue, so in "ts"
+        # the sleeper (spawned second) finished first
+        sim = Simulator(seed=1)
+        finished = []
 
-class TestRunUntilCompleteTiling:
-    def test_timeout_advances_clock_to_deadline(self):
+        def proc(sim, index, kind):
+            yield sim.sleep(1.0) if kind == "s" else sim.timeout(1.0)
+            finished.append(index)
+
+        for index, kind in enumerate(kinds):
+            sim.spawn(proc(sim, index, kind))
+        sim.run()
+        assert finished == list(range(len(kinds)))
+
+    def test_stale_resume_does_not_wake_a_sleeper(self):
+        # an event delivery and an interrupt land at one instant: the
+        # delivery consumes the interrupt, the interrupt's own resume
+        # arrives afterwards with nothing to deliver and must not cut
+        # the sleep the handler started (it never cut a timeout)
+        sim = Simulator(seed=1)
+        event = sim.event()
+        log = []
+
+        def waiter(sim):
+            try:
+                yield event
+            except Interrupted:
+                log.append(("interrupted", sim.now))
+            yield sim.sleep(5.0)
+            log.append(("woke", sim.now))
+
+        process = sim.spawn(waiter(sim))
+
+        def both():
+            event.succeed()
+            process.interrupt()
+
+        sim.call_after(1.0, both)
+        sim.run()
+        assert log == [("interrupted", 1.0), ("woke", 6.0)]
+
+
+class TestFastForwardGuards:
+    """A lone sleeper advances the clock in place; every condition that
+    forbids it must leave exactly the queued schedule."""
+
+    def test_run_until_lands_inside_a_sleep(self):
+        sim = Simulator(seed=1)
+        woke = []
+
+        def proc(sim):
+            yield sim.sleep(10.0)
+            woke.append(sim.now)
+
+        process = sim.spawn(proc(sim))
+        assert sim.run(until=4.0) == 4.0
+        assert process.alive and not woke
+        sim.run()
+        assert woke == [10.0]  # the original instant, not 4 + 10
+
+    def test_stop_inside_a_step_is_honoured_before_the_next_pause(self):
+        sim = Simulator(seed=1)
+        woke = []
+
+        def proc(sim):
+            sim.stop()
+            yield sim.sleep(5.0)
+            woke.append(sim.now)
+
+        sim.spawn(proc(sim))
+        assert sim.run() == 0.0
+        assert not woke
+        assert sim.run() == 5.0
+        assert woke == [5.0]
+
+    def test_interrupt_drops_a_queued_sleepers_stale_wake(self):
+        sim = Simulator(seed=1)
+        log = []
+
+        def interrupter(sim, victim):
+            yield sim.sleep(2.0)
+            victim[0].interrupt()
+
+        def sleeper(sim):
+            try:
+                yield sim.sleep(10.0)  # queued: the interrupter is due first
+            except Interrupted:
+                log.append(("interrupted", sim.now))
+            yield sim.sleep(20.0)  # the abandoned wake at 10 must not end it
+            log.append(("woke", sim.now))
+
+        victim = []
+        sim.spawn(interrupter(sim, victim))
+        victim.append(sim.spawn(sleeper(sim)))
+        sim.run()
+        assert log == [("interrupted", 2.0), ("woke", 22.0)]
+
+    def test_tombstone_ahead_of_the_wake_changes_nothing(self):
+        sim = Simulator(seed=1)
+        seen = []
+        sim.call_after(1.0, lambda: seen.append("cancelled")).cancel()
+
+        def proc(sim, index):
+            yield sim.sleep(2.0)
+            seen.append((index, sim.now))
+
+        sim.spawn(proc(sim, 0))
+        sim.spawn(proc(sim, 1))
+        assert sim.run(until=1.5) == 1.5  # not pulled to the tombstone
+        assert seen == []
+        sim.run()
+        assert seen == [(0, 2.0), (1, 2.0)]
+
+    def test_deadlock_after_a_sleep_is_still_reported(self):
         sim = Simulator(seed=1)
 
         def proc(sim):
-            yield sim.timeout(100.0)
+            yield sim.sleep(1.0)
+            yield sim.event()
 
-        with pytest.raises(SimTimeError):
-            sim.run_until_complete(sim.spawn(proc(sim)), timeout=1.0)
+        with pytest.raises(DeadlockError):
+            sim.run_until_complete(sim.spawn(proc(sim)))
         assert sim.now == 1.0
+
+
+class TestRunUntilCompleteTiling:
+    """Both ways of waiting: a lone sleeper is the in-place clock
+    advance's candidate, and the deadline must stop it too."""
+
+    @staticmethod
+    def _pausing(use_sleep):
+        sim = Simulator(seed=1)
+
+        def proc(sim):
+            yield sim.sleep(100.0) if use_sleep else sim.timeout(100.0)
+
+        return sim, sim.spawn(proc(sim))
+
+    def test_timeout_advances_clock_to_deadline(self):
+        for use_sleep in (False, True):
+            sim, process = self._pausing(use_sleep)
+            with pytest.raises(SimTimeError):
+                sim.run_until_complete(process, timeout=1.0)
+            assert sim.now == 1.0  # the deadline, not the wake beyond it
 
     def test_repeated_timeouts_tile_time(self):
         # the regression: before the fix the clock stuck at the last
         # *event* time, so back-to-back timeouts measured from a stale
         # now and the deadlines drifted earlier than wall of the caller
-        sim = Simulator(seed=1)
-
-        def proc(sim):
-            yield sim.timeout(100.0)
-
-        process = sim.spawn(proc(sim))
-        for expected in (1.0, 2.5, 3.5):
-            with pytest.raises(SimTimeError):
-                sim.run_until_complete(
-                    process, timeout=expected - sim.now)
-            assert sim.now == expected
-        # the same tiling run(until=...) guarantees
-        assert sim.run(until=4.0) == 4.0
+        for use_sleep in (False, True):
+            sim, process = self._pausing(use_sleep)
+            for expected in (1.0, 2.5, 3.5):
+                with pytest.raises(SimTimeError):
+                    sim.run_until_complete(
+                        process, timeout=expected - sim.now)
+                assert sim.now == expected
+            # the same tiling run(until=...) guarantees
+            assert sim.run(until=4.0) == 4.0
 
 
 class TestCancelledTombstones:

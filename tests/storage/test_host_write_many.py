@@ -141,34 +141,45 @@ class TestBatchSemantics:
         assert [r.tag for r in records] == ["bulk", "special"]
 
     def test_invalid_write_rejects_whole_batch(self, sim):
-        """Validation runs before any state changes: one bad write means
-        nothing is installed, journaled or acked."""
-        site, group, pvol, _svol = build_pair(sim)
-
-        def bad_volume():
-            yield from site.main.host_write_many(
-                [(pvol.volume_id, 0, b"ok"), (9999, 1, b"bad")])
-
-        with pytest.raises(VolumeError):
-            run(sim, bad_volume())
-
-        def bad_payload():
-            yield from site.main.host_write_many(
-                [(pvol.volume_id, 0, b"ok"), (pvol.volume_id, 1, "str")])
-
-        with pytest.raises(VolumeError):
-            run(sim, bad_payload())
-
-        def bad_block():
-            yield from site.main.host_write_many(
-                [(pvol.volume_id, 0, b"ok"), (pvol.volume_id, 10_000,
-                                              b"oob")])
-
-        with pytest.raises(VolumeError):
-            run(sim, bad_block())
-        assert len(site.main.history) == 0
-        assert pvol.peek(0) is None
+        """Validation runs before any state changes: a bad write — even
+        the *last* one, behind good writes to two volumes — means
+        nothing is installed, journaled, acked, counted or traced."""
+        site, group, pvol, svol = build_pair(sim)
+        plain = site.main.create_volume(site.main_pool_id, 64)
+        offline = site.main.create_volume(site.main_pool_id, 64)
+        offline.block_volume()
+        spare = site.backup.create_volume(site.backup_pool_id, 64)
+        good = [(pvol.volume_id, 0, b"ok"), (plain.volume_id, 1, b"ok"),
+                (pvol.volume_id, 2, b"ok")]
+        # the S-VOL lives on the backup array, where hosts may not
+        # write it; every other rejection is the main array's
+        rejections = {
+            "unknown volume": (site.main, good, (9999, 3, b"bad")),
+            "svol role": (site.backup, [(spare.volume_id, 0, b"ok")],
+                          (svol.volume_id, 3, b"bad")),
+            "offline volume": (site.main, good,
+                               (offline.volume_id, 3, b"bad")),
+            "non-bytes payload": (site.main, good,
+                                  (pvol.volume_id, 3, "str")),
+            "out-of-range block": (site.main, good,
+                                   (pvol.volume_id, 10_000, b"oob")),
+        }
+        tracer = sim.telemetry.tracer
+        spans_before = len(tracer)
+        for kind, (array, accepted, bad) in rejections.items():
+            with pytest.raises(VolumeError):
+                run(sim, array.host_write_many(accepted + [bad]))
+            assert len(array.history) == 0, kind
+            assert array.host_writes.value == 0, kind
+            assert len(array.write_latency) == 0, kind
+        assert spare.used_blocks == 0
+        assert pvol.used_blocks == plain.used_blocks == 0
+        assert pvol.version_counter == plain.version_counter == 0
+        assert svol.used_blocks == offline.used_blocks == 0
         assert len(group.main_journal) == 0
+        assert group.main_journal.head_sequence == -1
+        assert len(tracer) == spans_before
+        assert sim.now == 0.0  # rejected before the media wait
 
     def test_checksum_rides_into_journal_and_block(self, sim):
         """The CRC32 is computed once and threaded end-to-end."""

@@ -238,13 +238,23 @@ class TestLaneConfigAndMetrics:
 
     def test_window_is_one_entry_or_the_whole_batch(self):
         for lanes, expected in ((1, 1), (2, 5), (8, 5)):
-            _sim, _main, _backup, group, _link, pvols, _svols = \
+            sim, _main, _backup, group, _link, pvols, _svols = \
                 build_laned_pair(5, lanes)
             journal = group.main_journal
             group.backup_journal.ingest_batch(
                 [journal.append(pvols[0].volume_id, block % 2, b"x",
                                 block + 1, 0.0) for block in range(5)])
-            assert len(group._pick_restore_window(8)) == expected
+            group.stop_transfer()
+            windows = []
+            apply_window = group._apply_window
+
+            def recording(window):
+                windows.append(len(window))
+                return apply_window(window)
+
+            group._apply_window = recording
+            sim.run(until=0.05)
+            assert windows == [expected] * (5 // expected)
 
     def test_serial_group_registers_no_lane_metrics(self):
         """Digest neutrality: lanes=1 must not register new series."""
@@ -270,3 +280,147 @@ class TestLaneConfigAndMetrics:
         sim.run_until_complete(sim.spawn(writer()))
         drain(sim, group)
         assert group.lane_conflicts.value >= 1
+
+
+# ---------------------------------------------------------------------------
+# the one-entry window: same decisions, same spans, same image
+# ---------------------------------------------------------------------------
+
+#: what the middle entry of a three-entry backlog runs into
+OUTCOMES = {
+    "ok": ("ok", None),
+    "stale": ("skipped", "stale version"),
+    "pair deleted": ("skipped", "pair deleted"),
+    "integrity": ("integrity", "checksum mismatch"),
+}
+
+
+def build_backlog(outcome, lanes):
+    """A stopped group whose backup journal holds three entries, the
+    middle one about to meet ``outcome``; returns (sim, group, svol)."""
+    sim = Simulator(seed=9)
+    adc = fast_adc(apply_lanes=lanes, auto_repair=False)
+    config = ArrayConfig(adc=adc)
+    main = StorageArray(sim, serial="M", config=config)
+    backup = StorageArray(sim, serial="B", config=config)
+    main_pool, backup_pool = main.create_pool(1000), backup.create_pool(1000)
+    link = NetworkLink(sim, latency=0.002, name="olink")
+    group = main.create_journal_group(
+        "jg-o", main.create_journal(main_pool.pool_id, 100).journal_id,
+        backup, backup.create_journal(backup_pool.pool_id, 100).journal_id,
+        link)
+    pvol = main.create_volume(main_pool.pool_id, 16)
+    svol = backup.create_volume(backup_pool.pool_id, 16)
+    main.create_async_pair("po", "jg-o", pvol.volume_id, backup,
+                           svol.volume_id)
+    group.stop()
+    sim.run(until=0.01)  # both loops have exited
+    middle = 9999 if outcome == "pair deleted" else pvol.volume_id
+    journal = group.main_journal
+    entries = [journal.append(pvol.volume_id, 0, b"first", 1, sim.now),
+               journal.append(middle, 1, b"middle", 2, sim.now),
+               journal.append(pvol.volume_id, 2, b"last", 3, sim.now)]
+    journal.clear()  # nothing left for the transfer side
+    group.backup_journal.ingest_batch(entries)
+    if outcome == "stale":
+        # the same version: the boundary of the stale test
+        svol.install_block(1, b"resynced", version=2)
+    if outcome == "integrity":
+        group.backup_journal.corrupt_entry(1)
+    return sim, group, svol
+
+
+def apply_backlog(outcome, via):
+    """Apply :func:`build_backlog` ``via`` the serial restore loop or
+    ``drain()`` (one-entry windows) or as one multi-entry window;
+    returns what an observer can see afterwards."""
+    sim, group, svol = build_backlog(outcome, 8 if via == "window" else 1)
+    if via == "drain":
+        sim.run_until_complete(sim.spawn(group.drain()))
+    else:
+        group.start()
+        sim.run(until=sim.now + 0.05)
+    assert len(group.backup_journal) == 0
+    spans = [(span.status, span.attrs)
+             for span in sim.telemetry.tracer.named("restore-apply")]
+    return (image_of(svol), spans, group.restored_sequence,
+            group.restored_count.value, group.suspended,
+            [entry.sequence for entry in group.quarantine])
+
+
+class TestOneEntryWindow:
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_each_outcome_equals_the_multi_entry_window(self, outcome):
+        window = apply_backlog(outcome, "window")
+        assert apply_backlog(outcome, "loop") == window
+        assert apply_backlog(outcome, "drain") == window
+        _image, spans, restored, count, suspended, quarantined = window
+        status, reason = OUTCOMES[outcome]
+        assert [s for s, _attrs in spans] == ["ok", status, "ok"]
+        assert spans[1][1].get("reason") == reason
+        assert spans[1][1]["applied"] is (outcome == "ok")
+        assert (restored, count) == (2, 3)
+        assert suspended is (outcome == "integrity")
+        assert quarantined == ([1] if outcome == "integrity" else [])
+
+    @pytest.mark.parametrize("lanes", [1, 8])
+    def test_nothing_installs_before_the_media_wait_ends(self, lanes):
+        sim, group, svol = build_backlog("ok", lanes)
+        samples = []
+
+        def observer(sim):
+            while len(group.backup_journal):
+                samples.append((group.applying, svol.used_blocks,
+                                group.restored_sequence))
+                yield sim.sleep(0.00005)
+
+        group.start()
+        sim.run_until_complete(sim.spawn(observer(sim)))
+        assert any(applying for applying, _used, _restored in samples)
+        for applying, used, restored in samples:
+            # mid-window the image is still the last boundary's cut
+            assert used == (restored + 1 if lanes == 1 else 0)
+
+    @pytest.mark.parametrize("pairs", [1, 64])
+    def test_initial_copy_done_flips_as_restore_passes_the_watermark(
+            self, pairs):
+        sim = Simulator(seed=3)
+        config = ArrayConfig(adc=fast_adc(restore_batch=16))
+        main = StorageArray(sim, serial="M", config=config)
+        backup = StorageArray(sim, serial="B", config=config)
+        main_pool = main.create_pool(100_000)
+        backup_pool = backup.create_pool(100_000)
+        link = NetworkLink(sim, latency=0.002, name="clink")
+        group = main.create_journal_group(
+            "jg-c", main.create_journal(main_pool.pool_id, 1000).journal_id,
+            backup,
+            backup.create_journal(backup_pool.pool_id, 1000).journal_id,
+            link)
+        group.stop()  # pair up first: every initial copy is outstanding
+        for index in range(pairs):
+            pvol = main.create_volume(main_pool.pool_id, 8)
+            svol = backup.create_volume(backup_pool.pool_id, 8)
+            for block in range(1 + index % 3):
+                pvol.install_block(block, b"seed-%d" % index)
+            main.create_async_pair(f"pc-{index}", "jg-c", pvol.volume_id,
+                                   backup, svol.volume_id)
+        assert len(group._copy_pending) == pairs
+        windows, flipped = [], {}
+        update_copy_states = group._update_copy_states
+
+        def recording_update():
+            update_copy_states()
+            windows.append((sim.now, group.restored_sequence))
+            for pair in group.pairs.values():
+                if pair.initial_copy_done:
+                    flipped.setdefault(pair.pair_id, windows[-1])
+
+        group._update_copy_states = recording_update
+        group.start()
+        drain(sim, group)
+        assert not group._copy_pending
+        for pair in group.pairs.values():
+            # the rule the per-window walk over every pair implemented
+            expected = next(window for window in windows
+                            if window[1] >= pair.copy_watermark)
+            assert flipped[pair.pair_id] == expected, pair.pair_id

@@ -121,6 +121,22 @@ class TestTracerUnit:
         assert (open_span.end, open_span.attrs) == (
             2.0, {"n": 7, "applied": True})
 
+    def test_block_without_early_finishes_under_an_on_finish_hook(self):
+        """``early=None`` means no span finishes early — with the hook
+        installed too (it used to be iterated raw there: a TypeError
+        inside the restore process, i.e. a silently dead applier)."""
+        clock = {"now": 1.0}
+        seen = []
+        tracer = Tracer(clock=lambda: clock["now"], on_finish=seen.append)
+        block = tracer.start_block(
+            BlockSchema("r", {}, ("n",), {"applied": True}),
+            [("t1", "s9", 7)], None)
+        assert seen == []
+        clock["now"] = 2.0
+        tracer.finish_block(block)
+        assert [(span.end, span.attrs) for span in seen] == [
+            (2.0, {"n": 7, "applied": True})]
+
     def test_deterministic_ids(self):
         _clock, tracer = self._tracer()
         first = tracer.start("a")
