@@ -28,7 +28,7 @@ from repro.scenarios import (  # noqa: E402
     BusinessConfig, SystemConfig, build_system,
     deploy_business_process, run_demo)
 from repro.operator import (  # noqa: E402
-    TAG_CONSISTENT, TAG_INDEPENDENT, TAG_KEY, TAG_SUSPEND,
+    TAG_CONSISTENT, TAG_INDEPENDENT, TAG_KEY,
     install_namespace_operator)
 from repro.recovery import fail_and_recover  # noqa: E402
 
@@ -39,7 +39,6 @@ __all__ = [
     "TAG_CONSISTENT",
     "TAG_INDEPENDENT",
     "TAG_KEY",
-    "TAG_SUSPEND",
     "__version__",
     "build_system",
     "deploy_business_process",

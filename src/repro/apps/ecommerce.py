@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Sequence, Tuple
+from typing import Dict, Generator, List, Sequence
 
 from repro.errors import DatabaseError
 from repro.apps.minidb.engine import MiniDB
@@ -171,72 +171,6 @@ class EcommerceApp:
         return OrderResult(gtid=dtx.gtid, accepted=True, item_id=item_id,
                            qty=qty, latency=outcome.latency)
 
-    def place_basket_order(self, lines: Sequence[Tuple[str, int]],
-                           ) -> Generator[object, object, OrderResult]:
-        """One order spanning several items (a shopping basket).
-
-        All-or-nothing: if any line's stock is insufficient the whole
-        basket aborts.  Contended stock keys are locked in sorted item
-        order — the discipline that keeps concurrent baskets
-        deadlock-free (see the module docstring).
-        """
-        if not lines:
-            raise DatabaseError("basket must contain at least one line")
-        merged: Dict[str, int] = {}
-        for item_id, qty in lines:
-            if qty < 1:
-                raise DatabaseError(
-                    f"line quantity must be >= 1: {item_id}={qty}")
-            merged[item_id] = merged.get(item_id, 0) + qty
-        dtx = self.coordinator.begin()
-        try:
-            unknown = [item_id for item_id in merged
-                       if item_id not in self.catalog]
-            if unknown:
-                yield from dtx.abort()
-                self.orders_rejected += 1
-                return OrderResult(gtid=dtx.gtid, accepted=False,
-                                   item_id=unknown[0],
-                                   qty=merged[unknown[0]], latency=0.0,
-                                   reason="unknown item")
-            current: Dict[str, int] = {}
-            for item_id in sorted(merged):  # sorted: deadlock freedom
-                raw = yield from dtx.get_for_update(STOCK,
-                                                    f"qty:{item_id}")
-                current[item_id] = int(raw) if raw is not None else 0
-            short = [item_id for item_id in sorted(merged)
-                     if current[item_id] < merged[item_id]]
-            if short:
-                outcome = yield from dtx.abort()
-                self.orders_rejected += 1
-                return OrderResult(gtid=dtx.gtid, accepted=False,
-                                   item_id=short[0],
-                                   qty=merged[short[0]],
-                                   latency=outcome.latency,
-                                   reason="insufficient stock")
-            amount = 0.0
-            basket = [{"item": item_id, "qty": merged[item_id]}
-                      for item_id in sorted(merged)]
-            for line in basket:
-                item_id, qty = line["item"], line["qty"]
-                yield from dtx.put(STOCK, f"qty:{item_id}",
-                                   str(current[item_id] - qty))
-                amount += self.catalog[item_id].unit_price * qty
-            yield from dtx.put(STOCK, f"mov:{dtx.gtid}", json.dumps(
-                {"lines": basket}, sort_keys=True))
-            yield from dtx.put(SALES, f"order:{dtx.gtid}", json.dumps(
-                {"lines": basket, "amount": round(amount, 2)},
-                sort_keys=True))
-            outcome = yield from dtx.commit()
-        except Exception:
-            dtx.dispose()  # crash cleanup: see place_order
-            raise
-        self.orders_accepted += 1
-        first = basket[0]
-        return OrderResult(gtid=dtx.gtid, accepted=True,
-                           item_id=first["item"], qty=first["qty"],
-                           latency=outcome.latency)
-
 
 # ---------------------------------------------------------------------------
 # State introspection shared by the consistency checker and analytics
@@ -247,9 +181,7 @@ class EcommerceApp:
 class BusinessState:
     """Decoded business content of (sales, stock) key-value states.
 
-    Orders and movements are normalised to the *lines* form regardless
-    of whether they were written by :meth:`EcommerceApp.place_order`
-    (single item) or :meth:`EcommerceApp.place_basket_order` (basket):
+    Orders and movements are normalised to the *lines* form:
     ``orders[gtid] = {"lines": [{"item", "qty"}, ...], "amount": x}``,
     ``movements[gtid] = {"lines": [...]}``.
     """
@@ -265,11 +197,7 @@ class BusinessState:
 
 
 def _normalise_lines(decoded: dict) -> List[dict]:
-    """Single-item and basket records share one canonical lines form."""
-    if "lines" in decoded:
-        return sorted(({"item": line["item"], "qty": line["qty"]}
-                       for line in decoded["lines"]),
-                      key=lambda line: line["item"])
+    """The canonical lines form of one single-item record."""
     return [{"item": decoded["item"], "qty": decoded["qty"]}]
 
 

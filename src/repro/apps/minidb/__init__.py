@@ -15,7 +15,7 @@ from repro.apps.minidb.recovery import (RecoveredState, recover_database,
                                         scan_coordinator_decisions)
 from repro.apps.minidb.twophase import (DistributedOutcome,
                                         DistributedTransaction,
-                                        TwoPhaseCoordinator, WriteOp)
+                                        TwoPhaseCoordinator)
 from repro.apps.minidb.wal import WalRecord, WalWriter, read_log
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "ViewBlockDevice",
     "WalRecord",
     "WalWriter",
-    "WriteOp",
     "bucket_for_key",
     "read_log",
     "recover_database",

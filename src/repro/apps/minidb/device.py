@@ -6,7 +6,7 @@ three implementations:
 * :class:`ArrayBlockDevice` — the production path: host reads/writes
   through a :class:`~repro.storage.array.StorageArray`, so every commit
   lands in the array's ack history and rides the replication pipeline;
-* :class:`ViewBlockDevice` — recovery/analytics path: direct access to a
+* :class:`ViewBlockDevice` — recovery/analytics path: direct reads of a
   :class:`~repro.storage.volume.Volume` or
   :class:`~repro.storage.volume.SnapshotView` (used when mounting
   promoted secondaries or snapshot images at the backup site);
@@ -89,16 +89,16 @@ class ArrayBlockDevice(BlockDevice):
 
 
 class ViewBlockDevice(BlockDevice):
-    """Direct access to a volume or snapshot view (no host path).
+    """Direct read access to a volume or snapshot view (no host path).
 
     Used for mounting backup images: the volume objects of a promoted
-    secondary, or a snapshot view, without the array's host-write role
-    checks (the recovery tooling owns the image).
+    secondary, or a snapshot view (the recovery tooling owns the
+    image).
     """
 
     def __init__(self, view) -> None:
-        # ``view`` is any object with read_block/write_block generators
-        # and capacity_blocks (Volume and SnapshotView both qualify).
+        # ``view`` is any object with a read_block generator and
+        # capacity_blocks (Volume and SnapshotView both qualify).
         self.view = view
         self.sim = getattr(view, "sim", None)
         self.capacity_blocks = view.capacity_blocks
@@ -107,11 +107,6 @@ class ViewBlockDevice(BlockDevice):
                    ) -> Generator[object, object, Optional[bytes]]:
         payload = yield from self.view.read_block(block)
         return payload
-
-    def write_block(self, block: int, payload: bytes,
-                    tag: Optional[str] = None,
-                    ) -> Generator[object, object, None]:
-        yield from self.view.write_block(block, payload)
 
     def __repr__(self) -> str:
         return f"<ViewBlockDevice over {self.view!r}>"

@@ -100,10 +100,6 @@ class LockManager:
         for key in self._held.pop(txn_id, set()):
             self._locks[key].release()
 
-    def holds(self, txn_id: str, key: str) -> bool:
-        """True while ``txn_id`` owns ``key``."""
-        return key in self._held.get(txn_id, set())
-
 
 @dataclass
 class Transaction:

@@ -48,16 +48,6 @@ from repro.apps.minidb.engine import PREPARED, MiniDB, Transaction
 
 
 @dataclass(frozen=True)
-class WriteOp:
-    """One blind write of a distributed transaction."""
-
-    db_name: str
-    key: str
-    #: None encodes a delete
-    value: Optional[str]
-
-
-@dataclass(frozen=True)
 class DistributedOutcome:
     """Result of one distributed transaction."""
 
@@ -106,12 +96,6 @@ class DistributedTransaction:
         txn = self._branch(db_name)
         yield from self.coordinator.participant(db_name).put(
             txn, key, value)
-
-    def delete(self, db_name: str, key: str,
-               ) -> Generator[object, object, None]:
-        """Buffer a delete on ``db_name``."""
-        txn = self._branch(db_name)
-        yield from self.coordinator.participant(db_name).delete(txn, key)
 
     # -- outcome ------------------------------------------------------------
 
@@ -268,22 +252,3 @@ class TwoPhaseCoordinator:
     def begin(self, gtid: Optional[str] = None) -> DistributedTransaction:
         """Start a distributed transaction."""
         return DistributedTransaction(self, gtid or self.next_gtid())
-
-    def execute(self, writes: Sequence[WriteOp],
-                gtid: Optional[str] = None,
-                ) -> Generator[object, object, DistributedOutcome]:
-        """Convenience: run a blind-write transaction to completion.
-
-        Writes are applied in sorted (db, key) order for deadlock
-        freedom.
-        """
-        if not writes:
-            raise TwoPhaseCommitError("distributed transaction is empty")
-        dtx = self.begin(gtid)
-        for op in sorted(writes, key=lambda op: (op.db_name, op.key)):
-            if op.value is None:
-                yield from dtx.delete(op.db_name, op.key)
-            else:
-                yield from dtx.put(op.db_name, op.key, op.value)
-        outcome = yield from dtx.commit()
-        return outcome

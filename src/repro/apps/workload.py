@@ -23,6 +23,9 @@ from repro.telemetry.metrics import LatencyRecorder, LatencySummary
 #: make progress toward their deadline
 ZERO_PROGRESS_PACING = 0.0005
 
+#: an order asks for 1..MAX_ORDER_QTY units of one item
+MAX_ORDER_QTY = 3
+
 
 @dataclass(frozen=True)
 class PayloadProfile:
@@ -93,9 +96,6 @@ class WorkloadConfig:
 
     client_count: int = 4
     duration: float = 5.0
-    #: mean think time between a client's orders (0 = back-to-back)
-    mean_think_time: float = 0.0
-    max_order_qty: int = 3
     rng_prefix: str = "workload"
 
     def __post_init__(self) -> None:
@@ -103,10 +103,6 @@ class WorkloadConfig:
             raise ValueError("client_count must be >= 1")
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
-        if self.mean_think_time < 0:
-            raise ValueError("mean_think_time must be >= 0")
-        if self.max_order_qty < 1:
-            raise ValueError("max_order_qty must be >= 1")
 
 
 @dataclass
@@ -160,13 +156,10 @@ def run_order_workload(sim: Simulator, app: EcommerceApp,
         while not stop and sim.now < deadline:
             before = sim.now
             item_id = sim.rng.choice(stream, item_ids)
-            qty = sim.rng.randint(stream, 1, config.max_order_qty)
+            qty = sim.rng.randint(stream, 1, MAX_ORDER_QTY)
             result = yield from app.place_order(item_id, qty)
             results.append(result)
-            if config.mean_think_time > 0:
-                yield sim.sleep(sim.rng.expovariate(
-                    stream, 1.0 / config.mean_think_time))
-            elif sim.now == before:
+            if sim.now == before:
                 # zero-latency iteration (instant rejection or in-memory
                 # devices): pace minimally so the loop cannot spin at one
                 # simulated instant
@@ -211,7 +204,7 @@ class BackgroundLoad:
     """
 
     def __init__(self, sim: Simulator, app: EcommerceApp,
-                 client_count: int = 4, max_order_qty: int = 3,
+                 client_count: int = 4,
                  rng_prefix: str = "bgload") -> None:
         from repro.errors import ReproError
         self.sim = sim
@@ -225,7 +218,7 @@ class BackgroundLoad:
             while not self._stopped:
                 before = sim.now
                 item_id = sim.rng.choice(stream, item_ids)
-                qty = sim.rng.randint(stream, 1, max_order_qty)
+                qty = sim.rng.randint(stream, 1, MAX_ORDER_QTY)
                 try:
                     result = yield from app.place_order(item_id, qty)
                 except ReproError:

@@ -11,7 +11,7 @@ from repro.bench.experiments import (run_d0_demo, run_e1_slowdown,
                                      run_e4_snapshot, run_e5_analytics,
                                      run_e6_downtime, run_e7_journal,
                                      run_e8_cg_scale)
-from repro.bench.parallel import ParallelRunner, default_jobs, resolve_jobs
+from repro.bench.parallel import ParallelRunner, resolve_jobs
 from repro.bench.perf import run_perf
 from repro.bench.setups import (ALL_MODES, MODE_ADC_CG, MODE_ADC_NOCG,
                                 MODE_NONE, MODE_SDC, ExperimentSystem,
@@ -31,7 +31,6 @@ __all__ = [
     "Table",
     "build_business_system",
     "configure_sdc_protection",
-    "default_jobs",
     "experiment_config",
     "resolve_jobs",
     "run_d0_demo",

@@ -32,16 +32,11 @@ Cell = TypeVar("Cell")
 Result = TypeVar("Result")
 
 
-def default_jobs() -> int:
-    """Worker count for ``--jobs 0`` (one per available CPU)."""
-    return os.cpu_count() or 1
-
-
 def resolve_jobs(jobs: int) -> int:
     """Normalise a ``--jobs`` value: 0 means one worker per CPU."""
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
-    return default_jobs() if jobs == 0 else jobs
+    return (os.cpu_count() or 1) if jobs == 0 else jobs
 
 
 class ParallelRunner:

@@ -25,6 +25,7 @@ from repro.apps.workload import PayloadProfile
 from repro.bench.setups import build_array_pair
 from repro.storage.adc import AdcConfig
 from repro.storage.reduction import DISABLED_REDUCTION, ReductionConfig
+from repro.storage.sdc import BLOCK_SIZE_BYTES
 
 #: the checkout this package sits in (``src/repro/bench/perf.py``)
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
@@ -183,7 +184,7 @@ def bench_initial_copy(blocks: int = 1_024) -> float:
                   name="perf-sdc-recopy"))
     elapsed = sim.now - started
     delta_bytes = link.bytes_transferred - bytes_before
-    full_bytes = blocks * mirror.config.block_size_bytes
+    full_bytes = blocks * BLOCK_SIZE_BYTES
     assert delta_bytes * 5 <= full_bytes, (delta_bytes, full_bytes)
     return blocks / elapsed
 

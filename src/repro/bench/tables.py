@@ -31,11 +31,6 @@ class Table:
         """Attach a footnote shown under the table."""
         self.notes.append(text)
 
-    def column(self, name: str) -> List[object]:
-        """All values of one column."""
-        index = list(self.columns).index(name)
-        return [row[index] for row in self.rows]
-
     def _cell(self, value: object) -> str:
         if isinstance(value, float):
             if value == 0:

@@ -19,8 +19,8 @@ Public surface:
 * the control-plane fault catalog (:class:`ApiServerOutage`,
   :class:`ApiFlake`, :class:`ControllerCrash`, :class:`CsiRpcFlake`,
   :class:`WatchDrop`) behind the ``control`` preset;
-* :class:`InvariantMonitor`, :class:`MonitorConfig`,
-  :class:`ChaosViolation` — the always-on invariant checks;
+* :class:`InvariantMonitor`, :class:`ChaosViolation` — the always-on
+  invariant checks;
 * :func:`run_incident`, :func:`build_incident_plan`,
   :class:`IncidentRun` — the canonical deterministic SLO incident
   (``repro incident`` / ``repro slo`` CLIs): fault → alert fired →
@@ -38,8 +38,7 @@ from repro.chaos.faults import (ArrayCrash, Fault, FaultEvent,
                                 JournalCorruption, JournalSqueeze,
                                 LinkBrownout, LinkPartition, SlowDisk,
                                 WireCorruption)
-from repro.chaos.invariants import (ChaosViolation, InvariantMonitor,
-                                    MonitorConfig)
+from repro.chaos.invariants import ChaosViolation, InvariantMonitor
 from repro.chaos.plan import (CONTROL, PRESETS, QUICK, SOAK,
                               CampaignPreset, FaultPlan, build_plan)
 
@@ -65,7 +64,6 @@ __all__ = [
     "JournalSqueeze",
     "LinkBrownout",
     "LinkPartition",
-    "MonitorConfig",
     "PRESETS",
     "QUICK",
     "SOAK",

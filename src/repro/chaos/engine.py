@@ -27,8 +27,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.chaos.faults import (Fault, FaultEvent, JournalSqueeze,
                                 LinkPartition)
-from repro.chaos.invariants import (ChaosViolation, InvariantMonitor,
-                                    MonitorConfig)
+from repro.chaos.invariants import ChaosViolation, InvariantMonitor
 from repro.chaos.plan import PRESETS, FaultPlan, build_plan
 from repro.errors import CollapsedBackupError, ReproError
 from repro.operator import TAG_CONSISTENT, TAG_KEY, \
@@ -321,11 +320,9 @@ class ChaosEngine:
     """Runs one fault plan against one environment."""
 
     def __init__(self, env: ChaosEnvironment, plan: FaultPlan,
-                 monitor_config: MonitorConfig = MonitorConfig(),
                  client_count: int = 3) -> None:
         self.env = env
         self.plan = plan
-        self.monitor_config = monitor_config
         self.client_count = client_count
         self.timeline: List[FaultEvent] = []
         #: the campaign's SLO engine (built in :meth:`run`)
@@ -377,7 +374,7 @@ class ChaosEngine:
                              seed=sim.rng.master_seed,
                              started_at=start)
         workload = ChaosWorkload(env, client_count=self.client_count)
-        monitor = InvariantMonitor(env, workload, self.monitor_config)
+        monitor = InvariantMonitor(env, workload)
         monitor.start()
         self.slo = SloEngine(sim, standard_rules(
             env.system.main.array, env.group,
@@ -578,7 +575,6 @@ class ChaosEngine:
 
 def run_campaign(seed: int, preset: str = "quick",
                  verify_failover: bool = True,
-                 monitor_config: MonitorConfig = MonitorConfig(),
                  adc_overrides: Optional[dict] = None,
                  ) -> ChaosReport:
     """Build an environment, generate the preset's plan, run it.
@@ -594,7 +590,7 @@ def run_campaign(seed: int, preset: str = "quick",
             f"choose from {sorted(PRESETS)}") from None
     env = build_chaos_environment(seed, adc_overrides=adc_overrides)
     plan = build_plan(env.sim, campaign)
-    engine = ChaosEngine(env, plan, monitor_config=monitor_config)
+    engine = ChaosEngine(env, plan)
     return engine.run(verify_failover=verify_failover)
 
 

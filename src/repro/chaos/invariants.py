@@ -59,29 +59,23 @@ class ChaosViolation:
         return f"[{self.time:9.4f}] {self.invariant}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
-    """Bounds the monitor enforces."""
-
-    #: sampling period of the watch process
-    interval: float = 0.02
-    #: max gap between order completions while no local fault is active
-    stall_bound: float = 0.30
-    #: max latency of one order while no local fault overlaps it
-    latency_bound: float = 0.08
-    #: violations recorded per invariant before summarising
-    max_reports: int = 5
+#: sampling period of the watch process
+WATCH_INTERVAL = 0.02
+#: max gap between order completions while no local fault is active
+STALL_BOUND = 0.30
+#: max latency of one order while no local fault overlaps it
+LATENCY_BOUND = 0.08
+#: violations recorded per invariant before summarising
+MAX_REPORTS = 5
 
 
 class InvariantMonitor:
     """Watches the chaos invariants; collects violations."""
 
     def __init__(self, env: "ChaosEnvironment",
-                 workload: "ChaosWorkload",
-                 config: MonitorConfig = MonitorConfig()) -> None:
+                 workload: "ChaosWorkload") -> None:
         self.env = env
         self.workload = workload
-        self.config = config
         self.violations: List[ChaosViolation] = []
         self._running = False
         self._checked_orders = 0
@@ -102,7 +96,7 @@ class InvariantMonitor:
     def _record(self, invariant: str, detail: str) -> None:
         reported = sum(1 for v in self.violations
                        if v.invariant == invariant)
-        if reported >= self.config.max_reports:
+        if reported >= MAX_REPORTS:
             if invariant in self._suppressed:
                 self._suppressed[invariant] += 1
             return
@@ -120,7 +114,7 @@ class InvariantMonitor:
     def _watch(self) -> Generator[object, object, None]:
         sim = self.env.sim
         while self._running:
-            yield sim.sleep(self.config.interval)
+            yield sim.sleep(WATCH_INTERVAL)
             if not self._running:
                 return
             self._check_progress()
@@ -135,23 +129,23 @@ class InvariantMonitor:
             self.workload.touch_progress()
             return
         gap = self.env.sim.now - self.workload.last_progress
-        if gap > self.config.stall_bound and \
+        if gap > STALL_BOUND and \
                 self._stall_reported_at != self.workload.last_progress:
             self._stall_reported_at = self.workload.last_progress
             self._record(
                 "business-stalled",
                 f"no order completed for {gap:.3f}s "
-                f"(bound {self.config.stall_bound:g}s, active faults: "
+                f"(bound {STALL_BOUND:g}s, active faults: "
                 f"{sorted(self.env.active_faults) or 'none'})")
 
     def _check_order_latency(self) -> None:
         completions = self.workload.completions
         for end, latency, exempt in completions[self._checked_orders:]:
-            if not exempt and latency > self.config.latency_bound:
+            if not exempt and latency > LATENCY_BOUND:
                 self._record(
                     "business-blocked",
                     f"order took {latency * 1e3:.1f}ms at t={end:.4f} "
-                    f"(bound {self.config.latency_bound * 1e3:g}ms)")
+                    f"(bound {LATENCY_BOUND * 1e3:g}ms)")
         self._checked_orders = len(completions)
 
     # -- end-of-campaign checks ---------------------------------------------

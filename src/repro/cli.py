@@ -56,6 +56,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _cmd_collapse(args: argparse.Namespace) -> int:
     from repro.bench import run_e2_collapse
+    if args.disasters < 1:
+        raise SystemExit("repro: --disasters must be >= 1 "
+                         f"(got {args.disasters})")
     table, facts = run_e2_collapse(
         seeds=tuple(range(args.seed, args.seed + args.disasters)),
         load_time=0.35)
@@ -67,6 +70,8 @@ def _cmd_modes(args: argparse.Namespace) -> int:
     from repro.apps import WorkloadConfig, run_order_workload
     from repro.bench import (MODE_ADC_CG, MODE_NONE, MODE_SDC,
                              build_business_system)
+    if args.rtt_ms < 0:
+        raise SystemExit(f"repro: --rtt-ms must be >= 0 (got {args.rtt_ms})")
     print(f"{'mode':10} {'orders/s':>10} {'p50(ms)':>9} {'p99(ms)':>9}")
     for mode in (MODE_NONE, MODE_SDC, MODE_ADC_CG):
         experiment = build_business_system(

@@ -2,8 +2,7 @@
 
 * :class:`CsiDriver`, :class:`HspcDriver` — the CSI-shaped driver over
   the simulated array;
-* :func:`install_storage_plugin` — provisioner + snapshotter (+ the
-  optional alpha group-snapshot controller);
+* :func:`install_storage_plugin` — provisioner + snapshotter;
 * :func:`install_replication_plugin`,
   :class:`ReplicationPluginContext` — the replication plugin reconciling
   :class:`ConsistencyGroupReplication` / :class:`VolumeReplication`
@@ -21,10 +20,9 @@ from repro.csi.replication_plugin import (SECONDARY_PV_LABEL,
                                           VolumeReplicationReconciler,
                                           install_replication_plugin)
 from repro.csi.spec import (CsiDriver, ProvisionedSnapshot,
-                            ProvisionedSnapshotGroup, ProvisionedVolume,
-                            parse_snapshot_handle, snapshot_handle)
-from repro.csi.storage_plugin import (GroupSnapshotReconciler,
-                                      ProvisionerReconciler,
+                            ProvisionedVolume, parse_snapshot_handle,
+                            snapshot_handle)
+from repro.csi.storage_plugin import (ProvisionerReconciler,
                                       SnapshotReconciler,
                                       install_storage_plugin,
                                       resolve_bound_volume)
@@ -33,10 +31,8 @@ __all__ = [
     "ConsistencyGroupReplication",
     "CsiDriver",
     "CsiRpcInjector",
-    "GroupSnapshotReconciler",
     "HspcDriver",
     "ProvisionedSnapshot",
-    "ProvisionedSnapshotGroup",
     "ProvisionedVolume",
     "ProvisionerReconciler",
     "REPLICATION_FINALIZER",

@@ -41,9 +41,6 @@ class ConsistencyGroupReplicationSpec:
     consistency_group: bool = True
     #: name of the backup site this group replicates to
     target_site: str = "backup"
-    #: operator-requested suspension: pairs split (PSUS) while True and
-    #: resynchronise when it returns to False (maintenance windows)
-    suspended: bool = False
 
 
 @dataclass
@@ -84,11 +81,6 @@ class ConsistencyGroupReplication(ApiObject):
             raise InvalidObjectError(
                 f"ConsistencyGroupReplication {self.meta.name!r} lists "
                 "duplicate PVCs")
-
-    @property
-    def ready(self) -> bool:
-        """True once every pair reached steady-state mirroring."""
-        return self.status.state == STATE_PAIRED
 
 
 @dataclass

@@ -12,12 +12,11 @@ existing resource on retry, as a real driver does.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable
+from typing import Dict, Generator
 
 from repro.errors import CsiError
 from repro.csi.spec import (CsiDriver, ProvisionedSnapshot,
-                            ProvisionedSnapshotGroup, ProvisionedVolume,
-                            snapshot_handle)
+                            ProvisionedVolume, snapshot_handle)
 from repro.storage.array import StorageArray
 
 
@@ -27,17 +26,14 @@ class HspcDriver(CsiDriver):
     driver_name = "hspc.hitachi.com"
 
     def __init__(self, array: StorageArray, default_pool_id: int,
-                 management_latency: float = 0.050,
-                 enable_group_snapshots: bool = False) -> None:
+                 management_latency: float = 0.050) -> None:
         if management_latency < 0:
             raise ValueError("management_latency must be >= 0")
         self.array = array
         self.default_pool_id = default_pool_id
         self.management_latency = management_latency
-        self._enable_group_snapshots = enable_group_snapshots
         self._volumes_by_name: Dict[str, ProvisionedVolume] = {}
         self._snapshots_by_name: Dict[str, ProvisionedSnapshot] = {}
-        self._groups_by_name: Dict[str, ProvisionedSnapshotGroup] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -122,45 +118,6 @@ class HspcDriver(CsiDriver):
         self._snapshots_by_name = {
             name: snap for name, snap in self._snapshots_by_name.items()
             if snap.snapshot_handle != handle}
-
-    def get_capacity(self, parameters: Dict[str, str]) -> int:
-        pool = self.array._pools.get(self._pool_id(parameters))
-        if pool is None:
-            raise CsiError(f"unknown pool {self._pool_id(parameters)}")
-        return pool.free_blocks
-
-    # -- alpha group-snapshot extension ------------------------------------
-
-    @property
-    def supports_group_snapshots(self) -> bool:
-        return self._enable_group_snapshots
-
-    def create_snapshot_group(self, name: str,
-                              source_volume_handles: Iterable[str],
-                              ) -> Generator[object, object, ProvisionedSnapshotGroup]:
-        if not self._enable_group_snapshots:
-            raise CsiError(
-                f"driver {self.driver_name} does not support group "
-                "snapshots (alpha CSI feature; see paper §II)")
-        existing = self._groups_by_name.get(name)
-        if existing is not None:
-            return existing
-        yield from self._pay_latency()
-        handles = list(source_volume_handles)
-        volume_ids = [self.array.parse_handle(h) for h in handles]
-        group = yield from self.array.create_snapshot_group(
-            name, volume_ids, quiesce=True)
-        members: Dict[str, str] = {}
-        by_base = group.by_base_volume()
-        for handle, volume_id in zip(handles, volume_ids):
-            snap = by_base[volume_id]
-            members[handle] = snapshot_handle(self.array.serial,
-                                              snap.snapshot_id)
-        provisioned = ProvisionedSnapshotGroup(
-            group_handle=f"snapgrp.{self.array.serial}.{name}",
-            member_handles=members, creation_time=group.created_at)
-        self._groups_by_name[name] = provisioned
-        return provisioned
 
     def __repr__(self) -> str:
         return (f"<HspcDriver array={self.array.serial!r} "

@@ -55,12 +55,10 @@ class ReplicationPluginContext:
     backup_pool_id: int
     #: API server of the backup cluster (for PV registration)
     backup_api: ApiServer
-    #: storage-management REST latency per command
-    command_latency: float = 0.050
+    #: management transport: every array command travels through it
+    #: (latency, deadlines, ambiguous-outcome injection)
+    rpc: RpcChannel
     adc_config: Optional[AdcConfig] = None
-    #: management transport; when set, every array command travels
-    #: through it (latency, deadlines, ambiguous-outcome injection)
-    rpc: Optional[RpcChannel] = None
 
 
 class ReplicationReconciler(Reconciler):
@@ -74,25 +72,12 @@ class ReplicationReconciler(Reconciler):
 
     # -- helpers -------------------------------------------------------------
 
-    def _pay(self, api: ApiServer) -> Generator[object, object, None]:
-        if self.context.rpc is not None:
-            yield from self.context.rpc.pay()
-        elif self.context.command_latency > 0:
-            yield api.sim.sleep(self.context.command_latency)
-
     def _call(self, api: ApiServer, step: str, fn, probe=None,
               ) -> Generator[object, object, object]:
-        """Run one array command over the management transport.
-
-        With an :class:`RpcChannel` the command gets deadline/ambiguous-
-        outcome semantics (and probing recovery); without one it is the
-        historical pay-then-execute path.
-        """
-        if self.context.rpc is not None:
-            result = yield from self.context.rpc.call(step, fn, probe=probe)
-        else:
-            yield from self._pay(api)
-            result = fn()
+        """Run one array command over the management transport, with
+        its deadline/ambiguous-outcome semantics (and probing
+        recovery)."""
+        result = yield from self.context.rpc.call(step, fn, probe=probe)
         self._count(api, step)
         return result
 
@@ -164,9 +149,6 @@ class ReplicationReconciler(Reconciler):
         for pvc_name in cr.spec.pvc_names:
             self._ensure_backup_pv(cr, pvc_name, volumes[pvc_name])
 
-        # 4b. requested suspension state (maintenance windows)
-        yield from self._reconcile_suspension(api, cr, group_ids)
-
         # 5. status aggregation
         cr = api.get(ConsistencyGroupReplication, key.name, key.namespace)
         previous_status = copy.deepcopy(cr.status)
@@ -198,8 +180,6 @@ class ReplicationReconciler(Reconciler):
                              source="replication-plugin")
         if cr.status.state == STATE_PAIRED:
             return Requeue(after=0.500)  # keep pair health fresh
-        if cr.status.state == STATE_SUSPENDED and cr.spec.suspended:
-            return Requeue(after=0.500)  # intentional: just keep fresh
         return Requeue(after=0.020)
 
     # -- ensure steps ----------------------------------------------------
@@ -262,34 +242,6 @@ class ReplicationReconciler(Reconciler):
                 svol_id),
             probe=lambda: self.context.main_array.find_pair(pair_id))
         return cr
-
-    def _reconcile_suspension(self, api: ApiServer,
-                              cr: ConsistencyGroupReplication,
-                              group_ids: Dict[str, str],
-                              ) -> Generator[object, object, None]:
-        """Split or resynchronise the journal groups to match
-        ``spec.suspended``.
-
-        Self-healing is limited to *intentional* splits (PSUS): a group
-        suspended by error (PSUE — journal overflow, dead link) needs
-        repair first; auto-resyncing it would fail repeatedly or hide
-        the fault, so it is surfaced in status instead.
-        """
-        groups = [self.context.main_array.journal_groups[group_id]
-                  for group_id in sorted(set(group_ids.values()))
-                  if group_id in self.context.main_array.journal_groups]
-        for group in groups:
-            states = {pair.suspended_state for pair in
-                      group.pairs.values()}
-            if cr.spec.suspended and not group.suspended:
-                yield from self._call(
-                    api, "split", group.split,
-                    probe=lambda g=group: g if g.suspended else None)
-            elif not cr.spec.suspended and group.suspended and \
-                    states == {PairState.PSUS} and group.link.is_up:
-                yield from self._pay(api)
-                yield from group.resync()
-                self._count(api, "resync")
 
     def _ensure_backup_pv(self, cr: ConsistencyGroupReplication,
                           pvc_name: str, pv: PersistentVolume) -> None:

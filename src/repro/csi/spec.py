@@ -71,37 +71,6 @@ class CsiDriver:
         raise NotImplementedError
         yield  # pragma: no cover
 
-    def get_capacity(self, parameters: Dict[str, str]) -> int:
-        """Free capacity (blocks) for the given parameters."""
-        raise NotImplementedError
-
-    # -- alpha group-snapshot extension (not yet in the standard) ---------
-
-    @property
-    def supports_group_snapshots(self) -> bool:
-        """Whether the driver implements the alpha group-snapshot calls.
-
-        The paper's plugin does not (§II); the forward-looking driver
-        here does, but the corresponding controller is off by default.
-        """
-        return False
-
-    def create_snapshot_group(self, name: str, source_volume_handles,
-                              ) -> Generator[object, object, "ProvisionedSnapshotGroup"]:
-        """Cut a consistent snapshot group (alpha extension)."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-
-@dataclass(frozen=True)
-class ProvisionedSnapshotGroup:
-    """Result of the alpha CreateSnapshotGroup extension."""
-
-    group_handle: str
-    #: source volume handle -> member snapshot handle
-    member_handles: Dict[str, str]
-    creation_time: float
-
 
 def snapshot_handle(array_serial: str, snapshot_id: int) -> str:
     """Canonical snapshot handle format."""

@@ -1,7 +1,7 @@
 """The Storage Plug-in for Containers (§III-B2): provisioning and
 snapshots through CSI.
 
-Three reconcilers:
+Two reconcilers:
 
 * :class:`ProvisionerReconciler` — binds Pending PVCs, preferring a
   pre-created Available PV (how replicated secondaries surface at the
@@ -9,12 +9,10 @@ Three reconcilers:
   otherwise;
 * :class:`SnapshotReconciler` — turns ``VolumeSnapshot`` objects into
   array snapshots via the driver (the Fig 5 "snapshot development on the
-  web console" path);
-* :class:`GroupSnapshotReconciler` — the *forward-looking* controller
-  for the alpha ``VolumeGroupSnapshot`` API.  The paper's system does
-  not have this (users operate the array directly); install it only to
-  demonstrate the future state (§II's "will be removed by the technical
-  advancements in the CSI and the storage plugin").
+  web console" path).
+
+Snapshot *groups* are not here: the CSI group-snapshot API is alpha and
+the paper's plugin lacks it, so users operate the array directly (§II).
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ from repro.platform.controller import Reconciler, ReconcileResult, Requeue
 from repro.platform.objects import ObjectKey
 from repro.platform.resources import (PersistentVolume,
                                       PersistentVolumeClaim, StorageClass,
-                                      VolumeGroupSnapshot, VolumeSnapshot,
-                                      claim_ref)
+                                      VolumeSnapshot, claim_ref)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
@@ -254,78 +251,14 @@ class SnapshotReconciler(Reconciler):
                              SNAPSHOT_PROTECTION_FINALIZER)
 
 
-class GroupSnapshotReconciler(Reconciler):
-    """Forward-looking alpha controller for ``VolumeGroupSnapshot``.
-
-    NOT installed by default — the paper's plugin lacks this support and
-    the demo performs snapshot groups directly on the array.  Enable it
-    (plus a driver with ``enable_group_snapshots=True``) to reproduce
-    the future state the paper anticipates.
-    """
-
-    kind: ClassVar[Type[VolumeGroupSnapshot]] = VolumeGroupSnapshot
-
-    def __init__(self, cluster: "Cluster") -> None:
-        self.cluster = cluster
-
-    def reconcile(self, api: ApiServer, key: ObjectKey,
-                  ) -> Generator[object, object, ReconcileResult]:
-        group = api.try_get(VolumeGroupSnapshot, key.name, key.namespace)
-        if group is None or group.meta.deleting or group.status.ready:
-            return None
-        pvcs = api.list(PersistentVolumeClaim, namespace=key.namespace,
-                        label_selector=group.spec.selector)
-        if not pvcs:
-            if group.status.error != "selector matches no PVCs":
-                group.status.error = "selector matches no PVCs"
-                api.update(group)
-            return Requeue(after=0.100)
-        handles: List[str] = []
-        driver_name = ""
-        for pvc in pvcs:
-            try:
-                pv = resolve_bound_volume(api, key.namespace,
-                                          pvc.meta.name)
-            except (CsiError, NotFoundError):
-                return Requeue(after=0.100)
-            handles.append(pv.spec.csi.volume_handle)
-            driver_name = pv.spec.csi.driver
-        driver = self.cluster.csi_driver(driver_name)
-        if not driver.supports_group_snapshots:
-            message = (
-                "driver does not support group snapshots (alpha CSI "
-                "feature; operate the storage array directly, see §II)")
-            if group.status.error != message:
-                group.status.error = message
-                api.update(group)
-            return None
-        provisioned = yield from driver.create_snapshot_group(
-            name=f"vgs-{group.meta.uid}", source_volume_handles=handles)
-        current = api.try_get(VolumeGroupSnapshot, key.name, key.namespace)
-        if current is None:
-            return None
-        current.status.ready = True
-        current.status.group_handle = provisioned.group_handle
-        current.status.snapshot_handles = {
-            pvc.meta.name: provisioned.member_handles[handle]
-            for pvc, handle in zip(pvcs, handles)}
-        current.status.error = ""
-        api.update(current)
-        return None
-
-
-def install_storage_plugin(cluster: "Cluster", driver: HspcDriver,
-                           enable_group_snapshots: bool = False) -> None:
+def install_storage_plugin(cluster: "Cluster", driver: HspcDriver) -> None:
     """Install the Storage Plug-in for Containers on a cluster.
 
     Registers the CSI driver plus the provisioner and snapshotter
-    controllers; optionally the alpha group-snapshot controller.
+    controllers.
     """
     cluster.register_csi_driver(driver)
     cluster.install(ProvisionerReconciler(cluster),
                     name=f"{cluster.name}.csi-provisioner")
     cluster.install(SnapshotReconciler(cluster),
                     name=f"{cluster.name}.csi-snapshotter")
-    if enable_group_snapshots:
-        cluster.install(GroupSnapshotReconciler(cluster),
-                        name=f"{cluster.name}.csi-group-snapshotter")

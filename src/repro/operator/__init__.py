@@ -9,15 +9,14 @@
 
 from repro.operator.nso import (NS_STATE_CONFIGURING, NS_STATE_DEGRADED,
                                 NS_STATE_NO_VOLUMES, NS_STATE_PROTECTED,
-                                NS_STATE_SUSPENDED, NS_STATE_WAITING,
-                                OWNED_BY_LABEL,
+                                NS_STATE_WAITING, OWNED_BY_LABEL,
                                 NamespaceOperatorReconciler,
                                 install_namespace_operator)
 from repro.operator.planner import BackupPlan, plan_backup, plan_differs
 from repro.operator.tags import (ANNOTATION_MESSAGE, ANNOTATION_STATE,
                                  ANNOTATION_VOLUMES, TAG_CONSISTENT,
-                                 TAG_INDEPENDENT, TAG_KEY, TAG_SUSPEND,
-                                 BackupMode, is_suspend_tag, parse_tag)
+                                 TAG_INDEPENDENT, TAG_KEY, BackupMode,
+                                 parse_tag)
 
 __all__ = [
     "ANNOTATION_MESSAGE",
@@ -29,16 +28,13 @@ __all__ = [
     "NS_STATE_DEGRADED",
     "NS_STATE_NO_VOLUMES",
     "NS_STATE_PROTECTED",
-    "NS_STATE_SUSPENDED",
     "NS_STATE_WAITING",
     "NamespaceOperatorReconciler",
     "OWNED_BY_LABEL",
     "TAG_CONSISTENT",
     "TAG_INDEPENDENT",
     "TAG_KEY",
-    "TAG_SUSPEND",
     "install_namespace_operator",
-    "is_suspend_tag",
     "parse_tag",
     "plan_backup",
     "plan_differs",

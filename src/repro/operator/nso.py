@@ -31,7 +31,7 @@ from repro.csi.crds import (ConsistencyGroupReplication, STATE_PAIRED)
 from repro.operator.planner import BackupPlan, plan_backup, plan_differs
 from repro.operator.tags import (ANNOTATION_MESSAGE, ANNOTATION_STATE,
                                  ANNOTATION_VOLUMES, TAG_KEY, BackupMode,
-                                 is_suspend_tag, parse_tag)
+                                 parse_tag)
 from repro.platform.apiserver import ApiServer, WatchEvent
 from repro.platform.controller import Reconciler, ReconcileResult, Requeue
 from repro.platform.objects import ObjectKey
@@ -47,7 +47,6 @@ NS_STATE_WAITING = "WaitingForVolumes"
 NS_STATE_PROTECTED = "Protected"
 NS_STATE_DEGRADED = "Degraded"
 NS_STATE_NO_VOLUMES = "NoVolumes"
-NS_STATE_SUSPENDED = "CopySuspended"
 
 
 class NamespaceOperatorReconciler(Reconciler):
@@ -64,16 +63,10 @@ class NamespaceOperatorReconciler(Reconciler):
         # a terminating namespace is unprotected: tear the CR down so
         # the garbage collector can finish
         tag_value = namespace.meta.labels.get(TAG_KEY)
-        if namespace.meta.deleting:
-            mode, suspend = None, False
-        else:
-            mode = parse_tag(tag_value)
-            suspend = is_suspend_tag(tag_value)
+        mode = None if namespace.meta.deleting else parse_tag(tag_value)
         cr_name = f"nso-{key.name}"
         existing = api.try_get(ConsistencyGroupReplication, cr_name,
                                key.name)
-        if suspend:
-            return self._reconcile_suspend(api, namespace, existing)
         if mode is None:
             return self._reconcile_untagged(api, namespace, existing)
         return self._reconcile_tagged(api, namespace, mode, existing)
@@ -93,33 +86,6 @@ class NamespaceOperatorReconciler(Reconciler):
             return Requeue(after=0.050)  # teardown in progress
         self._annotate(api, namespace, None, None, None)
         return None
-
-    # -- maintenance suspension --------------------------------------------
-
-    def _reconcile_suspend(self, api: ApiServer, namespace: Namespace,
-                           existing: Optional[ConsistencyGroupReplication],
-                           ) -> ReconcileResult:
-        """``SuspendCopyToCloud``: keep the configuration, split the
-        pairs.  Requires existing protection — suspending nothing is
-        reported, not invented."""
-        if existing is None or existing.meta.deleting:
-            self._annotate(api, namespace, NS_STATE_SUSPENDED,
-                           "suspend requested but the namespace is not "
-                           "protected; tag it for copy first", None)
-            return Requeue(after=0.250)
-        if not existing.spec.suspended:
-            existing.spec.suspended = True
-            api.update(existing)
-            return Requeue(after=0.050)
-        if existing.status.state == "Suspended":
-            state = NS_STATE_SUSPENDED
-            message = "replication split for maintenance"
-        else:
-            state = NS_STATE_CONFIGURING
-            message = "suspending replication"
-        self._annotate(api, namespace, state, message,
-                       ",".join(existing.spec.pvc_names))
-        return Requeue(after=0.250)
 
     # -- tag present ------------------------------------------------------
 
@@ -152,11 +118,6 @@ class NamespaceOperatorReconciler(Reconciler):
             existing.spec.pvc_names = list(plan.pvc_names)
             existing.spec.consistency_group = \
                 mode.uses_consistency_group
-            api.update(existing)
-            return Requeue(after=0.050)
-        if existing.spec.suspended:
-            # the tag moved back from SuspendCopyToCloud: resume copying
-            existing.spec.suspended = False
             api.update(existing)
             return Requeue(after=0.050)
         # mirror CR status onto the namespace

@@ -29,10 +29,6 @@ TAG_CONSISTENT = "ConsistentCopyToCloud"
 #: experiment baseline: ADC with independent per-volume journals
 TAG_INDEPENDENT = "AsyncCopyToCloud"
 
-#: maintenance window: keep the configuration but split the pairs; the
-#: operator resynchronises when the tag returns to a copy value
-TAG_SUSPEND = "SuspendCopyToCloud"
-
 #: annotation keys the operator maintains on tagged namespaces
 ANNOTATION_STATE = "backup.hitachi.com/state"
 ANNOTATION_MESSAGE = "backup.hitachi.com/message"
@@ -58,15 +54,9 @@ def parse_tag(value: Optional[str]) -> Optional[BackupMode]:
 
     Unknown values are deliberately ignored rather than rejected: the
     operator must not react to labels owned by other tools.
-    ``TAG_SUSPEND`` is not a mode — use :func:`is_suspend_tag`.
     """
     if value == TAG_CONSISTENT:
         return BackupMode.CONSISTENT_GROUP
     if value == TAG_INDEPENDENT:
         return BackupMode.INDEPENDENT
     return None
-
-
-def is_suspend_tag(value: Optional[str]) -> bool:
-    """True when the tag requests a maintenance-window suspension."""
-    return value == TAG_SUSPEND

@@ -10,8 +10,7 @@ Public surface:
   :class:`Requeue`, :class:`BackoffPolicy` — the controller runtime;
 * resource kinds: :class:`Namespace`, :class:`Pod`,
   :class:`PersistentVolumeClaim`, :class:`PersistentVolume`,
-  :class:`StorageClass`, :class:`VolumeSnapshot`,
-  :class:`VolumeGroupSnapshot`;
+  :class:`StorageClass`, :class:`VolumeSnapshot`;
 * :class:`Console`, :class:`ConsoleOperation` — the demo's operation
   surface;
 * :class:`ObjectMeta`, :class:`ObjectKey`, :class:`Condition` — object
@@ -26,19 +25,15 @@ from repro.platform.console import Console, ConsoleOperation
 from repro.platform.controller import (DEADLINE_EXCEEDED, BackoffPolicy,
                                        Controller, ControllerManager,
                                        Reconciler, Requeue)
-from repro.platform.events import (PlatformEvent, events_for,
-                                   record_event)
-from repro.platform.gc import (GC_FINALIZER, NamespaceGcReconciler,
-                               install_namespace_gc)
+from repro.platform.events import PlatformEvent, record_event
 from repro.platform.objects import (ApiObject, Condition, ObjectKey,
-                                    ObjectMeta, get_condition,
-                                    matches_labels, set_condition)
+                                    ObjectMeta, set_condition)
 from repro.platform.resources import (CsiVolumeSource, Namespace,
                                       PersistentVolume,
                                       PersistentVolumeClaim, Pod, PodSpec,
                                       PvcSpec, PvSpec, StorageClass,
-                                      VolumeGroupSnapshot, VolumeSnapshot,
-                                      VolumeSnapshotSpec, claim_ref)
+                                      VolumeSnapshot, VolumeSnapshotSpec,
+                                      claim_ref)
 from repro.platform.scheduler import PodSchedulerReconciler
 
 __all__ = [
@@ -55,9 +50,7 @@ __all__ = [
     "DEADLINE_EXCEEDED",
     "CsiVolumeSource",
     "EventType",
-    "GC_FINALIZER",
     "Namespace",
-    "NamespaceGcReconciler",
     "ObjectKey",
     "ObjectMeta",
     "PersistentVolume",
@@ -71,7 +64,6 @@ __all__ = [
     "Reconciler",
     "Requeue",
     "StorageClass",
-    "VolumeGroupSnapshot",
     "VolumeSnapshot",
     "VolumeSnapshotSpec",
     "WATCH_CLOSED",
@@ -79,10 +71,6 @@ __all__ = [
     "WatchEvent",
     "WatchStream",
     "claim_ref",
-    "events_for",
-    "get_condition",
-    "install_namespace_gc",
     "record_event",
-    "matches_labels",
     "set_condition",
 ]

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Type, TypeVar
 
 from repro.errors import (AlreadyExistsError, ConflictError,
                           NotFoundError, UnavailableError)
-from repro.platform.objects import ApiObject, ObjectKey, matches_labels
+from repro.platform.objects import ApiObject, ObjectKey
 from repro.simulation.kernel import Simulator
 from repro.simulation.resources import Store
 
@@ -67,12 +67,6 @@ class ApiFaultInjector:
         self.conflict_probability = 0.0
         #: total faults injected (timeline bookkeeping for campaigns)
         self.injected = 0
-
-    def clear(self) -> None:
-        """Heal: stop injecting anything (the injector stays installed)."""
-        self.outage = False
-        self.flake_probability = 0.0
-        self.conflict_probability = 0.0
 
     def admit(self, verb: str, detail: str = "") -> None:
         """Raise the injected failure for this request, if any."""
@@ -165,10 +159,6 @@ class WatchStream:
             return event
         return self._queue.get()
 
-    def try_next(self):
-        """Non-blocking: ``(ok, event)``."""
-        return self._queue.try_get()
-
     def _deliver(self, event: WatchEvent) -> None:
         if not self.closed:
             self._queue.put(event)
@@ -254,16 +244,14 @@ class ApiServer:
         except NotFoundError:
             return None
 
-    def list(self, cls: Type[T], namespace: Optional[str] = None,
-             label_selector: Optional[Dict[str, str]] = None) -> List[T]:
-        """List objects of a kind, optionally filtered by namespace and
-        an equality label selector; name-sorted for determinism."""
+    def list(self, cls: Type[T],
+             namespace: Optional[str] = None) -> List[T]:
+        """List objects of a kind, optionally filtered by namespace;
+        name-sorted for determinism."""
         self._admit("list", cls.KIND)
         results = []
         for stored in self._objects.get(cls.KIND, {}).values():
             if namespace is not None and stored.meta.namespace != namespace:
-                continue
-            if label_selector and not matches_labels(stored, label_selector):
                 continue
             results.append(copy.deepcopy(stored))
         results.sort(key=lambda o: (o.meta.namespace, o.meta.name))

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.platform.resources import (Namespace, PersistentVolume,
-                                      PersistentVolumeClaim, Pod,
-                                      VolumeSnapshot, VolumeSnapshotSpec)
+                                      PersistentVolumeClaim, VolumeSnapshot,
+                                      VolumeSnapshotSpec)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
@@ -100,20 +100,6 @@ class Console:
         self._log("list-pvc", namespace)
         return self.cluster.api.list(PersistentVolumeClaim,
                                      namespace=namespace)
-
-    def list_pods(self, namespace: str) -> List[Pod]:
-        """The workload pane for one namespace."""
-        self._log("list-pod", namespace)
-        return self.cluster.api.list(Pod, namespace=namespace)
-
-    def list_events(self, namespace: str):
-        """The events pane: what the automation did, newest last."""
-        from repro.platform.events import PlatformEvent
-        self._log("list-events", namespace)
-        events = self.cluster.api.list(PlatformEvent,
-                                       namespace=namespace)
-        events.sort(key=lambda event: event.last_seen)
-        return events
 
     # -- snapshot development (Fig 5) ------------------------------------
 

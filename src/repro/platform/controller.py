@@ -191,11 +191,6 @@ class Controller:
         """Enqueue a key after ``delay`` seconds."""
         self.sim.call_after(delay, lambda: self.enqueue(key))
 
-    @property
-    def queue_depth(self) -> int:
-        """Keys waiting to be reconciled."""
-        return len(self._queue)
-
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
@@ -422,10 +417,3 @@ class ControllerManager:
         """Restart every crashed controller."""
         for controller in self.controllers:
             controller.restart()
-
-    def by_name(self, name: str) -> Controller:
-        """Find a controller by its name."""
-        for controller in self.controllers:
-            if controller.name == name:
-                return controller
-        raise KeyError(f"no controller named {name!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import ClassVar, List
+from typing import ClassVar
 
 from repro.errors import InvalidObjectError
 from repro.platform.apiserver import ApiServer
@@ -79,14 +79,3 @@ def record_event(api: ApiServer, namespace: str, involved: ObjectKey,
     event.first_seen = api.sim.now
     event.last_seen = api.sim.now
     return api.create(event)
-
-
-def events_for(api: ApiServer, namespace: str,
-               involved: ObjectKey) -> List[PlatformEvent]:
-    """Events about one object, oldest-first by last occurrence."""
-    involved_ref = str(involved)
-    matches = [event for event in api.list(PlatformEvent,
-                                           namespace=namespace)
-               if event.involved == involved_ref]
-    matches.sort(key=lambda event: event.last_seen)
-    return matches

@@ -118,18 +118,3 @@ def set_condition(conditions: List[Condition], condition: Condition) -> None:
             conditions[index] = condition
             return
     conditions.append(condition)
-
-
-def get_condition(conditions: List[Condition],
-                  type_: str) -> Optional[Condition]:
-    """The condition with the given type, or None."""
-    for condition in conditions:
-        if condition.type == type_:
-            return condition
-    return None
-
-
-def matches_labels(obj: ApiObject, selector: Dict[str, str]) -> bool:
-    """Equality-based label selector matching."""
-    labels = obj.meta.labels
-    return all(labels.get(key) == value for key, value in selector.items())

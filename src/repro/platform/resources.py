@@ -231,54 +231,6 @@ class VolumeSnapshot(ApiObject):
                 f"VolumeSnapshot {self.meta.name!r} needs spec.pvc_name")
 
 
-@dataclass
-class VolumeGroupSnapshotSpec:
-    """Desired state: snapshot every PVC matching a label selector,
-    atomically (the Kubernetes 1.27 *alpha* VolumeGroupSnapshot API)."""
-
-    selector: Dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class VolumeGroupSnapshotStatus:
-    """Observed state of a group snapshot."""
-
-    ready: bool = False
-    #: array-side snapshot-group handle once cut
-    group_handle: str = ""
-    #: per-PVC snapshot handles
-    snapshot_handles: Dict[str, str] = field(default_factory=dict)
-    error: str = ""
-
-
-@dataclass
-class VolumeGroupSnapshot(ApiObject):
-    """Alpha group-snapshot API (§II).
-
-    The paper notes the vendor plugin does not yet support this alpha
-    CSI feature, so the demonstration operates the array directly for
-    snapshot groups.  The API object exists here for fidelity, and an
-    optional forward-looking controller
-    (:class:`repro.csi.storage_plugin.GroupSnapshotReconciler`) can be
-    enabled to show the gap closing — disabled by default to match the
-    paper.
-    """
-
-    KIND: ClassVar[str] = "VolumeGroupSnapshot"
-    NAMESPACED: ClassVar[bool] = True
-
-    spec: VolumeGroupSnapshotSpec = field(
-        default_factory=VolumeGroupSnapshotSpec)
-    status: VolumeGroupSnapshotStatus = field(
-        default_factory=VolumeGroupSnapshotStatus)
-
-    def validate(self) -> None:
-        super().validate()
-        if not self.spec.selector:
-            raise InvalidObjectError(
-                f"VolumeGroupSnapshot {self.meta.name!r} needs a selector")
-
-
 def claim_ref(namespace: str, name: str) -> str:
     """Canonical "namespace/name" claim reference used on PVs."""
     return f"{namespace}/{name}"

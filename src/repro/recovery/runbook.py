@@ -93,9 +93,6 @@ class RunbookJournal:
     def save(self, state: RunbookState) -> None:
         self._states[state.name] = copy.deepcopy(state)
 
-    def discard(self, name: str) -> None:
-        self._states.pop(name, None)
-
     def __contains__(self, name: str) -> bool:
         return name in self._states
 
@@ -195,7 +192,3 @@ class Runbook:
     def step_durations(self) -> Dict[str, float]:
         """Persisted per-step wall-clock accounting (execution order)."""
         return self.state.step_durations()
-
-    def finish(self) -> None:
-        """Mark the runbook done and drop its journal entry."""
-        self.journal.discard(self.name)

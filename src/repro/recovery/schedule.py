@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List, Sequence
 
 from repro.errors import SnapshotError
 from repro.storage.array import StorageArray
@@ -112,13 +112,6 @@ class SnapshotScheduler:
         if not self._generations:
             raise SnapshotError(f"{self.name}: no generations yet")
         return self._generations[-1]
-
-    def at_or_before(self, time: float) -> Optional[SnapshotGeneration]:
-        """The newest generation cut at or before ``time`` (point-in-time
-        selection for restore/analytics), or None."""
-        candidates = [g for g in self._generations
-                      if g.created_at <= time]
-        return candidates[-1] if candidates else None
 
     def __repr__(self) -> str:
         return (f"<SnapshotScheduler {self.name!r} "

@@ -4,8 +4,7 @@ from repro.scenarios.builders import (DEFAULT_STORAGE_CLASS, Site,
                                       SystemConfig, TwoSiteSystem,
                                       build_system)
 from repro.scenarios.business import (BusinessConfig, BusinessProcess,
-                                      PVC_LAYOUT, deploy_business_process,
-                                      pod_phases)
+                                      PVC_LAYOUT, deploy_business_process)
 from repro.scenarios.demo import DemoEnvironment, DemoResult, run_demo
 
 __all__ = [
@@ -20,6 +19,5 @@ __all__ = [
     "TwoSiteSystem",
     "build_system",
     "deploy_business_process",
-    "pod_phases",
     "run_demo",
 ]

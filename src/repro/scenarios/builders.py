@@ -10,7 +10,7 @@ Builds, inside one simulator:
 * the inter-site replication network.
 
 Every experiment and example starts from :func:`build_system`, so the
-topology knobs (link latency, ADC tuning, pool sizes) live in one
+topology knobs (link latency and bandwidth, ADC tuning) live in one
 :class:`SystemConfig`.
 """
 
@@ -35,6 +35,10 @@ from repro.storage.array import ArrayConfig, StorageArray
 DEFAULT_STORAGE_CLASS = "hspc-replicated"
 
 
+#: pool capacity per array, in blocks
+POOL_BLOCKS = 2_000_000
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Topology and tuning knobs for a two-site system."""
@@ -43,16 +47,10 @@ class SystemConfig:
     link_latency: float = 0.005
     #: inter-site bandwidth in bytes/s (None = latency-only)
     link_bandwidth: Optional[float] = None
-    #: jitter fraction on the link propagation delay
-    link_jitter: float = 0.0
-    #: pool capacity per array, in blocks
-    pool_blocks: int = 2_000_000
     #: storage array configuration (media latencies, ADC/SDC tuning)
     array: ArrayConfig = field(default_factory=ArrayConfig)
     #: storage-management REST latency per plugin command
     command_latency: float = 0.050
-    #: install the forward-looking alpha group-snapshot controller
-    enable_group_snapshots: bool = False
 
     def with_adc(self, **overrides) -> "SystemConfig":
         """Copy with ADC pipeline knobs overridden."""
@@ -107,15 +105,12 @@ class TwoSiteSystem:
 def _build_site(sim: Simulator, name: str, serial: str,
                 config: SystemConfig) -> Site:
     array = StorageArray(sim, serial=serial, config=config.array)
-    pool = array.create_pool(config.pool_blocks)
+    pool = array.create_pool(POOL_BLOCKS)
     cluster = Cluster(sim, name=name)
     driver = HspcDriver(
         array, default_pool_id=pool.pool_id,
-        management_latency=config.command_latency,
-        enable_group_snapshots=config.enable_group_snapshots)
-    install_storage_plugin(
-        cluster, driver,
-        enable_group_snapshots=config.enable_group_snapshots)
+        management_latency=config.command_latency)
+    install_storage_plugin(cluster, driver)
     storage_class = StorageClass()
     storage_class.meta.name = DEFAULT_STORAGE_CLASS
     storage_class.provisioner = driver.driver_name
@@ -133,13 +128,11 @@ def build_system(sim: Simulator,
     backup = _build_site(sim, "backup", "G370-BKUP", config)
     network = SitePair(sim, latency=config.link_latency,
                        bandwidth_bytes_per_s=config.link_bandwidth,
-                       jitter_fraction=config.link_jitter,
                        name="intersite")
     context = ReplicationPluginContext(
         main_array=main.array, backup_array=backup.array,
         link=network.forward, main_pool_id=main.pool_id,
         backup_pool_id=backup.pool_id, backup_api=backup.cluster.api,
-        command_latency=config.command_latency,
         adc_config=config.array.adc,
         rpc=RpcChannel(sim, latency=config.command_latency,
                        name="main-mgmt"))

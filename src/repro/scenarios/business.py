@@ -19,8 +19,7 @@ from repro.apps.minidb.device import ArrayBlockDevice
 from repro.apps.minidb.engine import MiniDB
 from repro.csi.storage_plugin import resolve_bound_volume
 from repro.platform.resources import (PersistentVolumeClaim, Pod)
-from repro.scenarios.builders import (DEFAULT_STORAGE_CLASS, Site,
-                                      TwoSiteSystem)
+from repro.scenarios.builders import DEFAULT_STORAGE_CLASS, TwoSiteSystem
 
 #: the four claims of the business process: name -> (db, role)
 PVC_LAYOUT: Dict[str, tuple] = {
@@ -31,6 +30,10 @@ PVC_LAYOUT: Dict[str, tuple] = {
 }
 
 
+#: blocks of each database's data volume (one page per block)
+DATA_BLOCKS = 64
+
+
 @dataclass(frozen=True)
 class BusinessConfig:
     """Sizing of the business process databases."""
@@ -38,8 +41,6 @@ class BusinessConfig:
     namespace: str = "order-processing"
     bucket_count: int = 32
     wal_blocks: int = 60_000
-    data_blocks: int = 64
-    item_count: int = 8
     initial_qty: int = 100_000
     #: per-key lock-wait bound for both databases (None = wait forever);
     #: crash-tolerant workloads set it so clients blocked behind an
@@ -47,9 +48,10 @@ class BusinessConfig:
     lock_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.data_blocks < self.bucket_count:
+        if DATA_BLOCKS < self.bucket_count:
             raise ValueError(
-                "data_blocks must cover bucket_count pages")
+                f"bucket_count must fit the {DATA_BLOCKS}-block data "
+                "volumes")
 
 
 @dataclass
@@ -63,11 +65,6 @@ class BusinessProcess:
     config: BusinessConfig
     #: pvc name -> main-array volume id
     volume_ids: Dict[str, int]
-
-    @property
-    def pvc_names(self) -> List[str]:
-        """The four claims, layout order."""
-        return list(PVC_LAYOUT)
 
 
 def deploy_business_process(system: TwoSiteSystem,
@@ -90,7 +87,7 @@ def deploy_business_process(system: TwoSiteSystem,
         pvc.meta.labels = {"app": "order-processing"}
         pvc.spec.storage_class = DEFAULT_STORAGE_CLASS
         pvc.spec.capacity_blocks = (config.wal_blocks if role == "wal"
-                                    else config.data_blocks)
+                                    else DATA_BLOCKS)
         site.api.create(pvc)
     for pod_name, image, pvcs in (
             ("transaction-app", "order-app:1.0", list(PVC_LAYOUT)),
@@ -120,16 +117,9 @@ def deploy_business_process(system: TwoSiteSystem,
                       data_device=devices["stock-data"],
                       bucket_count=config.bucket_count,
                       lock_timeout=config.lock_timeout)
-    catalog = catalog or default_catalog(config.item_count,
-                                         config.initial_qty)
+    catalog = catalog or default_catalog(initial_qty=config.initial_qty)
     app = EcommerceApp(sales_db, stock_db, catalog)
     sim.run_until_complete(sim.spawn(app.seed(), name="seed-catalog"))
     return BusinessProcess(namespace=config.namespace, app=app,
                            sales_db=sales_db, stock_db=stock_db,
                            config=config, volume_ids=volume_ids)
-
-
-def pod_phases(site: Site, namespace: str) -> Dict[str, str]:
-    """Pod name -> phase for a namespace (demo display helper)."""
-    return {pod.meta.name: pod.status.phase
-            for pod in site.api.list(Pod, namespace=namespace)}

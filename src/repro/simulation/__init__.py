@@ -4,26 +4,23 @@ Deterministic generator-process simulator that every other subsystem of
 the reproduction runs on.  Public surface:
 
 * :class:`Simulator` — clock, event queue, process spawner.
-* :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` —
-  waitables (plus :class:`SleepRequest`, the event-free marker
-  ``sim.sleep`` — the one way to pause — hands the kernel).
+* :class:`Event`, :class:`Timeout`, :class:`AnyOf` — waitables (plus
+  :class:`SleepRequest`, the event-free marker ``sim.sleep`` — the one
+  way to pause — hands the kernel).
 * :class:`Process` — spawned generator handle with join/interrupt.
 * :class:`Lock`, :class:`Semaphore`, :class:`Store`, :class:`Gate` —
   synchronisation.
 * :class:`NetworkLink`, :class:`SitePair` — inter-site links.
 """
 
-from repro.simulation.events import (AllOf, AnyOf, Event, SleepRequest,
-                                     Timeout)
+from repro.simulation.events import AnyOf, Event, SleepRequest, Timeout
 from repro.simulation.kernel import Simulator
 from repro.simulation.network import LinkDownError, NetworkLink, SitePair
 from repro.simulation.process import Process
 from repro.simulation.resources import Gate, Lock, Semaphore, Store
 from repro.simulation.rng import RngRegistry, derive_seed
-from repro.simulation.trace import TraceLog, TraceRecord
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
     "Gate",
@@ -38,7 +35,5 @@ __all__ = [
     "SleepRequest",
     "Store",
     "Timeout",
-    "TraceLog",
-    "TraceRecord",
     "derive_seed",
 ]

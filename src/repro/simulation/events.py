@@ -11,7 +11,7 @@ Three terminal states exist:
 * *failed* — fired with an exception (re-raised inside waiting processes).
 
 :class:`Timeout` is an event that the kernel fires after a delay.
-:class:`AllOf` / :class:`AnyOf` combine events.
+:class:`AnyOf` combines events.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class Timeout(Event):
 
 class Condition(Event):
     """Base for events that fire when a set of child events satisfies a
-    predicate (used by :class:`AllOf` and :class:`AnyOf`)."""
+    predicate (used by :class:`AnyOf`)."""
 
     __slots__ = ("events", "_unfired")
 
@@ -225,19 +225,6 @@ class Condition(Event):
         raise NotImplementedError
 
 
-class AllOf(Condition):
-    """Fires when *every* child event has fired successfully.
-
-    The value is a dict mapping each child event to its value.  Fails as
-    soon as any child fails.
-    """
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._unfired == 0
-
-
 class AnyOf(Condition):
     """Fires when *any* child event has fired successfully.
 
@@ -255,28 +242,19 @@ class CallbackHandle:
 
     The handle sits directly in the kernel's queue as a typed entry;
     cancelling turns that entry into a tombstone the kernel drops
-    lazily at pop (and excludes from ``pending_events``/``peek`` via
-    the owning simulator's cancelled-entry count).
+    lazily at pop.
     """
 
-    __slots__ = ("cancelled", "fn", "_sim")
+    __slots__ = ("cancelled", "fn")
 
-    def __init__(self, fn: Optional[Callable[[], None]],
-                 sim: Optional["Simulator"] = None) -> None:
+    def __init__(self, fn: Optional[Callable[[], None]]) -> None:
         self.cancelled = False
         self.fn = fn
-        #: owning simulator while the entry is still queued; cleared at
-        #: dispatch and at cancel so the cancelled-entry count moves
-        #: exactly once per queued handle
-        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the scheduled callback from running (idempotent)."""
         self.cancelled = True
         self.fn = None
-        if self._sim is not None:
-            self._sim._cancelled_pending += 1
-            self._sim = None
 
 
 class SleepRequest:

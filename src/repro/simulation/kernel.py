@@ -37,11 +37,10 @@ from typing import Callable, Iterable, Optional
 from repro.errors import DeadlockError, ProcessError, SimTimeError
 from repro.simulation.events import (KIND_CALL, KIND_CALLBACK, KIND_RESUME,
                                      KIND_SLEEP, KIND_TIMEOUT, PENDING,
-                                     SUCCEEDED, AllOf, AnyOf, CallbackHandle,
+                                     SUCCEEDED, AnyOf, CallbackHandle,
                                      Event, SleepRequest, Timeout)
 from repro.simulation.process import Process, ProcessGenerator
 from repro.simulation.rng import RngRegistry
-from repro.simulation.trace import TraceLog
 from repro.telemetry import Telemetry
 
 # short aliases for the typed queue-entry kinds (events.py is the
@@ -64,27 +63,19 @@ class Simulator:
         Master seed for the named RNG streams (see :class:`RngRegistry`).
         Two simulators with the same seed and the same program produce
         identical histories.
-    trace:
-        When true, record a :class:`TraceLog` of scheduling activity
-        (useful in tests and debugging; off by default for speed).
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
         #: time-ordered heap of (when, seq, kind, a, b) entries
         self._queue: list = []
         #: FIFO of (seq, kind, a, b) entries due at the current instant
         self._nowq: deque = deque()
         self._sequence = itertools.count()
-        #: cancelled call_at handles still sitting in the heap; they are
-        #: dropped lazily at pop and excluded from pending_events/peek
-        self._cancelled_pending = 0
         self.rng = RngRegistry(seed)
-        self.trace = TraceLog(self) if trace else None
         #: per-simulation observability context (metrics + spans); see
         #: :mod:`repro.telemetry`
-        self.telemetry = Telemetry(clock=lambda: self._now,
-                                   trace_log=self.trace)
+        self.telemetry = Telemetry(clock=lambda: self._now)
         #: When true (default) a process whose generator raises stores the
         #: exception on its termination event instead of crashing ``run``.
         self.capture_process_errors = True
@@ -128,10 +119,6 @@ class Simulator:
             raise SimTimeError(f"negative sleep delay: {delay}")
         return SleepRequest(delay)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all ``events`` fired successfully."""
-        return AllOf(self, events)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that fires when any of ``events`` fired successfully."""
         return AnyOf(self, events)
@@ -141,8 +128,6 @@ class Simulator:
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process from ``generator`` at the current time."""
         process = Process(self, generator, name=name)
-        if self.trace is not None:
-            self.trace.record("spawn", process=process.name)
         self._nowq.append((next(self._sequence), _RESUME, process, None))
         return process
 
@@ -156,7 +141,7 @@ class Simulator:
         if when < self._now:
             raise SimTimeError(
                 f"cannot schedule at {when:g}, now is {self._now:g}")
-        handle = CallbackHandle(fn, self)
+        handle = CallbackHandle(fn)
         heappush(self._queue,
                        (when, next(self._sequence), _CALL, handle, None))
         return handle
@@ -201,7 +186,6 @@ class Simulator:
                         and heap[0][1] < nowq[0][0]:
                     _when, _seq, kind, a, b = pop(heap)
                     if kind == CALL and a.cancelled:
-                        self._cancelled_pending -= 1
                         continue
                 else:
                     _seq, kind, a, b = popleft()
@@ -213,7 +197,6 @@ class Simulator:
                 if kind == CALL and a.cancelled:
                     # lazy tombstone drop: the clock does not advance to
                     # a cancelled callback's instant
-                    self._cancelled_pending -= 1
                     continue
                 self._now = when
             else:
@@ -237,7 +220,6 @@ class Simulator:
                 # second hop, like a timeout's callback delivery
                 append((next(sequence), RESUME, a, b))
             else:  # CALL
-                a._sim = None
                 fn = a.fn
                 if fn is not None:
                     fn()
@@ -270,13 +252,11 @@ class Simulator:
             # neither mask a real deadlock nor stretch the deadline
             while heap and heap[0][2] == CALL and heap[0][3].cancelled:
                 pop(heap)
-                self._cancelled_pending -= 1
             if nowq:
                 if heap and heap[0][0] <= self._now \
                         and heap[0][1] < nowq[0][0]:
                     _when, _seq, kind, a, b = pop(heap)
                     if kind == CALL and a.cancelled:
-                        self._cancelled_pending -= 1
                         continue
                 else:
                     _seq, kind, a, b = popleft()
@@ -288,7 +268,6 @@ class Simulator:
                         f"{process!r} did not finish within {timeout:g}s")
                 _when, _seq, kind, a, b = pop(heap)
                 if kind == CALL and a.cancelled:
-                    self._cancelled_pending -= 1
                     continue
                 self._now = when
             else:
@@ -313,7 +292,6 @@ class Simulator:
                 # second hop, like a timeout's callback delivery
                 append((next(sequence), RESUME, a, b))
             else:  # CALL
-                a._sim = None
                 fn = a.fn
                 if fn is not None:
                     fn()
@@ -323,36 +301,6 @@ class Simulator:
         """Make the current ``run()`` call return after this event."""
         self._stopped = True
         self._horizon = float("-inf")
-
-    @property
-    def pending_events(self) -> int:
-        """Number of scheduled-but-unprocessed queue entries.
-
-        Cancelled :meth:`call_at` handles still sitting in the heap are
-        *excluded* — a cancelled callback is not pending work and must
-        not mask a drained queue (see ``run_until_complete``'s deadlock
-        detection).
-        """
-        return (len(self._queue) + len(self._nowq)
-                - self._cancelled_pending)
-
-    def peek(self) -> Optional[float]:
-        """Time of the next live event, or None if the queue is empty.
-
-        Skips (and drops) cancelled ``call_at`` tombstones, so the
-        returned instant is one at which something will actually run.
-        """
-        if self._nowq:
-            return self._now
-        heap = self._queue
-        while heap:
-            head = heap[0]
-            if head[2] == _CALL and head[3].cancelled:
-                heappop(heap)
-                self._cancelled_pending -= 1
-                continue
-            return head[0]
-        return None
 
     # -- kernel internals (used by Event/Process) -----------------------------
 
@@ -366,4 +314,4 @@ class Simulator:
 
     def __repr__(self) -> str:
         return (f"<Simulator now={self._now:g} "
-                f"pending={self.pending_events}>")
+                f"pending={len(self._queue) + len(self._nowq)}>")

@@ -152,11 +152,6 @@ class NetworkLink:
         """True while the link carries traffic."""
         return self._up
 
-    @property
-    def is_degraded(self) -> bool:
-        """True while a brownout is in effect."""
-        return self.extra_latency > 0 or self.loss_fraction > 0
-
     def fail(self) -> None:
         """Cut the link: current and future transfers raise LinkDownError.
 
@@ -202,10 +197,6 @@ class NetworkLink:
             return self.latency
         return self.sim.rng.jitter(
             f"net.{self.name}", self.latency, self.jitter_fraction)
-
-    def round_trip(self) -> float:
-        """Sample a request/response round-trip delay."""
-        return self.one_way_delay() * 2
 
     def _interruptible_wait(self, delay: float, leg: str,
                             ) -> Generator[object, object, None]:
@@ -317,8 +308,3 @@ class SitePair:
         """End the brownout in both directions."""
         self.forward.clear_degradation()
         self.backward.clear_degradation()
-
-    @property
-    def is_up(self) -> bool:
-        """True when both directions carry traffic."""
-        return self.forward.is_up and self.backward.is_up

@@ -3,7 +3,7 @@
 A process wraps a Python generator.  The generator yields *waitables*:
 
 * an :class:`~repro.simulation.events.Event` (including ``Timeout``,
-  ``AllOf``, ``AnyOf``) — the process resumes when it fires;
+  ``AnyOf``) — the process resumes when it fires;
 * another :class:`Process` — the process resumes when it terminates
   (join semantics) and receives its return value;
 * ``sim.sleep(d)`` — a plain pause: the process resumes ``d`` seconds
@@ -83,7 +83,7 @@ class Process:
         """Event that fires (with the result) when this process ends.
 
         Yield the process itself for the same effect; ``join()`` exists for
-        combining with :class:`AllOf`/:class:`AnyOf`.
+        combining with :class:`AnyOf`.
         """
         return self._terminated
 

@@ -15,7 +15,7 @@ store.get()``.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Generator, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.errors import ProcessError
 from repro.simulation.events import Event
@@ -40,11 +40,6 @@ class Semaphore:
         self.capacity = capacity
         self._available = capacity
         self._waiters: Deque[Event] = deque()
-
-    @property
-    def available(self) -> int:
-        """Units currently free."""
-        return self._available
 
     @property
     def queue_length(self) -> int:
@@ -86,12 +81,6 @@ class Semaphore:
             raise ProcessError(f"{self.name}: release without acquire")
         self._available += 1
 
-    def held(self) -> Generator[object, object, None]:
-        """Process helper: ``yield from sem.held()`` is acquire;
-        the caller must still call ``release()`` (kept explicit because
-        generators cannot express ``with`` across yields cleanly)."""
-        yield self.acquire()
-
 
 class Lock(Semaphore):
     """Mutual exclusion: a semaphore with capacity 1."""
@@ -127,11 +116,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def queue_length(self) -> int:
-        """Number of processes blocked in ``get()``."""
-        return len(self._getters)
-
     def put(self, item: object) -> Event:
         """Offer ``item``; the returned event fires once it is enqueued."""
         event = self.sim.event(name=f"{self.name}.put")
@@ -146,16 +130,6 @@ class Store:
             self._putters.append((event, item))
         return event
 
-    def try_put(self, item: object) -> bool:
-        """Non-blocking put; returns False when the store is full."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            return False
-        self._items.append(item)
-        return True
-
     def get(self) -> Event:
         """Event that fires with the oldest item."""
         event = self.sim.event(name=f"{self.name}.get")
@@ -166,23 +140,6 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-    def try_get(self) -> tuple[bool, object]:
-        """Non-blocking get; returns ``(ok, item)``."""
-        if not self._items:
-            return False, None
-        item = self._items.popleft()
-        self._admit_putter()
-        return True, item
-
-    def drain(self) -> list:
-        """Remove and return every queued item (non-blocking)."""
-        items = list(self._items)
-        self._items.clear()
-        while self._putters and (self.capacity is None
-                                 or len(self._items) < self.capacity):
-            self._admit_putter()
-        return items
 
     def _admit_putter(self) -> None:
         if self._putters and (self.capacity is None

@@ -43,10 +43,6 @@ class RngRegistry:
         """Draw uniform(low, high) from the named stream."""
         return self.stream(name).uniform(low, high)
 
-    def expovariate(self, name: str, rate: float) -> float:
-        """Draw an exponential inter-arrival time with the given rate."""
-        return self.stream(name).expovariate(rate)
-
     def choice(self, name: str, seq):
         """Draw one element uniformly from ``seq``."""
         return self.stream(name).choice(seq)

@@ -42,13 +42,15 @@ from repro.storage.volume import (MediaProfile, Volume,
                                   VolumeRole)
 
 
+#: entries a journal volume holds unless ``create_journal`` is told
+JOURNAL_CAPACITY_ENTRIES = 200_000
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Array-wide defaults: media latencies and journal sizing."""
+    """Array-wide defaults: media latencies and ADC/SDC tuning."""
 
     media: MediaProfile = field(default_factory=MediaProfile)
-    block_size_bytes: int = 4096
-    journal_capacity_entries: int = 200_000
     adc: AdcConfig = field(default_factory=AdcConfig)
     sdc: SdcConfig = field(default_factory=SdcConfig)
 
@@ -251,7 +253,7 @@ class StorageArray:
         """Create a journal volume (reserves pool capacity 1:1 by entry)."""
         self._check_alive()
         pool = self._require_pool(pool_id)
-        capacity = capacity_entries or self.config.journal_capacity_entries
+        capacity = capacity_entries or JOURNAL_CAPACITY_ENTRIES
         journal_id = next(self._journal_ids)
         pool.reserve(f"journal-{journal_id}", capacity)
         journal = JournalVolume(
@@ -428,12 +430,6 @@ class StorageArray:
         for group in self.journal_groups.values():
             if pair_id in group.pairs:
                 pair = group.remove_pair(pair_id)
-                self._finish_pair_delete(pair)
-                self._audit("delete_pair", pair_id=pair_id)
-                return
-        for mirror in self.sync_mirrors.values():
-            if pair_id in mirror.pairs:
-                pair = mirror.remove_pair(pair_id)
                 self._finish_pair_delete(pair)
                 self._audit("delete_pair", pair_id=pair_id)
                 return
@@ -748,43 +744,6 @@ class StorageArray:
         """All live snapshot groups, id order (probe/report surface)."""
         return [self._snapshot_groups[gid]
                 for gid in sorted(self._snapshot_groups)]
-
-    def clone_snapshot(self, snapshot_id: int, pool_id: int,
-                       name: str = "") -> Volume:
-        """Materialise a snapshot into a new full, independent volume.
-
-        The clone holds the snapshot view's *current* image (overlay
-        included) with its original block versions, so consistency
-        checking against history keeps working on clones.  Modelled as
-        an instant flash-copy; the capacity is reserved from ``pool_id``
-        up front like any volume.
-        """
-        self._check_alive()
-        snapshot = self.get_snapshot(snapshot_id)
-        clone = self.create_volume(
-            pool_id, snapshot.base.capacity_blocks,
-            name=name or f"{snapshot.name}-clone")
-        clone.load_image(snapshot.image_columns())
-        self._audit("clone_snapshot", snapshot_id=snapshot_id,
-                    clone_id=clone.volume_id)
-        return clone
-
-    def clone_snapshot_group(self, group_id: str, pool_id: int,
-                             ) -> Dict[int, Volume]:
-        """Clone every member of a snapshot group.
-
-        Returns base volume id → clone, the point-in-time restore
-        primitive: mount the clones and recover the databases at the
-        generation's instant.
-        """
-        self._check_alive()
-        group = self.get_snapshot_group(group_id)
-        clones: Dict[int, Volume] = {}
-        for snapshot in group.snapshots:
-            clones[snapshot.base.volume_id] = self.clone_snapshot(
-                snapshot.snapshot_id, pool_id,
-                name=f"{group_id}-{snapshot.base.volume_id}-clone")
-        return clones
 
     def delete_snapshot(self, snapshot_id: int) -> None:
         """Delete a snapshot, releasing its COW store."""

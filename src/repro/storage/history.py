@@ -16,7 +16,7 @@ it never influences the data path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(slots=True)
@@ -51,8 +51,6 @@ class WriteHistory:
 
     def __init__(self) -> None:
         self._records: List[WriteRecord] = []
-        # (volume_id, version) -> record, for backup image matching
-        self._by_version: Dict[Tuple[int, int], WriteRecord] = {}
         # cached immutable view handed out by :attr:`records`;
         # invalidated on append so repeated probe/checker reads are O(1)
         self._view: Optional[Tuple[WriteRecord, ...]] = None
@@ -67,7 +65,6 @@ class WriteHistory:
         record = WriteRecord(len(records), time, volume_id, block, version,
                              tag)
         records.append(record)
-        self._by_version[(volume_id, version)] = record
         self._view = None
         return record
 
@@ -81,9 +78,6 @@ class WriteHistory:
                for seq, (volume_id, block, version, tag)
                in enumerate(writes, len(records))]
         records += new
-        by_version = self._by_version
-        for record in new:
-            by_version[(record.volume_id, record.version)] = record
         self._view = None
         return new
 
@@ -109,11 +103,3 @@ class WriteHistory:
         """History restricted to a volume group (ack order preserved)."""
         wanted = set(volume_ids)
         return [r for r in self._records if r.volume_id in wanted]
-
-    def lookup(self, volume_id: int, version: int) -> Optional[WriteRecord]:
-        """The record that installed ``version`` on ``volume_id``, if acked."""
-        return self._by_version.get((volume_id, version))
-
-    def last_seq(self) -> int:
-        """Sequence of the newest record; -1 when empty."""
-        return len(self._records) - 1

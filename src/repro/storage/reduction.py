@@ -60,6 +60,17 @@ if TYPE_CHECKING:  # pragma: no cover
 #: skip-if-incompressible flag plus the compressed length)
 COMPRESS_FRAME_BYTES = 2
 
+#: zlib compression level (1 fastest .. 9 densest)
+COMPRESS_LEVEL = 6
+#: ship the compressed form only when ``compressed <= threshold * raw``
+#: — the skip-if-incompressible flag
+RATIO_THRESHOLD = 0.9
+#: payloads smaller than this skip the compression attempt (the zlib
+#: header alone would eat the win)
+MIN_COMPRESS_BYTES = 32
+#: wire size of one fingerprint reference (crc32 + length + framing)
+REF_BYTES = 12
+
 #: density probe (docs/performance.md): deflate is skipped when, of at
 #: most PROBE_SAMPLE_BYTES bytes taken at an even stride over the
 #: payload, at least PROBE_DENSE_DISTINCT per 64 are distinct values.
@@ -80,38 +91,17 @@ class ReductionConfig:
     """Tuning knobs of the wire data-reduction engine.
 
     Off by default: with ``enabled=False`` every wire path behaves (and
-    accounts) exactly as before.  ``level``/``ratio_threshold`` shape
-    the compression side; ``cache_entries``/``ref_bytes`` the dedup
-    side (``cache_entries=0`` disables dedup while keeping
-    compression).
+    accounts) exactly as before.  ``cache_entries=0`` disables dedup
+    while keeping compression.
     """
 
     enabled: bool = False
-    #: zlib compression level (1 fastest .. 9 densest)
-    level: int = 6
-    #: ship the compressed form only when ``compressed <= threshold *
-    #: raw`` — the skip-if-incompressible flag; 1.0 accepts any win
-    ratio_threshold: float = 0.9
-    #: payloads smaller than this skip the compression attempt (the
-    #: zlib header alone would eat the win)
-    min_compress_bytes: int = 32
     #: bounded fingerprint-cache capacity per side, in payloads
     cache_entries: int = 4096
-    #: wire size of one fingerprint reference (crc32 + length + framing)
-    ref_bytes: int = 12
 
     def __post_init__(self) -> None:
-        if not 1 <= self.level <= 9:
-            raise ValueError(f"level must be in [1, 9]: {self.level}")
-        if not 0 < self.ratio_threshold <= 1:
-            raise ValueError(
-                f"ratio_threshold must be in (0, 1]: {self.ratio_threshold}")
-        if self.min_compress_bytes < 0:
-            raise ValueError("min_compress_bytes must be >= 0")
         if self.cache_entries < 0:
             raise ValueError("cache_entries must be >= 0")
-        if self.ref_bytes < 1:
-            raise ValueError("ref_bytes must be >= 1")
 
 
 #: the shared "reduction off" default carried by AdcConfig/SdcConfig
@@ -125,8 +115,7 @@ class ReductionCodec:
     one seed stay byte-identical; the only state is a tally.
     """
 
-    def __init__(self, config: ReductionConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         #: payloads the density probe turned away before deflate
         self.probe_skips = 0
 
@@ -135,9 +124,8 @@ class ReductionCodec:
         small or too dense to be worth shipping compressed.  The probe
         errs one way only: a payload wrongly called dense ships raw;
         every other payload gets deflate's exact verdict."""
-        config = self.config
         size = len(payload)
-        if size < config.min_compress_bytes:
+        if size < MIN_COMPRESS_BYTES:
             return None
         stride = size // PROBE_SAMPLE_BYTES or 1
         sample = payload[:stride * PROBE_SAMPLE_BYTES:stride]
@@ -145,9 +133,9 @@ class ReductionCodec:
                 >= PROBE_DENSE_DISTINCT * len(sample):
             self.probe_skips += 1
             return None
-        packed = zlib.compress(payload, config.level)
+        packed = zlib.compress(payload, COMPRESS_LEVEL)
         if len(packed) + COMPRESS_FRAME_BYTES \
-                <= config.ratio_threshold * len(payload):
+                <= RATIO_THRESHOLD * len(payload):
             return packed
         return None
 
@@ -243,7 +231,7 @@ class WireReducer:
         # both owners can share one registry
         scope = self._scope = {"group": group}
         self._registry = registry
-        self.codec = ReductionCodec(config)
+        self.codec = ReductionCodec()
         self.sender = FingerprintCache(config.cache_entries)
         self.receiver = FingerprintCache(config.cache_entries)
         #: encode-time dedup lookups and hits (drives the hit-ratio gauge)
@@ -298,7 +286,7 @@ class WireReducer:
         lands leaves no state behind.
         """
         dedup = self.config.cache_entries > 0
-        ref_bytes = self.config.ref_bytes
+        ref_bytes = REF_BYTES
         sender_get = self.sender.get
         compress = self.codec.compress
         pending: Dict[Fingerprint, bytes] = {}
@@ -415,7 +403,7 @@ class WireReducer:
                 self.wire_counter(path + "-fallback").increment(
                     fallback_bytes)
                 saved_dedup -= fallback_bytes - fallbacks * (
-                    overhead + self.config.ref_bytes)
+                    overhead + REF_BYTES)
             self.account(path, batch.wire_bytes, saved_dedup,
                          batch.saved_compress)
 

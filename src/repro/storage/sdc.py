@@ -29,14 +29,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
 
 
-#: blocks per bulk-copy chunk: initial copy and resync negotiate and
-#: ship this many blocks per link round trip instead of paying one
+#: blocks per bulk-copy chunk: the initial copy negotiates and ships
+#: this many blocks per link round trip instead of paying one
 #: propagation delay per block
 COPY_BATCH_BLOCKS = 32
 #: wire bytes of the per-block ``(version, crc32)`` negotiation
 #: metadata — the lightweight-metadata exchange that lets up-to-date
 #: secondary blocks skip the payload transfer entirely
 NEGOTIATE_METADATA_BYTES = 16
+
+#: wire bytes of one block's payload on the mirror link
+BLOCK_SIZE_BYTES = 4096
 
 
 @dataclass(frozen=True)
@@ -49,15 +52,12 @@ class SdcConfig:
     becoming a business outage.
     """
 
-    block_size_bytes: int = 4096
     #: wire data reduction (fingerprint dedup + inline compression) for
-    #: the bulk copy / resync payload transfers; off by default — the
+    #: the bulk copy payload transfers; off by default — the
     #: wire then carries every stale block verbatim, exactly as before
     reduction: ReductionConfig = DISABLED_REDUCTION
 
     def __post_init__(self) -> None:
-        if self.block_size_bytes < 1:
-            raise ValueError("block_size_bytes must be >= 1")
         if not isinstance(self.reduction, ReductionConfig):
             raise ValueError("reduction must be a ReductionConfig")
 
@@ -79,8 +79,8 @@ class SyncMirror:
         registry = sim.telemetry.registry
         self.tracer = sim.telemetry.tracer
         self.recorder = sim.telemetry.recorder
-        #: wire data-reduction engine for the bulk copy / resync
-        #: payload transfers (no-op object when disabled)
+        #: wire data-reduction engine for the bulk copy payload
+        #: transfers (no-op object when disabled)
         self.reducer = WireReducer(sim, self.config.reduction,
                                    group=mirror_id)
         self.replicated_writes = registry.counter(
@@ -122,20 +122,9 @@ class SyncMirror:
             "pair", pair.pair_id, mirror=self.mirror_id, event=event,
             state=pair.state.value, reason=pair.suspend_reason)
 
-    def remove_pair(self, pair_id: str) -> ReplicationPair:
-        """Detach a pair; returns it."""
-        pair = self.pairs.pop(pair_id, None)
-        if pair is None:
-            raise ReplicationError(
-                f"mirror {self.mirror_id}: unknown pair {pair_id}")
-        del self._pairs_by_pvol[pair.pvol.volume_id]
-        del self._pair_locks[pair_id]
-        return pair
-
     # -- data path ----------------------------------------------------------
 
-    def _bulk_copy(self, pair: ReplicationPair,
-                   items: List[tuple], path: str = "copy",
+    def _bulk_copy(self, pair: ReplicationPair, items: List[tuple],
                    ) -> Generator[object, object, None]:
         """Delta-negotiated batched copy of ``(block, value)`` items.
 
@@ -150,9 +139,8 @@ class SyncMirror:
 
         With reduction enabled the stale payload transfer is charged
         its *post-reduction* byte count (dedup references + compressed
-        payloads), the installed bytes are the actual receive-side
-        reconstruction, and ``path`` labels the wire-byte accounting
-        (``"copy"`` for initial copy, ``"resync"`` for resync).
+        payloads) and the installed bytes are the actual receive-side
+        reconstruction.
         """
         config = self.config
         svol = pair.svol
@@ -167,7 +155,7 @@ class SyncMirror:
                 reducer.invalidate()
                 raise
             if reducer.enabled:
-                reducer.account(path, negotiate_bytes)
+                reducer.account("copy", negotiate_bytes)
             ack_delay = self.link.one_way_delay()
             if ack_delay > 0:
                 yield self.sim.sleep(ack_delay)
@@ -182,11 +170,11 @@ class SyncMirror:
                 # every block ships at the fixed block size unreduced,
                 # so raw_bytes prices the wire cost it would have paid
                 encodings = reducer.encode_batch(
-                    values, raw_bytes=config.block_size_bytes)
+                    values, raw_bytes=BLOCK_SIZE_BYTES)
                 wire_bytes = encodings.wire_bytes
             else:
                 encodings = None
-                wire_bytes = config.block_size_bytes * len(stale)
+                wire_bytes = BLOCK_SIZE_BYTES * len(stale)
             try:
                 yield from self.link.transfer(wire_bytes)
             except LinkDownError:
@@ -198,9 +186,9 @@ class SyncMirror:
             if encodings is not None:
                 # receive side: reconstruct each block from its wire
                 # form (committing the caches in lockstep); the pass
-                # books the chunk's post-reduction bytes under this path
+                # books the chunk's post-reduction bytes
                 received = [payload for payload, _verified in
-                            reducer.receive_batch(path, encodings, values)]
+                            reducer.receive_batch("copy", encodings, values)]
             else:
                 received = [value.payload for value in values]
             # a concurrent replicate_write may have raced a newer
@@ -224,7 +212,7 @@ class SyncMirror:
         The copy is delta-negotiated and batched: per-block
         ``(version, crc32)`` metadata is exchanged *before* any payload
         moves, so blocks already current on the S-VOL pay the metadata
-        bytes only — never the ``block_size_bytes`` wire cost.
+        bytes only — never the ``BLOCK_SIZE_BYTES`` wire cost.
         """
         pair = self._require_pair(pair_id)
         items = sorted(pair.pvol.block_map().items())
@@ -254,7 +242,7 @@ class SyncMirror:
         lock = self._pair_locks[pair.pair_id]
         yield lock.acquire()
         try:
-            yield from self.link.transfer(self.config.block_size_bytes)
+            yield from self.link.transfer(BLOCK_SIZE_BYTES)
             yield from pair.svol.write_block(
                 block, payload, version=version)
             # The completion status travels back before the host ack.
@@ -274,38 +262,6 @@ class SyncMirror:
         self.replicated_writes.increment()
         self.tracer.finish(rep_span)
         return True
-
-    # -- suspension / resync -------------------------------------------------
-
-    def split(self) -> None:
-        """Operator-initiated suspension of every pair (PSUS)."""
-        for pair in self.pairs.values():
-            if pair.suspended_state is None:
-                pair.suspend(PairState.PSUS, "split by operator")
-
-    def resync(self) -> Generator[object, object, None]:
-        """Copy dirty blocks to the secondaries and clear suspensions.
-
-        Rides the same delta-negotiated bulk path as
-        :meth:`initial_copy`: dirty blocks whose content already
-        reached the secondary are skipped after the metadata exchange,
-        and the stale remainder ships in
-        ``COPY_BATCH_BLOCKS``-sized batches.
-        """
-        if not self.link.is_up:
-            raise ReplicationError(
-                f"mirror {self.mirror_id}: cannot resync while link is down")
-        for pair in self.pairs.values():
-            if pair.suspended_state is None:
-                continue
-            items = []
-            for _volume_id, block in sorted(pair.take_dirty()):
-                value = pair.pvol.peek(block)
-                if value is None:
-                    continue
-                items.append((block, value))
-            yield from self._bulk_copy(pair, items, path="resync")
-            pair.clear_suspension()
 
     def _require_pair(self, pair_id: str) -> ReplicationPair:
         pair = self.pairs.get(pair_id)

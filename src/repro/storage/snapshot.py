@@ -3,10 +3,7 @@
 A :class:`Snapshot` freezes the image of one volume at creation time:
 subsequent base-volume writes first preserve the block's pre-image into
 the snapshot store (the COW hook lives in
-:meth:`repro.storage.volume.Volume.install_blocks`).  Snapshots are
-*writable* (like Hitachi Thin Image): writes land in a private overlay,
-so a database can replay its log against a snapshot without touching the
-base volume.
+:meth:`repro.storage.volume.Volume.install_blocks`).
 
 A :class:`SnapshotGroup` snapshots several volumes **at one instant with
 restore quiesced**, so the set of images is crash-consistent across
@@ -19,19 +16,14 @@ experiment E4 demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import SnapshotError
-from repro.storage.journal import payload_checksum
 from repro.storage.volume import SnapshotView, Volume
-
-#: Snapshot views expose ids in a disjoint range from real volumes so that
-#: history lookups and CSI handles can never confuse the two.
-SNAPSHOT_VIEW_ID_BASE = 1_000_000
 
 
 class Snapshot:
-    """A copy-on-write, writable point-in-time image of one volume."""
+    """A copy-on-write point-in-time image of one volume."""
 
     def __init__(self, snapshot_id: int, base: Volume,
                  created_at: float, name: str = "") -> None:
@@ -39,16 +31,12 @@ class Snapshot:
         self.base = base
         self.created_at = created_at
         self.name = name or f"snap-{snapshot_id}"
-        self.view_volume_id = SNAPSHOT_VIEW_ID_BASE + snapshot_id
         self.deleted = False
         #: The pre-image store, written by the base volume's COW hook
         #: (and by nothing else): block -> the ``(payload, version,
         #: checksum)`` row the base held when the snapshot was taken, or
         #: None when the block was unallocated then.
         self.preimages: Dict[int, Optional[tuple]] = {}
-        # Writes issued against the snapshot view, same row shape.
-        self._overlay: Dict[int, tuple] = {}
-        self._overlay_version = 0
         # Memoized image_blocks()/frozen_version_map() (see image_blocks)
         self._image_cache: Optional[Dict[int, bytes]] = None
         self._frozen_cache: Optional[Dict[int, int]] = None
@@ -65,11 +53,8 @@ class Snapshot:
     # -- image access --------------------------------------------------------
 
     def _row(self, block: int) -> Optional[tuple]:
-        """The block as the view sees it: overlay, pre-image, or base."""
+        """The block as the view sees it: pre-image, or base."""
         self._check_live()
-        row = self._overlay.get(block)
-        if row is not None:
-            return row
         if block in self.preimages:
             return self.preimages[block]
         return self.base.peek(block)
@@ -79,35 +64,15 @@ class Snapshot:
         row = self._row(block)
         return row[0] if row is not None else None
 
-    def version_of(self, block: int) -> int:
-        """Version of the block as the snapshot view sees it (0 if empty)."""
-        row = self._row(block)
-        return row[1] if row is not None else 0
-
-    def write_overlay(self, block: int, payload: bytes) -> int:
-        """Write into the snapshot's private overlay; returns a version."""
-        self._check_live()
-        self._overlay_version += 1
-        version = self.base.version_counter + self._overlay_version
-        data = bytes(payload)
-        self._overlay[block] = (data, version, payload_checksum(data))
-        if self._image_cache is not None:
-            # keep the memoized image hot instead of invalidating it
-            self._image_cache[block] = data
-        return version
-
-    def _column(self, field: int, overlay: bool) -> dict:
+    def _column(self, field: int) -> dict:
         """One ``block -> field`` column of the image (``BlockValue``
         field order): a C-level copy of the base volume's column,
-        patched with the pre-images and, on request, the overlay."""
+        patched with the pre-images."""
         column = self.base.column(field)
         for block, row in self.preimages.items():
             if row is None:
                 column.pop(block, None)
             else:
-                column[block] = row[field]
-        if overlay:
-            for block, row in self._overlay.items():
                 column[block] = row[field]
         return column
 
@@ -117,17 +82,16 @@ class Snapshot:
         Memoized: base ∪ pre-images is the *frozen* view, immutable
         after creation — every base mutation routes through the COW hook
         first, so the pre-image it preserves is the value this cache
-        already holds.  Only overlay writes change the image, and they
-        update the cache in place.  The returned dict is the cache —
-        callers treat it as read-only.
+        already holds.  The returned dict is the cache — callers treat
+        it as read-only.
         """
         self._check_live()
         if self._image_cache is None:
-            self._image_cache = self._column(0, overlay=True)
+            self._image_cache = self._column(0)
         return self._image_cache
 
     def frozen_version_map(self) -> Dict[int, int]:
-        """block → version of the *frozen* image (ignores the overlay).
+        """block → version of the *frozen* image.
 
         This is what consistency checking compares against history: the
         state of the base volume at snapshot-creation time.  Memoized
@@ -136,17 +100,11 @@ class Snapshot:
         """
         self._check_live()
         if self._frozen_cache is None:
-            self._frozen_cache = self._column(1, overlay=False)
+            self._frozen_cache = self._column(1)
         return self._frozen_cache
 
-    def image_columns(self) -> Tuple[dict, dict, dict]:
-        """The current image (overlay included) as payload, version and
-        checksum columns — what a clone volume is loaded from."""
-        self._check_live()
-        return tuple(self._column(field, overlay=True) for field in range(3))
-
     def view(self) -> SnapshotView:
-        """A volume-like read/write handle over this snapshot."""
+        """A volume-like read handle over this snapshot."""
         self._check_live()
         return SnapshotView(self)
 
@@ -159,7 +117,6 @@ class Snapshot:
         self.deleted = True
         self.base.detach_snapshot(self)
         self.preimages.clear()
-        self._overlay.clear()
         self._image_cache = None
         self._frozen_cache = None
 

@@ -316,16 +316,6 @@ class Volume:
             self.writes += len(installed)
         return installed
 
-    def load_image(self, columns: Sequence[dict]) -> None:
-        """Adopt three ``block -> field`` columns (as :meth:`column`
-        hands them out) as the content of this empty volume — the flash
-        copy behind ``clone_snapshot``; nothing is re-hashed."""
-        if self._payloads:
-            raise VolumeError(f"{self.name}: load_image needs an empty volume")
-        for column, source in zip(self._columns, columns):
-            column.update(source)
-        self._version_counter = max(self._versions.values(), default=0)
-
     def format(self) -> None:
         """Erase the contents (copy-target preparation).  Goes through
         the copy-on-write hook like any write: live snapshots keep the
@@ -417,10 +407,6 @@ class Volume:
         """Take the volume offline (disaster injection)."""
         self.status = VolumeStatus.BLOCKED
 
-    def unblock_volume(self) -> None:
-        """Bring the volume back online."""
-        self.status = VolumeStatus.NORMAL
-
     def __repr__(self) -> str:
         return (f"<Volume {self.name!r} id={self.volume_id} "
                 f"{self.role.value}/{self.status.value} "
@@ -428,13 +414,11 @@ class Volume:
 
 
 class SnapshotView:
-    """Read/write view over a snapshot, presented like a volume.
+    """Read view over a snapshot, presented like a volume.
 
     Reads hit the snapshot's saved pre-images first and fall through to
-    the base volume for blocks never overwritten since the snapshot.
-    Writes are redirected into the snapshot overlay (the simulated array
-    supports writable snapshots, as Hitachi Thin Image does), so a
-    database can run recovery against a snapshot without touching the
+    the base volume for blocks never overwritten since the snapshot, so
+    a database can run recovery against a snapshot without touching the
     base volume.
     """
 
@@ -444,38 +428,14 @@ class SnapshotView:
         self.name = f"{snapshot.base.name}@snap{snapshot.snapshot_id}"
         self.capacity_blocks = snapshot.base.capacity_blocks
         self.reads = 0
-        self.writes = 0
-
-    @property
-    def volume_id(self) -> int:
-        """Snapshot views expose the snapshot id offset into a distinct
-        id space so they never collide with real volume ids."""
-        return self.snapshot.view_volume_id
 
     def read_block(self, block: int) -> Generator[object, object, Optional[bytes]]:
-        """Read from the overlay, the pre-images, or the base volume."""
+        """Read from the pre-images or the base volume."""
         media = self.snapshot.base.media
         if media.read_latency > 0:
             yield self.sim.sleep(media.read_latency)
         self.reads += 1
         return self.snapshot.read_current(block)
-
-    def write_block(self, block: int, payload: bytes,
-                    version: Optional[int] = None,
-                    ) -> Generator[object, object, int]:
-        """Write into the snapshot overlay (base volume untouched)."""
-        media = self.snapshot.base.media
-        if media.write_latency > 0:
-            yield self.sim.sleep(media.write_latency)
-        self.writes += 1
-        return self.snapshot.write_overlay(block, bytes(payload))
-
-    def peek(self, block: int) -> Optional[BlockValue]:
-        """Latency-free inspection of the view's current content."""
-        payload = self.snapshot.read_current(block)
-        if payload is None:
-            return None
-        return BlockValue(payload, self.snapshot.version_of(block))
 
     def __repr__(self) -> str:
         return f"<SnapshotView {self.name!r}>"

@@ -21,7 +21,7 @@ See ``docs/observability.md`` for the metric catalog and span taxonomy.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.telemetry.incident import IncidentReport, build_incident
 from repro.telemetry.metrics import (Counter, Gauge, Histogram,
@@ -75,18 +75,7 @@ class Telemetry:
     """The per-simulator observability context."""
 
     def __init__(self, clock: Callable[[], float],
-                 trace_log: Optional[object] = None,
                  max_spans: int = 250_000) -> None:
         self.registry = MetricsRegistry()
-        on_finish = None
-        if trace_log is not None:
-            # mirror finished spans into the kernel's flat action log so
-            # existing TraceLog tooling sees them alongside scheduling
-            def on_finish(span: Span) -> None:
-                trace_log.record(
-                    "span", name=span.name, trace=span.trace_id,
-                    span=span.span_id, parent=span.parent_id,
-                    start=span.start, status=span.status)
-        self.tracer = Tracer(clock, max_spans=max_spans,
-                             on_finish=on_finish)
+        self.tracer = Tracer(clock, max_spans=max_spans)
         self.recorder = FlightRecorder(clock, registry=self.registry)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def percentile_sorted(ordered: Sequence[float], fraction: float) -> float:
@@ -133,21 +133,6 @@ class LatencyRecorder:
         """Immutable view of the collected samples."""
         return tuple(self._samples)
 
-    def merge(self, other: "LatencyRecorder") -> "LatencyRecorder":
-        """Absorb ``other``'s samples into this recorder; returns self."""
-        self._samples.extend(other._samples)
-        return self
-
-    @classmethod
-    def merged(cls, name: str,
-               recorders: Iterable["LatencyRecorder"],
-               ) -> "LatencyRecorder":
-        """A new recorder combining several (e.g. one per volume)."""
-        combined = cls(name)
-        for recorder in recorders:
-            combined.merge(recorder)
-        return combined
-
     def summary(self) -> LatencySummary:
         """Summary statistics; raises ``ValueError`` when empty.
 
@@ -165,10 +150,6 @@ class LatencyRecorder:
             p99=percentile_sorted(ordered, 0.99),
             maximum=ordered[-1],
         )
-
-    def reset(self) -> None:
-        """Discard all samples (e.g. after a warm-up phase)."""
-        self._samples.clear()
 
 
 class Counter:
@@ -189,10 +170,6 @@ class Counter:
 
     #: short alias matching common client-library naming
     inc = increment
-
-    def reset(self) -> None:
-        """Zero the counter."""
-        self.value = 0
 
     def __repr__(self) -> str:
         return f"<Counter {self.name!r} value={self.value}>"
@@ -387,32 +364,6 @@ class Histogram:
             p99=self.quantile(0.99),
             maximum=self._max,
         )
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Absorb another sketch with identical parameters; returns self."""
-        if (other.growth, other.min_value) != (self.growth, self.min_value):
-            raise ValueError(
-                f"cannot merge histogram {other.name!r} "
-                f"(growth={other.growth}, min={other.min_value}) into "
-                f"{self.name!r} (growth={self.growth}, "
-                f"min={self.min_value})")
-        for index, count in other._counts.items():
-            self._counts[index] = self._counts.get(index, 0) + count
-        self._underflow += other._underflow
-        self.count += other.count
-        self.total += other.total
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        return self
-
-    def reset(self) -> None:
-        """Discard all samples."""
-        self._counts.clear()
-        self._underflow = 0
-        self.count = 0
-        self.total = 0.0
-        self._min = math.inf
-        self._max = -math.inf
 
     def __repr__(self) -> str:
         return (f"<Histogram {self.name!r} count={self.count} "

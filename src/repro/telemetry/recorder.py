@@ -28,8 +28,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
-                    Tuple)
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.registry import MetricsRegistry
@@ -64,11 +63,6 @@ class FlightEvent:
     name: str
     attrs: Dict[str, object] = field(default_factory=dict)
 
-    def detail(self) -> str:
-        """Deterministic one-line rendering of the attributes."""
-        return " ".join(f"{key}={self.attrs[key]}"
-                        for key in sorted(self.attrs))
-
     def as_dict(self) -> dict:
         return {
             "seq": self.seq,
@@ -79,7 +73,8 @@ class FlightEvent:
         }
 
     def __str__(self) -> str:
-        tail = f" {self.detail()}" if self.attrs else ""
+        tail = "".join(f" {key}={self.attrs[key]}"
+                       for key in sorted(self.attrs))
         return f"[{self.time:9.4f}] {self.category:10} {self.name}{tail}"
 
 
@@ -173,19 +168,10 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self.events)
 
-    def of_category(self, category: str) -> List[FlightEvent]:
-        """All buffered events of one category, in order."""
-        return [event for event in self.events
-                if event.category == category]
-
     def named(self, category: str, name: str) -> List[FlightEvent]:
         """All buffered events matching category and name, in order."""
         return [event for event in self.events
                 if event.category == category and event.name == name]
-
-    def timeline(self) -> List[Tuple[float, int, FlightEvent]]:
-        """Events as sortable ``(time, seq, event)`` triples."""
-        return [(event.time, event.seq, event) for event in self.events]
 
     def __repr__(self) -> str:
         return (f"<FlightRecorder events={len(self.events)} "

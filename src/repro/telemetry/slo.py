@@ -257,10 +257,6 @@ class SloEngine:
         self._running = False
         self._process = None
 
-    @property
-    def rules(self) -> List[AlertRule]:
-        return [status.rule for status in self._statuses]
-
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "SloEngine":
@@ -348,13 +344,6 @@ class SloEngine:
                                  severity=rule.severity, detail=detail)
 
     # -- queries / rendering -------------------------------------------------
-
-    def state_of(self, rule_name: str) -> str:
-        """Current state ("ok" / "pending" / "firing") of one rule."""
-        for status in self._statuses:
-            if status.rule.name == rule_name:
-                return status.state
-        raise KeyError(f"unknown rule: {rule_name!r}")
 
     def firing_rules(self) -> List[str]:
         """Names of the rules currently firing, sorted."""

@@ -17,11 +17,6 @@ derived from spans alone.  Entries created by initial copy or resync
 are parented to ``initial-copy``/``resync`` spans instead, keeping the
 "every restore-apply has a causal parent" invariant total.
 
-The tracer integrates with the kernel
-:class:`~repro.simulation.trace.TraceLog` (when the simulator was
-built with ``trace=True``) by logging a ``span`` action on every
-finish; it never replaces the flat action log.
-
 Span IDs come from a deterministic counter, not randomness or wall
 clocks, so traces are reproducible run-to-run like everything else in
 the simulation.
@@ -31,7 +26,7 @@ applier: one ``restore-apply`` per journal entry) record one compact
 :class:`SpanBlock` per window — a tuple row per span, ids reserved as a
 contiguous range — which is materialised into :class:`Span` objects,
 indistinguishable from individually recorded ones, only when a query
-(``spans``, ``named``, ``by_id``, …) or an ``on_finish`` hook asks.
+(``spans``, ``named``, …) asks.
 """
 
 from __future__ import annotations
@@ -40,8 +35,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import (Callable, Deque, Dict, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple, Union)
+from typing import (Callable, Deque, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 
 @dataclass(slots=True)
@@ -69,11 +64,6 @@ class Span:
     def finished(self) -> bool:
         return self.end is not None
 
-    def set(self, **attrs: object) -> "Span":
-        """Attach attributes; returns self for chaining."""
-        self.attrs.update(attrs)
-        return self
-
     def as_dict(self) -> dict:
         """JSON-serialisable form."""
         return {
@@ -97,14 +87,10 @@ class _NullSpan(Span):
     """The shared no-op span handed out while tracing is disabled.
 
     Carries ``None`` ids so trace context propagated from it (e.g. into
-    a journal entry) stays empty, and swallows attribute updates so the
-    singleton never accumulates state.
+    a journal entry) stays empty.
     """
 
     __slots__ = ()
-
-    def set(self, **attrs: object) -> "Span":
-        return self
 
 
 #: singleton returned by :meth:`Tracer.start` when ``enabled`` is False;
@@ -186,12 +172,9 @@ class Tracer:
     """
 
     def __init__(self, clock: Callable[[], float],
-                 max_spans: int = 250_000,
-                 on_finish: Optional[Callable[[Span], None]] = None,
-                 ) -> None:
+                 max_spans: int = 250_000) -> None:
         self._clock = clock
         self.max_spans = max_spans
-        self.on_finish = on_finish
         #: master switch: when False, :meth:`start` returns the shared
         #: :data:`NULL_SPAN` and :meth:`finish` no-ops — zero span
         #: objects are allocated on the hot path
@@ -250,8 +233,6 @@ class Tracer:
         span.end = self._clock()
         span.status = status
         span.attrs.update(attrs)
-        if self.on_finish is not None:
-            self.on_finish(span)
         return span
 
     def start_block(self, schema: BlockSchema, rows: Sequence[tuple],
@@ -276,19 +257,11 @@ class Tracer:
         block = SpanBlock(schema, tuple(chain.from_iterable(rows)),
                           early, self._next_span, self._clock())
         self._next_span += len(rows)
-        if self.on_finish is not None:
-            # the hook sees spans as they finish: nothing to defer
-            spans = block.materialise()
-            for span in spans:
-                self._store(span)
-            for index in early:
-                self.on_finish(spans[index])
-        else:
-            self._ring.append(block)
-            self._compact += 1
-            self._size += len(rows)
-            while self._size > self.max_spans:
-                self._evict()
+        self._ring.append(block)
+        self._compact += 1
+        self._size += len(rows)
+        while self._size > self.max_spans:
+            self._evict()
         return block
 
     def finish_block(self, block: Optional[SpanBlock]) -> None:
@@ -300,8 +273,6 @@ class Tracer:
                 if span.end is None:
                     span.end = end
                     span.attrs.update(block.schema.closing)
-                    if self.on_finish is not None:
-                        self.on_finish(span)
 
     def _store(self, span: Span) -> None:
         if self._size >= self.max_spans:
@@ -344,29 +315,9 @@ class Tracer:
     def __len__(self) -> int:
         return self._size
 
-    def by_id(self, span_id: str) -> Optional[Span]:
-        """The stored span with this id, or None (may have been evicted)."""
-        spans = self.spans
-        number = span_id[1:]
-        index = int(number) - (self._next_span - len(spans)) \
-            if number.isdigit() else -1
-        return spans[index] if 0 <= index < len(spans) else None
-
     def named(self, name: str) -> List[Span]:
         """All stored spans with this name, in creation order."""
         return [span for span in self.spans if span.name == name]
-
-    def trace(self, trace_id: str) -> List[Span]:
-        """All stored spans of one trace, in creation order."""
-        return [span for span in self.spans if span.trace_id == trace_id]
-
-    def children(self, span: Span) -> List[Span]:
-        """Direct children of ``span`` among stored spans."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def roots(self) -> Iterator[Span]:
-        """Spans with no parent, in creation order."""
-        return (span for span in self.spans if span.parent_id is None)
 
     def as_dicts(self) -> List[dict]:
         """All stored spans as JSON-serialisable dicts."""

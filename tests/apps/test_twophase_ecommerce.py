@@ -6,7 +6,7 @@ from repro.errors import TwoPhaseCommitError
 from repro.apps import (CatalogItem, EcommerceApp, build_report,
                         decode_business_state, default_catalog)
 from repro.apps.minidb import (MemoryBlockDevice, TwoPhaseCoordinator,
-                               WriteOp, recover_database)
+                               recover_database)
 from tests.apps.conftest import make_db, run
 
 
@@ -21,10 +21,14 @@ class TestTwoPhaseCommit:
     def test_atomic_cross_db_commit(self, sim, pair):
         sales, stock = pair
         coord = TwoPhaseCoordinator(sales, [sales, stock])
-        run(sim, coord.execute([
-            WriteOp("sales", "order:1", "{}"),
-            WriteOp("stock", "mov:1", "{}"),
-        ]))
+
+        def proc(sim):
+            dtx = coord.begin()
+            yield from dtx.put("sales", "order:1", "{}")
+            yield from dtx.put("stock", "mov:1", "{}")
+            yield from dtx.commit()
+
+        run(sim, proc(sim))
         assert run(sim, sales.read("order:1")) == "{}"
         assert run(sim, stock.read("mov:1")) == "{}"
 
@@ -36,7 +40,7 @@ class TestTwoPhaseCommit:
     def test_empty_transaction_rejected(self, sim, pair):
         sales, stock = pair
         coord = TwoPhaseCoordinator(sales, [sales, stock])
-        proc = sim.spawn(coord.execute([]))
+        proc = sim.spawn(coord.begin().commit())
         sim.run()
         with pytest.raises(TwoPhaseCommitError):
             _ = proc.result
@@ -77,8 +81,13 @@ class TestTwoPhaseCommit:
                        data_device=MemoryBlockDevice(64), bucket_count=4)
         stock = make_db(sim, "stock")
         coord = TwoPhaseCoordinator(sales, [sales, stock])
-        run(sim, coord.execute([WriteOp("stock", "k", "v")],
-                               gtid="gtx-77"))
+
+        def proc(sim):
+            dtx = coord.begin("gtx-77")
+            yield from dtx.put("stock", "k", "v")
+            yield from dtx.commit()
+
+        run(sim, proc(sim))
         recovered = run(sim, recover_database(
             sim, "sales", sales_wal, MemoryBlockDevice(64),
             bucket_count=4))

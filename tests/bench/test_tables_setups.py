@@ -14,13 +14,6 @@ class TestTable:
         with pytest.raises(ValueError):
             table.add_row(1)
 
-    def test_column_extraction(self):
-        table = Table(title="t", columns=("a", "b"))
-        table.add_row(1, "x")
-        table.add_row(2, "y")
-        assert table.column("a") == [1, 2]
-        assert table.column("b") == ["x", "y"]
-
     def test_render_contains_everything(self):
         table = Table(title="results", columns=("name", "value"))
         table.add_row("alpha", 1.5)

@@ -3,8 +3,8 @@ array volume; VolumeSnapshot deletion releases the array snapshot."""
 
 import pytest
 
-from repro.platform import (Namespace, PersistentVolume,
-                            PersistentVolumeClaim, VolumeSnapshot)
+from repro.platform import (PersistentVolume, PersistentVolumeClaim,
+                            VolumeSnapshot)
 from tests.csi.conftest import create_pvc
 
 
@@ -75,35 +75,3 @@ class TestSnapshotReclaim:
         from repro.errors import SnapshotError
         with pytest.raises(SnapshotError):
             system.main.array.get_snapshot(snapshot_id)
-
-    def test_gc_cascade_now_frees_storage(self):
-        """Namespace deletion releases everything: CR, pairs, PVs,
-        array volumes — the full stack unwinds."""
-        from repro.csi import ConsistencyGroupReplication
-        from repro.operator import (TAG_CONSISTENT, TAG_KEY,
-                                    install_namespace_operator)
-        from repro.platform import install_namespace_gc
-        from repro.scenarios import (BusinessConfig, build_system,
-                                     deploy_business_process)
-        from repro.simulation import Simulator
-        from tests.csi.conftest import fast_system_config
-
-        sim = Simulator(seed=200)
-        system = build_system(sim, fast_system_config())
-        install_namespace_operator(system.main.cluster)
-        install_namespace_gc(
-            system.main.cluster,
-            extra_swept_kinds=(ConsistencyGroupReplication,))
-        business = deploy_business_process(
-            system, BusinessConfig(wal_blocks=20_000))
-        system.main.console.tag_namespace(business.namespace, TAG_KEY,
-                                          TAG_CONSISTENT)
-        sim.run(until=sim.now + 4.0)
-        volume_ids = list(business.volume_ids.values())
-        system.main.api.delete(Namespace, business.namespace)
-        sim.run(until=sim.now + 10.0)
-        assert system.main.api.try_get(
-            Namespace, business.namespace) is None
-        for volume_id in volume_ids:
-            assert not system.main.array.volume_exists(volume_id)
-        assert system.main.api.list(PersistentVolume) == []

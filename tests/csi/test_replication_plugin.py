@@ -106,20 +106,6 @@ class TestConsistencyGroupReplication:
         assert system.main.array.find_pair("shop/bp/sales") is None
         assert system.backup.api.list(PersistentVolume) == []
 
-    def test_manual_split_is_self_healed(self, sim, system):
-        """Declared state wins: a split performed behind the plugin's
-        back (PSUS) is resynchronised because the CR says 'replicate'."""
-        prepare_claims(sim, system, ["sales"])
-        system.main.api.create(make_cgr("shop", "bp", ["sales"]))
-        sim.run(until=3.0)
-        group = system.main.array.journal_groups["jg-shop-bp"]
-        group.split()
-        sim.run(until=8.0)  # the plugin's poll notices and resyncs
-        assert not group.suspended
-        cr = system.main.api.get(ConsistencyGroupReplication, "bp", "shop")
-        assert cr.status.state == STATE_PAIRED
-        assert cr.status.pair_states["sales"] == PairState.PAIR.value
-
     def test_error_suspension_surfaces_and_is_not_auto_healed(
             self, sim, system):
         """PSUE (journal overflow) needs repair; the plugin reports it

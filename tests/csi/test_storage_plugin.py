@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import CsiError
 from repro.platform import (PersistentVolume, PersistentVolumeClaim,
-                            VolumeGroupSnapshot, VolumeSnapshot)
-from tests.csi.conftest import create_pvc, fast_system_config
+                            VolumeSnapshot)
+from tests.csi.conftest import create_pvc
 
 
 class TestProvisioning:
@@ -114,45 +114,6 @@ class TestSnapshots:
         assert snap.status.ready
 
 
-class TestGroupSnapshotAlphaGap:
-    def test_default_system_has_no_group_snapshot_support(self, sim, system):
-        """The paper's state: the driver rejects group snapshots and no
-        controller reconciles VolumeGroupSnapshot objects."""
-        assert not system.backup.driver.supports_group_snapshots
-
-        def attempt(sim):
-            yield from system.backup.driver.create_snapshot_group(
-                "g", ["naa.G370-BKUP.100"])
-
-        proc = sim.spawn(attempt(sim))
-        sim.run(until=0.5)
-        with pytest.raises(CsiError):
-            _ = proc.result
-
-    def test_future_state_reconciles_group_snapshots(self, sim):
-        """With the alpha feature enabled end-to-end, one
-        VolumeGroupSnapshot object replaces the manual array operation."""
-        from repro.scenarios import build_system
-        from repro.simulation import Simulator
-        sim = Simulator(seed=32)
-        system = build_system(sim, fast_system_config(
-            enable_group_snapshots=True))
-        cluster = system.main.cluster
-        cluster.create_namespace("shop")
-        create_pvc(cluster, "shop", "sales", labels={"app": "shop"})
-        create_pvc(cluster, "shop", "stock", labels={"app": "shop"})
-        sim.run(until=1.0)
-        group = VolumeGroupSnapshot()
-        group.meta.name = "vgs-1"
-        group.meta.namespace = "shop"
-        group.spec.selector = {"app": "shop"}
-        cluster.api.create(group)
-        sim.run(until=2.0)
-        stored = cluster.api.get(VolumeGroupSnapshot, "vgs-1", "shop")
-        assert stored.status.ready
-        assert set(stored.status.snapshot_handles) == {"sales", "stock"}
-
-
 class TestDriver:
     def test_create_volume_idempotent_by_name(self, sim, system):
         driver = system.main.driver
@@ -177,16 +138,12 @@ class TestDriver:
         with pytest.raises(CsiError):
             _ = proc_handle.result
 
-    def test_get_capacity_reflects_pool(self, sim, system):
-        driver = system.main.driver
-        before = driver.get_capacity({})
-        sim.run_until_complete(
-            sim.spawn(iter_gen(driver.create_volume("v", 500, {}))))
-        assert driver.get_capacity({}) == before - 500
-
     def test_bad_pool_parameter(self, sim, system):
+        proc = sim.spawn(system.main.driver.create_volume(
+            "v", 64, {"poolId": "not-a-number"}))
+        sim.run(until=1.0)
         with pytest.raises(CsiError):
-            system.main.driver.get_capacity({"poolId": "not-a-number"})
+            _ = proc.result
 
     def test_snapshot_handle_round_trip(self):
         from repro.csi import parse_snapshot_handle, snapshot_handle
@@ -194,9 +151,3 @@ class TestDriver:
         assert parse_snapshot_handle(handle) == ("G370-MAIN", 7)
         with pytest.raises(ValueError):
             parse_snapshot_handle("garbage")
-
-
-def iter_gen(generator):
-    """Wrap a driver generator so it can be spawned directly."""
-    result = yield from generator
-    return result

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import PlatformError
 from repro.platform import Namespace, VolumeSnapshot
-from repro.platform.objects import Condition, get_condition, set_condition
+from repro.platform.objects import Condition, set_condition
 
 
 class TestConsole:
@@ -28,8 +28,7 @@ class TestConsole:
         cluster.create_namespace("shop")
         cluster.console.list_persistent_volumes()
         cluster.console.list_claims("shop")
-        cluster.console.list_pods("shop")
-        assert cluster.console.operation_count("console") == 3
+        assert cluster.console.operation_count("console") == 2
 
     def test_create_volume_snapshot_via_console(self, sim, cluster):
         cluster.create_namespace("shop")
@@ -107,8 +106,3 @@ class TestConditions:
         set_condition(conditions, Condition(
             type="Ready", status=True, reason="Done", last_transition=9.0))
         assert conditions[0].last_transition == 1.0
-
-    def test_get_condition(self):
-        conditions = [Condition(type="Ready", status=True)]
-        assert get_condition(conditions, "Ready").status is True
-        assert get_condition(conditions, "Missing") is None

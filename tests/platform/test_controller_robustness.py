@@ -245,11 +245,3 @@ class TestApiFaultInjector:
             outcomes.append(verdicts)
         assert outcomes[0] == outcomes[1]
         assert "flake" in outcomes[0] and "ok" in outcomes[0]
-
-    def test_clear_stops_injection(self, sim, api):
-        api.chaos = ApiFaultInjector(sim)
-        api.chaos.outage = True
-        api.chaos.flake_probability = 1.0
-        api.chaos.clear()
-        api.create(make_namespace("shop"))
-        assert api.chaos.injected == 0

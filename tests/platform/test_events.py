@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import InvalidObjectError
-from repro.platform import (Namespace, PlatformEvent, events_for,
-                            record_event)
+from repro.platform import PlatformEvent, record_event
 from repro.platform.objects import ObjectKey
 
 
@@ -33,7 +32,7 @@ class TestEventRecording:
         record_event(api, "shop-ns", key, "Configuring", "", "nso")
         record_event(api, "shop-ns", key, "Protected", "", "nso")
         assert api.object_count(PlatformEvent) == 2
-        found = events_for(api, "shop-ns", key)
+        found = api.list(PlatformEvent, namespace="shop-ns")
         assert {e.reason for e in found} == {"Configuring", "Protected"}
 
     def test_validation(self, sim, api):
@@ -61,7 +60,8 @@ class TestOperatorEvents:
         system.main.console.tag_namespace(business.namespace, TAG_KEY,
                                           TAG_CONSISTENT)
         sim.run(until=sim.now + 4.0)
-        events = system.main.console.list_events(business.namespace)
+        events = system.main.api.list(PlatformEvent,
+                                      namespace=business.namespace)
         reasons = [event.reason for event in events]
         assert "Protected" in reasons
         # the replication plugin narrated the CR's progress too

@@ -1,9 +1,9 @@
 """Property: batched host writes are observationally equal to serial.
 
 For any interleaving of ``host_write_many`` batches, snapshots and
-clones, the batched run must produce the same WriteRecord sequence
-(modulo ack timestamps), the same primary and drained backup images,
-and the same clone images as issuing every write serially through
+snapshot reads, the batched run must produce the same WriteRecord
+sequence (modulo ack timestamps), the same primary and drained backup
+images, and the same snapshot images as issuing every write serially through
 ``host_write``.  This is the acceptance property of the batched ingest
 path: batching is a latency optimisation, never a semantic change.
 """
@@ -19,7 +19,7 @@ BLOCKS = 64
 # a program is a list of ops:
 #   ("write", [(volume_index, block, payload), ...])  — one batch
 #   ("snap", volume_index)                            — snapshot now
-#   ("clone",)                                        — clone newest snapshot
+#   ("image",)                                        — read newest snapshot
 write_batches = st.lists(
     st.tuples(st.integers(0, 1), st.integers(0, BLOCKS - 1),
               st.binary(min_size=1, max_size=24)),
@@ -29,7 +29,7 @@ programs = st.lists(
     st.one_of(
         st.tuples(st.just("write"), write_batches),
         st.tuples(st.just("snap"), st.integers(0, 1)),
-        st.tuples(st.just("clone")),
+        st.tuples(st.just("image")),
     ),
     min_size=1, max_size=10)
 
@@ -45,7 +45,8 @@ def ack_projection(history):
 
 
 def execute(program, batched):
-    """Run a program; returns (acks, pvol images, svol images, clones)."""
+    """Run a program; returns (acks, pvol images, svol images, snapshot
+    images)."""
     sim = Simulator(seed=77)
     site = build_two_site(sim, adc=fast_adc())
     pvols = [site.main.create_volume(site.main_pool_id, BLOCKS)
@@ -63,7 +64,7 @@ def execute(program, batched):
                                     svols[index].volume_id)
 
     snapshots = []
-    clone_images = []
+    snapshot_images = []
 
     def driver():
         for op in program:
@@ -79,11 +80,12 @@ def execute(program, batched):
             elif op[0] == "snap":
                 snapshots.append(site.main.create_snapshot(
                     pvols[op[1]].volume_id))
-            else:  # clone newest snapshot, if any exists yet
+            else:  # read the newest snapshot, if any exists yet
                 if snapshots:
-                    clone = site.main.clone_snapshot(
-                        snapshots[-1].snapshot_id, site.main_pool_id)
-                    clone_images.append(volume_image(clone))
+                    versions = snapshots[-1].frozen_version_map()
+                    snapshot_images.append({
+                        block: (payload, versions[block]) for block, payload
+                        in snapshots[-1].image_blocks().items()})
 
     run(sim, driver())
     deadline = sim.now + 120.0
@@ -93,7 +95,7 @@ def execute(program, batched):
     return (ack_projection(site.main.history),
             [volume_image(volume) for volume in pvols],
             [volume_image(volume) for volume in svols],
-            clone_images)
+            snapshot_images)
 
 
 class TestBatchedWritesEqualSerial:
@@ -102,12 +104,12 @@ class TestBatchedWritesEqualSerial:
     def test_program_outcome_is_interleaving_independent(self, program):
         serial = execute(program, batched=False)
         batch = execute(program, batched=True)
-        serial_acks, serial_pvols, serial_svols, serial_clones = serial
-        batch_acks, batch_pvols, batch_svols, batch_clones = batch
+        serial_acks, serial_pvols, serial_svols, serial_images = serial
+        batch_acks, batch_pvols, batch_svols, batch_images = batch
         assert batch_acks == serial_acks
         assert batch_pvols == serial_pvols
         assert batch_svols == serial_svols
-        assert batch_clones == serial_clones
+        assert batch_images == serial_images
 
     def test_cow_preserved_under_batch(self):
         """Deterministic COW check: a snapshot taken between batches
@@ -117,11 +119,11 @@ class TestBatchedWritesEqualSerial:
             ("write", [(0, 5, b"before")]),
             ("snap", 0),
             ("write", [(0, 5, b"mid"), (0, 5, b"after"), (0, 6, b"new")]),
-            ("clone",),
+            ("image",),
         ]
         serial = execute(program, batched=False)
         batch = execute(program, batched=True)
         assert batch == serial
-        [clone_image] = batch[3]
-        assert clone_image[5] == (b"before", 1)
-        assert 6 not in clone_image
+        [snapshot_image] = batch[3]
+        assert snapshot_image[5] == (b"before", 1)
+        assert 6 not in snapshot_image

@@ -124,16 +124,6 @@ class TestRunbook:
         assert journal.load("proc").steps["discover"].payload == \
             {"sales": 7}
 
-    def test_finish_discards_the_journal_entry(self):
-        sim = Simulator(seed=1)
-        journal = RunbookJournal()
-        runbook = Runbook(sim, "proc", journal=journal)
-        run_step(sim, runbook, "only", lambda: None)
-        assert "proc" in journal
-        runbook.finish()
-        assert "proc" not in journal
-        assert not Runbook(sim, "proc", journal=journal).resumed
-
 
 @pytest.fixture(scope="module")
 def baseline():

@@ -70,7 +70,7 @@ class TestSnapshotScheduler:
             assert report.consistent, (
                 f"generation {generation.index} is not a consistent cut")
 
-    def test_point_in_time_selection(self, replicating_business):
+    def test_latest_is_the_newest_generation(self, replicating_business):
         sim, system, business, secondary = replicating_business
         scheduler = SnapshotScheduler(
             system.backup.array, sorted(secondary.values()),
@@ -80,10 +80,6 @@ class TestSnapshotScheduler:
         scheduler.stop()
         generations = scheduler.generations
         assert len(generations) >= 3
-        target = generations[1]
-        chosen = scheduler.at_or_before(target.created_at + 0.01)
-        assert chosen is not None and chosen.index == target.index
-        assert scheduler.at_or_before(0.0) is None
         assert scheduler.latest().index == generations[-1].index
 
     def test_manual_generation_between_ticks(self, replicating_business):

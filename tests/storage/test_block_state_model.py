@@ -3,7 +3,7 @@
 A hypothesis state machine drives :class:`Volume` + :class:`Snapshot`
 through every way block state changes — waited writes, latency-free
 installs (host and replication versions), snapshot create/delete in any
-order, overlay writes, ``format`` — including snapshots attached,
+order, ``format`` — including snapshots attached,
 deleted or formatted under while a ``write_block`` is still waiting out
 its copy-on-write or media latency.  After every step the real layer
 must agree with a reference model that has no columns, stamps or
@@ -34,11 +34,7 @@ class ModelSnapshot:
 
     def __init__(self, base):
         self.image = dict(base)   # frozen at creation, never touched again
-        self.overlay = {}
         self.cow = set()          # blocks written (or formatted) since
-
-    def current(self):
-        return {**self.image, **self.overlay}
 
 
 class BlockStateMachine(RuleBasedStateMachine):
@@ -135,16 +131,6 @@ class BlockStateMachine(RuleBasedStateMachine):
         snapshot.delete()
         del self.snaps[snapshot]
 
-    @precondition(lambda self: self.snaps)
-    @rule(data=st.data(), block=blocks, payload=payloads)
-    def write_overlay(self, data, block, payload):
-        snapshot = data.draw(st.sampled_from(list(self.snaps)))
-        model = self.snaps[snapshot]
-        version = snapshot.write_overlay(block, payload)
-        assert version > self.counter
-        model.overlay[block] = BlockValue(payload, version,
-                                          payload_checksum(payload))
-
     # -- the equivalence ------------------------------------------------------
 
     @invariant()
@@ -158,21 +144,15 @@ class BlockStateMachine(RuleBasedStateMachine):
             assert volume.versions.get(block, 0) == \
                 getattr(self.base.get(block), "version", 0)
         for snapshot, model in self.snaps.items():
-            current = model.current()
             for block in range(BLOCKS):
-                value = current.get(block)
                 assert snapshot.read_current(block) == \
-                    getattr(value, "payload", None)
-                assert snapshot.version_of(block) == \
-                    getattr(value, "version", 0)
+                    getattr(model.image.get(block), "payload", None)
             assert snapshot.image_blocks() == {
-                block: value.payload for block, value in current.items()}
+                block: value.payload
+                for block, value in model.image.items()}
             assert snapshot.frozen_version_map() == {
                 block: value.version
                 for block, value in model.image.items()}
-            assert snapshot.image_columns() == tuple(
-                {block: value[field] for block, value in current.items()}
-                for field in range(3))
 
     @invariant()
     def cow_accounting_agrees(self):

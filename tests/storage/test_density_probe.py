@@ -28,9 +28,10 @@ from hypothesis import strategies as st
 from repro.apps.workload import PayloadProfile
 from repro.simulation import Simulator
 from repro.storage import ReductionCodec, ReductionConfig
-from repro.storage.reduction import (COMPRESS_FRAME_BYTES,
+from repro.storage.reduction import (COMPRESS_FRAME_BYTES, COMPRESS_LEVEL,
+                                     MIN_COMPRESS_BYTES,
                                      PROBE_DENSE_DISTINCT,
-                                     PROBE_SAMPLE_BYTES)
+                                     PROBE_SAMPLE_BYTES, RATIO_THRESHOLD)
 from repro.storage.volume import BlockValue
 from tests.storage.conftest import build_two_site, fast_adc, run
 from tests.storage.test_adc import make_async_pair
@@ -38,14 +39,14 @@ from tests.storage.test_adc import make_async_pair
 CONFIG = ReductionConfig(enabled=True)
 
 
-def unprobed_compress(payload: bytes, config=CONFIG):
+def unprobed_compress(payload: bytes):
     """The codec as it was before the probe: always deflate, then keep
     the result only when it beats the ratio threshold."""
-    if len(payload) < config.min_compress_bytes:
+    if len(payload) < MIN_COMPRESS_BYTES:
         return None
-    packed = zlib.compress(payload, config.level)
+    packed = zlib.compress(payload, COMPRESS_LEVEL)
     if len(packed) + COMPRESS_FRAME_BYTES \
-            <= config.ratio_threshold * len(payload):
+            <= RATIO_THRESHOLD * len(payload):
         return packed
     return None
 
@@ -135,7 +136,7 @@ class TestVerdictEquivalence:
     @pytest.mark.parametrize("size", [64, 100, 128, 256, 512, 1024,
                                       2048, 4096])
     def test_probed_codec_matches_unprobed(self, kind, size):
-        codec = ReductionCodec(CONFIG)
+        codec = ReductionCodec()
         profile = PayloadProfile(kind=kind, size_bytes=size, seed=size,
                                  unique_payloads=32)
         for index in range(64):
@@ -148,17 +149,15 @@ class TestVerdictEquivalence:
         block = b"".join(hashlib.sha256(tag).digest() for tag in (b"a", b"b"))
         payload = block * 64
         assert len(set(payload[:PROBE_SAMPLE_BYTES])) >= PROBE_DENSE_DISTINCT
-        codec = ReductionCodec(CONFIG)
+        codec = ReductionCodec()
         assert codec.compress(payload) == unprobed_compress(payload)
         assert codec.compress(payload) is not None
         assert codec.probe_skips == 0
 
     def test_small_and_empty_payloads(self):
-        codec = ReductionCodec(ReductionConfig(min_compress_bytes=0,
-                                               ratio_threshold=1.0))
+        codec = ReductionCodec()
         for payload in (b"", b"a", b"ab" * 8, bytes(range(24))):
-            assert codec.compress(payload) == unprobed_compress(
-                payload, codec.config)
+            assert codec.compress(payload) == unprobed_compress(payload)
 
 
 def dense(seed: int, size: int) -> bytes:
@@ -211,7 +210,7 @@ class TestOneSidedError:
         assert ref_site.link.bytes_transferred \
             <= site.link.bytes_transferred \
             <= off_site.link.bytes_transferred
-        codec = ReductionCodec(CONFIG)
+        codec = ReductionCodec()
         for payload in payloads:
             packed = codec.compress(payload)
             if packed is not None:

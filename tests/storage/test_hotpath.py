@@ -146,7 +146,6 @@ class TestTracerFastPath:
         span = tracer.start("host-write", volume=7)
         assert span is NULL_SPAN
         assert span.trace_id is None and span.span_id is None
-        assert span.set(block=3) is span
         assert span.attrs == {}
         tracer.finish(span)  # no-op, no double-finish error
         tracer.finish(span)

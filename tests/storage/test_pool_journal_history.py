@@ -121,21 +121,12 @@ class TestWriteHistory:
         assert [r.seq for r in restricted] == sorted(
             r.seq for r in restricted)
 
-    def test_lookup_by_volume_version(self):
-        history = WriteHistory()
-        record = history.append(0.1, volume_id=7, block=3, version=42)
-        assert history.lookup(7, 42) is record
-        assert history.lookup(7, 43) is None
-
     def test_for_volume(self):
         history = WriteHistory()
         history.append(0.1, volume_id=1, block=0, version=1)
         history.append(0.2, volume_id=2, block=0, version=1)
         history.append(0.3, volume_id=1, block=1, version=2)
         assert [r.version for r in history.for_volume(1)] == [1, 2]
-
-    def test_last_seq_empty(self):
-        assert WriteHistory().last_seq() == -1
 
 
 class TestMetrics:
@@ -177,8 +168,6 @@ class TestMetrics:
         assert counter.value == 5
         with pytest.raises(ValueError):
             counter.increment(-1)
-        counter.reset()
-        assert counter.value == 0
 
     def test_gauge_series(self):
         gauge = GaugeSeries("g")

@@ -75,18 +75,6 @@ class TestSyncReplication:
         run(sim, two_site.main.host_write(pvol.volume_id, 6, b"more"))
         assert (pvol.volume_id, 6) in pair.dirty_blocks
 
-    def test_resync_after_link_restore(self, sim, two_site):
-        pvol, svol = make_sync_pair(two_site)
-        sim.run(until=sim.now + 0.1)
-        two_site.link.fail()
-        run(sim, two_site.main.host_write(pvol.volume_id, 5, b"dirty"))
-        two_site.link.restore()
-        mirror = two_site.main.sync_mirrors["sm-0"]
-        run(sim, mirror.resync())
-        pair = two_site.main.find_pair("sp-0")
-        assert pair.state is PairState.PAIR
-        assert svol.peek(5).payload == b"dirty"
-
     def test_zero_rpo_property(self, sim, two_site):
         """Every acked write exists at the backup at disaster time."""
         pvol, svol = make_sync_pair(two_site)
@@ -103,15 +91,9 @@ class TestSyncReplication:
             value = svol.peek(record.block)
             assert value is not None and value.version >= record.version
 
-    def test_split_marks_pairs_psus(self, sim, two_site):
-        make_sync_pair(two_site)
-        sim.run(until=sim.now + 0.1)
-        two_site.main.sync_mirrors["sm-0"].split()
-        assert two_site.main.pair_status("sp-0") is PairState.PSUS
-
 
 class TestDeltaNegotiatedCopy:
-    """Bulk copy/resync ships (version, crc32) metadata first; blocks
+    """Bulk copy ships (version, crc32) metadata first; blocks
     the secondary already holds current never cross the wire."""
 
     def test_recopy_moves_metadata_only(self, sim, two_site):
@@ -129,31 +111,6 @@ class TestDeltaNegotiatedCopy:
         moved = two_site.link.bytes_transferred - before
         assert moved == 8 * NEGOTIATE_METADATA_BYTES
         assert mirror.copy_skipped.value - skipped_before == 8
-
-    def test_resync_skips_dirty_blocks_already_current(self, sim,
-                                                       two_site):
-        """A dirty block whose content reached the secondary anyway
-        (here: installed out of band) is skipped after negotiation;
-        only the genuinely stale block pays the payload bytes."""
-        pvol, svol = make_sync_pair(two_site)
-        sim.run(until=sim.now + 0.1)
-        two_site.link.fail()
-        run(sim, two_site.main.host_write(pvol.volume_id, 0, b"same"))
-        run(sim, two_site.main.host_write(pvol.volume_id, 1, b"stale"))
-        two_site.link.restore()
-        # out-of-band: the secondary already holds block 0's content
-        current = pvol.peek(0)
-        svol.install_block(0, current.payload, version=current.version,
-                           checksum=current.checksum)
-        mirror = two_site.main.sync_mirrors["sm-0"]
-        before = two_site.link.bytes_transferred
-        run(sim, mirror.resync())
-        moved = two_site.link.bytes_transferred - before
-        assert moved == (2 * NEGOTIATE_METADATA_BYTES
-                         + 1 * mirror.config.block_size_bytes)
-        assert mirror.copy_skipped.value == 1
-        assert svol.block_map() == pvol.block_map()
-        assert two_site.main.pair_status("sp-0") is PairState.PAIR
 
     def test_initial_copy_of_large_volume_is_batched(self, sim,
                                                      two_site):

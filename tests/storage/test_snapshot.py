@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SnapshotError
-from repro.storage.snapshot import SNAPSHOT_VIEW_ID_BASE
 from tests.storage.conftest import run
 from tests.storage.test_adc import make_async_pair
 
@@ -33,22 +32,6 @@ class TestSnapshotCow:
         assert snap.read_current(1) == b"shared"
         assert snap.cow_blocks == 0  # no write happened, no COW copy
 
-    def test_writable_overlay_does_not_touch_base(self, sim, two_site):
-        array = two_site.main
-        vol = array.create_volume(two_site.main_pool_id, 64)
-        run(sim, array.host_write(vol.volume_id, 0, b"base"))
-        snap = array.create_snapshot(vol.volume_id)
-        view = snap.view()
-        run(sim, view.write_block(0, b"overlay"))
-        assert run(sim, view.read_block(0)) == b"overlay"
-        assert vol.peek(0).payload == b"base"
-
-    def test_view_volume_id_is_disjoint(self, sim, two_site):
-        array = two_site.main
-        vol = array.create_volume(two_site.main_pool_id, 64)
-        snap = array.create_snapshot(vol.volume_id)
-        assert snap.view().volume_id >= SNAPSHOT_VIEW_ID_BASE
-
     def test_deleted_snapshot_rejects_access(self, sim, two_site):
         array = two_site.main
         vol = array.create_volume(two_site.main_pool_id, 64)
@@ -76,9 +59,8 @@ class TestSnapshotCow:
         run(sim, array.host_write(vol.volume_id, 1, b"b"))
         snap = array.create_snapshot(vol.volume_id)
         run(sim, array.host_write(vol.volume_id, 0, b"a2"))
-        snap.write_overlay(2, b"c")
         image = snap.image_blocks()
-        assert image == {0: b"a", 1: b"b", 2: b"c"}
+        assert image == {0: b"a", 1: b"b"}
 
 
     def test_format_volume_keeps_live_snapshot_images(self, sim, two_site):

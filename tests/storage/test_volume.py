@@ -50,8 +50,6 @@ class TestBlockIO:
         volume.block_volume()
         with pytest.raises(VolumeError):
             run(sim, volume.read_block(0))
-        volume.unblock_volume()
-        assert run(sim, volume.read_block(0)) is None
 
     def test_explicit_version_apply(self, sim, volume):
         run(sim, volume.write_block(5, b"r", version=10))

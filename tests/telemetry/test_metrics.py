@@ -35,19 +35,6 @@ class TestLatencyRecorder:
         assert summary.p99 == percentile(samples, 0.99)
         assert summary.maximum == max(samples)
 
-    def test_merge_combines_samples(self):
-        a = LatencyRecorder("a")
-        b = LatencyRecorder("b")
-        for value in (0.001, 0.002):
-            a.record(value)
-        for value in (0.003, 0.004):
-            b.record(value)
-        a.merge(b)
-        assert len(a) == 4
-        assert a.summary().maximum == 0.004
-        # the source recorder is untouched
-        assert len(b) == 2
-
     def test_record_many_equals_repeated_record(self):
         """One batch call leaves exactly the state ``count`` single
         records leave — in the recorder and in the piped sketch."""
@@ -71,16 +58,6 @@ class TestLatencyRecorder:
     def test_record_many_rejects_negative_latency(self):
         with pytest.raises(ValueError):
             LatencyRecorder("w").record_many(-0.001, 4)
-
-    def test_merged_classmethod(self):
-        parts = []
-        for offset in range(3):
-            recorder = LatencyRecorder(f"part-{offset}")
-            recorder.record(0.001 * (offset + 1))
-            parts.append(recorder)
-        combined = LatencyRecorder.merged("all", parts)
-        assert len(combined) == 3
-        assert combined.summary().maximum == pytest.approx(0.003)
 
 
 class TestCounter:
@@ -160,22 +137,6 @@ class TestHistogram:
         assert histogram.maximum == max(samples)
         assert histogram.mean == pytest.approx(sum(samples) / 3)
         assert histogram.quantile(1.0) <= histogram.maximum * 1.0001
-
-    def test_merge(self):
-        a = Histogram("a")
-        b = Histogram("b")
-        for i in range(100):
-            a.observe((i + 1) / 1000.0)
-        for i in range(100, 200):
-            b.observe((i + 1) / 1000.0)
-        a.merge(b)
-        assert a.count == 200
-        exact = percentile([(i + 1) / 1000.0 for i in range(200)], 0.5)
-        assert a.quantile(0.5) == pytest.approx(exact, rel=0.05)
-
-    def test_merge_parameter_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            Histogram("a", growth=1.04).merge(Histogram("b", growth=1.1))
 
 
 class TestStorageImports:

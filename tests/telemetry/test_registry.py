@@ -148,12 +148,3 @@ class TestSimulatorWiring:
         counter = sim.telemetry.registry.counter("x")
         counter.increment()
         assert sim.telemetry.registry.get("x").value == 1
-
-    def test_spans_mirrored_into_trace_log(self):
-        from repro.simulation import Simulator
-        sim = Simulator(seed=1, trace=True)
-        span = sim.telemetry.tracer.start("demo-span")
-        sim.telemetry.tracer.finish(span)
-        records = list(sim.trace.matching("span"))
-        assert len(records) == 1
-        assert records[0].detail["name"] == "demo-span"

@@ -59,27 +59,21 @@ class TestRuleValidation:
         with pytest.raises(ValueError):
             _engine([ConditionRule("r", lambda: False)], interval=0.0)
 
-    def test_state_of_unknown_rule_raises(self):
-        _sim, engine = _engine([ConditionRule("r", lambda: False)])
-        with pytest.raises(KeyError):
-            engine.state_of("absent")
-
 
 class TestConditionStateMachine:
     def test_immediate_fire_and_resolve(self):
         flag = {"on": False}
         sim, engine = _engine([ConditionRule("cond", lambda: flag["on"])])
         engine.evaluate_once()
-        assert engine.state_of("cond") == "ok"
+        assert engine.firing_rules() == []
         flag["on"] = True
         sim.now = 0.01
         engine.evaluate_once()
-        assert engine.state_of("cond") == "firing"
         assert engine.firing_rules() == ["cond"]
         flag["on"] = False
         sim.now = 0.02
         engine.evaluate_once()
-        assert engine.state_of("cond") == "ok"
+        assert engine.firing_rules() == []
         assert [(t.time, t.state) for t in engine.transitions] == \
             [(0.01, "firing"), (0.02, "resolved")]
 
@@ -110,18 +104,18 @@ class TestConditionStateMachine:
         flag["on"] = True
         sim.now = 0.01
         engine.evaluate_once()
-        assert engine.state_of("cond") == "pending"
+        assert engine.firing_rules() == []
         flag["on"] = False
         sim.now = 0.02
         engine.evaluate_once()
-        assert engine.state_of("cond") == "ok"
+        assert engine.firing_rules() == []
         assert engine.transitions == []
         # a persistent breach fires once the pending delay elapses
         flag["on"] = True
         for step in range(3, 9):
             sim.now = step * 0.01
             engine.evaluate_once()
-        assert engine.state_of("cond") == "firing"
+        assert engine.firing_rules() == ["cond"]
         assert len(engine.transitions) == 1
         assert engine.transitions[0].time == pytest.approx(0.08)
 
@@ -130,13 +124,13 @@ class TestConditionStateMachine:
         sim, engine = _engine([ConditionRule(
             "cond", lambda: flag["on"], clear_seconds=0.05)])
         engine.evaluate_once()
-        assert engine.state_of("cond") == "firing"
+        assert engine.firing_rules() == ["cond"]
         # healthy evaluations inside the hysteresis window do not resolve
         flag["on"] = False
         for now in (0.10, 0.12):
             sim.now = now
             engine.evaluate_once()
-        assert engine.state_of("cond") == "firing"
+        assert engine.firing_rules() == ["cond"]
         # a flap back to breached resets the healthy clock
         flag["on"] = True
         sim.now = 0.14
@@ -144,10 +138,10 @@ class TestConditionStateMachine:
         flag["on"] = False
         sim.now = 0.16
         engine.evaluate_once()
-        assert engine.state_of("cond") == "firing"
+        assert engine.firing_rules() == ["cond"]
         sim.now = 0.22
         engine.evaluate_once()
-        assert engine.state_of("cond") == "ok"
+        assert engine.firing_rules() == []
         resolved = [t for t in engine.transitions if t.state == "resolved"]
         assert [t.time for t in resolved] == [pytest.approx(0.22)]
 

@@ -30,11 +30,11 @@ APPLIERS = {
 }
 
 
-def run_scenario(applier: str, trace: bool = False) -> Simulator:
+def run_scenario(applier: str) -> Simulator:
     """A seeded two-site run whose restore applies end ``ok``,
     ``coalesced`` (batch windows only), ``skipped`` for a stale version
     and for a deleted pair, and ``integrity``."""
-    sim = Simulator(seed=31, trace=trace)
+    sim = Simulator(seed=31)
     site = build_two_site(sim, adc=fast_adc(
         transfer_batch=16, restore_batch=16, **APPLIERS[applier]))
     main, backup = site.main, site.backup
@@ -129,27 +129,9 @@ def test_materialised_spans_equal_the_per_entry_golden(applier):
         assert got == want
 
 
-@pytest.mark.parametrize("applier", sorted(APPLIERS))
-def test_on_finish_hook_sees_the_per_entry_order(applier):
-    """``Simulator(trace=True)`` mirrors every finished span into the
-    kernel trace log at its finish instant: the hook forces eager
-    materialisation and must see the per-entry recorder's order."""
-    sim = run_scenario(applier, trace=True)
-    records = [[record.time, record.detail["span"], record.detail["status"]]
-               for record in sim.trace.matching("span")]
-    golden = json.loads(
-        (GOLDEN / f"finish_order_{applier}.json").read_text())
-    assert records == golden
-
-
 if __name__ == "__main__":  # pragma: no cover - golden capture
     GOLDEN.mkdir(exist_ok=True)
     for name in sorted(APPLIERS):
         spans = spans_as_json(run_scenario(name))
         (GOLDEN / f"spans_{name}.json").write_text(
             "[\n" + ",\n".join(json.dumps(s) for s in spans) + "\n]\n")
-        traced = run_scenario(name, trace=True)
-        order = [[r.time, r.detail["span"], r.detail["status"]]
-                 for r in traced.trace.matching("span")]
-        (GOLDEN / f"finish_order_{name}.json").write_text(
-            json.dumps(order) + "\n")

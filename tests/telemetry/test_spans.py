@@ -27,8 +27,7 @@ class TestTracerUnit:
         child = tracer.start("child", parent=root)
         assert child.trace_id == root.trace_id
         assert child.parent_id == root.span_id
-        assert tracer.children(root) == [child]
-        assert list(tracer.roots()) == [root]
+        assert list(tracer.spans) == [root, child]
 
     def test_raw_context_linkage(self):
         """The form that rides inside a JournalEntry across the hop."""
@@ -37,7 +36,7 @@ class TestTracerUnit:
         remote = tracer.start("restore-apply", trace_id=origin.trace_id,
                               parent_id=origin.span_id)
         assert remote.trace_id == origin.trace_id
-        assert tracer.by_id(remote.parent_id) is origin
+        assert remote.parent_id == origin.span_id
 
     def test_finish_records_duration_and_attrs(self):
         clock, tracer = self._tracer()
@@ -55,35 +54,32 @@ class TestTracerUnit:
         spans = [tracer.start(f"s{i}") for i in range(5)]
         assert len(tracer) == 3
         assert tracer.dropped == 2
-        assert tracer.by_id(spans[0].span_id) is None
-        assert tracer.by_id(spans[4].span_id) is spans[4]
+        assert list(tracer.spans) == spans[2:]
 
     def test_ring_cap_evicts_block_rows_one_by_one(self):
         """Block-recorded spans cross the cap like individual ones:
         the oldest *span* goes, whether it is an object or a row."""
         clock = {"now": 0.0}
         tracer = Tracer(clock=lambda: clock["now"], max_spans=4)
-        first = tracer.start("a")
+        tracer.start("a")
         schema = BlockSchema("r", {"g": 1}, ("n",), {"applied": True})
         rows = [("t0009", "s000009", n) for n in range(3)]
         block = tracer.start_block(schema, rows,
                                    {1: ("skipped", {"applied": False})})
         assert (len(tracer), tracer.dropped) == (4, 0)
         late = tracer.start("b")        # evicts the span before the block
-        assert tracer.by_id(first.span_id) is None
         tracer.start("c")               # evicts the block's first row
         assert (len(tracer), tracer.dropped) == (4, 2)
         clock["now"] = 0.5
         tracer.finish_block(block)
         assert [s.span_id for s in tracer.spans] == [
             "s000003", "s000004", "s000005", "s000006"]
-        assert tracer.by_id("s000002") is None      # the evicted row
         skipped, applied = tracer.spans[0], tracer.spans[1]
         assert (skipped.status, skipped.end, skipped.attrs) == (
             "skipped", 0.0, {"g": 1, "n": 1, "applied": False})
         assert (applied.status, applied.end, applied.attrs) == (
             "ok", 0.5, {"g": 1, "n": 2, "applied": True})
-        assert tracer.by_id(late.span_id) is late
+        assert tracer.spans[2] is late
         # a block bigger than the cap keeps only its newest rows
         tracer.start_block(schema,
                            [("t0009", None, n) for n in range(6)], {})
@@ -120,22 +116,6 @@ class TestTracerUnit:
         assert tracer.named("r") == [open_span]
         assert (open_span.end, open_span.attrs) == (
             2.0, {"n": 7, "applied": True})
-
-    def test_block_without_early_finishes_under_an_on_finish_hook(self):
-        """``early=None`` means no span finishes early — with the hook
-        installed too (it used to be iterated raw there: a TypeError
-        inside the restore process, i.e. a silently dead applier)."""
-        clock = {"now": 1.0}
-        seen = []
-        tracer = Tracer(clock=lambda: clock["now"], on_finish=seen.append)
-        block = tracer.start_block(
-            BlockSchema("r", {}, ("n",), {"applied": True}),
-            [("t1", "s9", 7)], None)
-        assert seen == []
-        clock["now"] = 2.0
-        tracer.finish_block(block)
-        assert [(span.end, span.attrs) for span in seen] == [
-            (2.0, {"n": 7, "applied": True})]
 
     def test_deterministic_ids(self):
         _clock, tracer = self._tracer()
@@ -268,10 +248,11 @@ class TestWritePathCausality:
         applies = [s for s in tracer.named("restore-apply") if s.finished]
         writes = {s.span_id: s for s in tracer.named("host-write")}
         assert applies, "no restore-apply spans were recorded"
+        by_id = {span.span_id: span for span in tracer.spans}
         for span in applies:
             assert span.parent_id is not None, \
                 f"restore-apply {span.span_id} has no causal parent"
-            parent = tracer.by_id(span.parent_id)
+            parent = by_id.get(span.parent_id)
             assert parent is not None
             assert parent.name == "host-write"
             assert parent.trace_id == span.trace_id
@@ -291,9 +272,9 @@ class TestWritePathCausality:
                    if s.finished and s.attrs.get("applied")]
         assert len(applies) == 40
         ack_seqs = []
+        by_id = {span.span_id: span for span in tracer.spans}
         for span in applies:  # tracer stores spans in creation order
-            parent = tracer.by_id(span.parent_id)
-            ack_seqs.append(parent.attrs["ack_seq"])
+            ack_seqs.append(by_id[span.parent_id].attrs["ack_seq"])
         assert ack_seqs == sorted(ack_seqs)
         assert len(set(ack_seqs)) == len(ack_seqs)
 
@@ -345,4 +326,4 @@ class TestWritePathCausality:
         assert len(applies) == 5
         for span in applies:
             assert span.trace_id == copies[0].trace_id
-            assert tracer.by_id(span.parent_id) is copies[0]
+            assert span.parent_id == copies[0].span_id

@@ -199,6 +199,13 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["chaos", "--seeds", "0"])
 
+    @pytest.mark.parametrize("argv", [["collapse", "--disasters", "0"],
+                                      ["modes", "--rtt-ms", "-5"]])
+    def test_out_of_range_value_exits_with_a_message(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert str(exit_info.value).startswith(f"repro: {argv[1]} must be")
+
     def test_chaos_verify_determinism_passes_on_a_stable_campaign(
             self, capsys):
         assert not build_parser().parse_args(["chaos"]).verify_determinism

