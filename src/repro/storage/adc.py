@@ -131,11 +131,11 @@ class AdcConfig:
     verify_integrity: bool = True
     #: collapse same-(volume, block) superseded overwrites within one
     #: transfer batch: only the last writer of each address crosses the
-    #: wire.  CG sequence semantics are preserved — the survivor is by
-    #: construction the newest write of its address and the batch tail
-    #: always survives, so the restored cut still advances to the
-    #: window's high sequence.  Off by default (ship-everything is the
-    #: paper's §III-A1 baseline); E7 quantifies the wire-byte saving.
+    #: wire.  A thinned batch is a prefix of the ack order only before
+    #: its first dropped entry and at its tail (which always survives),
+    #: so restore windows never end strictly between the two.  Off by
+    #: default (ship-everything is the paper's §III-A1 baseline); E7
+    #: quantifies the wire-byte saving.
     coalesce_overwrites: bool = False
     #: after an integrity quarantine, automatically resync the affected
     #: dirty ranges once the link is healthy (self-healing repair)
@@ -229,6 +229,9 @@ class JournalGroup:
         #: pairs whose initial copy the restore side has not passed yet,
         #: in watermark order (journal sequences only grow)
         self._copy_pending: List[ReplicationPair] = []
+        #: ``(first dropped, tail)`` sequences of each ingested batch
+        #: coalescing thinned, oldest first (:meth:`_receive_batch`)
+        self._coalesced_spans: Deque[Tuple[int, int]] = deque()
         #: highest sequence ingested into the backup journal
         self.transferred_sequence = -1
         #: highest sequence applied to secondary volumes
@@ -862,6 +865,13 @@ class JournalGroup:
             consumed += 1
         elif status == "backup-full":
             self._suspend(PairState.PSUE, "backup journal full")
+        elif len(ship) < len(batch):
+            # a superseded entry's survivor comes later in the batch: an
+            # image is a prefix again only at the batch tail
+            self._coalesced_spans.append((next(
+                entry.sequence for entry in batch
+                if survivor[(entry.volume_id, entry.block)] != entry.sequence),
+                ship[-1].sequence))
         if received is not None:
             # books the whole shipment's post-reduction wire bytes (the
             # full batch crossed the link even if ingest stopped early)
@@ -1087,8 +1097,17 @@ class JournalGroup:
                         config.restore_batch - applied)
                 if not window:
                     break
-                count = 1 if serial else len(window)
                 last = window[-1].sequence
+                spans = self._coalesced_spans
+                while spans and spans[0][1] <= last:
+                    spans.popleft()
+                if spans and spans[0][0] < last:
+                    # never end inside a coalesced batch: run to its tail
+                    end = spans.popleft()[1]
+                    window = [entry for entry in journal.peek_batch(
+                        len(window) + end - last) if entry.sequence <= end]
+                    last = end
+                count = len(window)
                 self.applying = True
                 try:
                     yield from self._apply_window(window)
@@ -1234,12 +1253,21 @@ class JournalGroup:
             yield self.sim.sleep(0.0001)
         drain_span = self.tracer.start("journal-drain", group=self.group_id)
         applied = 0
+        spans = self._coalesced_spans
+        window = []
         for entry in self.backup_journal.snapshot_entries():
-            yield from self._apply_window((entry,))
-            self.backup_journal.pop_through(entry.sequence)
-            self.restored_sequence = entry.sequence
-            self.restored_count.increment()
-            applied += 1
+            window.append(entry)
+            last = entry.sequence
+            while spans and spans[0][1] <= last:
+                spans.popleft()
+            if spans and spans[0][0] < last:
+                continue  # inside a coalesced batch: run to its tail
+            yield from self._apply_window(window)
+            self.backup_journal.pop_through(last)
+            self.restored_sequence = last
+            self.restored_count.increment(len(window))
+            applied += len(window)
+            window = []
         self._update_copy_states()
         self.tracer.finish(drain_span, applied=applied)
         return applied

@@ -16,8 +16,8 @@ from repro.chaos import (ArrayCrash, JournalCorruption, JournalSqueeze,
                          build_chaos_environment)
 from repro.errors import StorageError
 from repro.storage import PairState
-from tests.storage.conftest import build_two_site, fast_adc, run
-from tests.storage.test_adc import make_async_pair
+from tests.storage.conftest import (build_two_site, fast_adc,
+                                    make_async_pair, run)
 
 
 def corrupt_first_entry(group, state):

@@ -1,11 +1,14 @@
-"""Shared fixtures for storage-array tests."""
+"""Shared fixtures for storage-array tests: two sites and one ADC pipeline."""
 
 from dataclasses import dataclass
+from typing import List
 
 import pytest
 
 from repro.simulation import NetworkLink, Simulator
 from repro.storage import AdcConfig, ArrayConfig, StorageArray
+from repro.storage.adc import JournalGroup
+from repro.storage.volume import Volume
 
 
 @pytest.fixture()
@@ -34,13 +37,14 @@ class TwoSite:
     backup_pool_id: int
 
 
-def build_two_site(sim, latency=0.005, adc=None,
-                   pool_blocks=1_000_000) -> TwoSite:
+def build_two_site(sim, latency=0.005, adc=None, pool_blocks=1_000_000,
+                   bandwidth=None) -> TwoSite:
     """Create two arrays with one pool each and a connecting link."""
     config = ArrayConfig(adc=adc or fast_adc())
     main = StorageArray(sim, serial="G370-MAIN", config=config)
     backup = StorageArray(sim, serial="G370-BKUP", config=config)
-    link = NetworkLink(sim, latency=latency, name="main->backup")
+    link = NetworkLink(sim, latency=latency, bandwidth_bytes_per_s=bandwidth,
+                       name="main->backup")
     main_pool = main.create_pool(pool_blocks)
     backup_pool = backup.create_pool(pool_blocks)
     return TwoSite(sim=sim, main=main, backup=backup, link=link,
@@ -51,6 +55,80 @@ def build_two_site(sim, latency=0.005, adc=None,
 @pytest.fixture()
 def two_site(sim):
     return build_two_site(sim)
+
+
+def make_group(site, group_id="jg-0", backup_capacity=10_000,
+               ) -> JournalGroup:
+    """Journal group ``group_id`` with its two journals (created on
+    first use)."""
+    group = site.main.journal_groups.get(group_id)
+    if group is None:
+        main_jnl = site.main.create_journal(site.main_pool_id, 10_000)
+        backup_jnl = site.backup.create_journal(site.backup_pool_id,
+                                                backup_capacity)
+        group = site.main.create_journal_group(
+            group_id, main_jnl.journal_id, site.backup,
+            backup_jnl.journal_id, site.link)
+    return group
+
+
+def make_async_pair(site, blocks=256, group_id="jg-0", pair_id="pair-0",
+                    backup_capacity=10_000):
+    """One ADC pair in journal group ``group_id``; returns (pvol, svol)."""
+    pvol = site.main.create_volume(site.main_pool_id, blocks)
+    svol = site.backup.create_volume(site.backup_pool_id, blocks)
+    make_group(site, group_id, backup_capacity)
+    site.main.create_async_pair(pair_id, group_id, pvol.volume_id,
+                                site.backup, svol.volume_id)
+    return pvol, svol
+
+
+@dataclass
+class Pipeline(TwoSite):
+    """Two sites and one journal group ``jg-0`` with its pairs."""
+
+    group: JournalGroup
+    pvols: List[Volume]
+    svols: List[Volume]
+
+
+def build_pipeline(seed=11, pairs=1, blocks=256, latency=0.005,
+                   bandwidth=None, backup_capacity=10_000,
+                   **adc) -> Pipeline:
+    """``pairs`` async pairs in one journal group between two fresh
+    sites; ``adc`` overrides :func:`fast_adc`."""
+    site = build_two_site(Simulator(seed=seed), latency=latency,
+                          adc=fast_adc(**adc), bandwidth=bandwidth)
+    group = make_group(site, backup_capacity=backup_capacity)
+    volumes = [make_async_pair(site, blocks, pair_id=f"pair-{index}")
+               for index in range(pairs)]
+    return Pipeline(**vars(site), group=group,
+                    pvols=[pvol for pvol, _svol in volumes],
+                    svols=[svol for _pvol, svol in volumes])
+
+
+def drain(sim, group, deadline=60.0):
+    """Run until the pipeline fully applied everything to the S-VOLs.
+
+    Convergence needs more than ``entry_lag == 0``: a quarantine trims
+    the corrupted entry off the journal (lag 0) while its block is still
+    dirty and awaiting the next auto-repair round, so settle until the
+    suspension cleared and every dirty set is empty too.
+    """
+    def settled():
+        return (group.entry_lag == 0 and not group.suspended
+                and all(not pair.dirty_blocks
+                        for pair in group.pairs.values()))
+
+    limit = sim.now + deadline
+    while not settled() and sim.now < limit:
+        sim.run(until=sim.now + 0.05)
+    assert settled(), "pipeline failed to drain"
+
+
+def image_of(volume):
+    return {block: (value.payload, value.version)
+            for block, value in volume.block_map().items()}
 
 
 def run(sim, generator, timeout=None):

@@ -6,8 +6,7 @@ import pytest
 from repro.errors import (ArrayCommandError, CapacityError,
                           ReplicationError, VolumeError)
 from repro.storage import ArrayConfig, StorageArray, VolumeRole
-from tests.storage.conftest import run
-from tests.storage.test_adc import make_async_pair
+from tests.storage.conftest import make_async_pair, run
 
 
 class TestVolumeCommands:

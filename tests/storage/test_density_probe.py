@@ -33,8 +33,8 @@ from repro.storage.reduction import (COMPRESS_FRAME_BYTES, COMPRESS_LEVEL,
                                      PROBE_DENSE_DISTINCT,
                                      PROBE_SAMPLE_BYTES, RATIO_THRESHOLD)
 from repro.storage.volume import BlockValue
-from tests.storage.conftest import build_two_site, fast_adc, run
-from tests.storage.test_adc import make_async_pair
+from tests.storage.conftest import (build_two_site, fast_adc,
+                                    make_async_pair, run)
 
 CONFIG = ReductionConfig(enabled=True)
 

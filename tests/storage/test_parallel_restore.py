@@ -1,234 +1,42 @@
-"""One restore window per batch: equivalence properties.
+"""The restore window: its size, its metrics, and the one-entry window.
 
-The contract under test: taking the whole restore batch as one window
-(``AdcConfig.apply_lanes > 1``) may only change *when* the media waits
-overlap — never the converged backup image, the RPO accounting
-(``restored_count`` / ``restored_sequence``), or any quiesced snapshot
-view.  Because every window commits at one instant, each quiesced
-snapshot is a window-boundary consistency cut: its image must equal
-replaying the journaled write stream up to the snapshot's
-``group_sequence`` with last-writer-wins per block.  Lanes 1 is the
-serial applier (one entry per window); the number above 1 selects
-nothing in the applier, so lanes 2 and 8 must restore along the same
-``(sim.now, restored_sequence)`` trajectory — a change that gives the
-number meaning has to break that assertion on purpose.
+Taking the whole restore batch as one window (``AdcConfig.apply_lanes >
+1``) may only change *when* the media waits overlap; that every window
+size converges to the serial applier's image, RPO accounting and
+quiesced cuts is the executable specification's job (``tests/spec``).
+Pinned here: lanes 1 is one entry per window and any number above 1 the
+whole batch; the number above 1 selects nothing in the applier, so lanes
+2 and 8 restore along the same ``(sim.now, restored_sequence)``
+trajectory — a change that gives the number meaning has to break that
+assertion on purpose; and the one-entry window's span outcomes.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.simulation import NetworkLink, Simulator
-from repro.storage import AdcConfig, ArrayConfig, StorageArray
-from tests.storage.conftest import fast_adc
-
-#: ``apply_lanes`` values the equivalence properties sweep: the serial
-#: applier, and two batch-window values that must behave as one
-LANES = (1, 2, 8)
-
-write_plan = st.lists(
-    st.tuples(st.integers(0, 1),                  # volume index
-              st.integers(0, 15),                 # block
-              st.integers(0, 30)),                # payload tag
-    min_size=4, max_size=60)
-
-cut_times = st.lists(st.floats(0.004, 0.08), min_size=0, max_size=3,
-                     unique=True)
+from repro.storage import AdcConfig
+from tests.storage.conftest import build_pipeline, drain, image_of, run
 
 
-def build_laned_pair(seed, lanes, volumes=2, blocks=64):
+def build_laned_pair(seed, lanes):
     """Two async pairs in one journal group over a bandwidth-bound link
     with small transfer/restore batches, so restore runs in several
-    windows and mid-stream cuts land between them."""
-    sim = Simulator(seed=seed)
-    adc = fast_adc(apply_lanes=lanes, transfer_batch=8, restore_batch=8,
-                   transfer_interval=0.004, restore_interval=0.001)
-    config = ArrayConfig(adc=adc)
-    main = StorageArray(sim, serial="M", config=config)
-    backup = StorageArray(sim, serial="B", config=config)
-    main_pool = main.create_pool(100_000)
-    backup_pool = backup.create_pool(100_000)
-    link = NetworkLink(sim, latency=0.002,
-                       bandwidth_bytes_per_s=2_000_000, name="llink")
-    main_jnl = main.create_journal(main_pool.pool_id, 10_000)
-    backup_jnl = backup.create_journal(backup_pool.pool_id, 10_000)
-    group = main.create_journal_group("jg-l", main_jnl.journal_id,
-                                      backup, backup_jnl.journal_id,
-                                      link)
-    pvols, svols = [], []
-    for index in range(volumes):
-        pvol = main.create_volume(main_pool.pool_id, blocks)
-        svol = backup.create_volume(backup_pool.pool_id, blocks)
-        main.create_async_pair(f"pl-{index}", "jg-l", pvol.volume_id,
-                               backup, svol.volume_id)
-        pvols.append(pvol)
-        svols.append(svol)
-    return sim, main, backup, group, link, pvols, svols
+    windows."""
+    return build_pipeline(seed, pairs=2, blocks=64, latency=0.002,
+                          bandwidth=2_000_000, apply_lanes=lanes,
+                          transfer_batch=8, restore_batch=8,
+                          transfer_interval=0.004)
 
 
-def drain(sim, group, deadline=60.0):
-    """Run until the pipeline fully applied everything to the S-VOLs."""
-    def settled():
-        return (group.entry_lag == 0 and not group.suspended
-                and all(not pair.dirty_blocks
-                        for pair in group.pairs.values()))
-
-    limit = sim.now + deadline
-    while not settled() and sim.now < limit:
-        sim.run(until=sim.now + 0.05)
-    assert settled(), "restore pipeline failed to drain"
-
-
-def image_of(volume):
-    return {block: (value.payload, value.version)
-            for block, value in volume.block_map().items()}
-
-
-def oracle_views(plan, volume_ids, cut_sequence):
-    """Expected (image, frozen versions) per volume id of the write
-    stream's prefix with journal sequence <= ``cut_sequence``.
-
-    The writer issues plan writes serially through one journal group,
-    so journal sequence == write index and the i-th write to a volume
-    installs version i (per-volume monotone counter)."""
-    images = {vid: {} for vid in volume_ids}
-    versions = {vid: {} for vid in volume_ids}
-    counters = {vid: 0 for vid in volume_ids}
-    for sequence, (vidx, block, tag) in enumerate(plan):
-        vid = volume_ids[vidx]
-        counters[vid] += 1
-        if sequence <= cut_sequence:
-            images[vid][block] = b"w%d" % tag
-            versions[vid][block] = counters[vid]
-    return images, versions
-
-
-def run_plan(lanes, plan, cuts=(), seed=17, fault=None):
-    """Apply ``plan`` through a two-pair group at ``lanes``; returns
-    the converged backup/primary images, the group, and one
-    ``(group_sequence, {svol_id: (image, frozen_versions)})`` record
-    per mid-stream quiesced snapshot cut, and the restore trajectory:
-    ``(sim.now, restored_sequence)`` after every window the restore
-    loop commits."""
-    sim, main, backup, group, link, pvols, svols = build_laned_pair(
-        seed, lanes)
-    svol_ids = [svol.volume_id for svol in svols]
-    trajectory = []
-    update_copy_states = group._update_copy_states
+def record_windows(p, trajectory):
+    """Append ``(sim.now, restored_sequence)`` to ``trajectory`` after
+    every window the restore loop commits."""
+    update_copy_states = p.group._update_copy_states
 
     def recording_update():
-        # the restore loop's per-window bookkeeping call
-        trajectory.append((sim.now, group.restored_sequence))
         update_copy_states()
+        trajectory.append((p.sim.now, p.group.restored_sequence))
 
-    group._update_copy_states = recording_update
-
-    def writer():
-        for vidx, block, tag in plan:
-            yield from main.host_write(pvols[vidx].volume_id, block,
-                                       b"w%d" % tag)
-
-    snapshot_groups = []
-
-    def cutter():
-        last = 0.0
-        for index, at in enumerate(sorted(cuts)):
-            yield sim.timeout(at - last)
-            last = at
-            snapshot_group = yield from backup.create_snapshot_group(
-                f"cut-{index}", svol_ids)
-            snapshot_groups.append(snapshot_group)
-
-    proc = sim.spawn(writer())
-    cut_proc = sim.spawn(cutter())
-    if fault is not None:
-        fault(sim, group, link)
-    sim.run_until_complete(proc)
-    drain(sim, group)
-    sim.run_until_complete(cut_proc)
-    cut_views = []
-    for snapshot_group in snapshot_groups:
-        members = snapshot_group.by_base_volume()
-        sequences = {snap.group_sequence for snap in members.values()}
-        assert len(sequences) == 1, "cut is not a single sequence point"
-        cut_views.append((sequences.pop(), {
-            vid: (dict(snap.image_blocks()),
-                  dict(snap.frozen_version_map()))
-            for vid, snap in members.items()}))
-    backup_images = {svol.volume_id: image_of(svol) for svol in svols}
-    primary_images = [image_of(pvol) for pvol in pvols]
-    return (backup_images, primary_images, group, cut_views, svol_ids,
-            trajectory)
-
-
-def check_cuts(plan, svol_ids, cut_views):
-    """Every quiesced cut equals the prefix-replay oracle."""
-    for cut_sequence, views in cut_views:
-        images, versions = oracle_views(plan, svol_ids, cut_sequence)
-        for vid, (image, frozen) in views.items():
-            assert image == images[vid], f"cut@{cut_sequence} image"
-            assert frozen == versions[vid], f"cut@{cut_sequence} versions"
-
-
-class TestLaneEquivalence:
-    @given(plan=write_plan, cuts=cut_times)
-    @settings(max_examples=20, deadline=None)
-    def test_any_lane_count_converges_to_the_same_image(self, plan, cuts):
-        """Laned == serial for any clean write stream: the backup
-        images, the RPO accounting, and every mid-stream quiesced
-        snapshot cut all match the serial applier."""
-        baseline = None
-        trajectories = {}
-        for lanes in LANES:
-            (backup_images, primary_images, group, cut_views, svol_ids,
-             trajectories[lanes]) = run_plan(lanes, plan, cuts=cuts)
-            for svol_id, pvol_image in zip(svol_ids, primary_images):
-                assert backup_images[svol_id] == pvol_image
-            check_cuts(plan, svol_ids, cut_views)
-            accounting = (group.restored_count.value,
-                          group.restored_sequence,
-                          group.transferred_count.value)
-            if baseline is None:
-                baseline = (backup_images, accounting)
-            else:
-                assert backup_images == baseline[0], f"lanes={lanes}"
-                assert accounting == baseline[1], f"lanes={lanes}"
-        assert trajectories[2] == trajectories[8]
-
-    @given(plan=write_plan, cuts=cut_times,
-           fail_at=st.floats(0.001, 0.05), outage=st.floats(0.01, 0.1))
-    @settings(max_examples=15, deadline=None)
-    def test_link_flap_mid_window_converges_identically(
-            self, plan, cuts, fail_at, outage):
-        """A partition that kills in-flight shipments mid-window must
-        discard and re-ship without reordering: every lane count
-        converges to the primary's image with identical accounting,
-        and every cut taken during the storm is still a clean prefix."""
-        def flap(sim, group, link):
-            def chaos():
-                yield sim.timeout(fail_at)
-                link.fail()
-                yield sim.timeout(outage)
-                link.restore()
-            sim.spawn(chaos())
-
-        baseline = None
-        trajectories = {}
-        for lanes in LANES:
-            (backup_images, primary_images, group, cut_views, svol_ids,
-             trajectories[lanes]) = run_plan(lanes, plan, cuts=cuts,
-                                             fault=flap)
-            for svol_id, pvol_image in zip(svol_ids, primary_images):
-                assert backup_images[svol_id] == pvol_image
-            check_cuts(plan, svol_ids, cut_views)
-            accounting = (group.restored_count.value,
-                          group.restored_sequence)
-            if baseline is None:
-                baseline = (backup_images, accounting)
-            else:
-                assert backup_images == baseline[0], f"lanes={lanes}"
-                assert accounting == baseline[1], f"lanes={lanes}"
-        assert trajectories[2] == trajectories[8]
+    p.group._update_copy_states = recording_update
 
 
 class TestLaneConfigAndMetrics:
@@ -238,11 +46,11 @@ class TestLaneConfigAndMetrics:
 
     def test_window_is_one_entry_or_the_whole_batch(self):
         for lanes, expected in ((1, 1), (2, 5), (8, 5)):
-            sim, _main, _backup, group, _link, pvols, _svols = \
-                build_laned_pair(5, lanes)
+            p = build_laned_pair(5, lanes)
+            group = p.group
             journal = group.main_journal
             group.backup_journal.ingest_batch(
-                [journal.append(pvols[0].volume_id, block % 2, b"x",
+                [journal.append(p.pvols[0].volume_id, block % 2, b"x",
                                 block + 1, 0.0) for block in range(5)])
             group.stop_transfer()
             windows = []
@@ -253,19 +61,31 @@ class TestLaneConfigAndMetrics:
                 return apply_window(window)
 
             group._apply_window = recording
-            sim.run(until=0.05)
+            p.sim.run(until=0.05)
             assert windows == [expected] * (5 // expected)
+
+    def test_lanes_2_and_8_same_trajectory(self):
+        trajectories = []
+        for lanes in (2, 8):
+            p = build_laned_pair(17, lanes)
+            trajectories.append([])
+            record_windows(p, trajectories[-1])
+            run(p.sim, p.main.host_write_many(
+                [(p.pvols[index % 2].volume_id, (index * 7) % 16,
+                  b"w%d" % index) for index in range(60)]))
+            drain(p.sim, p.group)
+        assert len(trajectories[0]) > 3
+        assert trajectories[0] == trajectories[1]
 
     def test_serial_group_registers_no_lane_metrics(self):
         """Digest neutrality: lanes=1 must not register new series."""
-        sim, _main, _backup, group, _link, _pvols, _svols = \
-            build_laned_pair(5, lanes=1)
+        group = build_laned_pair(5, lanes=1).group
         assert group.lane_conflicts is None
         assert group.restore_lanes_gauge is None
 
     def test_laned_group_exports_gauge_and_conflict_counter(self):
-        sim, main, _backup, group, _link, pvols, _svols = \
-            build_laned_pair(5, lanes=4)
+        p = build_laned_pair(5, lanes=4)
+        group = p.group
         assert group.restore_lanes_gauge is not None
         assert group.restore_lanes_gauge.points[-1][1] == 4
         assert group.lane_conflicts is not None
@@ -274,11 +94,11 @@ class TestLaneConfigAndMetrics:
             # same block twice in one window: the second write
             # supersedes the first (last-writer-wins coalescing)
             for tag in range(6):
-                yield from main.host_write(pvols[0].volume_id, 3,
-                                           b"c%d" % tag)
+                yield from p.main.host_write(p.pvols[0].volume_id, 3,
+                                             b"c%d" % tag)
 
-        sim.run_until_complete(sim.spawn(writer()))
-        drain(sim, group)
+        run(p.sim, writer())
+        drain(p.sim, group)
         assert group.lane_conflicts.value >= 1
 
 
@@ -298,21 +118,9 @@ OUTCOMES = {
 def build_backlog(outcome, lanes):
     """A stopped group whose backup journal holds three entries, the
     middle one about to meet ``outcome``; returns (sim, group, svol)."""
-    sim = Simulator(seed=9)
-    adc = fast_adc(apply_lanes=lanes, auto_repair=False)
-    config = ArrayConfig(adc=adc)
-    main = StorageArray(sim, serial="M", config=config)
-    backup = StorageArray(sim, serial="B", config=config)
-    main_pool, backup_pool = main.create_pool(1000), backup.create_pool(1000)
-    link = NetworkLink(sim, latency=0.002, name="olink")
-    group = main.create_journal_group(
-        "jg-o", main.create_journal(main_pool.pool_id, 100).journal_id,
-        backup, backup.create_journal(backup_pool.pool_id, 100).journal_id,
-        link)
-    pvol = main.create_volume(main_pool.pool_id, 16)
-    svol = backup.create_volume(backup_pool.pool_id, 16)
-    main.create_async_pair("po", "jg-o", pvol.volume_id, backup,
-                           svol.volume_id)
+    p = build_pipeline(9, blocks=16, latency=0.002, apply_lanes=lanes,
+                       auto_repair=False)
+    sim, group, pvol, svol = p.sim, p.group, p.pvols[0], p.svols[0]
     group.stop()
     sim.run(until=0.01)  # both loops have exited
     middle = 9999 if outcome == "pair deleted" else pvol.volume_id
@@ -384,40 +192,30 @@ class TestOneEntryWindow:
     @pytest.mark.parametrize("pairs", [1, 64])
     def test_initial_copy_done_flips_as_restore_passes_the_watermark(
             self, pairs):
-        sim = Simulator(seed=3)
-        config = ArrayConfig(adc=fast_adc(restore_batch=16))
-        main = StorageArray(sim, serial="M", config=config)
-        backup = StorageArray(sim, serial="B", config=config)
-        main_pool = main.create_pool(100_000)
-        backup_pool = backup.create_pool(100_000)
-        link = NetworkLink(sim, latency=0.002, name="clink")
-        group = main.create_journal_group(
-            "jg-c", main.create_journal(main_pool.pool_id, 1000).journal_id,
-            backup,
-            backup.create_journal(backup_pool.pool_id, 1000).journal_id,
-            link)
+        p = build_pipeline(3, pairs=0, latency=0.002, restore_batch=16)
+        group = p.group
         group.stop()  # pair up first: every initial copy is outstanding
         for index in range(pairs):
-            pvol = main.create_volume(main_pool.pool_id, 8)
-            svol = backup.create_volume(backup_pool.pool_id, 8)
+            pvol = p.main.create_volume(p.main_pool_id, 8)
+            svol = p.backup.create_volume(p.backup_pool_id, 8)
             for block in range(1 + index % 3):
                 pvol.install_block(block, b"seed-%d" % index)
-            main.create_async_pair(f"pc-{index}", "jg-c", pvol.volume_id,
-                                   backup, svol.volume_id)
+            p.main.create_async_pair(f"pc-{index}", "jg-0", pvol.volume_id,
+                                     p.backup, svol.volume_id)
         assert len(group._copy_pending) == pairs
         windows, flipped = [], {}
+        record_windows(p, windows)
         update_copy_states = group._update_copy_states
 
         def recording_update():
             update_copy_states()
-            windows.append((sim.now, group.restored_sequence))
             for pair in group.pairs.values():
                 if pair.initial_copy_done:
                     flipped.setdefault(pair.pair_id, windows[-1])
 
         group._update_copy_states = recording_update
         group.start()
-        drain(sim, group)
+        drain(p.sim, group)
         assert not group._copy_pending
         for pair in group.pairs.values():
             # the rule the per-window walk over every pair implemented

@@ -18,37 +18,21 @@ import cProfile
 import pstats
 
 from repro.apps.workload import PayloadProfile
-from repro.simulation import Simulator
 from repro.storage import ReductionConfig
 from repro.storage.journal import JournalEntry
-from tests.storage.conftest import build_two_site, fast_adc, run
+from tests.storage.conftest import build_pipeline, run
 
 ALL_ON = dict(coalesce_overwrites=True, apply_lanes=4, transfer_window=4,
               reduction=ReductionConfig(enabled=True))
 
 
-def build_group(backup_capacity=10_000, blocks=256, **adc):
-    site = build_two_site(Simulator(seed=17), adc=fast_adc(**adc))
-    pvol = site.main.create_volume(site.main_pool_id, blocks)
-    svol = site.backup.create_volume(site.backup_pool_id, blocks)
-    main_jnl = site.main.create_journal(site.main_pool_id, 10_000)
-    backup_jnl = site.backup.create_journal(site.backup_pool_id,
-                                            backup_capacity)
-    group = site.main.create_journal_group(
-        "jg", main_jnl.journal_id, site.backup, backup_jnl.journal_id,
-        site.link)
-    site.main.create_async_pair("pair", "jg", pvol.volume_id, site.backup,
-                                svol.volume_id)
-    return site, group, pvol, svol
-
-
-def write_stream(site, pvol, count, blocks, unique=6):
+def write_stream(p, count, blocks, unique=6):
     """``count`` writes over ``blocks`` addresses (so batches coalesce)
     drawn from ``unique`` distinct payloads (so batches dedup)."""
     profile = PayloadProfile(kind="duplicate", size_bytes=256, seed=5,
                              unique_payloads=unique)
-    run(site.sim, site.main.host_write_many(
-        [(pvol.volume_id, (i * 7) % blocks, profile.payload(i))
+    run(p.sim, p.main.host_write_many(
+        [(p.pvols[0].volume_id, (i * 7) % blocks, profile.payload(i))
          for i in range(count)]))
 
 
@@ -69,18 +53,18 @@ class TestHashBudget:
     WRITES = 400
 
     def _drain(self, corrupt: bool):
-        site, group, pvol, svol = build_group(**ALL_ON)
-        sim = site.sim
+        p = build_pipeline(17, **ALL_ON)
+        sim, group, pvol, svol = p.sim, p.group, p.pvols[0], p.svols[0]
         if corrupt:
             # a torn write long before the measured drain: quarantined,
             # repaired — and integrity stays re-armed from then on
-            run(sim, site.main.host_write(pvol.volume_id, 255, b"torn"))
+            run(sim, p.main.host_write(pvol.volume_id, 255, b"torn"))
             assert group.main_journal.corrupt_entry(0) is not None
             sim.run(until=sim.now + 1.0)
             assert len(group.quarantine) == 1 and not group.suspended
 
         def drain():
-            write_stream(site, pvol, self.WRITES, blocks=200)
+            write_stream(p, self.WRITES, blocks=200)
             sim.run(until=sim.now + 1.0)
 
         calls = crc32_calls(drain)
@@ -185,19 +169,19 @@ class TestMidBatchFailure:
     addresses, restore quiesced so the backup journal only fills."""
 
     def _one_batch(self, **build):
-        site, group, pvol, _svol = build_group(**build)
-        group.quiesce_restore()
-        write_stream(site, pvol, 40, blocks=25, unique=16)
-        return site, group
+        p = build_pipeline(17, **build)
+        p.group.quiesce_restore()
+        write_stream(p, 40, blocks=25, unique=16)
+        return p.sim, p.group
 
     def test_backup_journal_full_admits_the_prefix_that_fits(self):
-        site, group = self._one_batch(backup_capacity=9,
-                                      **REDUCED_COALESCED)
-        site.sim.run(until=site.sim.now + 0.1)
+        sim, group = self._one_batch(backup_capacity=9,
+                                     **REDUCED_COALESCED)
+        sim.run(until=sim.now + 0.1)
         assert receive_state(group) == EXPECTED_BACKUP_FULL
 
     def test_wire_corruption_quarantines_and_trims_around_it(self):
-        site, group = self._one_batch(**REDUCED_COALESCED)
+        sim, group = self._one_batch(**REDUCED_COALESCED)
 
         def corrupt(entry: JournalEntry) -> JournalEntry:
             if entry.sequence != 26:  # the 12th of the 25 survivors
@@ -209,5 +193,5 @@ class TestMidBatchFailure:
                 entry.span_id)
 
         group.install_wire_injector(corrupt)
-        site.sim.run(until=site.sim.now + 0.1)
+        sim.run(until=sim.now + 0.1)
         assert receive_state(group) == EXPECTED_WIRE_CORRUPTION

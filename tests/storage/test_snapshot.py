@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SnapshotError
 from tests.storage.conftest import run
-from tests.storage.test_adc import make_async_pair
 
 
 class TestSnapshotCow:
@@ -94,49 +93,6 @@ class TestSnapshotGroup:
         by_base = group.by_base_volume()
         for i, vol in enumerate(vols):
             assert by_base[vol.volume_id].read_current(0) == b"v%d" % i
-
-    def test_quiesced_group_is_consistent_under_restore(self, sim, two_site):
-        """Snapshot group during live restore: the images must be a prefix
-        of the replicated order across both volumes."""
-        pvol_a, svol_a = make_async_pair(two_site, group_id="jg-a",
-                                         pair_id="pa")
-        pvol_b = two_site.main.create_volume(two_site.main_pool_id, 256)
-        svol_b = two_site.backup.create_volume(two_site.backup_pool_id, 256)
-        two_site.main.create_async_pair(
-            "pb", "jg-a", pvol_b.volume_id, two_site.backup,
-            svol_b.volume_id)
-
-        def writer(sim):
-            for i in range(60):
-                target = pvol_a if i % 2 == 0 else pvol_b
-                yield from two_site.main.host_write(
-                    target.volume_id, i % 8, b"w%03d" % i, tag=f"t{i}")
-
-        proc = sim.spawn(writer(sim))
-        sim.run(until=sim.now + 0.004)
-        group = run(sim, two_site.backup.create_snapshot_group(
-            "sg", [svol_a.volume_id, svol_b.volume_id], quiesce=True))
-        # check prefix property of the frozen images
-        frozen = group.frozen_versions()
-        applied = set()
-        mapping = {svol_a.volume_id: pvol_a.volume_id,
-                   svol_b.volume_id: pvol_b.volume_id}
-        for svol_id, versions in frozen.items():
-            pvol_id = mapping[svol_id]
-            for record in two_site.main.history.for_volume(pvol_id):
-                if versions.get(record.block, -1) >= record.version:
-                    applied.add(record.seq)
-        history = two_site.main.history.restricted(list(mapping.values()))
-        seen_missing = False
-        for record in history:
-            if record.seq in applied:
-                assert not seen_missing, "snapshot group is not a prefix"
-            else:
-                seen_missing = True
-        sim.run_until_complete(proc)
-        sim.run(until=sim.now + 1.0)
-        # restore resumed and completed after the quiesce window
-        assert svol_a.block_map() == pvol_a.block_map()
 
     def test_duplicate_group_id_rejected(self, sim, two_site):
         array = two_site.main

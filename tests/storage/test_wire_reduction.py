@@ -17,8 +17,8 @@ from repro.storage.reduction import (COMPRESS_FRAME_BYTES, REF_BYTES,
                                      FingerprintCache, ReductionCodec,
                                      ReductionConfig)
 from tests.chaos.test_faults import corrupt_first_entry
-from tests.storage.conftest import build_two_site, fast_adc, run
-from tests.storage.test_adc import make_async_pair
+from tests.storage.conftest import (build_pipeline, build_two_site,
+                                    make_async_pair, run)
 
 REDUCED = ReductionConfig(enabled=True)
 
@@ -33,10 +33,8 @@ def duplicate_payloads(count, seed=29, size=1024, unique=8):
 def drain_duplicates(seed=11, writes=60, blocks=64, unique=8,
                      **adc_overrides):
     """Write a duplicate stream through one ADC pair and drain it."""
-    site = build_two_site(Simulator(seed=seed),
-                          adc=fast_adc(**adc_overrides))
-    sim = site.sim
-    pvol, svol = make_async_pair(site, blocks=blocks)
+    site = build_pipeline(seed, blocks=blocks, **adc_overrides)
+    sim, pvol, svol = site.sim, site.pvols[0], site.svols[0]
 
     def writer(sim):
         for i, payload in enumerate(
@@ -46,9 +44,8 @@ def drain_duplicates(seed=11, writes=60, blocks=64, unique=8,
 
     run(sim, writer(sim))
     sim.run(until=sim.now + 2.0)
-    group = site.main.journal_groups["jg-0"]
-    assert group.entry_lag == 0
-    return site, pvol, svol, group
+    assert site.group.entry_lag == 0
+    return site, pvol, svol, site.group
 
 
 class TestReductionConfig:
@@ -134,20 +131,10 @@ class TestAdcReduction:
         assert site.link.bytes_transferred * 3 <= \
             plain_site.link.bytes_transferred
         # logical accounting keeps its pre-reduction meaning
-        plain_group = plain_site.main.journal_groups["jg-0"]
+        plain_group = plain_site.group
         assert group.transfer_bytes.value == \
             plain_group.transfer_bytes.value
         assert group.reducer.hits > 0
-
-    def test_windowed_transfer_same_image_and_savings(self):
-        plain_site, _, plain_svol, _ = drain_duplicates()
-        site, pvol, svol, group = drain_duplicates(
-            reduction=REDUCED, transfer_window=4)
-        assert svol.block_map() == pvol.block_map()
-        assert {b: v.payload for b, v in svol.block_map().items()} == \
-            {b: v.payload for b, v in plain_svol.block_map().items()}
-        assert site.link.bytes_transferred * 3 <= \
-            plain_site.link.bytes_transferred
 
     def test_wire_counter_matches_link_accounting(self):
         site, _, _, group = drain_duplicates(reduction=REDUCED)
@@ -199,11 +186,9 @@ class TestReductionIntegrity:
 
     def warm_pair(self, seed=11):
         """A reduced ADC pair whose caches hold one duplicate payload."""
-        site = build_two_site(Simulator(seed=seed),
-                              adc=fast_adc(reduction=REDUCED))
-        sim = site.sim
-        pvol, svol = make_async_pair(site)
-        group = site.main.journal_groups["jg-0"]
+        site = build_pipeline(seed, reduction=REDUCED)
+        sim, group = site.sim, site.group
+        pvol, svol = site.pvols[0], site.svols[0]
         payload = duplicate_payloads(1)[0]
         run(sim, site.main.host_write(pvol.volume_id, 0, payload))
         sim.run(until=sim.now + 1.0)

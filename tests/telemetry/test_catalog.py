@@ -17,8 +17,8 @@ from repro.apps.workload import PayloadProfile
 from repro.bench.setups import MODE_ADC_CG, build_business_system
 from repro.simulation import Simulator
 from repro.storage import ReductionConfig, SdcConfig
-from tests.storage.conftest import build_two_site, fast_adc, run
-from tests.storage.test_adc import make_async_pair
+from tests.storage.conftest import (build_two_site, fast_adc,
+                                    make_async_pair, run)
 
 CATALOG = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
 REDUCED = ReductionConfig(enabled=True, cache_entries=8)
