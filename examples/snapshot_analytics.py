@@ -4,8 +4,8 @@
 Shows why the demonstration runs analytics on *snapshot* volumes rather
 than on the live mirror: while the restore pipeline is applying updates,
 a multi-volume read of the live mirror is torn across time, but a
-quiesced snapshot group freezes one consistent instant — and the
-business at the main site never notices either way.
+snapshot group freezes one consistent instant without pausing restore —
+and the business at the main site never notices either way.
 
 Run:  python examples/snapshot_analytics.py
 """
@@ -66,7 +66,7 @@ def main() -> None:
         sim.run(until=sim.now + 0.1)
     print("  (answers drift run to run - the mirror moved underneath)")
 
-    print("\ncutting a quiesced snapshot group (the Fig 5 operation) ...")
+    print("\ncutting a snapshot group (the Fig 5 operation) ...")
     group = sim.run_until_complete(sim.spawn(
         system.backup.console.storage_array_snapshot_group(
             backup_array, "analytics-group",

@@ -319,8 +319,7 @@ def run_e4_snapshot(seeds: Sequence[int] = tuple(range(400, 406)),
         columns=("method", "attempts", "consistent", "consistency_rate",
                  "mean_create_ms"))
     facts: Facts = {}
-    for method, quiesce in (("snapshot-group", True),
-                            ("per-volume", False)):
+    for method in ("snapshot-group", "per-volume"):
         consistent = 0
         create_times: List[float] = []
         for seed in seeds:
@@ -334,12 +333,11 @@ def run_e4_snapshot(seeds: Sequence[int] = tuple(range(400, 406)),
             sim.run(until=sim.now + load_time)
             secondary = _secondary_ids(experiment)
             started = sim.now
-            if quiesce:
+            if method == "snapshot-group":
                 group_proc = sim.spawn(
                     experiment.system.backup.array.create_snapshot_group(
                         f"e4-{seed}", [secondary[p] for p in
-                                       sorted(secondary)],
-                        quiesce=True))
+                                       sorted(secondary)]))
                 group = sim.run_until_complete(group_proc)
                 frozen = group.frozen_versions()
             else:
@@ -417,8 +415,7 @@ def run_e5_analytics(seed: int = 500, window: float = 1.0,
                 group_proc = sim.spawn(
                     experiment.system.backup.array.create_snapshot_group(
                         "e5-group",
-                        [secondary[p] for p in sorted(secondary)],
-                        quiesce=True))
+                        [secondary[p] for p in sorted(secondary)]))
                 group = sim.run_until_complete(group_proc)
             for repeat in range(repeats):
                 try:

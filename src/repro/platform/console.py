@@ -130,8 +130,7 @@ class Console:
         self._log("create-snapshot-group",
                   f"{group_id} volumes={list(volume_ids)}",
                   surface="storage-array")
-        return array.create_snapshot_group(group_id, volume_ids,
-                                           quiesce=True)
+        return array.create_snapshot_group(group_id, volume_ids)
 
     def storage_array_command(self, description: str) -> None:
         """Record one generic manual array operation (E3's manual

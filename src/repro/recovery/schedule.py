@@ -7,9 +7,10 @@ point-in-time restore can pick any recent instant.  This module provides
 that as the natural extension of §III-A2's snapshot-group technology —
 the cadence/retention knobs the paper leaves to the operator.
 
-Each generation is cut with restore quiesce (so every generation is a
-consistent cut of the replicated order) and pruned oldest-first once the
-retention limit is exceeded; pruning releases the copy-on-write store.
+Each generation is a snapshot-group cut (a consistent cut of the
+replicated order, taken without stopping restore) and is pruned
+oldest-first once the retention limit is exceeded; pruning releases the
+copy-on-write store.
 """
 
 from __future__ import annotations
@@ -84,12 +85,12 @@ class SnapshotScheduler:
                         ) -> Generator[object, object, SnapshotGeneration]:
         """Cut one generation now and prune beyond the retention limit.
 
-        Process generator (the group cut quiesces restore briefly).
+        Process generator (it completes without advancing the clock).
         """
         index = next(self._counter)
         group_id = f"{self.name}-gen-{index}"
         group = yield from self.array.create_snapshot_group(
-            group_id, self.volume_ids, quiesce=True)
+            group_id, self.volume_ids)
         generation = SnapshotGeneration(
             index=index, group_id=group_id,
             created_at=self.array.sim.now, group=group)

@@ -163,7 +163,7 @@ def run_demo(seed: int = 2025,
 
     # -- step 2: snapshot development (Fig 5) --------------------------------
     # the transaction window keeps running; snapshots must still be
-    # consistent thanks to quiesced snapshot groups
+    # consistent thanks to snapshot groups
     sim.run(until=sim.now + analytics_delay)
     secondary_ids = _secondary_volume_ids(system, business)
     snap_proc = sim.spawn(

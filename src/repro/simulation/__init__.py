@@ -8,8 +8,7 @@ the reproduction runs on.  Public surface:
   :class:`SleepRequest`, the event-free marker ``sim.sleep`` — the one
   way to pause — hands the kernel).
 * :class:`Process` — spawned generator handle with join/interrupt.
-* :class:`Lock`, :class:`Semaphore`, :class:`Store`, :class:`Gate` —
-  synchronisation.
+* :class:`Lock`, :class:`Semaphore`, :class:`Store` — synchronisation.
 * :class:`NetworkLink`, :class:`SitePair` — inter-site links.
 """
 
@@ -17,13 +16,12 @@ from repro.simulation.events import AnyOf, Event, SleepRequest, Timeout
 from repro.simulation.kernel import Simulator
 from repro.simulation.network import LinkDownError, NetworkLink, SitePair
 from repro.simulation.process import Process
-from repro.simulation.resources import Gate, Lock, Semaphore, Store
+from repro.simulation.resources import Lock, Semaphore, Store
 from repro.simulation.rng import RngRegistry, derive_seed
 
 __all__ = [
     "AnyOf",
     "Event",
-    "Gate",
     "LinkDownError",
     "Lock",
     "NetworkLink",

@@ -5,8 +5,6 @@
 * :class:`Store` — unbounded-or-bounded FIFO channel of items; the core
   building block for request queues (e.g. a storage port's command queue,
   a controller's work queue).
-* :class:`Gate` — a reusable open/closed barrier (used to quiesce the
-  journal restore pipeline during snapshot-group creation).
 
 All waits are events, so processes use them as ``item = yield
 store.get()``.
@@ -146,44 +144,4 @@ class Store:
                               or len(self._items) < self.capacity):
             event, item = self._putters.popleft()
             self._items.append(item)
-            event.succeed()
-
-
-class Gate:
-    """A reusable barrier: processes wait while the gate is closed.
-
-    Unlike an event, a gate can close and reopen repeatedly; ``wait()``
-    returns an already-fired event while the gate is open.
-    """
-
-    def __init__(self, sim: "Simulator", open_: bool = True,
-                 name: str = "") -> None:
-        self.sim = sim
-        self.name = name or f"gate@{id(self):x}"
-        self._open = open_
-        self._waiters: list[Event] = []
-
-    @property
-    def is_open(self) -> bool:
-        """True when waiters pass through immediately."""
-        return self._open
-
-    def wait(self) -> Event:
-        """Event that fires when the gate is (or becomes) open."""
-        event = self.sim.event(name=f"{self.name}.wait")
-        if self._open:
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def close(self) -> None:
-        """Close the gate; subsequent waiters block. Idempotent."""
-        self._open = False
-
-    def open(self) -> None:
-        """Open the gate, releasing all current waiters. Idempotent."""
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
             event.succeed()

@@ -16,8 +16,9 @@ array and a backup array:
   AIMD-style between configured bounds from the journal backlog and the
   observed drain rate;
 * the **restore** process applies ingested entries to the secondary
-  volumes *in sequence order*, pausing at entry boundaries whenever the
-  restore gate is closed (snapshot-group quiesce).
+  volumes *in sequence order*, one window at a time; a window installs
+  in the step that advances ``restored_sequence``, so a snapshot group
+  cuts at that sequence without stopping restore.
 
 A **consistency group** is nothing more than several pairs sharing one
 journal group: one sequence counter ⇒ the backup cut is a prefix of the
@@ -52,7 +53,6 @@ from zlib import crc32
 
 from repro.errors import ReplicationError
 from repro.simulation.network import LinkDownError, NetworkLink
-from repro.simulation.resources import Gate
 from repro.storage.journal import (JournalEntry, JournalFullError,
                                    JournalVolume)
 from repro.storage.reduction import (DISABLED_REDUCTION, EncodedBatch,
@@ -236,13 +236,10 @@ class JournalGroup:
         self.transferred_sequence = -1
         #: highest sequence applied to secondary volumes
         self.restored_sequence = -1
-        #: pauses the restore loop at entry boundaries (snapshot quiesce)
-        self.restore_gate = Gate(sim, open_=True,
-                                 name=f"jg-{group_id}.restore-gate")
         self.suspended = False
         self.suspend_reason = ""
-        #: True while the restore loop is mid-apply (snapshot quiesce
-        #: waits for this to clear after closing the gate)
+        #: True while the restore loop is mid-apply (:meth:`drain` and
+        #: the failback switchover wait for this to clear)
         self.applying = False
         self._running = False
         self._transfer_enabled = True
@@ -1071,7 +1068,6 @@ class JournalGroup:
 
     def _restore_loop(self) -> Generator[object, object, None]:
         config = self.config
-        gate = self.restore_gate
         journal = self.backup_journal
         # one entry per window for the serial applier, else the whole
         # remaining batch budget (conflicts coalesce last-writer-wins)
@@ -1085,8 +1081,6 @@ class JournalGroup:
             while applied < config.restore_batch:
                 if not self._running:
                     return
-                if not gate.is_open:
-                    yield gate.wait()
                 # (rebinding ``window`` on the way out too releases the
                 # last window's entries before the loop sleeps)
                 if serial:
@@ -1271,14 +1265,6 @@ class JournalGroup:
         self._update_copy_states()
         self.tracer.finish(drain_span, applied=applied)
         return applied
-
-    def quiesce_restore(self) -> None:
-        """Close the restore gate (snapshot-group preparation)."""
-        self.restore_gate.close()
-
-    def resume_restore(self) -> None:
-        """Reopen the restore gate."""
-        self.restore_gate.open()
 
     def __repr__(self) -> str:
         return (f"<JournalGroup {self.group_id!r} pairs={len(self.pairs)} "

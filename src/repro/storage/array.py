@@ -12,9 +12,9 @@ state, so a test can build any number of sites.
 
 Conventions:
 
-* data-path methods (``host_write``, ``host_read``,
-  ``create_snapshot_group``) are process generators — they take simulated
-  time;
+* data-path methods (``host_write``, ``host_read``) are process
+  generators — they take simulated time; so is ``create_snapshot_group``,
+  which completes at once;
 * management commands (volume/journal/pair creation) are plain methods —
   they complete instantly but may start background work (initial copy
   runs through the replication pipelines).
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 from zlib import crc32
 
 from repro.errors import (ArrayCommandError, ReplicationError, SnapshotError,
@@ -654,7 +654,7 @@ class StorageArray:
     # ------------------------------------------------------------------
 
     def create_snapshot(self, volume_id: int, name: str = "") -> Snapshot:
-        """Instant copy-on-write snapshot of one volume (no quiesce)."""
+        """Instant copy-on-write snapshot of one volume."""
         self._check_alive()
         volume = self._require_volume(volume_id)
         snapshot_id = next(self._snapshot_ids)
@@ -667,16 +667,16 @@ class StorageArray:
 
     def create_snapshot_group(self, group_id: str,
                               volume_ids: Sequence[int],
-                              quiesce: bool = True,
                               ) -> Generator[object, object, SnapshotGroup]:
         """Snapshot several volumes at one consistent instant.
 
-        Process generator.  With ``quiesce`` (the snapshot *group*
-        technology of §III-A2) the restore pipelines feeding the target
-        volumes pause at an entry boundary first, so the images form a
-        prefix of the replicated order.  Without it this degenerates to
-        per-volume snapshots taken at one wall-clock instant, which is
-        *not* a consistent cut while restore is running.
+        Process generator that completes without advancing the clock
+        (the snapshot *group* technology of §III-A2).  Restore keeps
+        running: a restore window installs in the same simulated step
+        that advances ``restored_sequence``, and copy-on-write is decided
+        at install, so every member cut at its journal group's
+        ``restored_sequence`` is a prefix of the replicated order, and a
+        window still in its media wait installs over the cut afterwards.
         """
         self._check_alive()
         if group_id in self._snapshot_groups:
@@ -687,42 +687,27 @@ class StorageArray:
         volumes = [self._require_volume(vid) for vid in volume_ids]
         span = self.tracer.start(
             "snapshot-group", array=self.serial, group=group_id,
-            members=len(volumes), quiesce=quiesce)
-        groups: Set[JournalGroup] = {
-            self._restore_group_by_svol[vid]
-            for vid in volume_ids if vid in self._restore_group_by_svol}
-        if quiesce:
-            for journal_group in groups:
-                journal_group.quiesce_restore()
-            while any(journal_group.applying for journal_group in groups):
-                yield self.sim.sleep(self.config.media.write_latency)
-        try:
-            snapshots = []
-            for volume in volumes:
-                snapshot_id = next(self._snapshot_ids)
-                snapshot = Snapshot(
-                    snapshot_id, volume, self.sim.now,
-                    name=f"{self.serial}-snap-{snapshot_id}")
-                if quiesce:
-                    restore_group = self._restore_group_by_svol.get(
-                        volume.volume_id)
-                    if restore_group is not None:
-                        snapshot.group_sequence = \
-                            restore_group.restored_sequence
-                self._snapshots[snapshot_id] = snapshot
-                snapshots.append(snapshot)
-        finally:
-            if quiesce:
-                for journal_group in groups:
-                    journal_group.resume_restore()
+            members=len(volumes))
+        snapshots = []
+        for volume in volumes:
+            snapshot_id = next(self._snapshot_ids)
+            snapshot = Snapshot(
+                snapshot_id, volume, self.sim.now,
+                name=f"{self.serial}-snap-{snapshot_id}")
+            restore_group = self._restore_group_by_svol.get(volume.volume_id)
+            if restore_group is not None:
+                snapshot.group_sequence = restore_group.restored_sequence
+            self._snapshots[snapshot_id] = snapshot
+            snapshots.append(snapshot)
         group = SnapshotGroup(group_id=group_id, created_at=self.sim.now,
-                              snapshots=snapshots, quiesced=quiesce)
+                              snapshots=snapshots)
         self._snapshot_groups[group_id] = group
         self.snapshot_groups_created.increment()
         self.tracer.finish(span)
         self._audit("create_snapshot_group", group_id=group_id,
-                    volume_ids=tuple(volume_ids), quiesce=quiesce)
+                    volume_ids=tuple(volume_ids))
         return group
+        yield  # pragma: no cover - generator marker
 
     def get_snapshot(self, snapshot_id: int) -> Snapshot:
         """Look up a snapshot by id."""

@@ -5,12 +5,12 @@ subsequent base-volume writes first preserve the block's pre-image into
 the snapshot store (the COW hook lives in
 :meth:`repro.storage.volume.Volume.install_blocks`).
 
-A :class:`SnapshotGroup` snapshots several volumes **at one instant with
-restore quiesced**, so the set of images is crash-consistent across
-volumes — the property that lets the backup site run analytics on a
-usable multi-volume image while replication continues.  Per-volume
-snapshots taken at different instants do not have this property, which
-experiment E4 demonstrates.
+A :class:`SnapshotGroup` snapshots several volumes **at one instant, at
+their journal group's restored sequence**, without stopping restore, so
+the set of images is crash-consistent across volumes — the property
+that lets the backup site run analytics on a usable multi-volume image
+while replication continues.  Per-volume snapshots taken at different
+instants do not have this property, which experiment E4 demonstrates.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class Snapshot:
         # Memoized image_blocks()/frozen_version_map() (see image_blocks)
         self._image_cache: Optional[Dict[int, bytes]] = None
         self._frozen_cache: Optional[Dict[int, int]] = None
-        #: the sequence point of the group quiesce, when group-created
+        #: the restored sequence the group cut froze, when group-created
         self.group_sequence: Optional[int] = None
         #: the base volume's COW generation this snapshot opened
         self.generation = base.attach_snapshot(self)
@@ -132,13 +132,11 @@ class Snapshot:
 
 @dataclass
 class SnapshotGroup:
-    """Snapshots of several volumes taken at a single quiesced instant."""
+    """Snapshots of several volumes taken at a single consistent instant."""
 
     group_id: str
     created_at: float
     snapshots: List[Snapshot] = field(default_factory=list)
-    #: True when created under restore quiesce (consistent across members)
-    quiesced: bool = True
 
     def member_ids(self) -> List[int]:
         """Snapshot ids of the members."""

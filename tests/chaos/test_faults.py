@@ -16,7 +16,7 @@ from repro.chaos import (ArrayCrash, JournalCorruption, JournalSqueeze,
                          build_chaos_environment)
 from repro.errors import StorageError
 from repro.storage import PairState
-from tests.storage.conftest import (build_two_site, fast_adc,
+from tests.storage.conftest import (build_two_site, fast_adc, hold_restore,
                                     make_async_pair, run)
 
 
@@ -97,13 +97,13 @@ class TestJournalIntegrity:
 
         # hold the restore loop so the entry is parked in the backup
         # journal when the torn write hits it
-        group.quiesce_restore()
+        resume = hold_restore(group)
         run(sim, site.main.host_write(pvol.volume_id, 3, b"payload"))
         sim.run(until=sim.now + 0.5)
         assert len(group.backup_journal) == 1
         corrupted = group.backup_journal.corrupt_entry(0)
         assert corrupted is not None
-        group.resume_restore()
+        resume()
         sim.run(until=sim.now + 2.0)
 
         assert group.corruptions_journal.value == 1
@@ -277,7 +277,7 @@ class TestFaultObjects:
         env = build_chaos_environment(seed=5)
         sim, group = env.sim, env.group
         volume_id = sorted(env.business.volume_ids.values())[0]
-        group.quiesce_restore()
+        resume = hold_restore(group)
         sim.run_until_complete(sim.spawn(
             env.system.main.array.host_write(volume_id, 0, b"torn-me")))
         sim.run(until=sim.now + 0.3)
@@ -285,7 +285,7 @@ class TestFaultObjects:
         fault = JournalCorruption(0.0)
         detail = fault.inject(env)
         assert "backup journal" in detail
-        group.resume_restore()
+        resume()
         sim.run(until=sim.now + 2.0)
 
         assert env.corrupted_payloads

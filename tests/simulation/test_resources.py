@@ -1,4 +1,4 @@
-"""Unit tests for Lock/Semaphore/Store/Gate synchronisation primitives."""
+"""Unit tests for Lock/Semaphore/Store synchronisation primitives."""
 
 import pytest
 
@@ -168,51 +168,3 @@ class TestStore:
         from repro.simulation import Store
         with pytest.raises(ValueError):
             Store(sim, capacity=0)
-
-
-class TestGate:
-    def test_open_gate_passes_immediately(self, sim):
-        from repro.simulation import Gate
-        gate = Gate(sim, open_=True)
-        times = []
-
-        def proc(sim):
-            yield gate.wait()
-            times.append(sim.now)
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert times == [0.0]
-
-    def test_closed_gate_blocks_until_open(self, sim):
-        from repro.simulation import Gate
-        gate = Gate(sim, open_=False)
-        times = []
-
-        def proc(sim):
-            yield gate.wait()
-            times.append(sim.now)
-
-        sim.spawn(proc(sim))
-        sim.spawn(proc(sim))
-        sim.call_at(3.0, gate.open)
-        sim.run()
-        assert times == [3.0, 3.0]
-
-    def test_gate_reusable(self, sim):
-        from repro.simulation import Gate
-        gate = Gate(sim)
-        times = []
-
-        def proc(sim):
-            yield gate.wait()
-            times.append(sim.now)
-            gate.close()
-            yield sim.timeout(1.0)
-            yield gate.wait()
-            times.append(sim.now)
-
-        sim.spawn(proc(sim))
-        sim.call_at(5.0, gate.open)
-        sim.run()
-        assert times == [0.0, 5.0]

@@ -54,6 +54,9 @@ REQUIRED = [
      "self.restored_sequence = window[0].sequence"),
     ("coalesced-batch restore rule reverted", JournalGroup,
      "_receive_batch", "elif len(ship) < len(batch):", "elif False:"),
+    ("cut stamped with transferred_sequence", StorageArray,
+     "create_snapshot_group", "restore_group.restored_sequence",
+     "restore_group.transferred_sequence"),
 ]
 
 #: equivalent under the spec's current rules (no faults): tried, not
@@ -66,10 +69,6 @@ EQUIVALENT = [
     ("stale test > for >=", JournalGroup, "_apply_target",
      "if svol.versions.get(entry.block, 0) >= entry.version:",
      "if svol.versions.get(entry.block, 0) > entry.version:"),
-    ("snapshot group skips the gate and the applying wait", StorageArray,
-     "create_snapshot_group",
-     "if quiesce:\n            for journal_group in groups:",
-     "if False:\n            for journal_group in groups:"),
 ]
 
 

@@ -92,8 +92,6 @@ class ReplicationSpec(RuleBasedStateMachine):
             self.reference.pair(pvol.volume_id)
         self.writers, self.cuts = [], []
         self.marks = (-1, -1, -1)
-        #: (restored_sequence, windows still allowed) while quiesced
-        self.gate_closed = None
 
     def rows(self, batch):
         pvols = self.p.pvols
@@ -132,15 +130,6 @@ class ReplicationSpec(RuleBasedStateMachine):
             f"cut-{len(self.cuts)}", [svol.volume_id for svol in p.svols])))
 
     @rule()
-    def toggle_restore_gate(self):
-        group = self.p.group
-        if group.restore_gate.is_open:
-            group.quiesce_restore()
-            self.gate_closed = (group.restored_sequence, 1)
-        else:
-            group.resume_restore()
-
-    @rule()
     def toggle_link(self):
         link = self.p.link
         link.restore() if not link.is_up else link.fail()
@@ -155,13 +144,10 @@ class ReplicationSpec(RuleBasedStateMachine):
         assert len(group.backup_journal) == 0
         assert group.restored_sequence == group.transferred_sequence
         group.start()
-        if self.gate_closed is not None:  # drain overrides the gate
-            self.gate_closed = (group.restored_sequence, 1)
 
     @rule()
     def converge(self):
         p, group = self.p, self.p.group
-        group.resume_restore()
         p.link.restore()
         limit = p.sim.now + 1.0
         while (group.entry_lag or any(w.alive for w in self.writers)) \
@@ -213,12 +199,6 @@ class ReplicationSpec(RuleBasedStateMachine):
                 assert snap.image_blocks() == {
                     block: payload for block, (payload, _v) in image.items()}
                 assert snap.frozen_version_map() == versions(image)
-        if self.gate_closed is not None:
-            if group.restore_gate.is_open:
-                self.gate_closed = None
-            elif restored != self.gate_closed[0]:
-                assert self.gate_closed[1], "restored through a closed gate"
-                self.gate_closed = (restored, 0)
 
 
 def pinned(knobs):

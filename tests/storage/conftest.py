@@ -126,6 +126,23 @@ def drain(sim, group, deadline=60.0):
     assert settled(), "pipeline failed to drain"
 
 
+def hold_restore(group):
+    """Stop ``group``'s restore process so ingested entries park in the
+    backup journal; returns the function that respawns it.
+
+    Call it between restore windows: the process dies at its current
+    wait, which must not be a window's media wait.
+    """
+    assert not group.applying, "hold restore between windows"
+    group._restore_proc.interrupt("restore held")
+
+    def resume():
+        group._restore_proc = group.sim.spawn(
+            group._restore_loop(), name=f"jg-{group.group_id}.restore")
+
+    return resume
+
+
 def image_of(volume):
     return {block: (value.payload, value.version)
             for block, value in volume.block_map().items()}

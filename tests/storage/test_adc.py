@@ -2,7 +2,7 @@
 
 These tests pin the paper's §III-A1 mechanics one scenario each:
 journaled writes, initial copy, journal overflow suspension,
-split/resync, failover drain.  Ordering, quiesce and convergence under
+split/resync, failover drain.  Ordering, cuts and convergence under
 every knob are the executable specification's (``tests/spec``).
 """
 

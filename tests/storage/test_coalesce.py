@@ -68,8 +68,8 @@ class TestCoalescingEquivalence:
 def test_a_thinned_batch_restores_atomically(adc):
     """Regression: A(b0) B(b1) C(b2) A'(b0) ships as B, C, A'.  A
     restore window ending after B or C exposed B without A — a cut that
-    is not a prefix of the ack order.  One quiesced cut per window
-    boundary: each must be consistent."""
+    is not a prefix of the ack order.  Cuts taken during each window's
+    media wait freeze the boundary before it: each must be consistent."""
     p = build_pipeline(coalesce_overwrites=True, **adc)
     pvol, svol = p.pvols[0], p.svols[0]
     run(p.sim, p.main.host_write_many(
@@ -78,7 +78,7 @@ def test_a_thinned_batch_restores_atomically(adc):
     cuts = []
     while p.group.entry_lag:
         p.sim.run(until=p.sim.now + 0.0001)
-        if p.group.applying:  # the cut waits out the window in flight
+        if p.group.applying:  # the window in flight installs over the cut
             cuts.append(run(p.sim, p.backup.create_snapshot_group(
                 f"cut-{len(cuts)}", [svol.volume_id])))
     assert p.group.coalesced_count.value == 1 and cuts

@@ -3,7 +3,7 @@
 Taking the whole restore batch as one window (``AdcConfig.apply_lanes >
 1``) may only change *when* the media waits overlap; that every window
 size converges to the serial applier's image, RPO accounting and
-quiesced cuts is the executable specification's job (``tests/spec``).
+snapshot-group cuts is the executable specification's job (``tests/spec``).
 Pinned here: lanes 1 is one entry per window and any number above 1 the
 whole batch; the number above 1 selects nothing in the applier, so lanes
 2 and 8 restore along the same ``(sim.now, restored_sequence)``

@@ -20,7 +20,7 @@ import pstats
 from repro.apps.workload import PayloadProfile
 from repro.storage import ReductionConfig
 from repro.storage.journal import JournalEntry
-from tests.storage.conftest import build_pipeline, run
+from tests.storage.conftest import build_pipeline, hold_restore, run
 
 ALL_ON = dict(coalesce_overwrites=True, apply_lanes=4, transfer_window=4,
               reduction=ReductionConfig(enabled=True))
@@ -166,11 +166,11 @@ EXPECTED_WIRE_CORRUPTION = {
 
 class TestMidBatchFailure:
     """Coalescing + reduction on, one batch of 40 writes over 25
-    addresses, restore quiesced so the backup journal only fills."""
+    addresses, restore held so the backup journal only fills."""
 
     def _one_batch(self, **build):
         p = build_pipeline(17, **build)
-        p.group.quiesce_restore()
+        hold_restore(p.group)
         write_stream(p, 40, blocks=25, unique=16)
         return p.sim, p.group
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SnapshotError
-from tests.storage.conftest import run
+from tests.storage.conftest import build_pipeline, drain, image_of, run
 
 
 class TestSnapshotCow:
@@ -121,6 +121,32 @@ class TestSnapshotGroup:
         record = sim.run_until_complete(writer)
         assert record is not None
         assert vol.peek(0).payload == b"new"
+
+    def test_cut_mid_window_does_not_pause_restore(self):
+        """Regression: a cut taken while a restore window is in its
+        media wait returned only after the window installed.  It now
+        returns at once at ``restored_sequence``; the window installs
+        over it, and copy-on-write keeps the cut's image."""
+        p = build_pipeline()
+        sim, group, pvol, svol = p.sim, p.group, p.pvols[0], p.svols[0]
+        run(sim, p.main.host_write(pvol.volume_id, 0, b"old"))
+        drain(sim, group)
+        run(sim, p.main.host_write(pvol.volume_id, 0, b"new"))
+        while not group.applying:
+            sim.run(until=sim.now + svol.media.write_latency / 4)
+        before, restored = image_of(svol), group.restored_sequence
+        now = sim.now
+        cut = run(sim, p.backup.create_snapshot_group("mid",
+                                                      [svol.volume_id]))
+        (snap,) = cut.snapshots
+        assert sim.now == now
+        assert snap.group_sequence == restored
+        drain(sim, group)
+        assert image_of(svol) == image_of(pvol) != before
+        assert snap.image_blocks() == {
+            block: payload for block, (payload, _v) in before.items()}
+        assert snap.frozen_version_map() == {
+            block: version for block, (_p, version) in before.items()}
 
     def test_group_delete_releases_members(self, sim, two_site):
         array = two_site.main

@@ -18,7 +18,7 @@ from repro.storage.reduction import (COMPRESS_FRAME_BYTES, REF_BYTES,
                                      ReductionConfig)
 from tests.chaos.test_faults import corrupt_first_entry
 from tests.storage.conftest import (build_pipeline, build_two_site,
-                                    make_async_pair, run)
+                                    hold_restore, make_async_pair, run)
 
 REDUCED = ReductionConfig(enabled=True)
 
@@ -246,13 +246,13 @@ class TestReductionIntegrity:
     def test_torn_backup_entry_detected_with_reduction_on(self):
         site, pvol, svol, group, payload = self.warm_pair()
         sim = site.sim
-        group.quiesce_restore()
+        resume = hold_restore(group)
         run(sim, site.main.host_write(pvol.volume_id, 3, payload))
         sim.run(until=sim.now + 0.5)
         assert len(group.backup_journal) == 1
         corrupted = group.backup_journal.corrupt_entry(0)
         assert corrupted is not None
-        group.resume_restore()
+        resume()
         sim.run(until=sim.now + 2.0)
         assert group.corruptions_journal.value == 1
         assert group.pairs["pair-0"].state is PairState.PAIR

@@ -133,7 +133,7 @@ class TestSnapshotAge:
         site, _pvol, svol = _paired_site(sim)
         sim.run(until=sim.now + 0.5)
         group_proc = sim.spawn(site.backup.create_snapshot_group(
-            "snap-g", [svol.volume_id], quiesce=False))
+            "snap-g", [svol.volume_id]))
         sim.run_until_complete(group_proc)
         sim.run(until=sim.now + 0.25)
         probe = ArrayProbe(sim, site.backup)

@@ -4,11 +4,14 @@ spans the per-entry recorder produced.
 ``restore-apply`` spans are recorded as one compact block per apply
 window and only turned into :class:`~repro.telemetry.Span` objects when
 somebody asks.  The goldens under ``golden/`` are ``tracer.as_dicts()``
-of :func:`run_scenario` captured at the last commit that allocated one
-``Span`` per entry (``python -m tests.telemetry.test_span_equivalence``
-rewrites them — only do that when the *scenario* changes).  Order, ids,
-parents, attrs, start/end and status must all match, for the serial
-applier and for batch windows.
+of :func:`run_scenario` (``python -m tests.telemetry.test_span_equivalence``
+rewrites them — only do that when the *scenario* changes, and then at
+the commit before any product change, so the goldens keep showing that
+change is span-identical).  They were captured at the last commit that
+allocated one ``Span`` per entry, and re-captured when the scenario
+switched to :func:`~tests.storage.conftest.hold_restore` at the last
+commit that had a restore gate.  Order, ids, parents, attrs, start/end
+and status must all match, for the serial applier and for batch windows.
 """
 
 import json
@@ -18,7 +21,8 @@ import pytest
 
 from repro.simulation import Simulator
 from repro.storage.journal import JournalEntry
-from tests.storage.conftest import build_two_site, fast_adc, run
+from tests.storage.conftest import (build_two_site, fast_adc, hold_restore,
+                                    run)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -64,13 +68,13 @@ def run_scenario(applier: str) -> Simulator:
         [(pvols[i % 3], 20 + i, b"b%d" % i) for i in range(9)]))
     sim.run(until=sim.now + 0.1)
 
-    # coalesced: overwrites of one address pile up behind a closed gate
-    group.quiesce_restore()
+    # coalesced: overwrites of one address pile up while restore is held
+    resume = hold_restore(group)
     for i in range(4):
         run(sim, main.host_write(pvols[0], 5, b"hot%d" % i))
         run(sim, main.host_write(pvols[1], 6 + i, b"cold%d" % i))
     sim.run(until=sim.now + 0.05)
-    group.resume_restore()
+    resume()
     sim.run(until=sim.now + 0.1)
 
     # stale version: a wire quarantine marks block 9 dirty while a newer
@@ -96,12 +100,12 @@ def run_scenario(applier: str) -> Simulator:
 
     # integrity + pair deleted: entries wait in the backup journal while
     # one is torn and another loses its pair
-    group.quiesce_restore()
+    resume = hold_restore(group)
     run(sim, write(9, base=7))
     sim.run(until=sim.now + 0.05)
     assert group.backup_journal.corrupt_entry(1) is not None
     main.delete_pair("pair-1")
-    group.resume_restore()
+    resume()
     sim.run(until=sim.now + 0.3)
     run(sim, write(6, base=11))
     sim.run(until=sim.now + 0.3)
