@@ -55,9 +55,12 @@ class Page:
             raise CorruptPageError(f"page {page_id}: checksum mismatch")
         try:
             decoded = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise CorruptPageError(
                 f"page {page_id}: undecodable body") from exc
+        if not isinstance(decoded, dict) or "lsn" not in decoded or \
+                not isinstance(decoded.get("data"), dict):
+            raise CorruptPageError(f"page {page_id}: malformed body")
         if decoded.get("format") != PAGE_FORMAT:
             raise CorruptPageError(
                 f"page {page_id}: unknown format {decoded.get('format')}")

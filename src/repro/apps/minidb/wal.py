@@ -20,8 +20,8 @@ Record types (redo-only ARIES-lite plus the 2PC records):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Generator, List, Optional
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Generator, List, NamedTuple, Optional
 
 from repro.errors import DatabaseError, RecoveryError
 from repro.apps.minidb.device import BlockDevice
@@ -34,50 +34,84 @@ COORD_COMMIT = "coord-commit"
 COORD_ABORT = "coord-abort"
 CHECKPOINT = "checkpoint"
 
-_VALID_TYPES = {UPDATE, COMMIT, ABORT, PREPARE, COORD_COMMIT, COORD_ABORT,
-                CHECKPOINT}
+#: every valid record type -> its JSON string
+_QUOTED_TYPES = {record_type: _quote(record_type) for record_type in (
+    UPDATE, COMMIT, ABORT, PREPARE, COORD_COMMIT, COORD_ABORT, CHECKPOINT)}
+
+#: the record's fields in ``sort_keys`` order
+_FRAME = ('{"checkpoint_lsn":%d,"gtid":%s,"key":%s,"lsn":%d,"txn_id":%s,'
+          '"type":%s,"value":%s}')
+
+_DECODER = json.JSONDecoder()
+
+#: ``_tuple_new(WalRecord, fields)`` builds a record from all seven fields
+#: in C, without a Python ``__new__`` frame
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class WalRecord:
-    """One write-ahead log record (one block on the log volume)."""
-
+class _WalFields(NamedTuple):
     type: str
-    txn_id: str = ""
+    txn_id: str
     #: global transaction id (2PC records)
-    gtid: str = ""
-    key: str = ""
+    gtid: str
+    key: str
     #: None encodes a delete
-    value: Optional[str] = None
+    value: Optional[str]
     #: redo start hint (checkpoint records)
-    checkpoint_lsn: int = -1
-    #: assigned when the record is written
-    lsn: int = -1
+    checkpoint_lsn: int
+    #: assigned when the record is written; the last field, so stamping
+    #: is ``_tuple_new(WalRecord, (*record[:-1], lsn))``
+    lsn: int
 
-    def __post_init__(self) -> None:
-        if self.type not in _VALID_TYPES:
-            raise DatabaseError(f"unknown WAL record type {self.type!r}")
+
+class WalRecord(_WalFields):
+    """One write-ahead log record (one block on the log volume).
+
+    The type is checked when the record is serialised, so an unknown
+    one never reaches the device.
+    """
+
+    __slots__ = ()
+
+    # own ``__new__``: cProfile gives every generated NamedTuple one the
+    # same label and keeps one's stats, so traces dropped records or blocks
+    def __new__(cls, type: str, txn_id: str = "", gtid: str = "",
+                key: str = "", value: Optional[str] = None,
+                checkpoint_lsn: int = -1, lsn: int = -1) -> "WalRecord":
+        return _tuple_new(
+            cls, (type, txn_id, gtid, key, value, checkpoint_lsn, lsn))
 
     def to_bytes(self) -> bytes:
-        """Serialise for one log block."""
-        return json.dumps({
-            "type": self.type, "txn_id": self.txn_id, "gtid": self.gtid,
-            "key": self.key, "value": self.value,
-            "checkpoint_lsn": self.checkpoint_lsn, "lsn": self.lsn,
-        }, sort_keys=True, separators=(",", ":")).encode()
+        """Serialise for one log block: exactly the bytes of ``json.dumps(
+        fields, sort_keys=True, separators=(",", ":"))``, from one template."""
+        record_type, txn_id, gtid, key, value, checkpoint_lsn, lsn = self
+        quoted_type = _QUOTED_TYPES.get(record_type)
+        if quoted_type is None:
+            raise DatabaseError(f"unknown WAL record type {record_type!r}")
+        return (_FRAME % (
+            checkpoint_lsn, _quote(gtid), _quote(key), lsn, _quote(txn_id),
+            quoted_type, "null" if value is None else _quote(value),
+        )).encode()
 
     @classmethod
     def from_bytes(cls, payload: bytes, lsn: int) -> "WalRecord":
-        """Deserialise a log block; validates the embedded LSN."""
+        """Deserialise a log block; validates the record type and the
+        embedded LSN.  A block that is not one JSON object with every
+        field raises :class:`RecoveryError`, like a wrong type or LSN."""
         try:
-            decoded = json.loads(payload)
-        except json.JSONDecodeError as exc:
+            text = payload.decode()
+            decoded, end = _DECODER.raw_decode(text)
+            record = _tuple_new(cls, (
+                decoded["type"], decoded["txn_id"], decoded["gtid"],
+                decoded["key"], decoded["value"], decoded["checkpoint_lsn"],
+                decoded["lsn"]))
+            # in the try: a decoded list or object type is unhashable
+            valid = end == len(text) and record.type in _QUOTED_TYPES
+        except (ValueError, KeyError, TypeError) as exc:
             raise RecoveryError(f"WAL block {lsn}: undecodable") from exc
-        record = cls(type=decoded["type"], txn_id=decoded["txn_id"],
-                     gtid=decoded["gtid"], key=decoded["key"],
-                     value=decoded["value"],
-                     checkpoint_lsn=decoded["checkpoint_lsn"],
-                     lsn=decoded["lsn"])
+        if not valid:
+            raise RecoveryError(
+                f"WAL block {lsn}: trailing data or unknown record type")
         if record.lsn != lsn:
             raise RecoveryError(
                 f"WAL block {lsn} claims LSN {record.lsn}")
@@ -140,10 +174,7 @@ class WalWriter:
                 raise DatabaseError(
                     f"WAL volume full at LSN {self._next_lsn}; size the "
                     "log volume for the workload")
-            stamped = WalRecord(
-                type=record.type, txn_id=record.txn_id, gtid=record.gtid,
-                key=record.key, value=record.value,
-                checkpoint_lsn=record.checkpoint_lsn, lsn=self._next_lsn)
+            stamped = _tuple_new(WalRecord, (*record[:-1], self._next_lsn))
             tag = f"wal:{stamped.type}:{stamped.txn_id or stamped.gtid}"
             yield from self.device.write_block(
                 stamped.lsn, stamped.to_bytes(), tag=tag)
@@ -171,13 +202,8 @@ class WalWriter:
                 raise DatabaseError(
                     f"WAL volume full at LSN {self._next_lsn}; size the "
                     "log volume for the workload")
-            stamped = [
-                WalRecord(
-                    type=record.type, txn_id=record.txn_id,
-                    gtid=record.gtid, key=record.key, value=record.value,
-                    checkpoint_lsn=record.checkpoint_lsn,
-                    lsn=self._next_lsn + offset)
-                for offset, record in enumerate(records)]
+            stamped = [_tuple_new(WalRecord, (*record[:-1], lsn))
+                       for lsn, record in enumerate(records, self._next_lsn)]
             yield from self.device.write_blocks(
                 [(record.lsn, record.to_bytes(),
                   f"wal:{record.type}:{record.txn_id or record.gtid}")

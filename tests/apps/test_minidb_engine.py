@@ -6,6 +6,7 @@ import pytest
 from repro.errors import DatabaseError, TransactionError
 from repro.apps.minidb import MemoryBlockDevice, MiniDB, read_log
 from repro.apps.minidb import wal as wal_types
+from repro.apps.minidb.wal import WalRecord, WalWriter
 from tests.apps.conftest import make_db, put_commit, run
 
 
@@ -217,6 +218,18 @@ class TestWal:
 
         run(sim, proc(sim))
         assert run(sim, read_log(wal_device)) == []
+
+    def test_unknown_record_type_never_reaches_the_device(self, sim):
+        wal_device = MemoryBlockDevice(8)
+        writer = WalWriter(wal_device)
+        with pytest.raises(DatabaseError, match="unknown WAL record type"):
+            run(sim, writer.append(WalRecord(type="bogus")))
+        with pytest.raises(DatabaseError, match="unknown WAL record type"):
+            run(sim, writer.append_many([
+                WalRecord(type=wal_types.COMMIT, txn_id="t1"),
+                WalRecord(type="bogus")]))
+        assert wal_device.writes == 0
+        assert writer.next_lsn == 0
 
 
 class TestCheckpoint:

@@ -1,13 +1,19 @@
 """Unit tests for MiniDB recovery: redo, crash cuts, 2PC resolution,
 corruption detection."""
 
+import zlib
+
 import pytest
 
 from repro.errors import CorruptPageError, RecoveryError
-from repro.apps.minidb import (MemoryBlockDevice, MiniDB, Page,
+from repro.apps.minidb import (MemoryBlockDevice, MiniDB, Page, WalRecord,
                                recover_database, reopen_database)
 from repro.apps.minidb.pages import bucket_for_key
 from tests.apps.conftest import put_commit, run
+
+#: the on-disk frame of a commit record at LSN 0
+_COMMIT_FRAME = (b'{"checkpoint_lsn":-1,"gtid":"","key":"","lsn":0,'
+                 b'"txn_id":"t1","type":"commit","value":null}')
 
 
 def fresh_db(sim, wal_device, data_device, bucket_count=4):
@@ -154,3 +160,28 @@ class TestCorruption:
         tampered[-1] ^= 0xFF
         with pytest.raises(CorruptPageError):
             Page.from_bytes(3, bytes(tampered))
+
+    @pytest.mark.parametrize("block", [
+        _COMMIT_FRAME.replace(b'"t1"', b'"\xff"'),          # not UTF-8
+        b"[1,2]",
+        _COMMIT_FRAME.replace(b'"gtid":"",', b""),            # missing field
+        _COMMIT_FRAME.replace(b'"commit"', b'"bogus"'),      # unknown type
+    ], ids=["non-utf8", "non-object", "missing-field", "unknown-type"])
+    def test_undecodable_wal_block_raises_recovery_error(self, block):
+        with pytest.raises(RecoveryError):
+            WalRecord.from_bytes(block, 0)
+
+    def test_wal_block_with_trailing_bytes_rejected(self):
+        with pytest.raises(RecoveryError):
+            WalRecord.from_bytes(_COMMIT_FRAME + b"{}", 0)
+
+    @pytest.mark.parametrize("body", [
+        b'{"data":{"k":"\xff"},"format":1,"lsn":7,"page_id":3}',  # not UTF-8
+        b"[1]",                                                 # not an object
+        b'{"format":1,"lsn":7,"page_id":3}',                    # no "data"
+        b'{"data":[1],"format":1,"lsn":7,"page_id":3}',
+    ], ids=["non-utf8", "non-object", "no-data", "data-not-object"])
+    def test_undecodable_page_raises_corrupt_page_error(self, body):
+        payload = zlib.crc32(body).to_bytes(4, "big") + body  # CRC is valid
+        with pytest.raises(CorruptPageError):
+            Page.from_bytes(3, payload)
