@@ -415,57 +415,23 @@ class JournalGroup:
 
     # -- host-write side -------------------------------------------------------
 
-    def journal_append(self, volume_id: int, block: int, payload: bytes,
-                       version: int, span: Optional[Span] = None,
-                       checksum: Optional[int] = None,
-                       ) -> Generator[object, object, bool]:
-        """Append one host write to the main journal (host-write path).
-
-        Returns True when the write is protected (journaled), False when
-        the group is suspended and the write was only marked dirty.  The
-        small journal-append latency is the *entire* replication cost the
-        host pays — this is the paper's "no system slowdown" mechanism.
-
-        ``span`` is the originating host-write span; the entry carries
-        its trace context to the backup site so the restore apply can
-        close the causal chain.  ``checksum`` reuses the payload CRC32
-        the host-write path already computed.
-        """
-        tracer = self.tracer
-        append_span = None
-        if tracer.enabled:
-            append_span = tracer.start(
-                "journal-append", parent=span, group=self.group_id,
-                volume=volume_id, block=block)
-        yield self.sim.sleep(JOURNAL_APPEND_LATENCY)
-        if span is not None and span.trace_id is not None:
-            trace_id, span_id = span.trace_id, span.span_id
-        elif append_span is not None:
-            trace_id, span_id = append_span.trace_id, append_span.span_id
-        else:
-            trace_id = span_id = None
-        entry = self._append_entry(
-            volume_id, block, payload, version,
-            trace_id=trace_id, span_id=span_id, checksum=checksum)
-        protected = entry is not None
-        if append_span is not None:
-            tracer.finish(
-                append_span, status="ok" if protected else "unprotected",
-                protected=protected,
-                sequence=entry.sequence if entry else None)
-        return protected
-
     def journal_append_many(
             self, writes: List[tuple], span: Optional[Span] = None,
             ) -> Generator[object, object, int]:
-        """Append a batch of host writes under **one** journal-append
-        latency and one span (the batched host-write path).
+        """Append host writes to the main journal under **one**
+        journal-append latency and one span (the host-write path).
 
         ``writes`` is a sequence of ``(volume_id, block, payload,
-        version, checksum)`` in ack order.  Entries are appended in
-        input order with per-write suspension semantics identical to
-        serial :meth:`journal_append` calls: a journal-full on write *k*
-        suspends the group and writes *k*.. are only marked dirty.
+        version, checksum)`` in ack order; ``checksum`` is the payload
+        CRC32 the host-write path already computed.  The small
+        journal-append latency is the *entire* replication cost the host
+        pays — this is the paper's "no system slowdown" mechanism.
+
+        Entries are appended in input order with per-write suspension
+        semantics: a journal-full on write *k* suspends the group and
+        writes *k*.. are only marked dirty.  ``span`` is the originating
+        host-write span; the entries carry its trace context to the
+        backup site so the restore apply can close the causal chain.
         Returns the number of protected (journaled) writes.
         """
         tracer = self.tracer

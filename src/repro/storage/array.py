@@ -2,8 +2,8 @@
 
 :class:`StorageArray` bundles pools, volumes, journal volumes,
 replication engines and snapshots behind a *command API* — the surface
-that hosts (via ``host_read``/``host_write``), CSI plugins, and the demo
-console drive.  Every management command is appended to an audit log so
+that hosts (via ``host_read``/``host_write_many``), CSI plugins, and the
+demo console drive.  Every management command is appended to an audit log so
 experiment E3 can count the operations a human would otherwise perform.
 
 Two arrays form a replication topology by direct object references plus a
@@ -12,9 +12,12 @@ state, so a test can build any number of sites.
 
 Conventions:
 
-* data-path methods (``host_write``, ``host_read``) are process
+* data-path methods (``host_write_many``, ``host_read``) are process
   generators — they take simulated time; so is ``create_snapshot_group``,
-  which completes at once;
+  which completes at once.  ``host_write_many`` is the one host-write
+  path: ``host_write`` is a batch of one, and a write's ack latency is
+  its media write plus the copy-on-write it owes (decided at install
+  time) plus one journal append;
 * management commands (volume/journal/pair creation) are plain methods —
   they complete instantly but may start background work (initial copy
   runs through the replication pipelines).
@@ -33,7 +36,7 @@ from repro.simulation.kernel import Simulator
 from repro.simulation.network import NetworkLink
 from repro.storage.adc import AdcConfig, JournalGroup
 from repro.storage.history import WriteHistory, WriteRecord
-from repro.storage.journal import JournalVolume, payload_checksum
+from repro.storage.journal import JournalVolume
 from repro.storage.pool import StoragePool
 from repro.storage.replication import CopyMode, PairState, ReplicationPair
 from repro.storage.sdc import SdcConfig, SyncMirror
@@ -464,87 +467,41 @@ class StorageArray:
     # ------------------------------------------------------------------
 
     def host_write(self, volume_id: int, block: int, payload: bytes,
-                   tag: Optional[str] = None,
-                   ) -> Generator[object, object, WriteRecord]:
-        """One host write: local apply, replication, ack, history record.
-
-        Process generator.  The returned :class:`WriteRecord` carries the
-        global ack sequence — the ground truth consistency checking is
-        built on.
-        """
-        self._check_alive()
-        volume = self._require_volume(volume_id)
-        if not volume.writable_by_host:
-            raise VolumeError(
-                f"volume {volume_id} is {volume.role.value}; host writes "
-                "are rejected")
-        start = self.sim.now
-        tracer = self.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.start("host-write", array=self.serial,
-                                volume=volume_id, block=block)
-        # hash the payload once; the CRC32 rides end-to-end into the
-        # stored block state and the journal entry
-        data = payload if type(payload) is bytes else bytes(payload)
-        checksum = payload_checksum(data)
-        try:
-            version = yield from volume.write_block(block, data,
-                                                    checksum=checksum)
-            route = self._route_by_pvol.get(volume_id)
-            if route is not None:
-                if isinstance(route, JournalGroup):
-                    yield from route.journal_append(
-                        volume_id, block, data, version, span=span,
-                        checksum=checksum)
-                else:
-                    yield from route.replicate_write(volume_id, block, data,
-                                                     version, span=span)
-            self._check_alive()  # array may have failed mid-write: no ack
-        except BaseException:
-            if span is not None:
-                tracer.finish(span, status="error")
-            raise
-        record = self.history.append(self.sim.now, volume_id, block,
-                                     version, tag)
-        self.write_latency.record(self.sim.now - start)
-        self.host_writes.increment()
-        if span is not None:
-            tracer.finish(span, ack_seq=record.seq, version=version)
-        return record
+                   tag: Optional[str] = None) -> Generator:
+        """One host write: a batch of one; returns its WriteRecord."""
+        write = (volume_id, block, payload, tag)
+        return (yield from self.host_write_many((write,)))[0]
 
     def host_write_many(self, writes: Sequence[tuple],
                         tag: Optional[str] = None,
                         ) -> Generator[object, object, List[WriteRecord]]:
-        """A batch of host writes applied with one aggregated media wait,
-        one tracer span, and one generator frame.
+        """Host writes: local apply, replication, ack, history records.
 
+        The one host-write path (:meth:`host_write` is a batch of one).
         ``writes`` is a sequence of ``(volume_id, block, payload)`` or
         ``(volume_id, block, payload, tag)`` tuples (a per-write tag
-        overrides the batch-level ``tag``).  Process generator; returns
-        one :class:`WriteRecord` per write, in input order.
+        overrides the batch-level ``tag``); a payload must be ``bytes``
+        or ``bytearray``.  Process generator; returns one
+        :class:`WriteRecord` per write, in input order — the global ack
+        sequence consistency checking is built on.
 
-        Semantics relative to issuing the same writes serially through
-        :meth:`host_write`:
-
-        * **ack order is unchanged** — versions, journal sequences and
-          history ack seqs are allocated per write in input order, so
-          the WriteRecord sequence, the journal contents and the final
-          images are identical to the serial run;
-        * the batch waits out ``max`` of the per-write media costs (the
-          media overlaps concurrent block writes, exactly like the
-          batched restore applier) plus one journal-append latency per
-          routed journal group, instead of the serial sum — ack
-          *timestamps* are therefore earlier, and all writes of the
-          batch ack at the same instant;
-        * per-write failure semantics are preserved: a suspended journal
-          group marks each unprotected write dirty exactly as serial
-          appends would, and an array failure before the ack point acks
-          none of the batch.
+        * **one cost model** — the ack waits out ``max`` of the volumes'
+          :meth:`~repro.storage.volume.Volume.apply_delay` (the media
+          write plus the copy-on-write a block owes; concurrent block
+          writes overlap, exactly like the batched restore applier),
+          then one journal-append latency per routed journal group;
+          every write of the batch acks at that one instant;
+        * **ack order is input order** — versions, journal sequences and
+          history ack seqs are allocated per write, so a batch leaves the
+          records, journal and images its writes would leave one by one;
+        * **per-write failure semantics** — a bad write rejects the batch
+          before any state changes, a suspended journal group marks each
+          unprotected write dirty, and an array failure before the ack
+          point acks none of the batch.
 
         Synchronously mirrored volumes take their per-write replication
-        RTT after the aggregated local wait (the remote round trip
-        cannot be collapsed without changing SDC semantics).
+        RTT after the local wait (the remote round trip cannot be
+        collapsed without changing SDC semantics).
         """
         self._check_alive()
         if not writes:
@@ -585,7 +542,7 @@ class StorageArray:
         tracer = self.tracer
         span = None
         if tracer.enabled:
-            span = tracer.start("host-write-batch", array=self.serial,
+            span = tracer.start("host-write", array=self.serial,
                                 writes=len(prepared))
         try:
             # one aggregated media wait: concurrent block writes (and

@@ -58,21 +58,11 @@ class WriteHistory:
         #: proving repeated reads between appends do not copy the log
         self.view_builds = 0
 
-    def append(self, time: float, volume_id: int, block: int, version: int,
-               tag: Optional[str] = None) -> WriteRecord:
-        """Record an acked write; returns the record with its ack seq."""
-        records = self._records
-        record = WriteRecord(len(records), time, volume_id, block, version,
-                             tag)
-        records.append(record)
-        self._view = None
-        return record
-
     def append_many(self, time: float, writes: Sequence[tuple],
                     ) -> List[WriteRecord]:
-        """Record a batch of writes acked at one instant: ``writes`` is
+        """Record writes acked at one instant: ``writes`` is
         ``(volume_id, block, version, tag)`` rows in ack order.  Returns
-        the records :meth:`append` would have built one by one."""
+        their records, each with the next ack seq."""
         records = self._records
         new = [WriteRecord(seq, time, volume_id, block, version, tag)
                for seq, (volume_id, block, version, tag)

@@ -243,8 +243,11 @@ class SyncMirror:
         yield lock.acquire()
         try:
             yield from self.link.transfer(BLOCK_SIZE_BYTES)
-            yield from pair.svol.write_block(
-                block, payload, version=version)
+            row = ((block, payload, version, None),)
+            delay = pair.svol.apply_delay(row)
+            if delay > 0:
+                yield self.sim.sleep(delay)
+            pair.svol.install_blocks(row)
             # The completion status travels back before the host ack.
             ack_delay = self.link.one_way_delay()
             if ack_delay > 0:

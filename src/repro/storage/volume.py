@@ -2,8 +2,10 @@
 
 A :class:`Volume` is a block map with media latency, a monotone
 per-volume version counter, a replication role, and copy-on-write hooks
-for attached snapshots.  All I/O methods are process generators — callers
-``yield from`` them inside a simulation process.
+for attached snapshots.  A read is a process generator — callers
+``yield from`` it inside a simulation process; a writer sleeps out
+:meth:`Volume.apply_delay` and then calls the latency-free
+:meth:`Volume.install_blocks`.
 
 Versioning rule: every write installs a version number that is monotone
 across the whole volume (not per block).  Host writes allocate the next
@@ -215,35 +217,15 @@ class Volume:
                 f"(v{value.version})")
         return value.payload
 
-    def write_block(self, block: int, payload: bytes,
-                    version: Optional[int] = None,
-                    checksum: Optional[int] = None,
-                    ) -> Generator[object, object, int]:
-        """Write one block; returns the installed version.
-
-        Waits out the pending copy-on-write preservations and the media
-        write, then installs exactly like :meth:`install_block` (see
-        there for ``version`` and ``checksum``).
-        """
-        if not isinstance(payload, (bytes, bytearray)):
-            raise VolumeError(
-                f"{self.name}: payload must be bytes, got "
-                f"{type(payload).__name__}")
-        self.check_access(block)
-        if self._cow_stamps.get(block, 0) < self._newest_live:
-            yield from self._copy_on_write(block)
-        if self.media.write_latency > 0:
-            yield self.sim.sleep(self.media.write_latency)
-        return self.install_block(block, payload, version, checksum)
-
-    # -- latency-free installs (batched host writes, replication applies) ---
+    # -- writes: wait out apply_delay, then install ---------------------------
 
     def apply_delay(self, writes: Iterable[tuple]) -> float:
         """Simulated media cost of one :meth:`install_blocks` of the
         same rows: the write itself plus the most copy-on-write
         preservations any one block still owes (the media writes
-        overlap).  O(1) while no snapshot is attached.  The batched
-        restore applier and ``host_write_many`` wait it out, then install.
+        overlap).  O(1) while no snapshot is attached.  Every writer —
+        host writes, restore applies, SDC mirroring and copies — waits
+        it out, then installs.
         """
         cost = self.media.write_latency
         cow = self.media.cow_copy_latency
@@ -354,27 +336,6 @@ class Volume:
             if snap.generation > stamp:
                 snap.preimages[block] = row
         self._cow_stamps[block] = self._generation
-
-    def _copy_on_write(self, block: int) -> Generator[object, object, None]:
-        """Wait out one copy latency per snapshot owed the pre-image of
-        ``block``, preserving as each wait ends.
-
-        A snapshot can be deleted (e.g. pruned by a retention schedule)
-        while this write waits; such snapshots are simply skipped, and
-        a concurrent write to the block may get to one first.  One
-        attached meanwhile is not waited for: the install that follows
-        preserves its pre-image latency-free.
-        """
-        stamps = self._cow_stamps
-        for snap in self._owed(stamps.get(block, 0)):
-            if snap.deleted:
-                continue
-            if self.media.cow_copy_latency > 0:
-                yield self.sim.sleep(self.media.cow_copy_latency)
-            if stamps.get(block, 0) < snap.generation:
-                if not snap.deleted:  # else pruned while the copy waited
-                    snap.preimages[block] = self._row(block)
-                stamps[block] = snap.generation
 
     # -- snapshot attachment (used by repro.storage.snapshot) ---------------
 

@@ -49,8 +49,8 @@ DEFAULT_METRIC_PREFIXES: Tuple[str, ...] = (
 
 #: span names whose stage statistics belong in a postmortem
 DEFAULT_STAGE_NAMES: Tuple[str, ...] = (
-    "failover", "host-write", "host-write-batch", "initial-copy",
-    "journal-drain", "resync", "restore-apply", "transfer-batch",
+    "failover", "host-write", "initial-copy", "journal-drain", "resync",
+    "restore-apply", "transfer-batch",
 )
 
 

@@ -341,8 +341,8 @@ class StageStats:
 def stage_breakdown(tracer: Tracer) -> List[StageStats]:
     """Per-span-name duration statistics over finished spans.
 
-    Batch spans carrying a ``writes`` attribute (``host-write-batch``,
-    batched ``journal-append``) weigh in as that many units: ``count``
+    Spans carrying a ``writes`` attribute (``host-write``,
+    ``journal-append``) weigh in as that many units: ``count``
     then lines up with ``repro_host_writes_total`` rather than with the
     number of batches, and ``mean`` is the write-weighted mean (the
     latency an average *write* experienced).  ``maximum`` stays the
@@ -418,9 +418,9 @@ class LagReport:
 def replication_lag_report(tracer: Tracer) -> LagReport:
     """Derive replication lag by joining restore-apply to host-write.
 
-    Batched ingest (``host-write-batch`` spans) joins the same way —
-    one unit per batch, lagged to the *latest* restore apply of its
-    trace, since a batch acks all of its writes at one instant.
+    One unit per ``host-write`` span, lagged to the *latest* restore
+    apply of its trace, since a span acks all of its writes at one
+    instant.
     """
     applied_traces: Dict[str, float] = {}
     for span in tracer.named("restore-apply"):
@@ -430,8 +430,7 @@ def replication_lag_report(tracer: Tracer) -> LagReport:
                 applied_traces[span.trace_id] = span.end
     lags: List[float] = []
     unapplied = 0
-    for host_write in (tracer.named("host-write")
-                       + tracer.named("host-write-batch")):
+    for host_write in tracer.named("host-write"):
         if not host_write.finished:
             continue
         applied_at = applied_traces.get(host_write.trace_id)

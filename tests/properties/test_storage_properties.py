@@ -37,8 +37,8 @@ def build_history(ops):
     final = {v: {} for v in range(4)}
     for volume, block in ops:
         versions[volume] += 1
-        history.append(len(history) * 0.001, volume, block,
-                       versions[volume])
+        history.append_many(len(history) * 0.001,
+                            [(volume, block, versions[volume], None)])
         final[volume][block] = versions[volume]
     return history, final
 

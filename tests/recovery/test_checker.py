@@ -12,7 +12,8 @@ def history_of(*writes):
     """Build a history from (volume_id, block, version) triples."""
     history = WriteHistory()
     for index, (volume_id, block, version) in enumerate(writes):
-        history.append(index * 0.001, volume_id, block, version)
+        history.append_many(index * 0.001,
+                            [(volume_id, block, version, None)])
     return history
 
 

@@ -148,6 +148,17 @@ def image_of(volume):
             for block, value in volume.block_map().items()}
 
 
+def waited_write(volume, block, payload, version=None):
+    """One block write the way every product writer makes it: wait out
+    ``apply_delay``, then ``install_blocks`` (process generator; returns
+    the installed version)."""
+    row = ((block, payload, version, None),)
+    delay = volume.apply_delay(row)
+    if delay > 0:
+        yield volume.sim.sleep(delay)
+    return volume.install_blocks(row)[0]
+
+
 def run(sim, generator, timeout=None):
     """Run a process generator to completion and return its result."""
     return sim.run_until_complete(sim.spawn(generator), timeout=timeout)

@@ -3,12 +3,13 @@
 A hypothesis state machine drives :class:`Volume` + :class:`Snapshot`
 through every way block state changes — waited writes, latency-free
 installs (host and replication versions), snapshot create/delete in any
-order, ``format`` — including snapshots attached,
-deleted or formatted under while a ``write_block`` is still waiting out
-its copy-on-write or media latency.  After every step the real layer
-must agree with a reference model that has no columns, stamps or
-copy-on-write at all: the base is a dict of :class:`BlockValue`, and a
-snapshot is an eager full copy taken when it is created.
+order, ``format`` — including snapshots attached, deleted or formatted
+under while a waited write (``apply_delay``, then ``install_blocks``,
+the contract every product writer uses) is still in its media wait.
+After every step the real layer must agree with a reference model that
+has no columns, stamps or copy-on-write at all: the base is a dict of
+:class:`BlockValue`, and a snapshot is an eager full copy taken when it
+is created.
 """
 
 from hypothesis import settings
@@ -23,6 +24,7 @@ from repro.simulation import Simulator
 from repro.storage.journal import payload_checksum
 from repro.storage.snapshot import Snapshot
 from repro.storage.volume import BlockValue, MediaProfile, Volume
+from tests.storage.conftest import waited_write
 
 BLOCKS = 6
 blocks = st.integers(0, BLOCKS - 1)
@@ -47,7 +49,6 @@ class BlockStateMachine(RuleBasedStateMachine):
         self.snaps = {}           # live real Snapshot -> ModelSnapshot
         self.next_id = 0
         self.finished = []        # waited writes, in completion order
-        self.in_flight = 0
 
     # -- model updates --------------------------------------------------------
 
@@ -62,7 +63,6 @@ class BlockStateMachine(RuleBasedStateMachine):
         """Fold waited writes that completed into the model."""
         for block, payload, version in self.finished:
             self.model_write(block, payload, version)
-            self.in_flight -= 1
         self.finished.clear()
 
     # -- writes ---------------------------------------------------------------
@@ -71,10 +71,9 @@ class BlockStateMachine(RuleBasedStateMachine):
     def start_write(self, block, payload):
         """A waited host write; completes under a later ``advance``."""
         def writer():
-            version = yield from self.volume.write_block(block, payload)
+            version = yield from waited_write(self.volume, block, payload)
             self.finished.append((block, payload, version))
         self.sim.spawn(writer())
-        self.in_flight += 1
 
     @rule(steps=st.integers(1, 8))
     def advance(self, steps):
@@ -156,10 +155,8 @@ class BlockStateMachine(RuleBasedStateMachine):
 
     @invariant()
     def cow_accounting_agrees(self):
-        # a waited write preserves pre-images before the model sees the
-        # write, so the stores are comparable between writes only
-        if self.in_flight:
-            return
+        # copy-on-write is decided at install, the step the model sees
+        # the write: a write still in its wait has preserved nothing
         media = self.volume.media
         for snapshot, model in self.snaps.items():
             assert snapshot.cow_blocks == len(model.cow)
@@ -182,7 +179,7 @@ def test_snapshot_attached_during_a_waiting_write_keeps_the_old_block():
     sim = Simulator(seed=1)
     volume = Volume(sim, 1, BLOCKS, MediaProfile())
     volume.install_block(0, b"old")
-    writer = sim.spawn(volume.write_block(0, b"new"))
+    writer = sim.spawn(waited_write(volume, 0, b"new"))
     sim.run(until=sim.now + volume.media.write_latency / 2)
     snapshot = Snapshot(1, volume, sim.now)
     assert snapshot.frozen_version_map() == {0: 1}

@@ -11,7 +11,8 @@ from repro.storage.history import WriteHistory
 
 def fill(history, count, volume_id=7):
     for index in range(count):
-        history.append(float(index), volume_id, index % 4, index + 1)
+        history.append_many(float(index),
+                            [(volume_id, index % 4, index + 1, None)])
 
 
 class TestCachedRecordsView:
@@ -28,7 +29,7 @@ class TestCachedRecordsView:
         history = WriteHistory()
         fill(history, 10)
         stale = history.records
-        history.append(99.0, 7, 0, 11)
+        history.append_many(99.0, [(7, 0, 11, None)])
         fresh = history.records
         assert fresh is not stale
         assert len(fresh) == len(stale) + 1
@@ -42,7 +43,8 @@ class TestCachedRecordsView:
         history = WriteHistory()
         rounds = 20
         for round_index in range(rounds):
-            history.append(float(round_index), 7, 0, round_index + 1)
+            history.append_many(float(round_index),
+                                [(7, 0, round_index + 1, None)])
             for _ in range(10):  # checker-style repeated reads
                 assert history.records[-1].version == round_index + 1
         assert history.view_builds == rounds

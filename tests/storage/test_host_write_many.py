@@ -1,9 +1,10 @@
 """Batched host writes (``StorageArray.host_write_many``).
 
-The contract under test: a batch behaves exactly like the same writes
-issued serially through ``host_write`` — identical ack order, versions,
-journal contents, suspension semantics and final images — while paying
-one aggregated media wait instead of the serial sum.
+The one host-write path: ``host_write`` is a batch of one.  The
+contract under test: a batch behaves exactly like the same writes
+issued one at a time — identical ack order, versions, journal contents,
+suspension semantics and final images — while paying one aggregated
+media wait instead of the serial sum.
 """
 
 import pytest
@@ -194,20 +195,67 @@ class TestBatchSemantics:
         assert entry.verify_checksum()
 
     def test_one_span_per_batch(self, sim):
-        """Tracing on: the batch opens one host-write-batch span and one
+        """Tracing on: the batch opens one host-write span and one
         journal-append span, not one per write."""
         site, _group, pvol, _svol = build_pair(sim)
         tracer = sim.telemetry.tracer
         writes = [(pvol.volume_id, block, b"traced") for block in range(8)]
         run(sim, site.main.host_write_many(writes))
-        batch_spans = tracer.named("host-write-batch")
+        batch_spans = tracer.named("host-write")
         assert len(batch_spans) == 1
         assert batch_spans[0].attrs["writes"] == 8
+        assert (batch_spans[0].attrs["first_ack_seq"],
+                batch_spans[0].attrs["last_ack_seq"]) == (0, 7)
         appends = tracer.named("journal-append")
         assert len(appends) == 1
         # the journal leg is parented to the batch span, so restore
         # applies at the backup keep a causal parent
         assert appends[0].trace_id == batch_spans[0].trace_id
+
+    def test_cow_owing_write_acks_after_one_media_wait(self, sim):
+        """The one ack-latency model: a single ADC write whose block owes
+        its pre-image to two live snapshots waits one media wait of
+        ``write_latency + 2 * cow_copy_latency``, then one journal
+        append — copy-on-write is paid inside the media wait, not as
+        sleeps of its own."""
+        site, _group, pvol, _svol = build_pair(sim)
+        media = site.main.config.media
+        run(sim, site.main.host_write(pvol.volume_id, 0, b"old"))
+        snapshots = [site.main.create_snapshot(pvol.volume_id)
+                     for _ in range(2)]
+        start = sim.now
+        record = run(sim, site.main.host_write(pvol.volume_id, 0, b"new"))
+        media_wait = media.write_latency + 2 * media.cow_copy_latency
+        [_first, append] = sim.telemetry.tracer.named("journal-append")
+        assert append.start == start + media_wait
+        assert append.end == record.time == start + media_wait \
+            + JOURNAL_APPEND_LATENCY
+        assert site.main.write_latency.samples[-1] == record.time - start
+        for snapshot in snapshots:
+            assert snapshot.read_current(0) == b"old"
+        assert pvol.peek(0).payload == b"new"
+
+
+@pytest.mark.parametrize("payload", [5, [104, 105], memoryview(b"hi"),
+                                     "text"],
+                         ids=["int", "list", "memoryview", "str"])
+def test_non_bytes_payload_rejected_before_any_state_change(sim, payload):
+    """One payload rule for every host write: anything but bytes or
+    bytearray — never coerced, so ``5`` is not five zero bytes and
+    ``[104, 105]`` is not ``b"hi"`` — is a ``VolumeError`` before
+    history, journal or volume change."""
+    site, group, pvol, _svol = build_pair(sim)
+    group.stop()  # keep the journal where the writes left it
+    run(sim, site.main.host_write(pvol.volume_id, 0, b"kept"))
+    history = site.main.history.records
+    journal = group.main_journal.snapshot_entries()
+    image = pvol.block_map()
+    with pytest.raises(VolumeError):
+        run(sim, site.main.host_write(pvol.volume_id, 1, payload))
+    assert site.main.history.records == history
+    assert group.main_journal.snapshot_entries() == journal
+    assert pvol.block_map() == image
+    assert pvol.version_counter == 1
 
 
 class TestSuspensionMidBatch:

@@ -107,15 +107,16 @@ class TestJournalVolume:
 class TestWriteHistory:
     def test_append_assigns_ack_order(self):
         history = WriteHistory()
-        r1 = history.append(0.1, volume_id=1, block=0, version=1)
-        r2 = history.append(0.2, volume_id=2, block=0, version=1)
-        assert (r1.seq, r2.seq) == (0, 1)
-        assert len(history) == 2
+        [r1] = history.append_many(0.1, [(1, 0, 1, None)])
+        r2, r3 = history.append_many(0.2, [(2, 0, 1, None), (1, 1, 2, "t")])
+        assert (r1.seq, r2.seq, r3.seq) == (0, 1, 2)
+        assert (r2.time, r3.time, r3.tag) == (0.2, 0.2, "t")
+        assert len(history) == 3
 
     def test_restriction_preserves_order(self):
         history = WriteHistory()
         for i in range(6):
-            history.append(i * 0.1, volume_id=i % 3, block=0, version=i)
+            history.append_many(i * 0.1, [(i % 3, 0, i, None)])
         restricted = history.restricted([0, 2])
         assert [r.volume_id for r in restricted] == [0, 2, 0, 2]
         assert [r.seq for r in restricted] == sorted(
@@ -123,9 +124,8 @@ class TestWriteHistory:
 
     def test_for_volume(self):
         history = WriteHistory()
-        history.append(0.1, volume_id=1, block=0, version=1)
-        history.append(0.2, volume_id=2, block=0, version=1)
-        history.append(0.3, volume_id=1, block=1, version=2)
+        history.append_many(0.1, [(1, 0, 1, None), (2, 0, 1, None),
+                                  (1, 1, 2, None)])
         assert [r.version for r in history.for_volume(1)] == [1, 2]
 
 

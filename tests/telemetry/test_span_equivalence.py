@@ -10,8 +10,11 @@ the commit before any product change, so the goldens keep showing that
 change is span-identical).  They were captured at the last commit that
 allocated one ``Span`` per entry, and re-captured when the scenario
 switched to :func:`~tests.storage.conftest.hold_restore` at the last
-commit that had a restore gate.  Order, ids, parents, attrs, start/end
-and status must all match, for the serial applier and for batch windows.
+commit that had a restore gate, and once more when a single host write
+became a batch of one (only ``host-write`` and ``journal-append`` attrs
+moved; every ``restore-apply`` row stayed identical).  Order, ids,
+parents, attrs, start/end and status must all match, for the serial
+applier and for batch windows.
 """
 
 import json

@@ -140,13 +140,13 @@ class TestStageBreakdownWeighting:
     def test_writes_attr_weights_count_and_mean(self):
         clock, tracer = self._tracer()
         # a 10-write batch taking 10ms and a 1-write batch taking 1ms
-        big = tracer.start("host-write-batch", writes=10)
+        big = tracer.start("host-write", writes=10)
         self._finish_at(clock, tracer, big, 0.010)
         clock["now"] = 0.010
-        small = tracer.start("host-write-batch", writes=1)
+        small = tracer.start("host-write", writes=1)
         self._finish_at(clock, tracer, small, 0.011)
         stats = {s.name: s for s in stage_breakdown(tracer)}
-        batch = stats["host-write-batch"]
+        batch = stats["host-write"]
         assert batch.count == 11  # writes, not batches
         # the mean a *write* experienced: (10*10ms + 1*1ms) / 11
         assert batch.mean == pytest.approx(0.101 / 11)
@@ -162,10 +162,10 @@ class TestStageBreakdownWeighting:
     def test_non_positive_or_non_int_writes_ignored(self):
         clock, tracer = self._tracer()
         for bogus in (0, -3, "many", 2.5):
-            span = tracer.start("host-write-batch", writes=bogus)
+            span = tracer.start("host-write", writes=bogus)
             self._finish_at(clock, tracer, span, clock["now"] + 0.001)
         assert {s.name: s for s in stage_breakdown(tracer)}[
-            "host-write-batch"].count == 4
+            "host-write"].count == 4
 
 
 class TestChromeTrace:
@@ -274,7 +274,7 @@ class TestWritePathCausality:
         ack_seqs = []
         by_id = {span.span_id: span for span in tracer.spans}
         for span in applies:  # tracer stores spans in creation order
-            ack_seqs.append(by_id[span.parent_id].attrs["ack_seq"])
+            ack_seqs.append(by_id[span.parent_id].attrs["first_ack_seq"])
         assert ack_seqs == sorted(ack_seqs)
         assert len(set(ack_seqs)) == len(ack_seqs)
 

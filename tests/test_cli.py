@@ -277,7 +277,7 @@ class TestCommands:
         events = document["traceEvents"]
         assert events
         names = {event["name"] for event in events}
-        assert "host-write" in names or "host-write-batch" in names
+        assert "host-write" in names
         assert all(event["ph"] == "X" for event in events[:50])
 
     def test_slo_command_prints_rule_table(self, capsys):
