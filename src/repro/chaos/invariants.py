@@ -37,8 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, List
 
-from repro.csi.crds import (STATE_PAIRED, ConsistencyGroupReplication,
-                            VolumeReplication)
+from repro.csi.crds import STATE_PAIRED, ConsistencyGroupReplication
 from repro.errors import ApiError
 from repro.recovery.checker import (check_storage_cut,
                                     image_versions_from_volumes)
@@ -251,7 +250,6 @@ class InvariantMonitor:
         try:
             group_crs = api.list(ConsistencyGroupReplication,
                                  namespace=namespace)
-            volume_crs = api.list(VolumeReplication, namespace=namespace)
         except ApiError as exc:
             self._record("exactly-once-pairing",
                          f"api still failing after heal: {exc}")
@@ -262,11 +260,6 @@ class InvariantMonitor:
                     "exactly-once-pairing",
                     f"stray ConsistencyGroupReplication "
                     f"{cr.meta.name!r} beside the operator's own")
-        for cr in volume_crs:
-            self._record(
-                "exactly-once-pairing",
-                f"orphaned VolumeReplication {cr.meta.name!r} "
-                "(the namespace operator never creates these)")
 
     # -- reporting -----------------------------------------------------------
 

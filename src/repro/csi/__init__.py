@@ -2,28 +2,23 @@
 
 * :class:`CsiDriver`, :class:`HspcDriver` — the CSI-shaped driver over
   the simulated array;
-* :func:`install_storage_plugin` — provisioner + snapshotter;
+* :func:`install_storage_plugin` — the PVC provisioner;
 * :func:`install_replication_plugin`,
   :class:`ReplicationPluginContext` — the replication plugin reconciling
-  :class:`ConsistencyGroupReplication` / :class:`VolumeReplication`
-  custom resources into array commands.
+  :class:`ConsistencyGroupReplication` custom resources into array
+  commands.
 """
 
-from repro.csi.crds import (REPLICATION_FINALIZER, STATE_CONFIGURING,
-                            STATE_COPYING, STATE_PAIRED, STATE_SUSPENDED,
-                            ConsistencyGroupReplication, VolumeReplication)
+from repro.csi.crds import (STATE_CONFIGURING, STATE_COPYING, STATE_PAIRED,
+                            STATE_SUSPENDED, ConsistencyGroupReplication)
 from repro.csi.driver import HspcDriver
 from repro.csi.rpc import CsiRpcInjector, RpcChannel
 from repro.csi.replication_plugin import (SECONDARY_PV_LABEL,
                                           ReplicationPluginContext,
                                           ReplicationReconciler,
-                                          VolumeReplicationReconciler,
                                           install_replication_plugin)
-from repro.csi.spec import (CsiDriver, ProvisionedSnapshot,
-                            ProvisionedVolume, parse_snapshot_handle,
-                            snapshot_handle)
+from repro.csi.spec import CsiDriver, ProvisionedVolume
 from repro.csi.storage_plugin import (ProvisionerReconciler,
-                                      SnapshotReconciler,
                                       install_storage_plugin,
                                       resolve_bound_volume)
 
@@ -32,10 +27,8 @@ __all__ = [
     "CsiDriver",
     "CsiRpcInjector",
     "HspcDriver",
-    "ProvisionedSnapshot",
     "ProvisionedVolume",
     "ProvisionerReconciler",
-    "REPLICATION_FINALIZER",
     "ReplicationPluginContext",
     "ReplicationReconciler",
     "RpcChannel",
@@ -44,12 +37,7 @@ __all__ = [
     "STATE_COPYING",
     "STATE_PAIRED",
     "STATE_SUSPENDED",
-    "SnapshotReconciler",
-    "VolumeReplication",
-    "VolumeReplicationReconciler",
     "install_replication_plugin",
     "install_storage_plugin",
-    "parse_snapshot_handle",
     "resolve_bound_volume",
-    "snapshot_handle",
 ]

@@ -1,15 +1,13 @@
 """Custom resources of the replication plugin (§III-B2).
 
 The namespace operator does not talk to the storage array; it creates
-these custom resources, and the *Replication Plug-in for Containers*
-reconciles them into array commands.  Two kinds:
+this custom resource, and the *Replication Plug-in for Containers*
+reconciles it into array commands.  One kind:
 
 * :class:`ConsistencyGroupReplication` — the paper's configuration: every
   listed PVC's volume is paired inside **one** consistency group (one
   shared journal).  Setting ``spec.consistency_group = False`` gives the
   collapse-prone baseline: one private journal group per volume.
-* :class:`VolumeReplication` — single-volume replication, provided for
-  completeness (equivalent to a one-member group).
 """
 
 from __future__ import annotations
@@ -20,15 +18,11 @@ from typing import ClassVar, Dict, List
 from repro.errors import InvalidObjectError
 from repro.platform.objects import ApiObject, Condition
 
-#: finalizer the replication plugin owns on its CRs
-REPLICATION_FINALIZER = "replication.hitachi.com/teardown"
-
 #: replication states surfaced in CR status
 STATE_CONFIGURING = "Configuring"
 STATE_COPYING = "Copying"
 STATE_PAIRED = "Paired"
 STATE_SUSPENDED = "Suspended"
-STATE_DELETING = "Deleting"
 
 
 @dataclass
@@ -81,40 +75,3 @@ class ConsistencyGroupReplication(ApiObject):
             raise InvalidObjectError(
                 f"ConsistencyGroupReplication {self.meta.name!r} lists "
                 "duplicate PVCs")
-
-
-@dataclass
-class VolumeReplicationSpec:
-    """Desired replication of a single PVC."""
-
-    pvc_name: str = ""
-    target_site: str = "backup"
-
-
-@dataclass
-class VolumeReplicationStatus:
-    """Observed single-volume replication state."""
-
-    state: str = STATE_CONFIGURING
-    pair_state: str = ""
-    secondary_handle: str = ""
-    message: str = ""
-
-
-@dataclass
-class VolumeReplication(ApiObject):
-    """Single-volume replication custom resource."""
-
-    KIND: ClassVar[str] = "VolumeReplication"
-    NAMESPACED: ClassVar[bool] = True
-
-    spec: VolumeReplicationSpec = field(
-        default_factory=VolumeReplicationSpec)
-    status: VolumeReplicationStatus = field(
-        default_factory=VolumeReplicationStatus)
-
-    def validate(self) -> None:
-        super().validate()
-        if not self.spec.pvc_name:
-            raise InvalidObjectError(
-                f"VolumeReplication {self.meta.name!r} needs spec.pvc_name")

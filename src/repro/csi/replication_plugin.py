@@ -15,20 +15,20 @@ resources into storage array commands:
    namespace binds to them directly;
 5. surface aggregate pair state in the CR status and keep polling it.
 
-Deletion is finalizer-driven: pairs are dissolved, empty journal groups
-torn down, and backup PVs removed before the CR disappears.
+There is no teardown: the control plane runs in the protect direction
+only, and pairs are dissolved by failback (:mod:`repro.recovery`), not
+by the plugin.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Generator, List, Optional, Type
+from typing import ClassVar, Dict, Generator, Optional, Type
 
 from repro.errors import CsiError, NotFoundError
-from repro.csi.crds import (REPLICATION_FINALIZER, STATE_CONFIGURING,
-                            STATE_COPYING, STATE_PAIRED, STATE_SUSPENDED,
-                            ConsistencyGroupReplication, VolumeReplication)
+from repro.csi.crds import (STATE_CONFIGURING, STATE_COPYING, STATE_PAIRED,
+                            STATE_SUSPENDED, ConsistencyGroupReplication)
 from repro.csi.rpc import RpcChannel
 from repro.csi.storage_plugin import resolve_bound_volume
 from repro.platform.apiserver import ApiServer
@@ -83,7 +83,7 @@ class ReplicationReconciler(Reconciler):
 
     @staticmethod
     def _count(api: ApiServer, step: str) -> None:
-        """Count one array-facing ensure/teardown step in the registry."""
+        """Count one array-facing ensure step in the registry."""
         api.sim.telemetry.registry.counter(
             "repro_csi_replication_steps_total",
             help="Array-facing steps taken by the replication plugin",
@@ -114,12 +114,6 @@ class ReplicationReconciler(Reconciler):
                          key.namespace)
         if cr is None:
             return None
-        if cr.meta.deleting:
-            yield from self._teardown(api, cr)
-            return None
-        if REPLICATION_FINALIZER not in cr.meta.finalizers:
-            cr.meta.finalizers.append(REPLICATION_FINALIZER)
-            cr = api.update(cr)
 
         # 1. resolve PVCs -> PVs
         volumes: Dict[str, PersistentVolume] = {}
@@ -267,96 +261,9 @@ class ReplicationReconciler(Reconciler):
         backup_api.create(backup_pv)
         self._count(backup_api, "register_backup_pv")
 
-    # -- teardown ------------------------------------------------------------
-
-    def _teardown(self, api: ApiServer, cr: ConsistencyGroupReplication,
-                  ) -> Generator[object, object, None]:
-        if REPLICATION_FINALIZER not in cr.meta.finalizers:
-            return
-        group_ids = self._group_ids(cr)
-        for pvc_name in cr.spec.pvc_names:
-            pair_id = self._pair_id(cr, pvc_name)
-            if self.context.main_array.find_pair(pair_id) is not None:
-                yield from self._call(
-                    api, "delete_pair",
-                    lambda p=pair_id: self.context.main_array.delete_pair(
-                        p),
-                    probe=lambda p=pair_id: True
-                    if self.context.main_array.find_pair(p) is None
-                    else None)
-        for group_id in sorted(set(group_ids.values())):
-            group = self.context.main_array.journal_groups.get(group_id)
-            if group is not None and not group.pairs:
-                yield from self._call(
-                    api, "delete_journal_group",
-                    lambda g=group_id:
-                    self.context.main_array.delete_journal_group(
-                        g, self.context.backup_array),
-                    probe=lambda g=group_id: True
-                    if g not in self.context.main_array.journal_groups
-                    else None)
-        for pvc_name in cr.spec.pvc_names:
-            name = self._backup_pv_name(cr, pvc_name)
-            if self.context.backup_api.try_get(
-                    PersistentVolume, name) is not None:
-                self.context.backup_api.delete(PersistentVolume, name)
-        api.remove_finalizer(ConsistencyGroupReplication, cr.meta.name,
-                             cr.meta.namespace, REPLICATION_FINALIZER)
-
-
-class VolumeReplicationReconciler(Reconciler):
-    """Single-volume replication: owns a one-member consistency group CR.
-
-    Demonstrates operator composition: the VolumeReplication CR is
-    implemented *on top of* ConsistencyGroupReplication rather than
-    duplicating the pairing logic.
-    """
-
-    kind: ClassVar[Type[VolumeReplication]] = VolumeReplication
-
-    def _owned_name(self, key: ObjectKey) -> str:
-        return f"vr-{key.name}"
-
-    def reconcile(self, api: ApiServer, key: ObjectKey,
-                  ) -> Generator[object, object, ReconcileResult]:
-        vr = api.try_get(VolumeReplication, key.name, key.namespace)
-        owned_name = self._owned_name(key)
-        if vr is None or vr.meta.deleting:
-            owned = api.try_get(ConsistencyGroupReplication, owned_name,
-                                key.namespace)
-            if owned is not None and not owned.meta.deleting:
-                api.delete(ConsistencyGroupReplication, owned_name,
-                           key.namespace)
-            return None
-        owned = api.try_get(ConsistencyGroupReplication, owned_name,
-                            key.namespace)
-        if owned is None:
-            owned = ConsistencyGroupReplication()
-            owned.meta.name = owned_name
-            owned.meta.namespace = key.namespace
-            owned.spec.pvc_names = [vr.spec.pvc_name]
-            owned.spec.target_site = vr.spec.target_site
-            api.create(owned)
-            return Requeue(after=0.020)
-        previous_status = copy.deepcopy(vr.status)
-        vr.status.state = owned.status.state
-        vr.status.pair_state = owned.status.pair_states.get(
-            vr.spec.pvc_name, "")
-        vr.status.secondary_handle = owned.status.secondary_handles.get(
-            vr.spec.pvc_name, "")
-        vr.status.message = owned.status.message
-        if vr.status != previous_status:
-            api.update(vr)
-        if vr.status.state != STATE_PAIRED:
-            return Requeue(after=0.050)
-        return Requeue(after=0.500)
-        yield  # pragma: no cover - generator marker
-
 
 def install_replication_plugin(cluster, context: ReplicationPluginContext,
                                ) -> None:
     """Install the Replication Plug-in for Containers on a (main) cluster."""
     cluster.install(ReplicationReconciler(context),
                     name=f"{cluster.name}.replication-plugin")
-    cluster.install(VolumeReplicationReconciler(),
-                    name=f"{cluster.name}.volume-replication")

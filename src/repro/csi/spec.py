@@ -27,15 +27,6 @@ class ProvisionedVolume:
     capacity_blocks: int
 
 
-@dataclass(frozen=True)
-class ProvisionedSnapshot:
-    """Result of CreateSnapshot."""
-
-    snapshot_handle: str
-    source_volume_handle: str
-    creation_time: float
-
-
 class CsiDriver:
     """Abstract CSI driver: identity + controller services.
 
@@ -52,34 +43,3 @@ class CsiDriver:
         """Provision a volume; idempotent per ``name``."""
         raise NotImplementedError
         yield  # pragma: no cover
-
-    def delete_volume(self, volume_handle: str,
-                      ) -> Generator[object, object, None]:
-        """Delete a provisioned volume."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def create_snapshot(self, name: str, source_volume_handle: str,
-                        ) -> Generator[object, object, ProvisionedSnapshot]:
-        """Cut a snapshot of one volume; idempotent per ``name``."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def delete_snapshot(self, snapshot_handle: str,
-                        ) -> Generator[object, object, None]:
-        """Delete a snapshot."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-
-def snapshot_handle(array_serial: str, snapshot_id: int) -> str:
-    """Canonical snapshot handle format."""
-    return f"snap.{array_serial}.{snapshot_id}"
-
-
-def parse_snapshot_handle(handle: str) -> tuple[str, int]:
-    """Inverse of :func:`snapshot_handle`: ``(array_serial, snapshot_id)``."""
-    parts = handle.split(".")
-    if len(parts) != 3 or parts[0] != "snap":
-        raise ValueError(f"malformed snapshot handle {handle!r}")
-    return parts[1], int(parts[2])

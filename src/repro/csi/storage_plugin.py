@@ -1,18 +1,15 @@
-"""The Storage Plug-in for Containers (§III-B2): provisioning and
-snapshots through CSI.
+"""The Storage Plug-in for Containers (§III-B2): provisioning through
+CSI.
 
-Two reconcilers:
+:class:`ProvisionerReconciler` binds Pending PVCs, preferring a
+pre-created Available PV (how replicated secondaries surface at the
+backup site) and dynamically provisioning through the CSI driver
+otherwise.  Claims are bound, never reclaimed: the control plane runs in
+the protect direction only.
 
-* :class:`ProvisionerReconciler` — binds Pending PVCs, preferring a
-  pre-created Available PV (how replicated secondaries surface at the
-  backup site) and dynamically provisioning through the CSI driver
-  otherwise;
-* :class:`SnapshotReconciler` — turns ``VolumeSnapshot`` objects into
-  array snapshots via the driver (the Fig 5 "snapshot development on the
-  web console" path).
-
-Snapshot *groups* are not here: the CSI group-snapshot API is alpha and
-the paper's plugin lacks it, so users operate the array directly (§II).
+Snapshots are not here: the paper's Fig 5 snapshot development is a
+snapshot *group*, the CSI group-snapshot API is alpha and the paper's
+plugin lacks it, so users operate the array directly (§II).
 """
 
 from __future__ import annotations
@@ -26,22 +23,14 @@ from repro.platform.controller import Reconciler, ReconcileResult, Requeue
 from repro.platform.objects import ObjectKey
 from repro.platform.resources import (PersistentVolume,
                                       PersistentVolumeClaim, StorageClass,
-                                      VolumeSnapshot, claim_ref)
+                                      claim_ref)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
 
 
-#: finalizer protecting claims until their storage is reclaimed
-PVC_PROTECTION_FINALIZER = "csi.hitachi.com/pvc-protection"
-
-#: finalizer protecting snapshots until the array snapshot is deleted
-SNAPSHOT_PROTECTION_FINALIZER = "csi.hitachi.com/snapshot-protection"
-
-
 class ProvisionerReconciler(Reconciler):
-    """Binds, dynamically provisions, and reclaims persistent volume
-    claims (reclaim policy: Delete)."""
+    """Binds and dynamically provisions persistent volume claims."""
 
     kind: ClassVar[Type[PersistentVolumeClaim]] = PersistentVolumeClaim
     extra_kinds = (PersistentVolume,)
@@ -52,21 +41,13 @@ class ProvisionerReconciler(Reconciler):
     def reconcile(self, api: ApiServer, key: ObjectKey,
                   ) -> Generator[object, object, ReconcileResult]:
         pvc = api.try_get(PersistentVolumeClaim, key.name, key.namespace)
-        if pvc is None:
-            return None
-        if pvc.meta.deleting:
-            result = yield from self._reclaim(api, pvc)
-            return result
-        if pvc.bound:
+        if pvc is None or pvc.bound:
             return None
         storage_class = api.try_get(StorageClass, pvc.spec.storage_class)
         if storage_class is None:
             return Requeue(after=0.100)
         if not self.cluster.has_csi_driver(storage_class.provisioner):
             return None  # another plugin's class; not ours to act on
-        if PVC_PROTECTION_FINALIZER not in pvc.meta.finalizers:
-            pvc.meta.finalizers.append(PVC_PROTECTION_FINALIZER)
-            pvc = api.update(pvc)
         ref = claim_ref(key.namespace, key.name)
         pv = self._find_bindable_pv(api, pvc, ref)
         if pv is None:
@@ -85,37 +66,6 @@ class ProvisionerReconciler(Reconciler):
             pv.spec.claim_ref = ref
             pv = api.create(pv)
         self._bind(api, pvc, pv, ref)
-        return None
-
-    def _reclaim(self, api: ApiServer, pvc: PersistentVolumeClaim,
-                 ) -> Generator[object, object, ReconcileResult]:
-        """Delete-reclaim: release the PV and the array volume, then
-        let the claim finish deleting.
-
-        A volume still paired for replication (or still carrying
-        snapshots) cannot be deleted yet — the replication plugin's own
-        teardown must run first, so the reclaim retries.
-        """
-        if PVC_PROTECTION_FINALIZER not in pvc.meta.finalizers:
-            return None
-        pv = None
-        if pvc.spec.volume_name:
-            pv = api.try_get(PersistentVolume, pvc.spec.volume_name)
-        if pv is not None:
-            if not self.cluster.has_csi_driver(pv.spec.csi.driver):
-                return Requeue(after=0.250)
-            driver = self.cluster.csi_driver(pv.spec.csi.driver)
-            from repro.errors import ArrayCommandError
-            try:
-                yield from driver.delete_volume(pv.spec.csi.volume_handle)
-            except ArrayCommandError:
-                # still replicated / still has snapshots: retry after
-                # the owning controllers unwind their configuration
-                return Requeue(after=0.100)
-            api.delete(PersistentVolume, pv.meta.name)
-        api.remove_finalizer(PersistentVolumeClaim, pvc.meta.name,
-                             pvc.meta.namespace,
-                             PVC_PROTECTION_FINALIZER)
         return None
 
     def _find_bindable_pv(self, api: ApiServer,
@@ -183,82 +133,11 @@ def resolve_bound_volume(api: ApiServer, namespace: str,
     return pv
 
 
-class SnapshotReconciler(Reconciler):
-    """Cuts array snapshots for ``VolumeSnapshot`` objects."""
-
-    kind: ClassVar[Type[VolumeSnapshot]] = VolumeSnapshot
-
-    def __init__(self, cluster: "Cluster") -> None:
-        self.cluster = cluster
-
-    def reconcile(self, api: ApiServer, key: ObjectKey,
-                  ) -> Generator[object, object, ReconcileResult]:
-        snapshot = api.try_get(VolumeSnapshot, key.name, key.namespace)
-        if snapshot is None:
-            return None
-        if snapshot.meta.deleting:
-            yield from self._delete_array_snapshot(api, snapshot)
-            return None
-        if snapshot.status.ready:
-            return None
-        if SNAPSHOT_PROTECTION_FINALIZER not in snapshot.meta.finalizers:
-            snapshot.meta.finalizers.append(
-                SNAPSHOT_PROTECTION_FINALIZER)
-            snapshot = api.update(snapshot)
-        try:
-            pv = resolve_bound_volume(api, key.namespace,
-                                      snapshot.spec.pvc_name)
-        except (CsiError, NotFoundError) as exc:
-            if snapshot.status.error != str(exc):
-                snapshot.status.error = str(exc)
-                api.update(snapshot)
-            return Requeue(after=0.100)
-        driver = self.cluster.csi_driver(pv.spec.csi.driver)
-        provisioned = yield from driver.create_snapshot(
-            name=f"snap-{snapshot.meta.uid}",
-            source_volume_handle=pv.spec.csi.volume_handle)
-        current = api.try_get(VolumeSnapshot, key.name, key.namespace)
-        if current is None:
-            return None
-        current.status.ready = True
-        current.status.snapshot_handle = provisioned.snapshot_handle
-        current.status.error = ""
-        api.update(current)
-        return None
-
-    def _delete_array_snapshot(self, api: ApiServer,
-                               snapshot: VolumeSnapshot,
-                               ) -> Generator[object, object, None]:
-        if SNAPSHOT_PROTECTION_FINALIZER not in snapshot.meta.finalizers:
-            return
-        handle = snapshot.status.snapshot_handle
-        if handle:
-            from repro.csi.spec import parse_snapshot_handle
-            from repro.errors import SnapshotError
-            serial, _snapshot_id = parse_snapshot_handle(handle)
-            for driver_name in ("hspc.hitachi.com",):
-                if not self.cluster.has_csi_driver(driver_name):
-                    continue
-                driver = self.cluster.csi_driver(driver_name)
-                if driver.array.serial != serial:
-                    continue
-                try:
-                    yield from driver.delete_snapshot(handle)
-                except SnapshotError:
-                    pass  # already gone: deletion is idempotent
-        api.remove_finalizer(VolumeSnapshot, snapshot.meta.name,
-                             snapshot.meta.namespace,
-                             SNAPSHOT_PROTECTION_FINALIZER)
-
-
 def install_storage_plugin(cluster: "Cluster", driver: HspcDriver) -> None:
     """Install the Storage Plug-in for Containers on a cluster.
 
-    Registers the CSI driver plus the provisioner and snapshotter
-    controllers.
+    Registers the CSI driver plus the provisioner controller.
     """
     cluster.register_csi_driver(driver)
     cluster.install(ProvisionerReconciler(cluster),
                     name=f"{cluster.name}.csi-provisioner")
-    cluster.install(SnapshotReconciler(cluster),
-                    name=f"{cluster.name}.csi-snapshotter")

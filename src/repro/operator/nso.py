@@ -14,9 +14,10 @@ The reconciler:
    :class:`~repro.csi.crds.ConsistencyGroupReplication` custom resource
    realising the plan — the replication plugin does the array work;
 4. mirrors progress back onto the namespace as annotations, which is
-   what the demo console shows the user;
-5. on tag removal, deletes the owned CR (the plugin tears the pairs
-   down through its finalizer).
+   what the demo console shows the user.
+
+An untagged namespace (or one whose tag names no backup mode) is
+nothing to do: the operator runs in the protect direction only.
 
 The operator performs **zero storage-array operations** itself: its
 entire output is custom resources and annotations, exactly the paper's
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 from typing import ClassVar, Generator, List, Optional, Type
 
-from repro.csi.crds import (ConsistencyGroupReplication, STATE_PAIRED)
+from repro.csi.crds import (STATE_PAIRED, STATE_SUSPENDED,
+                            ConsistencyGroupReplication)
 from repro.operator.planner import BackupPlan, plan_backup, plan_differs
 from repro.operator.tags import (ANNOTATION_MESSAGE, ANNOTATION_STATE,
                                  ANNOTATION_VOLUMES, TAG_KEY, BackupMode,
@@ -60,32 +62,13 @@ class NamespaceOperatorReconciler(Reconciler):
         namespace = api.try_get(Namespace, key.name)
         if namespace is None:
             return None
-        # a terminating namespace is unprotected: tear the CR down so
-        # the garbage collector can finish
-        tag_value = namespace.meta.labels.get(TAG_KEY)
-        mode = None if namespace.meta.deleting else parse_tag(tag_value)
-        cr_name = f"nso-{key.name}"
-        existing = api.try_get(ConsistencyGroupReplication, cr_name,
-                               key.name)
+        mode = parse_tag(namespace.meta.labels.get(TAG_KEY))
         if mode is None:
-            return self._reconcile_untagged(api, namespace, existing)
+            return None
+        existing = api.try_get(ConsistencyGroupReplication,
+                               f"nso-{key.name}", key.name)
         return self._reconcile_tagged(api, namespace, mode, existing)
         yield  # pragma: no cover - generator marker
-
-    # -- tag removed -----------------------------------------------------
-
-    def _reconcile_untagged(self, api: ApiServer, namespace: Namespace,
-                            existing: Optional[ConsistencyGroupReplication],
-                            ) -> ReconcileResult:
-        if existing is not None and not existing.meta.deleting:
-            if existing.meta.labels.get(OWNED_BY_LABEL) == OWNER_NAME:
-                api.delete(ConsistencyGroupReplication,
-                           existing.meta.name, existing.meta.namespace)
-                return Requeue(after=0.050)
-        if existing is not None:
-            return Requeue(after=0.050)  # teardown in progress
-        self._annotate(api, namespace, None, None, None)
-        return None
 
     # -- tag present ------------------------------------------------------
 
@@ -106,9 +89,8 @@ class NamespaceOperatorReconciler(Reconciler):
                 "waiting for claims to bind: "
                 + ", ".join(plan.unbound_pvc_names), "")
             return Requeue(after=0.050)
-        if existing is None or existing.meta.deleting:
-            if existing is None:
-                self._create_cr(api, plan)
+        if existing is None:
+            self._create_cr(api, plan)
             self._annotate(api, namespace, NS_STATE_CONFIGURING,
                            "creating replication configuration",
                            ",".join(plan.pvc_names))
@@ -123,7 +105,7 @@ class NamespaceOperatorReconciler(Reconciler):
         # mirror CR status onto the namespace
         if existing.status.state == STATE_PAIRED:
             state, requeue = NS_STATE_PROTECTED, 0.500
-        elif existing.status.state == "Suspended":
+        elif existing.status.state == STATE_SUSPENDED:
             state, requeue = NS_STATE_DEGRADED, 0.250
         else:
             state, requeue = NS_STATE_CONFIGURING, 0.050
@@ -144,8 +126,7 @@ class NamespaceOperatorReconciler(Reconciler):
         api.create(cr)
 
     def _annotate(self, api: ApiServer, namespace: Namespace,
-                  state: Optional[str], message: Optional[str],
-                  volumes: Optional[str]) -> None:
+                  state: str, message: str, volumes: str) -> None:
         """Write operator annotations; no-op when nothing changed.
 
         State transitions are also recorded as platform events so the
@@ -165,10 +146,9 @@ class NamespaceOperatorReconciler(Reconciler):
             return
         namespace.meta.annotations = desired
         api.update(namespace)
-        if state and state != previous_state and \
-                not namespace.meta.deleting:
+        if state != previous_state:
             record_event(api, namespace.meta.name, namespace.key,
-                         reason=state, message=message or "",
+                         reason=state, message=message,
                          source=OWNER_NAME)
             api.sim.telemetry.registry.counter(
                 "repro_nso_transitions_total",

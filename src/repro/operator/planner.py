@@ -45,16 +45,13 @@ def plan_backup(namespace: str, mode: BackupMode,
                 claims: Sequence[PersistentVolumeClaim]) -> BackupPlan:
     """Compute the replication plan for a namespace's claims.
 
-    Claims being deleted are excluded (their storage is going away);
-    unbound claims are listed separately so the operator can wait for
+    Unbound claims are listed separately so the operator can wait for
     provisioning to finish before configuring the ADC — configuring a
     partial volume set would silently leave new data unprotected.
     """
     bound: List[str] = []
     unbound: List[str] = []
     for claim in claims:
-        if claim.meta.deleting:
-            continue
         if claim.bound:
             bound.append(claim.meta.name)
         else:

@@ -10,7 +10,7 @@ Public surface:
   :class:`Requeue`, :class:`BackoffPolicy` — the controller runtime;
 * resource kinds: :class:`Namespace`, :class:`Pod`,
   :class:`PersistentVolumeClaim`, :class:`PersistentVolume`,
-  :class:`StorageClass`, :class:`VolumeSnapshot`;
+  :class:`StorageClass`;
 * :class:`Console`, :class:`ConsoleOperation` — the demo's operation
   surface;
 * :class:`ObjectMeta`, :class:`ObjectKey`, :class:`Condition` — object
@@ -32,7 +32,6 @@ from repro.platform.resources import (CsiVolumeSource, Namespace,
                                       PersistentVolume,
                                       PersistentVolumeClaim, Pod, PodSpec,
                                       PvcSpec, PvSpec, StorageClass,
-                                      VolumeSnapshot, VolumeSnapshotSpec,
                                       claim_ref)
 from repro.platform.scheduler import PodSchedulerReconciler
 
@@ -64,8 +63,6 @@ __all__ = [
     "Reconciler",
     "Requeue",
     "StorageClass",
-    "VolumeSnapshot",
-    "VolumeSnapshotSpec",
     "WATCH_CLOSED",
     "WatchClosed",
     "WatchEvent",

@@ -12,9 +12,9 @@ on a real cluster.  Semantics reproduced:
   mutation of a kind; delivery is asynchronous through the simulator, so
   controllers observe changes with realistic scheduling, not by magic
   shared state.
-* **Finalizers** — ``delete`` on an object with finalizers only marks
-  the deletion timestamp; the object disappears (and ``DELETED`` fires)
-  when the last finalizer is removed.
+* **Create and update only** — the control plane runs in the protect
+  direction (tag → discover → pair), so objects are never deleted and a
+  watch carries ``ADDED`` and ``MODIFIED`` events only.
 
 Objects are deep-copied on the way in and out; holding a returned object
 never aliases server state.
@@ -56,8 +56,7 @@ class ApiFaultInjector:
     """
 
     #: verbs that mutate server state (conflict injection targets these)
-    MUTATING = frozenset({"create", "update", "delete",
-                          "remove_finalizer"})
+    MUTATING = frozenset({"create", "update"})
 
     def __init__(self, sim: Simulator, stream: str = "chaos.api") -> None:
         self.sim = sim
@@ -102,7 +101,6 @@ class EventType(enum.Enum):
 
     ADDED = "ADDED"
     MODIFIED = "MODIFIED"
-    DELETED = "DELETED"
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,6 @@ class ApiServer:
         stored.meta.uid = next(self._uid_counter)
         stored.meta.resource_version = next(self._rv_counter)
         stored.meta.creation_time = self.sim.now
-        stored.meta.deletion_time = None
         kind_store[key] = stored
         self.mutation_count += 1
         self._broadcast(EventType.ADDED, stored)
@@ -270,48 +267,11 @@ class ApiServer:
         updated = copy.deepcopy(obj)
         updated.meta.uid = stored.meta.uid
         updated.meta.creation_time = stored.meta.creation_time
-        updated.meta.deletion_time = stored.meta.deletion_time
         updated.meta.resource_version = next(self._rv_counter)
         self._objects[obj.kind][obj.key] = updated
         self.mutation_count += 1
         self._broadcast(EventType.MODIFIED, updated)
-        self._maybe_finalize(updated)
         return copy.deepcopy(updated)
-
-    def delete(self, cls: Type[T], name: str, namespace: str = "") -> None:
-        """Request deletion.
-
-        Objects without finalizers disappear immediately (``DELETED``);
-        objects with finalizers get a deletion timestamp and a
-        ``MODIFIED`` event so their controllers can clean up.
-        """
-        self._admit("delete", f"{cls.KIND}/{namespace}/{name}")
-        key = ObjectKey(cls.KIND, namespace, name)
-        stored = self._require(key)
-        if stored.meta.finalizers:
-            if stored.meta.deletion_time is None:
-                stored.meta.deletion_time = self.sim.now
-                stored.meta.resource_version = next(self._rv_counter)
-                self.mutation_count += 1
-                self._broadcast(EventType.MODIFIED, stored)
-            return
-        del self._objects[key.kind][key]
-        self.mutation_count += 1
-        self._broadcast(EventType.DELETED, stored)
-
-    def remove_finalizer(self, cls: Type[T], name: str, namespace: str,
-                         finalizer: str) -> None:
-        """Remove one finalizer; completes deletion when it was the last."""
-        self._admit("remove_finalizer", f"{cls.KIND}/{namespace}/{name}")
-        key = ObjectKey(cls.KIND, namespace, name)
-        stored = self._require(key)
-        if finalizer not in stored.meta.finalizers:
-            return
-        stored.meta.finalizers.remove(finalizer)
-        stored.meta.resource_version = next(self._rv_counter)
-        self.mutation_count += 1
-        self._broadcast(EventType.MODIFIED, stored)
-        self._maybe_finalize(stored)
 
     # -- watches ---------------------------------------------------------
 
@@ -350,15 +310,6 @@ class ApiServer:
         if stored is None:
             raise NotFoundError(f"{key} not found")
         return stored
-
-    def _maybe_finalize(self, stored: ApiObject) -> None:
-        if stored.meta.deletion_time is not None and \
-                not stored.meta.finalizers:
-            key = stored.key
-            if key in self._objects.get(key.kind, {}):
-                del self._objects[key.kind][key]
-                self.mutation_count += 1
-                self._broadcast(EventType.DELETED, stored)
 
     def _broadcast(self, event_type: EventType, stored: ApiObject) -> None:
         for stream in self._watches.get(stored.kind, []):

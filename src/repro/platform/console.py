@@ -11,22 +11,20 @@ Operations the paper performs on the console:
 
 * tag a namespace (Fig 3) — starts the backup configuration;
 * list PVs / PVCs (Figs 3-4) — observe mirrored volumes appearing;
-* create a volume snapshot (Fig 5) — snapshot development;
-* direct array commands — the paper's §II notes that *snapshot groups*
-  are not yet reachable through CSI (alpha feature), so the user must
-  operate the external storage system directly; those operations are
-  logged with ``surface="storage-array"`` so the automation gap is
-  measurable.
+* create a snapshot group (Fig 5) by a direct array command — the
+  paper's §II notes that *snapshot groups* are not yet reachable through
+  CSI (alpha feature), so the user must operate the external storage
+  system directly; those operations are logged with
+  ``surface="storage-array"`` so the automation gap is measurable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.platform.resources import (Namespace, PersistentVolume,
-                                      PersistentVolumeClaim, VolumeSnapshot,
-                                      VolumeSnapshotSpec)
+                                      PersistentVolumeClaim)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
@@ -81,13 +79,6 @@ class Console:
         self.cluster.api.update(obj)
         self._log("tag-namespace", f"{namespace} {key}={value}")
 
-    def untag_namespace(self, namespace: str, key: str) -> None:
-        """Remove a tag from a namespace — one user operation."""
-        obj = self.cluster.api.get(Namespace, namespace)
-        obj.meta.labels.pop(key, None)
-        self.cluster.api.update(obj)
-        self._log("untag-namespace", f"{namespace} {key}")
-
     # -- observation (Figs 3-4) --------------------------------------------
 
     def list_persistent_volumes(self) -> List[PersistentVolume]:
@@ -101,21 +92,7 @@ class Console:
         return self.cluster.api.list(PersistentVolumeClaim,
                                      namespace=namespace)
 
-    # -- snapshot development (Fig 5) ------------------------------------
-
-    def create_volume_snapshot(self, namespace: str, name: str,
-                               pvc_name: str) -> VolumeSnapshot:
-        """Create a VolumeSnapshot through the platform API — one user
-        operation; the CSI snapshotter does the array work."""
-        snapshot = VolumeSnapshot()
-        snapshot.meta.name = name
-        snapshot.meta.namespace = namespace
-        snapshot.spec = VolumeSnapshotSpec(pvc_name=pvc_name)
-        created = self.cluster.api.create(snapshot)
-        self._log("create-volume-snapshot", f"{namespace}/{name}")
-        return created
-
-    # -- direct storage operation (the CSI alpha gap, §II) --------------------
+    # -- snapshot groups: direct storage operation (Fig 5, §II) ---------------
 
     def storage_array_snapshot_group(self, array: "StorageArray",
                                      group_id: str,

@@ -1,10 +1,11 @@
 """API object model of the simulated container platform.
 
 Objects follow the Kubernetes conventions the namespace operator relies
-on: every object has ``metadata`` (name, namespace, labels, resource
-version, finalizers, deletion timestamp), a kind string, and free-form
-``spec``/``status`` sections modelled as dataclass fields on concrete
-resource classes.
+on: every object has ``metadata`` (name, namespace, labels, annotations,
+resource version), a kind string, and free-form ``spec``/``status``
+sections modelled as dataclass fields on concrete resource classes.
+Objects are created and updated, never deleted: the control plane runs
+in the protect direction only.
 
 The API server stores deep copies, so objects held by controllers are
 snapshots — mutating them has no effect until ``update()`` is called,
@@ -15,7 +16,7 @@ exactly the optimistic-concurrency discipline real operators live with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional
+from typing import ClassVar, Dict, List
 
 from repro.errors import InvalidObjectError
 
@@ -31,8 +32,6 @@ class ObjectMeta:
     annotations: Dict[str, str] = field(default_factory=dict)
     resource_version: int = 0
     creation_time: float = 0.0
-    deletion_time: Optional[float] = None
-    finalizers: List[str] = field(default_factory=list)
 
     def validate(self, namespaced: bool) -> None:
         """Reject malformed metadata before admission."""
@@ -45,11 +44,6 @@ class ObjectMeta:
             raise InvalidObjectError(
                 f"cluster-scoped object {self.name!r} must not set "
                 "metadata.namespace")
-
-    @property
-    def deleting(self) -> bool:
-        """True once a delete has been requested (finalizers pending)."""
-        return self.deletion_time is not None
 
 
 @dataclass

@@ -191,46 +191,6 @@ class Pod(ApiObject):
                 f"Pod {self.meta.name!r} needs an image")
 
 
-# ---------------------------------------------------------------------------
-# Volume snapshots (the CSI snapshot API, §II)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class VolumeSnapshotSpec:
-    """Desired state: snapshot one bound PVC."""
-
-    pvc_name: str = ""
-
-
-@dataclass
-class VolumeSnapshotStatus:
-    """Observed state of a volume snapshot."""
-
-    ready: bool = False
-    #: array-side snapshot handle once cut
-    snapshot_handle: str = ""
-    error: str = ""
-
-
-@dataclass
-class VolumeSnapshot(ApiObject):
-    """A point-in-time copy of one PVC, cut through CSI."""
-
-    KIND: ClassVar[str] = "VolumeSnapshot"
-    NAMESPACED: ClassVar[bool] = True
-
-    spec: VolumeSnapshotSpec = field(default_factory=VolumeSnapshotSpec)
-    status: VolumeSnapshotStatus = field(
-        default_factory=VolumeSnapshotStatus)
-
-    def validate(self) -> None:
-        super().validate()
-        if not self.spec.pvc_name:
-            raise InvalidObjectError(
-                f"VolumeSnapshot {self.meta.name!r} needs spec.pvc_name")
-
-
 def claim_ref(namespace: str, name: str) -> str:
     """Canonical "namespace/name" claim reference used on PVs."""
     return f"{namespace}/{name}"

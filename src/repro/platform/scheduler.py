@@ -35,7 +35,7 @@ class PodSchedulerReconciler(Reconciler):
             pod = api.get(Pod, key.name, key.namespace)
         except NotFoundError:
             return None
-        if pod.status.phase == "Running" or pod.meta.deleting:
+        if pod.status.phase == "Running":
             return None
         for pvc_name in pod.spec.pvc_names:
             pvc = api.try_get(PersistentVolumeClaim, pvc_name,

@@ -8,7 +8,7 @@ Public surface:
 * :class:`JournalVolume`, :class:`JournalEntry` — ADC journals;
 * :class:`JournalGroup`, :class:`AdcConfig` — asynchronous data copy
   pipelines (a consistency group = several pairs in one journal group);
-* :class:`SyncMirror`, :class:`SdcConfig` — the synchronous baseline;
+* :class:`SyncMirror` — the synchronous baseline;
 * :class:`ReductionConfig`, :class:`ReductionCodec`,
   :class:`FingerprintCache`, :class:`WireReducer` — wire data reduction
   (fingerprint dedup + inline compression) for the replication paths;
@@ -31,7 +31,7 @@ from repro.storage.pool import StoragePool
 from repro.storage.reduction import (FingerprintCache, ReductionCodec,
                                      ReductionConfig, WireReducer)
 from repro.storage.replication import CopyMode, PairState, ReplicationPair
-from repro.storage.sdc import SdcConfig, SyncMirror
+from repro.storage.sdc import SyncMirror
 from repro.storage.snapshot import Snapshot, SnapshotGroup
 from repro.storage.volume import (BlockValue, MediaProfile, SnapshotView,
                                   Volume, VolumeRole, VolumeStatus)
@@ -59,7 +59,6 @@ __all__ = [
     "ReductionCodec",
     "ReductionConfig",
     "ReplicationPair",
-    "SdcConfig",
     "Snapshot",
     "SnapshotGroup",
     "SnapshotView",

@@ -39,7 +39,7 @@ from repro.storage.history import WriteHistory, WriteRecord
 from repro.storage.journal import JournalVolume
 from repro.storage.pool import StoragePool
 from repro.storage.replication import CopyMode, PairState, ReplicationPair
-from repro.storage.sdc import SdcConfig, SyncMirror
+from repro.storage.sdc import SyncMirror
 from repro.storage.snapshot import Snapshot, SnapshotGroup
 from repro.storage.volume import (MediaProfile, Volume,
                                   VolumeRole)
@@ -51,11 +51,10 @@ JOURNAL_CAPACITY_ENTRIES = 200_000
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Array-wide defaults: media latencies and ADC/SDC tuning."""
+    """Array-wide defaults: media latencies and ADC tuning."""
 
     media: MediaProfile = field(default_factory=MediaProfile)
     adc: AdcConfig = field(default_factory=AdcConfig)
-    sdc: SdcConfig = field(default_factory=SdcConfig)
 
     def with_adc(self, **overrides) -> "ArrayConfig":
         """Copy of this config with ADC knobs overridden."""
@@ -89,7 +88,6 @@ class StorageArray:
         self._pools: Dict[int, StoragePool] = {}
         self._volumes: Dict[int, Volume] = {}
         self._journals: Dict[int, JournalVolume] = {}
-        self._snapshots: Dict[int, Snapshot] = {}
         self._snapshot_groups: Dict[str, SnapshotGroup] = {}
         self.journal_groups: Dict[str, JournalGroup] = {}
         self.sync_mirrors: Dict[str, SyncMirror] = {}
@@ -192,21 +190,6 @@ class StorageArray:
         self._audit("create_volume", volume_id=volume_id, pool_id=pool_id,
                     capacity_blocks=capacity_blocks, name=volume.name)
         return volume
-
-    def delete_volume(self, volume_id: int, pool_id: int) -> None:
-        """Delete an unpaired volume and return its capacity."""
-        self._check_alive()
-        volume = self._require_volume(volume_id)
-        if volume.role is not VolumeRole.SIMPLEX:
-            raise ArrayCommandError(
-                f"volume {volume_id} is {volume.role.value}; delete the "
-                "pair first")
-        if volume.snapshot_count:
-            raise ArrayCommandError(
-                f"volume {volume_id} has live snapshots")
-        self._require_pool(pool_id).release(f"volume-{volume_id}")
-        del self._volumes[volume_id]
-        self._audit("delete_volume", volume_id=volume_id)
 
     def get_volume(self, volume_id: int) -> Volume:
         """Look up a volume by id."""
@@ -354,9 +337,8 @@ class StorageArray:
     # synchronous replication (SDC baseline)
     # ------------------------------------------------------------------
 
-    def create_sync_mirror(self, mirror_id: str, link: NetworkLink,
-                           sdc_config: Optional[SdcConfig] = None,
-                           ) -> SyncMirror:
+    def create_sync_mirror(self, mirror_id: str,
+                           link: NetworkLink) -> SyncMirror:
         """Create a synchronous mirror context over ``link``."""
         self._check_alive()
         if mirror_id in self.sync_mirrors:
@@ -366,8 +348,7 @@ class StorageArray:
             raise ReplicationError(
                 f"array {self.serial}: id {mirror_id} is taken by a "
                 "journal group")
-        mirror = SyncMirror(self.sim, mirror_id, link,
-                            config=sdc_config or self.config.sdc)
+        mirror = SyncMirror(self.sim, mirror_id, link)
         self.sync_mirrors[mirror_id] = mirror
         self._audit("create_sync_mirror", mirror_id=mirror_id)
         return mirror
@@ -617,7 +598,6 @@ class StorageArray:
         snapshot_id = next(self._snapshot_ids)
         snapshot = Snapshot(snapshot_id, volume, self.sim.now,
                             name=name or f"{self.serial}-snap-{snapshot_id}")
-        self._snapshots[snapshot_id] = snapshot
         self._audit("create_snapshot", snapshot_id=snapshot_id,
                     volume_id=volume_id)
         return snapshot
@@ -654,7 +634,6 @@ class StorageArray:
             restore_group = self._restore_group_by_svol.get(volume.volume_id)
             if restore_group is not None:
                 snapshot.group_sequence = restore_group.restored_sequence
-            self._snapshots[snapshot_id] = snapshot
             snapshots.append(snapshot)
         group = SnapshotGroup(group_id=group_id, created_at=self.sim.now,
                               snapshots=snapshots)
@@ -665,14 +644,6 @@ class StorageArray:
                     volume_ids=tuple(volume_ids))
         return group
         yield  # pragma: no cover - generator marker
-
-    def get_snapshot(self, snapshot_id: int) -> Snapshot:
-        """Look up a snapshot by id."""
-        snapshot = self._snapshots.get(snapshot_id)
-        if snapshot is None:
-            raise SnapshotError(
-                f"array {self.serial}: unknown snapshot {snapshot_id}")
-        return snapshot
 
     def get_snapshot_group(self, group_id: str) -> SnapshotGroup:
         """Look up a snapshot group by id."""
@@ -687,20 +658,11 @@ class StorageArray:
         return [self._snapshot_groups[gid]
                 for gid in sorted(self._snapshot_groups)]
 
-    def delete_snapshot(self, snapshot_id: int) -> None:
-        """Delete a snapshot, releasing its COW store."""
-        self._check_alive()
-        self.get_snapshot(snapshot_id).delete()
-        del self._snapshots[snapshot_id]
-        self._audit("delete_snapshot", snapshot_id=snapshot_id)
-
     def delete_snapshot_group(self, group_id: str) -> None:
         """Delete a snapshot group and every member snapshot."""
         self._check_alive()
         group = self.get_snapshot_group(group_id)
         for snapshot in group.snapshots:
-            if snapshot.snapshot_id in self._snapshots:
-                del self._snapshots[snapshot.snapshot_id]
             snapshot.delete()
         del self._snapshot_groups[group_id]
         self._audit("delete_snapshot_group", group_id=group_id)

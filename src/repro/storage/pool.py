@@ -1,10 +1,10 @@
 """Storage pools: capacity accounting for volume allocation.
 
 A pool owns a fixed number of blocks; creating a volume reserves its
-capacity, deleting it returns the capacity.  Journal volumes and snapshot
-stores draw from pools too, so an experiment can exhaust capacity and
-observe the array's behaviour (``CapacityError``), mirroring how a real
-array fails volume creation rather than overcommitting.
+capacity for the volume's lifetime.  Journal volumes draw from pools
+too, so an experiment can exhaust capacity and observe the array's
+behaviour (``CapacityError``), mirroring how a real array fails volume
+creation rather than overcommitting.
 """
 
 from __future__ import annotations
@@ -50,17 +50,6 @@ class StoragePool:
                 f"{self.name}: need {blocks} blocks, only "
                 f"{self.free_blocks} free")
         self._reservations[owner] = blocks
-
-    def release(self, owner: str) -> None:
-        """Return the owner's reservation to the pool."""
-        if owner not in self._reservations:
-            raise CapacityError(
-                f"{self.name}: owner {owner!r} has no reservation")
-        del self._reservations[owner]
-
-    def holds(self, owner: str) -> bool:
-        """True if ``owner`` currently has a reservation."""
-        return owner in self._reservations
 
     def __repr__(self) -> str:
         return (f"<StoragePool {self.name!r} "

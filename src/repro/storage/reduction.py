@@ -1,9 +1,9 @@
 """Wire data reduction: inline compression + fingerprint dedup.
 
 PR 8 attacked wire *latency* (pipelining, delta-negotiated copy); this
-module attacks wire *volume*.  Every replication wire path — journal
-transfer batches, SDC initial/bulk copy, and the resync paths riding
-them — can pass its payloads through one :class:`WireReducer`, which
+module attacks wire *volume*.  The journal transfer path — and the
+initial copy and resync riding it — can pass its payloads through one
+:class:`WireReducer`, which
 charges :class:`~repro.simulation.network.NetworkLink` the
 *post-reduction* byte count while the logical-byte counters keep their
 pre-reduction meaning.  Two mechanisms, tried cheapest-first per
@@ -104,7 +104,7 @@ class ReductionConfig:
             raise ValueError("cache_entries must be >= 0")
 
 
-#: the shared "reduction off" default carried by AdcConfig/SdcConfig
+#: the "reduction off" default of ``AdcConfig.reduction``
 DISABLED_REDUCTION = ReductionConfig()
 
 
@@ -199,8 +199,8 @@ class EncodedBatch:
     forms: List[object]
     #: what the link is charged for the whole batch
     wire_bytes: int
-    #: as passed to ``encode_batch`` (they price a fallback retransmit)
-    raw_bytes: Optional[int]
+    #: per-item framing, as passed to ``encode_batch`` (it prices a
+    #: fallback retransmit)
     overhead: int
     #: ``raw - wire`` summed over the references / compressed payloads
     saved_dedup: int
@@ -210,12 +210,11 @@ class EncodedBatch:
 class WireReducer:
     """One wire path's reduction engine: codec + synchronized caches.
 
-    Owned by a :class:`~repro.storage.adc.JournalGroup` or
-    :class:`~repro.storage.sdc.SyncMirror`; both ends of the (simulated)
-    link live in one process, so the reducer holds the sender *and*
-    receiver cache and commits them in lockstep at receive time.  With
-    ``enabled=False`` it registers no instruments and every call site
-    skips it entirely.
+    Owned by a :class:`~repro.storage.adc.JournalGroup`; both ends of
+    the (simulated) link live in one process, so the reducer holds the
+    sender *and* receiver cache and commits them in lockstep at receive
+    time.  With ``enabled=False`` it registers no instruments and every
+    call site skips it entirely.
     """
 
     def __init__(self, sim: "Simulator", config: ReductionConfig,
@@ -226,9 +225,7 @@ class WireReducer:
         if not self.enabled:
             return
         registry: "MetricsRegistry" = sim.telemetry.registry
-        # one label-key set whoever the owner is (a mirror passes its
-        # mirror id): a family's children must agree on their keys, and
-        # both owners can share one registry
+        # labelled by journal group, like the group's other families
         scope = self._scope = {"group": group}
         self._registry = registry
         self.codec = ReductionCodec()
@@ -268,20 +265,17 @@ class WireReducer:
     # -- sender side ---------------------------------------------------------
 
     def encode_batch(self, carriers: Iterable[object], trusted: bool = False,
-                     raw_bytes: Optional[int] = None,
                      overhead: int = 0) -> EncodedBatch:
         """Decide the wire form of one outgoing batch against the
         current caches.
 
         ``carriers`` are anything with ``payload``/``checksum`` (journal
-        entries, block values); ``trusted`` says that checksum is the
-        payload's CRC32 for certain, so the fingerprint costs no hash
-        (otherwise, or where it is None, the payload is hashed).
-        ``raw_bytes`` is the unreduced wire cost of one payload alone
-        (default its length; SDC passes the fixed block size),
-        ``overhead`` per-item framing shipped regardless of mechanism
-        (the 64-byte journal-entry header).  The cheapest mechanism
-        wins.  Nothing is committed here: in-batch duplicates dedup
+        entries); ``trusted`` says that checksum is the payload's CRC32
+        for certain, so the fingerprint costs no hash (otherwise, or
+        where it is None, the payload is hashed).  A payload's unreduced
+        wire cost is its length plus ``overhead``, the per-item framing
+        shipped regardless of mechanism (the 64-byte journal-entry
+        header).  The cheapest mechanism wins.  Nothing is committed here: in-batch duplicates dedup
         through a batch-local pending set, and a shipment that never
         lands leaves no state behind.
         """
@@ -296,8 +290,7 @@ class WireReducer:
         for carrier in carriers:
             payload = carrier.payload
             size = len(payload)
-            raw = raw_bytes if raw_bytes is not None else size
-            total_raw += raw
+            total_raw += size
             checksum = carrier.checksum if trusted else None
             if checksum is None:
                 checksum = crc32(payload)
@@ -309,17 +302,17 @@ class WireReducer:
                     cached = sender_get(fingerprint)
                 # byte-compare before referencing: a (crc32, length)
                 # collision must ship its payload, never a wrong reference
-                if cached is not None and ref_bytes < raw \
+                if cached is not None and ref_bytes < size \
                         and cached == payload:
                     self.hits += 1
-                    saved_dedup += raw - ref_bytes
+                    saved_dedup += size - ref_bytes
                     forms.append(REFERENCE)
                     continue
             pending[fingerprint] = payload
             packed = compress(payload)
             if packed is not None \
-                    and len(packed) + COMPRESS_FRAME_BYTES < raw:
-                saved_compress += raw - len(packed) - COMPRESS_FRAME_BYTES
+                    and len(packed) + COMPRESS_FRAME_BYTES < size:
+                saved_compress += size - len(packed) - COMPRESS_FRAME_BYTES
                 forms.append(packed)
             else:
                 forms.append(None)
@@ -331,7 +324,7 @@ class WireReducer:
         return EncodedBatch(
             fingerprints, forms,
             total_raw + overhead * len(forms) - saved_dedup - saved_compress,
-            raw_bytes, overhead, saved_dedup, saved_compress)
+            overhead, saved_dedup, saved_compress)
 
     def discard(self, count: int = 1) -> None:
         """Record ``count`` in-flight shipments voided before receive.
@@ -369,7 +362,7 @@ class WireReducer:
         receiver_get = self.receiver.get
         commit_receiver = self.receiver.put
         commit_sender = self.sender.put
-        overhead, raw_bytes = batch.overhead, batch.raw_bytes
+        overhead = batch.overhead
         fallbacks = fallback_bytes = 0
         try:
             for carrier, fingerprint, form in zip(
@@ -388,9 +381,7 @@ class WireReducer:
                     # miss (an earlier in-flight batch's commits
                     # evicted it) or mismatch: retransmit, never corrupt
                     fallbacks += 1
-                    fallback_bytes += overhead + (
-                        raw_bytes if raw_bytes is not None
-                        else len(payload))
+                    fallback_bytes += overhead + len(payload)
                 elif form is not None:
                     payload = decompress(form)
                 commit_sender(fingerprint, payload)
@@ -440,8 +431,8 @@ class WireReducer:
     def account(self, path: str, wire_bytes: int, saved_dedup: int = 0,
                 saved_compress: int = 0) -> None:
         """Book bytes the link carried on ``path``, the savings on them
-        and a hit-ratio sample.  Call sites book only unreduced framing
-        (SDC negotiation metadata); batches book themselves."""
+        and a hit-ratio sample (:meth:`receive_batch` books each batch
+        here)."""
         if wire_bytes:  # (creates the series on first use)
             self.wire_counter(path).increment(wire_bytes)
         self.saved_dedup.increment(saved_dedup)

@@ -14,14 +14,11 @@ synchronous replication behaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 from repro.errors import ReplicationError
 from repro.simulation.network import LinkDownError, NetworkLink
 from repro.simulation.resources import Lock
-from repro.storage.reduction import (DISABLED_REDUCTION, ReductionConfig,
-                                     WireReducer)
 from repro.storage.replication import PairState, ReplicationPair
 from repro.telemetry.spans import Span
 
@@ -42,9 +39,8 @@ NEGOTIATE_METADATA_BYTES = 16
 BLOCK_SIZE_BYTES = 4096
 
 
-@dataclass(frozen=True)
-class SdcConfig:
-    """Tuning knobs of the synchronous mirror.
+class SyncMirror:
+    """A set of synchronously mirrored pairs sharing one link.
 
     A link failure never fences the host (array fence level "never"):
     the mirror keeps accepting unprotected, dirty-tracked writes, which
@@ -52,25 +48,11 @@ class SdcConfig:
     becoming a business outage.
     """
 
-    #: wire data reduction (fingerprint dedup + inline compression) for
-    #: the bulk copy payload transfers; off by default — the
-    #: wire then carries every stale block verbatim, exactly as before
-    reduction: ReductionConfig = DISABLED_REDUCTION
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.reduction, ReductionConfig):
-            raise ValueError("reduction must be a ReductionConfig")
-
-
-class SyncMirror:
-    """A set of synchronously mirrored pairs sharing one link."""
-
-    def __init__(self, sim: "Simulator", mirror_id: str, link: NetworkLink,
-                 config: Optional[SdcConfig] = None) -> None:
+    def __init__(self, sim: "Simulator", mirror_id: str,
+                 link: NetworkLink) -> None:
         self.sim = sim
         self.mirror_id = mirror_id
         self.link = link
-        self.config = config or SdcConfig()
         self.pairs: Dict[str, ReplicationPair] = {}
         self._pairs_by_pvol: Dict[int, ReplicationPair] = {}
         # One in-flight remote write at a time per pair keeps the apply
@@ -79,10 +61,6 @@ class SyncMirror:
         registry = sim.telemetry.registry
         self.tracer = sim.telemetry.tracer
         self.recorder = sim.telemetry.recorder
-        #: wire data-reduction engine for the bulk copy payload
-        #: transfers (no-op object when disabled)
-        self.reducer = WireReducer(sim, self.config.reduction,
-                                   group=mirror_id)
         self.replicated_writes = registry.counter(
             "repro_sdc_replicated_writes_total",
             help="Writes propagated synchronously before the ack",
@@ -136,26 +114,13 @@ class SyncMirror:
         ships as one batched payload transfer and applies with
         overlapped media writes — the whole chunk costs three one-way
         delays instead of one per block.
-
-        With reduction enabled the stale payload transfer is charged
-        its *post-reduction* byte count (dedup references + compressed
-        payloads) and the installed bytes are the actual receive-side
-        reconstruction.
         """
-        config = self.config
         svol = pair.svol
-        reducer = self.reducer
         for start in range(0, len(items), COPY_BATCH_BLOCKS):
             chunk = items[start:start + COPY_BATCH_BLOCKS]
             # negotiation round trip: metadata out, verdict back
-            negotiate_bytes = NEGOTIATE_METADATA_BYTES * len(chunk)
-            try:
-                yield from self.link.transfer(negotiate_bytes)
-            except LinkDownError:
-                reducer.invalidate()
-                raise
-            if reducer.enabled:
-                reducer.account("copy", negotiate_bytes)
+            yield from self.link.transfer(
+                NEGOTIATE_METADATA_BYTES * len(chunk))
             ack_delay = self.link.one_way_delay()
             if ack_delay > 0:
                 yield self.sim.sleep(ack_delay)
@@ -165,38 +130,13 @@ class SyncMirror:
                 self.copy_skipped.increment(len(chunk) - len(stale))
             if not stale:
                 continue
-            values = [value for _block, value in stale]
-            if reducer.enabled:
-                # every block ships at the fixed block size unreduced,
-                # so raw_bytes prices the wire cost it would have paid
-                encodings = reducer.encode_batch(
-                    values, raw_bytes=BLOCK_SIZE_BYTES)
-                wire_bytes = encodings.wire_bytes
-            else:
-                encodings = None
-                wire_bytes = BLOCK_SIZE_BYTES * len(stale)
-            try:
-                yield from self.link.transfer(wire_bytes)
-            except LinkDownError:
-                # the shipment never landed: nothing was committed, but
-                # the sender can no longer prove the receiver's state
-                reducer.discard()
-                reducer.invalidate()
-                raise
-            if encodings is not None:
-                # receive side: reconstruct each block from its wire
-                # form (committing the caches in lockstep); the pass
-                # books the chunk's post-reduction bytes
-                received = [payload for payload, _verified in
-                            reducer.receive_batch("copy", encodings, values)]
-            else:
-                received = [value.payload for value in values]
+            yield from self.link.transfer(BLOCK_SIZE_BYTES * len(stale))
             # a concurrent replicate_write may have raced a newer
             # version in while the payload was on the wire; re-check
             # before applying, exactly like the per-block path did
             installs = [
-                (block, payload, value.version, value.checksum)
-                for (block, value), payload in zip(stale, received)
+                (block, value.payload, value.version, value.checksum)
+                for block, value in stale
                 if not pair.secondary_current(block, value.version)]
             if not installs:
                 continue
@@ -253,8 +193,6 @@ class SyncMirror:
             if ack_delay > 0:
                 yield self.sim.sleep(ack_delay)
         except LinkDownError:
-            # fingerprint state is void after any link failure
-            self.reducer.invalidate()
             pair.suspend(PairState.PSUE, "link down")
             pair.mark_dirty(volume_id, block)
             self.suspensions.increment()

@@ -353,11 +353,6 @@ class Volume:
         self._newest_live = (self._snapshots[-1].generation
                              if self._snapshots else 0)
 
-    @property
-    def snapshot_count(self) -> int:
-        """Number of attached (live) snapshots."""
-        return len(self._snapshots)
-
     # -- role management -------------------------------------------------
 
     def set_role(self, role: VolumeRole) -> None:

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.csi import (ConsistencyGroupReplication, SECONDARY_PV_LABEL,
-                       STATE_PAIRED, VolumeReplication)
-from repro.platform import PersistentVolume
+                       STATE_PAIRED)
 from repro.storage import PairState
 from tests.csi.conftest import create_pvc
 
@@ -94,18 +93,6 @@ class TestConsistencyGroupReplication:
         cr = system.main.api.get(ConsistencyGroupReplication, "bp", "shop")
         assert cr.status.state == STATE_PAIRED
 
-    def test_teardown_on_delete(self, sim, system):
-        prepare_claims(sim, system, ["sales"])
-        system.main.api.create(make_cgr("shop", "bp", ["sales"]))
-        sim.run(until=3.0)
-        system.main.api.delete(ConsistencyGroupReplication, "bp", "shop")
-        sim.run(until=5.0)
-        assert system.main.api.try_get(
-            ConsistencyGroupReplication, "bp", "shop") is None
-        assert "jg-shop-bp" not in system.main.array.journal_groups
-        assert system.main.array.find_pair("shop/bp/sales") is None
-        assert system.backup.api.list(PersistentVolume) == []
-
     def test_error_suspension_surfaces_and_is_not_auto_healed(
             self, sim, system):
         """PSUE (journal overflow) needs repair; the plugin reports it
@@ -121,31 +108,3 @@ class TestConsistencyGroupReplication:
         cr = system.main.api.get(ConsistencyGroupReplication, "bp", "shop")
         assert cr.status.state == "Suspended"
         assert cr.status.pair_states["sales"] == PairState.PSUE.value
-
-
-class TestVolumeReplication:
-    def test_volume_replication_composes_over_group_cr(self, sim, system):
-        prepare_claims(sim, system, ["solo"])
-        vr = VolumeReplication()
-        vr.meta.name = "solo-repl"
-        vr.meta.namespace = "shop"
-        vr.spec.pvc_name = "solo"
-        system.main.api.create(vr)
-        sim.run(until=4.0)
-        stored = system.main.api.get(VolumeReplication, "solo-repl", "shop")
-        assert stored.status.state == STATE_PAIRED
-        assert stored.status.pair_state == "PAIR"
-        assert stored.status.secondary_handle.startswith("naa.G370-BKUP.")
-
-    def test_volume_replication_delete_cleans_owned_cr(self, sim, system):
-        prepare_claims(sim, system, ["solo"])
-        vr = VolumeReplication()
-        vr.meta.name = "solo-repl"
-        vr.meta.namespace = "shop"
-        vr.spec.pvc_name = "solo"
-        system.main.api.create(vr)
-        sim.run(until=4.0)
-        system.main.api.delete(VolumeReplication, "solo-repl", "shop")
-        sim.run(until=8.0)
-        assert system.main.api.try_get(
-            ConsistencyGroupReplication, "vr-solo-repl", "shop") is None

@@ -1,10 +1,9 @@
-"""Tests for the storage plugin: dynamic provisioning and snapshots."""
+"""Tests for the storage plugin: dynamic provisioning and binding."""
 
 import pytest
 
 from repro.errors import CsiError
-from repro.platform import (PersistentVolume, PersistentVolumeClaim,
-                            VolumeSnapshot)
+from repro.platform import PersistentVolume, PersistentVolumeClaim
 from tests.csi.conftest import create_pvc
 
 
@@ -85,35 +84,6 @@ class TestProvisioning:
         assert pvc.spec.volume_name == "pre-made"
 
 
-class TestSnapshots:
-    def test_volume_snapshot_becomes_ready(self, sim, system):
-        cluster = system.main.cluster
-        cluster.create_namespace("shop")
-        create_pvc(cluster, "shop", "sales-data")
-        sim.run(until=1.0)
-        cluster.console.create_volume_snapshot("shop", "snap-1",
-                                               "sales-data")
-        sim.run(until=2.0)
-        snap = cluster.api.get(VolumeSnapshot, "snap-1", "shop")
-        assert snap.status.ready
-        assert snap.status.snapshot_handle.startswith("snap.G370-MAIN.")
-
-    def test_snapshot_of_unbound_pvc_reports_error_then_recovers(
-            self, sim, system):
-        cluster = system.main.cluster
-        cluster.create_namespace("shop")
-        cluster.console.create_volume_snapshot("shop", "snap-early",
-                                               "late-data")
-        sim.run(until=0.3)
-        snap = cluster.api.get(VolumeSnapshot, "snap-early", "shop")
-        assert not snap.status.ready
-        assert snap.status.error
-        create_pvc(cluster, "shop", "late-data")
-        sim.run(until=2.0)
-        snap = cluster.api.get(VolumeSnapshot, "snap-early", "shop")
-        assert snap.status.ready
-
-
 class TestDriver:
     def test_create_volume_idempotent_by_name(self, sim, system):
         driver = system.main.driver
@@ -144,10 +114,3 @@ class TestDriver:
         sim.run(until=1.0)
         with pytest.raises(CsiError):
             _ = proc.result
-
-    def test_snapshot_handle_round_trip(self):
-        from repro.csi import parse_snapshot_handle, snapshot_handle
-        handle = snapshot_handle("G370-MAIN", 7)
-        assert parse_snapshot_handle(handle) == ("G370-MAIN", 7)
-        with pytest.raises(ValueError):
-            parse_snapshot_handle("garbage")

@@ -13,7 +13,7 @@ from repro.operator import (ANNOTATION_STATE, NS_STATE_NO_VOLUMES,
                             NS_STATE_PROTECTED, OWNED_BY_LABEL,
                             TAG_CONSISTENT, TAG_INDEPENDENT, TAG_KEY,
                             install_namespace_operator)
-from repro.platform import Namespace, PersistentVolume
+from repro.platform import Namespace
 from tests.csi.conftest import create_pvc, fast_system_config
 
 
@@ -37,6 +37,20 @@ def make_business_namespace(sim, system, namespace="shop",
     for name in pvcs:
         create_pvc(system.main.cluster, namespace, name)
     sim.run(until=sim.now + 1.0)  # let provisioning finish
+
+
+def test_only_the_protect_path_is_installed(system):
+    """Every scenario builds the system and installs the NSO; what runs
+    is exactly the protect direction's controllers, nothing idle."""
+    installed = {site: sorted(controller.name for controller in
+                              getattr(system, site).cluster.manager
+                              .controllers)
+                 for site in ("main", "backup")}
+    assert installed == {
+        "main": ["main.csi-provisioner", "main.namespace-operator",
+                 "main.pod-scheduler", "main.replication-plugin"],
+        "backup": ["backup.csi-provisioner", "backup.pod-scheduler"],
+    }
 
 
 class TestTagDrivenConfiguration:
@@ -102,20 +116,6 @@ class TestTagDrivenConfiguration:
 
 
 class TestLifecycle:
-    def test_untagging_tears_down_protection(self, sim, system):
-        make_business_namespace(sim, system)
-        system.main.console.tag_namespace("shop", TAG_KEY, TAG_CONSISTENT)
-        sim.run(until=sim.now + 4.0)
-        system.main.console.untag_namespace("shop", TAG_KEY)
-        sim.run(until=sim.now + 4.0)
-        assert system.main.api.try_get(
-            ConsistencyGroupReplication, "nso-shop", "shop") is None
-        assert system.main.array.find_pair("shop/nso-shop/sales-data") \
-            is None
-        assert system.backup.api.list(PersistentVolume) == []
-        ns = system.main.api.get(Namespace, "shop")
-        assert ANNOTATION_STATE not in ns.meta.annotations
-
     def test_new_pvc_joins_existing_protection(self, sim, system):
         """The operator keeps the CR in sync as claims come and go."""
         make_business_namespace(sim, system)
@@ -128,22 +128,6 @@ class TestLifecycle:
         assert "audit-log" in cr.spec.pvc_names
         assert cr.status.state == STATE_PAIRED
         assert cr.status.pair_states["audit-log"] == "PAIR"
-
-    def test_operator_does_not_touch_foreign_crs(self, sim, system):
-        """Untagging must not delete CRs the operator does not own."""
-        make_business_namespace(sim, system)
-        foreign = ConsistencyGroupReplication()
-        foreign.meta.name = "nso-shop"  # same name, but no owned-by label
-        foreign.meta.namespace = "shop"
-        foreign.spec.pvc_names = ["sales-data"]
-        system.main.api.create(foreign)
-        sim.run(until=sim.now + 2.0)
-        system.main.console.tag_namespace("shop", TAG_KEY, TAG_CONSISTENT)
-        sim.run(until=sim.now + 2.0)
-        system.main.console.untag_namespace("shop", TAG_KEY)
-        sim.run(until=sim.now + 2.0)
-        assert system.main.api.try_get(
-            ConsistencyGroupReplication, "nso-shop", "shop") is not None
 
     def test_tag_before_volumes_waits_then_configures(self, sim, system):
         system.main.cluster.create_namespace("shop")

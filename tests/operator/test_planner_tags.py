@@ -46,13 +46,6 @@ class TestPlanner:
         assert not plan.complete
         assert plan.unbound_pvc_names == ("pending",)
 
-    def test_deleting_claims_excluded(self):
-        doomed = bound(make_pvc("shop", "old"))
-        doomed.meta.deletion_time = 5.0
-        plan = plan_backup("shop", BackupMode.CONSISTENT_GROUP,
-                           [doomed, bound(make_pvc("shop", "live"))])
-        assert plan.pvc_names == ("live",)
-
     def test_empty_namespace(self):
         plan = plan_backup("shop", BackupMode.CONSISTENT_GROUP, [])
         assert plan.empty

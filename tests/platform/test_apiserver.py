@@ -1,5 +1,5 @@
-"""Unit tests for the API server: CRUD, optimistic concurrency, watches,
-finalizers, label selectors."""
+"""Unit tests for the API server: create/get/list/update, optimistic
+concurrency, watches."""
 
 import pytest
 
@@ -53,11 +53,6 @@ class TestCrud:
         with pytest.raises(ConflictError):
             api.update(second)
 
-    def test_delete_without_finalizers_is_immediate(self, api):
-        api.create(make_namespace("shop"))
-        api.delete(Namespace, "shop")
-        assert api.try_get(Namespace, "shop") is None
-
     def test_validation_on_create(self, api):
         pvc = make_pvc("shop", "data", capacity=0)
         with pytest.raises(InvalidObjectError):
@@ -90,19 +85,19 @@ class TestWatch:
         def watcher(sim):
             for _ in range(3):
                 event = yield stream.next_event()
-                seen.append((event.type, event.object.meta.name))
+                seen.append((event.type, event.object.meta.labels))
 
         sim.spawn(watcher(sim))
         api.create(make_namespace("shop"))
-        ns = api.get(Namespace, "shop")
-        ns.meta.labels["k"] = "v"
-        api.update(ns)
-        api.delete(Namespace, "shop")
+        for value in ("1", "2"):
+            ns = api.get(Namespace, "shop")
+            ns.meta.labels["k"] = value
+            api.update(ns)
         sim.run()
         assert seen == [
-            (EventType.ADDED, "shop"),
-            (EventType.MODIFIED, "shop"),
-            (EventType.DELETED, "shop"),
+            (EventType.ADDED, {}),
+            (EventType.MODIFIED, {"k": "1"}),
+            (EventType.MODIFIED, {"k": "2"}),
         ]
 
     def test_watch_replays_existing_objects(self, sim, api):
@@ -129,37 +124,3 @@ class TestWatch:
         api.update(ns)
         added = stream.next_event().value
         assert "later" not in added.object.meta.labels
-
-
-class TestFinalizers:
-    def test_delete_with_finalizer_defers(self, sim, api):
-        ns = make_namespace("shop")
-        ns.meta.finalizers = ["backup.protect"]
-        api.create(ns)
-        api.delete(Namespace, "shop")
-        still_there = api.get(Namespace, "shop")
-        assert still_there.meta.deleting
-
-    def test_remove_last_finalizer_completes_delete(self, sim, api):
-        ns = make_namespace("shop")
-        ns.meta.finalizers = ["backup.protect"]
-        api.create(ns)
-        api.delete(Namespace, "shop")
-        api.remove_finalizer(Namespace, "shop", "", "backup.protect")
-        assert api.try_get(Namespace, "shop") is None
-
-    def test_remove_finalizer_before_delete_keeps_object(self, sim, api):
-        ns = make_namespace("shop")
-        ns.meta.finalizers = ["backup.protect"]
-        api.create(ns)
-        api.remove_finalizer(Namespace, "shop", "", "backup.protect")
-        assert api.try_get(Namespace, "shop") is not None
-
-    def test_delete_idempotent_while_finalizing(self, sim, api):
-        ns = make_namespace("shop")
-        ns.meta.finalizers = ["backup.protect"]
-        api.create(ns)
-        api.delete(Namespace, "shop")
-        rv = api.get(Namespace, "shop").meta.resource_version
-        api.delete(Namespace, "shop")  # second request is a no-op
-        assert api.get(Namespace, "shop").meta.resource_version == rv

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PlatformError
-from repro.platform import Namespace, VolumeSnapshot
+from repro.platform import Namespace
 from repro.platform.objects import Condition, set_condition
 
 
@@ -19,24 +19,11 @@ class TestConsole:
         assert cluster.console.operation_count() == 1
         assert "tag-namespace" in cluster.console.screen_log()
 
-    def test_untag_namespace(self, sim, cluster):
-        cluster.create_namespace("shop", labels={"k": "v"})
-        cluster.console.untag_namespace("shop", "k")
-        assert "k" not in cluster.api.get(Namespace, "shop").meta.labels
-
     def test_list_operations_are_logged(self, sim, cluster):
         cluster.create_namespace("shop")
         cluster.console.list_persistent_volumes()
         cluster.console.list_claims("shop")
         assert cluster.console.operation_count("console") == 2
-
-    def test_create_volume_snapshot_via_console(self, sim, cluster):
-        cluster.create_namespace("shop")
-        snap = cluster.console.create_volume_snapshot(
-            "shop", "snap-1", pvc_name="data")
-        assert isinstance(snap, VolumeSnapshot)
-        stored = cluster.api.get(VolumeSnapshot, "snap-1", "shop")
-        assert stored.spec.pvc_name == "data"
 
     def test_storage_array_surface_is_tracked_separately(self, sim, cluster):
         cluster.console.storage_array_command("raidcom add ldev ...")

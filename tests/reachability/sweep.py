@@ -22,8 +22,7 @@ ROOT = HERE.parents[1]
 SRC = ROOT / "src"
 #: an allowlist line is ``module:qualname  <one of these>[: detail]``
 REASONS = ("abstract stub", "fault path", "test fake",
-           "test observation point", "installed controller",
-           "operator unprotect half", "minidb durability protocol")
+           "test observation point", "minidb durability protocol")
 _QUICK = "repro.cli chaos --preset quick --seed 7"
 #: what the product runs: every subcommand with its flag variants, the
 #: six CI chaos legs, the examples, the four benchmark workloads

@@ -137,7 +137,11 @@ class BlockStateMachine(RuleBasedStateMachine):
         volume = self.volume
         assert volume.block_map() == self.base
         assert volume.version_counter == self.counter
-        assert volume.snapshot_count == len(self.snaps)
+        # attach/detach bookkeeping: the copy-on-write set is exactly
+        # the live snapshots, oldest first, and the newest one opens it
+        live = list(self.snaps)
+        assert volume._owed(0) == live
+        assert volume._newest_live == (live[-1].generation if live else 0)
         for block in range(BLOCKS):
             assert volume.peek(block) == self.base.get(block)
             assert volume.versions.get(block, 0) == \

@@ -10,13 +10,6 @@ from repro.storage.journal import JournalFullError
 
 
 class TestStoragePool:
-    def test_reserve_and_release(self):
-        pool = StoragePool(1, 100)
-        pool.reserve("vol-a", 60)
-        assert pool.free_blocks == 40
-        pool.release("vol-a")
-        assert pool.free_blocks == 100
-
     def test_overcommit_rejected(self):
         pool = StoragePool(1, 100)
         pool.reserve("vol-a", 80)
@@ -28,10 +21,6 @@ class TestStoragePool:
         pool.reserve("vol-a", 10)
         with pytest.raises(CapacityError):
             pool.reserve("vol-a", 10)
-
-    def test_release_unknown_owner_rejected(self):
-        with pytest.raises(CapacityError):
-            StoragePool(1, 100).release("ghost")
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(CapacityError):

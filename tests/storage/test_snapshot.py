@@ -35,10 +35,11 @@ class TestSnapshotCow:
         array = two_site.main
         vol = array.create_volume(two_site.main_pool_id, 64)
         snap = array.create_snapshot(vol.volume_id)
-        array.delete_snapshot(snap.snapshot_id)
+        snap.delete()
         with pytest.raises(SnapshotError):
             snap.read_current(0)
-        assert vol.snapshot_count == 0
+        # detached: a write owes it no copy-on-write
+        assert vol.apply_delay([(0,)]) == vol.media.write_latency
 
     def test_multiple_snapshots_independent(self, sim, two_site):
         array = two_site.main
@@ -117,7 +118,7 @@ class TestSnapshotGroup:
         writer = sim.spawn(array.host_write(vol.volume_id, 0, b"new"))
         # delete the snapshot mid-write (inside the COW latency window)
         sim.call_after(vol.media.cow_copy_latency / 2,
-                       lambda: array.delete_snapshot(snap.snapshot_id))
+                       snap.delete)
         record = sim.run_until_complete(writer)
         assert record is not None
         assert vol.peek(0).payload == b"new"
@@ -153,4 +154,5 @@ class TestSnapshotGroup:
         vol = array.create_volume(two_site.main_pool_id, 64)
         group = run(sim, array.create_snapshot_group("sg", [vol.volume_id]))
         group.delete()
-        assert vol.snapshot_count == 0
+        assert all(snap.deleted for snap in group.snapshots)
+        assert vol.apply_delay([(0,)]) == vol.media.write_latency

@@ -1,7 +1,7 @@
 """Tests of the wire data-reduction engine (compression + dedup).
 
 Units of :class:`ReductionCodec` / :class:`FingerprintCache` plus end to
-end coverage of the three wire paths: duplicate-heavy ADC streams ship
+end coverage of the journal wire path: duplicate-heavy ADC streams ship
 at least 3x fewer bytes with a bit-identical secondary image, corrupted
 payloads and corrupted dedup references quarantine exactly like the
 unreduced path, and cache state is invalidated on link-down, quarantine
@@ -12,13 +12,13 @@ import pytest
 
 from repro.apps.workload import PayloadProfile
 from repro.simulation import Simulator
-from repro.storage import PairState, SdcConfig
+from repro.storage import PairState
 from repro.storage.reduction import (COMPRESS_FRAME_BYTES, REF_BYTES,
                                      FingerprintCache, ReductionCodec,
                                      ReductionConfig)
 from tests.chaos.test_faults import corrupt_first_entry
-from tests.storage.conftest import (build_pipeline, build_two_site,
-                                    hold_restore, make_async_pair, run)
+from tests.storage.conftest import (build_pipeline, hold_restore,
+                                    make_async_pair, run)
 
 REDUCED = ReductionConfig(enabled=True)
 
@@ -284,40 +284,6 @@ class TestCacheInvalidation:
         assert group.reducer.invalidations.value == before + 1
         assert len(group.reducer.sender) == 0
         assert len(group.reducer.receiver) == 0
-
-
-class TestSdcReduction:
-    def seeded_volumes(self, site, blocks=32):
-        pvol = site.main.create_volume(site.main_pool_id, blocks)
-        svol = site.backup.create_volume(site.backup_pool_id, blocks)
-        for block, payload in enumerate(duplicate_payloads(blocks)):
-            run(site.sim, site.main.host_write(
-                pvol.volume_id, block, payload))
-        return pvol, svol
-
-    def make_pair(self, site, pvol, svol, reduction):
-        mirror = site.main.create_sync_mirror(
-            "sm-red", site.link,
-            sdc_config=SdcConfig(reduction=reduction))
-        site.main.create_sync_pair("sp-red", "sm-red", pvol.volume_id,
-                                   site.backup, svol.volume_id)
-        return mirror
-
-    def test_initial_copy_reduced_with_identical_image(self):
-        plain = build_two_site(Simulator(seed=11))
-        p_pvol, p_svol = self.seeded_volumes(plain)
-        self.make_pair(plain, p_pvol, p_svol, ReductionConfig())
-        plain.sim.run(until=plain.sim.now + 2.0)
-        assert p_svol.block_map() == p_pvol.block_map()
-
-        site = build_two_site(Simulator(seed=11))
-        pvol, svol = self.seeded_volumes(site)
-        mirror = self.make_pair(site, pvol, svol, REDUCED)
-        site.sim.run(until=site.sim.now + 2.0)
-        assert svol.block_map() == pvol.block_map()
-        assert site.link.bytes_transferred * 3 <= \
-            plain.link.bytes_transferred
-        assert mirror.reducer.wire_counter("copy").value > 0
 
 
 class TestNetworkQueueGauges:

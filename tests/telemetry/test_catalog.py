@@ -4,8 +4,8 @@ docs/observability.md is the operator's catalog of ``repro_*`` metrics.
 A family that a running system registers but the catalog does not name
 is a defect; this builds the systems an operator would run — the
 default protected business system, a two-site world with every wire
-and restore fast path on, and a reduced sync mirror beside a reduced
-journal group — drives a few hundred writes through each, and checks
+and restore fast path on, and a sync mirror beside a reduced journal
+group — drives a few hundred writes through each, and checks
 every registered family against the document.
 """
 
@@ -16,7 +16,7 @@ from repro.apps import WorkloadConfig, run_order_workload
 from repro.apps.workload import PayloadProfile
 from repro.bench.setups import MODE_ADC_CG, build_business_system
 from repro.simulation import Simulator
-from repro.storage import ReductionConfig, SdcConfig
+from repro.storage import ReductionConfig
 from tests.storage.conftest import (build_two_site, fast_adc,
                                     make_async_pair, run)
 
@@ -68,9 +68,9 @@ def test_all_on_world_registers_only_documented_families():
     assert undocumented(registry) == []
 
 
-def test_reduced_mirror_and_reduced_group_share_one_registry():
-    # both owners register the shared families (reduction series,
-    # repro_copy_skipped_blocks_total) under the one {group} label key
+def test_sync_mirror_and_reduced_group_share_one_registry():
+    # both owners register the shared family
+    # repro_copy_skipped_blocks_total under the one {group} label key
     site = build_two_site(Simulator(seed=7),
                           adc=fast_adc(reduction=REDUCED))
     sim = site.sim
@@ -81,13 +81,11 @@ def test_reduced_mirror_and_reduced_group_share_one_registry():
     run(sim, site.main.host_write_many(
         [(pvol.volume_id, block, profile.payload(block))
          for block in range(64)]))
-    mirror = site.main.create_sync_mirror(
-        "sm", site.link, sdc_config=SdcConfig(reduction=REDUCED))
+    mirror = site.main.create_sync_mirror("sm", site.link)
     site.main.create_sync_pair("sp", "sm", pvol.volume_id, site.backup,
                                svol.volume_id)
     sim.run(until=sim.now + 2.0)
     assert svol.block_map() == pvol.block_map()
-    assert mirror.reducer.wire_counter("copy").value > 0
     group = site.main.journal_groups["jg-0"]
-    assert group.reducer.saved_dedup is not mirror.reducer.saved_dedup
+    assert group.copy_skipped is not mirror.copy_skipped
     assert undocumented(sim.telemetry.registry) == []
