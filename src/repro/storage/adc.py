@@ -919,10 +919,12 @@ class JournalGroup:
         except LinkDownError as exc:
             shipment.error = exc
 
-    def _prepare_shipment(self, batch: List[JournalEntry]) -> _Shipment:
+    def _prepare_shipment(self, batch: List[JournalEntry],
+                          ahead: Sequence[_Shipment] = ()) -> _Shipment:
         """Coalesce, encode and trace one batch about to cross the wire.
         Encoding commits nothing to the reduction caches (commit is at
-        receive), so a shipment discarded in flight rolls back for free.
+        receive), so a shipment discarded in flight rolls back for free;
+        it may reference full payloads of the in-flight ``ahead`` ones.
         """
         if self.config.coalesce_overwrites and len(batch) > 1:
             ship, survivor = self._coalesce_batch(batch)
@@ -934,7 +936,8 @@ class JournalGroup:
             # while integrity is re-armed a payload may no longer match
             # its checksum: fingerprint the bytes actually there
             encodings = self.reducer.encode_batch(
-                ship, trusted=not self.integrity_rearmed, overhead=64)
+                ship, trusted=not self.integrity_rearmed, overhead=64,
+                ahead=[shipment.encodings for shipment in ahead])
             payload_bytes = encodings.wire_bytes
         else:
             # entry.size_bytes summed without a Python-level call per
@@ -987,7 +990,7 @@ class JournalGroup:
                         self._batch_size, offset=covered)
                     if not batch:
                         break
-                    shipment = self._prepare_shipment(batch)
+                    shipment = self._prepare_shipment(batch, inflight)
                     shipment.proc = self.sim.spawn(
                         self._ship(shipment),
                         name=f"jg-{self.group_id}.ship-{batch[0].sequence}")

@@ -30,13 +30,16 @@ payload:
 **Cache synchronisation.**  Sender and receiver caches commit *only at
 receive time*, in receive order, and evict FIFO by that same order, so
 they stay byte-identical by construction.  Encode-time decisions read
-the sender cache plus a batch-local pending set; nothing is committed
-at encode time, so discarding an in-flight shipment rolls the cache
-state back for free (:meth:`WireReducer.discard` just counts it).  A
-reference can still arrive after an *earlier* in-flight batch's commits
-evicted its fingerprint — the receive-side miss the counted fallback
-exists for.  :meth:`WireReducer.invalidate` drops both sides wholesale
-on link-down, integrity quarantine and array restart.
+the sender cache and the full payloads of the batch itself and of the
+batches in flight ahead of it, which are received first (a failed head
+voids everything behind it) and are referenced only while too few
+commits follow to evict them.  Nothing is committed at encode time, so
+discarding an in-flight shipment rolls the cache state back for free
+(:meth:`WireReducer.discard` just counts it).  A sender-cache
+reference can still arrive after an *earlier* in-flight batch's
+commits evicted its fingerprint — the receive-side miss the counted
+fallback exists for.  :meth:`WireReducer.invalidate` drops both sides
+wholesale on link-down, integrity quarantine and array restart.
 
 Everything is deterministic, and the reducer adds no simulated-time
 events of its own — with ``enabled=False`` (the default) no call site
@@ -49,7 +52,7 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+                    Sequence, Tuple)
 from zlib import crc32
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -205,6 +208,20 @@ class EncodedBatch:
     #: ``raw - wire`` summed over the references / compressed payloads
     saved_dedup: int
     saved_compress: int
+    #: fingerprint -> payload of what ships in full, first copy only:
+    #: exactly what this batch's receive commits to both caches
+    full: Dict[Fingerprint, bytes]
+
+
+def _survives(ahead: Sequence[EncodedBatch], fingerprint: Fingerprint,
+              room: int) -> bool:
+    """Whether fewer than ``room`` full payloads commit from the earliest
+    ``ahead`` batch carrying ``fingerprint`` on (all of it counted), so
+    that batch's copy (the first commit keeps the slot) stays cached."""
+    for index, batch in enumerate(ahead):
+        if fingerprint in batch.full:
+            return sum(len(later.full) for later in ahead[index:]) < room
+    return False
 
 
 class WireReducer:
@@ -265,7 +282,8 @@ class WireReducer:
     # -- sender side ---------------------------------------------------------
 
     def encode_batch(self, carriers: Iterable[object], trusted: bool = False,
-                     overhead: int = 0) -> EncodedBatch:
+                     overhead: int = 0, ahead: Sequence[EncodedBatch] = (),
+                     ) -> EncodedBatch:
         """Decide the wire form of one outgoing batch against the
         current caches.
 
@@ -275,14 +293,26 @@ class WireReducer:
         where it is None, the payload is hashed).  A payload's unreduced
         wire cost is its length plus ``overhead``, the per-item framing
         shipped regardless of mechanism (the 64-byte journal-entry
-        header).  The cheapest mechanism wins.  Nothing is committed here: in-batch duplicates dedup
-        through a batch-local pending set, and a shipment that never
-        lands leaves no state behind.
+        header).  The cheapest mechanism wins.  Nothing is committed
+        here.  Besides the sender cache, a payload dedups against an
+        earlier full copy in this batch or in the ``ahead`` batches
+        (in flight in front of it, in launch order), whose receive
+        commits that copy first.  An in-flight copy is referenced only
+        if it cannot be evicted before: the full payloads committed
+        from its batch on plus this batch's fresh ones before the
+        reference number fewer than ``cache_entries``.  No undo log:
+        receive is head-first and a failed head voids every shipment
+        behind it, so one that never lands leaves no state behind.
         """
-        dedup = self.config.cache_entries > 0
+        capacity = self.config.cache_entries
+        dedup = capacity > 0
         ref_bytes = REF_BYTES
         sender_get = self.sender.get
         compress = self.codec.compress
+        in_flight: Dict[Fingerprint, bytes] = {}
+        for batch in reversed(ahead):  # the earliest copy wins
+            in_flight.update(batch.full)
+        in_flight_get = in_flight.get
         pending: Dict[Fingerprint, bytes] = {}
         fingerprints: List[Fingerprint] = []
         forms: List[object] = []
@@ -300,6 +330,11 @@ class WireReducer:
                 cached = pending.get(fingerprint)
                 if cached is None:
                     cached = sender_get(fingerprint)
+                    if cached is None:
+                        cached = in_flight_get(fingerprint)
+                        if cached is not None and not _survives(
+                                ahead, fingerprint, capacity - len(pending)):
+                            cached = None
                 # byte-compare before referencing: a (crc32, length)
                 # collision must ship its payload, never a wrong reference
                 if cached is not None and ref_bytes < size \
@@ -308,7 +343,8 @@ class WireReducer:
                     saved_dedup += size - ref_bytes
                     forms.append(REFERENCE)
                     continue
-            pending[fingerprint] = payload
+            if fingerprint not in pending:  # the cache keeps the first
+                pending[fingerprint] = payload
             packed = compress(payload)
             if packed is not None \
                     and len(packed) + COMPRESS_FRAME_BYTES < size:
@@ -324,7 +360,7 @@ class WireReducer:
         return EncodedBatch(
             fingerprints, forms,
             total_raw + overhead * len(forms) - saved_dedup - saved_compress,
-            overhead, saved_dedup, saved_compress)
+            overhead, saved_dedup, saved_compress, pending)
 
     def discard(self, count: int = 1) -> None:
         """Record ``count`` in-flight shipments voided before receive.

@@ -21,8 +21,8 @@ from repro.cli import main
 #: the values the parent's ``BENCH_PERF.json`` recorded, bit for bit
 EXACT = {
     "transfer_drain": 319999.99999999977,
-    "transfer_drain_reduced": 101694.9152542372,
-    "wire_bytes_per_entry": 206.304,
+    "transfer_drain_reduced": 162162.162162162,
+    "wire_bytes_per_entry": 92.288,
     "initial_copy": 2074.232637635709,
 }
 WORKLOADS = ("oltp_business", "stream_all_on")

@@ -57,6 +57,8 @@ REQUIRED = [
     ("cut stamped with transferred_sequence", StorageArray,
      "create_snapshot_group", "restore_group.restored_sequence",
      "restore_group.transferred_sequence"),
+    ("receiver cache skips a commit", WireReducer, "receive_batch",
+     "commit_receiver(fingerprint, payload)", "pass"),
 ]
 
 #: equivalent under the spec's current rules (no faults): tried, not

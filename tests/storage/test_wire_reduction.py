@@ -2,10 +2,11 @@
 
 Units of :class:`ReductionCodec` / :class:`FingerprintCache` plus end to
 end coverage of the journal wire path: duplicate-heavy ADC streams ship
-at least 3x fewer bytes with a bit-identical secondary image, corrupted
-payloads and corrupted dedup references quarantine exactly like the
-unreduced path, and cache state is invalidated on link-down, quarantine
-and array restart.
+at least 3x fewer bytes with a bit-identical secondary image, a repeat
+of a payload still in flight references it only when the copy cannot be
+evicted first, corrupted payloads and corrupted dedup references
+quarantine exactly like the unreduced path, and cache state is
+invalidated on link-down, quarantine and array restart.
 """
 
 import pytest
@@ -46,6 +47,40 @@ def drain_duplicates(seed=11, writes=60, blocks=64, unique=8,
     sim.run(until=sim.now + 2.0)
     assert site.group.entry_lag == 0
     return site, pvol, svol, site.group
+
+
+def drain_prefilled(payloads, cache_entries=4096, transfer_window=8,
+                    heal_after=None):
+    """Journal ``payloads`` (one block each) with transfer stopped, then
+    drain them through 8-entry batches over a bandwidth-bound link, so a
+    windowed loop starts with a full pipeline.  ``heal_after``: fail the
+    link that many seconds into the drain and heal it 50 ms later.
+    Returns the group and the payloads shipped in full (not as a
+    reference) before the failure and in all."""
+    site = build_pipeline(11, blocks=len(payloads), bandwidth=5e5,
+                          transfer_batch=8, transfer_window=transfer_window,
+                          reduction=ReductionConfig(
+                              enabled=True, cache_entries=cache_entries))
+    sim, group, pvol, svol = site.sim, site.group, site.pvols[0], \
+        site.svols[0]
+    reducer = group.reducer
+    group.stop()
+    run(sim, site.main.host_write_many(
+        [(pvol.volume_id, block, payload)
+         for block, payload in enumerate(payloads)]))
+    assert len(group.main_journal) == len(payloads)
+    group.start()
+    before_failure = None
+    if heal_after is not None:
+        sim.run(until=sim.now + heal_after)
+        before_failure = reducer.lookups - reducer.hits
+        site.link.fail()
+        sim.run(until=sim.now + 0.05)
+        site.link.restore()
+    sim.run(until=sim.now + 5.0)
+    assert group.entry_lag == 0
+    assert svol.block_map() == pvol.block_map()
+    return group, before_failure, reducer.lookups - reducer.hits
 
 
 class TestReductionConfig:
@@ -161,6 +196,46 @@ class TestAdcReduction:
         # a reference that fell back saved nothing
         assert reducer.saved_dedup.value == \
             (reducer.hits - fallbacks) * (1024 - REF_BYTES)
+
+    @pytest.mark.parametrize("transfer_window", [1, 8])
+    def test_each_payload_ships_in_full_once(self, transfer_window):
+        """16 distinct incompressible payloads cycled 16 times: a repeat
+        whose first copy is still in flight references that copy, so
+        the pipelined loop ships each in full once, like stop-and-wait
+        (without that, up to 16 x the window)."""
+        group, _, full = drain_prefilled(
+            duplicate_payloads(256, unique=16),
+            transfer_window=transfer_window)
+        assert full == 16
+        assert group.reducer.ref_fallbacks.value == 0
+
+    @pytest.mark.parametrize("cache_entries, full", [(4, 128), (16, 64)])
+    def test_in_flight_copy_referenced_only_if_it_survives(
+            self, cache_entries, full):
+        """Each batch of 8 fresh payloads is repeated by the next one.
+        Over a 4-payload cache the first copies would be evicted by
+        their own batch before the repeats resolve: the repeats ship in
+        full.  A 16-payload cache holds them: the repeats reference."""
+        fresh = duplicate_payloads(64, unique=64)
+        group, _, shipped = drain_prefilled(
+            [payload for first in range(0, 64, 8)
+             for payload in fresh[first:first + 8] * 2],
+            cache_entries=cache_entries)
+        assert shipped == full
+        assert group.reducer.ref_fallbacks.value == 0
+
+    def test_failed_head_voids_the_references_behind_it(self):
+        """The link fails under a full pipeline: the head and the seven
+        shipments behind it are discarded, the caches invalidated, and
+        the re-encoded batches reference nothing the voided ones
+        carried — every payload ships in full once more."""
+        group, before_failure, full = drain_prefilled(
+            duplicate_payloads(256, unique=16), heal_after=0.03)
+        reducer = group.reducer
+        assert reducer.discarded_shipments.value == 8
+        assert reducer.invalidations.value == 1
+        assert full - before_failure == 16
+        assert reducer.ref_fallbacks.value == 0
 
     def test_dedup_and_compress_savings_are_split(self):
         _, _, _, group = drain_duplicates(reduction=REDUCED)
