@@ -9,8 +9,8 @@ charges :class:`~repro.simulation.network.NetworkLink` the
 pre-reduction meaning.  Two mechanisms, tried cheapest-first per
 payload:
 
-* **fingerprint dedup** — a bounded, FIFO-evicting
-  :class:`FingerprintCache` on each side of the link, keyed on
+* **fingerprint dedup** — a bounded :class:`FingerprintCache` on each
+  side of the link, keyed on
   lightweight ``(crc32, length)`` fingerprints (no cryptographic
   hashing, following the DR-path argument of "Optimized Disaster
   Recovery for Distributed Storage Systems").  A payload whose
@@ -18,9 +18,9 @@ payload:
   instead of bytes.  The sender byte-compares its cached payload before
   referencing (a crc32 collision can therefore never *send* a wrong
   reference), and the receiver re-verifies every resolved reference
-  against the entry CRC32 — any mismatch falls back to the full
-  payload, counted in ``repro_reduction_ref_fallbacks_total``, so dedup
-  can never silently corrupt;
+  against the entry CRC32 — a corrupted cache entry falls back to the
+  full payload, counted in ``repro_reduction_ref_fallbacks_total``, so
+  dedup can never silently corrupt;
 * **inline compression** — :class:`ReductionCodec` zlib-compresses each
   payload at a configurable level and ships the compressed form only
   when it beats the configured ratio threshold (the skip-if-
@@ -28,18 +28,24 @@ payload:
   (a density probe turns most away before deflate is paid for).
 
 **Cache synchronisation.**  Sender and receiver caches commit *only at
-receive time*, in receive order, and evict FIFO by that same order, so
-they stay byte-identical by construction.  Encode-time decisions read
-the sender cache and the full payloads of the batch itself and of the
-batches in flight ahead of it, which are received first (a failed head
-voids everything behind it) and are referenced only while too few
-commits follow to evict them.  Nothing is committed at encode time, so
-discarding an in-flight shipment rolls the cache state back for free
-(:meth:`WireReducer.discard` just counts it).  A sender-cache
-reference can still arrive after an *earlier* in-flight batch's
-commits evicted its fingerprint — the receive-side miss the counted
-fallback exists for.  :meth:`WireReducer.invalidate` drops both sides
-wholesale on link-down, integrity quarantine and array restart.
+receive time*, in receive order, each payload in the class its wire
+form shows: compressed or raw.  Compressed entries are evicted before
+raw ones (a hit on a page deflate already shrank saves little), the
+oldest first within a class.  Both sides see the same commits and
+classes, so they stay byte-identical by construction; all-raw traffic
+evicts plain FIFO.  Encode-time decisions read the sender cache and
+the full payloads of the batch itself and of the batches in flight
+ahead of it, which are received first (a failed head voids everything
+behind it).  **Every reference is bounded to resolve**: a sender-cache
+entry only if the evictions the full payloads committing before the
+reference can cause do not reach its eviction rank
+(:meth:`FingerprintCache.survives`), an in-flight or in-batch copy
+only if it is raw and too few commits follow to evict it.  Nothing is
+committed at encode time, so discarding an in-flight shipment rolls
+the cache state back for free (:meth:`WireReducer.discard` just counts
+it).  A fallback therefore means a cache entry failed re-verification.
+:meth:`WireReducer.invalidate` drops both sides wholesale on
+link-down, integrity quarantine and array restart.
 
 Everything is deterministic, and the reducer adds no simulated-time
 events of its own — with ``enabled=False`` (the default) no call site
@@ -125,8 +131,9 @@ class ReductionCodec:
     def compress(self, payload: bytes) -> Optional[bytes]:
         """The compressed wire form, or None when the payload is too
         small or too dense to be worth shipping compressed.  The probe
-        errs one way only: a payload wrongly called dense ships raw;
-        every other payload gets deflate's exact verdict."""
+        errs one way only: a payload wrongly called dense ships raw
+        (and so is cached in the raw eviction class); every other
+        payload gets deflate's exact verdict."""
         size = len(payload)
         if size < MIN_COMPRESS_BYTES:
             return None
@@ -147,21 +154,31 @@ class ReductionCodec:
 
 
 class FingerprintCache:
-    """Bounded ``(crc32, length) -> payload`` map with FIFO eviction.
+    """Bounded ``(crc32, length) -> payload`` map with two FIFO
+    eviction classes.
 
-    FIFO (insertion order, no recency promotion) is deliberate: sender
-    and receiver apply the same commit stream, so insertion-order
-    eviction keeps the two caches identical even though the sender
-    *reads* at encode time and the receiver at receive time — an LRU
-    would let those differently-ordered reads desynchronise the
-    evictions.
+    A payload that crossed the wire compressed is evicted before any
+    that crossed raw (a hit on it saves a few dozen bytes, a hit on an
+    incompressible page a whole page); within a class the oldest
+    insertion goes first.  No recency promotion, deliberately: sender
+    and receiver apply the same commit stream with the same classes,
+    so insertion-order eviction keeps the two caches identical even
+    though the sender *reads* at encode time and the receiver at
+    receive time — an LRU would let those differently-ordered reads
+    desynchronise the evictions.  All-raw traffic evicts plain FIFO.
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0: {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[Fingerprint, bytes]" = OrderedDict()
+        self._entries: Dict[Fingerprint, bytes] = {}
+        #: per class (compressed, raw): fingerprint -> insertion serial,
+        #: oldest first; a class loses its oldest entries only, so
+        #: ``serial - removed`` is an entry's place in its class
+        self._order: Tuple["OrderedDict[Fingerprint, int]", ...] = (
+            OrderedDict(), OrderedDict())
+        self._removed = [0, 0]
         #: ``get(fingerprint)``: the cached payload, or None (the map's
         #: own bound method — one lookup per payload on the wire path)
         self.get = self._entries.get
@@ -174,20 +191,50 @@ class FingerprintCache:
     def __contains__(self, fingerprint: Fingerprint) -> bool:
         return fingerprint in self._entries
 
-    def put(self, fingerprint: Fingerprint, payload: bytes) -> None:
-        """Insert a payload; a present fingerprint keeps its slot (the
-        first insertion wins, preserving FIFO symmetry across sides)."""
+    def put(self, fingerprint: Fingerprint, payload: bytes,
+            raw: bool = True) -> None:
+        """Insert a payload in its class (``raw``: it crossed the wire
+        uncompressed); a present fingerprint keeps its slot and class
+        (the first insertion wins, preserving symmetry across sides)."""
         entries = self._entries
         if fingerprint in entries or not self.capacity:
             return
         if len(entries) >= self.capacity:  # grows one entry at a time
-            entries.popitem(last=False)
+            victim = 0 if self._order[0] else 1  # compressed go first
+            del entries[self._order[victim].popitem(last=False)[0]]
+            self._removed[victim] += 1
             self.evictions += 1
+        order = self._order[raw]
+        order[fingerprint] = self._removed[raw] + len(order)
         entries[fingerprint] = payload
+
+    def survives(self, fingerprint: Fingerprint, raw: int,
+                 compressed: int) -> bool:
+        """Whether the cached ``fingerprint`` is still held after at most
+        ``raw`` and ``compressed`` more insertions of each class.  The
+        evictions they can cause must not reach its rank, the entries
+        evicted before it whatever is inserted meanwhile: the older
+        entries of its class, plus every compressed entry if it is raw.
+        A raw entry goes only once no compressed entry is left, and
+        compressed insertions evict each other, so against it they
+        count once."""
+        evictions = len(self._entries) + raw - self.capacity
+        order_compressed, order_raw = self._order
+        serial = order_raw.get(fingerprint)
+        if serial is None:
+            evictions += compressed
+            rank = order_compressed[fingerprint] - self._removed[0]
+        else:
+            evictions += compressed > 0
+            rank = len(order_compressed) + serial - self._removed[1]
+        return evictions <= rank
 
     def clear(self) -> None:
         """Drop every cached payload (invalidation)."""
         self._entries.clear()
+        for order in self._order:
+            order.clear()
+        self._removed = [0, 0]
 
 
 @dataclass(slots=True)
@@ -208,16 +255,19 @@ class EncodedBatch:
     #: ``raw - wire`` summed over the references / compressed payloads
     saved_dedup: int
     saved_compress: int
-    #: fingerprint -> payload of what ships in full, first copy only:
-    #: exactly what this batch's receive commits to both caches
-    full: Dict[Fingerprint, bytes]
+    #: fingerprint -> payload of what ships in full, first copy only
+    #: (None if it ships compressed): exactly what this batch's receive
+    #: commits to both caches, and in which class
+    full: Dict[Fingerprint, Optional[bytes]]
 
 
 def _survives(ahead: Sequence[EncodedBatch], fingerprint: Fingerprint,
               room: int) -> bool:
     """Whether fewer than ``room`` full payloads commit from the earliest
     ``ahead`` batch carrying ``fingerprint`` on (all of it counted), so
-    that batch's copy (the first commit keeps the slot) stays cached."""
+    that batch's copy (the first commit keeps the slot) stays cached —
+    if it is raw: a fresh raw entry outlives as many commits as under
+    FIFO, a compressed one may be evicted at the next."""
     for index, batch in enumerate(ahead):
         if fingerprint in batch.full:
             return sum(len(later.full) for later in ahead[index:]) < room
@@ -294,13 +344,15 @@ class WireReducer:
         wire cost is its length plus ``overhead``, the per-item framing
         shipped regardless of mechanism (the 64-byte journal-entry
         header).  The cheapest mechanism wins.  Nothing is committed
-        here.  Besides the sender cache, a payload dedups against an
-        earlier full copy in this batch or in the ``ahead`` batches
-        (in flight in front of it, in launch order), whose receive
-        commits that copy first.  An in-flight copy is referenced only
-        if it cannot be evicted before: the full payloads committed
-        from its batch on plus this batch's fresh ones before the
-        reference number fewer than ``cache_entries``.  No undo log:
+        here.  Every reference is bounded to resolve.  A sender-cache
+        entry is referenced only if the full payloads committing before
+        the reference cannot evict it (:meth:`FingerprintCache.survives`).
+        Otherwise a payload dedups against an earlier raw full copy in
+        the ``ahead`` batches (in flight in front of it, in launch
+        order), or failing that in this batch, whose receive commits
+        that copy first; only while the full payloads committed from
+        its batch on, plus this batch's fresh ones before the
+        reference, number fewer than ``cache_entries``.  No undo log:
         receive is head-first and a failed head voids every shipment
         behind it, so one that never lands leaves no state behind.
         """
@@ -308,12 +360,18 @@ class WireReducer:
         dedup = capacity > 0
         ref_bytes = REF_BYTES
         sender_get = self.sender.get
+        survives = self.sender.survives
         compress = self.codec.compress
-        in_flight: Dict[Fingerprint, bytes] = {}
+        in_flight: Dict[Fingerprint, Optional[bytes]] = {}
+        # full copies committing before a reference here lands, by
+        # class: each may insert a new key
+        raw = compressed = 0
         for batch in reversed(ahead):  # the earliest copy wins
             in_flight.update(batch.full)
-        in_flight_get = in_flight.get
-        pending: Dict[Fingerprint, bytes] = {}
+            shrunk = list(batch.full.values()).count(None)
+            raw += len(batch.full) - shrunk
+            compressed += shrunk
+        pending: Dict[Fingerprint, Optional[bytes]] = {}
         fingerprints: List[Fingerprint] = []
         forms: List[object] = []
         total_raw = saved_dedup = saved_compress = 0
@@ -327,14 +385,17 @@ class WireReducer:
             fingerprint = (checksum, size)
             fingerprints.append(fingerprint)
             if dedup:
-                cached = pending.get(fingerprint)
-                if cached is None:
-                    cached = sender_get(fingerprint)
-                    if cached is None:
-                        cached = in_flight_get(fingerprint)
-                        if cached is not None and not _survives(
-                                ahead, fingerprint, capacity - len(pending)):
-                            cached = None
+                cached = sender_get(fingerprint)
+                if cached is not None:
+                    if not survives(fingerprint, raw, compressed):
+                        cached = None
+                elif fingerprint in in_flight:
+                    cached = in_flight[fingerprint]
+                    if cached is not None and not _survives(
+                            ahead, fingerprint, capacity - len(pending)):
+                        cached = None
+                elif len(pending) < capacity:
+                    cached = pending.get(fingerprint)
                 # byte-compare before referencing: a (crc32, length)
                 # collision must ship its payload, never a wrong reference
                 if cached is not None and ref_bytes < size \
@@ -343,15 +404,17 @@ class WireReducer:
                     saved_dedup += size - ref_bytes
                     forms.append(REFERENCE)
                     continue
-            if fingerprint not in pending:  # the cache keeps the first
-                pending[fingerprint] = payload
-            packed = compress(payload)
-            if packed is not None \
-                    and len(packed) + COMPRESS_FRAME_BYTES < size:
+            packed = compress(payload)  # None unless it beats the threshold
+            forms.append(packed)
+            if packed is not None:
                 saved_compress += size - len(packed) - COMPRESS_FRAME_BYTES
-                forms.append(packed)
-            else:
-                forms.append(None)
+            if fingerprint not in pending:  # the cache keeps the first
+                if packed is None:
+                    pending[fingerprint] = payload
+                    raw += 1
+                else:
+                    pending[fingerprint] = None
+                    compressed += 1
         if dedup:
             self.lookups += len(forms)
         # the probe's tally reaches the registry once per batch
@@ -386,13 +449,15 @@ class WireReducer:
         references resolve from the receiver cache and are re-verified
         against the carrier CRC32 (``verified``: no second hash
         needed); a miss or mismatch falls back to the full payload.
-        Full payloads commit to both caches, in receive order, before
-        they are yielded — that keeps the two sides synchronized, and
-        a consumer that stops early (``close()``) leaves everything
-        behind the last yielded item uncommitted.  Ending or closing
-        the pass books the whole batch under ``path`` (all of it
-        crossed the link) and the fallback retransmits, which the
-        simulated link never carried, under ``<path>-fallback``.
+        Full payloads commit to both caches, in receive order and in
+        the class their wire form shows (a fallback retransmit is raw),
+        before they are yielded — that keeps the two sides
+        synchronized, and a consumer that stops early (``close()``)
+        leaves everything behind the last yielded item uncommitted.
+        Ending or closing the pass books the whole batch under ``path``
+        (all of it crossed the link) and the fallback retransmits,
+        which the simulated link never carried, under
+        ``<path>-fallback``.
         """
         decompress = self.codec.decompress
         receiver_get = self.receiver.get
@@ -414,14 +479,15 @@ class WireReducer:
                             and crc32(cached) == expected:
                         yield cached, True
                         continue
-                    # miss (an earlier in-flight batch's commits
-                    # evicted it) or mismatch: retransmit, never corrupt
+                    # a corrupted cache entry (every reference is
+                    # bounded to resolve): retransmit, never corrupt
                     fallbacks += 1
                     fallback_bytes += overhead + len(payload)
+                    form = None
                 elif form is not None:
                     payload = decompress(form)
-                commit_sender(fingerprint, payload)
-                commit_receiver(fingerprint, payload)
+                commit_sender(fingerprint, payload, form is None)
+                commit_receiver(fingerprint, payload, form is None)
                 yield payload, False
         finally:
             saved_dedup = batch.saved_dedup

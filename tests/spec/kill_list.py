@@ -20,7 +20,7 @@ from hypothesis.stateful import run_state_machine_as_test
 
 from repro.storage.adc import JournalGroup
 from repro.storage.array import StorageArray
-from repro.storage.reduction import WireReducer
+from repro.storage.reduction import FingerprintCache, WireReducer
 from tests.spec.test_replication_spec import ReplicationSpec
 
 #: wall-clock seconds a mutant must be killed in
@@ -58,16 +58,19 @@ REQUIRED = [
      "create_snapshot_group", "restore_group.restored_sequence",
      "restore_group.transferred_sequence"),
     ("receiver cache skips a commit", WireReducer, "receive_batch",
-     "commit_receiver(fingerprint, payload)", "pass"),
+     "commit_receiver(fingerprint, payload, form is None)", "pass"),
+    ("reference bound off by one", FingerprintCache, "survives",
+     "return evictions <= rank", "return evictions <= rank + 1"),
+    ("reducer commits its caches at send", WireReducer, "encode_batch",
+     "packed = compress(payload)",
+     "packed = compress(payload); self.sender.put(fingerprint, payload, "
+     "packed is None); self.receiver.put(fingerprint, payload, "
+     "packed is None)"),
 ]
 
 #: equivalent under the spec's current rules (no faults): tried, not
 #: required — each needs a fault rule to tell it apart
 EQUIVALENT = [
-    ("reducer commits its caches at send", WireReducer, "encode_batch",
-     "pending[fingerprint] = payload",
-     "pending[fingerprint] = payload; self.sender.put(fingerprint, "
-     "payload); self.receiver.put(fingerprint, payload)"),
     ("stale test > for >=", JournalGroup, "_apply_target",
      "if svol.versions.get(entry.block, 0) >= entry.version:",
      "if svol.versions.get(entry.block, 0) > entry.version:"),

@@ -30,6 +30,9 @@ from tests.storage.conftest import build_pipeline, image_of, run
 BLOCKS = 8
 #: two compressible payloads, two that are not; all repeat (dedup)
 PAYLOADS = (b"a" * 96, b"b" * 96, bytes(range(96)), bytes(range(96, 192)))
+#: fingerprint-cache entries per side: fewer than PAYLOADS, so both
+#: eviction classes evict
+CACHE_ENTRIES = 2
 QUARTER = MediaProfile().write_latency / 4
 
 #: every value each knob is run with
@@ -75,7 +78,7 @@ class ReplicationSpec(RuleBasedStateMachine):
             transfer_batch_min=2, transfer_batch_max=8,
             transfer_batch_step=2, batch_target_time=0.001,
             **dict(knobs, reduction=ReductionConfig(
-                enabled=knobs["reduction"])))
+                enabled=knobs["reduction"], cache_entries=CACHE_ENTRIES)))
         p.sim.capture_process_errors = False  # a dead loop fails the step
         self.reference = ReferenceReplicator(
             p.main.history, lambda tag: PAYLOADS[int(tag)])
@@ -188,8 +191,9 @@ class ReplicationSpec(RuleBasedStateMachine):
         assert group.restored_count.value == \
             group.transferred_count.value - len(group.backup_journal)
         if group.reducer.enabled:
-            # four payloads never evict: a reference that falls back is
-            # a cache-sync bug whose retransmit the image check cannot see
+            # every reference is bounded to resolve and no cache entry
+            # is tampered with: a reference that falls back is a bound
+            # or cache-sync bug whose retransmit the image check cannot see
             assert group.reducer.ref_fallbacks.value == 0
         for pair in group.pairs.values():
             assert pair.initial_copy_done == \

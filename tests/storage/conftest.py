@@ -143,6 +143,17 @@ def hold_restore(group):
     return resume
 
 
+def tamper_receiver_entry(reducer) -> bytes:
+    """Corrupt the receiver's copy of its newest raw cached payload —
+    the one cause of a reference fallback the survival bound leaves —
+    and return the intact payload, which the sender still holds."""
+    fingerprint = next(reversed(reducer.receiver._order[1]))
+    payload = reducer.sender.get(fingerprint)
+    reducer.receiver._entries[fingerprint] = \
+        bytes([payload[0] ^ 0xFF]) + payload[1:]
+    return payload
+
+
 def image_of(volume):
     return {block: (value.payload, value.version)
             for block, value in volume.block_map().items()}

@@ -2,12 +2,18 @@
 
 Units of :class:`ReductionCodec` / :class:`FingerprintCache` plus end to
 end coverage of the journal wire path: duplicate-heavy ADC streams ship
-at least 3x fewer bytes with a bit-identical secondary image, a repeat
-of a payload still in flight references it only when the copy cannot be
-evicted first, corrupted payloads and corrupted dedup references
-quarantine exactly like the unreduced path, and cache state is
-invalidated on link-down, quarantine and array restart.
+at least 3x fewer bytes with a bit-identical secondary image, a
+reference is sent only when the payload it names cannot be evicted
+before it lands (so in-flight evictions strand none), a tampered cache
+entry falls back to a priced retransmit, corrupted payloads and
+corrupted dedup references quarantine exactly like the unreduced path,
+and cache state is invalidated on link-down, quarantine and array
+restart.
 """
+
+import itertools
+import random
+from collections import OrderedDict
 
 import pytest
 
@@ -19,7 +25,8 @@ from repro.storage.reduction import (COMPRESS_FRAME_BYTES, REF_BYTES,
                                      ReductionConfig)
 from tests.chaos.test_faults import corrupt_first_entry
 from tests.storage.conftest import (build_pipeline, hold_restore,
-                                    make_async_pair, run)
+                                    make_async_pair, run,
+                                    tamper_receiver_entry)
 
 REDUCED = ReductionConfig(enabled=True)
 
@@ -153,6 +160,59 @@ class TestFingerprintCache:
         with pytest.raises(ValueError):
             FingerprintCache(-1)
 
+    def test_compressed_entries_are_evicted_first(self):
+        cache = FingerprintCache(3)
+        cache.put((1, 1), b"a")
+        cache.put((2, 1), b"b", raw=False)
+        cache.put((3, 1), b"c")
+        cache.put((4, 1), b"d", raw=False)
+        assert (2, 1) not in cache and (1, 1) in cache
+        cache.put((5, 1), b"e")
+        assert (4, 1) not in cache and (1, 1) in cache
+        cache.put((6, 1), b"f", raw=False)  # none compressed left
+        assert (1, 1) not in cache
+        assert cache.evictions == 3
+
+    def test_all_raw_stream_evicts_like_a_plain_fifo(self):
+        cache, fifo = FingerprintCache(5), OrderedDict()
+        draw = random.Random(5)
+        for _ in range(300):
+            key = (draw.randrange(9), 1)
+            cache.put(key, b"%d" % key[0])
+            if key not in fifo:
+                if len(fifo) == 5:
+                    fifo.popitem(last=False)
+                fifo[key] = b"%d" % key[0]
+            assert cache._entries == fifo
+            assert list(cache._order[1]) == list(fifo)
+
+    def test_survival_bound_never_overstates(self):
+        """``survives`` is sound for every insertion order, and exact
+        for raw insertions: they evict one entry each, in rank order."""
+        classes = [True, False, True, False, False]
+        # eviction order: the compressed 2, 4, 5, then the raw 1, 3
+        ranks = {(2, 1): 0, (4, 1): 1, (5, 1): 2, (1, 1): 3, (3, 1): 4}
+
+        def filled():
+            cache = FingerprintCache(5)
+            for key, raw in enumerate(classes, 1):
+                cache.put((key, 1), b"x", raw)
+            return cache
+
+        for key, rank in ranks.items():
+            assert filled().survives(key, rank, 0)
+            assert not filled().survives(key, rank + 1, 0)
+        for inserts in itertools.chain.from_iterable(
+                itertools.product((True, False), repeat=count)
+                for count in range(7)):
+            for key in ranks:
+                cache = filled()
+                survives = cache.survives(key, inserts.count(True),
+                                          inserts.count(False))
+                for serial, raw in enumerate(inserts, 10):
+                    cache.put((serial, 1), b"y", raw)
+                assert key in cache or not survives, (key, inserts)
+
 
 class TestAdcReduction:
     def test_duplicate_stream_ships_3x_fewer_bytes_same_image(self):
@@ -176,18 +236,39 @@ class TestAdcReduction:
         counter = group.reducer.wire_counter("transfer")
         assert counter.value == site.link.bytes_transferred
 
-    def test_fallback_retransmits_are_booked_apart_from_the_link(self):
-        """Eight batches in flight over an 8-payload cache: references
-        encoded against fingerprints that earlier in-flight batches
-        evict before they land.  The retransmits are priced in their own
-        series; the ``transfer`` series stays the link's charge."""
+    def test_references_outlive_in_flight_evictions(self):
+        """Eight batches in flight over an 8-payload cache, twelve
+        payloads cycling: earlier in-flight batches' commits evict each
+        cached fingerprint before a reference to it could land, so no
+        such reference is sent, and none falls back."""
         site, pvol, svol, group = drain_duplicates(
             writes=240, blocks=256, unique=12, transfer_window=8,
             transfer_batch=4,
             reduction=ReductionConfig(enabled=True, cache_entries=8))
         reducer = group.reducer
+        assert reducer.ref_fallbacks.value == 0
+        assert svol.block_map() == pvol.block_map()
+        assert reducer.sender.evictions > 0
+
+    def test_fallback_retransmits_are_booked_apart_from_the_link(self):
+        """A cached payload that fails receive-side re-verification (one
+        tampered with here) falls back to a retransmit on every
+        reference, never a corrupt apply.  The retransmits are priced in
+        their own series; the ``transfer`` series stays the link's
+        charge."""
+        site, pvol, svol, group = drain_duplicates(reduction=REDUCED)
+        reducer = group.reducer
+        payload = tamper_receiver_entry(reducer)
+        payloads = duplicate_payloads(60)
+        run(site.sim, site.main.host_write_many(
+            [(pvol.volume_id, block, data)
+             for block, data in enumerate(payloads)]))
+        site.sim.run(until=site.sim.now + 2.0)
+        assert group.entry_lag == 0
         fallbacks = reducer.ref_fallbacks.value
-        assert fallbacks > 0
+        # the retransmit's commit keeps the tampered slot: every
+        # reference to it falls back
+        assert fallbacks == payloads.count(payload)
         assert svol.block_map() == pvol.block_map()
         assert reducer.wire_counter("transfer").value == \
             site.link.bytes_transferred

@@ -18,7 +18,8 @@ from repro.bench.setups import MODE_ADC_CG, build_business_system
 from repro.simulation import Simulator
 from repro.storage import ReductionConfig
 from tests.storage.conftest import (build_two_site, fast_adc,
-                                    make_async_pair, run)
+                                    make_async_pair, run,
+                                    tamper_receiver_entry)
 
 CATALOG = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
 REDUCED = ReductionConfig(enabled=True, cache_entries=8)
@@ -48,7 +49,8 @@ def test_all_on_world_registers_only_documented_families():
     sim = site.sim
     pvol, svol = make_async_pair(site, blocks=256)
     # twelve payloads cycling through an 8-entry cache, eight batches
-    # in flight: dedups, deflates, and falls back on evicted references
+    # in flight: deflates and evicts; a reference would land after its
+    # payload's eviction, so none is sent and none falls back
     profiles = [PayloadProfile(kind=kind, size_bytes=512, seed=7,
                                unique_payloads=12)
                 for kind in ("duplicate", "compressible")]
@@ -59,7 +61,15 @@ def test_all_on_world_registers_only_documented_families():
     sim.run(until=sim.now + 2.0)
     group = site.main.journal_groups["jg-0"]
     assert group.entry_lag == 0 and svol.block_map() == pvol.block_map()
-    assert group.reducer.ref_fallbacks.value > 0
+    reducer = group.reducer
+    assert reducer.ref_fallbacks.value == 0
+    # one reference, to a cached payload that fails re-verification:
+    # the one cause of a fallback left
+    run(sim, site.main.host_write(pvol.volume_id, 0,
+                                  tamper_receiver_entry(reducer)))
+    sim.run(until=sim.now + 0.5)
+    assert reducer.ref_fallbacks.value == 1
+    assert reducer.wire_counter("transfer-fallback").value > 0
     registry = sim.telemetry.registry
     for family in ("repro_transfer_batch_size", "repro_restore_lanes",
                    "repro_copy_skipped_blocks_total",
