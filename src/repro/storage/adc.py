@@ -27,10 +27,12 @@ consistency group" — the configuration the paper warns collapses backup
 data — is modelled by giving each pair its own journal group, whose
 transfer loops drift independently.
 
-Failure handling mirrors a real array: journal overflow or a persistently
-down link suspends the pairs (``PSUE``); writes then continue *without
-protection* and are tracked as dirty blocks so a later ``resync`` can
-re-establish the mirror.
+Failure handling mirrors a real array: a full main or backup journal
+(a down link suspends only by letting the main journal fill), an
+integrity quarantine, or the link failing during a resync's
+negotiation suspends the pairs (``PSUE``; an operator ``split``:
+``PSUS``); writes then continue *without protection* and are tracked as
+dirty blocks so a later ``resync`` can re-establish the mirror.
 
 **End-to-end integrity**: every journal entry carries a CRC32 computed at
 append time, verified at *transfer-receive* (before ingest into the
@@ -53,11 +55,11 @@ from zlib import crc32
 
 from repro.errors import ReplicationError
 from repro.simulation.network import LinkDownError, NetworkLink
-from repro.storage.journal import (JournalEntry, JournalFullError,
-                                   JournalVolume)
+from repro.storage.journal import JournalEntry, JournalVolume
 from repro.storage.reduction import (DISABLED_REDUCTION, EncodedBatch,
                                      ReductionConfig, WireReducer)
-from repro.storage.replication import PairState, ReplicationPair
+from repro.storage.replication import (PairState, ReplicationPair,
+                                       delta_copy)
 from repro.telemetry.spans import BlockSchema, Span
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,8 +124,7 @@ class AdcConfig:
     #: whose media writes overlap and whose installs commit at one
     #: instant (:meth:`JournalGroup._apply_window`; real arrays restore
     #: with internal parallelism like this, E8 measures it).  The number
-    #: above 1 selects nothing in the applier; it only paces
-    #: ``resync()``'s re-journal appends.
+    #: above 1 selects nothing.
     apply_lanes: int = 1
     #: verify entry CRC32s at transfer-receive and restore-apply.
     #: Disabling reproduces the silent-corruption baseline the chaos
@@ -236,7 +237,9 @@ class JournalGroup:
         self.transferred_sequence = -1
         #: highest sequence applied to secondary volumes
         self.restored_sequence = -1
-        self.suspended = False
+        #: PSUS/PSUE while the group is suspended, else None; a pair
+        #: added meanwhile is suspended with it
+        self.suspended_state: Optional[PairState] = None
         self.suspend_reason = ""
         #: True while the restore loop is mid-apply (:meth:`drain` and
         #: the failback switchover wait for this to clear)
@@ -341,7 +344,7 @@ class JournalGroup:
             self.restore_lanes_gauge = registry.gauge(
                 "repro_restore_lanes",
                 help="Configured apply_lanes (> 1: one restore window per "
-                     "batch; also paces resync re-journal appends)",
+                     "batch)",
                 unit="lanes", group=group_id)
             self.lane_conflicts = registry.counter(
                 "repro_restore_lane_conflicts_total",
@@ -361,9 +364,12 @@ class JournalGroup:
         """Attach a pair and enqueue its initial copy through the journal.
 
         The initial copy is journaled like ordinary updates (sequence
-        numbers assigned now), so concurrent host writes interleave
-        correctly with it and the S-VOL converges in order.  The pair
-        reports ``COPY`` until the restore pipeline passes the watermark.
+        numbers assigned now, every block, no negotiation), so it is
+        ahead of every later host write and the S-VOL converges in
+        order.  The pair reports ``COPY`` until the restore pipeline
+        passes the watermark.  A pair added to a suspended group is
+        suspended with it; its blocks are marked dirty and the next
+        :meth:`resync` copies them.
         """
         if pair.pair_id in self.pairs:
             raise ReplicationError(
@@ -376,24 +382,21 @@ class JournalGroup:
         self._pairs_by_pvol[pair.pvol.volume_id] = pair
         self._svol_by_pvol[pair.pvol.volume_id] = pair.svol
         pair.observer = self._observe_pair
+        if self.suspended_state is not None:
+            pair.suspend(self.suspended_state, self.suspend_reason)
         watermark = -1
+        volume_id = pair.pvol.volume_id
         blocks = sorted(pair.pvol.block_map().items())
-        # pre-existing blocks ride the journal under an initial-copy
-        # span, so their restore applies have a causal parent too
-        copy_span = None
         if blocks:
+            # pre-existing blocks ride the journal under an initial-copy
+            # span, so their restore applies have a causal parent too
             copy_span = self.tracer.start(
                 "initial-copy", group=self.group_id, pair=pair.pair_id,
-                volume=pair.pvol.volume_id, blocks=len(blocks))
-        for block, value in blocks:
-            entry = self._append_entry(
-                pair.pvol.volume_id, block, value.payload, value.version,
-                trace_id=copy_span.trace_id if copy_span else None,
-                span_id=copy_span.span_id if copy_span else None,
-                checksum=value.checksum)
-            if entry is not None:
-                watermark = entry.sequence
-        if copy_span is not None:
+                volume=volume_id, blocks=len(blocks))
+            if self._journal([(volume_id, block, *value)
+                              for block, value in blocks],
+                             copy_span.trace_id, copy_span.span_id):
+                watermark = self.main_journal.head_sequence
             self.tracer.finish(copy_span, watermark=watermark)
         pair.copy_watermark = watermark
         if watermark < 0:
@@ -447,16 +450,7 @@ class JournalGroup:
             trace_id, span_id = append_span.trace_id, append_span.span_id
         else:
             trace_id = span_id = None
-        protected = 0 if self.suspended else self.main_journal.append_many(
-            writes, self.sim.now, trace_id, span_id)
-        # suspended, or the journal filled at write ``protected``: the
-        # rest take the per-entry path, which suspends on the overflow
-        # and marks every unprotected write dirty
-        for volume_id, block, payload, version, checksum \
-                in writes[protected:]:
-            self._append_entry(
-                volume_id, block, payload, version,
-                trace_id=trace_id, span_id=span_id, checksum=checksum)
+        protected = self._journal(writes, trace_id, span_id)
         if append_span is not None:
             tracer.finish(
                 append_span,
@@ -464,25 +458,26 @@ class JournalGroup:
                 protected=protected)
         return protected
 
-    def _append_entry(self, volume_id: int, block: int, payload: bytes,
-                      version: int, trace_id: Optional[str] = None,
-                      span_id: Optional[str] = None,
-                      checksum: Optional[int] = None,
-                      ) -> Optional[JournalEntry]:
-        pair = self._pairs_by_pvol.get(volume_id)
-        if self.suspended:
-            if pair is not None:
-                pair.mark_dirty(volume_id, block)
-            return None
-        try:
-            return self.main_journal.append(
-                volume_id, block, payload, version, self.sim.now,
-                trace_id=trace_id, span_id=span_id, checksum=checksum)
-        except JournalFullError:
+    def _journal(self, rows: Sequence[tuple], trace_id: Optional[str],
+                 span_id: Optional[str]) -> int:
+        """The one way into the main journal: append ``(volume_id,
+        block, payload, version, checksum)`` rows in order for as many
+        as fit and return that count.  At the first row that does not
+        fit the group suspends (``PSUE``, journal full); every
+        unjournaled row — all of them while suspended — is marked dirty
+        on its pair.
+        """
+        journaled = 0 if self.suspended_state is not None else \
+            self.main_journal.append_many(rows, self.sim.now, trace_id,
+                                          span_id)
+        if journaled < len(rows):
             self._suspend(PairState.PSUE, "main journal full")
-            if pair is not None:
-                pair.mark_dirty(volume_id, block)
-            return None
+            pairs = self._pairs_by_pvol
+            for volume_id, block, *_ in rows[journaled:]:
+                pair = pairs.get(volume_id)
+                if pair is not None:
+                    pair.mark_dirty(volume_id, block)
+        return journaled
 
     # -- suspension / resync -------------------------------------------------
 
@@ -492,10 +487,15 @@ class JournalGroup:
             "pair", pair.pair_id, group=self.group_id, event=event,
             state=pair.state.value, reason=pair.suspend_reason)
 
+    @property
+    def suspended(self) -> bool:
+        """True while the group is suspended (PSUS or PSUE)."""
+        return self.suspended_state is not None
+
     def _suspend(self, state: PairState, reason: str) -> None:
-        if self.suspended:
+        if self.suspended_state is not None:
             return
-        self.suspended = True
+        self.suspended_state = state
         self.suspend_reason = reason
         self.suspensions.increment()
         self.recorder.record("suspension", self.group_id,
@@ -582,72 +582,83 @@ class JournalGroup:
     def resync(self) -> Generator[object, object, None]:
         """Re-establish the mirror after a suspension.
 
-        Re-journals every dirty block's *current* content; once the
-        backlog restores, the pairs return to PAIR.  Process generator —
-        completes when the dirty delta has been journaled (not yet
-        restored).
+        Runs :func:`~repro.storage.replication.delta_copy` over each
+        pair's sorted dirty set: the negotiation crosses the link, blocks
+        the S-VOL already holds count in ``copy_skipped``, and the stale
+        rest of each chunk is journaled after one journal-append
+        latency.  Once the backlog restores, the pairs return to PAIR.
+        Process generator — completes when the dirty delta has been
+        journaled (not yet restored), or early when the group suspends
+        again (a refilled journal, a fresh quarantine, or the link
+        failing during a negotiation: ``PSUE``), leaving every block it
+        did not journal dirty.
         """
         if not self.suspended:
             return
         if not self.link.is_up:
             raise ReplicationError(
                 f"group {self.group_id}: cannot resync while link is down")
-        self.suspended = False
+        self.suspended_state = None
         self.suspend_reason = ""
         resync_span = self.tracer.start("resync", group=self.group_id)
         self.recorder.record("resync", self.group_id, event="started")
         rejournaled = 0
-        # with apply_lanes > 1 the targeted-repair re-journal batches
-        # its append latency: `apply_lanes` appends ride one aggregated
-        # wait (the journal is cache-backed; the appends overlap the
-        # same way laned restore installs do).  lanes=1 pays one wait
-        # per append, exactly as before.
-        lanes = self.config.apply_lanes
+        status = "error"
         try:
             for pair in self.pairs.values():
-                pending = sorted(pair.take_dirty())
-                for index, (volume_id, block) in enumerate(pending):
-                    value = pair.pvol.peek(block)
-                    if value is None:
-                        continue
-                    if pair.secondary_current(block, value.version):
-                        # delta negotiation: the secondary already
-                        # holds this content at the same (or newer)
-                        # version, so it never re-crosses the wire
-                        self.copy_skipped.increment()
-                        continue
-                    if rejournaled % lanes == 0:
-                        yield self.sim.sleep(JOURNAL_APPEND_LATENCY)
-                    entry = self._append_entry(
-                        volume_id, block, value.payload, value.version,
-                        trace_id=resync_span.trace_id,
-                        span_id=resync_span.span_id,
-                        checksum=value.checksum)
-                    if entry is None:
-                        # suspended again (journal refilled or a fresh
-                        # quarantine): the current block was re-marked
-                        # dirty by _append_entry, but the rest of the
-                        # consumed set must survive for the next attempt
-                        for remaining in pending[index + 1:]:
-                            pair.mark_dirty(*remaining)
-                        self.tracer.finish(resync_span, status="suspended",
-                                           rejournaled=rejournaled)
-                        self.recorder.record(
-                            "resync", self.group_id, event="completed",
-                            status="suspended", rejournaled=rejournaled)
-                        return
-                    rejournaled += 1
+                rejournaled += yield from self._resync_pair(
+                    pair, resync_span)
+                if self.suspended:
+                    break
                 pair.clear_suspension()
-        except BaseException:
-            self.tracer.finish(resync_span, status="error",
+            status = "suspended" if self.suspended else "ok"
+        finally:
+            self.tracer.finish(resync_span, status=status,
                                rejournaled=rejournaled)
             self.recorder.record("resync", self.group_id,
-                                 event="completed", status="error",
+                                 event="completed", status=status,
                                  rejournaled=rejournaled)
-            raise
-        self.tracer.finish(resync_span, rejournaled=rejournaled)
-        self.recorder.record("resync", self.group_id, event="completed",
-                             status="ok", rejournaled=rejournaled)
+
+    def _resync_pair(self, pair: ReplicationPair, span: Span,
+                     ) -> Generator[object, object, int]:
+        """Delta-copy one pair's dirty set into the main journal under
+        ``span``; returns the blocks journaled.  A block leaves the
+        dirty set when it is journaled, or when the copy ends with the
+        group healthy (the rest were proven current)."""
+        pvol = pair.pvol
+        volume_id = pvol.volume_id
+        dirty = pair.dirty_blocks
+        pending = sorted(dirty)
+        items = []
+        for _volume_id, block in pending:
+            value = pvol.peek(block)
+            if value is not None:
+                items.append((block, value))
+        journaled = 0
+
+        def journal_chunk(stale: List[tuple],
+                          ) -> Generator[object, object, bool]:
+            nonlocal journaled
+            yield self.sim.sleep(JOURNAL_APPEND_LATENCY)
+            # journal each block as it is now, not as negotiated: every
+            # write journaled ahead of this copy was installed before
+            # it, so the copy is never older than they are (coalescing
+            # keeps an address's last writer in sequence order)
+            rows = [(volume_id, block, *pvol.peek(block))
+                    for block, _negotiated in stale]
+            count = self._journal(rows, span.trace_id, span.span_id)
+            dirty.difference_update(row[:2] for row in rows[:count])
+            journaled += count
+            return count == len(rows)
+
+        try:
+            yield from delta_copy(self.sim, self.link, pair.svol, items,
+                                  self.copy_skipped, journal_chunk)
+        except LinkDownError:
+            self._suspend(PairState.PSUE, "link down during resync")
+        if not self.suspended:
+            dirty.difference_update(pending)
+        return journaled
 
     # -- background pipeline ------------------------------------------------
 

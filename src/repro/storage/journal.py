@@ -89,11 +89,12 @@ class JournalEntry:
 
 
 class JournalFullError(Exception):
-    """Raised by :meth:`JournalVolume.append` when no capacity remains.
+    """Raised by :meth:`JournalVolume.ingest_batch` when a batch does
+    not fit.
 
-    Deliberately not part of the public error hierarchy: the ADC engine
-    always catches it and converts it into a pair suspension; user code
-    should never see it.
+    Deliberately not part of the public error hierarchy: the ADC receive
+    path sizes every batch to the free capacity, so user code should
+    never see it.
     """
 
 
@@ -145,50 +146,15 @@ class JournalVolume:
         """Remaining capacity in entries."""
         return self.capacity_entries - len(self)
 
-    def append(self, volume_id: int, block: int, payload: bytes,
-               version: int, time: float,
-               trace_id: Optional[str] = None,
-               span_id: Optional[str] = None,
-               checksum: Optional[int] = None) -> JournalEntry:
-        """Append a new entry, assigning the next sequence number.
-
-        Raises :class:`JournalFullError` when at capacity; the sequence
-        counter is *not* consumed in that case.  ``checksum`` reuses a
-        payload CRC32 the caller already computed (the host-write path
-        hashes once and threads the value end-to-end); ``None`` computes
-        it here.
-        """
-        ring = self._ring
-        occupancy = len(ring) - self._head
-        if occupancy >= self.capacity_entries:
-            raise JournalFullError(
-                f"{self.name} full ({self.capacity_entries} entries)")
-        # materialise the payload exactly once; bytes input is immutable
-        # and passes through without a copy
-        data = payload if type(payload) is bytes else bytes(payload)
-        if checksum is None:
-            checksum = payload_checksum(data)
-        sequence = self._next_sequence
-        entry = JournalEntry(
-            sequence, volume_id, block, data, version, time,
-            checksum, trace_id, span_id)
-        self._next_sequence = sequence + 1
-        self.head_sequence = sequence
-        ring.append(entry)
-        size = len(data) + 64
-        self._sizes.append(size)
-        self.bytes_retained += size
-        if occupancy >= self.peak_entries:
-            self.peak_entries = occupancy + 1
-        return entry
-
     def append_many(self, writes: Sequence[tuple], time: float,
                     trace_id: Optional[str] = None,
                     span_id: Optional[str] = None) -> int:
         """Append ``(volume_id, block, payload, version, checksum)``
-        rows in order, each as :meth:`append` would, for **as many as
-        fit**; returns that count (the caller sends the first row that
-        did not fit through :meth:`append`, which reports the overflow).
+        rows in order, each with the next sequence number, for **as many
+        as fit**; returns that count (rows that do not fit consume no
+        sequence number; the caller reports the overflow).  ``checksum``
+        is a payload CRC32 the caller already computed, ``None``
+        computes it here.
         """
         ring = self._ring
         occupancy = len(ring) - self._head

@@ -11,19 +11,35 @@ Terminology follows the paper's storage system (Hitachi-style):
 
 A pair belongs to exactly one replication engine: a
 :class:`~repro.storage.adc.JournalGroup` for asynchronous copy or a
-:class:`~repro.storage.sdc.SyncMirror` for synchronous copy.
+:class:`~repro.storage.sdc.SyncMirror` for synchronous copy.  Both move
+blocks outside the host path (SDC's initial copy, ADC's resync) through
+one negotiated routine, :func:`delta_copy`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Callable, Generator, List, Optional,
+                    Set, Tuple)
 
 from repro.errors import ReplicationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.volume import Volume
+    from repro.simulation.kernel import Simulator
+    from repro.simulation.network import NetworkLink
+    from repro.storage.volume import BlockValue, Volume
+    from repro.telemetry.metrics import Counter
+
+
+#: blocks per negotiated copy chunk: the copy negotiates (and ships)
+#: this many blocks per link round trip instead of paying one
+#: propagation delay per block
+COPY_BATCH_BLOCKS = 32
+#: wire bytes of the per-block ``(version, crc32)`` negotiation
+#: metadata — the lightweight-metadata exchange that lets up-to-date
+#: secondary blocks skip the payload transfer entirely
+NEGOTIATE_METADATA_BYTES = 16
 
 
 class PairState(enum.Enum):
@@ -117,23 +133,6 @@ class ReplicationPair:
         """Remember an unprotected write for later resynchronisation."""
         self.dirty_blocks.add((volume_id, block))
 
-    def take_dirty(self) -> Set[Tuple[int, int]]:
-        """Consume the dirty-block set (start of a resync)."""
-        dirty, self.dirty_blocks = self.dirty_blocks, set()
-        return dirty
-
-    def secondary_current(self, block: int, version: int) -> bool:
-        """True when the S-VOL already holds ``block`` at ``version`` or
-        newer.
-
-        The delta-negotiation step of bulk copy/resync: the per-block
-        ``(version, crc32)`` metadata carried by every
-        :class:`~repro.storage.volume.BlockValue` is compared *before*
-        any payload is shipped, so an up-to-date secondary block never
-        crosses the wire.
-        """
-        return self.svol.versions.get(block, 0) >= version
-
     def promote(self) -> None:
         """Failover: make the S-VOL writable (SSWS)."""
         self.promoted = True
@@ -147,3 +146,35 @@ class ReplicationPair:
         return (f"<ReplicationPair {self.pair_id!r} {self.mode.value} "
                 f"{self.state.value} pvol={self.pvol.volume_id} "
                 f"svol={self.svol.volume_id}>")
+
+
+def delta_copy(sim: "Simulator", link: "NetworkLink", svol: "Volume",
+               items: List[Tuple[int, "BlockValue"]], skipped: "Counter",
+               sink: Callable[[List[Tuple[int, "BlockValue"]]],
+                              Generator[object, object, bool]],
+               ) -> Generator[object, object, None]:
+    """Copy sorted ``(block, value)`` items to ``svol``, negotiated
+    (process generator).
+
+    Each chunk of ``COPY_BATCH_BLOCKS`` items ships only the per-block
+    ``(version, crc32)`` metadata first and waits one propagation delay
+    for the verdict, read from the S-VOL's versions: blocks it holds at
+    the same or a newer version count in ``skipped`` and never cross
+    the wire.  The stale rest goes to ``sink`` (a process generator),
+    which moves it and returns False to stop the copy.  A link failure
+    raises :class:`~repro.simulation.network.LinkDownError`.
+    """
+    versions = svol.versions
+    for start in range(0, len(items), COPY_BATCH_BLOCKS):
+        chunk = items[start:start + COPY_BATCH_BLOCKS]
+        # negotiation round trip: metadata out, verdict back
+        yield from link.transfer(NEGOTIATE_METADATA_BYTES * len(chunk))
+        ack_delay = link.one_way_delay()
+        if ack_delay > 0:
+            yield sim.sleep(ack_delay)
+        stale = [(block, value) for block, value in chunk
+                 if versions.get(block, 0) < value.version]
+        if len(stale) < len(chunk):
+            skipped.increment(len(chunk) - len(stale))
+        if stale and not (yield from sink(stale)):
+            return

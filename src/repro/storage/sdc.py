@@ -10,6 +10,9 @@ Writes of one mirror are FIFO-ordered over the link, so a multi-pair
 synchronous configuration is automatically order-preserving (the ack is
 the apply); no consistency-group machinery is needed, matching how real
 synchronous replication behaves.
+
+``PSUE`` is terminal for a mirror pair: once a link failure suspends it,
+later writes are acked unprotected and the pair is never resynchronised.
 """
 
 from __future__ import annotations
@@ -19,21 +22,12 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 from repro.errors import ReplicationError
 from repro.simulation.network import LinkDownError, NetworkLink
 from repro.simulation.resources import Lock
-from repro.storage.replication import PairState, ReplicationPair
+from repro.storage.replication import PairState, ReplicationPair, delta_copy
 from repro.telemetry.spans import Span
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
 
-
-#: blocks per bulk-copy chunk: the initial copy negotiates and ships
-#: this many blocks per link round trip instead of paying one
-#: propagation delay per block
-COPY_BATCH_BLOCKS = 32
-#: wire bytes of the per-block ``(version, crc32)`` negotiation
-#: metadata — the lightweight-metadata exchange that lets up-to-date
-#: secondary blocks skip the payload transfer entirely
-NEGOTIATE_METADATA_BYTES = 16
 
 #: wire bytes of one block's payload on the mirror link
 BLOCK_SIZE_BYTES = 4096
@@ -43,9 +37,9 @@ class SyncMirror:
     """A set of synchronously mirrored pairs sharing one link.
 
     A link failure never fences the host (array fence level "never"):
-    the mirror keeps accepting unprotected, dirty-tracked writes, which
-    is what production systems choose to avoid a replication outage
-    becoming a business outage.
+    the pair suspends (``PSUE``, terminal) and the mirror keeps acking
+    unprotected writes, which is what production systems choose to
+    avoid a replication outage becoming a business outage.
     """
 
     def __init__(self, sim: "Simulator", mirror_id: str,
@@ -102,49 +96,6 @@ class SyncMirror:
 
     # -- data path ----------------------------------------------------------
 
-    def _bulk_copy(self, pair: ReplicationPair, items: List[tuple],
-                   ) -> Generator[object, object, None]:
-        """Delta-negotiated batched copy of ``(block, value)`` items.
-
-        Each chunk of ``COPY_BATCH_BLOCKS`` blocks first ships only the
-        per-block ``(version, crc32)`` metadata and waits one
-        propagation delay for the verdict; blocks the secondary proves
-        current never cross the wire (counted in
-        ``repro_copy_skipped_blocks_total``).  The stale remainder
-        ships as one batched payload transfer and applies with
-        overlapped media writes — the whole chunk costs three one-way
-        delays instead of one per block.
-        """
-        svol = pair.svol
-        for start in range(0, len(items), COPY_BATCH_BLOCKS):
-            chunk = items[start:start + COPY_BATCH_BLOCKS]
-            # negotiation round trip: metadata out, verdict back
-            yield from self.link.transfer(
-                NEGOTIATE_METADATA_BYTES * len(chunk))
-            ack_delay = self.link.one_way_delay()
-            if ack_delay > 0:
-                yield self.sim.sleep(ack_delay)
-            stale = [(block, value) for block, value in chunk
-                     if not pair.secondary_current(block, value.version)]
-            if len(stale) < len(chunk):
-                self.copy_skipped.increment(len(chunk) - len(stale))
-            if not stale:
-                continue
-            yield from self.link.transfer(BLOCK_SIZE_BYTES * len(stale))
-            # a concurrent replicate_write may have raced a newer
-            # version in while the payload was on the wire; re-check
-            # before applying, exactly like the per-block path did
-            installs = [
-                (block, value.payload, value.version, value.checksum)
-                for block, value in stale
-                if not pair.secondary_current(block, value.version)]
-            if not installs:
-                continue
-            delay = svol.apply_delay(installs)
-            if delay > 0:
-                yield self.sim.sleep(delay)
-            svol.install_blocks(installs)
-
     def initial_copy(self, pair_id: str) -> Generator[object, object, None]:
         """Copy the current P-VOL content to the S-VOL over the link.
 
@@ -155,8 +106,26 @@ class SyncMirror:
         bytes only — never the ``BLOCK_SIZE_BYTES`` wire cost.
         """
         pair = self._require_pair(pair_id)
-        items = sorted(pair.pvol.block_map().items())
-        yield from self._bulk_copy(pair, items)
+        svol = pair.svol
+
+        def install(stale: List[tuple]) -> Generator[object, object, bool]:
+            # one batched payload transfer, overlapped media writes: a
+            # chunk costs three one-way delays instead of one per block
+            yield from self.link.transfer(BLOCK_SIZE_BYTES * len(stale))
+            # a concurrent replicate_write may have raced a newer
+            # version in while the payload was on the wire
+            rows = [(block, *value) for block, value in stale
+                    if svol.versions.get(block, 0) < value.version]
+            if rows:
+                delay = svol.apply_delay(rows)
+                if delay > 0:
+                    yield self.sim.sleep(delay)
+                svol.install_blocks(rows)
+            return True
+
+        yield from delta_copy(self.sim, self.link, svol,
+                              sorted(pair.pvol.block_map().items()),
+                              self.copy_skipped, install)
         pair.initial_copy_done = True
 
     def replicate_write(self, volume_id: int, block: int, payload: bytes,
@@ -165,8 +134,8 @@ class SyncMirror:
         """Propagate one host write to the secondary before the ack.
 
         Called from the host-write path after the local apply.  Returns
-        True when the write reached the secondary, False when the mirror
-        is suspended and the write is only dirty-tracked.  ``span`` is
+        True when the write reached the secondary, False when the pair
+        is suspended and the write is acked unprotected.  ``span`` is
         the originating host-write span.
         """
         pair = self._pairs_by_pvol.get(volume_id)
@@ -174,7 +143,6 @@ class SyncMirror:
             raise ReplicationError(
                 f"mirror {self.mirror_id}: volume {volume_id} not paired")
         if pair.suspended_state is not None:
-            pair.mark_dirty(volume_id, block)
             return False
         rep_span = self.tracer.start(
             "replicate-write", parent=span, mirror=self.mirror_id,
@@ -194,7 +162,6 @@ class SyncMirror:
                 yield self.sim.sleep(ack_delay)
         except LinkDownError:
             pair.suspend(PairState.PSUE, "link down")
-            pair.mark_dirty(volume_id, block)
             self.suspensions.increment()
             self.tracer.finish(rep_span, status="suspended")
             return False

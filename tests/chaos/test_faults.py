@@ -116,9 +116,10 @@ class TestJournalIntegrity:
 
 class TestResyncOverflow:
     def test_resuspension_mid_resync_loses_no_dirty_blocks(self, sim):
-        """Regression: a resync cut short by a second overflow must
-        re-mark the unprocessed remainder of the dirty set."""
-        site = build_two_site(sim, adc=fast_adc(auto_repair=False))
+        """Regression: a resync cut short by a second overflow, or by the
+        link failing during its negotiation, must leave every block it
+        did not journal dirty."""
+        site = build_two_site(sim, adc=fast_adc())
         pvol = site.main.create_volume(site.main_pool_id, 256)
         svol = site.backup.create_volume(site.backup_pool_id, 256)
         main_jnl = site.main.create_journal(site.main_pool_id, 5)
@@ -158,10 +159,21 @@ class TestResyncOverflow:
         assert group.suspended  # suspended again (journal refilled)
         assert covered() >= written  # the consumed dirty set survived
 
-        # full heal: real capacity, pipelines restarted, repair driven
+        # real capacity, but the link fails while the resync negotiates
         group.main_journal.capacity_entries = 10_000
+        resync = sim.spawn(group.resync())
+        sim.run(until=sim.now + site.link.latency / 2)
+        assert not group.suspended and resync.alive
+        site.link.fail()
+        sim.run_until_complete(resync)
+        assert pair.state is PairState.PSUE
+        assert pair.suspend_reason == "link down during resync"
+        assert covered() >= written
+
+        # heal: link back, pipelines restarted, auto-repair drives it
+        site.link.restore()
         group.restart()
-        run(sim, group.resync())
+        group.ensure_repair()
         sim.run(until=sim.now + 2.0)
         assert not group.suspended
         assert pair.state is PairState.PAIR

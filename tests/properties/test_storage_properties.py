@@ -11,7 +11,6 @@ from repro.apps.minidb.wal import WalRecord
 from repro.apps.minidb import wal as wal_types
 from repro.recovery.checker import check_storage_cut
 from repro.storage import JournalVolume, WriteHistory, percentile
-from repro.storage.journal import JournalFullError
 
 # -- strategies ----------------------------------------------------------
 
@@ -105,12 +104,10 @@ class TestJournalProperties:
         journal = JournalVolume(1, capacity_entries=capacity)
         appended = []
         for index in range(count):
-            try:
-                entry = journal.append(1, index % 4, b"x", index + 1,
-                                       time=0.0)
-            except JournalFullError:
+            if not journal.append_many([(1, index % 4, b"x", index + 1,
+                                         None)], time=0.0):
                 break
-            appended.append(entry.sequence)
+            appended.append(journal.head_sequence)
         assert appended == list(range(len(appended)))
         drained = journal.pop_through(10 ** 9)
         assert [e.sequence for e in drained] == appended
@@ -119,8 +116,8 @@ class TestJournalProperties:
     @settings(max_examples=60, deadline=None)
     def test_pop_through_is_prefix(self, count, trim):
         journal = JournalVolume(1, capacity_entries=100)
-        for index in range(count):
-            journal.append(1, 0, b"x", index + 1, time=0.0)
+        journal.append_many([(1, 0, b"x", index + 1, None)
+                             for index in range(count)], time=0.0)
         removed = journal.pop_through(trim)
         kept = journal.snapshot_entries()
         assert [e.sequence for e in removed] == \

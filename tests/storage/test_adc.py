@@ -8,10 +8,15 @@ every knob are the executable specification's (``tests/spec``).
 
 import pytest
 
+from repro.bench.setups import build_array_pair
 from repro.errors import VolumeError
 from repro.simulation import Simulator
-from repro.storage import PairState
-from tests.storage.conftest import (build_two_site, fast_adc,
+from repro.storage import AdcConfig, PairState
+from repro.storage.adc import JOURNAL_APPEND_LATENCY
+from repro.storage.replication import (COPY_BATCH_BLOCKS,
+                                       NEGOTIATE_METADATA_BYTES)
+from tests.storage.conftest import (build_pipeline, build_two_site,
+                                    fast_adc, hold_restore,
                                     make_async_pair, run)
 
 
@@ -104,6 +109,30 @@ class TestSuspension:
         assert pair.state is PairState.PAIR
         assert svol.peek(1).payload == b"during"
 
+    def test_pair_added_to_a_suspended_group_is_suspended(self):
+        """Regression: a pair joining a split group reported PAIR over an
+        empty S-VOL; it now shares the group's suspension until the next
+        resync copies its blocks."""
+        p = build_array_pair(1, AdcConfig(), "x")
+        pvol = p.main.create_volume(p.main_pool_id, 64)
+        svol = p.backup.create_volume(p.backup_pool_id, 64)
+        p.sim.run_until_complete(p.sim.spawn(p.main.host_write_many(
+            [(pvol.volume_id, block, b"late%d" % block)
+             for block in range(5)])))
+        p.group.split()
+        late = p.main.create_async_pair("late", "x", pvol.volume_id,
+                                        p.backup, svol.volume_id)
+        assert p.main.pair_status("late") is PairState.PSUS
+        assert late.suspend_reason == "split by operator"
+        assert late.dirty_blocks == {(pvol.volume_id, block)
+                                     for block in range(5)}
+        assert svol.used_blocks == 0
+        p.sim.run_until_complete(p.sim.spawn(p.group.resync()))
+        p.sim.run(until=p.sim.now + 0.5)
+        assert p.main.pair_status("late") is PairState.PAIR
+        assert not late.dirty_blocks
+        assert svol.block_map() == pvol.block_map()
+
     def test_link_down_retries_until_restore(self, sim, two_site):
         pvol, svol = make_async_pair(two_site)
         two_site.link.fail()
@@ -113,6 +142,75 @@ class TestSuspension:
         two_site.link.restore()
         sim.run(until=sim.now + 0.5)
         assert svol.peek(0).payload == b"x"
+
+
+class TestResyncNegotiation:
+    BLOCKS = 70  # three negotiation chunks, each with stale blocks
+
+    def resync_over_a_partly_current_dirty_set(self, lanes):
+        """Every block dirty, every third rewritten while split: returns
+        (pipeline, pair, stale blocks, bytes the resync put on the link,
+        its simulated duration)."""
+        p = build_pipeline(5, blocks=128, apply_lanes=lanes)
+        pvol = p.pvols[0]
+        pair = p.main.find_pair("pair-0")
+        run(p.sim, p.main.host_write_many(
+            [(pvol.volume_id, block, b"v1-%d" % block)
+             for block in range(self.BLOCKS)]))
+        p.sim.run(until=p.sim.now + 0.5)
+        assert p.svols[0].block_map() == pvol.block_map()
+        p.group.split()
+        stale = list(range(0, self.BLOCKS, 3))
+        run(p.sim, p.main.host_write_many(
+            [(pvol.volume_id, block, b"v2-%d" % block) for block in stale]))
+        # e.g. quarantined entries whose newer writes already applied:
+        # dirty, yet current on the S-VOL
+        for block in range(self.BLOCKS):
+            pair.mark_dirty(pvol.volume_id, block)
+        p.group.stop_transfer()  # the link carries the resync alone
+        p.sim.run(until=p.sim.now + 0.05)
+        wire, start = p.link.bytes_transferred, p.sim.now
+        run(p.sim, p.group.resync())
+        return (p, pair, stale, p.link.bytes_transferred - wire,
+                p.sim.now - start)
+
+    @pytest.mark.parametrize("lanes", [1, 4])
+    def test_resync_pays_for_its_negotiation(self, lanes):
+        p, pair, stale, wire, elapsed = \
+            self.resync_over_a_partly_current_dirty_set(lanes)
+        assert p.group.copy_skipped.value == self.BLOCKS - len(stale)
+        assert wire == NEGOTIATE_METADATA_BYTES * self.BLOCKS
+        chunks = -(-self.BLOCKS // COPY_BATCH_BLOCKS)
+        # one journal append per chunk, whatever apply_lanes says
+        journaled = p.group.main_journal.snapshot_entries()
+        assert [entry.block for entry in journaled] == stale
+        assert len({entry.created_at for entry in journaled}) == chunks
+        assert elapsed == pytest.approx(
+            chunks * (2 * p.link.latency + JOURNAL_APPEND_LATENCY))
+        assert pair.state is PairState.PAIR
+        assert not pair.dirty_blocks
+
+    def test_a_write_during_the_negotiation_is_not_undone(self):
+        """The copy journals a block as it is at append time: a host
+        write landing mid-negotiation is journaled ahead of the copy,
+        and a restore window coalescing the two keeps the copy."""
+        p = build_pipeline(5, blocks=16, apply_lanes=4)
+        pvol, svol = p.pvols[0], p.svols[0]
+        run(p.sim, p.main.host_write(pvol.volume_id, 0, b"v1"))
+        p.sim.run(until=p.sim.now + 0.5)
+        p.group.split()
+        run(p.sim, p.main.host_write(pvol.volume_id, 0, b"v2"))
+        resume = hold_restore(p.group)
+        resync = p.sim.spawn(p.group.resync())
+        p.sim.run(until=p.sim.now + p.link.latency / 2)
+        run(p.sim, p.main.host_write(pvol.volume_id, 0, b"v3"))
+        p.sim.run_until_complete(resync)
+        p.sim.run(until=p.sim.now + 0.1)
+        assert [entry.block for entry in
+                p.group.backup_journal.snapshot_entries()] == [0, 0]
+        resume()
+        p.sim.run(until=p.sim.now + 0.5)
+        assert svol.block_map() == pvol.block_map()
 
 
 class TestFailover:

@@ -19,8 +19,8 @@ from tests.storage.conftest import build_two_site, fast_adc, run
 
 def filled_journal(count: int, capacity: int = 100_000) -> JournalVolume:
     journal = JournalVolume(1, capacity, name="ring")
-    for index in range(count):
-        journal.append(7, index % 16, b"p%04d" % index, index + 1, 0.0)
+    journal.append_many([(7, index % 16, b"p%04d" % index, index + 1, None)
+                         for index in range(count)], 0.0)
     return journal
 
 
@@ -46,8 +46,8 @@ class TestRingSemantics:
         assert journal.bytes_retained == 0
         assert journal.oldest_entry() is None
         # sequence numbering continues after the reset
-        appended = journal.append(7, 0, b"next", 99, 1.0)
-        assert appended.sequence == 10
+        assert journal.append_many([(7, 0, b"next", 99, None)], 1.0) == 1
+        assert journal.oldest_entry().sequence == 10
 
     def test_pop_through_with_sequence_gaps(self):
         """The contiguity fast-guess must fall back to binary search
@@ -72,8 +72,8 @@ class TestRingSemantics:
 
     def test_bytes_retained_tracks_append_and_trim(self):
         journal = JournalVolume(4, 1000, name="bytes")
-        journal.append(7, 0, b"ab", 1, 0.0)       # 2 + 64
-        journal.append(7, 1, b"abcd", 2, 0.0)     # 4 + 64
+        journal.append_many([(7, 0, b"ab", 1, None)], 0.0)      # 2 + 64
+        journal.append_many([(7, 1, b"abcd", 2, None)], 0.0)    # 4 + 64
         assert journal.bytes_retained == 134
         journal.pop_through(0)
         assert journal.bytes_retained == 68

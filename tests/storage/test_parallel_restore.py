@@ -49,9 +49,10 @@ class TestLaneConfigAndMetrics:
             p = build_laned_pair(5, lanes)
             group = p.group
             journal = group.main_journal
-            group.backup_journal.ingest_batch(
-                [journal.append(p.pvols[0].volume_id, block % 2, b"x",
-                                block + 1, 0.0) for block in range(5)])
+            journal.append_many([(p.pvols[0].volume_id, block % 2, b"x",
+                                  block + 1, None) for block in range(5)],
+                                0.0)
+            group.backup_journal.ingest_batch(journal.snapshot_entries())
             group.stop_transfer()
             windows = []
             apply_window = group._apply_window
@@ -125,9 +126,10 @@ def build_backlog(outcome, lanes):
     sim.run(until=0.01)  # both loops have exited
     middle = 9999 if outcome == "pair deleted" else pvol.volume_id
     journal = group.main_journal
-    entries = [journal.append(pvol.volume_id, 0, b"first", 1, sim.now),
-               journal.append(middle, 1, b"middle", 2, sim.now),
-               journal.append(pvol.volume_id, 2, b"last", 3, sim.now)]
+    journal.append_many([(pvol.volume_id, 0, b"first", 1, None),
+                         (middle, 1, b"middle", 2, None),
+                         (pvol.volume_id, 2, b"last", 3, None)], sim.now)
+    entries = journal.snapshot_entries()
     journal.clear()  # nothing left for the transfer side
     group.backup_journal.ingest_batch(entries)
     if outcome == "stale":

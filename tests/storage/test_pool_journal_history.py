@@ -30,40 +30,43 @@ class TestStoragePool:
 class TestJournalVolume:
     def test_append_assigns_monotone_sequences(self):
         journal = JournalVolume(1, capacity_entries=10)
-        e1 = journal.append(1, 0, b"a", 1, time=0.0)
-        e2 = journal.append(1, 1, b"b", 2, time=0.1)
+        assert journal.append_many([(1, 0, b"a", 1, None)], time=0.0) == 1
+        assert journal.append_many([(1, 1, b"b", 2, None)], time=0.1) == 1
+        e1, e2 = journal.snapshot_entries()
         assert (e1.sequence, e2.sequence) == (0, 1)
+        assert (e1.created_at, e2.created_at) == (0.0, 0.1)
         assert journal.head_sequence == 1
 
-    def test_overflow_raises_without_consuming_sequence(self):
+    def test_overflow_appends_nothing_and_consumes_no_sequence(self):
         journal = JournalVolume(1, capacity_entries=1)
-        journal.append(1, 0, b"a", 1, time=0.0)
-        with pytest.raises(JournalFullError):
-            journal.append(1, 1, b"b", 2, time=0.1)
+        journal.append_many([(1, 0, b"a", 1, None)], time=0.0)
+        assert journal.append_many([(1, 1, b"b", 2, None)], time=0.1) == 0
+        assert journal.head_sequence == 0
         journal.pop_through(0)
-        entry = journal.append(1, 1, b"b", 2, time=0.2)
-        assert entry.sequence == 1
+        assert journal.append_many([(1, 1, b"b", 2, None)], time=0.2) == 1
+        assert journal.oldest_entry().sequence == 1
 
     def test_pop_through_removes_prefix(self):
         journal = JournalVolume(1, capacity_entries=10)
-        for i in range(5):
-            journal.append(1, i, b"x", i + 1, time=0.0)
+        journal.append_many([(1, i, b"x", i + 1, None) for i in range(5)],
+                            time=0.0)
         removed = journal.pop_through(2)
         assert [e.sequence for e in removed] == [0, 1, 2]
         assert journal.oldest_sequence() == 3
 
     def test_peek_batch_does_not_remove(self):
         journal = JournalVolume(1, capacity_entries=10)
-        for i in range(5):
-            journal.append(1, i, b"x", i + 1, time=0.0)
+        journal.append_many([(1, i, b"x", i + 1, None) for i in range(5)],
+                            time=0.0)
         batch = journal.peek_batch(3)
         assert [e.sequence for e in batch] == [0, 1, 2]
         assert len(journal) == 5
 
     def test_ingest_requires_sequence_order(self):
         source = JournalVolume(1, capacity_entries=10)
-        entries = [source.append(1, i, b"x", i + 1, time=0.0)
-                   for i in range(3)]
+        source.append_many([(1, i, b"x", i + 1, None) for i in range(3)],
+                           time=0.0)
+        entries = source.snapshot_entries()
         target = JournalVolume(2, capacity_entries=10)
         target.ingest_batch([entries[0]])
         target.ingest_batch([entries[1]])
@@ -72,8 +75,9 @@ class TestJournalVolume:
 
     def test_ingest_overflow(self):
         source = JournalVolume(1, capacity_entries=10)
-        entries = [source.append(1, i, b"x", i + 1, time=0.0)
-                   for i in range(2)]
+        source.append_many([(1, i, b"x", i + 1, None) for i in range(2)],
+                           time=0.0)
+        entries = source.snapshot_entries()
         target = JournalVolume(2, capacity_entries=1)
         target.ingest_batch([entries[0]])
         with pytest.raises(JournalFullError):
@@ -81,16 +85,16 @@ class TestJournalVolume:
 
     def test_peak_entries_tracks_high_water(self):
         journal = JournalVolume(1, capacity_entries=10)
-        for i in range(4):
-            journal.append(1, i, b"x", i + 1, time=0.0)
+        journal.append_many([(1, i, b"x", i + 1, None) for i in range(4)],
+                            time=0.0)
         journal.pop_through(3)
         assert journal.peak_entries == 4
         assert len(journal) == 0
 
     def test_entry_size_includes_header(self):
         journal = JournalVolume(1, capacity_entries=10)
-        entry = journal.append(1, 0, b"12345678", 1, time=0.0)
-        assert entry.size_bytes == 8 + 64
+        journal.append_many([(1, 0, b"12345678", 1, None)], time=0.0)
+        assert journal.oldest_entry().size_bytes == 8 + 64
 
 
 class TestWriteHistory:

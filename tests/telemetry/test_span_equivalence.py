@@ -12,7 +12,14 @@ allocated one ``Span`` per entry, and re-captured when the scenario
 switched to :func:`~tests.storage.conftest.hold_restore` at the last
 commit that had a restore gate, and once more when a single host write
 became a batch of one (only ``host-write`` and ``journal-append`` attrs
-moved; every ``restore-apply`` row stayed identical).  Order, ids,
+moved; every ``restore-apply`` row stayed identical).  When resync began
+to negotiate on the link, the scenario started holding restore until
+the repair resync has journaled (else the negotiation finds the newer
+write applied and no stale apply is left); goldens of that scenario
+taken before and after the change hold the same spans with the same
+attrs and statuses, moved in time by the negotiation's round trip
+(which also records the re-journaled entry's ``transfer-batch`` after
+the restore applies it used to precede).  Order, ids,
 parents, attrs, start/end and status must all match, for the serial
 applier and for batch windows.
 """
@@ -81,8 +88,10 @@ def run_scenario(applier: str) -> Simulator:
     sim.run(until=sim.now + 0.1)
 
     # stale version: a wire quarantine marks block 9 dirty while a newer
-    # write of it is already journaled; the repair resync re-journals
-    # that same version behind it
+    # write of it is already journaled.  Restore is held until the
+    # repair resync has journaled: its negotiation finds the S-VOL
+    # behind, so it re-journals that same version, which lands a window
+    # behind the newer write
     target = group.main_journal.head_sequence + 1
 
     def corrupt_once(entry: JournalEntry) -> JournalEntry:
@@ -93,10 +102,15 @@ def run_scenario(applier: str) -> Simulator:
                             entry.created_at, entry.checksum,
                             entry.trace_id, entry.span_id)
 
+    resume = hold_restore(group)
     group.install_wire_injector(corrupt_once)
     run(sim, main.host_write(pvols[2], 9, b"doomed"))
     run(sim, main.host_write(pvols[2], 9, b"newer"))
     run(sim, write(6, base=3))
+    written = group.main_journal.head_sequence
+    while group.main_journal.head_sequence == written:
+        sim.run(until=sim.now + 0.0005)
+    resume()
     sim.run(until=sim.now + 0.1)
     group.install_wire_injector(None)
     sim.run(until=sim.now + 0.2)
