@@ -1,6 +1,7 @@
 """``repro perf`` — the one performance ruler, and the record it keeps.
 
-* **Exact rows** — four **simulated-time** rates of the wire path.
+* **Exact rows** — four **simulated-time** rates of the wire path and
+  the wire bytes of a mixed page stream.
   Simulated time is a pure function of the code, so every run on every
   machine reads the same value and the gate is equality: they move when
   the *wire protocol* changes, never when the host gets slower.
@@ -150,6 +151,24 @@ def bench_wire_bytes_per_entry(entries: int = 4_000) -> float:
     return reduced["wire_bytes"] / entries
 
 
+#: the page mix of ``stream_all_on``: 1 KiB pages dealt compressible,
+#: compressible, duplicate (16 distinct contents), random
+_MIXED = tuple(PayloadProfile(kind=kind, size_bytes=1024, seed=31 + index,
+                              unique_payloads=64)
+               for index, kind in enumerate(
+                   ("compressible", "compressible", "duplicate", "random")))
+
+
+def bench_wire_bytes_per_entry_mixed(entries: int = 4_000) -> float:
+    """Post-reduction wire bytes per drained entry of the mixed page
+    stream (lower is better): half the pages deflate, a quarter dedup,
+    a quarter cross verbatim, so the row moves with the codec as well
+    as with the dedup protocol."""
+    return _transfer_drain_run(
+        entries, payload_fn=lambda index: _MIXED[index % 4].payload(index),
+        reduction=ReductionConfig(enabled=True))["wire_bytes"] / entries
+
+
 def bench_initial_copy(blocks: int = 1_024) -> float:
     """Delta-negotiated bulk re-copy rate in blocks per **simulated** s.
 
@@ -196,6 +215,8 @@ EXACT_ROWS = {
                                "entries/sim-s"),
     "wire_bytes_per_entry": (bench_wire_bytes_per_entry, "bytes/entry"),
     "initial_copy": (bench_initial_copy, "blocks/sim-s"),
+    "wire_bytes_per_entry_mixed": (bench_wire_bytes_per_entry_mixed,
+                                   "bytes/entry"),
 }
 
 

@@ -22,7 +22,7 @@ Commands:
   print the SLO rule table plus every alert transition;
 * ``incident`` — run the same scenario and print its postmortem
   (markdown, or byte-reproducible JSON with ``--json``);
-* ``perf``     — measure the four exact (simulated-time) wire-path rows
+* ``perf``     — measure the five exact (simulated-time) wire-path rows
   and run ``benchmarks/e2e`` (seven end-to-end metrics and the folded
   per-layer table per workload; ``--smoke`` for tenth-size);
   ``--output FILE`` appends the run to a ``BENCH_PERF.json`` trajectory,
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     incident.set_defaults(func=_cmd_incident)
 
     perf = sub.add_parser(
-        "perf", help="measure the four exact wire-path rows and the "
+        "perf", help="measure the five exact wire-path rows and the "
                      "end-to-end benchmark (benchmarks/e2e); optionally "
                      "record or check the run")
     perf.add_argument("--smoke", action="store_true",

@@ -268,7 +268,7 @@ class NetworkLink:
 
     def __repr__(self) -> str:
         state = "up" if self._up else "DOWN"
-        if self._up and self.is_degraded:
+        if self._up and (self.extra_latency or self.loss_fraction):
             state = "DEGRADED"
         return (f"<NetworkLink {self.name!r} {state} "
                 f"latency={self.latency:g}s bw={self.bandwidth}>")

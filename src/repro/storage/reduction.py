@@ -21,11 +21,18 @@ payload:
   against the entry CRC32 — a corrupted cache entry falls back to the
   full payload, counted in ``repro_reduction_ref_fallbacks_total``, so
   dedup can never silently corrupt;
-* **inline compression** — :class:`ReductionCodec` zlib-compresses each
-  payload at a configurable level and ships the compressed form only
-  when it beats the configured ratio threshold (the skip-if-
+* **inline compression** — :class:`ReductionCodec` raw-deflates each
+  payload with the payload shipped just before it in the same batch as
+  a preset dictionary, whatever form that one took (raw, compressed or
+  a reference: the receiver holds it decoded one step earlier either
+  way; the first payload of a batch has none), and ships the
+  compressed form only when it beats the ratio threshold (the skip-if-
   incompressible flag); already-dense payloads cross the wire verbatim
-  (a density probe turns most away before deflate is paid for).
+  (a density probe turns most away before deflate is paid for).  The
+  dictionary is chosen by position, never by another payload's verdict,
+  so the probe's call on one payload changes how no other compresses.
+  The entry CRC32 checked at receive covers every decoded payload, so
+  the wire form carries no zlib header or checksum of its own.
 
 **Cache synchronisation.**  Sender and receiver caches commit *only at
 receive time*, in receive order, each payload in the class its wire
@@ -39,11 +46,13 @@ ahead of it, which are received first (a failed head voids everything
 behind it).  **Every reference is bounded to resolve**: a sender-cache
 entry only if the evictions the full payloads committing before the
 reference can cause do not reach its eviction rank
-(:meth:`FingerprintCache.survives`), an in-flight or in-batch copy
-only if it is raw and too few commits follow to evict it.  Nothing is
-committed at encode time, so discarding an in-flight shipment rolls
-the cache state back for free (:meth:`WireReducer.discard` just counts
-it).  A fallback therefore means a cache entry failed re-verification.
+(:meth:`FingerprintCache.survives`); an in-flight or in-batch raw copy
+only if too few commits follow to evict it, a compressed one only if
+those evictions do not reach the compressed entries cached now, which
+all go before it.  Nothing is committed at encode time, so discarding
+an in-flight shipment rolls the cache state back for free
+(:meth:`WireReducer.discard` just counts it).  A fallback therefore
+means a cache entry failed re-verification.
 :meth:`WireReducer.invalidate` drops both sides wholesale on
 link-down, integrity quarantine and array restart.
 
@@ -54,12 +63,11 @@ changes behaviour at all.
 
 from __future__ import annotations
 
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
-from zlib import crc32
+from zlib import DEFLATED, compressobj, crc32, decompressobj
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
@@ -71,6 +79,8 @@ COMPRESS_FRAME_BYTES = 2
 
 #: zlib compression level (1 fastest .. 9 densest)
 COMPRESS_LEVEL = 6
+#: ``wbits`` of raw deflate: no zlib header, no Adler-32 trailer
+RAW_DEFLATE = -15
 #: ship the compressed form only when ``compressed <= threshold * raw``
 #: — the skip-if-incompressible flag
 RATIO_THRESHOLD = 0.9
@@ -118,22 +128,31 @@ DISABLED_REDUCTION = ReductionConfig()
 
 
 class ReductionCodec:
-    """Deterministic per-payload compressor with a skip flag.
+    """Deterministic raw-deflate compressor with a skip flag.
 
-    The same payload always yields the same wire form, so two runs of
-    one seed stay byte-identical; the only state is a tally.
+    Each payload is deflated with the payload shipped just before it in
+    its batch as a preset dictionary (``zdict``): neighbouring pages
+    share their record layout, so the second pays no cold start.  The
+    wire form is therefore a function of the payload and its batch
+    position, deterministic for a given batch, so two runs of one seed
+    stay byte-identical; the only state is a tally.  Raw deflate carries
+    no zlib header or Adler-32: the receive side checks every decoded
+    payload against the entry CRC32 anyway.
     """
 
     def __init__(self) -> None:
         #: payloads the density probe turned away before deflate
         self.probe_skips = 0
 
-    def compress(self, payload: bytes) -> Optional[bytes]:
-        """The compressed wire form, or None when the payload is too
-        small or too dense to be worth shipping compressed.  The probe
-        errs one way only: a payload wrongly called dense ships raw
-        (and so is cached in the raw eviction class); every other
-        payload gets deflate's exact verdict."""
+    def compress(self, payload: bytes, previous: bytes = b"",
+                 ) -> Optional[bytes]:
+        """The compressed wire form, deflated against ``previous`` (the
+        payload shipped just before it in its batch, empty for the
+        first), or None when the payload is too small or too dense to
+        be worth shipping compressed.  The probe errs one way only: a
+        payload wrongly called dense ships raw (and so is cached in the
+        raw eviction class); every other payload gets deflate's exact
+        verdict."""
         size = len(payload)
         if size < MIN_COMPRESS_BYTES:
             return None
@@ -143,14 +162,19 @@ class ReductionCodec:
                 >= PROBE_DENSE_DISTINCT * len(sample):
             self.probe_skips += 1
             return None
-        packed = zlib.compress(payload, COMPRESS_LEVEL)
+        packer = compressobj(COMPRESS_LEVEL, DEFLATED, RAW_DEFLATE,
+                             zdict=previous)
+        packed = packer.compress(payload) + packer.flush()
         if len(packed) + COMPRESS_FRAME_BYTES \
                 <= RATIO_THRESHOLD * len(payload):
             return packed
         return None
 
-    #: inverse of :meth:`compress` for shipped-compressed payloads
-    decompress = staticmethod(zlib.decompress)
+    @staticmethod
+    def decompress(packed: bytes, previous: bytes = b"") -> bytes:
+        """Inverse of :meth:`compress` for shipped-compressed payloads:
+        ``previous`` must be the dictionary it was deflated against."""
+        return decompressobj(RAW_DEFLATE, zdict=previous).decompress(packed)
 
 
 class FingerprintCache:
@@ -217,13 +241,19 @@ class FingerprintCache:
         entries of its class, plus every compressed entry if it is raw.
         A raw entry goes only once no compressed entry is left, and
         compressed insertions evict each other, so against it they
-        count once."""
+        count once.  An uncached ``fingerprint`` stands for a copy those
+        insertions commit compressed: it ranks behind every compressed
+        entry cached now, and each eviction before it takes at most one
+        of them, so it survives if all the evictions do not reach that
+        rank."""
         evictions = len(self._entries) + raw - self.capacity
         order_compressed, order_raw = self._order
         serial = order_raw.get(fingerprint)
         if serial is None:
             evictions += compressed
-            rank = order_compressed[fingerprint] - self._removed[0]
+            serial = order_compressed.get(fingerprint)
+            rank = len(order_compressed) if serial is None \
+                else serial - self._removed[0]
         else:
             evictions += compressed > 0
             rank = len(order_compressed) + serial - self._removed[1]
@@ -255,19 +285,20 @@ class EncodedBatch:
     #: ``raw - wire`` summed over the references / compressed payloads
     saved_dedup: int
     saved_compress: int
-    #: fingerprint -> payload of what ships in full, first copy only
-    #: (None if it ships compressed): exactly what this batch's receive
-    #: commits to both caches, and in which class
-    full: Dict[Fingerprint, Optional[bytes]]
+    #: fingerprint -> (payload, shipped raw) of what ships in full,
+    #: first copy only: exactly what this batch's receive commits to
+    #: both caches, and in which class
+    full: Dict[Fingerprint, Tuple[bytes, bool]]
+    #: how many of ``full`` ship compressed
+    full_compressed: int
 
 
 def _survives(ahead: Sequence[EncodedBatch], fingerprint: Fingerprint,
               room: int) -> bool:
     """Whether fewer than ``room`` full payloads commit from the earliest
     ``ahead`` batch carrying ``fingerprint`` on (all of it counted), so
-    that batch's copy (the first commit keeps the slot) stays cached —
-    if it is raw: a fresh raw entry outlives as many commits as under
-    FIFO, a compressed one may be evicted at the next."""
+    that batch's raw copy (the first commit keeps the slot) stays
+    cached: a fresh raw entry outlives as many commits as under FIFO."""
     for index, batch in enumerate(ahead):
         if fingerprint in batch.full:
             return sum(len(later.full) for later in ahead[index:]) < room
@@ -347,12 +378,15 @@ class WireReducer:
         here.  Every reference is bounded to resolve.  A sender-cache
         entry is referenced only if the full payloads committing before
         the reference cannot evict it (:meth:`FingerprintCache.survives`).
-        Otherwise a payload dedups against an earlier raw full copy in
-        the ``ahead`` batches (in flight in front of it, in launch
-        order), or failing that in this batch, whose receive commits
-        that copy first; only while the full payloads committed from
-        its batch on, plus this batch's fresh ones before the
-        reference, number fewer than ``cache_entries``.  No undo log:
+        Otherwise a payload dedups against an earlier full copy in the
+        ``ahead`` batches (in flight in front of it, in launch order),
+        or failing that in this batch, whose receive commits that copy
+        first.  A raw copy is referenced only while the full payloads
+        committed from its batch on, plus this batch's fresh ones
+        before the reference, number fewer than ``cache_entries``; a
+        compressed one only while all of them cannot evict past the
+        compressed entries cached now.  Each payload is compressed
+        against the one before it in ``carriers``.  No undo log:
         receive is head-first and a failed head voids every shipment
         behind it, so one that never lands leaves no state behind.
         """
@@ -362,19 +396,21 @@ class WireReducer:
         sender_get = self.sender.get
         survives = self.sender.survives
         compress = self.codec.compress
-        in_flight: Dict[Fingerprint, Optional[bytes]] = {}
+        in_flight: Dict[Fingerprint, Tuple[bytes, bool]] = {}
         # full copies committing before a reference here lands, by
         # class: each may insert a new key
         raw = compressed = 0
         for batch in reversed(ahead):  # the earliest copy wins
             in_flight.update(batch.full)
-            shrunk = list(batch.full.values()).count(None)
-            raw += len(batch.full) - shrunk
-            compressed += shrunk
-        pending: Dict[Fingerprint, Optional[bytes]] = {}
+            raw += len(batch.full) - batch.full_compressed
+            compressed += batch.full_compressed
+        compressed_ahead = compressed
+        pending: Dict[Fingerprint, Tuple[bytes, bool]] = {}
         fingerprints: List[Fingerprint] = []
         forms: List[object] = []
         total_raw = saved_dedup = saved_compress = 0
+        # the dictionary of the next payload: the one shipped before it
+        previous = b""
         for carrier in carriers:
             payload = carrier.payload
             size = len(payload)
@@ -389,13 +425,21 @@ class WireReducer:
                 if cached is not None:
                     if not survives(fingerprint, raw, compressed):
                         cached = None
-                elif fingerprint in in_flight:
-                    cached = in_flight[fingerprint]
-                    if cached is not None and not _survives(
-                            ahead, fingerprint, capacity - len(pending)):
-                        cached = None
-                elif len(pending) < capacity:
-                    cached = pending.get(fingerprint)
+                else:
+                    copy = in_flight.get(fingerprint) \
+                        or pending.get(fingerprint)
+                    if copy is not None:
+                        cached, copy_raw = copy
+                        if copy_raw:
+                            room = capacity - len(pending)
+                            if not (_survives(ahead, fingerprint, room)
+                                    if fingerprint in in_flight
+                                    else room > 0):
+                                cached = None
+                        # a compressed copy may be evicted first: it
+                        # ranks behind the compressed entries cached now
+                        elif not survives(fingerprint, raw, compressed):
+                            cached = None
                 # byte-compare before referencing: a (crc32, length)
                 # collision must ship its payload, never a wrong reference
                 if cached is not None and ref_bytes < size \
@@ -403,17 +447,19 @@ class WireReducer:
                     self.hits += 1
                     saved_dedup += size - ref_bytes
                     forms.append(REFERENCE)
+                    previous = payload
                     continue
-            packed = compress(payload)  # None unless it beats the threshold
+            # None unless it beats the threshold
+            packed = compress(payload, previous)
             forms.append(packed)
+            previous = payload
             if packed is not None:
                 saved_compress += size - len(packed) - COMPRESS_FRAME_BYTES
             if fingerprint not in pending:  # the cache keeps the first
+                pending[fingerprint] = (payload, packed is None)
                 if packed is None:
-                    pending[fingerprint] = payload
                     raw += 1
                 else:
-                    pending[fingerprint] = None
                     compressed += 1
         if dedup:
             self.lookups += len(forms)
@@ -423,7 +469,8 @@ class WireReducer:
         return EncodedBatch(
             fingerprints, forms,
             total_raw + overhead * len(forms) - saved_dedup - saved_compress,
-            overhead, saved_dedup, saved_compress, pending)
+            overhead, saved_dedup, saved_compress, pending,
+            compressed - compressed_ahead)
 
     def discard(self, count: int = 1) -> None:
         """Record ``count`` in-flight shipments voided before receive.
@@ -445,7 +492,8 @@ class WireReducer:
 
         ``carriers`` are the ones the batch was encoded from, in the
         same order: the simulation carries the object across, the
-        encoding decides what the *wire* carried.  Compressed forms decompress;
+        encoding decides what the *wire* carried.  Compressed forms
+        decompress against the payload yielded just before them;
         references resolve from the receiver cache and are re-verified
         against the carrier CRC32 (``verified``: no second hash
         needed); a miss or mismatch falls back to the full payload.
@@ -465,6 +513,8 @@ class WireReducer:
         commit_sender = self.sender.put
         overhead = batch.overhead
         fallbacks = fallback_bytes = 0
+        # the sender's dictionary, rebuilt: the payload received before
+        previous = b""
         try:
             for carrier, fingerprint, form in zip(
                     carriers, batch.fingerprints, batch.forms):
@@ -477,6 +527,7 @@ class WireReducer:
                     if cached is not None \
                             and len(cached) == fingerprint[1] \
                             and crc32(cached) == expected:
+                        previous = cached
                         yield cached, True
                         continue
                     # a corrupted cache entry (every reference is
@@ -485,7 +536,8 @@ class WireReducer:
                     fallback_bytes += overhead + len(payload)
                     form = None
                 elif form is not None:
-                    payload = decompress(form)
+                    payload = decompress(form, previous)
+                previous = payload
                 commit_sender(fingerprint, payload, form is None)
                 commit_receiver(fingerprint, payload, form is None)
                 yield payload, False

@@ -24,6 +24,7 @@ EXACT = {
     "transfer_drain_reduced": 162162.162162162,
     "wire_bytes_per_entry": 92.288,
     "initial_copy": 2074.232637635709,
+    "wire_bytes_per_entry_mixed": 350.66675,
 }
 WORKLOADS = ("oltp_business", "stream_all_on")
 

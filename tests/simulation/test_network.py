@@ -132,6 +132,21 @@ class TestNetworkLink:
         with pytest.raises(ValueError):
             NetworkLink(sim, latency=0, jitter_fraction=1.5)
 
+    def test_repr_names_the_link_state(self, sim):
+        """Assertion messages print links (and every bundle holding one):
+        the repr reads the brownout from latency and loss."""
+        link = NetworkLink(sim, latency=0.01, name="wan")
+        assert repr(link) == "<NetworkLink 'wan' up latency=0.01s bw=None>"
+        link.degrade(extra_latency=0.02)
+        assert " DEGRADED " in repr(link)
+        link.degrade(loss_fraction=0.5)
+        assert " DEGRADED " in repr(link)
+        link.clear_degradation()
+        assert " up " in repr(link)
+        link.degrade(loss_fraction=0.5)
+        link.fail()
+        assert " DOWN " in repr(link)
+
     def test_negative_payload_rejected(self, sim):
         link = NetworkLink(sim, latency=0.01)
 

@@ -62,10 +62,14 @@ REQUIRED = [
     ("reference bound off by one", FingerprintCache, "survives",
      "return evictions <= rank", "return evictions <= rank + 1"),
     ("reducer commits its caches at send", WireReducer, "encode_batch",
-     "packed = compress(payload)",
-     "packed = compress(payload); self.sender.put(fingerprint, payload, "
-     "packed is None); self.receiver.put(fingerprint, payload, "
+     "packed = compress(payload, previous)",
+     "packed = compress(payload, previous); self.sender.put(fingerprint, "
+     "payload, packed is None); self.receiver.put(fingerprint, payload, "
      "packed is None)"),
+    ("compressed copy referenced with the raw bound", WireReducer,
+     "encode_batch", "if copy_raw:", "if True:"),
+    ("receiver does not advance its dictionary past a resolved reference",
+     WireReducer, "receive_batch", "previous = cached", "pass"),
 ]
 
 #: equivalent under the spec's current rules (no faults): tried, not

@@ -28,11 +28,16 @@ from tests.spec.reference import ReferenceReplicator
 from tests.storage.conftest import build_pipeline, image_of, run
 
 BLOCKS = 8
-#: two compressible payloads, two that are not; all repeat (dedup)
-PAYLOADS = (b"a" * 96, b"b" * 96, bytes(range(96)), bytes(range(96, 192)))
+#: two compressible payloads that share most of their bytes (each
+#: deflates against the other as its dictionary), three that are not;
+#: all repeat (dedup)
+PAYLOADS = (b"abcdefgh" * 12, b"abcdefgh" * 11 + b"z" * 8,
+            bytes(range(96)), bytes(range(96, 192)),
+            bytes(range(192, 256)) + bytes(range(32)))
 #: fingerprint-cache entries per side: fewer than PAYLOADS, so both
-#: eviction classes evict
-CACHE_ENTRIES = 2
+#: eviction classes evict, and room for a compressed copy to be the
+#: first evicted between its commit and a reference to it
+CACHE_ENTRIES = 3
 QUARTER = MediaProfile().write_latency / 4
 
 #: every value each knob is run with

@@ -40,6 +40,10 @@ def cache_state(cache):
 # compressed insertions evict each other: the raw entry is referenced
 @example(cache_entries=2, transfer_window=1, transfer_batch=3,
          stream=[0, 6, 7, 8, 9, 0])
+# a compressed first copy the raw page behind it evicts: the repeat
+# ships in full (a raw copy would have survived to be referenced)
+@example(cache_entries=3, transfer_window=1, transfer_batch=3,
+         stream=[0, 1, 7, 6, 2, 6])
 @given(cache_entries=st.integers(1, 8),
        transfer_window=st.sampled_from([1, 8]),
        transfer_batch=st.integers(1, 16),

@@ -13,6 +13,7 @@ restart.
 
 import itertools
 import random
+import zlib
 from collections import OrderedDict
 
 import pytest
@@ -21,8 +22,10 @@ from repro.apps.workload import PayloadProfile
 from repro.simulation import Simulator
 from repro.storage import PairState
 from repro.storage.reduction import (COMPRESS_FRAME_BYTES, REF_BYTES,
-                                     FingerprintCache, ReductionCodec,
-                                     ReductionConfig)
+                                     REFERENCE, FingerprintCache,
+                                     ReductionCodec, ReductionConfig,
+                                     WireReducer)
+from repro.storage.volume import BlockValue
 from tests.chaos.test_faults import corrupt_first_entry
 from tests.storage.conftest import (build_pipeline, hold_restore,
                                     make_async_pair, run,
@@ -123,6 +126,106 @@ class TestReductionCodec:
         codec = ReductionCodec()
         payload = b"abc" * 200
         assert codec.compress(payload) == codec.compress(payload)
+        assert codec.compress(payload, b"xyz" * 50) \
+            == codec.compress(payload, b"xyz" * 50)
+
+
+def text_pages(count, size=512, seed=3):
+    """Distinct compressible pages sharing one record layout."""
+    profile = PayloadProfile(kind="compressible", size_bytes=size,
+                             seed=seed)
+    return [profile.payload(index) for index in range(count)]
+
+
+def dense_page(size=512, seed=3):
+    return PayloadProfile(kind="random", size_bytes=size,
+                          seed=seed).payload(0)
+
+
+def decoded(packed, previous):
+    """What raw inflate makes of ``packed`` against ``previous``, or
+    None when it rejects the stream."""
+    try:
+        return ReductionCodec.decompress(packed, previous)
+    except zlib.error:
+        return None
+
+
+def ship(reducer, payloads):
+    """Encode one batch of ``payloads`` and receive it whole; returns
+    the wire forms and the received payloads."""
+    carriers = [BlockValue(payload, 1, zlib.crc32(payload))
+                for payload in payloads]
+    batch = reducer.encode_batch(carriers, trusted=True)
+    received = [payload for payload, _verified in
+                reducer.receive_batch("transfer", batch, carriers)]
+    return batch.forms, received
+
+
+class TestBatchDictionary:
+    """Each payload deflates against the one shipped before it in its
+    batch, whatever that one's wire form."""
+
+    def test_compressed_payload_decodes_only_with_its_predecessor(self):
+        codec = ReductionCodec()
+        first, second = text_pages(2)
+        packed = codec.compress(second, first)
+        assert len(packed) < len(codec.compress(second))
+        assert ReductionCodec.decompress(packed, first) == second
+        for wrong in (b"", dense_page()):
+            assert decoded(packed, wrong) != second
+
+    def test_batches_round_trip_whatever_the_predecessor_shipped_as(self):
+        reducer = WireReducer(Simulator(seed=1), REDUCED, "jg-dict")
+        pages = text_pages(5)
+        # a dense head on a compressible tail: the probe ships it raw,
+        # and its tail is a dictionary for the next page
+        mixed = dense_page(384) + pages[0][384:]
+        cases = [
+            ("raw", [mixed, pages[1]], None),
+            # pages[1] is cached (compressed class) by the batch above
+            ("reference", [pages[1], pages[2]], REFERENCE),
+            # warm a raw entry, then corrupt the receiver's copy of it:
+            # the reference to it falls back to a retransmit
+            ("fallback", [mixed, pages[3]], REFERENCE),
+        ]
+        for name, payloads, head_form in cases:
+            if name == "fallback":
+                assert tamper_receiver_entry(reducer) == mixed
+            forms, received = ship(reducer, payloads)
+            assert forms[0] is head_form, name
+            assert isinstance(forms[1], bytes), name
+            assert received == payloads, name
+            # the second page really leaned on the first
+            assert decoded(forms[1], b"") != payloads[1], name
+        assert reducer.ref_fallbacks.value == 1
+        # the first payload of a batch has no dictionary
+        forms, received = ship(reducer, pages[4:])
+        assert forms == [ReductionCodec().compress(pages[4])]
+        assert received == pages[4:]
+
+    def test_backup_full_prefix_still_decodes(self):
+        """A receive cut short by a full backup journal decodes and
+        ingests the prefix that fits, every compressed page against its
+        predecessor; the rest re-ships after the suspension heals."""
+        p = build_pipeline(17, backup_capacity=9, auto_repair=False,
+                           reduction=REDUCED)
+        group, pvol = p.group, p.pvols[0]
+        resume = hold_restore(group)
+        pages = text_pages(20, size=256)
+        run(p.sim, p.main.host_write_many(
+            [(pvol.volume_id, block, page)
+             for block, page in enumerate(pages)]))
+        p.sim.run(until=p.sim.now + 0.1)
+        assert group.suspend_reason == "backup journal full"
+        assert [entry.payload for entry in
+                group.backup_journal.snapshot_entries()] == pages[:9]
+        assert group.reducer.saved_compress.value > 0
+        assert group.reducer.ref_fallbacks.value == 0
+        resume()
+        p.sim.run(until=p.sim.now + 0.1)
+        assert [p.svols[0].peek(block).payload
+                for block in range(9)] == pages[:9]
 
 
 class TestFingerprintCache:
