@@ -39,9 +39,8 @@ append time, verified at *transfer-receive* (before ingest into the
 backup journal) and again at *restore-apply* (before the media write).
 A failed check quarantines the entry — the corrupted payload never
 touches a secondary volume — marks its block dirty, suspends the pairs
-(``PSUE``), and, when ``AdcConfig.auto_repair`` is on, drives an
-automated **targeted resync** that re-journals only the affected dirty
-ranges once the link is healthy.
+(``PSUE``) and drives an automated **targeted resync** that re-journals
+only the affected dirty ranges once the link is healthy.
 """
 
 from __future__ import annotations
@@ -126,10 +125,6 @@ class AdcConfig:
     #: with internal parallelism like this, E8 measures it).  The number
     #: above 1 selects nothing.
     apply_lanes: int = 1
-    #: verify entry CRC32s at transfer-receive and restore-apply.
-    #: Disabling reproduces the silent-corruption baseline the chaos
-    #: campaigns contrast against.
-    verify_integrity: bool = True
     #: collapse same-(volume, block) superseded overwrites within one
     #: transfer batch: only the last writer of each address crosses the
     #: wire.  A thinned batch is a prefix of the ack order only before
@@ -138,9 +133,6 @@ class AdcConfig:
     #: default (ship-everything is the paper's §III-A1 baseline); E7
     #: quantifies the wire-byte saving.
     coalesce_overwrites: bool = False
-    #: after an integrity quarantine, automatically resync the affected
-    #: dirty ranges once the link is healthy (self-healing repair)
-    auto_repair: bool = True
     #: wire data reduction (fingerprint dedup + inline compression) for
     #: the transfer path; off by default — the wire then carries every
     #: payload byte verbatim, exactly as before
@@ -186,16 +178,17 @@ class _Shipment:
     """One transfer batch on its way across the wire.
 
     ``batch`` is the peeked journal window, ``ship`` the coalesced
-    subset actually crossing the wire, ``survivor`` the coalesce map
-    (None when coalescing is off).  In the pipelined loop the transfer
-    runs in its own process (``proc``); a link failure mid-flight lands
-    in ``error`` instead of propagating, so that loop can join shipments
+    subset actually crossing the wire, ``intact`` how many leading
+    entries of ``batch`` precede coalescing's first drop (all of them
+    when it dropped none).  In the pipelined loop the transfer runs in
+    its own process (``proc``); a link failure mid-flight lands in
+    ``error`` instead of propagating, so that loop can join shipments
     strictly head-first and keep the receive side in sequence order.
     """
 
     batch: List[JournalEntry]
     ship: List[JournalEntry]
-    survivor: Optional[Dict[Tuple[int, int], int]]
+    intact: int
     payload_bytes: int
     #: ``ship``'s wire encoding when reduction is on (None = verbatim);
     #: nothing is cache-committed until the shipment is received, so a
@@ -241,7 +234,7 @@ class JournalGroup:
         #: added meanwhile is suspended with it
         self.suspended_state: Optional[PairState] = None
         self.suspend_reason = ""
-        #: True while the restore loop is mid-apply (:meth:`drain` and
+        #: True while a restore window is mid-apply (:meth:`drain` and
         #: the failback switchover wait for this to clear)
         self.applying = False
         self._running = False
@@ -268,8 +261,8 @@ class JournalGroup:
                                        adc.transfer_batch))
         else:
             self._batch_size = adc.transfer_batch
-        #: wire data-reduction engine (no-op object when disabled);
-        #: shared by the transfer loop and the resync traffic riding it
+        #: wire data-reduction engine of the transfer loop (no-op
+        #: object when disabled)
         self.reducer = WireReducer(sim, adc.reduction, group=group_id)
         # -- observability ---------------------------------------------------
         # instruments live in the simulation's metrics registry, keyed
@@ -553,7 +546,7 @@ class JournalGroup:
         Called automatically on quarantine; chaos/operator code calls it
         again after healing a long outage if the loop gave up.
         """
-        if not self.config.auto_repair or not self.suspended:
+        if not self.suspended:
             return
         if self._repair_proc is not None and self._repair_proc.alive:
             return
@@ -706,18 +699,16 @@ class JournalGroup:
 
     @staticmethod
     def _coalesce_batch(batch: List[JournalEntry],
-                        ) -> Tuple[List[JournalEntry],
-                                   Dict[Tuple[int, int], int]]:
+                        ) -> Tuple[List[JournalEntry], int]:
         """Last-writer-wins within one batch: superseded same-address
         entries never cross the wire.
 
-        Returns ``(ship, survivor)``: the entries to ship and a map of
-        each ``(volume_id, block)`` address to the sequence of its
-        newest entry in the batch.  The survivor is by construction the
-        newest write of its address, so trimming a superseded entry is
-        safe exactly when its survivor has been consumed; the batch
-        tail always survives, so the restored cut still advances to
-        the window's high sequence.
+        Returns ``(ship, intact)``: the entries to ship and how many
+        leading entries of ``batch`` precede the first one dropped
+        (``len(batch)`` when none was).  The shipped batch is a prefix
+        of the ack order only within that run and at its tail, which
+        always survives, so the restored cut still advances to the
+        window's high sequence.
         """
         survivor: Dict[Tuple[int, int], int] = {}
         for entry in batch:
@@ -725,7 +716,11 @@ class JournalGroup:
         ship = [entry for entry in batch
                 if survivor[(entry.volume_id, entry.block)]
                 == entry.sequence]
-        return ship, survivor
+        intact = len(ship)
+        if intact < len(batch):
+            intact = next(index for index, entry in enumerate(ship)
+                          if entry is not batch[index])
+        return ship, intact
 
     def _adapt_batch(self, ok: bool, full: bool, drain_time: float,
                      backlog: int) -> None:
@@ -776,9 +771,10 @@ class JournalGroup:
         genuinely fails the check), runs it through the wire fault hook
         and verifies its CRC32 once.  It stops at the first entry that is
         corrupt (quarantined, never ingested) or finds the backup
-        journal full; the clean prefix before it is bulk-ingested, the
-        delivered prefix trimmed off the main journal, and whatever
-        lies behind re-ships after the suspension heals.  No yields, so
+        journal full; the clean prefix before it is bulk-ingested and
+        trimmed off the main journal — of a batch coalescing thinned,
+        no further than its first dropped entry — and whatever lies
+        behind re-ships after the suspension heals.  No yields, so
         the stop-and-wait and pipelined loops share it without
         perturbing event order.  Returns ``"ok"``, ``"integrity"``,
         ``"backup-full"`` — or ``"link-down"`` for a shipment that died
@@ -793,9 +789,8 @@ class JournalGroup:
             self.reducer.invalidate()
             return "link-down"
         batch, ship = shipment.batch, shipment.ship
-        survivor, encodings = shipment.survivor, shipment.encodings
+        encodings = shipment.encodings
         injector = self._wire_injector
-        verify = self.config.verify_integrity
         room = self.backup_journal.free_entries
         clean: List[JournalEntry] = []
         corrupt = None
@@ -819,51 +814,45 @@ class JournalGroup:
                     continue
             if injector is not None:
                 entry = injector(entry)
-            if verify:
-                checksum = entry.checksum
-                if checksum is not None \
-                        and crc32(entry.payload) != checksum:
-                    corrupt = entry
-                    break
+            if crc32(entry.payload) != entry.checksum:
+                corrupt = entry
+                break
             clean.append(entry)
         status = "ok"
         if len(clean) > room:
             clean.pop()
             status = "backup-full"
-        delivered_bytes = self.backup_journal.ingest_batch(clean)
         consumed = len(clean)
         if corrupt is not None:
-            # corruption picked up on the wire: consumed, never re-ships
-            self._quarantine_entry(corrupt, where="wire")
             status = "integrity"
             consumed += 1
+        if status != "ok" and consumed > shipment.intact:
+            # a thinned batch that does not land whole is a prefix of
+            # the ack order only before its first dropped entry: ingest
+            # and trim no further, the rest re-ships
+            consumed = shipment.intact
+            del clean[consumed:]
+        delivered_bytes = self.backup_journal.ingest_batch(clean)
+        if corrupt is not None:
+            # consumed unless it lies past the thinned prefix: a
+            # trimmed corrupt entry never re-ships
+            self._quarantine_entry(corrupt, where="wire")
         elif status == "backup-full":
             self._suspend(PairState.PSUE, "backup journal full")
         elif len(ship) < len(batch):
             # a superseded entry's survivor comes later in the batch: an
             # image is a prefix again only at the batch tail
-            self._coalesced_spans.append((next(
-                entry.sequence for entry in batch
-                if survivor[(entry.volume_id, entry.block)] != entry.sequence),
-                ship[-1].sequence))
+            self._coalesced_spans.append(
+                (batch[shipment.intact].sequence, ship[-1].sequence))
         if received is not None:
             # books the whole shipment's post-reduction wire bytes (the
             # full batch crossed the link even if ingest stopped early)
             received.close()
-        # trim the longest batch prefix in which every entry was
-        # consumed directly or superseded by a consumed survivor; the
-        # rest stays journaled and re-ships after the suspension heals
-        # (ship is in sequence order, so a survivor was consumed exactly
-        # when it sits at or before the last consumed entry)
-        delivered = last = ship[consumed - 1].sequence if consumed else -1
-        if survivor is not None and consumed < len(ship):
-            delivered = -1
-            for entry in batch:
-                if survivor[(entry.volume_id, entry.block)] > last:
-                    break
-                delivered = entry.sequence
-        if delivered >= 0:
-            self.main_journal.pop_through(delivered)
+        # trim through the last consumed entry: a thinned batch is
+        # consumed whole or only before its first drop, so everything
+        # trimmed was consumed or superseded by a consumed survivor
+        if consumed:
+            self.main_journal.pop_through(ship[consumed - 1].sequence)
         if clean:
             self.transferred_sequence = max(self.transferred_sequence,
                                             clean[-1].sequence)
@@ -938,11 +927,11 @@ class JournalGroup:
         it may reference full payloads of the in-flight ``ahead`` ones.
         """
         if self.config.coalesce_overwrites and len(batch) > 1:
-            ship, survivor = self._coalesce_batch(batch)
+            ship, intact = self._coalesce_batch(batch)
             if len(ship) < len(batch):
                 self.coalesced_count.increment(len(batch) - len(ship))
         else:
-            ship, survivor = batch, None
+            ship, intact = batch, len(batch)
         if self.reducer.enabled:
             # while integrity is re-armed a payload may no longer match
             # its checksum: fingerprint the bytes actually there
@@ -966,7 +955,7 @@ class JournalGroup:
                 first_sequence=ship[0].sequence,
                 last_sequence=ship[-1].sequence)
         return _Shipment(
-            batch=batch, ship=ship, survivor=survivor,
+            batch=batch, ship=ship, intact=intact,
             payload_bytes=payload_bytes, encodings=encodings, span=span,
             shipped_at=self.sim.now,
             full=len(batch) >= self._batch_size)
@@ -1048,7 +1037,6 @@ class JournalGroup:
 
     def _restore_loop(self) -> Generator[object, object, None]:
         config = self.config
-        journal = self.backup_journal
         # one entry per window for the serial applier, else the whole
         # remaining batch budget (conflicts coalesce last-writer-wins)
         serial = config.apply_lanes == 1
@@ -1061,37 +1049,43 @@ class JournalGroup:
             while applied < config.restore_batch:
                 if not self._running:
                     return
-                # (rebinding ``window`` on the way out too releases the
-                # last window's entries before the loop sleeps)
-                if serial:
-                    head = journal.oldest_entry()
-                    window = () if head is None else (head,)
-                else:
-                    window = journal.peek_batch(
-                        config.restore_batch - applied)
-                if not window:
+                count = yield from self._restore_window(
+                    1 if serial else config.restore_batch - applied)
+                if not count:
                     break
-                last = window[-1].sequence
-                spans = self._coalesced_spans
-                while spans and spans[0][1] <= last:
-                    spans.popleft()
-                if spans and spans[0][0] < last:
-                    # never end inside a coalesced batch: run to its tail
-                    end = spans.popleft()[1]
-                    window = [entry for entry in journal.peek_batch(
-                        len(window) + end - last) if entry.sequence <= end]
-                    last = end
-                count = len(window)
-                self.applying = True
-                try:
-                    yield from self._apply_window(window)
-                    journal.pop_through(last)
-                    self.restored_sequence = last
-                finally:
-                    self.applying = False
-                self.restored_count.increment(count)
                 self._update_copy_states()
                 applied += count
+
+    def _restore_window(self, limit: int) -> Generator[object, object, int]:
+        """The one restore step: apply the oldest ``limit`` entries of
+        the backup journal as one window — run on to the tail of a
+        coalesced batch the window would otherwise end inside — and
+        commit it.  Returns the window's size, 0 when the journal is
+        empty.
+        """
+        journal = self.backup_journal
+        window = journal.peek_batch(limit)
+        if not window:
+            return 0
+        last = window[-1].sequence
+        spans = self._coalesced_spans
+        while spans and spans[0][1] <= last:
+            spans.popleft()
+        if spans and spans[0][0] < last:
+            # never end inside a coalesced batch: run to its tail
+            end = spans.popleft()[1]
+            window = [entry for entry in journal.peek_batch(
+                len(window) + end - last) if entry.sequence <= end]
+            last = end
+        self.applying = True
+        try:
+            yield from self._apply_window(window)
+            journal.pop_through(last)
+            self.restored_sequence = last
+        finally:
+            self.applying = False
+        self.restored_count.increment(len(window))
+        return len(window)
 
     def _apply_target(self, entry: JournalEntry, verify: bool):
         """The per-entry restore decision: the secondary volume the
@@ -1136,7 +1130,7 @@ class JournalGroup:
         so nothing is indexed.
         """
         tracer = self.tracer
-        verify = self.config.verify_integrity and self.integrity_rearmed
+        verify = self.integrity_rearmed
         block = None
         if len(window) == 1:
             entry = window[0]
@@ -1218,30 +1212,21 @@ class JournalGroup:
         """Failover drain: apply everything already at the backup site.
 
         Entries still in the *main* journal are lost with the main site;
-        entries in the backup journal are applied in order.  Returns the
-        number of entries applied.  The restore loop must be stopped (or
-        the group suspended) before draining; an in-flight apply is
-        waited out so the drain never races it.
+        the entries the backup journal holds when the drain begins are
+        applied in order, in :meth:`_restore_window`'s one-entry windows
+        (a shipment landing meanwhile is left for the restore loop).
+        Returns the number of entries applied.  The restore loop must be
+        stopped (or the group suspended) before draining; an in-flight
+        apply is waited out so the drain never races it.
         """
         while self.applying:
             yield self.sim.sleep(0.0001)
         drain_span = self.tracer.start("journal-drain", group=self.group_id)
+        journal = self.backup_journal
+        end = journal.head_sequence
         applied = 0
-        spans = self._coalesced_spans
-        window = []
-        for entry in self.backup_journal.snapshot_entries():
-            window.append(entry)
-            last = entry.sequence
-            while spans and spans[0][1] <= last:
-                spans.popleft()
-            if spans and spans[0][0] < last:
-                continue  # inside a coalesced batch: run to its tail
-            yield from self._apply_window(window)
-            self.backup_journal.pop_through(last)
-            self.restored_sequence = last
-            self.restored_count.increment(len(window))
-            applied += len(window)
-            window = []
+        while len(journal) and journal.oldest_sequence() <= end:
+            applied += yield from self._restore_window(1)
         self._update_copy_states()
         self.tracer.finish(drain_span, applied=applied)
         return applied

@@ -52,7 +52,8 @@ class JournalEntry:
     secondary so block maps stay comparable).  ``checksum`` is the CRC32
     of the payload computed at append time; it travels with the entry so
     the transfer-receive and restore-apply sides can detect corruption
-    picked up on the wire or in the journal volume.
+    picked up on the wire or in the journal volume.  Every entry has
+    one: there is no unchecked entry.
 
     Not frozen: a frozen dataclass ``__init__`` pays one
     ``object.__setattr__`` per field, which dominated the ingest hot
@@ -66,9 +67,8 @@ class JournalEntry:
     payload: bytes
     version: int
     created_at: float
-    #: CRC32 of ``payload`` at append time (None for hand-built legacy
-    #: entries, which then skip verification)
-    checksum: Optional[int] = None
+    #: CRC32 of ``payload`` at append time
+    checksum: int
     #: telemetry trace context riding with the entry across the
     #: site-to-site hop (None when the write was not traced), so the
     #: restore apply at the backup can parent its span to the
@@ -83,8 +83,6 @@ class JournalEntry:
 
     def verify_checksum(self) -> bool:
         """True when the payload still matches its append-time CRC32."""
-        if self.checksum is None:
-            return True
         return payload_checksum(self.payload) == self.checksum
 
 
@@ -282,10 +280,6 @@ class JournalVolume:
         lag probes use this instead of copying the whole journal)."""
         ring = self._ring
         return ring[self._head] if len(ring) > self._head else None
-
-    def snapshot_entries(self) -> List[JournalEntry]:
-        """Copy of all retained entries (failover drain / tests)."""
-        return self._ring[self._head:]
 
     def corrupt_entry(self, index: int,
                       mutate: Optional[Callable[[bytes], bytes]] = None,

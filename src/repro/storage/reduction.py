@@ -415,10 +415,8 @@ class WireReducer:
             payload = carrier.payload
             size = len(payload)
             total_raw += size
-            checksum = carrier.checksum if trusted else None
-            if checksum is None:
-                checksum = crc32(payload)
-            fingerprint = (checksum, size)
+            fingerprint = (carrier.checksum if trusted else crc32(payload),
+                           size)
             fingerprints.append(fingerprint)
             if dedup:
                 cached = sender_get(fingerprint)
@@ -521,12 +519,9 @@ class WireReducer:
                 payload = carrier.payload
                 if form is REFERENCE:
                     cached = receiver_get(fingerprint)
-                    expected = carrier.checksum
-                    if expected is None:
-                        expected = fingerprint[0]
                     if cached is not None \
                             and len(cached) == fingerprint[1] \
-                            and crc32(cached) == expected:
+                            and crc32(cached) == carrier.checksum:
                         previous = cached
                         yield cached, True
                         continue

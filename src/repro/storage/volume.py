@@ -56,17 +56,14 @@ class BlockValue(NamedTuple):
 
     ``checksum`` is the payload's CRC32 installed by the write path;
     reads verify it so media corruption can never be returned silently.
-    ``None`` (hand-built values) skips verification.
     """
 
     payload: bytes
     version: int
-    checksum: Optional[int] = None
+    checksum: int
 
     def intact(self) -> bool:
         """True when the payload still matches its write-time CRC32."""
-        if self.checksum is None:
-            return True
         return payload_checksum(self.payload) == self.checksum
 
 
@@ -141,7 +138,7 @@ class Volume:
         self.status = VolumeStatus.NORMAL
         self._payloads: Dict[int, bytes] = {}
         self._versions: Dict[int, int] = {}
-        self._checksums: Dict[int, Optional[int]] = {}
+        self._checksums: Dict[int, int] = {}
         self._columns = (self._payloads, self._versions, self._checksums)
         #: read-only live view of the version column (versions start at
         #: 1): what the replication paths' stale-apply test reads

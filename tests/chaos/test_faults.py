@@ -16,8 +16,8 @@ from repro.chaos import (ArrayCrash, JournalCorruption, JournalSqueeze,
                          build_chaos_environment)
 from repro.errors import StorageError
 from repro.storage import PairState
-from tests.storage.conftest import (build_two_site, fast_adc, hold_restore,
-                                    make_async_pair, run)
+from tests.storage.conftest import (build_two_site, fast_adc, hold_repair,
+                                    hold_restore, make_async_pair, run)
 
 
 def corrupt_first_entry(group, state):
@@ -56,9 +56,10 @@ class TestWireIntegrity:
         assert state["corrupted"] not in applied
 
     def test_without_auto_repair_stays_suspended(self, sim):
-        site = build_two_site(sim, adc=fast_adc(auto_repair=False))
+        site = build_two_site(sim)
         pvol, svol = make_async_pair(site)
         group = site.main.journal_groups["jg-0"]
+        hold_repair(group)
         corrupt_first_entry(group, {"corrupted": None})
 
         run(sim, site.main.host_write(pvol.volume_id, 0, b"good-data"))
@@ -73,20 +74,6 @@ class TestWireIntegrity:
         sim.run(until=sim.now + 1.0)
         assert group.pairs["pair-0"].state is PairState.PAIR
         assert svol.peek(0).payload == b"good-data"
-
-    def test_verify_disabled_lets_corruption_through(self, sim):
-        """Negative control: the CRC check is what stops the rot."""
-        site = build_two_site(sim, adc=fast_adc(verify_integrity=False))
-        pvol, svol = make_async_pair(site)
-        group = site.main.journal_groups["jg-0"]
-        state = {"corrupted": None}
-        corrupt_first_entry(group, state)
-
-        run(sim, site.main.host_write(pvol.volume_id, 0, b"good-data"))
-        sim.run(until=sim.now + 1.0)
-
-        assert group.corruptions_wire.value == 0
-        assert svol.peek(0).payload == state["corrupted"]
 
 
 class TestJournalIntegrity:

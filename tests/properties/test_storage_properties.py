@@ -11,6 +11,7 @@ from repro.apps.minidb.wal import WalRecord
 from repro.apps.minidb import wal as wal_types
 from repro.recovery.checker import check_storage_cut
 from repro.storage import JournalVolume, WriteHistory, percentile
+from tests.storage.conftest import journal_entries
 
 # -- strategies ----------------------------------------------------------
 
@@ -119,7 +120,7 @@ class TestJournalProperties:
         journal.append_many([(1, 0, b"x", index + 1, None)
                              for index in range(count)], time=0.0)
         removed = journal.pop_through(trim)
-        kept = journal.snapshot_entries()
+        kept = journal_entries(journal)
         assert [e.sequence for e in removed] == \
             [s for s in range(count) if s <= trim]
         assert [e.sequence for e in kept] == \

@@ -50,7 +50,7 @@ REQUIRED = [
     ("initial copies flip newest pending first", JournalGroup,
      "_update_copy_states", "pending.pop(0)", "pending.pop()"),
     ("restored_sequence set to the window's first sequence", JournalGroup,
-     "_restore_loop", "self.restored_sequence = last",
+     "_restore_window", "self.restored_sequence = last",
      "self.restored_sequence = window[0].sequence"),
     ("coalesced-batch restore rule reverted", JournalGroup,
      "_receive_batch", "elif len(ship) < len(batch):", "elif False:"),

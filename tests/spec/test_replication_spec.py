@@ -131,11 +131,25 @@ class ReplicationSpec(RuleBasedStateMachine):
             self.tick()
 
     @precondition(lambda self: len(self.cuts) < 4)
-    @rule()
-    def cut(self):
+    @rule(behind=st.booleans())
+    def cut(self, behind):
+        """Cut the backup image now or, ``behind``, at the first quantum
+        (of at most 16) that finds ingested entries still unrestored."""
         p = self.p
-        self.cuts.append(run(p.sim, p.backup.create_snapshot_group(
-            f"cut-{len(self.cuts)}", [svol.volume_id for svol in p.svols])))
+        for _ in range(16 if behind else 0):
+            if len(p.group.backup_journal):
+                break
+            self.tick()
+
+        def cut_now():
+            # the recovery point a cut must hold: what was restored at
+            # the instant it was taken
+            restored = p.group.restored_sequence
+            cut = yield from p.backup.create_snapshot_group(
+                f"cut-{len(self.cuts)}", [svol.volume_id for svol in p.svols])
+            return restored, cut
+
+        self.cuts.append(run(p.sim, cut_now()))
 
     @rule()
     def toggle_link(self):
@@ -203,8 +217,9 @@ class ReplicationSpec(RuleBasedStateMachine):
         for pair in group.pairs.values():
             assert pair.initial_copy_done == \
                 (restored >= pair.copy_watermark), pair.pair_id
-        for cut in self.cuts:
-            (sequence,) = {snap.group_sequence for snap in cut.snapshots}
+        for sequence, cut in self.cuts:
+            assert {snap.group_sequence for snap in cut.snapshots} == \
+                {sequence}
             expected = reference.image(sequence)
             for pvol, svol in zip(p.pvols, p.svols):
                 snap = cut.by_base_volume()[svol.volume_id]

@@ -143,6 +143,23 @@ def hold_restore(group):
     return resume
 
 
+def hold_repair(group):
+    """Keep ``group``'s auto-repair loop from arming, so a quarantine
+    leaves the group suspended; returns the function that re-arms it."""
+    group.ensure_repair = lambda: None
+
+    def release():
+        del group.ensure_repair
+        group.ensure_repair()
+
+    return release
+
+
+def journal_entries(journal):
+    """The entries ``journal`` retains, oldest first (a copy)."""
+    return journal.peek_batch(len(journal)) if len(journal) else []
+
+
 def tamper_receiver_entry(reducer) -> bytes:
     """Corrupt the receiver's copy of its newest raw cached payload —
     the one cause of a reference fallback the survival bound leaves —

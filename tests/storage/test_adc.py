@@ -17,7 +17,8 @@ from repro.storage.replication import (COPY_BATCH_BLOCKS,
                                        NEGOTIATE_METADATA_BYTES)
 from tests.storage.conftest import (build_pipeline, build_two_site,
                                     fast_adc, hold_restore,
-                                    make_async_pair, run)
+                                    journal_entries, make_async_pair,
+                                    run)
 
 
 class TestBasicReplication:
@@ -182,7 +183,7 @@ class TestResyncNegotiation:
         assert wire == NEGOTIATE_METADATA_BYTES * self.BLOCKS
         chunks = -(-self.BLOCKS // COPY_BATCH_BLOCKS)
         # one journal append per chunk, whatever apply_lanes says
-        journaled = p.group.main_journal.snapshot_entries()
+        journaled = journal_entries(p.group.main_journal)
         assert [entry.block for entry in journaled] == stale
         assert len({entry.created_at for entry in journaled}) == chunks
         assert elapsed == pytest.approx(
@@ -207,7 +208,7 @@ class TestResyncNegotiation:
         p.sim.run_until_complete(resync)
         p.sim.run(until=p.sim.now + 0.1)
         assert [entry.block for entry in
-                p.group.backup_journal.snapshot_entries()] == [0, 0]
+                journal_entries(p.group.backup_journal)] == [0, 0]
         resume()
         p.sim.run(until=p.sim.now + 0.5)
         assert svol.block_map() == pvol.block_map()

@@ -133,8 +133,9 @@ class TestDeflateBudget:
         increments = []
         reducer.deflate_skipped.increment = increments.append
         reducer.encode_batch(
-            [BlockValue(payload, 1) for payload in profile_payloads(
-                ("random", "compressible"), 40)])
+            [BlockValue(payload, 1, zlib.crc32(payload))
+             for payload in profile_payloads(
+                 ("random", "compressible"), 40)])
         assert increments == [20]
 
 

@@ -13,7 +13,8 @@ from repro.errors import VolumeError
 from repro.simulation import Simulator
 from repro.storage import StorageArray
 from repro.storage.adc import JOURNAL_APPEND_LATENCY
-from tests.storage.conftest import build_two_site, fast_adc, run
+from tests.storage.conftest import (build_two_site, fast_adc,
+                                    journal_entries, run)
 
 
 def build_pair(sim, journal_capacity=10_000, blocks=64, adc=None):
@@ -61,7 +62,7 @@ class TestBatchedEqualsSerial:
         run(sim, writer())
         entries = [(e.sequence, e.volume_id, e.block, e.payload,
                     e.version, e.checksum)
-                   for e in group.main_journal.snapshot_entries()]
+                   for e in journal_entries(group.main_journal)]
         group.start()
         deadline = sim.now + 60.0
         while group.entry_lag and sim.now < deadline:
@@ -190,7 +191,7 @@ class TestBatchSemantics:
                                              b"checked")]))
         expected = payload_checksum(b"checked")
         assert pvol.peek(7).checksum == expected
-        [entry] = group.main_journal.snapshot_entries()
+        [entry] = journal_entries(group.main_journal)
         assert entry.checksum == expected
         assert entry.verify_checksum()
 
@@ -248,12 +249,12 @@ def test_non_bytes_payload_rejected_before_any_state_change(sim, payload):
     group.stop()  # keep the journal where the writes left it
     run(sim, site.main.host_write(pvol.volume_id, 0, b"kept"))
     history = site.main.history.records
-    journal = group.main_journal.snapshot_entries()
+    journal = journal_entries(group.main_journal)
     image = pvol.block_map()
     with pytest.raises(VolumeError):
         run(sim, site.main.host_write(pvol.volume_id, 1, payload))
     assert site.main.history.records == history
-    assert group.main_journal.snapshot_entries() == journal
+    assert journal_entries(group.main_journal) == journal
     assert pvol.block_map() == image
     assert pvol.version_counter == 1
 

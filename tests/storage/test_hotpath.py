@@ -11,10 +11,12 @@ import pytest
 from repro.errors import VolumeError
 from repro.simulation import Simulator
 from repro.storage.adc import IDLE_LAG_SAMPLE_INTERVAL
-from repro.storage.journal import JournalEntry, JournalVolume
+from repro.storage.journal import (JournalEntry, JournalVolume,
+                                   payload_checksum)
 from repro.storage.volume import MediaProfile, Volume
 from repro.telemetry.spans import NULL_SPAN, Tracer
-from tests.storage.conftest import build_two_site, fast_adc, run
+from tests.storage.conftest import (build_two_site, fast_adc,
+                                    journal_entries, run)
 
 
 def filled_journal(count: int, capacity: int = 100_000) -> JournalVolume:
@@ -27,7 +29,8 @@ def filled_journal(count: int, capacity: int = 100_000) -> JournalVolume:
 def entry(sequence: int, payload: bytes = b"x") -> JournalEntry:
     return JournalEntry(sequence=sequence, volume_id=7,
                         block=sequence % 16, payload=payload,
-                        version=sequence + 1, created_at=0.0)
+                        version=sequence + 1, created_at=0.0,
+                        checksum=payload_checksum(payload))
 
 
 class TestRingSemantics:
@@ -105,7 +108,7 @@ class TestRingSemantics:
         journal.pop_through(8_191)  # dead prefix > threshold, > half
         assert len(journal) == 12_000 - 8_192
         assert journal.oldest_sequence() == 8_192
-        expected = sum(e.size_bytes for e in journal.snapshot_entries())
+        expected = sum(e.size_bytes for e in journal_entries(journal))
         assert journal.bytes_retained == expected
         remaining = journal.pop_through(11_999)
         assert [e.sequence for e in remaining[:2]] == [8_192, 8_193]
@@ -113,7 +116,7 @@ class TestRingSemantics:
 
     def test_snapshot_is_a_copy(self):
         journal = filled_journal(5)
-        snapshot = journal.snapshot_entries()
+        snapshot = journal_entries(journal)
         journal.pop_through(4)
         assert [e.sequence for e in snapshot] == [0, 1, 2, 3, 4]
 

@@ -14,7 +14,8 @@ assertion on purpose; and the one-entry window's span outcomes.
 import pytest
 
 from repro.storage import AdcConfig
-from tests.storage.conftest import build_pipeline, drain, image_of, run
+from tests.storage.conftest import (build_pipeline, drain, hold_repair,
+                                    image_of, journal_entries, run)
 
 
 def build_laned_pair(seed, lanes):
@@ -52,7 +53,7 @@ class TestLaneConfigAndMetrics:
             journal.append_many([(p.pvols[0].volume_id, block % 2, b"x",
                                   block + 1, None) for block in range(5)],
                                 0.0)
-            group.backup_journal.ingest_batch(journal.snapshot_entries())
+            group.backup_journal.ingest_batch(journal_entries(journal))
             group.stop_transfer()
             windows = []
             apply_window = group._apply_window
@@ -119,9 +120,9 @@ OUTCOMES = {
 def build_backlog(outcome, lanes):
     """A stopped group whose backup journal holds three entries, the
     middle one about to meet ``outcome``; returns (sim, group, svol)."""
-    p = build_pipeline(9, blocks=16, latency=0.002, apply_lanes=lanes,
-                       auto_repair=False)
+    p = build_pipeline(9, blocks=16, latency=0.002, apply_lanes=lanes)
     sim, group, pvol, svol = p.sim, p.group, p.pvols[0], p.svols[0]
+    hold_repair(group)
     group.stop()
     sim.run(until=0.01)  # both loops have exited
     middle = 9999 if outcome == "pair deleted" else pvol.volume_id
@@ -129,7 +130,7 @@ def build_backlog(outcome, lanes):
     journal.append_many([(pvol.volume_id, 0, b"first", 1, None),
                          (middle, 1, b"middle", 2, None),
                          (pvol.volume_id, 2, b"last", 3, None)], sim.now)
-    entries = journal.snapshot_entries()
+    entries = journal_entries(journal)
     journal.clear()  # nothing left for the transfer side
     group.backup_journal.ingest_batch(entries)
     if outcome == "stale":

@@ -7,6 +7,7 @@ from repro.storage import (Counter, GaugeSeries, JournalVolume,
                            LatencyRecorder, StoragePool, WriteHistory,
                            percentile)
 from repro.storage.journal import JournalFullError
+from tests.storage.conftest import journal_entries
 
 
 class TestStoragePool:
@@ -32,7 +33,7 @@ class TestJournalVolume:
         journal = JournalVolume(1, capacity_entries=10)
         assert journal.append_many([(1, 0, b"a", 1, None)], time=0.0) == 1
         assert journal.append_many([(1, 1, b"b", 2, None)], time=0.1) == 1
-        e1, e2 = journal.snapshot_entries()
+        e1, e2 = journal_entries(journal)
         assert (e1.sequence, e2.sequence) == (0, 1)
         assert (e1.created_at, e2.created_at) == (0.0, 0.1)
         assert journal.head_sequence == 1
@@ -66,7 +67,7 @@ class TestJournalVolume:
         source = JournalVolume(1, capacity_entries=10)
         source.append_many([(1, i, b"x", i + 1, None) for i in range(3)],
                            time=0.0)
-        entries = source.snapshot_entries()
+        entries = journal_entries(source)
         target = JournalVolume(2, capacity_entries=10)
         target.ingest_batch([entries[0]])
         target.ingest_batch([entries[1]])
@@ -77,7 +78,7 @@ class TestJournalVolume:
         source = JournalVolume(1, capacity_entries=10)
         source.append_many([(1, i, b"x", i + 1, None) for i in range(2)],
                            time=0.0)
-        entries = source.snapshot_entries()
+        entries = journal_entries(source)
         target = JournalVolume(2, capacity_entries=1)
         target.ingest_batch([entries[0]])
         with pytest.raises(JournalFullError):

@@ -10,17 +10,22 @@ bulk-ingest the clean prefix.  Two contracts are pinned here:
   re-verifies;
 * **prefix semantics** — a backup-journal-full and a wire corruption in
   mid-batch leave exactly the trim point, quarantine, counters and
-  cache state the historical per-entry loop left (the expected states
-  below were captured from it).
+  cache state pinned below, and a batch coalescing thinned that does
+  not land whole is ingested only before its first dropped entry, so
+  resuming restore exposes nothing but prefix cuts of the ack order.
 """
 
 import cProfile
 import pstats
 
+import pytest
+
 from repro.apps.workload import PayloadProfile
+from repro.recovery.checker import check_storage_cut
 from repro.storage import ReductionConfig
 from repro.storage.journal import JournalEntry
-from tests.storage.conftest import build_pipeline, hold_restore, run
+from tests.storage.conftest import (build_pipeline, hold_repair,
+                                    hold_restore, journal_entries, run)
 
 ALL_ON = dict(coalesce_overwrites=True, apply_lanes=4, transfer_window=4,
               reduction=ReductionConfig(enabled=True))
@@ -95,7 +100,7 @@ def receive_state(group) -> dict:
         "trim_point": group.main_journal.oldest_sequence(),
         "main_entries": len(group.main_journal),
         "backup_sequences": [entry.sequence for entry in
-                             group.backup_journal.snapshot_entries()],
+                             journal_entries(group.backup_journal)],
         "transferred_sequence": group.transferred_sequence,
         "transferred": group.transferred_count.value,
         "transfer_bytes": group.transfer_bytes.value,
@@ -113,21 +118,22 @@ def receive_state(group) -> dict:
     }
 
 
-REDUCED_COALESCED = dict(coalesce_overwrites=True, auto_repair=False,
+REDUCED_COALESCED = dict(coalesce_overwrites=True,
                          reduction=ReductionConfig(enabled=True))
 
-#: what the per-entry loop left behind (captured at the last commit
-#: that had one), keyed like :func:`receive_state`
+#: the state a mid-batch failure leaves, keyed like
+#: :func:`receive_state`.  Coalescing dropped the batch's first 15
+#: entries (sequences 0-14, superseded by 25-39), so its thinned prefix
+#: is empty: nothing is ingested or trimmed and the whole batch
+#: re-ships once the suspension heals
 EXPECTED_BACKUP_FULL = {
     "status": "backup journal full",
-    # nothing trims: sequence 0 was superseded by a survivor that did
-    # not fit
     "trim_point": 0,
     "main_entries": 40,
-    "backup_sequences": [15, 16, 17, 18, 19, 20, 21, 22, 23],
-    "transferred_sequence": 23,
-    "transferred": 9,
-    "transfer_bytes": 9 * (256 + 64),
+    "backup_sequences": [],
+    "transferred_sequence": -1,
+    "transferred": 0,
+    "transfer_bytes": 0,
     "batches": 0,
     "coalesced": 15,
     "suspensions": 1,
@@ -144,12 +150,14 @@ EXPECTED_BACKUP_FULL = {
 }
 EXPECTED_WIRE_CORRUPTION = {
     "status": "integrity: corrupt entry seq=26 vol=100 block=7 (wire)",
-    "trim_point": 2,
-    "main_entries": 38,
-    "backup_sequences": [15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25],
-    "transferred_sequence": 25,
-    "transferred": 11,
-    "transfer_bytes": 11 * (256 + 64),
+    # the corrupt entry lies past the thinned prefix: quarantined, but
+    # not trimmed
+    "trim_point": 0,
+    "main_entries": 40,
+    "backup_sequences": [],
+    "transferred_sequence": -1,
+    "transferred": 0,
+    "transfer_bytes": 0,
     "batches": 0,
     "coalesced": 15,
     "suspensions": 1,
@@ -164,34 +172,66 @@ EXPECTED_WIRE_CORRUPTION = {
 }
 
 
+def corrupt_26(entry: JournalEntry) -> JournalEntry:
+    """Wire injector: flip the first byte of sequence 26 (the 12th of
+    the batch's 25 survivors)."""
+    if entry.sequence != 26:
+        return entry
+    return JournalEntry(
+        entry.sequence, entry.volume_id, entry.block,
+        b"\xff" + entry.payload[1:], entry.version, entry.created_at,
+        entry.checksum, entry.trace_id, entry.span_id)
+
+
 class TestMidBatchFailure:
     """Coalescing + reduction on, one batch of 40 writes over 25
-    addresses, restore held so the backup journal only fills."""
+    addresses, restore held so the backup journal only fills; the wire
+    corruption also holds the repair, so the group stays suspended."""
 
-    def _one_batch(self, **build):
-        p = build_pipeline(17, **build)
-        hold_restore(p.group)
+    def _one_batch(self, fault):
+        p = build_pipeline(17, **REDUCED_COALESCED,
+                           **({"backup_capacity": 9}
+                              if fault == "backup-full" else {}))
+        resume = hold_restore(p.group)
         write_stream(p, 40, blocks=25, unique=16)
-        return p.sim, p.group
+        release = None
+        if fault == "wire-corruption":
+            release = hold_repair(p.group)
+            p.group.install_wire_injector(corrupt_26)
+        p.sim.run(until=p.sim.now + 0.1)
+        return p, resume, release
 
     def test_backup_journal_full_admits_the_prefix_that_fits(self):
-        sim, group = self._one_batch(backup_capacity=9,
-                                     **REDUCED_COALESCED)
-        sim.run(until=sim.now + 0.1)
-        assert receive_state(group) == EXPECTED_BACKUP_FULL
+        p, _resume, _release = self._one_batch("backup-full")
+        assert receive_state(p.group) == EXPECTED_BACKUP_FULL
 
     def test_wire_corruption_quarantines_and_trims_around_it(self):
-        sim, group = self._one_batch(**REDUCED_COALESCED)
+        p, _resume, _release = self._one_batch("wire-corruption")
+        assert receive_state(p.group) == EXPECTED_WIRE_CORRUPTION
 
-        def corrupt(entry: JournalEntry) -> JournalEntry:
-            if entry.sequence != 26:  # the 12th of the 25 survivors
-                return entry
-            return JournalEntry(
-                entry.sequence, entry.volume_id, entry.block,
-                b"\xff" + entry.payload[1:], entry.version,
-                entry.created_at, entry.checksum, entry.trace_id,
-                entry.span_id)
+    @pytest.mark.parametrize("fault", ["backup-full", "wire-corruption"])
+    def test_resumed_restore_exposes_only_prefix_cuts(self, fault):
+        """Every restore window after the failure commits a prefix of
+        the ack order; after the wire corruption the repair then
+        converges the secondary."""
+        p, resume, release = self._one_batch(fault)
+        group, pvol, svol = p.group, p.pvols[0], p.svols[0]
+        cuts = []
+        update_copy_states = group._update_copy_states
 
-        group.install_wire_injector(corrupt)
-        sim.run(until=sim.now + 0.1)
-        assert receive_state(group) == EXPECTED_WIRE_CORRUPTION
+        def checked_update():  # runs after every restore window
+            update_copy_states()
+            cuts.append((group.restored_sequence, check_storage_cut(
+                p.main.history, {pvol.volume_id: dict(svol.versions)})))
+
+        group._update_copy_states = checked_update
+        resume()
+        if release is not None:
+            group.install_wire_injector(None)
+            release()
+        p.sim.run(until=p.sim.now + 0.5)
+        assert all(report.consistent for _restored, report in cuts), \
+            [(restored, str(report)) for restored, report in cuts]
+        if release is not None:
+            assert cuts and not group.suspended
+            assert svol.block_map() == pvol.block_map()

@@ -28,8 +28,8 @@ from repro.storage.reduction import (COMPRESS_FRAME_BYTES, REF_BYTES,
 from repro.storage.volume import BlockValue
 from tests.chaos.test_faults import corrupt_first_entry
 from tests.storage.conftest import (build_pipeline, hold_restore,
-                                    make_async_pair, run,
-                                    tamper_receiver_entry)
+                                    journal_entries, make_async_pair,
+                                    run, tamper_receiver_entry)
 
 REDUCED = ReductionConfig(enabled=True)
 
@@ -208,8 +208,7 @@ class TestBatchDictionary:
         """A receive cut short by a full backup journal decodes and
         ingests the prefix that fits, every compressed page against its
         predecessor; the rest re-ships after the suspension heals."""
-        p = build_pipeline(17, backup_capacity=9, auto_repair=False,
-                           reduction=REDUCED)
+        p = build_pipeline(17, backup_capacity=9, reduction=REDUCED)
         group, pvol = p.group, p.pvols[0]
         resume = hold_restore(group)
         pages = text_pages(20, size=256)
@@ -219,7 +218,7 @@ class TestBatchDictionary:
         p.sim.run(until=p.sim.now + 0.1)
         assert group.suspend_reason == "backup journal full"
         assert [entry.payload for entry in
-                group.backup_journal.snapshot_entries()] == pages[:9]
+                journal_entries(group.backup_journal)] == pages[:9]
         assert group.reducer.saved_compress.value > 0
         assert group.reducer.ref_fallbacks.value == 0
         resume()

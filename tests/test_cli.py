@@ -99,7 +99,8 @@ class TestParser:
         "restore_concurrency=8",     # unknown field
         "transfer_window=0",         # fails AdcConfig validation
         "transfer_window=four", "adaptive_batch=maybe",
-        "reduction=zlib", "apply_lanes"])
+        "reduction=zlib", "apply_lanes",
+        "verify_integrity=false", "auto_repair=false"])  # no such fields
     def test_chaos_rejects_a_bad_adc_override(self, override, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["chaos", "--adc", override])
