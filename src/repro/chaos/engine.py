@@ -556,6 +556,8 @@ class ChaosEngine:
                 reducer.saved_dedup.value
             counters["wire_bytes_saved_total[compress]"] = \
                 reducer.saved_compress.value
+            counters["wire_bytes_saved_total[header]"] = \
+                reducer.saved_header.value
         # batch-window counters enter the digest only when apply_lanes > 1
         # (same rule as reduction): serial-applier campaigns digest as
         # they did before the knob existed

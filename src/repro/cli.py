@@ -243,7 +243,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     try:
         perf.load_suite()
         # read the records before the minutes of measurement, not after
-        recorded = perf.load_rows(args.check)[-1] if args.check else None
+        recorded = perf.recorded_row(args.check, args.smoke) \
+            if args.check else None
         if args.output and os.path.exists(args.output):
             perf.load_rows(args.output)
     except (OSError, ValueError) as exc:
@@ -393,11 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "in FILE (e.g. BENCH_PERF.json); nothing is "
                            "written without it")
     perf.add_argument("--check", default=None, metavar="FILE",
-                      help="compare with the newest row of FILE: exact "
-                           "rows by equality, end-to-end rows by the "
-                           "benchmark's ok/worse/unresolved verdicts when "
-                           "both ran at the same size; exit 1 on a "
-                           "difference, a `worse` or a failed operation")
+                      help="compare with FILE's newest row of this size: "
+                           "exact rows by equality, end-to-end rows by the "
+                           "benchmark's ok/worse/unresolved verdicts on the "
+                           "same machine; exit 1 on a difference, a "
+                           "`worse` or a failed operation")
     perf.set_defaults(func=_cmd_perf)
 
     report = sub.add_parser(

@@ -47,14 +47,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import repeat
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, Generator, List,
                     Optional, Sequence, Tuple)
 from zlib import crc32
 
 from repro.errors import ReplicationError
 from repro.simulation.network import LinkDownError, NetworkLink
-from repro.storage.journal import JournalEntry, JournalVolume
+from repro.storage.journal import (ENTRY_HEADER_BYTES, JournalEntry,
+                                   JournalVolume, _entry_payload)
 from repro.storage.reduction import (DISABLED_REDUCTION, EncodedBatch,
                                      ReductionConfig, WireReducer)
 from repro.storage.replication import (PairState, ReplicationPair,
@@ -65,8 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
     from repro.storage.volume import Volume
 
-
-_entry_payload = attrgetter("payload")
 
 #: journal appends land in array cache; far cheaper than media writes
 JOURNAL_APPEND_LATENCY = 0.00005
@@ -796,22 +795,19 @@ class JournalGroup:
         corrupt = None
         # the entry one past the room is received too: it is the one that
         # finds the journal full (or is quarantined first)
-        arriving = ship if room >= len(ship) else ship[:room + 1]
-        received = None if encodings is None else \
-            self.reducer.receive_batch("transfer", encodings, arriving)
-        for entry in arriving:
-            if received is not None:
-                payload, verified = next(received)
-                if payload is not entry.payload:
-                    entry = JournalEntry(
-                        entry.sequence, entry.volume_id, entry.block,
-                        payload, entry.version, entry.created_at,
-                        entry.checksum, entry.trace_id, entry.span_id)
-                if verified and injector is None:
-                    # a resolved reference was just verified against
-                    # the entry checksum: no second hash
-                    clean.append(entry)
-                    continue
+        arriving = min(len(ship), room + 1)
+        if encodings is None:
+            received, lengths = zip(ship, repeat(False, arriving)), None
+        else:
+            # each entry is rebuilt from the header block and its payload
+            received, lengths = self.reducer.receive_batch(
+                encodings, arriving)
+        for entry, verified in received:
+            if verified and injector is None:
+                # a resolved reference was just verified against the
+                # entry checksum: no second hash
+                clean.append(entry)
+                continue
             if injector is not None:
                 entry = injector(entry)
             if crc32(entry.payload) != entry.checksum:
@@ -832,7 +828,7 @@ class JournalGroup:
             # and trim no further, the rest re-ships
             consumed = shipment.intact
             del clean[consumed:]
-        delivered_bytes = self.backup_journal.ingest_batch(clean)
+        delivered_bytes = self.backup_journal.ingest_batch(clean, lengths)
         if corrupt is not None:
             # consumed unless it lies past the thinned prefix: a
             # trimmed corrupt entry never re-ships
@@ -844,10 +840,10 @@ class JournalGroup:
             # image is a prefix again only at the batch tail
             self._coalesced_spans.append(
                 (batch[shipment.intact].sequence, ship[-1].sequence))
-        if received is not None:
+        if encodings is not None:
             # books the whole shipment's post-reduction wire bytes (the
             # full batch crossed the link even if ingest stopped early)
-            received.close()
+            self.reducer.book("transfer", encodings)
         # trim through the last consumed entry: a thinned batch is
         # consumed whole or only before its first drop, so everything
         # trimmed was consumed or superseded by a consumed survivor
@@ -936,7 +932,7 @@ class JournalGroup:
             # while integrity is re-armed a payload may no longer match
             # its checksum: fingerprint the bytes actually there
             encodings = self.reducer.encode_batch(
-                ship, trusted=not self.integrity_rearmed, overhead=64,
+                ship, trusted=not self.integrity_rearmed,
                 ahead=[shipment.encodings for shipment in ahead])
             payload_bytes = encodings.wire_bytes
         else:
@@ -944,7 +940,7 @@ class JournalGroup:
             # entry: the payload lengths are taken in C
             encodings = None
             payload_bytes = sum(map(len, map(_entry_payload, ship))) \
-                + 64 * len(ship)
+                + ENTRY_HEADER_BYTES * len(ship)
         span = None
         tracer = self.tracer
         if tracer.enabled:

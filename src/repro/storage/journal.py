@@ -27,8 +27,9 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import islice
 from operator import attrgetter
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 
 def payload_checksum(payload: bytes) -> int:
@@ -41,6 +42,10 @@ def payload_checksum(payload: bytes) -> int:
 
 
 _entry_sequence = attrgetter("sequence")
+_entry_payload = attrgetter("payload")
+
+#: the fixed entry header of the journal volume and the unreduced wire
+ENTRY_HEADER_BYTES = 64
 
 
 @dataclass(slots=True)
@@ -78,8 +83,10 @@ class JournalEntry:
 
     @property
     def size_bytes(self) -> int:
-        """Wire size: payload plus a fixed 64-byte header."""
-        return len(self.payload) + 64
+        """Journal-volume footprint: payload plus the fixed header.  The
+        wire size only without reduction, which packs a shipment's
+        headers into one block (:mod:`repro.storage.reduction`)."""
+        return len(self.payload) + ENTRY_HEADER_BYTES
 
     def verify_checksum(self) -> bool:
         """True when the payload still matches its append-time CRC32."""
@@ -169,7 +176,7 @@ class JournalVolume:
             ring.append(JournalEntry(
                 sequence, volume_id, block, data, version, time,
                 checksum, trace_id, span_id))
-            sizes.append(len(data) + 64)
+            sizes.append(len(data) + ENTRY_HEADER_BYTES)
         self._sizes += sizes
         self.bytes_retained += sum(sizes)
         self._next_sequence = first + count
@@ -178,9 +185,11 @@ class JournalVolume:
             self.peak_entries = occupancy + count
         return count
 
-    def ingest_batch(self, entries: List[JournalEntry]) -> int:
+    def ingest_batch(self, entries: List[JournalEntry],
+                     lengths: Optional[Iterable[int]] = None) -> int:
         """Accept one transferred batch at the backup site; returns the
-        wire bytes admitted.
+        journal bytes admitted, sized from ``lengths`` (a decoded header
+        block's length column, which may run past ``entries``) if given.
 
         Entries must arrive in sequence order (the transfer process
         ships them FIFO over one link) — ``entries`` is a
@@ -202,7 +211,9 @@ class JournalVolume:
         if occupancy + len(entries) > self.capacity_entries:
             raise JournalFullError(f"{self.name} full on ingest")
         ring.extend(entries)
-        sizes = [len(entry.payload) + 64 for entry in entries]
+        sizes = list(map(ENTRY_HEADER_BYTES.__add__, map(len, map(
+            _entry_payload, entries)) if lengths is None
+            else islice(lengths, len(entries))))
         self._sizes.extend(sizes)
         admitted = sum(sizes)
         self.bytes_retained += admitted

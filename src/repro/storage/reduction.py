@@ -6,7 +6,8 @@ initial copy and resync riding it — can pass its payloads through one
 :class:`WireReducer`, which
 charges :class:`~repro.simulation.network.NetworkLink` the
 *post-reduction* byte count while the logical-byte counters keep their
-pre-reduction meaning.  Two mechanisms, tried cheapest-first per
+pre-reduction meaning.  Every entry header of a shipment travels as
+one header block, and two mechanisms are tried cheapest-first per
 payload:
 
 * **fingerprint dedup** — a bounded :class:`FingerprintCache` on each
@@ -33,6 +34,18 @@ payload:
   so the probe's call on one payload changes how no other compresses.
   The entry CRC32 checked at receive covers every decoded payload, so
   the wire form carries no zlib header or checksum of its own.
+
+**The header block** (:func:`pack_header`) replaces the fixed 64-byte
+entry headers with columns, built and read without a per-row Python
+loop: the sequence as ``(first, count)`` when contiguous, else offsets;
+``block``, ``version`` and payload length at the narrowest unsigned
+width holding the column's maximum; ``checksum`` at u32; ``volume_id``
+and ``created_at`` dictionary-coded (one journal append shares a time);
+a byte a row saying raw, compressed or referenced — a reference's
+fingerprint is its row's ``(checksum, length)``.  The link is charged
+the block plus the payloads.  The trace context follows, dictionary-
+coded, as telemetry the link is not charged for (priced, the tracer
+switch would move simulated time).
 
 **Cache synchronisation.**  Sender and receiver caches commit *only at
 receive time*, in receive order, each payload in the class its wire
@@ -63,11 +76,17 @@ changes behaviour at all.
 
 from __future__ import annotations
 
+import json
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import add, attrgetter, sub
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 from zlib import DEFLATED, compressobj, crc32, decompressobj
+
+from repro.storage.journal import ENTRY_HEADER_BYTES, JournalEntry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
@@ -87,8 +106,6 @@ RATIO_THRESHOLD = 0.9
 #: payloads smaller than this skip the compression attempt (the zlib
 #: header alone would eat the win)
 MIN_COMPRESS_BYTES = 32
-#: wire size of one fingerprint reference (crc32 + length + framing)
-REF_BYTES = 12
 
 #: density probe (docs/performance.md): deflate is skipped when, of at
 #: most PROBE_SAMPLE_BYTES bytes taken at an even stride over the
@@ -103,6 +120,110 @@ REFERENCE = object()
 
 #: a ``(crc32, length)`` payload fingerprint
 Fingerprint = Tuple[int, int]
+
+# -- the header block ---------------------------------------------------------
+
+#: a row's wire form in the header block's forms column
+RAW, COMPRESSED, REFERENCED = 0, 1, 2
+#: :attr:`EncodedBatch.forms` entry type -> forms-column code
+_FORM_CODES = {type(None): RAW, bytes: COMPRESSED, type(REFERENCE): REFERENCED}
+#: unsigned ``array`` typecodes, narrowest first, with the bound of each
+_WIDTHS = tuple((code, 1 << 8 * array(code).itemsize) for code in "BHIQ")
+_TYPECODES = "".join(code for code, _bound in _WIDTHS)
+_SEQUENCE, _VOLUME, _BLOCK, _VERSION, _CREATED, _PAYLOAD, _CHECKSUM = map(
+    attrgetter, ("sequence", "volume_id", "block", "version", "created_at",
+                 "payload", "checksum"))
+_TRACE_CONTEXT = attrgetter("trace_id", "span_id")
+
+
+def _narrow(values: Iterable[int]) -> bytes:
+    """A byte naming the narrowest unsigned width holding ``values``'
+    maximum, then the values at that width."""
+    values = list(values)
+    top = max(values, default=0)
+    for index, (code, bound) in enumerate(_WIDTHS):
+        if top < bound:  # (bytes() packs a byte column fastest)
+            return bytes((index,)) + (
+                array(code, values).tobytes() if index else bytes(values))
+    raise OverflowError(f"header value {top} needs more than 64 bits")
+
+
+def _put_dictionary(parts: list, column: Iterable, kind: type) -> None:
+    """A dictionary-coded column: key count and key bytes, the keys
+    (volume ids narrowed, timestamps as doubles, ``(trace_id, span_id)``
+    pairs as JSON), then unless one key covers every row, a code a row."""
+    index: Dict[object, int] = {}
+    # one hash a row: a new key's code is the key count before it
+    codes = list(map(index.setdefault, column, map(len, repeat(index))))
+    keys = list(index)
+    blob = _narrow(keys) if kind is int \
+        else array("d", keys).tobytes() if kind is float \
+        else json.dumps(keys).encode()
+    parts += (_narrow((len(keys), len(blob))), blob)
+    if len(keys) > 1:
+        parts.append(_narrow(codes))
+
+
+def pack_header(entries: Sequence[JournalEntry], checksums: Sequence[int],
+                lengths: Sequence[int], forms: Sequence[object],
+                ) -> Tuple[bytes, int]:
+    """The header block of one shipment (the module docstring has its
+    format) and how many of its bytes the link carries."""
+    count = len(entries)
+    first, last = entries[0].sequence, entries[-1].sequence
+    contiguous = last - first == count - 1
+    parts = [_narrow((first, count, contiguous))]
+    if not contiguous:
+        parts.append(_narrow(map(sub, map(_SEQUENCE, entries),
+                                 repeat(first))))
+    parts += map(_narrow, (map(_BLOCK, entries), map(_VERSION, entries),
+                           lengths))
+    parts.append(b"\2" + array("I", checksums).tobytes())  # u32: "BHIQ"[2]
+    _put_dictionary(parts, map(_VOLUME, entries), int)
+    _put_dictionary(parts, map(_CREATED, entries), float)
+    parts.append(b"\0"  # a byte column
+                 + bytes(map(_FORM_CODES.__getitem__, map(type, forms))))
+    priced = sum(map(len, parts))
+    _put_dictionary(parts, map(_TRACE_CONTEXT, entries), tuple)
+    return b"".join(parts), priced
+
+
+def unpack_header(block: bytes) -> Tuple[Iterable, ...]:
+    """Inverse of :func:`pack_header`: an iterable a column (``sequence,
+    volume_id, block, version, created_at, checksum, trace_id, span_id,
+    length, form``)."""
+    at = 0
+
+    def take(items: int) -> array:
+        nonlocal at
+        column = array(_TYPECODES[block[at]])
+        end = at + 1 + items * column.itemsize
+        column.frombytes(block[at + 1:end])
+        at = end
+        return column
+
+    first, count, contiguous = take(3)
+    sequences = range(first, first + count) if contiguous \
+        else map(add, take(count), repeat(first))
+    blocks, versions, lengths, checksums = (take(count) for _ in range(4))
+
+    def dictionary(kind: type) -> List[Iterable]:
+        """One column a field of the keys (two for trace context)."""
+        nonlocal at
+        size, length = take(2)
+        blob, at = block[at:at + length], at + length
+        fields = [array(_TYPECODES[blob[0]], blob[1:])] if kind is int \
+            else [array("d", blob)] if kind is float \
+            else list(zip(*json.loads(blob)))
+        codes = take(count) if size > 1 else None
+        return [repeat(keys[0], count) if codes is None
+                else map(keys.__getitem__, codes) for keys in fields]
+
+    (volumes,), (created,) = dictionary(int), dictionary(float)
+    forms = take(count)
+    traces, spans = dictionary(tuple)
+    return (sequences, volumes, blocks, versions, created, checksums,
+            traces, spans, lengths, forms)
 
 
 @dataclass(frozen=True)
@@ -269,20 +390,19 @@ class FingerprintCache:
 
 @dataclass(slots=True)
 class EncodedBatch:
-    """One outgoing batch's wire form, decided at encode (launch) time
-    and held as columns (a row per payload, no object per payload).
-    The totals include the per-item overhead the call site declared."""
+    """One outgoing batch's wire form, decided at encode (launch) time:
+    its header block (:func:`pack_header`) and its payload section."""
 
-    fingerprints: List[Fingerprint]
-    #: per payload: None ships raw, ``bytes`` is the compressed form,
-    #: :data:`REFERENCE` ships the fingerprint only
+    header: bytes
+    #: ``64 x rows`` minus the header-block bytes the link carries
+    saved_header: int
+    #: the sender's payloads: what a raw row or a fallback retransmits
+    payloads: List[bytes]
+    #: per payload: None raw, ``bytes`` compressed, :data:`REFERENCE`
     forms: List[object]
-    #: what the link is charged for the whole batch
+    #: what the link is charged: the header block plus the payloads
     wire_bytes: int
-    #: per-item framing, as passed to ``encode_batch`` (it prices a
-    #: fallback retransmit)
-    overhead: int
-    #: ``raw - wire`` summed over the references / compressed payloads
+    #: payload bytes the references / compressed payloads saved
     saved_dedup: int
     saved_compress: int
     #: fingerprint -> (payload, shipped raw) of what ships in full,
@@ -333,12 +453,14 @@ class WireReducer:
         self.lookups = 0
         self.hits = 0
         self._wire_counters: Dict[str, object] = {}
-        self.saved_dedup, self.saved_compress = (
+        #: payload sizes retransmitted by the current receive pass
+        self._fallbacks: List[int] = []
+        self.saved_dedup, self.saved_compress, self.saved_header = (
             registry.counter(
                 "repro_wire_bytes_saved_total",
                 help="Wire bytes that never crossed the link, by reduction "
                      "mechanism", unit="bytes", mechanism=mechanism, **scope)
-            for mechanism in ("dedup", "compress"))
+            for mechanism in ("dedup", "compress", "header"))
         self.hit_ratio = registry.gauge(
             "repro_dedup_hit_ratio",
             help="Fraction of encode-time fingerprint lookups answered "
@@ -362,22 +484,21 @@ class WireReducer:
 
     # -- sender side ---------------------------------------------------------
 
-    def encode_batch(self, carriers: Iterable[object], trusted: bool = False,
-                     overhead: int = 0, ahead: Sequence[EncodedBatch] = (),
+    def encode_batch(self, entries: Sequence[JournalEntry],
+                     trusted: bool = False,
+                     ahead: Sequence[EncodedBatch] = (),
                      ) -> EncodedBatch:
         """Decide the wire form of one outgoing batch against the
         current caches.
 
-        ``carriers`` are anything with ``payload``/``checksum`` (journal
-        entries); ``trusted`` says that checksum is the payload's CRC32
-        for certain, so the fingerprint costs no hash (otherwise, or
-        where it is None, the payload is hashed).  A payload's unreduced
-        wire cost is its length plus ``overhead``, the per-item framing
-        shipped regardless of mechanism (the 64-byte journal-entry
-        header).  The cheapest mechanism wins.  Nothing is committed
-        here.  Every reference is bounded to resolve.  A sender-cache
-        entry is referenced only if the full payloads committing before
-        the reference cannot evict it (:meth:`FingerprintCache.survives`).
+        A payload's fingerprint is its header row's ``(checksum,
+        length)``.  ``trusted`` says every checksum is its payload's
+        CRC32 for certain; otherwise each payload is hashed, and one
+        that does not match ships in full and is never referenced.  The
+        cheapest mechanism wins.  Nothing is committed here.  Every
+        reference is bounded to resolve.  A sender-cache entry is
+        referenced only if the full payloads committing before the
+        reference cannot evict it (:meth:`FingerprintCache.survives`).
         Otherwise a payload dedups against an earlier full copy in the
         ``ahead`` batches (in flight in front of it, in launch order),
         or failing that in this batch, whose receive commits that copy
@@ -386,16 +507,19 @@ class WireReducer:
         before the reference, number fewer than ``cache_entries``; a
         compressed one only while all of them cannot evict past the
         compressed entries cached now.  Each payload is compressed
-        against the one before it in ``carriers``.  No undo log:
+        against the one before it in ``entries``.  No undo log:
         receive is head-first and a failed head voids every shipment
         behind it, so one that never lands leaves no state behind.
         """
         capacity = self.config.cache_entries
         dedup = capacity > 0
-        ref_bytes = REF_BYTES
         sender_get = self.sender.get
         survives = self.sender.survives
         compress = self.codec.compress
+        payloads = list(map(_PAYLOAD, entries))
+        checksums = list(map(_CHECKSUM, entries))
+        lengths = list(map(len, payloads))
+        fingerprints = list(zip(checksums, lengths))
         in_flight: Dict[Fingerprint, Tuple[bytes, bool]] = {}
         # full copies committing before a reference here lands, by
         # class: each may insert a new key
@@ -406,19 +530,13 @@ class WireReducer:
             compressed += batch.full_compressed
         compressed_ahead = compressed
         pending: Dict[Fingerprint, Tuple[bytes, bool]] = {}
-        fingerprints: List[Fingerprint] = []
         forms: List[object] = []
-        total_raw = saved_dedup = saved_compress = 0
+        saved_dedup = saved_compress = 0
         # the dictionary of the next payload: the one shipped before it
         previous = b""
-        for carrier in carriers:
-            payload = carrier.payload
-            size = len(payload)
-            total_raw += size
-            fingerprint = (carrier.checksum if trusted else crc32(payload),
-                           size)
-            fingerprints.append(fingerprint)
-            if dedup:
+        for payload, fingerprint in zip(payloads, fingerprints):
+            intact = trusted or crc32(payload) == fingerprint[0]
+            if dedup and intact:
                 cached = sender_get(fingerprint)
                 if cached is not None:
                     if not survives(fingerprint, raw, compressed):
@@ -440,10 +558,9 @@ class WireReducer:
                             cached = None
                 # byte-compare before referencing: a (crc32, length)
                 # collision must ship its payload, never a wrong reference
-                if cached is not None and ref_bytes < size \
-                        and cached == payload:
+                if cached is not None and cached == payload:
                     self.hits += 1
-                    saved_dedup += size - ref_bytes
+                    saved_dedup += fingerprint[1]
                     forms.append(REFERENCE)
                     previous = payload
                     continue
@@ -452,8 +569,10 @@ class WireReducer:
             forms.append(packed)
             previous = payload
             if packed is not None:
-                saved_compress += size - len(packed) - COMPRESS_FRAME_BYTES
-            if fingerprint not in pending:  # the cache keeps the first
+                saved_compress += fingerprint[1] - len(packed) \
+                    - COMPRESS_FRAME_BYTES
+            # the cache keeps the first; a torn payload is never a copy
+            if intact and fingerprint not in pending:
                 pending[fingerprint] = (payload, packed is None)
                 if packed is None:
                     raw += 1
@@ -464,10 +583,12 @@ class WireReducer:
         # the probe's tally reaches the registry once per batch
         self.deflate_skipped.increment(
             self.codec.probe_skips - self.deflate_skipped.value)
-        return EncodedBatch(
-            fingerprints, forms,
-            total_raw + overhead * len(forms) - saved_dedup - saved_compress,
-            overhead, saved_dedup, saved_compress, pending,
+        header, priced = pack_header(entries, checksums, lengths, forms)
+        return EncodedBatch(  # (a huge one-row block saved nothing)
+            header, max(0, ENTRY_HEADER_BYTES * len(forms) - priced),
+            payloads, forms,
+            priced + sum(lengths) - saved_dedup - saved_compress,
+            saved_dedup, saved_compress, pending,
             compressed - compressed_ahead)
 
     def discard(self, count: int = 1) -> None:
@@ -482,70 +603,55 @@ class WireReducer:
 
     # -- receiver side -------------------------------------------------------
 
-    def receive_batch(self, path: str, batch: EncodedBatch,
-                      carriers: Iterable[object],
-                      ) -> Iterator[Tuple[bytes, bool]]:
-        """Receive-side pass over one batch: yields ``(payload,
-        verified)`` per carrier, committing the caches as it goes.
+    def receive_batch(self, batch: EncodedBatch,
+                      count: int) -> Tuple[Iterator, array]:
+        """Receive-side pass over the first ``count`` rows of one batch:
+        an iterator of ``(entry, verified)``, each entry rebuilt from the
+        decoded header block and payload alone, and the decoded length
+        column; :meth:`book` then books the pass.  Compressed forms
+        decompress against the payload yielded before them; references
+        resolve from the receiver cache and are re-verified against
+        their row's checksum (``verified``), a mismatch retransmitting
+        the sender's payload.  Full payloads commit to both caches, in
+        the class their wire form shows, before they are yielded, so a
+        consumer that stops early leaves the rest uncommitted."""
+        (sequences, volumes, blocks, versions, created, checksums, traces,
+         spans, lengths, forms) = unpack_header(batch.header)
+        self._fallbacks = []
+        entries = map(JournalEntry, sequences, volumes, blocks,
+                      self._payloads(batch, checksums, lengths, forms),
+                      versions, created, checksums, traces, spans)
+        return islice(zip(entries, map(REFERENCED.__eq__, forms)),
+                      count), lengths
 
-        ``carriers`` are the ones the batch was encoded from, in the
-        same order: the simulation carries the object across, the
-        encoding decides what the *wire* carried.  Compressed forms
-        decompress against the payload yielded just before them;
-        references resolve from the receiver cache and are re-verified
-        against the carrier CRC32 (``verified``: no second hash
-        needed); a miss or mismatch falls back to the full payload.
-        Full payloads commit to both caches, in receive order and in
-        the class their wire form shows (a fallback retransmit is raw),
-        before they are yielded — that keeps the two sides
-        synchronized, and a consumer that stops early (``close()``)
-        leaves everything behind the last yielded item uncommitted.
-        Ending or closing the pass books the whole batch under ``path``
-        (all of it crossed the link) and the fallback retransmits,
-        which the simulated link never carried, under
-        ``<path>-fallback``.
-        """
+    def _payloads(self, batch: EncodedBatch, checksums: array,
+                  lengths: array, forms: bytes) -> Iterator[bytes]:
+        """The decoded payload of each row (:meth:`receive_batch`)."""
         decompress = self.codec.decompress
         receiver_get = self.receiver.get
         commit_receiver = self.receiver.put
         commit_sender = self.sender.put
-        overhead = batch.overhead
-        fallbacks = fallback_bytes = 0
         # the sender's dictionary, rebuilt: the payload received before
         previous = b""
-        try:
-            for carrier, fingerprint, form in zip(
-                    carriers, batch.fingerprints, batch.forms):
-                payload = carrier.payload
-                if form is REFERENCE:
-                    cached = receiver_get(fingerprint)
-                    if cached is not None \
-                            and len(cached) == fingerprint[1] \
-                            and crc32(cached) == carrier.checksum:
-                        previous = cached
-                        yield cached, True
-                        continue
-                    # a corrupted cache entry (every reference is
-                    # bounded to resolve): retransmit, never corrupt
-                    fallbacks += 1
-                    fallback_bytes += overhead + len(payload)
-                    form = None
-                elif form is not None:
-                    payload = decompress(form, previous)
-                previous = payload
-                commit_sender(fingerprint, payload, form is None)
-                commit_receiver(fingerprint, payload, form is None)
-                yield payload, False
-        finally:
-            saved_dedup = batch.saved_dedup
-            if fallbacks:
-                self.ref_fallbacks.increment(fallbacks)
-                self.wire_counter(path + "-fallback").increment(
-                    fallback_bytes)
-                saved_dedup -= fallback_bytes - fallbacks * (
-                    overhead + REF_BYTES)
-            self.account(path, batch.wire_bytes, saved_dedup,
-                         batch.saved_compress)
+        for fingerprint, form, packed, payload in zip(
+                zip(checksums, lengths), forms, batch.forms, batch.payloads):
+            if form == REFERENCED:
+                cached = receiver_get(fingerprint)
+                if cached is not None and len(cached) == fingerprint[1] \
+                        and crc32(cached) == fingerprint[0]:
+                    previous = cached
+                    yield cached
+                    continue
+                # a corrupted cache entry (every reference is bounded
+                # to resolve): retransmit, never corrupt
+                self._fallbacks.append(fingerprint[1])
+                form = RAW
+            elif form == COMPRESSED:
+                payload = decompress(packed, previous)
+            previous = payload
+            commit_sender(fingerprint, payload, form == RAW)
+            commit_receiver(fingerprint, payload, form == RAW)
+            yield payload
 
     def invalidate(self) -> None:
         """Drop all cache state on both sides (link-down, quarantine,
@@ -577,14 +683,23 @@ class WireReducer:
             self._wire_counters[path] = counter
         return counter
 
-    def account(self, path: str, wire_bytes: int, saved_dedup: int = 0,
-                saved_compress: int = 0) -> None:
-        """Book bytes the link carried on ``path``, the savings on them
-        and a hit-ratio sample (:meth:`receive_batch` books each batch
-        here)."""
-        if wire_bytes:  # (creates the series on first use)
-            self.wire_counter(path).increment(wire_bytes)
+    def book(self, path: str, batch: EncodedBatch) -> None:
+        """Book one received batch on ``path``: all the bytes the link
+        carried, the savings on them, its pass's fallback retransmits
+        (never on the simulated link) under ``<path>-fallback``, and a
+        hit-ratio sample."""
+        saved_dedup = batch.saved_dedup
+        if self._fallbacks:
+            retransmitted = sum(self._fallbacks)
+            self.ref_fallbacks.increment(len(self._fallbacks))
+            self.wire_counter(path + "-fallback").increment(retransmitted)
+            # a reference that fell back saved nothing
+            saved_dedup -= retransmitted
+            self._fallbacks = []
+        if batch.wire_bytes:  # (creates the series on first use)
+            self.wire_counter(path).increment(batch.wire_bytes)
         self.saved_dedup.increment(saved_dedup)
-        self.saved_compress.increment(saved_compress)
+        self.saved_compress.increment(batch.saved_compress)
+        self.saved_header.increment(batch.saved_header)
         if self.lookups:
             self.hit_ratio.sample(self.sim.now, self.hits / self.lookups)

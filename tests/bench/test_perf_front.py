@@ -18,13 +18,13 @@ import pytest
 from repro.bench import perf
 from repro.cli import main
 
-#: the values the parent's ``BENCH_PERF.json`` recorded, bit for bit
+#: the wire rows the newest ``BENCH_PERF.json`` row recorded, bit for bit
 EXACT = {
     "transfer_drain": 319999.99999999977,
-    "transfer_drain_reduced": 162162.162162162,
-    "wire_bytes_per_entry": 92.288,
+    "transfer_drain_reduced": 239999.99999999983,
+    "wire_bytes_per_entry": 28.458,
     "initial_copy": 2074.232637635709,
-    "wire_bytes_per_entry_mixed": 350.66675,
+    "wire_bytes_per_entry_mixed": 295.78875,
 }
 WORKLOADS = ("oltp_business", "stream_all_on")
 
@@ -41,10 +41,18 @@ def smoke_run():
 class TestExactRows:
     def test_values_equal_the_recorded_ones(self, smoke_run):
         row, printed = smoke_run
-        assert row["exact"] == EXACT
+        assert {name: row["exact"][name] for name in EXACT} == EXACT
         assert list(perf.EXACT_ROWS) == list(EXACT)
         for name, value in EXACT.items():
             assert f"{name:<24} {value!r:>20}" in printed
+
+    def test_seed_1_simulated_metrics_are_exact_rows(self, smoke_run):
+        row, _printed = smoke_run
+        simulated = {name: value for name, value in row["exact"].items()
+                     if name not in EXACT}
+        assert list(simulated) == [f"stream_all_on.{metric}"
+                                   for metric in perf.SIMULATED]
+        assert all(isinstance(value, float) for value in simulated.values())
 
     @pytest.mark.parametrize("plain, reduced", [
         # 2.9x fewer wire bytes: under the 3x floor
@@ -193,6 +201,47 @@ class TestCheck:
             record, lambda row: row["exact"].update(transfer_drain=320000.0))
         assert main(["perf", "--smoke", "--check", str(record)]) == 1
         assert "FAILED  exact row transfer_drain" in capsys.readouterr().out
+
+    def test_seed_1_simulated_value_is_exact_at_the_same_size(
+            self, record, measured, capsys):
+        # the median stays 100: only the seed-1 run moved
+        measured["stream_all_on", "keep_up_ratio"] = [99.0, 100.0, 100.0]
+        assert main(["perf", "--check", str(record)]) == 1
+        failures = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("FAILED")]
+        assert len(failures) == 1
+        assert "stream_all_on.keep_up_ratio" in failures[0]
+        # a smoke run has its own seed-1 values
+        assert main(["perf", "--smoke", "--check", str(record)]) == 0
+
+    def test_checks_against_the_newest_row_of_its_size(
+            self, record, measured, capsys):
+        measured["stream_all_on", "wire_bytes_per_write"] = [50.0] * 3
+        assert main(["perf", "--smoke", "--output", str(record)]) == 0
+        # the smoke run meets the smoke row, the full run the full row
+        assert main(["perf", "--smoke", "--check", str(record)]) == 0
+        assert main(["perf", "--check", str(record)]) == 1
+        assert "recorded 100.0" in capsys.readouterr().out
+
+    def test_other_machine_gates_the_exact_rows_only(
+            self, record, measured, capsys):
+        edit_newest_row(record, lambda row: row["machine"].update(nproc=64))
+        measured["stream_all_on", "writes_per_wall_s"] = [1.0, 1.0, 1.0]
+        assert main(["perf", "--check", str(record)]) == 0
+        assert "wall-clock rows not compared: recorded on" \
+            in capsys.readouterr().out
+
+    def test_other_python_minor_gates_the_wire_rows_only(
+            self, record, measured):
+        # Python 3.12's sum() rounds floats differently: simulated
+        # end-to-end values are exact per interpreter minor only
+        edit_newest_row(record, lambda row: row["machine"].update(
+            python="3.12.1"))
+        measured["stream_all_on", "keep_up_ratio"] = [99.0, 100.0, 100.0]
+        assert main(["perf", "--check", str(record)]) == 0
+        edit_newest_row(record, lambda row: row["exact"].update(
+            initial_copy=1.0))
+        assert main(["perf", "--check", str(record)]) == 1
 
     @pytest.mark.parametrize("flags", [[], ["--smoke"]])
     def test_failed_operation_fails_at_any_size(

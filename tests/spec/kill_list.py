@@ -20,6 +20,7 @@ from hypothesis.stateful import run_state_machine_as_test
 
 from repro.storage.adc import JournalGroup
 from repro.storage.array import StorageArray
+from repro.storage import reduction
 from repro.storage.reduction import FingerprintCache, WireReducer
 from tests.spec.test_replication_spec import ReplicationSpec
 
@@ -57,8 +58,8 @@ REQUIRED = [
     ("cut stamped with transferred_sequence", StorageArray,
      "create_snapshot_group", "restore_group.restored_sequence",
      "restore_group.transferred_sequence"),
-    ("receiver cache skips a commit", WireReducer, "receive_batch",
-     "commit_receiver(fingerprint, payload, form is None)", "pass"),
+    ("receiver cache skips a commit", WireReducer, "_payloads",
+     "commit_receiver(fingerprint, payload, form == RAW)", "pass"),
     ("reference bound off by one", FingerprintCache, "survives",
      "return evictions <= rank", "return evictions <= rank + 1"),
     ("reducer commits its caches at send", WireReducer, "encode_batch",
@@ -69,7 +70,12 @@ REQUIRED = [
     ("compressed copy referenced with the raw bound", WireReducer,
      "encode_batch", "if copy_raw:", "if True:"),
     ("receiver does not advance its dictionary past a resolved reference",
-     WireReducer, "receive_batch", "previous = cached", "pass"),
+     WireReducer, "_payloads", "previous = cached", "pass"),
+    ("thinned shipment encoded as a contiguous range", reduction,
+     "pack_header", "contiguous = last - first == count - 1",
+     "contiguous = True"),
+    ("column width chosen from the key count, not the maximum", reduction,
+     "_narrow", "top = max(values, default=0)", "top = len(values)"),
 ]
 
 #: equivalent under the spec's current rules (no faults): tried, not
@@ -82,15 +88,17 @@ EQUIVALENT = [
 
 
 def mutate(monkeypatch, owner, name, original, mutated):
-    """Recompile ``owner.name`` with its one occurrence of ``original``
-    replaced and monkeypatch the result in."""
+    """Recompile ``owner.name`` (a class's method or a module's
+    function) with its one occurrence of ``original`` replaced and
+    monkeypatch the result in."""
     function = owner.__dict__[name]
     source = inspect.getsource(getattr(function, "__func__", function))
     assert source.count(original) == 1, (name, original)
     namespace = {}
+    module = owner if inspect.ismodule(owner) else inspect.getmodule(owner)
     code = compile(textwrap.dedent(source.replace(original, mutated)),
                    inspect.getsourcefile(owner), "exec")
-    exec(code, inspect.getmodule(owner).__dict__, namespace)
+    exec(code, module.__dict__, namespace)
     monkeypatch.setattr(owner, name, namespace[name])
 
 

@@ -8,6 +8,7 @@ import pytest
 from repro.simulation import NetworkLink, Simulator
 from repro.storage import AdcConfig, ArrayConfig, StorageArray
 from repro.storage.adc import JournalGroup
+from repro.storage.journal import JournalEntry, payload_checksum
 from repro.storage.volume import Volume
 
 
@@ -158,6 +159,14 @@ def hold_repair(group):
 def journal_entries(journal):
     """The entries ``journal`` retains, oldest first (a copy)."""
     return journal.peek_batch(len(journal)) if len(journal) else []
+
+
+def journal_rows(payloads) -> List[JournalEntry]:
+    """One journal entry per payload, as one host-write batch journals
+    them: contiguous sequences, one volume, one time, no trace."""
+    return [JournalEntry(sequence, 1, sequence, payload, 1, 0.0,
+                         payload_checksum(payload))
+            for sequence, payload in enumerate(payloads)]
 
 
 def tamper_receiver_entry(reducer) -> bytes:

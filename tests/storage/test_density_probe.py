@@ -35,8 +35,7 @@ from repro.storage.reduction import (COMPRESS_FRAME_BYTES, COMPRESS_LEVEL,
                                      PROBE_DENSE_DISTINCT,
                                      PROBE_SAMPLE_BYTES, RATIO_THRESHOLD,
                                      RAW_DEFLATE)
-from repro.storage.volume import BlockValue
-from tests.storage.conftest import (build_two_site, fast_adc,
+from tests.storage.conftest import (build_two_site, fast_adc, journal_rows,
                                     make_async_pair, run)
 
 CONFIG = ReductionConfig(enabled=True)
@@ -132,10 +131,8 @@ class TestDeflateBudget:
         reducer = site.main.journal_groups["jg-0"].reducer
         increments = []
         reducer.deflate_skipped.increment = increments.append
-        reducer.encode_batch(
-            [BlockValue(payload, 1, zlib.crc32(payload))
-             for payload in profile_payloads(
-                 ("random", "compressible"), 40)])
+        reducer.encode_batch(journal_rows(profile_payloads(
+            ("random", "compressible"), 40)))
         assert increments == [20]
 
 

@@ -76,6 +76,14 @@ def test_all_on_world_registers_only_documented_families():
                    "repro_reduction_deflate_skipped_total"):
         assert family in registry.names()
     assert undocumented(registry) == []
+    # the savings' mechanisms: the documented ones are the registered ones
+    registered = {child.labels["mechanism"]: child.value for _key, child
+                  in registry.family("repro_wire_bytes_saved_total")}
+    row = next(line for line in CATALOG.read_text().splitlines()
+               if line.startswith("| `repro_wire_bytes_saved_total`"))
+    documented = re.search(r"\(((?:`[a-z]+`(?:, )?)+)\)", row).group(1)
+    assert sorted(registered) == sorted(re.findall(r"`([a-z]+)`", documented))
+    assert registered["header"] > 0
 
 
 def test_sync_mirror_and_reduced_group_share_one_registry():
