@@ -312,16 +312,18 @@ def append_row(path, row: dict) -> int:
     return len(rows)
 
 
-def _comparable(row: dict, spec: dict) -> dict:
-    """``row`` in the shape ``suite.compare`` reads: every end-to-end
-    entry with the unit, direction and bound ``BENCHMARK.json`` declares."""
+def _comparable(row: dict, spec: dict, metrics: Sequence[str]) -> dict:
+    """``row`` in the shape ``suite.compare`` reads: its end-to-end
+    entries among ``metrics``, each with the unit, direction and bound
+    ``BENCHMARK.json`` declares."""
     return {"workloads": {
         name: {"failed": result["failed"],
                "end_to_end": {
                    metric["name"]: {**result["end_to_end"][metric["name"]],
                                     **metric}
                    for metric in spec["end_to_end"]
-                   if metric["name"] in result["end_to_end"]}}
+                   if metric["name"] in metrics
+                   and metric["name"] in result["end_to_end"]}}
         for name, result in row["workloads"].items()}}
 
 
@@ -335,15 +337,14 @@ def recorded_row(path, smoke: bool) -> dict:
 def check_row(row: dict, recorded: dict) -> List[str]:
     """Print ``row`` against the ``recorded`` one; returns what fails
     the check — a differing exact row (the seed-1 simulated ones only
-    at equal size and Python minor), an end-to-end row ``worse`` than
-    its bound (on the same machine only) — and is empty when it passes."""
+    at equal size), an end-to-end row ``worse`` than its bound (at
+    equal size; the wall-clock ones on the same machine only) — and is
+    empty when it passes."""
     problems = []
     print(f"== check against the recorded row of {recorded['rev']} "
           f"({recorded['size']} size)")
     names = set(row["exact"]) | set(recorded["exact"])
-    # seed-1 simulated rows: per size, and Python 3.12 sums floats anew
-    if len({(side["size"], side["machine"].get("python", "")[:4])
-            for side in (row, recorded)}) > 1:
+    if row["size"] != recorded["size"]:  # seed-1 simulated rows: per size
         names &= set(EXACT_ROWS)
     for name in sorted(names):
         value, base = row["exact"].get(name), recorded["exact"].get(name)
@@ -356,18 +357,19 @@ def check_row(row: dict, recorded: dict) -> List[str]:
         print(f"  end-to-end rows not compared: this run is {row['size']} "
               f"size, the recorded one {recorded['size']} size")
         return problems
-    if row["machine"] != recorded["machine"]:  # proves nothing either way
-        print("  wall-clock rows not compared: recorded on "
-              f"{recorded['machine']}")
-        return problems
     import tempfile
     suite = load_suite()
     spec = suite.declared()
+    metrics = [metric["name"] for metric in spec["end_to_end"]]
+    if row["machine"] != recorded["machine"]:  # proves nothing either way
+        print("  wall-clock rows not compared: recorded on "
+              f"{recorded['machine']}")
+        metrics = SIMULATED
     with tempfile.TemporaryDirectory() as scratch:
         paths = [pathlib.Path(scratch, "recorded.json"),
                  pathlib.Path(scratch, "measured.json")]
         for path, side in zip(paths, (recorded, row)):
-            path.write_text(json.dumps(_comparable(side, spec)))
+            path.write_text(json.dumps(_comparable(side, spec, metrics)))
         if suite.compare(*map(str, paths)):
             problems.append("end to end: a row above is `worse` than its "
                             "bound, or a side has failed operations")

@@ -396,9 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--check", default=None, metavar="FILE",
                       help="compare with FILE's newest row of this size: "
                            "exact rows by equality, end-to-end rows by the "
-                           "benchmark's ok/worse/unresolved verdicts on the "
-                           "same machine; exit 1 on a difference, a "
-                           "`worse` or a failed operation")
+                           "benchmark's ok/worse/unresolved verdicts (the "
+                           "wall-clock ones on the same machine only); exit "
+                           "1 on a difference, a `worse` or a failed "
+                           "operation")
     perf.set_defaults(func=_cmd_perf)
 
     report = sub.add_parser(

@@ -48,6 +48,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import attrgetter
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, Generator, List,
                     Optional, Sequence, Tuple)
 from zlib import crc32
@@ -55,7 +56,7 @@ from zlib import crc32
 from repro.errors import ReplicationError
 from repro.simulation.network import LinkDownError, NetworkLink
 from repro.storage.journal import (ENTRY_HEADER_BYTES, JournalEntry,
-                                   JournalVolume, _entry_payload)
+                                   JournalVolume)
 from repro.storage.reduction import (DISABLED_REDUCTION, EncodedBatch,
                                      ReductionConfig, WireReducer)
 from repro.storage.replication import (PairState, ReplicationPair,
@@ -66,6 +67,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
     from repro.storage.volume import Volume
 
+
+_entry_payload = attrgetter("payload")
 
 #: journal appends land in array cache; far cheaper than media writes
 JOURNAL_APPEND_LATENCY = 0.00005
@@ -796,12 +799,10 @@ class JournalGroup:
         # the entry one past the room is received too: it is the one that
         # finds the journal full (or is quarantined first)
         arriving = min(len(ship), room + 1)
-        if encodings is None:
-            received, lengths = zip(ship, repeat(False, arriving)), None
-        else:
-            # each entry is rebuilt from the header block and its payload
-            received, lengths = self.reducer.receive_batch(
-                encodings, arriving)
+        # each reduced entry is rebuilt from the header block and its
+        # payload
+        received = zip(ship, repeat(False, arriving)) if encodings is None \
+            else self.reducer.receive_batch(encodings, arriving, ship)
         for entry, verified in received:
             if verified and injector is None:
                 # a resolved reference was just verified against the
@@ -828,7 +829,7 @@ class JournalGroup:
             # and trim no further, the rest re-ships
             consumed = shipment.intact
             del clean[consumed:]
-        delivered_bytes = self.backup_journal.ingest_batch(clean, lengths)
+        delivered_bytes = self.backup_journal.ingest_batch(clean)
         if corrupt is not None:
             # consumed unless it lies past the thinned prefix: a
             # trimmed corrupt entry never re-ships

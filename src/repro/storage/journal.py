@@ -27,9 +27,8 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import islice
 from operator import attrgetter
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 
 def payload_checksum(payload: bytes) -> int:
@@ -42,7 +41,6 @@ def payload_checksum(payload: bytes) -> int:
 
 
 _entry_sequence = attrgetter("sequence")
-_entry_payload = attrgetter("payload")
 
 #: the fixed entry header of the journal volume and the unreduced wire
 ENTRY_HEADER_BYTES = 64
@@ -185,11 +183,9 @@ class JournalVolume:
             self.peak_entries = occupancy + count
         return count
 
-    def ingest_batch(self, entries: List[JournalEntry],
-                     lengths: Optional[Iterable[int]] = None) -> int:
+    def ingest_batch(self, entries: List[JournalEntry]) -> int:
         """Accept one transferred batch at the backup site; returns the
-        journal bytes admitted, sized from ``lengths`` (a decoded header
-        block's length column, which may run past ``entries``) if given.
+        journal bytes admitted.
 
         Entries must arrive in sequence order (the transfer process
         ships them FIFO over one link) — ``entries`` is a
@@ -211,9 +207,8 @@ class JournalVolume:
         if occupancy + len(entries) > self.capacity_entries:
             raise JournalFullError(f"{self.name} full on ingest")
         ring.extend(entries)
-        sizes = list(map(ENTRY_HEADER_BYTES.__add__, map(len, map(
-            _entry_payload, entries)) if lengths is None
-            else islice(lengths, len(entries))))
+        sizes = [len(entry.payload) + ENTRY_HEADER_BYTES
+                 for entry in entries]
         self._sizes.extend(sizes)
         admitted = sum(sizes)
         self.bytes_retained += admitted

@@ -43,9 +43,9 @@ width holding the column's maximum; ``checksum`` at u32; ``volume_id``
 and ``created_at`` dictionary-coded (one journal append shares a time);
 a byte a row saying raw, compressed or referenced — a reference's
 fingerprint is its row's ``(checksum, length)``.  The link is charged
-the block plus the payloads.  The trace context follows, dictionary-
-coded, as telemetry the link is not charged for (priced, the tracer
-switch would move simulated time).
+the block plus the payloads.  The trace context is telemetry, not
+replicated data: the receive side takes it from the shipment's own
+entries, so switching the tracer off moves no simulated time.
 
 **Cache synchronisation.**  Sender and receiver caches commit *only at
 receive time*, in receive order, each payload in the class its wire
@@ -76,7 +76,6 @@ changes behaviour at all.
 
 from __future__ import annotations
 
-import json
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -133,7 +132,6 @@ _TYPECODES = "".join(code for code, _bound in _WIDTHS)
 _SEQUENCE, _VOLUME, _BLOCK, _VERSION, _CREATED, _PAYLOAD, _CHECKSUM = map(
     attrgetter, ("sequence", "volume_id", "block", "version", "created_at",
                  "payload", "checksum"))
-_TRACE_CONTEXT = attrgetter("trace_id", "span_id")
 
 
 def _narrow(values: Iterable[int]) -> bytes:
@@ -150,25 +148,21 @@ def _narrow(values: Iterable[int]) -> bytes:
 
 def _put_dictionary(parts: list, column: Iterable, kind: type) -> None:
     """A dictionary-coded column: key count and key bytes, the keys
-    (volume ids narrowed, timestamps as doubles, ``(trace_id, span_id)``
-    pairs as JSON), then unless one key covers every row, a code a row."""
-    index: Dict[object, int] = {}
-    # one hash a row: a new key's code is the key count before it
-    codes = list(map(index.setdefault, column, map(len, repeat(index))))
-    keys = list(index)
-    blob = _narrow(keys) if kind is int \
-        else array("d", keys).tobytes() if kind is float \
-        else json.dumps(keys).encode()
+    (volume ids narrowed, timestamps as doubles), then unless one key
+    covers every row, a code a row."""
+    column = list(column)
+    keys = list(dict.fromkeys(column))
+    blob = _narrow(keys) if kind is int else array("d", keys).tobytes()
     parts += (_narrow((len(keys), len(blob))), blob)
     if len(keys) > 1:
-        parts.append(_narrow(codes))
+        parts.append(_narrow(map(
+            dict(zip(keys, range(len(keys)))).__getitem__, column)))
 
 
 def pack_header(entries: Sequence[JournalEntry], checksums: Sequence[int],
-                lengths: Sequence[int], forms: Sequence[object],
-                ) -> Tuple[bytes, int]:
+                lengths: Sequence[int], forms: Sequence[object]) -> bytes:
     """The header block of one shipment (the module docstring has its
-    format) and how many of its bytes the link carries."""
+    format)."""
     count = len(entries)
     first, last = entries[0].sequence, entries[-1].sequence
     contiguous = last - first == count - 1
@@ -183,15 +177,12 @@ def pack_header(entries: Sequence[JournalEntry], checksums: Sequence[int],
     _put_dictionary(parts, map(_CREATED, entries), float)
     parts.append(b"\0"  # a byte column
                  + bytes(map(_FORM_CODES.__getitem__, map(type, forms))))
-    priced = sum(map(len, parts))
-    _put_dictionary(parts, map(_TRACE_CONTEXT, entries), tuple)
-    return b"".join(parts), priced
+    return b"".join(parts)
 
 
 def unpack_header(block: bytes) -> Tuple[Iterable, ...]:
     """Inverse of :func:`pack_header`: an iterable a column (``sequence,
-    volume_id, block, version, created_at, checksum, trace_id, span_id,
-    length, form``)."""
+    volume_id, block, version, created_at, checksum, length, form``)."""
     at = 0
 
     def take(items: int) -> array:
@@ -207,23 +198,18 @@ def unpack_header(block: bytes) -> Tuple[Iterable, ...]:
         else map(add, take(count), repeat(first))
     blocks, versions, lengths, checksums = (take(count) for _ in range(4))
 
-    def dictionary(kind: type) -> List[Iterable]:
-        """One column a field of the keys (two for trace context)."""
+    def dictionary(kind: type) -> Iterable:
         nonlocal at
         size, length = take(2)
         blob, at = block[at:at + length], at + length
-        fields = [array(_TYPECODES[blob[0]], blob[1:])] if kind is int \
-            else [array("d", blob)] if kind is float \
-            else list(zip(*json.loads(blob)))
-        codes = take(count) if size > 1 else None
-        return [repeat(keys[0], count) if codes is None
-                else map(keys.__getitem__, codes) for keys in fields]
+        keys = array(_TYPECODES[blob[0]], blob[1:]) if kind is int \
+            else array("d", blob)
+        return repeat(keys[0], count) if size == 1 \
+            else map(keys.__getitem__, take(count))
 
-    (volumes,), (created,) = dictionary(int), dictionary(float)
-    forms = take(count)
-    traces, spans = dictionary(tuple)
+    volumes, created = dictionary(int), dictionary(float)
     return (sequences, volumes, blocks, versions, created, checksums,
-            traces, spans, lengths, forms)
+            lengths, take(count))
 
 
 @dataclass(frozen=True)
@@ -394,7 +380,7 @@ class EncodedBatch:
     its header block (:func:`pack_header`) and its payload section."""
 
     header: bytes
-    #: ``64 x rows`` minus the header-block bytes the link carries
+    #: ``64 x rows`` minus the header block's length
     saved_header: int
     #: the sender's payloads: what a raw row or a fallback retransmits
     payloads: List[bytes]
@@ -529,6 +515,9 @@ class WireReducer:
             raw += len(batch.full) - batch.full_compressed
             compressed += batch.full_compressed
         compressed_ahead = compressed
+        # while every commit ahead fits the sender cache's free room, no
+        # cached entry can be evicted: skip the survival bound
+        spare = capacity - len(self.sender)
         pending: Dict[Fingerprint, Tuple[bytes, bool]] = {}
         forms: List[object] = []
         saved_dedup = saved_compress = 0
@@ -539,7 +528,8 @@ class WireReducer:
             if dedup and intact:
                 cached = sender_get(fingerprint)
                 if cached is not None:
-                    if not survives(fingerprint, raw, compressed):
+                    if raw + compressed > spare \
+                            and not survives(fingerprint, raw, compressed):
                         cached = None
                 else:
                     copy = in_flight.get(fingerprint) \
@@ -554,7 +544,8 @@ class WireReducer:
                                 cached = None
                         # a compressed copy may be evicted first: it
                         # ranks behind the compressed entries cached now
-                        elif not survives(fingerprint, raw, compressed):
+                        elif raw + compressed > spare and not survives(
+                                fingerprint, raw, compressed):
                             cached = None
                 # byte-compare before referencing: a (crc32, length)
                 # collision must ship its payload, never a wrong reference
@@ -583,11 +574,11 @@ class WireReducer:
         # the probe's tally reaches the registry once per batch
         self.deflate_skipped.increment(
             self.codec.probe_skips - self.deflate_skipped.value)
-        header, priced = pack_header(entries, checksums, lengths, forms)
+        header = pack_header(entries, checksums, lengths, forms)
         return EncodedBatch(  # (a huge one-row block saved nothing)
-            header, max(0, ENTRY_HEADER_BYTES * len(forms) - priced),
+            header, max(0, ENTRY_HEADER_BYTES * len(forms) - len(header)),
             payloads, forms,
-            priced + sum(lengths) - saved_dedup - saved_compress,
+            len(header) + sum(lengths) - saved_dedup - saved_compress,
             saved_dedup, saved_compress, pending,
             compressed - compressed_ahead)
 
@@ -603,55 +594,57 @@ class WireReducer:
 
     # -- receiver side -------------------------------------------------------
 
-    def receive_batch(self, batch: EncodedBatch,
-                      count: int) -> Tuple[Iterator, array]:
+    def receive_batch(self, batch: EncodedBatch, count: int,
+                      origins: Iterable[JournalEntry],
+                      ) -> Iterator[Tuple[JournalEntry, bool]]:
         """Receive-side pass over the first ``count`` rows of one batch:
-        an iterator of ``(entry, verified)``, each entry rebuilt from the
-        decoded header block and payload alone, and the decoded length
-        column; :meth:`book` then books the pass.  Compressed forms
+        yields ``(entry, verified)``, each entry rebuilt from its decoded
+        header-block row and payload (and the trace context of the
+        entry in ``origins`` it was encoded from, which the wire does
+        not carry); :meth:`book` then books the pass.  Compressed forms
         decompress against the payload yielded before them; references
         resolve from the receiver cache and are re-verified against
-        their row's checksum (``verified``), a mismatch retransmitting
-        the sender's payload.  Full payloads commit to both caches, in
-        the class their wire form shows, before they are yielded, so a
-        consumer that stops early leaves the rest uncommitted."""
-        (sequences, volumes, blocks, versions, created, checksums, traces,
-         spans, lengths, forms) = unpack_header(batch.header)
-        self._fallbacks = []
-        entries = map(JournalEntry, sequences, volumes, blocks,
-                      self._payloads(batch, checksums, lengths, forms),
-                      versions, created, checksums, traces, spans)
-        return islice(zip(entries, map(REFERENCED.__eq__, forms)),
-                      count), lengths
-
-    def _payloads(self, batch: EncodedBatch, checksums: array,
-                  lengths: array, forms: bytes) -> Iterator[bytes]:
-        """The decoded payload of each row (:meth:`receive_batch`)."""
+        their row's checksum (``verified``: no second hash needed); a
+        mismatch retransmits the sender's payload, unverified.  Full
+        payloads commit to both caches, in the class their wire form
+        shows, before they are yielded, so a consumer that stops early
+        leaves the rest uncommitted."""
+        (sequences, volumes, blocks, versions, created, checksums, lengths,
+         forms) = unpack_header(batch.header)
         decompress = self.codec.decompress
         receiver_get = self.receiver.get
         commit_receiver = self.receiver.put
         commit_sender = self.sender.put
+        self._fallbacks = fallbacks = []
         # the sender's dictionary, rebuilt: the payload received before
         previous = b""
-        for fingerprint, form, packed, payload in zip(
-                zip(checksums, lengths), forms, batch.forms, batch.payloads):
+        for (sequence, volume, block, version, created_at, checksum, length,
+             form, packed, payload, origin) in islice(zip(
+                sequences, volumes, blocks, versions, created, checksums,
+                lengths, forms, batch.forms, batch.payloads, origins),
+                count):
+            fingerprint = checksum, length
+            verified = False
             if form == REFERENCED:
                 cached = receiver_get(fingerprint)
-                if cached is not None and len(cached) == fingerprint[1] \
-                        and crc32(cached) == fingerprint[0]:
-                    previous = cached
-                    yield cached
-                    continue
-                # a corrupted cache entry (every reference is bounded
-                # to resolve): retransmit, never corrupt
-                self._fallbacks.append(fingerprint[1])
-                form = RAW
+                verified = cached is not None and len(cached) == length \
+                    and crc32(cached) == checksum
+                if verified:
+                    payload = cached
+                else:
+                    # a corrupted cache entry (every reference is
+                    # bounded to resolve): retransmit, never corrupt
+                    fallbacks.append(length)
+                    form = RAW
             elif form == COMPRESSED:
                 payload = decompress(packed, previous)
+            if not verified:
+                commit_sender(fingerprint, payload, form == RAW)
+                commit_receiver(fingerprint, payload, form == RAW)
             previous = payload
-            commit_sender(fingerprint, payload, form == RAW)
-            commit_receiver(fingerprint, payload, form == RAW)
-            yield payload
+            yield JournalEntry(sequence, volume, block, payload, version,
+                               created_at, checksum, origin.trace_id,
+                               origin.span_id), verified
 
     def invalidate(self) -> None:
         """Drop all cache state on both sides (link-down, quarantine,

@@ -58,7 +58,7 @@ REQUIRED = [
     ("cut stamped with transferred_sequence", StorageArray,
      "create_snapshot_group", "restore_group.restored_sequence",
      "restore_group.transferred_sequence"),
-    ("receiver cache skips a commit", WireReducer, "_payloads",
+    ("receiver cache skips a commit", WireReducer, "receive_batch",
      "commit_receiver(fingerprint, payload, form == RAW)", "pass"),
     ("reference bound off by one", FingerprintCache, "survives",
      "return evictions <= rank", "return evictions <= rank + 1"),
@@ -70,7 +70,8 @@ REQUIRED = [
     ("compressed copy referenced with the raw bound", WireReducer,
      "encode_batch", "if copy_raw:", "if True:"),
     ("receiver does not advance its dictionary past a resolved reference",
-     WireReducer, "_payloads", "previous = cached", "pass"),
+     WireReducer, "receive_batch", "previous = payload",
+     "previous = previous if verified else payload"),
     ("thinned shipment encoded as a contiguous range", reduction,
      "pack_header", "contiguous = last - first == count - 1",
      "contiguous = True"),

@@ -152,12 +152,14 @@ def decoded(packed, previous):
 
 def ship(reducer, payloads):
     """Encode one batch of ``payloads`` and receive it whole; returns
-    the wire forms and the received payloads."""
-    batch = reducer.encode_batch(journal_rows(payloads), trusted=True)
-    rows, _lengths = reducer.receive_batch(batch, len(payloads))
-    received = [entry.payload for entry, _verified in rows]
+    the wire forms, the received payloads and, per payload, whether a
+    resolved reference already checked it against its CRC32."""
+    rows = journal_rows(payloads)
+    batch = reducer.encode_batch(rows, trusted=True)
+    received = list(reducer.receive_batch(batch, len(rows), rows))
     reducer.book("transfer", batch)
-    return batch.forms, received
+    return (batch.forms, [entry.payload for entry, _ in received],
+            [verified for _, verified in received])
 
 
 class TestBatchDictionary:
@@ -180,25 +182,27 @@ class TestBatchDictionary:
         # and its tail is a dictionary for the next page
         mixed = dense_page(384) + pages[0][384:]
         cases = [
-            ("raw", [mixed, pages[1]], None),
+            ("raw", [mixed, pages[1]], None, False),
             # pages[1] is cached (compressed class) by the batch above
-            ("reference", [pages[1], pages[2]], REFERENCE),
+            ("reference", [pages[1], pages[2]], REFERENCE, True),
             # warm a raw entry, then corrupt the receiver's copy of it:
-            # the reference to it falls back to a retransmit
-            ("fallback", [mixed, pages[3]], REFERENCE),
+            # the reference to it falls back to a retransmit, which
+            # receive must hash like any full payload
+            ("fallback", [mixed, pages[3]], REFERENCE, False),
         ]
-        for name, payloads, head_form in cases:
+        for name, payloads, head_form, head_verified in cases:
             if name == "fallback":
                 assert tamper_receiver_entry(reducer) == mixed
-            forms, received = ship(reducer, payloads)
+            forms, received, verified = ship(reducer, payloads)
             assert forms[0] is head_form, name
+            assert verified == [head_verified, False], name
             assert isinstance(forms[1], bytes), name
             assert received == payloads, name
             # the second page really leaned on the first
             assert decoded(forms[1], b"") != payloads[1], name
         assert reducer.ref_fallbacks.value == 1
         # the first payload of a batch has no dictionary
-        forms, received = ship(reducer, pages[4:])
+        forms, received, _verified = ship(reducer, pages[4:])
         assert forms == [ReductionCodec().compress(pages[4])]
         assert received == pages[4:]
 
