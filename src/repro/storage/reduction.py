@@ -354,6 +354,8 @@ class FingerprintCache:
         of them, so it survives if all the evictions do not reach that
         rank."""
         evictions = len(self._entries) + raw - self.capacity
+        if evictions + compressed <= 0:  # room for every insertion
+            return True
         order_compressed, order_raw = self._order
         serial = order_raw.get(fingerprint)
         if serial is None:
@@ -515,9 +517,6 @@ class WireReducer:
             raw += len(batch.full) - batch.full_compressed
             compressed += batch.full_compressed
         compressed_ahead = compressed
-        # while every commit ahead fits the sender cache's free room, no
-        # cached entry can be evicted: skip the survival bound
-        spare = capacity - len(self.sender)
         pending: Dict[Fingerprint, Tuple[bytes, bool]] = {}
         forms: List[object] = []
         saved_dedup = saved_compress = 0
@@ -528,8 +527,7 @@ class WireReducer:
             if dedup and intact:
                 cached = sender_get(fingerprint)
                 if cached is not None:
-                    if raw + compressed > spare \
-                            and not survives(fingerprint, raw, compressed):
+                    if not survives(fingerprint, raw, compressed):
                         cached = None
                 else:
                     copy = in_flight.get(fingerprint) \
@@ -544,8 +542,7 @@ class WireReducer:
                                 cached = None
                         # a compressed copy may be evicted first: it
                         # ranks behind the compressed entries cached now
-                        elif raw + compressed > spare and not survives(
-                                fingerprint, raw, compressed):
+                        elif not survives(fingerprint, raw, compressed):
                             cached = None
                 # byte-compare before referencing: a (crc32, length)
                 # collision must ship its payload, never a wrong reference
