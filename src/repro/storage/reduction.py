@@ -202,8 +202,9 @@ def unpack_header(block: bytes) -> Tuple[Iterable, ...]:
         nonlocal at
         size, length = take(2)
         blob, at = block[at:at + length], at + length
-        keys = array(_TYPECODES[blob[0]], blob[1:]) if kind is int \
-            else array("d", blob)
+        # a list: its rows share one object a key, unboxed once
+        keys = (array(_TYPECODES[blob[0]], blob[1:]) if kind is int
+                else array("d", blob)).tolist()
         return repeat(keys[0], count) if size == 1 \
             else map(keys.__getitem__, take(count))
 
