@@ -253,6 +253,9 @@ def _git_rev() -> str:
 #: the simulated end-to-end metrics, exact per code, seed and size
 SIMULATED = ("rpo_lag_p50_sim_ms", "rpo_lag_p99_sim_ms", "keep_up_ratio",
              "wire_bytes_per_write")
+#: the traced run's exact counters (seed 1), exact the same way
+COUNTERS = ("storage.adc.restored_entries", "storage.snapshot.cuts",
+            "storage.snapshot.cow_blocks")
 
 
 def run_perf(smoke: bool = False,
@@ -260,7 +263,8 @@ def run_perf(smoke: bool = False,
     """Measure everything once, printing as it goes; returns the run as
     one trajectory row.  Every workload ``BENCHMARK.json`` declares
     (or ``workloads``) runs untraced on seeds 1-3 for its
-    ``run_seconds`` (``smoke``: tenth-size, two repeats) and once traced."""
+    ``run_seconds`` (``smoke``: tenth-size, two repeats) and once traced;
+    seed 1's simulated metrics and traced counters join the exact rows."""
     suite = load_suite()
     print("== exact rows (simulated time: equal on every machine)")
     exact = {}
@@ -274,6 +278,8 @@ def run_perf(smoke: bool = False,
     for name, result in results["workloads"].items():  # seed 1 runs first
         exact.update((f"{name}.{metric}", result["end_to_end"][metric][
             "values"][0]) for metric in SIMULATED)
+        exact.update((f"{name}.{counter}", result["per_layer"][counter])
+                     for counter in COUNTERS)
     return {
         "rev": _git_rev(), "machine": results["machine"],
         "size": "smoke" if smoke else "full", "seeds": results["seeds"],
@@ -336,10 +342,10 @@ def recorded_row(path, smoke: bool) -> dict:
 
 def check_row(row: dict, recorded: dict) -> List[str]:
     """Print ``row`` against the ``recorded`` one; returns what fails
-    the check — a differing exact row (the seed-1 simulated ones only
-    at equal size), an end-to-end row ``worse`` than its bound (at
-    equal size; the wall-clock ones on the same machine only) — and is
-    empty when it passes."""
+    the check — a differing exact row (the seed-1 simulated values and
+    counters only at equal size), an end-to-end row ``worse`` than its
+    bound (at equal size; the wall-clock ones on the same machine only)
+    — and is empty when it passes."""
     problems = []
     print(f"== check against the recorded row of {recorded['rev']} "
           f"({recorded['size']} size)")

@@ -36,16 +36,21 @@ payload:
   the wire form carries no zlib header or checksum of its own.
 
 **The header block** (:func:`pack_header`) replaces the fixed 64-byte
-entry headers with columns, built and read without a per-row Python
-loop: the sequence as ``(first, count)`` when contiguous, else offsets;
-``block``, ``version`` and payload length at the narrowest unsigned
-width holding the column's maximum; ``checksum`` at u32; ``volume_id``
-and ``created_at`` dictionary-coded (one journal append shares a time);
-a byte a row saying raw, compressed or referenced — a reference's
-fingerprint is its row's ``(checksum, length)``.  The link is charged
-the block plus the payloads.  The trace context is telemetry, not
-replicated data: the receive side takes it from the shipment's own
-entries, so switching the tracer off moves no simulated time.
+entry headers with plain columns, built and read without a per-row
+Python loop, then raw-deflated in one pass (``zlib.compress``): the
+sequence as ``(first, count)`` and a gap column (all 1 when the
+shipment is contiguous); ``block``, ``version``, payload length and
+``volume_id`` each behind a byte naming the narrowest unsigned width
+holding the column's maximum; ``checksum`` at u32; ``created_at`` as
+doubles; a byte a row saying raw, compressed or referenced — a
+reference's fingerprint is its row's ``(checksum, length)``.  Deflate
+removes the repetition (unit gaps, a constant length, the time one
+journal append's rows share); there is no flag byte, since deflate's
+stored-block fallback caps an incompressible block's growth at a few
+bytes.  The link is charged the block plus the payloads.  The trace
+context is telemetry, not replicated data: the receive side takes it
+from the shipment's own entries, so switching the tracer off moves no
+simulated time.
 
 **Cache synchronisation.**  Sender and receiver caches commit *only at
 receive time*, in receive order, each payload in the class its wire
@@ -79,11 +84,12 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import add, attrgetter, sub
+from itertools import accumulate, islice
+from operator import attrgetter, sub
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
-from zlib import DEFLATED, compressobj, crc32, decompressobj
+from zlib import (DEFLATED, compress, compressobj, crc32, decompress,
+                  decompressobj)
 
 from repro.storage.journal import ENTRY_HEADER_BYTES, JournalEntry
 
@@ -97,6 +103,9 @@ COMPRESS_FRAME_BYTES = 2
 
 #: zlib compression level (1 fastest .. 9 densest)
 COMPRESS_LEVEL = 6
+#: zlib level of the header block's deflate pass: about half level 6's
+#: deflate time, for 0.15 bytes more a row
+HEADER_LEVEL = 1
 #: ``wbits`` of raw deflate: no zlib header, no Adler-32 trailer
 RAW_DEFLATE = -15
 #: ship the compressed form only when ``compressed <= threshold * raw``
@@ -146,71 +155,52 @@ def _narrow(values: Iterable[int]) -> bytes:
     raise OverflowError(f"header value {top} needs more than 64 bits")
 
 
-def _put_dictionary(parts: list, column: Iterable, kind: type) -> None:
-    """A dictionary-coded column: key count and key bytes, the keys
-    (volume ids narrowed, timestamps as doubles), then unless one key
-    covers every row, a code a row."""
-    column = list(column)
-    keys = list(dict.fromkeys(column))
-    blob = _narrow(keys) if kind is int else array("d", keys).tobytes()
-    parts += (_narrow((len(keys), len(blob))), blob)
-    if len(keys) > 1:
-        parts.append(_narrow(map(
-            dict(zip(keys, range(len(keys)))).__getitem__, column)))
-
-
 def pack_header(entries: Sequence[JournalEntry], checksums: Sequence[int],
                 lengths: Sequence[int], forms: Sequence[object]) -> bytes:
-    """The header block of one shipment (the module docstring has its
-    format)."""
-    count = len(entries)
-    first, last = entries[0].sequence, entries[-1].sequence
-    contiguous = last - first == count - 1
-    parts = [_narrow((first, count, contiguous))]
-    if not contiguous:
-        parts.append(_narrow(map(sub, map(_SEQUENCE, entries),
-                                 repeat(first))))
-    parts += map(_narrow, (map(_BLOCK, entries), map(_VERSION, entries),
-                           lengths))
-    parts.append(b"\2" + array("I", checksums).tobytes())  # u32: "BHIQ"[2]
-    _put_dictionary(parts, map(_VOLUME, entries), int)
-    _put_dictionary(parts, map(_CREATED, entries), float)
-    parts.append(b"\0"  # a byte column
-                 + bytes(map(_FORM_CODES.__getitem__, map(type, forms))))
-    return b"".join(parts)
+    """The header block of one shipment, in this column order:
+    ``(first, count)`` and the gap column (``count - 1`` steps between
+    sequences); ``block``, ``version``, length and ``volume_id``, each
+    behind its width byte; ``checksum`` u32; ``created_at`` doubles;
+    the forms column — then one raw deflate at :data:`HEADER_LEVEL`
+    over all of it, through the one-shot ``zlib.compress`` (the layer
+    table's ``zlib.compress`` row, one call a shipment)."""
+    sequences = list(map(_SEQUENCE, entries))
+    columns = [_narrow((sequences[0], len(sequences))),
+               _narrow(map(sub, islice(sequences, 1, None), sequences))]
+    columns += map(_narrow, (map(_BLOCK, entries), map(_VERSION, entries),
+                             lengths, map(_VOLUME, entries)))
+    columns += (array("I", checksums).tobytes(),
+                array("d", map(_CREATED, entries)).tobytes(),
+                bytes(map(_FORM_CODES.__getitem__, map(type, forms))))
+    # raw deflate: the zlib stream less its 2-byte header and Adler-32
+    # (``compress`` takes no ``wbits`` before Python 3.11)
+    return compress(b"".join(columns), HEADER_LEVEL)[2:-4]
 
 
 def unpack_header(block: bytes) -> Tuple[Iterable, ...]:
     """Inverse of :func:`pack_header`: an iterable a column (``sequence,
     volume_id, block, version, created_at, checksum, length, form``)."""
+    block = decompress(block, RAW_DEFLATE)
     at = 0
 
-    def take(items: int) -> array:
+    def take(items: int, code: str = "") -> array:
+        """The next column of ``items`` values: of typecode ``code``, or
+        of the width its leading byte names."""
         nonlocal at
-        column = array(_TYPECODES[block[at]])
-        end = at + 1 + items * column.itemsize
-        column.frombytes(block[at + 1:end])
+        if not code:
+            code, at = _TYPECODES[block[at]], at + 1
+        column = array(code)
+        end = at + items * column.itemsize
+        column.frombytes(block[at:end])
         at = end
         return column
 
-    first, count, contiguous = take(3)
-    sequences = range(first, first + count) if contiguous \
-        else map(add, take(count), repeat(first))
-    blocks, versions, lengths, checksums = (take(count) for _ in range(4))
-
-    def dictionary(kind: type) -> Iterable:
-        nonlocal at
-        size, length = take(2)
-        blob, at = block[at:at + length], at + length
-        # a list: its rows share one object a key, unboxed once
-        keys = (array(_TYPECODES[blob[0]], blob[1:]) if kind is int
-                else array("d", blob)).tolist()
-        return repeat(keys[0], count) if size == 1 \
-            else map(keys.__getitem__, take(count))
-
-    volumes, created = dictionary(int), dictionary(float)
+    first, count = take(2)
+    sequences = accumulate(take(count - 1), initial=first)
+    blocks, versions, lengths, volumes = (take(count) for _ in range(4))
+    checksums, created = take(count, "I"), take(count, "d")
     return (sequences, volumes, blocks, versions, created, checksums,
-            lengths, take(count))
+            lengths, take(count, "B"))
 
 
 @dataclass(frozen=True)

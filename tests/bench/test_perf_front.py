@@ -21,10 +21,10 @@ from repro.cli import main
 #: the wire rows the newest ``BENCH_PERF.json`` row recorded, bit for bit
 EXACT = {
     "transfer_drain": 319999.99999999977,
-    "transfer_drain_reduced": 239999.99999999983,
-    "wire_bytes_per_entry": 28.458,
+    "transfer_drain_reduced": 249999.99999999983,
+    "wire_bytes_per_entry": 19.5855,
     "initial_copy": 2074.232637635709,
-    "wire_bytes_per_entry_mixed": 295.78875,
+    "wire_bytes_per_entry_mixed": 290.3515,
 }
 WORKLOADS = ("oltp_business", "stream_all_on")
 
@@ -46,13 +46,17 @@ class TestExactRows:
         for name, value in EXACT.items():
             assert f"{name:<24} {value!r:>20}" in printed
 
-    def test_seed_1_simulated_metrics_are_exact_rows(self, smoke_run):
+    def test_seed_1_simulated_metrics_and_counters_are_exact_rows(
+            self, smoke_run):
         row, _printed = smoke_run
-        simulated = {name: value for name, value in row["exact"].items()
-                     if name not in EXACT}
-        assert list(simulated) == [f"stream_all_on.{metric}"
-                                   for metric in perf.SIMULATED]
-        assert all(isinstance(value, float) for value in simulated.values())
+        seeded = {name: value for name, value in row["exact"].items()
+                  if name not in EXACT}
+        assert list(seeded) == [f"stream_all_on.{name}" for name in
+                                (*perf.SIMULATED, *perf.COUNTERS)]
+        assert all(isinstance(seeded[f"stream_all_on.{metric}"], float)
+                   for metric in perf.SIMULATED)
+        assert all(seeded[f"stream_all_on.{counter}"] > 0
+                   for counter in perf.COUNTERS)
 
     @pytest.mark.parametrize("plain, reduced", [
         # 2.9x fewer wire bytes: under the 3x floor
@@ -103,7 +107,8 @@ class TestFront:
 def measured(monkeypatch):
     """Replace both measurements: exact rows return ``EXACT`` and
     ``run_suite`` reports, per metric, the three values
-    ``measured[(workload, metric)]`` (default: three times 100.0) and
+    ``measured[(workload, metric)]`` (default: three times 100.0), per
+    traced counter ``measured[(workload, counter)]`` (default 7) and
     ``measured["failed"]`` failed operations."""
     suite = perf.load_suite()
     values = {"failed": 0}
@@ -124,7 +129,9 @@ def measured(monkeypatch):
                 end_to_end[metric["name"]] = {
                     **metric, "values": samples, **suite.quartiles(samples)}
             results["workloads"][workload] = {
-                "end_to_end": end_to_end, "per_layer": {},
+                "end_to_end": end_to_end,
+                "per_layer": {counter: values.get((workload, counter), 7)
+                              for counter in perf.COUNTERS},
                 "attempted": 50, "failed": values["failed"]}
         return results
 
@@ -212,6 +219,17 @@ class TestCheck:
         assert len(failures) == 1
         assert "stream_all_on.keep_up_ratio" in failures[0]
         # a smoke run has its own seed-1 values
+        assert main(["perf", "--smoke", "--check", str(record)]) == 0
+
+    def test_traced_counter_is_exact_at_the_same_size(
+            self, record, measured, capsys):
+        measured["stream_all_on", "storage.snapshot.cow_blocks"] = 8
+        assert main(["perf", "--check", str(record)]) == 1
+        failures = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("FAILED")]
+        assert len(failures) == 1
+        assert "stream_all_on.storage.snapshot.cow_blocks" in failures[0]
+        # a smoke run has its own traced counters
         assert main(["perf", "--smoke", "--check", str(record)]) == 0
 
     def test_checks_against_the_newest_row_of_its_size(

@@ -72,9 +72,10 @@ REQUIRED = [
     ("receiver does not advance its dictionary past a resolved reference",
      WireReducer, "receive_batch", "previous = payload",
      "previous = previous if verified else payload"),
-    ("thinned shipment encoded as a contiguous range", reduction,
-     "pack_header", "contiguous = last - first == count - 1",
-     "contiguous = True"),
+    ("gaps decoded as offsets from the first sequence", reduction,
+     "unpack_header",
+     "sequences = accumulate(take(count - 1), initial=first)",
+     "sequences = [first, *(first + gap for gap in take(count - 1))]"),
     ("column width chosen from the key count, not the maximum", reduction,
      "_narrow", "top = max(values, default=0)", "top = len(values)"),
 ]

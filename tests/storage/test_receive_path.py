@@ -146,10 +146,10 @@ EXPECTED_BACKUP_FULL = {
     # the entry that hit the full journal was received (and committed
     # to the caches) before its ingest failed
     "cached": 10,
-    # 16 full 256-byte payloads plus the 250 bytes of header block the link
-    # carries for the 25 survivors (the flat framing: 25 x 64 bytes, and
-    # 12 a reference)
-    "wire_bytes": 4346,
+    # 16 full 256-byte payloads plus the 153 bytes of deflated header
+    # block the link carries for the 25 survivors (250 with hand-coded
+    # columns; the flat framing: 25 x 64 bytes, and 12 a reference)
+    "wire_bytes": 4249,
 }
 EXPECTED_WIRE_CORRUPTION = {
     "status": "integrity: corrupt entry seq=26 vol=100 block=7 (wire)",
@@ -171,7 +171,7 @@ EXPECTED_WIRE_CORRUPTION = {
     "hits": 9,
     "ref_fallbacks": 0,
     "cached": 0,
-    "wire_bytes": 4346,
+    "wire_bytes": 4249,
 }
 
 
