@@ -260,7 +260,13 @@ class ReductionCodec:
                 >= PROBE_DENSE_DISTINCT * len(sample):
             self.probe_skips += 1
             return None
-        packer = compressobj(COMPRESS_LEVEL, DEFLATED, RAW_DEFLATE,
+        # the smallest window (2**9 .. 2**15) whose reach — the window
+        # less zlib's 262-byte lookahead — covers dictionary and
+        # payload: no match is out of reach and the window never
+        # slides, so the output is RAW_DEFLATE's byte for byte, for
+        # less setup (memLevel stays: its hash size shapes the output)
+        bits = min(15, max(9, (len(previous) + size + 261).bit_length()))
+        packer = compressobj(COMPRESS_LEVEL, DEFLATED, -bits,
                              zdict=previous)
         packed = packer.compress(payload) + packer.flush()
         if len(packed) + COMPRESS_FRAME_BYTES \

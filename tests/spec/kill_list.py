@@ -3,8 +3,10 @@
 Each mutant is a one-line edit of one pipeline function, recompiled
 from that function's source and monkeypatched onto its class; the state
 machine of ``test_replication_spec.py``, run at the ``soak`` profile's
-size with fresh draws, must then fail within ``BUDGET``.  A pipeline
-change is accepted when the spec and this list are green.  Not collected
+size with fresh draws, must then fail within ``BUDGET``.  A mutant no
+consistency rule can tell apart (the codec's exact wire form, the
+transfer loop's launch timing) names the test that must fail instead.
+A pipeline change is accepted when the spec and this list are green.  Not collected
 by tier-1 (the name does not match ``test_*.py``); run it with::
 
     PYTHONPATH=src python -m pytest -q tests/spec/kill_list.py
@@ -21,8 +23,10 @@ from hypothesis.stateful import run_state_machine_as_test
 from repro.storage.adc import JournalGroup
 from repro.storage.array import StorageArray
 from repro.storage import reduction
-from repro.storage.reduction import FingerprintCache, WireReducer
+from repro.storage.reduction import (FingerprintCache, ReductionCodec,
+                                     WireReducer)
 from tests.spec.test_replication_spec import ReplicationSpec
+from tests.storage.test_wire_reduction import TestWindowSizing
 
 #: wall-clock seconds a mutant must be killed in
 BUDGET = 60.0
@@ -80,6 +84,14 @@ REQUIRED = [
      "_narrow", "top = max(values, default=0)", "top = len(values)"),
 ]
 
+#: ``(name, owner, function, source as written, mutated source,
+#: killer)``: the spec cannot see these, ``killer()`` must raise
+REQUIRED_BY_TEST = [
+    ("window sized to the payload alone", ReductionCodec, "compress",
+     "(len(previous) + size + 261)", "(size + 261)",
+     TestWindowSizing().test_sized_window_is_byte_identical),
+]
+
 #: equivalent under the spec's current rules (no faults): tried, not
 #: required — each needs a fault rule to tell it apart
 EQUIVALENT = [
@@ -123,6 +135,14 @@ def survives() -> bool:
 def test_the_spec_kills(mutant, monkeypatch):
     mutate(monkeypatch, *mutant[1:])
     assert not survives(), f"mutant survived: {mutant[0]}"
+
+
+@pytest.mark.parametrize("mutant", REQUIRED_BY_TEST,
+                         ids=[m[0] for m in REQUIRED_BY_TEST])
+def test_the_named_test_kills(mutant, monkeypatch):
+    mutate(monkeypatch, *mutant[1:5])
+    with pytest.raises(Exception):  # noqa: B017 - any failure kills it
+        mutant[5]()
 
 
 @pytest.mark.parametrize("mutant", EQUIVALENT,

@@ -17,11 +17,15 @@ import zlib
 from collections import OrderedDict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.apps.workload import PayloadProfile
 from repro.simulation import Simulator
 from repro.storage import PairState
-from repro.storage.reduction import (COMPRESS_FRAME_BYTES, REFERENCE,
+from repro.storage.reduction import (COMPRESS_FRAME_BYTES, COMPRESS_LEVEL,
+                                     MIN_COMPRESS_BYTES, RATIO_THRESHOLD,
+                                     RAW_DEFLATE, REFERENCE,
                                      FingerprintCache, ReductionCodec,
                                      ReductionConfig, WireReducer)
 from tests.chaos.test_faults import corrupt_first_entry
@@ -127,6 +131,74 @@ class TestReductionCodec:
         assert codec.compress(payload) == codec.compress(payload)
         assert codec.compress(payload, b"xyz" * 50) \
             == codec.compress(payload, b"xyz" * 50)
+
+
+#: the spans (dictionary + payload) at which the codec's window grows:
+#: a ``2**bits`` window reaches ``2**bits - 262`` bytes back
+WINDOW_REACHES = [(1 << bits) - 262 for bits in range(9, 16)]
+
+
+def full_window_deflate(payload, previous):
+    """The codec's wire form with the full 32 KiB window: raw deflate
+    at ``RAW_DEFLATE``, kept under the same size and ratio rules (the
+    test's payloads never trip the density probe)."""
+    if len(payload) < MIN_COMPRESS_BYTES:
+        return None
+    packer = zlib.compressobj(COMPRESS_LEVEL, zlib.DEFLATED, RAW_DEFLATE,
+                              zdict=previous)
+    packed = packer.compress(payload) + packer.flush()
+    if len(packed) + COMPRESS_FRAME_BYTES <= RATIO_THRESHOLD * len(payload):
+        return packed
+    return None
+
+
+def sixteen_letters(rng, size):
+    return bytes(rng.choice(b"abcdefghijklmnop") for _ in range(size))
+
+
+@st.composite
+def spans(draw):
+    """``(payload, previous)`` whose combined length sits within a few
+    bytes of a window threshold or anywhere in 0..40 KB.  The payload
+    repeats runs of the dictionary taken from its far end, so a window
+    too short for the whole span misses matches, over sixteen letters,
+    so the density probe never turns it away."""
+    if draw(st.booleans()):
+        span = draw(st.sampled_from(WINDOW_REACHES)) \
+            + draw(st.integers(-3, 3))
+    else:
+        span = draw(st.integers(0, 40_000))
+    size = draw(st.integers(0, span))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    previous = sixteen_letters(rng, span - size)
+    payload = bytearray()
+    while len(payload) < size:
+        start = rng.randrange(len(previous) // 4 + 1)
+        payload += previous[start:start + rng.randrange(8, 400)] \
+            or sixteen_letters(rng, 64)
+        payload += sixteen_letters(rng, rng.randrange(0, 32))
+    return bytes(payload[:size]), previous
+
+
+def far_reference(span=30_000, size=2_000):
+    """A short payload that copies the far end of a long dictionary."""
+    previous = sixteen_letters(random.Random(5), span - size)
+    return previous[:size], previous
+
+
+class TestWindowSizing:
+    """The codec deflates through the smallest window that covers its
+    span; the wire form must not change for it."""
+
+    @given(case=spans())
+    @example(case=far_reference())
+    @settings(max_examples=150, deadline=None)
+    def test_sized_window_is_byte_identical(self, case):
+        payload, previous = case
+        packed = ReductionCodec().compress(payload, previous)
+        assert packed == full_window_deflate(payload, previous)
+        if packed is not None:
+            assert ReductionCodec.decompress(packed, previous) == payload
 
 
 def text_pages(count, size=512, seed=3):
