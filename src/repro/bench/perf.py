@@ -5,6 +5,8 @@
   Simulated time is a pure function of the code, so every run on every
   machine reads the same value and the gate is equality: they move when
   the *wire protocol* changes, never when the host gets slower.
+* **Behaviour** — the campaign digest of every CI ``chaos-smoke`` leg,
+  equal on every machine at one Python minor.
 * **End-to-end rows** — the seven metrics of ``backup_e2e`` on its four
   workloads and, under them, the folded per-layer table that says where
   the wall time went.  Nothing of that is measured here: the front puts
@@ -41,23 +43,17 @@ def _transfer_drain_run(entries: int, bandwidth: float = 200e6,
                         payload_fn=None,
                         reduction: ReductionConfig = DISABLED_REDUCTION,
                         settle: bool = False) -> Dict[str, object]:
-    """Drain a pre-filled main journal over a bandwidth-bound link.
-
-    The shared world of the wire-path rows: ``payload_fn(i)`` shapes the
-    write stream (default a constant 128-byte payload), ``reduction``
-    optionally enables the wire data-reduction engine, and
-    ``settle=True`` additionally waits for the restore side so the
-    secondary image can be compared.  Returns the drain rate in entries
-    per simulated second, the wire bytes the link actually carried
-    during the drain, and (when settled) the secondary image.
+    """Drain a pre-filled main journal over a bandwidth-bound link: the
+    wire-path rows' world.  ``payload_fn(i)`` shapes the writes (default
+    128 constant bytes); ``settle=True`` also waits for the restore
+    side.  Returns the drain rate in entries per simulated second, the
+    wire bytes the link carried, and (when settled) the secondary image.
     """
-    adc = AdcConfig(transfer_interval=0.0005, transfer_batch=512,
-                    transfer_window=8, adaptive_batch=True,
-                    transfer_batch_min=256, transfer_batch_max=4096,
-                    transfer_batch_step=256,
-                    restore_interval=0.0005, restore_batch=4096,
-                    apply_lanes=8, interval_jitter=0.0,
-                    reduction=reduction)
+    adc = AdcConfig(
+        transfer_interval=0.0005, transfer_batch=512, transfer_window=8,
+        adaptive_batch=True, transfer_batch_min=256, transfer_batch_max=4096,
+        transfer_batch_step=256, restore_interval=0.0005, restore_batch=4096,
+        apply_lanes=8, interval_jitter=0.0, reduction=reduction)
     world = build_array_pair(11, adc, "perf-xfr",
                              journal_entries=entries + 10,
                              link_latency=0.010, bandwidth=bandwidth)
@@ -105,45 +101,33 @@ _DUPLICATES = PayloadProfile(kind="duplicate", size_bytes=2048, seed=29,
 
 
 def bench_transfer_drain(entries: int = 8_000) -> float:
-    """Pipelined wire-path drain rate in entries per **simulated** s.
-
-    A pre-filled main journal drains over a 10 ms / 200 MB/s link with
-    eight batches in flight and adaptive batch sizing on; it moves when
-    the transfer protocol changes (batching, pipelining, window
-    management).
-    """
+    """Pipelined wire-path drain rate in entries per **simulated** s:
+    a pre-filled main journal over a 10 ms / 200 MB/s link, eight
+    batches in flight, adaptive batch sizing on.  Moves when the
+    transfer protocol (batching, pipelining, windowing) changes."""
     return _transfer_drain_run(entries)["rate"]
 
 
 def bench_transfer_drain_reduced(entries: int = 6_000) -> float:
-    """Reduced wire-path drain rate in entries per **simulated** s.
-
-    The duplicate-heavy profile drained over a deliberately thin
-    20 MB/s link with the wire data-reduction engine on: almost every
-    payload ships as a fingerprint reference, so the drain runs at a
-    small multiple of the link's verbatim capacity.  A drop means the
-    reduction protocol stopped taking bytes off the wire.
-    """
+    """Reduced wire-path drain rate in entries per **simulated** s: the
+    duplicate-heavy profile over a thin 20 MB/s link, reduction on.
+    Almost every payload ships as a reference, so the drain runs at a
+    small multiple of the link's verbatim capacity; a drop means the
+    reduction protocol stopped taking bytes off the wire."""
     return _transfer_drain_run(
         entries, bandwidth=20e6, payload_fn=_DUPLICATES.payload,
         reduction=ReductionConfig(enabled=True))["rate"]
 
 
 def bench_wire_bytes_per_entry(entries: int = 4_000) -> float:
-    """Post-reduction wire bytes per drained entry (lower is better).
-
-    Runs the duplicate-heavy drain twice — reduction off, then on —
-    over the same thin link and asserts the property the reduction
-    engine exists for: the reduced run must move at least 3x fewer wire
-    bytes while converging the secondary to a bit-identical image.
-    Returns the reduced run's bytes-per-entry.
-    """
-    plain = _transfer_drain_run(entries, bandwidth=20e6,
-                                payload_fn=_DUPLICATES.payload, settle=True)
-    reduced = _transfer_drain_run(entries, bandwidth=20e6,
-                                  payload_fn=_DUPLICATES.payload,
-                                  reduction=ReductionConfig(enabled=True),
-                                  settle=True)
+    """Post-reduction wire bytes per drained entry (lower is better) of
+    the duplicate-heavy drain, run reduction off, then on, over the same
+    thin link: the reduced run must move at least 3x fewer wire bytes
+    and converge the secondary to a bit-identical image."""
+    plain, reduced = (_transfer_drain_run(
+        entries, bandwidth=20e6, payload_fn=_DUPLICATES.payload,
+        reduction=reduction, settle=True)
+        for reduction in (DISABLED_REDUCTION, ReductionConfig(enabled=True)))
     assert reduced["image"] == plain["image"], \
         "reduction changed the converged secondary image"
     assert reduced["wire_bytes"] * 3 <= plain["wire_bytes"], \
@@ -172,12 +156,10 @@ def bench_wire_bytes_per_entry_mixed(entries: int = 4_000) -> float:
 def bench_initial_copy(blocks: int = 1_024) -> float:
     """Delta-negotiated bulk re-copy rate in blocks per **simulated** s.
 
-    A fully copied synchronous pair gets 10% of its blocks rewritten at
-    the primary, then ``initial_copy`` runs again: the per-block
-    ``(version, crc32)`` negotiation must skip the 90% the secondary
-    already holds and ship the stale 10% in batched payload transfers.
-    Also asserts the re-copy moved at least 5x fewer wire bytes than a
-    full copy would.
+    A fully copied synchronous pair gets 10% of its blocks rewritten,
+    then ``initial_copy`` runs again: the ``(version, crc32)``
+    negotiation must skip the 90% the secondary holds and ship the
+    stale 10% in batches, at least 5x fewer wire bytes than a full copy.
     """
     # the builder's arrays, pools and link; the pair itself is a
     # synchronous mirror of `blocks` blocks, so no async volumes
@@ -258,6 +240,30 @@ COUNTERS = ("storage.adc.restored_entries", "storage.snapshot.cuts",
             "storage.snapshot.cow_blocks")
 
 
+#: the CI ``chaos-smoke`` legs: name -> ``repro chaos`` arguments
+CHAOS_LEGS = {
+    "quick": "--preset quick --seed 7",
+    "windowed-soak": "--preset soak --seed 11 --adc transfer_window=4",
+    "reduction": "--preset quick --seed 7 --adc reduction=on",
+    "lanes": "--preset quick --seed 7 --adc apply_lanes=4",
+    "control": "--preset control --seed 7",
+    "all-on": "--preset quick --seed 7 --adc transfer_window=4 --adc "
+              "adaptive_batch=true --adc apply_lanes=4 --adc "
+              "coalesce_overwrites=true --adc reduction=on",
+}
+
+
+def behaviour() -> Dict[str, str]:
+    """``chaos.<leg>`` -> the campaign digest ``repro chaos`` prints."""
+    from repro.chaos import run_campaigns
+    from repro.cli import build_parser
+    legs = {leg: build_parser().parse_args(["chaos", *argv.split()])
+            for leg, argv in CHAOS_LEGS.items()}
+    return {f"chaos.{leg}": run_campaigns(
+        [args.seed], args.preset, adc_overrides=dict(args.adc) or None,
+    )[0].digest for leg, args in legs.items()}
+
+
 def run_perf(smoke: bool = False,
              workloads: Optional[Sequence[str]] = None) -> dict:
     """Measure everything once, printing as it goes; returns the run as
@@ -280,10 +286,14 @@ def run_perf(smoke: bool = False,
             "values"][0]) for metric in SIMULATED)
         exact.update((f"{name}.{counter}", result["per_layer"][counter])
                      for counter in COUNTERS)
+    # after the suite: a child's peak RSS counts this process's at fork
+    digests = behaviour()
+    for name, digest in digests.items():
+        print(f"  {name:<24} {digest:>20}")
     return {
         "rev": _git_rev(), "machine": results["machine"],
         "size": "smoke" if smoke else "full", "seeds": results["seeds"],
-        "seconds": results["seconds"], "exact": exact,
+        "seconds": results["seconds"], "exact": exact, "behaviour": digests,
         "workloads": {
             name: {"attempted": result["attempted"],
                    "failed": result["failed"],
@@ -343,17 +353,25 @@ def recorded_row(path, smoke: bool) -> dict:
 def check_row(row: dict, recorded: dict) -> List[str]:
     """Print ``row`` against the ``recorded`` one; returns what fails
     the check — a differing exact row (the seed-1 simulated values and
-    counters only at equal size), an end-to-end row ``worse`` than its
-    bound (at equal size; the wall-clock ones on the same machine only)
-    — and is empty when it passes."""
+    counters only at equal size) or digest (at equal Python minor), an
+    end-to-end row ``worse`` than its bound (at equal size; the
+    wall-clock ones on the same machine only) — and is empty when it
+    passes."""
     problems = []
     print(f"== check against the recorded row of {recorded['rev']} "
           f"({recorded['size']} size)")
     names = set(row["exact"]) | set(recorded["exact"])
     if row["size"] != recorded["size"]:  # seed-1 simulated rows: per size
         names &= set(EXACT_ROWS)
-    for name in sorted(names):
-        value, base = row["exact"].get(name), recorded["exact"].get(name)
+    pairs = [(name, row["exact"].get(name), recorded["exact"].get(name))
+             for name in sorted(names)]
+    minor = [side["machine"].get("python", "").split(".")[:2]
+             for side in (row, recorded)]
+    if minor[0] == minor[1]:
+        digests = [side.get("behaviour", {}) for side in (row, recorded)]
+        pairs += [(name, digests[0].get(name), digests[1].get(name))
+                  for name in sorted(set(digests[0]) | set(digests[1]))]
+    for name, value, base in pairs:
         print(f"  {name:<24} {value!r:>20} recorded {base!r:>20}  "
               f"{'equal' if value == base else 'DIFFERS'}")
         if value != base:

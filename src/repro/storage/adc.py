@@ -88,7 +88,9 @@ class AdcConfig:
     """Tuning knobs of the asynchronous copy pipeline.
 
     ``transfer_interval``/``restore_interval`` are the wake-up periods of
-    the two background loops; ``interval_jitter`` desynchronises loops of
+    the two background loops (the pipelined transfer loop also wakes at
+    ``transfer_interval`` while its window has room and its head
+    shipment is in flight); ``interval_jitter`` desynchronises loops of
     different journal groups (the physical cause of backup-data collapse
     without a consistency group).  E7 sweeps ``transfer_interval``; E8
     sweeps the number of pairs per group.
@@ -100,9 +102,12 @@ class AdcConfig:
     #: stop-and-wait loop (ship a batch, wait out the full link RTT,
     #: sleep, repeat); >1 pipelines: while batch N propagates, batches
     #: N+1.. serialise behind it on the link's FIFO wire, hiding the
-    #: propagation latency.  Receive-side ingest stays strictly
-    #: in-order (shipments complete FIFO and are ingested head-first),
-    #: so coalesce/quarantine/trim semantics are unchanged.
+    #: propagation latency.  While fewer than N are in flight the loop
+    #: launches on room: it wakes every ``transfer_interval`` and ships
+    #: what was acked meanwhile instead of waiting for the head to
+    #: land.  Receive-side ingest stays strictly in-order (shipments
+    #: complete FIFO and are ingested head-first), so
+    #: coalesce/quarantine/trim semantics are unchanged.
     transfer_window: int = 1
     #: AIMD batch sizing: grow the transfer batch additively while the
     #: journal backlog keeps batches full and the wire drains them
@@ -959,7 +964,9 @@ class JournalGroup:
 
     def _transfer_loop_windowed(self) -> Generator[object, object, None]:
         """Pipelined wire path: up to ``transfer_window`` batches in
-        flight concurrently.
+        flight concurrently, a new one launched at each
+        ``transfer_interval`` wake-up that finds room and unshipped
+        entries (joining the head shipment when it lands first).
 
         Shipments serialise FIFO on the link's shared-bandwidth queue
         and are joined strictly head-first, so the receive side ingests
@@ -1003,7 +1010,16 @@ class JournalGroup:
                         and not len(self.main_journal):
                     self._sample_idle_lag()
                 continue
-            head = inflight.popleft()
+            head = inflight[0]
+            if len(inflight) < config.transfer_window and head.proc.alive:
+                # room in the window: wake every interval and launch
+                # what was acked meanwhile, until the head lands
+                yield self.sim.any_of([head.proc.join(), self.sim.timeout(
+                    self._jittered(config.transfer_interval, "transfer"))])
+                if head.proc.alive and self._running \
+                        and self._transfer_enabled:
+                    continue
+            inflight.popleft()
             yield head.proc  # join: fires when the batch lands
             covered -= len(head.batch)
             status = self._receive_batch(head)
@@ -1150,7 +1166,7 @@ class JournalGroup:
             return
         apply_target = self._apply_target
         early: Dict[int, tuple] = {}
-        surviving: Dict[Tuple[int, int], tuple] = {}
+        surviving: Dict[Tuple[int, int], int] = {}
         conflicts = 0
         for index, entry in enumerate(window):
             target = apply_target(entry, verify)
@@ -1160,8 +1176,8 @@ class JournalGroup:
             address = (entry.volume_id, entry.block)
             if address in surviving:
                 conflicts += 1
-                early[surviving.pop(address)[0]] = _APPLY_COALESCED
-            surviving[address] = (index, target, entry)
+                early[surviving.pop(address)] = _APPLY_COALESCED
+            surviving[address] = index
         if conflicts and self.lane_conflicts is not None:
             self.lane_conflicts.increment(conflicts)
         if tracer.enabled:
@@ -1170,9 +1186,13 @@ class JournalGroup:
                 [(entry.trace_id, entry.span_id, entry.volume_id,
                   entry.block, entry.sequence, entry.version)
                  for entry in window], early)
+        # survivors are kept as indices: no per-entry object outlives
+        # the media wait but the rows themselves
         by_svol: Dict["Volume", List[tuple]] = {}
-        for _index, svol, entry in surviving.values():
-            by_svol.setdefault(svol, []).append(
+        svol_by_pvol = self._svol_by_pvol
+        for index in surviving.values():
+            entry = window[index]
+            by_svol.setdefault(svol_by_pvol[entry.volume_id], []).append(
                 (entry.block, entry.payload, entry.version, entry.checksum))
         delay = max([svol.apply_delay(rows)
                      for svol, rows in by_svol.items()], default=0.0)

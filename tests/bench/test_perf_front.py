@@ -29,13 +29,33 @@ EXACT = {
 WORKLOADS = ("oltp_business", "stream_all_on")
 
 
+#: the ``quick`` leg's campaign digest, which no recorded change moved
+QUICK_DIGEST = "018d569900088a81"
+
+
 @pytest.fixture(scope="module")
 def smoke_run():
-    """``(row, printed)`` of one real ``run_perf``."""
+    """``(row, printed)`` of one real ``run_perf`` (one chaos leg)."""
     printed = io.StringIO()
-    with contextlib.redirect_stdout(printed):
+    with contextlib.redirect_stdout(printed), pytest.MonkeyPatch.context() \
+            as patch:
+        patch.setattr(perf, "CHAOS_LEGS", {"quick": perf.CHAOS_LEGS["quick"]})
         row = perf.run_perf(smoke=True, workloads=["stream_all_on"])
     return row, printed.getvalue()
+
+
+def ci_chaos_legs():
+    """leg -> ``repro chaos`` arguments of the CI ``chaos-smoke`` job."""
+    text = (perf.REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    matrix = text.split("  chaos-smoke:", 1)[1].split("    steps:", 1)[0]
+    legs = {}
+    for chunk in matrix.split("- leg: ")[1:]:
+        name, _, rest = chunk.partition("\n")
+        lines = [line for line in rest.split("args:", 1)[1].splitlines()
+                 if not line.strip().startswith("#")]
+        legs[name.strip()] = " ".join(" ".join(lines).split()).replace(
+            ">- ", "")
+    return legs
 
 
 class TestExactRows:
@@ -76,6 +96,17 @@ class TestExactRows:
             perf.bench_wire_bytes_per_entry(10)
 
 
+class TestBehaviour:
+    def test_real_run_records_the_leg_digest(self, smoke_run):
+        row, printed = smoke_run
+        assert row["behaviour"] == {"chaos.quick": QUICK_DIGEST}
+        assert f"{'chaos.quick':<24} {QUICK_DIGEST:>20}" in printed
+
+    def test_legs_are_the_ci_chaos_smoke_legs(self):
+        assert perf.CHAOS_LEGS == ci_chaos_legs()
+        assert len(perf.CHAOS_LEGS) == 6
+
+
 class TestFront:
     def test_real_run_is_one_trajectory_row(self, smoke_run):
         row, printed = smoke_run
@@ -109,9 +140,11 @@ def measured(monkeypatch):
     ``run_suite`` reports, per metric, the three values
     ``measured[(workload, metric)]`` (default: three times 100.0), per
     traced counter ``measured[(workload, counter)]`` (default 7) and
-    ``measured["failed"]`` failed operations."""
+    ``measured["failed"]`` failed operations; the chaos legs'
+    digests are ``measured["behaviour"]``."""
     suite = perf.load_suite()
-    values = {"failed": 0}
+    values = {"failed": 0, "behaviour": {"chaos.quick": QUICK_DIGEST}}
+    monkeypatch.setattr(perf, "behaviour", lambda: dict(values["behaviour"]))
     monkeypatch.setattr(perf, "EXACT_ROWS", {
         name: (lambda value=value: value, "unit")
         for name, value in EXACT.items()})
@@ -264,6 +297,30 @@ class TestCheck:
             python="3.12.1"))
         measured["stream_all_on", "keep_up_ratio"] = [99.0, 100.0, 100.0]
         assert main(["perf", "--check", str(record)]) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--smoke"]])
+    def test_differing_digest_fails_and_is_named_at_any_size(
+            self, record, measured, flags, capsys):
+        measured["behaviour"]["chaos.quick"] = "f" * 16
+        assert main(["perf", *flags, "--check", str(record)]) == 1
+        failures = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("FAILED")]
+        assert len(failures) == 1 and "chaos.quick" in failures[0]
+
+    def test_a_leg_missing_on_either_side_fails(self, record, measured):
+        measured["behaviour"]["chaos.lanes"] = "0" * 16
+        assert main(["perf", "--check", str(record)]) == 1
+        measured["behaviour"] = {}
+        assert main(["perf", "--check", str(record)]) == 1
+
+    def test_digests_are_compared_at_equal_python_minor_only(
+            self, record, measured, capsys):
+        edit_newest_row(record, lambda row: row["machine"].update(
+            python="3.11.7"))
+        measured["behaviour"]["chaos.quick"] = "f" * 16
+        assert main(["perf", "--check", str(record)]) == 0
+        checked = capsys.readouterr().out.split("== check against", 1)[1]
+        assert "chaos.quick" not in checked
 
     @pytest.mark.parametrize("flags", [[], ["--smoke"]])
     def test_failed_operation_fails_at_any_size(

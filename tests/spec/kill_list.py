@@ -26,6 +26,7 @@ from repro.storage import reduction
 from repro.storage.reduction import (FingerprintCache, ReductionCodec,
                                      WireReducer)
 from tests.spec.test_replication_spec import ReplicationSpec
+from tests.storage.test_pipelined_transfer import TestLaunchOnRoom
 from tests.storage.test_wire_reduction import TestWindowSizing
 
 #: wall-clock seconds a mutant must be killed in
@@ -50,7 +51,7 @@ REQUIRED = [
     ("in-flight shipments kept after a failed head", JournalGroup,
      "_transfer_loop_windowed", "inflight.clear()", "pass"),
     ("restore-window conflict keeps the first writer", JournalGroup,
-     "_apply_window", "early[surviving.pop(address)[0]] = _APPLY_COALESCED",
+     "_apply_window", "early[surviving.pop(address)] = _APPLY_COALESCED",
      "early[index] = _APPLY_COALESCED; continue"),
     ("initial copies flip newest pending first", JournalGroup,
      "_update_copy_states", "pending.pop(0)", "pending.pop()"),
@@ -90,6 +91,12 @@ REQUIRED_BY_TEST = [
     ("window sized to the payload alone", ReductionCodec, "compress",
      "(len(previous) + size + 261)", "(size + 261)",
      TestWindowSizing().test_sized_window_is_byte_identical),
+    ("windowed loop joins the head before refilling", JournalGroup,
+     "_transfer_loop_windowed",
+     "if len(inflight) < config.transfer_window and head.proc.alive:",
+     "if False:",
+     TestLaunchOnRoom()
+     .test_a_write_acked_mid_flight_launches_before_the_head_lands),
 ]
 
 #: equivalent under the spec's current rules (no faults): tried, not

@@ -1,11 +1,12 @@
-"""Pipelined inter-site transfer: wire corruption mid-window, adaptive
-batch sizing, config validation.
+"""Pipelined inter-site transfer: the launch rule, wire corruption
+mid-window, adaptive batch sizing, config validation.
 
 That any transfer window converges to the stop-and-wait image, link
 flaps included, is the executable specification's job (``tests/spec``).
-Pinned here: deterministic wire corruption heals identically in every
-window (corruption faults are not yet a spec rule), the AIMD batch
-bounds, and the config checks.
+Pinned here: a window with room launches what was acked while its head
+is in flight (timing, which the spec does not state), deterministic
+wire corruption heals identically in every window (corruption faults
+are not yet a spec rule), the AIMD batch bounds, and the config checks.
 """
 
 import pytest
@@ -53,6 +54,47 @@ def run_plan(window, plan, seed=17, fault=None):
     p.sim.run_until_complete(proc)
     drain(p.sim, p.group)
     return image_of(p.svols[0]), image_of(pvol), p.group
+
+
+def launch_instants(window):
+    """``(instant, sequences)`` of every shipment launched over a 10 ms
+    link woken every 1 ms: one write acked at t≈0, one at t≈2.9 ms."""
+    p = build_pipeline(7, latency=0.010, transfer_window=window,
+                       transfer_interval=0.001)
+    group, pvol = p.group, p.pvols[0]
+    launched = []
+    prepare = group._prepare_shipment
+
+    def record(batch, *ahead):
+        launched.append((p.sim.now, [entry.sequence for entry in batch]))
+        return prepare(batch, *ahead)
+
+    group._prepare_shipment = record
+
+    def writer():
+        yield from p.main.host_write(pvol.volume_id, 0, b"first")
+        yield p.sim.timeout(0.002)
+        yield from p.main.host_write(pvol.volume_id, 1, b"second")
+
+    p.sim.spawn(writer())
+    p.sim.run(until=0.05)
+    assert group.entry_lag == 0
+    return launched
+
+
+class TestLaunchOnRoom:
+    def test_a_write_acked_mid_flight_launches_before_the_head_lands(self):
+        """With room in the window the loop wakes every interval: the
+        second write ships about one interval after its ack, not after
+        the first shipment's 10 ms flight."""
+        (first, head), (second, tail) = launch_instants(4)
+        assert (head, tail) == ([0], [1])
+        assert second == pytest.approx(0.003)
+        assert second < first + 0.010  # the head is still in flight
+
+    def test_stop_and_wait_launch_instants_are_unchanged(self):
+        assert launch_instants(1) == [(pytest.approx(0.001), [0]),
+                                      (pytest.approx(0.012), [1])]
 
 
 class TestWindowEquivalence:
