@@ -26,8 +26,8 @@ from repro.storage import reduction
 from repro.storage.reduction import (FingerprintCache, ReductionCodec,
                                      WireReducer)
 from tests.spec.test_replication_spec import ReplicationSpec
-from tests.storage.test_pipelined_transfer import TestLaunchOnRoom
-from tests.storage.test_wire_reduction import TestWindowSizing
+# modules, not their classes: pytest would collect a Test* class here
+from tests.storage import test_pipelined_transfer, test_wire_reduction
 
 #: wall-clock seconds a mutant must be killed in
 BUDGET = 60.0
@@ -90,12 +90,13 @@ REQUIRED = [
 REQUIRED_BY_TEST = [
     ("window sized to the payload alone", ReductionCodec, "compress",
      "(len(previous) + size + 261)", "(size + 261)",
-     TestWindowSizing().test_sized_window_is_byte_identical),
+     test_wire_reduction.TestWindowSizing()
+     .test_sized_window_is_byte_identical),
     ("windowed loop joins the head before refilling", JournalGroup,
      "_transfer_loop_windowed",
      "if len(inflight) < config.transfer_window and head.proc.alive:",
      "if False:",
-     TestLaunchOnRoom()
+     test_pipelined_transfer.TestLaunchOnRoom()
      .test_a_write_acked_mid_flight_launches_before_the_head_lands),
 ]
 
