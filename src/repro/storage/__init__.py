@@ -9,9 +9,9 @@ Public surface:
 * :class:`JournalGroup`, :class:`AdcConfig` — asynchronous data copy
   pipelines (a consistency group = several pairs in one journal group);
 * :class:`SyncMirror` — the synchronous baseline;
-* :class:`ReductionConfig`, :class:`ReductionCodec`,
-  :class:`FingerprintCache`, :class:`WireReducer` — wire data reduction
-  (fingerprint dedup + inline compression) for the replication paths;
+* :class:`ReductionConfig`, :class:`FingerprintCache`,
+  :class:`WireReducer` — wire data reduction (fingerprint dedup + one
+  deflate stream a shipment) for the replication paths;
 * :class:`ReplicationPair`, :class:`PairState`, :class:`CopyMode` —
   pair lifecycle;
 * :class:`Snapshot`, :class:`SnapshotGroup`, :class:`SnapshotView` —
@@ -28,8 +28,8 @@ from repro.storage.journal import JournalEntry, JournalVolume
 from repro.telemetry.metrics import (Counter, Gauge, LatencyRecorder,
                                      LatencySummary, percentile)
 from repro.storage.pool import StoragePool
-from repro.storage.reduction import (FingerprintCache, ReductionCodec,
-                                     ReductionConfig, WireReducer)
+from repro.storage.reduction import (FingerprintCache, ReductionConfig,
+                                     WireReducer)
 from repro.storage.replication import CopyMode, PairState, ReplicationPair
 from repro.storage.sdc import SyncMirror
 from repro.storage.snapshot import Snapshot, SnapshotGroup
@@ -56,7 +56,6 @@ __all__ = [
     "LatencySummary",
     "MediaProfile",
     "PairState",
-    "ReductionCodec",
     "ReductionConfig",
     "ReplicationPair",
     "Snapshot",

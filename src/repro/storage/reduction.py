@@ -1,4 +1,4 @@
-"""Wire data reduction: inline compression + fingerprint dedup.
+"""Wire data reduction: fingerprint dedup + one deflate stream a shipment.
 
 PR 8 attacked wire *latency* (pipelining, delta-negotiated copy); this
 module attacks wire *volume*.  The journal transfer path — and the
@@ -6,12 +6,10 @@ initial copy and resync riding it — can pass its payloads through one
 :class:`WireReducer`, which
 charges :class:`~repro.simulation.network.NetworkLink` the
 *post-reduction* byte count while the logical-byte counters keep their
-pre-reduction meaning.  Every entry header of a shipment travels as
-one header block, and two mechanisms are tried cheapest-first per
-payload:
+pre-reduction meaning.  Each payload of a shipment is, cheapest first:
 
-* **fingerprint dedup** — a bounded :class:`FingerprintCache` on each
-  side of the link, keyed on
+* **referenced** — a bounded :class:`FingerprintCache` on each side of
+  the link, keyed on
   lightweight ``(crc32, length)`` fingerprints (no cryptographic
   hashing, following the DR-path argument of "Optimized Disaster
   Recovery for Distributed Storage Systems").  A payload whose
@@ -22,53 +20,46 @@ payload:
   against the entry CRC32 — a corrupted cache entry falls back to the
   full payload, counted in ``repro_reduction_ref_fallbacks_total``, so
   dedup can never silently corrupt;
-* **inline compression** — :class:`ReductionCodec` raw-deflates each
-  payload with the payload shipped just before it in the same batch as
-  a preset dictionary, whatever form that one took (raw, compressed or
-  a reference: the receiver holds it decoded one step earlier either
-  way; the first payload of a batch has none), and ships the
-  compressed form only when it beats the ratio threshold (the skip-if-
-  incompressible flag); already-dense payloads cross the wire verbatim
-  (a density probe turns most away before deflate is paid for).  The
-  dictionary is chosen by position, never by another payload's verdict,
-  so the probe's call on one payload changes how no other compresses.
-  The entry CRC32 checked at receive covers every decoded payload, so
-  the wire form carries no zlib header or checksum of its own.
+* **shipped raw** — a payload the density probe (:func:`dense`) calls
+  dense, which deflate would barely shrink, crosses verbatim;
+* **deflated** — every other payload rides the shipment's one
+  raw-deflate stream.
 
-**The header block** (:func:`pack_header`) replaces the fixed 64-byte
-entry headers with plain columns, built and read without a per-row
-Python loop, then raw-deflated in one pass (``zlib.compress``): the
-sequence as ``(first, count)`` and a gap column (all 1 when the
-shipment is contiguous); ``block``, ``version``, payload length and
-``volume_id`` each behind a byte naming the narrowest unsigned width
-holding the column's maximum; ``checksum`` at u32; ``created_at`` as
-doubles; a byte a row saying raw, compressed or referenced — a
-reference's fingerprint is its row's ``(checksum, length)``.  Deflate
-removes the repetition (unit gaps, a constant length, the time one
-journal append's rows share); there is no flag byte, since deflate's
-stored-block fallback caps an incompressible block's growth at a few
-bytes.  The link is charged the block plus the payloads.  The trace
-context is telemetry, not replicated data: the receive side takes it
-from the shipment's own entries, so switching the tracer off moves no
-simulated time.
+**The stream.**  One shipment is one raw deflate (``zlib.compress``,
+its 2-byte header and Adler-32 trailer sliced off; the entry CRC32
+checked at receive covers every decoded payload) over its header
+block, then its deflated payloads in row order; its dense payloads
+follow the stream raw.  The header block (:func:`pack_header`)
+replaces the fixed 64-byte entry headers with plain columns, built and
+read without a per-row Python loop, a forms column among them saying
+raw, deflated or referenced — a reference's fingerprint is its row's
+``(checksum, length)``.  Deflate removes the repetition, in the
+columns (unit gaps, a constant length, the time one journal append's
+rows share) and across payloads (pages sharing a record layout);
+there is no flag byte, since deflate's stored-block fallback caps an
+incompressible stream's growth at a few bytes.  The receiver inflates
+the stream once and takes each deflated row's payload at the offset
+the lengths column gives.  The link is charged the stream plus the
+raw payloads.  The trace context is telemetry, not replicated data:
+the receive side takes it from the shipment's own entries, so
+switching the tracer off moves no simulated time.
 
 **Cache synchronisation.**  Sender and receiver caches commit *only at
-receive time*, in receive order, each payload in the class its wire
-form shows: compressed or raw.  Compressed entries are evicted before
-raw ones (a hit on a page deflate already shrank saves little), the
+receive time*, in receive order, each payload in the class of the
+probe's verdict on it — a function of the payload alone, not of where
+it sits in its batch: deflated or raw.  Deflated entries are evicted
+before raw ones (a hit on a page deflate shrinks saves little), the
 oldest first within a class.  Both sides see the same commits and
-classes, so they stay byte-identical by construction; all-raw traffic
-evicts plain FIFO.  Encode-time decisions read the sender cache and
-the full payloads of the batch itself and of the batches in flight
-ahead of it, which are received first (a failed head voids everything
-behind it).  **Every reference is bounded to resolve**: a sender-cache
-entry only if the evictions the full payloads committing before the
-reference can cause do not reach its eviction rank
-(:meth:`FingerprintCache.survives`); an in-flight or in-batch raw copy
-only if too few commits follow to evict it, a compressed one only if
-those evictions do not reach the compressed entries cached now, which
-all go before it.  Nothing is committed at encode time, so discarding
-an in-flight shipment rolls the cache state back for free
+classes, so they stay byte-identical by construction.  Encode-time
+decisions read the sender cache and the full payloads of the batch
+itself and of the batches in flight ahead of it, which are received
+first (a failed head voids everything behind it).  **Every reference
+is bounded to resolve**: a sender-cache entry only if the evictions
+the full payloads committing before the reference can cause do not
+reach its eviction rank (:meth:`FingerprintCache.survives`); an
+in-flight or in-batch copy only if it ships raw and too few commits
+follow to evict it.  Nothing is committed at encode time, so
+discarding an in-flight shipment rolls the cache state back for free
 (:meth:`WireReducer.discard` just counts it).  A fallback therefore
 means a cache entry failed re-verification.
 :meth:`WireReducer.invalidate` drops both sides wholesale on
@@ -85,11 +76,10 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from operator import attrgetter, sub
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+from operator import attrgetter, itemgetter, sub
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
                     Sequence, Tuple)
-from zlib import (DEFLATED, compress, compressobj, crc32, decompress,
-                  decompressobj)
+from zlib import compress, crc32, decompress
 
 from repro.storage.journal import ENTRY_HEADER_BYTES, JournalEntry
 
@@ -97,50 +87,49 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
     from repro.telemetry.registry import MetricsRegistry
 
-#: framing bytes prepended to a compressed payload on the wire (the
-#: skip-if-incompressible flag plus the compressed length)
-COMPRESS_FRAME_BYTES = 2
-
-#: zlib compression level (1 fastest .. 9 densest)
-COMPRESS_LEVEL = 6
-#: zlib level of the header block's deflate pass: about half level 6's
-#: deflate time, for 0.15 bytes more a row
-HEADER_LEVEL = 1
+#: zlib level of each shipment's deflate pass (1 fastest .. 9 densest):
+#: on ``stream_all_on`` 4% fewer link bytes than level 1 for about 8%
+#: more wall time
+DEFLATE_LEVEL = 6
 #: ``wbits`` of raw deflate: no zlib header, no Adler-32 trailer
 RAW_DEFLATE = -15
-#: ship the compressed form only when ``compressed <= threshold * raw``
-#: — the skip-if-incompressible flag
-RATIO_THRESHOLD = 0.9
-#: payloads smaller than this skip the compression attempt (the zlib
-#: header alone would eat the win)
-MIN_COMPRESS_BYTES = 32
 
-#: density probe (docs/performance.md): deflate is skipped when, of at
-#: most PROBE_SAMPLE_BYTES bytes taken at an even stride over the
-#: payload, at least PROBE_DENSE_DISTINCT per 64 are distinct values.
-#: Uniform bytes show 56.7 +- 2.2 in 64; text, hex, padded rows < 40.
+#: density probe (docs/performance.md): a payload ships raw, outside
+#: the stream, when of at most PROBE_SAMPLE_BYTES bytes taken at an
+#: even stride over it at least PROBE_DENSE_DISTINCT per 64 are
+#: distinct values.  Uniform bytes show 56.7 +- 2.2 in 64; text, hex,
+#: padded rows < 40.
 PROBE_SAMPLE_BYTES = 64
 PROBE_DENSE_DISTINCT = 46
-
-#: :attr:`EncodedBatch.forms` marker of a payload shipped as a
-#: fingerprint reference (compared by identity)
-REFERENCE = object()
 
 #: a ``(crc32, length)`` payload fingerprint
 Fingerprint = Tuple[int, int]
 
+
+def dense(payload: bytes) -> bool:
+    """The density probe: whether ``payload`` looks too dense for
+    deflate to shrink (one C-level slice and one ``set()``).  It errs
+    one way only: a payload wrongly called dense ships raw and costs
+    wire bytes, nothing else."""
+    stride = len(payload) // PROBE_SAMPLE_BYTES or 1
+    sample = payload[:stride * PROBE_SAMPLE_BYTES:stride]
+    return len(set(sample)) * PROBE_SAMPLE_BYTES \
+        >= PROBE_DENSE_DISTINCT * len(sample)
+
+
 # -- the header block ---------------------------------------------------------
 
-#: a row's wire form in the header block's forms column
-RAW, COMPRESSED, REFERENCED = 0, 1, 2
-#: :attr:`EncodedBatch.forms` entry type -> forms-column code
-_FORM_CODES = {type(None): RAW, bytes: COMPRESSED, type(REFERENCE): REFERENCED}
+#: a row's wire form in the header block's forms column: shipped raw
+#: after the stream, deflated in it, or a fingerprint reference
+RAW, DEFLATED, REFERENCED = 0, 1, 2
 #: unsigned ``array`` typecodes, narrowest first, with the bound of each
 _WIDTHS = tuple((code, 1 << 8 * array(code).itemsize) for code in "BHIQ")
 _TYPECODES = "".join(code for code, _bound in _WIDTHS)
 _SEQUENCE, _VOLUME, _BLOCK, _VERSION, _CREATED, _PAYLOAD, _CHECKSUM = map(
     attrgetter, ("sequence", "volume_id", "block", "version", "created_at",
                  "payload", "checksum"))
+#: an :attr:`EncodedBatch.full` value's "shipped raw" flag
+_SHIPPED_RAW = itemgetter(1)
 
 
 def _narrow(values: Iterable[int]) -> bytes:
@@ -156,31 +145,26 @@ def _narrow(values: Iterable[int]) -> bytes:
 
 
 def pack_header(entries: Sequence[JournalEntry], checksums: Sequence[int],
-                lengths: Sequence[int], forms: Sequence[object]) -> bytes:
-    """The header block of one shipment, in this column order:
+                lengths: Sequence[int], forms: bytes) -> bytes:
+    """The plain header block of one shipment, in this column order:
     ``(first, count)`` and the gap column (``count - 1`` steps between
     sequences); ``block``, ``version``, length and ``volume_id``, each
     behind its width byte; ``checksum`` u32; ``created_at`` doubles;
-    the forms column — then one raw deflate at :data:`HEADER_LEVEL`
-    over all of it, through the one-shot ``zlib.compress`` (the layer
-    table's ``zlib.compress`` row, one call a shipment)."""
+    the forms column.  It heads the shipment's deflate stream."""
     sequences = list(map(_SEQUENCE, entries))
     columns = [_narrow((sequences[0], len(sequences))),
                _narrow(map(sub, islice(sequences, 1, None), sequences))]
     columns += map(_narrow, (map(_BLOCK, entries), map(_VERSION, entries),
                              lengths, map(_VOLUME, entries)))
     columns += (array("I", checksums).tobytes(),
-                array("d", map(_CREATED, entries)).tobytes(),
-                bytes(map(_FORM_CODES.__getitem__, map(type, forms))))
-    # raw deflate: the zlib stream less its 2-byte header and Adler-32
-    # (``compress`` takes no ``wbits`` before Python 3.11)
-    return compress(b"".join(columns), HEADER_LEVEL)[2:-4]
+                array("d", map(_CREATED, entries)).tobytes(), forms)
+    return b"".join(columns)
 
 
-def unpack_header(block: bytes) -> Tuple[Iterable, ...]:
-    """Inverse of :func:`pack_header`: an iterable a column (``sequence,
-    volume_id, block, version, created_at, checksum, length, form``)."""
-    block = decompress(block, RAW_DEFLATE)
+def unpack_header(plain: bytes) -> Tuple:
+    """Inverse of :func:`pack_header` on an inflated stream: an iterable
+    a column (``sequence, volume_id, block, version, created_at,
+    checksum, length, form``), then the offset the payloads start at."""
     at = 0
 
     def take(items: int, code: str = "") -> array:
@@ -188,10 +172,10 @@ def unpack_header(block: bytes) -> Tuple[Iterable, ...]:
         of the width its leading byte names."""
         nonlocal at
         if not code:
-            code, at = _TYPECODES[block[at]], at + 1
+            code, at = _TYPECODES[plain[at]], at + 1
         column = array(code)
         end = at + items * column.itemsize
-        column.frombytes(block[at:end])
+        column.frombytes(plain[at:end])
         at = end
         return column
 
@@ -199,8 +183,9 @@ def unpack_header(block: bytes) -> Tuple[Iterable, ...]:
     sequences = accumulate(take(count - 1), initial=first)
     blocks, versions, lengths, volumes = (take(count) for _ in range(4))
     checksums, created = take(count, "I"), take(count, "d")
+    forms = take(count, "B")
     return (sequences, volumes, blocks, versions, created, checksums,
-            lengths, take(count, "B"))
+            lengths, forms, at)
 
 
 @dataclass(frozen=True)
@@ -225,75 +210,19 @@ class ReductionConfig:
 DISABLED_REDUCTION = ReductionConfig()
 
 
-class ReductionCodec:
-    """Deterministic raw-deflate compressor with a skip flag.
-
-    Each payload is deflated with the payload shipped just before it in
-    its batch as a preset dictionary (``zdict``): neighbouring pages
-    share their record layout, so the second pays no cold start.  The
-    wire form is therefore a function of the payload and its batch
-    position, deterministic for a given batch, so two runs of one seed
-    stay byte-identical; the only state is a tally.  Raw deflate carries
-    no zlib header or Adler-32: the receive side checks every decoded
-    payload against the entry CRC32 anyway.
-    """
-
-    def __init__(self) -> None:
-        #: payloads the density probe turned away before deflate
-        self.probe_skips = 0
-
-    def compress(self, payload: bytes, previous: bytes = b"",
-                 ) -> Optional[bytes]:
-        """The compressed wire form, deflated against ``previous`` (the
-        payload shipped just before it in its batch, empty for the
-        first), or None when the payload is too small or too dense to
-        be worth shipping compressed.  The probe errs one way only: a
-        payload wrongly called dense ships raw (and so is cached in the
-        raw eviction class); every other payload gets deflate's exact
-        verdict."""
-        size = len(payload)
-        if size < MIN_COMPRESS_BYTES:
-            return None
-        stride = size // PROBE_SAMPLE_BYTES or 1
-        sample = payload[:stride * PROBE_SAMPLE_BYTES:stride]
-        if len(set(sample)) * PROBE_SAMPLE_BYTES \
-                >= PROBE_DENSE_DISTINCT * len(sample):
-            self.probe_skips += 1
-            return None
-        # the smallest window (2**9 .. 2**15) whose reach — the window
-        # less zlib's 262-byte lookahead — covers dictionary and
-        # payload: no match is out of reach and the window never
-        # slides, so the output is RAW_DEFLATE's byte for byte, for
-        # less setup (memLevel stays: its hash size shapes the output)
-        bits = min(15, max(9, (len(previous) + size + 261).bit_length()))
-        packer = compressobj(COMPRESS_LEVEL, DEFLATED, -bits,
-                             zdict=previous)
-        packed = packer.compress(payload) + packer.flush()
-        if len(packed) + COMPRESS_FRAME_BYTES \
-                <= RATIO_THRESHOLD * len(payload):
-            return packed
-        return None
-
-    @staticmethod
-    def decompress(packed: bytes, previous: bytes = b"") -> bytes:
-        """Inverse of :meth:`compress` for shipped-compressed payloads:
-        ``previous`` must be the dictionary it was deflated against."""
-        return decompressobj(RAW_DEFLATE, zdict=previous).decompress(packed)
-
-
 class FingerprintCache:
     """Bounded ``(crc32, length) -> payload`` map with two FIFO
-    eviction classes.
+    eviction classes, by the density probe's verdict on the payload.
 
-    A payload that crossed the wire compressed is evicted before any
-    that crossed raw (a hit on it saves a few dozen bytes, a hit on an
-    incompressible page a whole page); within a class the oldest
-    insertion goes first.  No recency promotion, deliberately: sender
-    and receiver apply the same commit stream with the same classes,
-    so insertion-order eviction keeps the two caches identical even
-    though the sender *reads* at encode time and the receiver at
-    receive time — an LRU would let those differently-ordered reads
-    desynchronise the evictions.  All-raw traffic evicts plain FIFO.
+    A payload the probe let into the deflate stream is evicted before
+    any it called dense (a hit on a page deflate shrinks saves a few
+    dozen bytes, a hit on a dense page a whole page); within a class
+    the oldest insertion goes first.  No recency promotion,
+    deliberately: sender and receiver apply the same commit stream
+    with the same classes, so insertion-order eviction keeps the two
+    caches identical even though the sender *reads* at encode time and
+    the receiver at receive time — an LRU would let those
+    differently-ordered reads desynchronise the evictions.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -301,7 +230,7 @@ class FingerprintCache:
             raise ValueError(f"capacity must be >= 0: {capacity}")
         self.capacity = capacity
         self._entries: Dict[Fingerprint, bytes] = {}
-        #: per class (compressed, raw): fingerprint -> insertion serial,
+        #: per class (deflated, raw): fingerprint -> insertion serial,
         #: oldest first; a class loses its oldest entries only, so
         #: ``serial - removed`` is an entry's place in its class
         self._order: Tuple["OrderedDict[Fingerprint, int]", ...] = (
@@ -321,14 +250,14 @@ class FingerprintCache:
 
     def put(self, fingerprint: Fingerprint, payload: bytes,
             raw: bool = True) -> None:
-        """Insert a payload in its class (``raw``: it crossed the wire
-        uncompressed); a present fingerprint keeps its slot and class
-        (the first insertion wins, preserving symmetry across sides)."""
+        """Insert a payload in its class (``raw``: the probe called it
+        dense); a present fingerprint keeps its slot and class (the
+        first insertion wins, preserving symmetry across sides)."""
         entries = self._entries
         if fingerprint in entries or not self.capacity:
             return
         if len(entries) >= self.capacity:  # grows one entry at a time
-            victim = 0 if self._order[0] else 1  # compressed go first
+            victim = 0 if self._order[0] else 1  # deflated go first
             del entries[self._order[victim].popitem(last=False)[0]]
             self._removed[victim] += 1
             self.evictions += 1
@@ -336,33 +265,24 @@ class FingerprintCache:
         order[fingerprint] = self._removed[raw] + len(order)
         entries[fingerprint] = payload
 
-    def survives(self, fingerprint: Fingerprint, raw: int,
-                 compressed: int) -> bool:
+    def survives(self, fingerprint: Fingerprint, inserts: int,
+                 raw: int) -> bool:
         """Whether the cached ``fingerprint`` is still held after at most
-        ``raw`` and ``compressed`` more insertions of each class.  The
-        evictions they can cause must not reach its rank, the entries
-        evicted before it whatever is inserted meanwhile: the older
-        entries of its class, plus every compressed entry if it is raw.
-        A raw entry goes only once no compressed entry is left, and
-        compressed insertions evict each other, so against it they
-        count once.  An uncached ``fingerprint`` stands for a copy those
-        insertions commit compressed: it ranks behind every compressed
-        entry cached now, and each eviction before it takes at most one
-        of them, so it survives if all the evictions do not reach that
-        rank."""
+        ``inserts`` more insertions, ``raw`` of them raw.  The evictions
+        they can cause must not reach its rank, the entries evicted
+        before it whatever is inserted meanwhile: the older entries of
+        its class, plus every deflated entry if it is raw.  A raw entry
+        goes only once no deflated entry is left, and deflated
+        insertions evict each other, so against it they count once."""
         evictions = len(self._entries) + raw - self.capacity
-        if evictions + compressed <= 0:  # room for every insertion
-            return True
-        order_compressed, order_raw = self._order
+        order_deflated, order_raw = self._order
         serial = order_raw.get(fingerprint)
         if serial is None:
-            evictions += compressed
-            serial = order_compressed.get(fingerprint)
-            rank = len(order_compressed) if serial is None \
-                else serial - self._removed[0]
+            evictions += inserts - raw
+            rank = order_deflated[fingerprint] - self._removed[0]
         else:
-            evictions += compressed > 0
-            rank = len(order_compressed) + serial - self._removed[1]
+            evictions += inserts > raw
+            rank = len(order_deflated) + serial - self._removed[1]
         return evictions <= rank
 
     def clear(self) -> None:
@@ -376,42 +296,41 @@ class FingerprintCache:
 @dataclass(slots=True)
 class EncodedBatch:
     """One outgoing batch's wire form, decided at encode (launch) time:
-    its header block (:func:`pack_header`) and its payload section."""
+    its deflate stream (the header block, then the deflated payloads)
+    and, behind it, its dense payloads raw."""
 
-    header: bytes
-    #: ``64 x rows`` minus the header block's length
-    saved_header: int
+    stream: bytes
     #: the sender's payloads: what a raw row or a fallback retransmits
     payloads: List[bytes]
-    #: per payload: None raw, ``bytes`` compressed, :data:`REFERENCE`
-    forms: List[object]
-    #: what the link is charged: the header block plus the payloads
+    #: what the link is charged: the stream plus the raw payloads
     wire_bytes: int
-    #: payload bytes the references / compressed payloads saved
+    #: payload bytes the references saved
     saved_dedup: int
+    #: the stream's input bytes minus its length
     saved_compress: int
+    #: ``64 x rows`` minus the plain header block's length
+    saved_header: int
     #: fingerprint -> (payload, shipped raw) of what ships in full,
     #: first copy only: exactly what this batch's receive commits to
     #: both caches, and in which class
     full: Dict[Fingerprint, Tuple[bytes, bool]]
-    #: how many of ``full`` ship compressed
-    full_compressed: int
 
 
 def _survives(ahead: Sequence[EncodedBatch], fingerprint: Fingerprint,
               room: int) -> bool:
     """Whether fewer than ``room`` full payloads commit from the earliest
-    ``ahead`` batch carrying ``fingerprint`` on (all of it counted), so
-    that batch's raw copy (the first commit keeps the slot) stays
-    cached: a fresh raw entry outlives as many commits as under FIFO."""
+    ``ahead`` batch carrying ``fingerprint`` on (all of it counted), or
+    ``room`` is left at all for a copy only this batch carries, so
+    that copy (the first commit keeps the slot) stays cached: a fresh
+    raw entry outlives ``capacity - 1`` more commits."""
     for index, batch in enumerate(ahead):
         if fingerprint in batch.full:
             return sum(len(later.full) for later in ahead[index:]) < room
-    return False
+    return room > 0
 
 
 class WireReducer:
-    """One wire path's reduction engine: codec + synchronized caches.
+    """One wire path's reduction engine: encoder + synchronized caches.
 
     Owned by a :class:`~repro.storage.adc.JournalGroup`; both ends of
     the (simulated) link live in one process, so the reducer holds the
@@ -431,7 +350,6 @@ class WireReducer:
         # labelled by journal group, like the group's other families
         scope = self._scope = {"group": group}
         self._registry = registry
-        self.codec = ReductionCodec()
         self.sender = FingerprintCache(config.cache_entries)
         self.receiver = FingerprintCache(config.cache_entries)
         #: encode-time dedup lookups and hits (drives the hit-ratio gauge)
@@ -464,8 +382,8 @@ class WireReducer:
                  "(their cache commits were never applied)", **scope)
         self.deflate_skipped = registry.counter(
             "repro_reduction_deflate_skipped_total",
-            help="Payloads the density probe shipped raw without "
-                 "running deflate", **scope)
+            help="Payloads the density probe shipped raw, outside the "
+                 "deflate stream", **scope)
 
     # -- sender side ---------------------------------------------------------
 
@@ -480,101 +398,91 @@ class WireReducer:
         length)``.  ``trusted`` says every checksum is its payload's
         CRC32 for certain; otherwise each payload is hashed, and one
         that does not match ships in full and is never referenced.  The
-        cheapest mechanism wins.  Nothing is committed here.  Every
+        cheapest form wins.  Nothing is committed here.  Every
         reference is bounded to resolve.  A sender-cache entry is
         referenced only if the full payloads committing before the
         reference cannot evict it (:meth:`FingerprintCache.survives`).
         Otherwise a payload dedups against an earlier full copy in the
         ``ahead`` batches (in flight in front of it, in launch order),
         or failing that in this batch, whose receive commits that copy
-        first.  A raw copy is referenced only while the full payloads
-        committed from its batch on, plus this batch's fresh ones
-        before the reference, number fewer than ``cache_entries``; a
-        compressed one only while all of them cannot evict past the
-        compressed entries cached now.  Each payload is compressed
-        against the one before it in ``entries``.  No undo log:
-        receive is head-first and a failed head voids every shipment
-        behind it, so one that never lands leaves no state behind.
+        first — only a raw copy, and only while the full payloads
+        committed from its batch on, plus this batch's fresh ones before
+        the reference, number fewer than ``cache_entries``.  Payloads
+        the density probe lets through ride the deflate stream, the
+        rest ship raw behind it.  No undo log: receive is
+        head-first and a failed head voids every shipment behind it,
+        so one that never lands leaves no state behind.
         """
         capacity = self.config.cache_entries
         dedup = capacity > 0
         sender_get = self.sender.get
         survives = self.sender.survives
-        compress = self.codec.compress
         payloads = list(map(_PAYLOAD, entries))
         checksums = list(map(_CHECKSUM, entries))
         lengths = list(map(len, payloads))
-        fingerprints = list(zip(checksums, lengths))
         in_flight: Dict[Fingerprint, Tuple[bytes, bool]] = {}
-        # full copies committing before a reference here lands, by
-        # class: each may insert a new key
-        raw = compressed = 0
+        # full copies committing before a reference here lands, and
+        # how many of them are raw: each may insert a new key
+        inserts = raw_inserts = 0
         for batch in reversed(ahead):  # the earliest copy wins
             in_flight.update(batch.full)
-            raw += len(batch.full) - batch.full_compressed
-            compressed += batch.full_compressed
-        compressed_ahead = compressed
+            inserts += len(batch.full)
+            raw_inserts += sum(map(_SHIPPED_RAW, batch.full.values()))
         pending: Dict[Fingerprint, Tuple[bytes, bool]] = {}
-        forms: List[object] = []
-        saved_dedup = saved_compress = 0
-        # the dictionary of the next payload: the one shipped before it
-        previous = b""
-        for payload, fingerprint in zip(payloads, fingerprints):
+        forms = bytearray()
+        deflated: List[bytes] = []
+        saved_dedup = raw_bytes = 0
+        for payload, fingerprint in zip(payloads, zip(checksums, lengths)):
             intact = trusted or crc32(payload) == fingerprint[0]
             if dedup and intact:
                 cached = sender_get(fingerprint)
                 if cached is not None:
-                    if not survives(fingerprint, raw, compressed):
+                    if not survives(fingerprint, inserts, raw_inserts):
                         cached = None
                 else:
+                    # a raw copy only: a deflated one may be the first
+                    # entry evicted after its commit
                     copy = in_flight.get(fingerprint) \
                         or pending.get(fingerprint)
-                    if copy is not None:
-                        cached, copy_raw = copy
-                        if copy_raw:
-                            room = capacity - len(pending)
-                            if not (_survives(ahead, fingerprint, room)
-                                    if fingerprint in in_flight
-                                    else room > 0):
-                                cached = None
-                        # a compressed copy may be evicted first: it
-                        # ranks behind the compressed entries cached now
-                        elif not survives(fingerprint, raw, compressed):
-                            cached = None
+                    if copy is not None and copy[1] and _survives(
+                            ahead, fingerprint, capacity - len(pending)):
+                        cached = copy[0]
                 # byte-compare before referencing: a (crc32, length)
                 # collision must ship its payload, never a wrong reference
                 if cached is not None and cached == payload:
                     self.hits += 1
                     saved_dedup += fingerprint[1]
-                    forms.append(REFERENCE)
-                    previous = payload
+                    forms.append(REFERENCED)
                     continue
-            # None unless it beats the threshold
-            packed = compress(payload, previous)
-            forms.append(packed)
-            previous = payload
-            if packed is not None:
-                saved_compress += fingerprint[1] - len(packed) \
-                    - COMPRESS_FRAME_BYTES
+            raw = dense(payload)
+            if raw:
+                forms.append(RAW)
+                raw_bytes += fingerprint[1]
+            else:
+                forms.append(DEFLATED)
+                deflated.append(payload)
             # the cache keeps the first; a torn payload is never a copy
             if intact and fingerprint not in pending:
-                pending[fingerprint] = (payload, packed is None)
-                if packed is None:
-                    raw += 1
-                else:
-                    compressed += 1
+                pending[fingerprint] = (payload, raw)
+                inserts += 1
+                raw_inserts += raw
         if dedup:
             self.lookups += len(forms)
         # the probe's tally reaches the registry once per batch
-        self.deflate_skipped.increment(
-            self.codec.probe_skips - self.deflate_skipped.value)
+        self.deflate_skipped.increment(forms.count(RAW))
         header = pack_header(entries, checksums, lengths, forms)
-        return EncodedBatch(  # (a huge one-row block saved nothing)
-            header, max(0, ENTRY_HEADER_BYTES * len(forms) - len(header)),
-            payloads, forms,
-            len(header) + sum(lengths) - saved_dedup - saved_compress,
-            saved_dedup, saved_compress, pending,
-            compressed - compressed_ahead)
+        source = b"".join([header, *deflated])
+        # raw deflate: the zlib stream less its 2-byte header and
+        # Adler-32 (``compress`` takes no ``wbits`` before Python 3.11)
+        stream = compress(source, DEFLATE_LEVEL)[2:-4]
+        saved_compress = len(source) - len(stream)
+        # a tiny stream deflate grew nets against the header saving;
+        # a huge one-row block saved nothing
+        saved_header = max(0, ENTRY_HEADER_BYTES * len(forms) - len(header)
+                           + min(0, saved_compress))
+        return EncodedBatch(stream, payloads, len(stream) + raw_bytes,
+                            saved_dedup, max(0, saved_compress),
+                            saved_header, pending)
 
     def discard(self, count: int = 1) -> None:
         """Record ``count`` in-flight shipments voided before receive.
@@ -595,31 +503,30 @@ class WireReducer:
         yields ``(entry, verified)``, each entry rebuilt from its decoded
         header-block row and payload (and the trace context of the
         entry in ``origins`` it was encoded from, which the wire does
-        not carry); :meth:`book` then books the pass.  Compressed forms
-        decompress against the payload yielded before them; references
-        resolve from the receiver cache and are re-verified against
-        their row's checksum (``verified``: no second hash needed); a
-        mismatch retransmits the sender's payload, unverified.  Full
-        payloads commit to both caches, in the class their wire form
-        shows, before they are yielded, so a consumer that stops early
+        not carry); :meth:`book` then books the pass.  The stream is
+        inflated once; a deflated row's payload is the next ``length``
+        bytes behind the header block.  References resolve from the
+        receiver cache and are re-verified against their row's checksum
+        (``verified``: no second hash needed); a mismatch retransmits
+        the sender's payload, unverified.  Full payloads commit to both
+        caches before they are yielded, so a consumer that stops early
         leaves the rest uncommitted."""
+        plain = decompress(batch.stream, RAW_DEFLATE)
         (sequences, volumes, blocks, versions, created, checksums, lengths,
-         forms) = unpack_header(batch.header)
-        decompress = self.codec.decompress
+         forms, at) = unpack_header(plain)
         receiver_get = self.receiver.get
         commit_receiver = self.receiver.put
         commit_sender = self.sender.put
         self._fallbacks = fallbacks = []
-        # the sender's dictionary, rebuilt: the payload received before
-        previous = b""
         for (sequence, volume, block, version, created_at, checksum, length,
-             form, packed, payload, origin) in islice(zip(
+             form, payload, origin) in islice(zip(
                 sequences, volumes, blocks, versions, created, checksums,
-                lengths, forms, batch.forms, batch.payloads, origins),
-                count):
+                lengths, forms, batch.payloads, origins), count):
             fingerprint = checksum, length
             verified = False
-            if form == REFERENCED:
+            if form == DEFLATED:
+                payload, at = plain[at:at + length], at + length
+            elif form == REFERENCED:
                 cached = receiver_get(fingerprint)
                 verified = cached is not None and len(cached) == length \
                     and crc32(cached) == checksum
@@ -629,13 +536,10 @@ class WireReducer:
                     # a corrupted cache entry (every reference is
                     # bounded to resolve): retransmit, never corrupt
                     fallbacks.append(length)
-                    form = RAW
-            elif form == COMPRESSED:
-                payload = decompress(packed, previous)
+                    form = RAW if dense(payload) else DEFLATED  # class
             if not verified:
                 commit_sender(fingerprint, payload, form == RAW)
                 commit_receiver(fingerprint, payload, form == RAW)
-            previous = payload
             yield JournalEntry(sequence, volume, block, payload, version,
                                created_at, checksum, origin.trace_id,
                                origin.span_id), verified

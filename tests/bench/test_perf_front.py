@@ -22,9 +22,9 @@ from repro.cli import main
 EXACT = {
     "transfer_drain": 319999.99999999977,
     "transfer_drain_reduced": 249999.99999999983,
-    "wire_bytes_per_entry": 19.5855,
+    "wire_bytes_per_entry": 19.5205,
     "initial_copy": 2074.232637635709,
-    "wire_bytes_per_entry_mixed": 290.3515,
+    "wire_bytes_per_entry_mixed": 276.0685,
 }
 WORKLOADS = ("oltp_business", "stream_all_on")
 

@@ -4,7 +4,7 @@ Each mutant is a one-line edit of one pipeline function, recompiled
 from that function's source and monkeypatched onto its class; the state
 machine of ``test_replication_spec.py``, run at the ``soak`` profile's
 size with fresh draws, must then fail within ``BUDGET``.  A mutant no
-consistency rule can tell apart (the codec's exact wire form, the
+consistency rule can tell apart (a payload's eviction class, the
 transfer loop's launch timing) names the test that must fail instead.
 A pipeline change is accepted when the spec and this list are green.  Not collected
 by tier-1 (the name does not match ``test_*.py``); run it with::
@@ -23,8 +23,7 @@ from hypothesis.stateful import run_state_machine_as_test
 from repro.storage.adc import JournalGroup
 from repro.storage.array import StorageArray
 from repro.storage import reduction
-from repro.storage.reduction import (FingerprintCache, ReductionCodec,
-                                     WireReducer)
+from repro.storage.reduction import FingerprintCache, WireReducer
 from tests.spec.test_replication_spec import ReplicationSpec
 # modules, not their classes: pytest would collect a Test* class here
 from tests.storage import test_pipelined_transfer, test_wire_reduction
@@ -68,15 +67,13 @@ REQUIRED = [
     ("reference bound off by one", FingerprintCache, "survives",
      "return evictions <= rank", "return evictions <= rank + 1"),
     ("reducer commits its caches at send", WireReducer, "encode_batch",
-     "packed = compress(payload, previous)",
-     "packed = compress(payload, previous); self.sender.put(fingerprint, "
-     "payload, packed is None); self.receiver.put(fingerprint, payload, "
-     "packed is None)"),
-    ("compressed copy referenced with the raw bound", WireReducer,
-     "encode_batch", "if copy_raw:", "if True:"),
-    ("receiver does not advance its dictionary past a resolved reference",
-     WireReducer, "receive_batch", "previous = payload",
-     "previous = previous if verified else payload"),
+     "pending[fingerprint] = (payload, raw)",
+     "pending[fingerprint] = (payload, raw); self.sender.put(fingerprint, "
+     "payload, raw); self.receiver.put(fingerprint, payload, raw)"),
+    ("row payload sliced at the previous row's offset", WireReducer,
+     "receive_batch",
+     "payload, at = plain[at:at + length], at + length",
+     "payload, at = plain[at:at + length], at"),
     ("gaps decoded as offsets from the first sequence", reduction,
      "unpack_header",
      "sequences = accumulate(take(count - 1), initial=first)",
@@ -88,10 +85,11 @@ REQUIRED = [
 #: ``(name, owner, function, source as written, mutated source,
 #: killer)``: the spec cannot see these, ``killer()`` must raise
 REQUIRED_BY_TEST = [
-    ("window sized to the payload alone", ReductionCodec, "compress",
-     "(len(previous) + size + 261)", "(size + 261)",
-     test_wire_reduction.TestWindowSizing()
-     .test_sized_window_is_byte_identical),
+    ("a payload's class taken from its place in its batch", WireReducer,
+     "encode_batch", "raw = dense(payload)",
+     "raw = dense(payload) or not forms",
+     test_wire_reduction.TestOneStream()
+     .test_a_payloads_class_does_not_depend_on_its_place),
     ("windowed loop joins the head before refilling", JournalGroup,
      "_transfer_loop_windowed",
      "if len(inflight) < config.transfer_window and head.proc.alive:",

@@ -28,15 +28,15 @@ from tests.spec.reference import ReferenceReplicator
 from tests.storage.conftest import build_pipeline, image_of, run
 
 BLOCKS = 8
-#: two compressible payloads that share most of their bytes (each
-#: deflates against the other as its dictionary), three that are not,
-#: and one longer than a byte can count (a header-block length column
-#: needs two); all repeat (dedup)
+#: two compressible payloads that share most of their bytes (one
+#: shipment's stream deflates one against the other), three dense ones,
+#: and a compressible one longer than a byte can count (a header-block
+#: length column needs two); all repeat (dedup)
 PAYLOADS = (b"abcdefgh" * 12, b"abcdefgh" * 11 + b"z" * 8,
             bytes(range(96)), bytes(range(96, 192)),
             bytes(range(192, 256)) + bytes(range(32)), b"0123456789" * 30)
 #: fingerprint-cache entries per side: fewer than PAYLOADS, so both
-#: eviction classes evict, and room for a compressed copy to be the
+#: eviction classes evict, and room for a deflated entry to be the
 #: first evicted between its commit and a reference to it
 CACHE_ENTRIES = 3
 QUARTER = MediaProfile().write_latency / 4

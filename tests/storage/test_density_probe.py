@@ -2,20 +2,18 @@
 
 Three contracts:
 
-* **deflate budget** — with deflate counted (the ``zlib.Compress``
-  objects the codec deflates through), a stream of dense payloads makes
-  no call at all, and a mixed stream makes exactly one call per payload
-  that ships compressed (none is deflated and thrown away);
-* **verdict equivalence** — for every payload shape the repository
-  generates, the probed codec returns byte for byte what the unprobed
-  one (kept here as the reference) returns;
+* **deflate budget** — with deflate counted (the one-shot
+  ``zlib.compress``/``zlib.decompress`` each shipment's stream goes
+  through), every shipment makes exactly one call each way whatever
+  its mix, and a dense payload never enters the stream;
+* **the probe** — :func:`~repro.storage.reduction.dense` calls the
+  repository's dense payload kinds dense and its compressible ones
+  not, from a bounded strided sample of the whole payload;
 * **one-sided error** — over arbitrary payload mixes, including
   payloads that are dense in one half and compressible in the other,
-  reduction never changes the backup image, every compressed payload
-  round-trips, and the probe never *lowers* the wire bytes: it can
-  forgo a saving, nothing else.  The codec deflates each payload
-  against the one before it in its batch, chosen by position, so the
-  probe's verdict on one payload cannot change another's wire form.
+  the probe's verdict never changes the backup image, and reduction
+  never ships more bytes than the unreduced wire: a payload wrongly
+  called dense only ships raw behind the stream instead of in it.
 """
 
 import cProfile
@@ -29,37 +27,20 @@ from hypothesis import strategies as st
 
 from repro.apps.workload import PayloadProfile
 from repro.simulation import Simulator
-from repro.storage import ReductionCodec, ReductionConfig
-from repro.storage.reduction import (COMPRESS_FRAME_BYTES, COMPRESS_LEVEL,
-                                     MIN_COMPRESS_BYTES,
-                                     PROBE_DENSE_DISTINCT,
-                                     PROBE_SAMPLE_BYTES, RATIO_THRESHOLD,
-                                     RAW_DEFLATE)
+from repro.storage import ReductionConfig, reduction
+from repro.storage.reduction import (PROBE_DENSE_DISTINCT,
+                                     PROBE_SAMPLE_BYTES, RAW_DEFLATE,
+                                     WireReducer, dense, unpack_header)
 from tests.storage.conftest import (build_two_site, fast_adc, journal_rows,
                                     make_async_pair, run)
 
 CONFIG = ReductionConfig(enabled=True)
 
 
-def unprobed_compress(payload: bytes, previous: bytes = b""):
-    """The codec without the probe: always raw-deflate against the same
-    dictionary, then keep the result only when it beats the ratio
-    threshold."""
-    if len(payload) < MIN_COMPRESS_BYTES:
-        return None
-    packer = zlib.compressobj(COMPRESS_LEVEL, zlib.DEFLATED, RAW_DEFLATE,
-                              zdict=previous)
-    packed = packer.compress(payload) + packer.flush()
-    if len(packed) + COMPRESS_FRAME_BYTES \
-            <= RATIO_THRESHOLD * len(payload):
-        return packed
-    return None
-
-
 def zlib_calls(action) -> tuple:
-    """``(calls, result)``: the ``zlib.Compress.compress`` /
-    ``zlib.Decompress.decompress`` calls made while ``action()`` runs
-    (one per payload deflated / inflated), and what it returned."""
+    """``(calls, result)``: the one-shot ``zlib.compress`` /
+    ``zlib.decompress`` calls made while ``action()`` runs, and what it
+    returned."""
     profile = cProfile.Profile()
     profile.enable()
     try:
@@ -69,13 +50,12 @@ def zlib_calls(action) -> tuple:
     calls = {"compress": 0, "decompress": 0}
     for key, stat in pstats.Stats(profile).stats.items():
         for name in calls:
-            if key[2] == f"<method '{name}' of " \
-                    f"'zlib.{name.capitalize()}' objects>":
+            if key[2] == f"<built-in method zlib.{name}>":
                 calls[name] += stat[1]
     return calls, result
 
 
-def drain(payloads, reduction=CONFIG, unprobed=False, blocks=512):
+def drain(payloads, reduction=CONFIG, blocks=512):
     """Write ``payloads`` to distinct blocks of one ADC pair and drain
     them to the backup site; returns (site, group, svol)."""
     site = build_two_site(Simulator(seed=13),
@@ -83,8 +63,6 @@ def drain(payloads, reduction=CONFIG, unprobed=False, blocks=512):
                                        transfer_batch=32))
     pvol, svol = make_async_pair(site, blocks=blocks)
     group = site.main.journal_groups["jg-0"]
-    if unprobed:
-        group.reducer.codec.compress = unprobed_compress
     run(site.sim, site.main.host_write_many(
         [(pvol.volume_id, index, payload)
          for index, payload in enumerate(payloads)]))
@@ -103,20 +81,28 @@ def profile_payloads(kinds, count, size=512, seed=3):
 
 
 class TestDeflateBudget:
-    def test_dense_stream_never_calls_deflate(self):
+    def test_dense_stream_deflates_its_header_blocks_only(self):
         payloads = profile_payloads(("random",), 300)
         calls, (_site, group, _svol) = zlib_calls(lambda: drain(payloads))
-        assert calls == {"compress": 0, "decompress": 0}
-        assert group.reducer.deflate_skipped.value == len(payloads)
-        assert group.reducer.saved_compress.value == 0
+        shipments = group.transfer_batches.value
+        assert calls == {"compress": shipments, "decompress": shipments}
+        reducer = group.reducer
+        assert reducer.deflate_skipped.value == len(payloads)
+        # every payload crosses raw, behind a stream of header columns
+        batch = WireReducer(Simulator(seed=1), ReductionConfig(
+            enabled=True, cache_entries=0), "jg-dense").encode_batch(
+                journal_rows(payloads[:32]))
+        plain = zlib.decompress(batch.stream, RAW_DEFLATE)
+        assert unpack_header(plain)[-1] == len(plain)
+        assert batch.wire_bytes == len(batch.stream) \
+            + sum(map(len, payloads[:32]))
 
-    def test_mixed_stream_deflates_only_what_ships_compressed(self):
+    def test_mixed_stream_deflates_once_a_shipment(self):
         payloads = profile_payloads(
             ("random", "compressible", "duplicate"), 300)
         calls, (_site, group, _svol) = zlib_calls(lambda: drain(payloads))
-        # every compressed payload on the wire is decompressed once at
-        # the receive side, so equal counts mean no deflate was wasted
-        assert calls["compress"] == calls["decompress"] == 100
+        shipments = group.transfer_batches.value
+        assert calls == {"compress": shipments, "decompress": shipments}
         reducer = group.reducer
         assert reducer.hits == 100 - 16          # the duplicate repeats
         assert reducer.deflate_skipped.value == 100 + 16
@@ -136,39 +122,28 @@ class TestDeflateBudget:
         assert increments == [20]
 
 
-class TestVerdictEquivalence:
+class TestProbe:
     @pytest.mark.parametrize("kind", PayloadProfile.KINDS)
     @pytest.mark.parametrize("size", [64, 100, 128, 256, 512, 1024,
                                       2048, 4096])
-    def test_probed_codec_matches_unprobed(self, kind, size):
-        codec = ReductionCodec()
+    def test_verdict_per_payload_kind(self, kind, size):
+        """Every page of a dense kind is called dense, no compressible
+        one is."""
         profile = PayloadProfile(kind=kind, size_bytes=size, seed=size,
                                  unique_payloads=32)
-        previous = b""
-        for index in range(64):
-            payload = profile.payload(index)
-            assert codec.compress(payload, previous) \
-                == unprobed_compress(payload, previous)
-            previous = payload
+        assert {dense(profile.payload(index)) for index in range(64)} \
+            == {kind != "compressible"}
 
     def test_probe_samples_a_bounded_stride(self):
         """A payload repeating one dense block is dense in any prefix
-        but not in the strided sample, so it still reaches deflate."""
+        but not in the strided sample, so it still rides the stream."""
         block = b"".join(hashlib.sha256(tag).digest() for tag in (b"a", b"b"))
         payload = block * 64
         assert len(set(payload[:PROBE_SAMPLE_BYTES])) >= PROBE_DENSE_DISTINCT
-        codec = ReductionCodec()
-        assert codec.compress(payload) == unprobed_compress(payload)
-        assert codec.compress(payload) is not None
-        assert codec.probe_skips == 0
-
-    def test_small_and_empty_payloads(self):
-        codec = ReductionCodec()
-        for payload in (b"", b"a", b"ab" * 8, bytes(range(24))):
-            assert codec.compress(payload) == unprobed_compress(payload)
+        assert not dense(payload)
 
 
-def dense(seed: int, size: int) -> bytes:
+def dense_bytes(seed: int, size: int) -> bytes:
     return PayloadProfile(kind="random", size_bytes=size,
                           seed=seed).payload(seed)
 
@@ -184,13 +159,13 @@ def payload_mixes(draw):
     compressible, half and half either way round, repeats, and
     arbitrary bytes."""
     shapes = {
-        "dense": dense,
+        "dense": dense_bytes,
         "text": text,
         "dense-prefix": lambda seed, size:
-            dense(seed, size // 2) + text(seed, size - size // 2),
+            dense_bytes(seed, size // 2) + text(seed, size - size // 2),
         "dense-tail": lambda seed, size:
-            text(seed, size // 2) + dense(seed, size - size // 2),
-        "repeat": lambda seed, size: dense(seed % 3, 256),
+            text(seed, size // 2) + dense_bytes(seed, size - size // 2),
+        "repeat": lambda seed, size: dense_bytes(seed % 3, 256),
     }
     items = draw(st.lists(
         st.one_of(
@@ -203,34 +178,28 @@ def payload_mixes(draw):
 
 
 #: a dense head on a compressible tail: deflate shrinks it, the probe
-#: calls it dense, so only the unprobed run compresses its first copy,
-#: and a repeat must still be referenced there.  Right behind its twin
-#: the repeat deflates to less than a reference; one payload between
-#: them leaves only the reference to win.
-HEAD_ON_TAIL = dense(1, 110) + text(1, 110)
+#: calls it dense, so only the unprobed run streams its first copy, and
+#: a repeat must still be referenced there
+HEAD_ON_TAIL = dense_bytes(1, 110) + text(1, 110)
 
 
 class TestOneSidedError:
     @given(payloads=payload_mixes())
     @example(payloads=[HEAD_ON_TAIL, HEAD_ON_TAIL])
-    @example(payloads=[HEAD_ON_TAIL, dense(2, 220), HEAD_ON_TAIL])
+    @example(payloads=[HEAD_ON_TAIL, dense_bytes(2, 220), HEAD_ON_TAIL])
     @settings(max_examples=40, deadline=None)
-    def test_probe_only_ever_forgoes_a_saving(self, payloads):
+    def test_the_verdict_never_changes_the_image(self, payloads):
         off_site, _group, off_svol = drain(
             payloads, reduction=ReductionConfig())
         site, _group, svol = drain(payloads)
-        ref_site, _group, ref_svol = drain(payloads, unprobed=True)
+        with pytest.MonkeyPatch.context() as patch:
+            # no probe: every payload rides the stream
+            patch.setattr(reduction, "dense", lambda payload: False)
+            _site, _group, unprobed_svol = drain(payloads)
         image = {block: value.payload
                  for block, value in off_svol.block_map().items()}
-        for other in (svol, ref_svol):
+        for other in (svol, unprobed_svol):
             assert {block: value.payload for block, value
                     in other.block_map().items()} == image
-        assert ref_site.link.bytes_transferred \
-            <= site.link.bytes_transferred \
+        assert site.link.bytes_transferred \
             <= off_site.link.bytes_transferred
-        codec = ReductionCodec()
-        for payload in payloads:
-            packed = codec.compress(payload)
-            if packed is not None:
-                assert packed == unprobed_compress(payload)
-                assert ReductionCodec.decompress(packed) == payload

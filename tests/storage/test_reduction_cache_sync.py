@@ -16,7 +16,7 @@ from repro.apps.workload import PayloadProfile
 from repro.storage.reduction import ReductionConfig
 from tests.storage.conftest import build_pipeline, run
 
-#: six payloads of each kind (compressible ones ship compressed):
+#: six payloads of each kind (compressible ones ride the stream):
 #: random 0-5, compressible 6-11, duplicate 12-17
 POOL = [PayloadProfile(kind=kind, size_bytes=256, seed=seed,
                        unique_payloads=6).payload(index)
@@ -37,11 +37,11 @@ def cache_state(cache):
 # a repeat of a copy still in flight, evicted by the batches between
 @example(cache_entries=2, transfer_window=8, transfer_batch=1,
          stream=[0, 1, 2, 0])
-# compressed insertions evict each other: the raw entry is referenced
+# deflated insertions evict each other: the raw entry is referenced
 @example(cache_entries=2, transfer_window=1, transfer_batch=3,
          stream=[0, 6, 7, 8, 9, 0])
-# a compressed first copy the raw page behind it evicts: the repeat
-# ships in full (a raw copy would have survived to be referenced)
+# a deflated first copy in flight or in the batch is never
+# referenced: the raw page behind it may evict it first
 @example(cache_entries=3, transfer_window=1, transfer_batch=3,
          stream=[0, 1, 7, 6, 2, 6])
 @given(cache_entries=st.integers(1, 8),

@@ -1,6 +1,6 @@
-"""Tests of the wire data-reduction engine (compression + dedup).
+"""Tests of the wire data-reduction engine (dedup + one deflate stream).
 
-Units of :class:`ReductionCodec` / :class:`FingerprintCache` plus end to
+Units of the shipment stream / :class:`FingerprintCache` plus end to
 end coverage of the journal wire path: duplicate-heavy ADC streams ship
 at least 3x fewer bytes with a bit-identical secondary image, a
 reference is sent only when the payload it names cannot be evicted
@@ -15,6 +15,7 @@ import itertools
 import random
 import zlib
 from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,16 +24,14 @@ from hypothesis import strategies as st
 from repro.apps.workload import PayloadProfile
 from repro.simulation import Simulator
 from repro.storage import PairState
-from repro.storage.reduction import (COMPRESS_FRAME_BYTES, COMPRESS_LEVEL,
-                                     MIN_COMPRESS_BYTES, RATIO_THRESHOLD,
-                                     RAW_DEFLATE, REFERENCE,
-                                     FingerprintCache, ReductionCodec,
-                                     ReductionConfig, WireReducer)
+from repro.storage.journal import ENTRY_HEADER_BYTES, JournalEntry
+from repro.storage.reduction import (FingerprintCache, ReductionConfig,
+                                     WireReducer)
 from tests.chaos.test_faults import corrupt_first_entry
 from tests.storage.conftest import (build_pipeline, hold_restore,
-                                    journal_entries, journal_rows,
-                                    make_async_pair, run,
+                                    journal_rows, make_async_pair, run,
                                     tamper_receiver_entry)
+from tests.storage.test_reduction_cache_sync import cache_state
 
 REDUCED = ReductionConfig(enabled=True)
 
@@ -105,102 +104,6 @@ class TestReductionConfig:
             ReductionConfig(cache_entries=-1)
 
 
-class TestReductionCodec:
-    def test_small_payload_skips_compression(self):
-        codec = ReductionCodec()
-        assert codec.compress(b"tiny") is None
-
-    def test_incompressible_payload_ships_raw(self):
-        profile = PayloadProfile(kind="random", size_bytes=512, seed=3)
-        codec = ReductionCodec()
-        assert codec.compress(profile.payload(0)) is None
-
-    def test_compressible_payload_round_trips(self):
-        profile = PayloadProfile(kind="compressible", size_bytes=512,
-                                 seed=3)
-        codec = ReductionCodec()
-        payload = profile.payload(0)
-        packed = codec.compress(payload)
-        assert packed is not None
-        assert len(packed) + COMPRESS_FRAME_BYTES < len(payload)
-        assert ReductionCodec.decompress(packed) == payload
-
-    def test_deterministic(self):
-        codec = ReductionCodec()
-        payload = b"abc" * 200
-        assert codec.compress(payload) == codec.compress(payload)
-        assert codec.compress(payload, b"xyz" * 50) \
-            == codec.compress(payload, b"xyz" * 50)
-
-
-#: the spans (dictionary + payload) at which the codec's window grows:
-#: a ``2**bits`` window reaches ``2**bits - 262`` bytes back
-WINDOW_REACHES = [(1 << bits) - 262 for bits in range(9, 16)]
-
-
-def full_window_deflate(payload, previous):
-    """The codec's wire form with the full 32 KiB window: raw deflate
-    at ``RAW_DEFLATE``, kept under the same size and ratio rules (the
-    test's payloads never trip the density probe)."""
-    if len(payload) < MIN_COMPRESS_BYTES:
-        return None
-    packer = zlib.compressobj(COMPRESS_LEVEL, zlib.DEFLATED, RAW_DEFLATE,
-                              zdict=previous)
-    packed = packer.compress(payload) + packer.flush()
-    if len(packed) + COMPRESS_FRAME_BYTES <= RATIO_THRESHOLD * len(payload):
-        return packed
-    return None
-
-
-def sixteen_letters(rng, size):
-    return bytes(rng.choice(b"abcdefghijklmnop") for _ in range(size))
-
-
-@st.composite
-def spans(draw):
-    """``(payload, previous)`` whose combined length sits within a few
-    bytes of a window threshold or anywhere in 0..40 KB.  The payload
-    repeats runs of the dictionary taken from its far end, so a window
-    too short for the whole span misses matches, over sixteen letters,
-    so the density probe never turns it away."""
-    if draw(st.booleans()):
-        span = draw(st.sampled_from(WINDOW_REACHES)) \
-            + draw(st.integers(-3, 3))
-    else:
-        span = draw(st.integers(0, 40_000))
-    size = draw(st.integers(0, span))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    previous = sixteen_letters(rng, span - size)
-    payload = bytearray()
-    while len(payload) < size:
-        start = rng.randrange(len(previous) // 4 + 1)
-        payload += previous[start:start + rng.randrange(8, 400)] \
-            or sixteen_letters(rng, 64)
-        payload += sixteen_letters(rng, rng.randrange(0, 32))
-    return bytes(payload[:size]), previous
-
-
-def far_reference(span=30_000, size=2_000):
-    """A short payload that copies the far end of a long dictionary."""
-    previous = sixteen_letters(random.Random(5), span - size)
-    return previous[:size], previous
-
-
-class TestWindowSizing:
-    """The codec deflates through the smallest window that covers its
-    span; the wire form must not change for it."""
-
-    @given(case=spans())
-    @example(case=far_reference())
-    @settings(max_examples=150, deadline=None)
-    def test_sized_window_is_byte_identical(self, case):
-        payload, previous = case
-        packed = ReductionCodec().compress(payload, previous)
-        assert packed == full_window_deflate(payload, previous)
-        if packed is not None:
-            assert ReductionCodec.decompress(packed, previous) == payload
-
-
 def text_pages(count, size=512, seed=3):
     """Distinct compressible pages sharing one record layout."""
     profile = PayloadProfile(kind="compressible", size_bytes=size,
@@ -213,92 +116,140 @@ def dense_page(size=512, seed=3):
                           seed=seed).payload(0)
 
 
-def decoded(packed, previous):
-    """What raw inflate makes of ``packed`` against ``previous``, or
-    None when it rejects the stream."""
-    try:
-        return ReductionCodec.decompress(packed, previous)
-    except zlib.error:
-        return None
+#: payloads of every shape one stream meets: compressible pages, dense
+#: pages, and one of each kind repeated (dedup within and across batches)
+SHAPES = {"text": text_pages(12, size=300),
+          "dense": [dense_page(200, seed) for seed in range(12)],
+          "duplicate": [text_pages(1, size=700, seed=9)[0], dense_page(260)]}
 
 
-def ship(reducer, payloads):
-    """Encode one batch of ``payloads`` and receive it whole; returns
-    the wire forms, the received payloads and, per payload, whether a
-    resolved reference already checked it against its CRC32."""
-    rows = journal_rows(payloads)
-    batch = reducer.encode_batch(rows, trusted=True)
-    received = list(reducer.receive_batch(batch, len(rows), rows))
+@st.composite
+def shipments(draw):
+    """``(payloads, torn rows, count)``: a mix of compressible, dense,
+    duplicate and torn payloads (a torn row's checksum is not its
+    payload's CRC32), and the prefix of rows a receive takes."""
+    picks = draw(st.lists(st.tuples(st.sampled_from(sorted(SHAPES)),
+                                    st.integers(0, 11)),
+                          min_size=1, max_size=24))
+    payloads = [SHAPES[shape][index % len(SHAPES[shape])]
+                for shape, index in picks]
+    torn = draw(st.sets(st.integers(0, len(payloads) - 1)))
+    return payloads, torn, draw(st.integers(0, len(payloads)))
+
+
+def torn_rows(payloads, torn):
+    """Journal rows of ``payloads``; each row in ``torn`` carries a
+    checksum that is not its payload's CRC32."""
+    return [replace(row, checksum=row.checksum ^ 1) if index in torn
+            else row for index, row in enumerate(journal_rows(payloads))]
+
+
+def ship(reducer, rows, count=None):
+    """Encode one batch of ``rows`` and receive its first ``count``
+    (all by default); returns the received entries."""
+    batch = reducer.encode_batch(rows)
+    received = [entry for entry, _verified in reducer.receive_batch(
+        batch, len(rows) if count is None else count, rows)]
     reducer.book("transfer", batch)
-    return (batch.forms, [entry.payload for entry, _ in received],
-            [verified for _, verified in received])
+    return received
 
 
-class TestBatchDictionary:
-    """Each payload deflates against the one shipped before it in its
-    batch, whatever that one's wire form."""
+def fingerprint(payload):
+    return zlib.crc32(payload), len(payload)
 
-    def test_compressed_payload_decodes_only_with_its_predecessor(self):
-        codec = ReductionCodec()
-        first, second = text_pages(2)
-        packed = codec.compress(second, first)
-        assert len(packed) < len(codec.compress(second))
-        assert ReductionCodec.decompress(packed, first) == second
-        for wrong in (b"", dense_page()):
-            assert decoded(packed, wrong) != second
 
-    def test_batches_round_trip_whatever_the_predecessor_shipped_as(self):
-        reducer = WireReducer(Simulator(seed=1), REDUCED, "jg-dict")
-        pages = text_pages(5)
-        # a dense head on a compressible tail: the probe ships it raw,
-        # and its tail is a dictionary for the next page
-        mixed = dense_page(384) + pages[0][384:]
-        cases = [
-            ("raw", [mixed, pages[1]], None, False),
-            # pages[1] is cached (compressed class) by the batch above
-            ("reference", [pages[1], pages[2]], REFERENCE, True),
-            # warm a raw entry, then corrupt the receiver's copy of it:
-            # the reference to it falls back to a retransmit, which
-            # receive must hash like any full payload
-            ("fallback", [mixed, pages[3]], REFERENCE, False),
-        ]
-        for name, payloads, head_form, head_verified in cases:
-            if name == "fallback":
-                assert tamper_receiver_entry(reducer) == mixed
-            forms, received, verified = ship(reducer, payloads)
-            assert forms[0] is head_form, name
-            assert verified == [head_verified, False], name
-            assert isinstance(forms[1], bytes), name
-            assert received == payloads, name
-            # the second page really leaned on the first
-            assert decoded(forms[1], b"") != payloads[1], name
-        assert reducer.ref_fallbacks.value == 1
-        # the first payload of a batch has no dictionary
-        forms, received, _verified = ship(reducer, pages[4:])
-        assert forms == [ReductionCodec().compress(pages[4])]
-        assert received == pages[4:]
+class TestOneStream:
+    """Each shipment is one raw-deflate stream: the header block, then
+    every payload neither referenced nor dense; dense ones follow it
+    raw."""
 
-    def test_backup_full_prefix_still_decodes(self):
-        """A receive cut short by a full backup journal decodes and
-        ingests the prefix that fits, every compressed page against its
-        predecessor; the rest re-ships after the suspension heals."""
-        p = build_pipeline(17, backup_capacity=9, reduction=REDUCED)
-        group, pvol = p.group, p.pvols[0]
-        resume = hold_restore(group)
-        pages = text_pages(20, size=256)
-        run(p.sim, p.main.host_write_many(
-            [(pvol.volume_id, block, page)
-             for block, page in enumerate(pages)]))
-        p.sim.run(until=p.sim.now + 0.1)
-        assert group.suspend_reason == "backup journal full"
-        assert [entry.payload for entry in
-                journal_entries(group.backup_journal)] == pages[:9]
-        assert group.reducer.saved_compress.value > 0
-        assert group.reducer.ref_fallbacks.value == 0
-        resume()
-        p.sim.run(until=p.sim.now + 0.1)
-        assert [p.svols[0].peek(block).payload
-                for block in range(9)] == pages[:9]
+    @given(case=shipments())
+    # a receive cut short by a full backup journal: the prefix decodes
+    @example(case=(SHAPES["text"] + SHAPES["dense"][:8], set(), 9))
+    @example(case=([SHAPES["duplicate"][0]] * 3 + SHAPES["text"][:2],
+                   {1}, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_the_stream_round_trips_and_commits_its_prefix(self, case):
+        """Whatever the mix, the first ``count`` rows come back as they
+        were encoded, references resolving from the receiver cache on
+        the second pass, and only they commit, to both caches alike."""
+        payloads, torn, count = case
+        reducer = WireReducer(Simulator(seed=1), REDUCED, "jg-stream")
+        rows = torn_rows(payloads, torn)
+        committed = {(row.checksum, len(row.payload)) for row in rows[:count]}
+        for _ in range(2):
+            assert ship(reducer, rows, count) == rows[:count]
+            assert set(reducer.sender._entries) == committed
+            assert cache_state(reducer.sender) \
+                == cache_state(reducer.receiver)
+        assert reducer.ref_fallbacks.value == 0
+
+    def test_a_payloads_class_does_not_depend_on_its_place(self):
+        """A short page deflate shrinks behind its near twin but not
+        alone: shipped alone or behind the twin, it is evicted in the
+        same order against a dense page cached before it."""
+        draw = random.Random(7)
+        page = bytes(draw.choice(b"abcdefghijklmnopqrstuvwxyz")
+                     for _ in range(40))
+        twin = page[:-1] + b"z"
+        anchor = dense_page()
+        outlived = []
+        for batch in ([page], [twin, page]):
+            reducer = WireReducer(Simulator(seed=1), ReductionConfig(
+                enabled=True, cache_entries=3), "jg-class")
+            ship(reducer, journal_rows([anchor]))
+            ship(reducer, journal_rows(batch))
+            filler = 100
+            while fingerprint(page) in reducer.sender \
+                    and fingerprint(anchor) in reducer.sender:
+                ship(reducer, journal_rows([dense_page(seed=filler)]))
+                filler += 1
+            outlived.append(fingerprint(page) in reducer.sender)
+        assert outlived[0] == outlived[1]
+
+    @given(case=shipments())
+    @settings(max_examples=40, deadline=None)
+    def test_link_bytes_and_savings_sum_to_the_unreduced_size(self, case):
+        """Per shipment, what the link carries plus what each mechanism
+        saved is the flat framing: 64 bytes a row and every payload."""
+        payloads, torn, _count = case
+        reducer = WireReducer(Simulator(seed=1), REDUCED, "jg-sum")
+        rows = torn_rows(payloads, torn)
+        for _ in range(2):  # the second pass references the first
+            batch = reducer.encode_batch(rows)
+            ship(reducer, rows)
+            assert batch.wire_bytes + batch.saved_dedup \
+                + batch.saved_compress + batch.saved_header \
+                == ENTRY_HEADER_BYTES * len(rows) + sum(map(len, payloads))
+
+    def test_a_stream_deflate_grew_books_no_negative_saving(self):
+        """One dense row whose header fields are random 32-bit values:
+        deflate grows its 40-byte header block, and the growth nets
+        against the header saving."""
+        draw = random.Random(1)
+        payload = dense_page(40)
+        row = JournalEntry(*(draw.randrange(1 << 24, 1 << 32)
+                             for _ in range(3)), payload,
+                           draw.randrange(1 << 24, 1 << 32), draw.random(),
+                           zlib.crc32(payload))
+        reducer = WireReducer(Simulator(seed=1), REDUCED, "jg-tiny")
+        batch = reducer.encode_batch([row])
+        assert len(batch.stream) > 40
+        assert batch.saved_compress == 0 < batch.saved_header
+        assert batch.wire_bytes + batch.saved_header \
+            == ENTRY_HEADER_BYTES + len(payload)
+
+    def test_a_deflated_copy_in_flight_is_never_referenced(self):
+        """A repeat of a page whose first copy rides a shipment still in
+        flight references it only if it shipped raw: a deflated one may
+        be the first entry evicted after its commit."""
+        page, dense = text_pages(1)[0], dense_page()
+        reducer = WireReducer(Simulator(seed=1), REDUCED, "jg-ahead")
+        ahead = [reducer.encode_batch(journal_rows([page, dense]))]
+        batch = reducer.encode_batch(journal_rows([page, dense]),
+                                     ahead=ahead)
+        assert batch.saved_dedup == len(dense)
+        assert reducer.hits == 1
 
 
 class TestFingerprintCache:
@@ -336,7 +287,7 @@ class TestFingerprintCache:
         with pytest.raises(ValueError):
             FingerprintCache(-1)
 
-    def test_compressed_entries_are_evicted_first(self):
+    def test_deflated_entries_are_evicted_first(self):
         cache = FingerprintCache(3)
         cache.put((1, 1), b"a")
         cache.put((2, 1), b"b", raw=False)
@@ -345,7 +296,7 @@ class TestFingerprintCache:
         assert (2, 1) not in cache and (1, 1) in cache
         cache.put((5, 1), b"e")
         assert (4, 1) not in cache and (1, 1) in cache
-        cache.put((6, 1), b"f", raw=False)  # none compressed left
+        cache.put((6, 1), b"f", raw=False)  # none deflated left
         assert (1, 1) not in cache
         assert cache.evictions == 3
 
@@ -366,7 +317,7 @@ class TestFingerprintCache:
         """``survives`` is sound for every insertion order, and exact
         for raw insertions: they evict one entry each, in rank order."""
         classes = [True, False, True, False, False]
-        # eviction order: the compressed 2, 4, 5, then the raw 1, 3
+        # eviction order: the deflated 2, 4, 5, then the raw 1, 3
         ranks = {(2, 1): 0, (4, 1): 1, (5, 1): 2, (1, 1): 3, (3, 1): 4}
 
         def filled():
@@ -376,15 +327,15 @@ class TestFingerprintCache:
             return cache
 
         for key, rank in ranks.items():
-            assert filled().survives(key, rank, 0)
-            assert not filled().survives(key, rank + 1, 0)
+            assert filled().survives(key, rank, rank)
+            assert not filled().survives(key, rank + 1, rank + 1)
         for inserts in itertools.chain.from_iterable(
                 itertools.product((True, False), repeat=count)
                 for count in range(7)):
             for key in ranks:
                 cache = filled()
-                survives = cache.survives(key, inserts.count(True),
-                                          inserts.count(False))
+                survives = cache.survives(key, len(inserts),
+                                          inserts.count(True))
                 for serial, raw in enumerate(inserts, 10):
                     cache.put((serial, 1), b"y", raw)
                 assert key in cache or not survives, (key, inserts)
