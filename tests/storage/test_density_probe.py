@@ -142,6 +142,19 @@ class TestProbe:
         assert len(set(payload[:PROBE_SAMPLE_BYTES])) >= PROBE_DENSE_DISTINCT
         assert not dense(payload)
 
+    def test_small_and_empty_payloads(self):
+        """Too few bytes to sample: an empty payload and a run of
+        distinct values are dense, a short repeating one is not; all of
+        them round-trip in one shipment."""
+        payloads = [b"", b"a", b"ab" * 8, bytes(range(24))]
+        assert list(map(dense, payloads)) == [True, True, False, True]
+        reducer = WireReducer(Simulator(seed=1), CONFIG, "jg-small")
+        rows = journal_rows(payloads)
+        batch = reducer.encode_batch(rows)
+        assert batch.wire_bytes == len(batch.stream) + 1 + 24
+        assert [entry for entry, _verified in reducer.receive_batch(
+            batch, len(rows), rows)] == rows
+
 
 def dense_bytes(seed: int, size: int) -> bytes:
     return PayloadProfile(kind="random", size_bytes=size,

@@ -25,8 +25,9 @@ from repro.apps.workload import PayloadProfile
 from repro.simulation import Simulator
 from repro.storage import PairState
 from repro.storage.journal import ENTRY_HEADER_BYTES, JournalEntry
-from repro.storage.reduction import (FingerprintCache, ReductionConfig,
-                                     WireReducer)
+from repro.storage.reduction import (RAW_DEFLATE, FingerprintCache,
+                                     ReductionConfig, WireReducer,
+                                     unpack_header)
 from tests.chaos.test_faults import corrupt_first_entry
 from tests.storage.conftest import (build_pipeline, hold_restore,
                                     journal_rows, make_async_pair, run,
@@ -183,6 +184,56 @@ class TestOneStream:
             assert cache_state(reducer.sender) \
                 == cache_state(reducer.receiver)
         assert reducer.ref_fallbacks.value == 0
+
+    def test_the_stream_holds_the_deflated_payloads_in_row_order(self):
+        """The inflated stream is the header block, then the payloads
+        the probe let through, in row order; the dense one is not in
+        it, and the link carries it raw behind the stream."""
+        pages, dense = text_pages(2), dense_page()
+        reducer = WireReducer(Simulator(seed=1), REDUCED, "jg-order")
+        rows = journal_rows([pages[0], dense, pages[1]])
+        batch = reducer.encode_batch(rows)
+        plain = zlib.decompress(batch.stream, RAW_DEFLATE)
+        at = unpack_header(plain)[-1]
+        assert plain[at:] == pages[0] + pages[1]
+        assert batch.wire_bytes == len(batch.stream) + len(dense)
+        assert reducer.deflate_skipped.value == 1
+        assert [entry for entry, _verified in reducer.receive_batch(
+            batch, len(rows), rows)] == rows
+
+    def test_compressible_pages_shrink_in_one_stream(self):
+        """Twelve pages sharing a record layout: one stream carries all
+        of them, with their header rows, in fewer bytes than the pages
+        alone, and books the difference as the compress saving."""
+        pages = text_pages(12)
+        reducer = WireReducer(Simulator(seed=1), REDUCED, "jg-text")
+        batch = reducer.encode_batch(journal_rows(pages))
+        assert batch.wire_bytes == len(batch.stream) < sum(map(len, pages))
+        assert batch.saved_compress > 0
+        assert reducer.deflate_skipped.value == 0
+
+    def test_encoding_is_deterministic(self):
+        """Two reducers encoding the same mixed shipment from empty
+        caches produce the same wire form, byte for byte."""
+        rows = journal_rows(SHAPES["text"][:4] + SHAPES["dense"][:2]
+                            + SHAPES["duplicate"] * 2)
+        first, second = (WireReducer(Simulator(seed=1), REDUCED,
+                                     "jg-det").encode_batch(rows)
+                         for _ in range(2))
+        assert first == second
+
+    def test_a_shipment_of_references_carries_its_header_block_only(self):
+        """Shipped again, every payload of a mixed shipment is a
+        reference: the stream inflates to the header block alone and
+        the link carries nothing else."""
+        rows = journal_rows(text_pages(3) + [dense_page()])
+        reducer = WireReducer(Simulator(seed=1), REDUCED, "jg-refs")
+        ship(reducer, rows)
+        batch = reducer.encode_batch(rows)
+        plain = zlib.decompress(batch.stream, RAW_DEFLATE)
+        assert unpack_header(plain)[-1] == len(plain)
+        assert batch.wire_bytes == len(batch.stream)
+        assert batch.saved_dedup == sum(len(row.payload) for row in rows)
 
     def test_a_payloads_class_does_not_depend_on_its_place(self):
         """A short page deflate shrinks behind its near twin but not
